@@ -19,19 +19,6 @@
 
 namespace {
 
-// UpdateSink over a plain (non-distributed) RVM transaction.
-class RvmSink : public oo7::UpdateSink {
- public:
-  RvmSink(rvm::Rvm* rvm, rvm::TxnId txn) : rvm_(rvm), txn_(txn) {}
-  base::Status SetRange(uint64_t offset, uint64_t len) override {
-    return rvm_->SetRange(txn_, 1, offset, len);
-  }
-
- private:
-  rvm::Rvm* rvm_;
-  rvm::TxnId txn_;
-};
-
 struct Row {
   std::string label;
   double detect_us, collect_us, disk_us, network_us, apply_us, total_us;
@@ -55,14 +42,16 @@ Row RunPlainRvm(const std::string& label, rvm::CoalesceMode mode) {
 
   base::Stopwatch total;
   rvm::TxnId txn = rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
-  RvmSink sink(rvm.get(), txn);
+  bench::RecordingSink sink;
   auto result = oo7::RunT12(db, sink, oo7::Variant::kA);
   LBC_CHECK_OK(result.status);
+  const double detect_us = sink.IssueTimed(
+      [&](uint64_t offset, uint64_t len) { return rvm->SetRange(txn, 1, offset, len); });
   LBC_CHECK_OK(rvm->EndTransaction(txn, rvm::CommitMode::kFlush));
 
   const rvm::RvmStats s = rvm->stats();
   return Row{label,
-             s.detect_nanos / 1e3,
+             detect_us,
              s.collect_nanos / 1e3,
              s.disk_nanos / 1e3,
              0,

@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the primitives the cost model
 // prices: set_range in its three patterns, commit encoding, coherency
-// message encode/decode, update application, and the CpyCmp page diff.
+// message encode/decode, per-record update application, the log CRC, and
+// the CpyCmp page diff.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 
+#include "src/base/crc32.h"
 #include "src/baselines/cpycmp.h"
 #include "src/lbc/wire_format.h"
 #include "src/rvm/rvm.h"
@@ -82,22 +84,36 @@ void BM_DecodeUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeUpdate);
 
-void BM_ApplyExternalUpdate(benchmark::State& state) {
+void BM_ApplyExternalRanges(benchmark::State& state) {
+  // One received record of 500 eight-byte ranges, applied under one lock.
   store::MemStore store;
   rvm::RvmOptions options;
   options.disk_logging = false;
   auto r = std::move(*rvm::Rvm::Open(&store, 1, options));
-  (void)*r->MapRegion(1, 1 << 20);
-  uint8_t data[64] = {1};
-  uint64_t offset = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        r->ApplyExternalUpdate(1, offset % ((1 << 20) - 64), base::ByteSpan(data, 64)));
-    offset += 4096;
+  (void)*r->MapRegion(1, 500 * 8192);
+  std::vector<rvm::RangeImage> record;
+  for (int i = 0; i < 500; ++i) {
+    record.push_back({1, static_cast<uint64_t>(i) * 8192,
+                      std::vector<uint8_t>(8, static_cast<uint8_t>(i))});
   }
-  state.SetBytesProcessed(state.iterations() * 64);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(r->ApplyExternalRanges(record));
+  }
+  state.SetItemsProcessed(state.iterations() * 500);
 }
-BENCHMARK(BM_ApplyExternalUpdate);
+BENCHMARK(BM_ApplyExternalRanges);
+
+void BM_Crc32c(benchmark::State& state) {
+  std::vector<uint8_t> buf(128 * 1024);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 131);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(base::Crc32c(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32c);
 
 void BM_CpyCmpDiffPage(benchmark::State& state) {
   std::vector<uint8_t> buf(8192, 0);

@@ -75,6 +75,15 @@ class Buffer {
   std::shared_ptr<const std::vector<uint8_t>> block_;
 };
 
+// Bytes Writer::WriteVarint emits for `v`.
+inline size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) {
+    ++n;
+  }
+  return n;
+}
+
 // Growable append-only byte buffer used to build log records and messages.
 class Writer {
  public:

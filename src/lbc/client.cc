@@ -1150,13 +1150,11 @@ bool Client::TryApplyLocked(const rvm::TransactionRecord& rec) {
     return true;
   }
 
-  for (const auto& range : rec.ranges) {
-    base::Status st = rvm_->ApplyExternalUpdate(
-        range.region, range.offset, base::ByteSpan(range.data.data(), range.data.size()));
-    if (!st.ok() && st.code() != base::StatusCode::kNotFound) {
-      LBC_LOG(Error) << "apply failed: " << st.ToString();
-    }
-    // kNotFound: region not cached here — the bytes are not ours to keep.
+  // One rvm lock acquisition for the whole record (order: mu_ -> rvm).
+  // kNotFound: a region not cached here — those bytes are not ours to keep.
+  if (base::Status st = rvm_->ApplyExternalRanges(rec.ranges);
+      !st.ok() && st.code() != base::StatusCode::kNotFound) {
+    LBC_LOG(Error) << "apply failed: " << st.ToString();
   }
   for (const auto& lr : rec.locks) {
     uint64_t& applied = applied_seq_[lr.lock_id];

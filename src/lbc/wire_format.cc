@@ -8,15 +8,6 @@ namespace {
 // Range header tag bits.
 constexpr uint8_t kTagDelta = 0x01;  // address is a delta from the previous range start
 
-size_t VarintSize(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 // Common front matter of an update payload: type, writer, commit sequence,
 // lock records.
 void EncodeUpdateHeader(base::Writer* w, rvm::NodeId node, uint64_t commit_seq,
@@ -68,7 +59,7 @@ size_t CompressedRangeHeaderSize(uint64_t prev_start, uint64_t start, uint64_t l
     addr_field = start - prev_start;
   }
   // tag + region varint (assume small region ids) + address + length.
-  return 1 + 1 + VarintSize(addr_field) + VarintSize(len);
+  return 1 + 1 + base::VarintSize(addr_field) + base::VarintSize(len);
 }
 
 base::Result<MsgType> PeekMsgType(base::ByteSpan payload) {

@@ -119,7 +119,7 @@ class Histogram {
 // aborts (programming error, caught in tests).
 //
 // Metric naming scheme (see DESIGN.md "Observability"):
-//   <module>.n<node>.<metric>   e.g. rvm.n3.detect_nanos
+//   <module>.n<node>.<metric>   e.g. rvm.n3.apply_nanos
 //   <module>.<metric>           for process-wide metrics, e.g. store.syncs
 class MetricsRegistry {
  public:
@@ -163,7 +163,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_ LBC_GUARDED_BY(mu_);
 };
 
-// "rvm" + 3 + "detect_nanos" -> "rvm.n3.detect_nanos".
+// "rvm" + 3 + "apply_nanos" -> "rvm.n3.apply_nanos".
 std::string NodeMetricName(const std::string& module, uint64_t node,
                            const std::string& metric);
 

@@ -3,52 +3,68 @@
 namespace rvm {
 namespace {
 
-void EncodeHeaderCommon(base::Writer* w, NodeId node, uint64_t commit_seq,
-                        const std::vector<LockRecord>& locks, uint64_t n_ranges) {
-  w->WriteU8(static_cast<uint8_t>(LogRecordKind::kTransaction));
-  w->WriteVarint(node);
-  w->WriteVarint(commit_seq);
-  w->WriteVarint(locks.size());
+// The one kTransaction writer. `range_at(i)` views range i as a RangeRef, so
+// borrowed and owned records share the layout code. The first pass only
+// sizes the record; the second writes it into a buffer that never regrows.
+template <typename RangeAt>
+std::vector<uint8_t> EncodeRecord(NodeId node, uint64_t commit_seq,
+                                  const std::vector<LockRecord>& locks, size_t n_ranges,
+                                  RangeAt range_at, std::vector<size_t>* data_offsets) {
+  size_t size = 1 + base::VarintSize(node) + base::VarintSize(commit_seq) +
+                base::VarintSize(locks.size()) + base::VarintSize(n_ranges);
   for (const auto& lock : locks) {
-    w->WriteVarint(lock.lock_id);
-    w->WriteVarint(lock.sequence);
+    size += base::VarintSize(lock.lock_id) + base::VarintSize(lock.sequence);
   }
-  w->WriteVarint(n_ranges);
+  for (size_t i = 0; i < n_ranges; ++i) {
+    const RangeRef r = range_at(i);
+    size += base::VarintSize(r.region) + base::VarintSize(r.offset) + base::VarintSize(r.len) +
+            r.len;
+  }
+
+  base::Writer w(size);
+  w.WriteU8(static_cast<uint8_t>(LogRecordKind::kTransaction));
+  w.WriteVarint(node);
+  w.WriteVarint(commit_seq);
+  w.WriteVarint(locks.size());
+  for (const auto& lock : locks) {
+    w.WriteVarint(lock.lock_id);
+    w.WriteVarint(lock.sequence);
+  }
+  w.WriteVarint(n_ranges);
+  if (data_offsets != nullptr) {
+    data_offsets->resize(n_ranges);
+  }
+  for (size_t i = 0; i < n_ranges; ++i) {
+    const RangeRef r = range_at(i);
+    w.WriteVarint(r.region);
+    w.WriteVarint(r.offset);
+    w.WriteVarint(r.len);
+    if (data_offsets != nullptr) {
+      (*data_offsets)[i] = w.size();
+    }
+    w.WriteBytes(r.data, r.len);
+  }
+  return w.TakeBytes();
 }
 
 }  // namespace
 
-EncodedTransactionMeta EncodeTransactionMeta(const CommitContext& txn) {
-  EncodedTransactionMeta out;
-  base::Writer header;
+std::vector<uint8_t> EncodeTransaction(const CommitContext& txn,
+                                       std::vector<size_t>* data_offsets) {
   static const std::vector<LockRecord> kNoLocks;
-  const std::vector<LockRecord>& locks = txn.locks ? *txn.locks : kNoLocks;
-  EncodeHeaderCommon(&header, txn.node, txn.commit_seq, locks, txn.ranges.size());
-  out.header = header.TakeBytes();
-  out.payload_len = out.header.size();
-
-  out.range_prefixes.reserve(txn.ranges.size());
-  for (const auto& r : txn.ranges) {
-    base::Writer prefix;
-    prefix.WriteVarint(r.region);
-    prefix.WriteVarint(r.offset);
-    prefix.WriteVarint(r.len);
-    out.payload_len += prefix.size() + r.len;
-    out.range_prefixes.push_back(prefix.TakeBytes());
-  }
-  return out;
+  return EncodeRecord(
+      txn.node, txn.commit_seq, txn.locks ? *txn.locks : kNoLocks, txn.ranges.size(),
+      [&](size_t i) { return txn.ranges[i]; }, data_offsets);
 }
 
 std::vector<uint8_t> EncodeTransaction(const TransactionRecord& txn) {
-  base::Writer w;
-  EncodeHeaderCommon(&w, txn.node, txn.commit_seq, txn.locks, txn.ranges.size());
-  for (const auto& r : txn.ranges) {
-    w.WriteVarint(r.region);
-    w.WriteVarint(r.offset);
-    w.WriteVarint(r.data.size());
-    w.WriteBytes(r.data.data(), r.data.size());
-  }
-  return w.TakeBytes();
+  return EncodeRecord(
+      txn.node, txn.commit_seq, txn.locks, txn.ranges.size(),
+      [&](size_t i) {
+        const RangeImage& r = txn.ranges[i];
+        return RangeRef{r.region, r.offset, r.data.data(), r.data.size()};
+      },
+      /*data_offsets=*/nullptr);
 }
 
 std::vector<uint8_t> EncodeCheckpoint() {

@@ -6,11 +6,12 @@
 //   kCheckpoint  — marks that everything before this point has been applied
 //                  to the database files (written by log truncation).
 //
-// The commit path never builds a contiguous copy of the modified object
-// data: EncodeTransactionMeta produces only the header/metadata bytes, and
-// the log writer gathers the range data straight out of the region images
-// (the paper's writev I/O vectors). DecodeTransaction parses the full
-// record back into an owned TransactionRecord.
+// One encoder writes every kTransaction payload, in one pass into a buffer
+// sized exactly up front: the commit path gathers the range data straight
+// out of the region images (the paper's writev I/O vectors) into the record
+// that is both logged and broadcast, and the merge utility re-encodes owned
+// records through the same code. DecodeTransaction parses the full record
+// back into an owned TransactionRecord.
 #ifndef SRC_RVM_LOG_FORMAT_H_
 #define SRC_RVM_LOG_FORMAT_H_
 
@@ -32,24 +33,16 @@ enum class LogRecordKind : uint8_t {
 //   varint n_locks  | n_locks  x (varint lock_id, varint sequence)
 //   varint n_ranges | n_ranges x (varint region, varint offset, varint len,
 //                                 len raw bytes)
-//
-// EncodeTransactionMeta writes everything except the raw bytes themselves,
-// in the exact order above; the caller interleaves the range data when
-// assembling the record (see LogWriter::AppendTransaction). The returned
-// vector contains, for each range, the metadata bytes that precede its data.
-struct EncodedTransactionMeta {
-  // Bytes up to and including the n_ranges count.
-  std::vector<uint8_t> header;
-  // Per range: the (region, offset, len) prefix bytes.
-  std::vector<std::vector<uint8_t>> range_prefixes;
-  // Total payload length including raw range data.
-  uint64_t payload_len = 0;
-};
 
-EncodedTransactionMeta EncodeTransactionMeta(const CommitContext& txn);
+// Encodes a committed transaction whose range data is borrowed (at commit,
+// the live region images). When `data_offsets` is non-null it receives, per
+// range, the payload offset of that range's raw bytes, so the caller can
+// repoint its RangeRefs into the finished record.
+std::vector<uint8_t> EncodeTransaction(const CommitContext& txn,
+                                       std::vector<size_t>* data_offsets = nullptr);
 
-// Encodes a fully-owned TransactionRecord into one contiguous payload
-// (used by the merge utility when rewriting logs).
+// Encodes a fully-owned TransactionRecord (used by the merge utility when
+// rewriting logs); byte-identical to the CommitContext form.
 std::vector<uint8_t> EncodeTransaction(const TransactionRecord& txn);
 
 std::vector<uint8_t> EncodeCheckpoint();

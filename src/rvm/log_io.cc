@@ -6,38 +6,6 @@
 
 namespace rvm {
 
-base::Status LogWriter::Append(const std::vector<base::ByteSpan>& parts, bool sync_now) {
-  uint64_t payload_len = 0;
-  uint32_t crc = 0;
-  for (const auto& part : parts) {
-    payload_len += part.size();
-    crc = base::Crc32c(part.data(), part.size(), crc);
-  }
-
-  // Assemble the frame in one contiguous write so a crash tears at most the
-  // suffix (the reader detects any partial frame via length/CRC).
-  scratch_.clear();
-  scratch_.reserve(kFrameHeaderSize + payload_len);
-  auto push_u32 = [this](uint32_t v) {
-    const auto* p = reinterpret_cast<const uint8_t*>(&v);
-    scratch_.insert(scratch_.end(), p, p + sizeof(v));
-  };
-  push_u32(kLogMagic);
-  push_u32(static_cast<uint32_t>(payload_len));
-  push_u32(crc);
-  for (const auto& part : parts) {
-    scratch_.insert(scratch_.end(), part.begin(), part.end());
-  }
-
-  RETURN_IF_ERROR(file_->Write(offset_, base::ByteSpan(scratch_.data(), scratch_.size())));
-  offset_ += scratch_.size();
-  ++records_;
-  if (sync_now) {
-    RETURN_IF_ERROR(file_->Sync());
-  }
-  return base::OkStatus();
-}
-
 base::Status LogWriter::AppendBatch(const std::vector<base::ByteSpan>& payloads,
                                     bool sync_now) {
   if (payloads.empty()) {

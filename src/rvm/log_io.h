@@ -2,9 +2,9 @@
 //
 // Frame layout:  u32 magic | u32 payload_len | u32 crc32c(payload) | payload
 //
-// The writer supports gather-appends so transaction commits can stream the
-// modified bytes straight from the region images without building an object
-// log in memory (paper §3.2). The reader stops cleanly at a torn tail: any
+// Commits gather the modified bytes straight from the region images into
+// one encoded record (paper §3.2) that is both logged and broadcast, so the
+// writer frames whole payloads. The reader stops cleanly at a torn tail: any
 // frame whose magic, length, or checksum does not verify is treated as the
 // end of the log, exactly like RVM recovery.
 #ifndef SRC_RVM_LOG_IO_H_
@@ -28,12 +28,9 @@ class LogWriter {
   explicit LogWriter(std::unique_ptr<store::DurableFile> file, uint64_t start_offset = 0)
       : file_(std::move(file)), offset_(start_offset) {}
 
-  // Appends one record whose payload is the concatenation of `parts`.
-  // Durable only after Sync() unless sync_now.
-  base::Status Append(const std::vector<base::ByteSpan>& parts, bool sync_now);
-
+  // Appends one record. Durable only after Sync() unless sync_now.
   base::Status Append(base::ByteSpan payload, bool sync_now) {
-    return Append(std::vector<base::ByteSpan>{payload}, sync_now);
+    return AppendBatch({payload}, sync_now);
   }
 
   // Group commit: appends one frame per payload, all frames in ONE

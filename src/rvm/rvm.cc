@@ -76,7 +76,6 @@ base::Status Rvm::Init() {
   // are guarded members and this is an ordinary method, so hold the lock.
   base::MutexLock lock(mu_);
   auto* reg = obs::MetricsRegistry::Global();
-  obs_detect_nanos_ = reg->GetCounter(obs::NodeMetricName("rvm", node_, "detect_nanos"));
   obs_collect_nanos_ = reg->GetCounter(obs::NodeMetricName("rvm", node_, "collect_nanos"));
   obs_disk_nanos_ = reg->GetCounter(obs::NodeMetricName("rvm", node_, "disk_nanos"));
   obs_apply_nanos_ = reg->GetCounter(obs::NodeMetricName("rvm", node_, "apply_nanos"));
@@ -163,7 +162,6 @@ TxnId Rvm::BeginTransaction(RestoreMode mode) {
 }
 
 base::Status Rvm::SetRange(TxnId txn_id, RegionId region_id, uint64_t offset, uint64_t len) {
-  obs::ScopedTimer timer(obs_detect_nanos_);
   base::MutexLock lock(mu_);
   auto it = txns_.find(txn_id);
   if (it == txns_.end() || !it->second.active) {
@@ -174,7 +172,8 @@ base::Status Rvm::SetRange(TxnId txn_id, RegionId region_id, uint64_t offset, ui
     return base::NotFound("region not mapped: " + std::to_string(region_id));
   }
   Region* region = region_it->second.get();
-  if (offset + len > region->size()) {
+  // Written so it cannot wrap: `offset + len` overflows for huge offsets.
+  if (len > region->size() || offset > region->size() - len) {
     return base::OutOfRange("set_range beyond region end");
   }
 
@@ -199,7 +198,6 @@ base::Status Rvm::SetRange(TxnId txn_id, RegionId region_id, uint64_t offset, ui
   if (outcome == AddOutcome::kExactDuplicate) {
     ++stats_.set_range_duplicates;
   }
-  stats_.detect_nanos += timer.StopNanos();
   return base::OkStatus();
 }
 
@@ -298,42 +296,49 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
     ctx.commit_seq = ++commit_seq_;
     ctx.locks = &txn.locks;
     constexpr uint64_t kPageSize = 8192;
+    size_t declared = 0;
+    for (const auto& entry : txn.ranges) {
+      declared += entry.second.range_count();
+    }
+    ctx.ranges.reserve(declared);
     for (const auto& [region_id, range_set] : txn.ranges) {
-      Region* region = regions_.at(region_id).get();
-      // Gather (offset, len) in address order, optionally collapsing
-      // update-dense pages into one covering span (adaptive hybrid).
-      std::vector<std::pair<uint64_t, uint64_t>> spans;
-      spans.reserve(range_set.range_count());
+      uint8_t* image = regions_.at(region_id)->data();
+      // Gather (offset, len) in address order straight into ctx.ranges.
+      const size_t region_begin = ctx.ranges.size();
       for (const auto& [offset, len] : range_set.ranges()) {
-        spans.emplace_back(offset, len);
+        ctx.ranges.push_back(RangeRef{region_id, offset, image + offset, len});
       }
       if (options_.adaptive_ranges_per_page > 0) {
-        std::vector<std::pair<uint64_t, uint64_t>> out;
-        out.reserve(spans.size());
-        size_t i = 0;
-        while (i < spans.size()) {
-          uint64_t page = spans[i].first / kPageSize;
+        // Adaptive hybrid: collapse each update-dense page's ranges, in
+        // place, into one covering span.
+        size_t out = region_begin;
+        size_t i = region_begin;
+        while (i < ctx.ranges.size()) {
+          const uint64_t start = ctx.ranges[i].offset;
+          const uint64_t page = start / kPageSize;
           size_t j = i;
           uint64_t span_end = 0;
           // Group the ranges that *start* in this page.
-          while (j < spans.size() && spans[j].first / kPageSize == page) {
-            span_end = std::max(span_end, spans[j].first + spans[j].second);
+          while (j < ctx.ranges.size() && ctx.ranges[j].offset / kPageSize == page) {
+            span_end = std::max(span_end, ctx.ranges[j].offset + ctx.ranges[j].len);
             ++j;
           }
           if (j - i > options_.adaptive_ranges_per_page) {
-            out.emplace_back(spans[i].first, span_end - spans[i].first);
+            ctx.ranges[out++] = RangeRef{region_id, start, image + start, span_end - start};
             ++stats_.adaptive_pages_coalesced;
-          } else {
-            out.insert(out.end(), spans.begin() + i, spans.begin() + j);
+            i = j;
           }
-          i = j;
+          while (i < j) {
+            ctx.ranges[out++] = ctx.ranges[i++];
+          }
         }
-        spans = std::move(out);
+        ctx.ranges.resize(out);
       }
 
       uint64_t next_uncounted_page = 0;
-      for (const auto& [offset, len] : spans) {
-        ctx.ranges.push_back(RangeRef{region_id, offset, region->data() + offset, len});
+      for (size_t k = region_begin; k < ctx.ranges.size(); ++k) {
+        const uint64_t offset = ctx.ranges[k].offset;
+        const uint64_t len = ctx.ranges[k].len;
         if (len == 0) {
           continue;
         }
@@ -365,19 +370,8 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
       // the zero-copy broadcast buffer — ctx.record is refcounted, and the
       // RangeRefs are repointed into it so the commit hook (and every peer
       // channel it fans out to) reads bytes that can no longer change.
-      EncodedTransactionMeta meta = EncodeTransactionMeta(ctx);
-      std::vector<uint8_t> encoded;
-      encoded.reserve(meta.payload_len);
-      encoded.insert(encoded.end(), meta.header.begin(), meta.header.end());
-      std::vector<size_t> data_offsets(ctx.ranges.size());
-      for (size_t i = 0; i < ctx.ranges.size(); ++i) {
-        encoded.insert(encoded.end(), meta.range_prefixes[i].begin(),
-                       meta.range_prefixes[i].end());
-        data_offsets[i] = encoded.size();
-        encoded.insert(encoded.end(), ctx.ranges[i].data,
-                       ctx.ranges[i].data + ctx.ranges[i].len);
-      }
-      ctx.record = base::Buffer(std::move(encoded));
+      std::vector<size_t> data_offsets;
+      ctx.record = base::Buffer(EncodeTransaction(ctx, &data_offsets));
       for (size_t i = 0; i < ctx.ranges.size(); ++i) {
         ctx.ranges[i].data = ctx.record.data() + data_offsets[i];
       }
@@ -593,23 +587,32 @@ base::Status Rvm::FlushLog() {
   return base::OkStatus();
 }
 
-base::Status Rvm::ApplyExternalUpdate(RegionId region_id, uint64_t offset,
-                                      base::ByteSpan data) {
+base::Status Rvm::ApplyExternalRanges(const std::vector<RangeImage>& ranges) {
   obs::ScopedTimer timer(obs_apply_nanos_);
   base::MutexLock lock(mu_);
-  auto it = regions_.find(region_id);
-  if (it == regions_.end()) {
-    return base::NotFound("region not mapped: " + std::to_string(region_id));
+  base::Status first_error;
+  // Records group their ranges by region: look the region up only when the
+  // id changes.
+  auto region_it = regions_.end();
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    const RangeImage& r = ranges[i];
+    if (i == 0 || r.region != ranges[i - 1].region) {
+      region_it = regions_.find(r.region);
+    }
+    Region* region = region_it == regions_.end() ? nullptr : region_it->second.get();
+    const uint64_t len = r.data.size();
+    if (region != nullptr && len <= region->size() && r.offset <= region->size() - len) {
+      std::copy(r.data.begin(), r.data.end(), region->data() + r.offset);
+      ++stats_.external_updates_applied;
+      stats_.external_bytes_applied += len;
+    } else if (first_error.ok()) {
+      first_error = region == nullptr
+                        ? base::NotFound("region not mapped: " + std::to_string(r.region))
+                        : base::OutOfRange("external update beyond region end");
+    }
   }
-  Region* region = it->second.get();
-  if (offset + data.size() > region->size()) {
-    return base::OutOfRange("external update beyond region end");
-  }
-  std::copy(data.begin(), data.end(), region->data() + offset);
-  ++stats_.external_updates_applied;
-  stats_.external_bytes_applied += data.size();
   stats_.apply_nanos += timer.StopNanos();
-  return base::OkStatus();
+  return first_error;
 }
 
 RvmStats Rvm::stats() const {

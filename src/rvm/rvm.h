@@ -93,7 +93,9 @@ struct RvmOptions {
 };
 
 // Counters and timing buckets used to reproduce the paper's figures.
-// Times are wall-clock nanoseconds accumulated on this node.
+// Times are wall-clock nanoseconds accumulated on this node, read per
+// commit or per applied record, never per update: SetRange reads no clock,
+// so callers that want the Detect phase time a batch of calls themselves.
 struct RvmStats {
   uint64_t set_range_calls = 0;
   uint64_t set_range_duplicates = 0;  // redundant re-registrations coalesced
@@ -108,10 +110,9 @@ struct RvmStats {
   uint64_t commit_batches = 0;     // leader drains: one vectored write each
   uint64_t commit_batch_txns = 0;  // transactions committed through the pipeline
   uint64_t fsyncs_saved = 0;       // kFlush commits that shared the leader's sync
-  uint64_t detect_nanos = 0;       // time in SetRange ("Detect Updates")
   uint64_t collect_nanos = 0;      // commit-time gather+encode ("Collect")
   uint64_t disk_nanos = 0;         // log write + sync ("Disk I/O")
-  uint64_t apply_nanos = 0;        // ApplyExternalUpdate ("Apply Updates")
+  uint64_t apply_nanos = 0;        // ApplyExternalRanges ("Apply Updates")
   uint64_t external_updates_applied = 0;
   uint64_t external_bytes_applied = 0;
   // Log-quota backpressure (see RvmOptions watermarks).
@@ -194,10 +195,12 @@ class Rvm {
   using TrimHook = std::function<void(uint64_t log_bytes, uint64_t limit_bytes)>;
   void SetTrimHook(TrimHook hook) { trim_hook_ = std::move(hook); }
 
-  // Applies a peer's committed update to the local cached image (receiver
-  // side of log-based coherency). Not logged locally: recovery obtains these
-  // updates by merging the peers' logs.
-  [[nodiscard]] base::Status ApplyExternalUpdate(RegionId region, uint64_t offset, base::ByteSpan data);
+  // Applies a peer's committed record to the local cached images (receiver
+  // side of log-based coherency), in order, under one lock acquisition. A
+  // range in an unmapped region or past its region's end is skipped and the
+  // rest still applied; the first such error is returned. Not logged
+  // locally: recovery obtains these updates by merging the peers' logs.
+  [[nodiscard]] base::Status ApplyExternalRanges(const std::vector<RangeImage>& ranges);
 
   // --- maintenance ---------------------------------------------------------
 
@@ -346,7 +349,6 @@ class Rvm {
   // Registered once in Init(); hot paths only bump the atomics. These mirror
   // the phase fields of RvmStats into the process-wide registry under
   // rvm.n<node>.<phase>_nanos.
-  obs::Counter* obs_detect_nanos_ = nullptr;
   obs::Counter* obs_collect_nanos_ = nullptr;
   obs::Counter* obs_disk_nanos_ = nullptr;
   obs::Counter* obs_apply_nanos_ = nullptr;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 namespace {
@@ -129,9 +130,11 @@ TEST(Fabric, ReceiverThreadDrainsInbox) {
   for (uint8_t i = 1; i <= 10; ++i) {
     ASSERT_TRUE(a->Send(2, Bytes({i})).ok());
   }
-  // Drain completes quickly; poll briefly.
-  for (int spins = 0; spins < 1000 && sum != 55; ++spins) {
-    std::this_thread::yield();
+  // Delivery is asynchronous: wait on the receiver thread with a deadline
+  // rather than a spin count, which a busy host can exhaust.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (sum != 55 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   EXPECT_EQ(55, sum);
   b->StopReceiver();

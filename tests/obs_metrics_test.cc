@@ -107,7 +107,7 @@ TEST(Registry, SnapshotAndResetAll) {
 }
 
 TEST(Registry, NodeMetricNameScheme) {
-  EXPECT_EQ("rvm.n3.detect_nanos", obs::NodeMetricName("rvm", 3, "detect_nanos"));
+  EXPECT_EQ("rvm.n3.apply_nanos", obs::NodeMetricName("rvm", 3, "apply_nanos"));
 }
 
 TEST(Registry, CountersAreThreadSafe) {

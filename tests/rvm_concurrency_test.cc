@@ -90,9 +90,9 @@ TEST(RvmConcurrency, ExternalUpdatesRaceLocalCommits) {
 
   std::atomic<bool> stop{false};
   std::thread applier([&] {
-    uint8_t data[8] = {9, 9, 9, 9, 9, 9, 9, 9};
+    const std::vector<rvm::RangeImage> record = {{kRegion, 4096, std::vector<uint8_t>(8, 9)}};
     while (!stop) {
-      r->ApplyExternalUpdate(kRegion, 4096, base::ByteSpan(data, 8)).ok();
+      r->ApplyExternalRanges(record).ok();
     }
   });
   for (int i = 0; i < 200; ++i) {
@@ -120,8 +120,7 @@ TEST(RvmConcurrency, HookRunsWithoutRvmLockHeld) {
   rvm::Region* region = *r->MapRegion(kRegion, 4096);
   r->SetCommitHook([&](const rvm::CommitContext& ctx) {
     EXPECT_NE(nullptr, r->GetRegion(kRegion));
-    uint8_t probe[1] = {42};
-    EXPECT_TRUE(r->ApplyExternalUpdate(kRegion, 2048, base::ByteSpan(probe, 1)).ok());
+    EXPECT_TRUE(r->ApplyExternalRanges({{kRegion, 2048, {42}}}).ok());
   });
   rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
   ASSERT_TRUE(r->SetRange(txn, kRegion, 0, 1).ok());

@@ -1,9 +1,12 @@
 // Log record encoding and framed log I/O, including torn-tail handling.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/base/rng.h"
 #include "src/rvm/log_format.h"
 #include "src/rvm/log_io.h"
+#include "src/rvm/rvm.h"
 #include "src/store/mem_store.h"
 
 namespace {
@@ -31,27 +34,43 @@ TEST(LogFormat, TransactionRoundTrip) {
   EXPECT_EQ(txn.ranges, out.ranges);
 }
 
-TEST(LogFormat, MetaEncodingMatchesOwnedEncoding) {
-  // The gather-path encoding (header + per-range prefixes + raw data) must
-  // byte-match the contiguous encoding used by the merge utility.
-  rvm::TransactionRecord txn = MakeRecord(9);
-  rvm::CommitContext ctx;
-  ctx.node = txn.node;
-  ctx.commit_seq = txn.commit_seq;
-  ctx.locks = &txn.locks;
-  for (const auto& r : txn.ranges) {
-    ctx.ranges.push_back(rvm::RangeRef{r.region, r.offset, r.data.data(), r.data.size()});
-  }
-  rvm::EncodedTransactionMeta meta = rvm::EncodeTransactionMeta(ctx);
-  std::vector<uint8_t> assembled(meta.header);
-  for (size_t i = 0; i < ctx.ranges.size(); ++i) {
-    assembled.insert(assembled.end(), meta.range_prefixes[i].begin(),
-                     meta.range_prefixes[i].end());
-    assembled.insert(assembled.end(), ctx.ranges[i].data,
-                     ctx.ranges[i].data + ctx.ranges[i].len);
-  }
-  EXPECT_EQ(rvm::EncodeTransaction(txn), assembled);
-  EXPECT_EQ(meta.payload_len, assembled.size());
+TEST(LogFormat, CommittedRecordMatchesOwnedEncoding) {
+  // The commit path's one-pass encoding of borrowed ranges (two regions,
+  // including a zero-length range) must byte-match the owned-record
+  // encoding the merge utility rewrites logs with, and the commit hook's
+  // record must be exactly the logged payload.
+  store::MemStore store;
+  auto r = std::move(*rvm::Rvm::Open(&store, 3, rvm::RvmOptions{}));
+  rvm::Region* one = *r->MapRegion(1, 256);
+  rvm::Region* two = *r->MapRegion(2, 200);
+  base::Buffer hooked;
+  r->SetCommitHook([&](const rvm::CommitContext& ctx) { hooked = ctx.record; });
+  rvm::TxnId t = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+  ASSERT_TRUE(r->SetLockId(t, 7, 5).ok());
+  ASSERT_TRUE(r->SetRange(t, 2, 190, 4).ok());
+  ASSERT_TRUE(r->SetRange(t, 1, 200, 3).ok());
+  ASSERT_TRUE(r->SetRange(t, 1, 16, 0).ok());
+  std::memcpy(one->data() + 200, "abc", 3);
+  std::memcpy(two->data() + 190, "WXYZ", 4);
+  ASSERT_TRUE(r->EndTransaction(t, rvm::CommitMode::kFlush).ok());
+
+  auto file = std::move(*store.Open(rvm::LogFileName(3), /*create=*/false));
+  rvm::LogReader reader(file.get());
+  std::vector<uint8_t> payload;
+  bool at_end = false;
+  ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
+  ASSERT_FALSE(at_end);
+
+  rvm::TransactionRecord want;
+  want.node = 3;
+  want.commit_seq = 1;
+  want.locks = {{7, 5}};
+  want.ranges = {{1, 16, {}}, {1, 200, {'a', 'b', 'c'}}, {2, 190, {'W', 'X', 'Y', 'Z'}}};
+  EXPECT_EQ(rvm::EncodeTransaction(want), payload);
+  EXPECT_EQ(hooked, payload);
+  rvm::TransactionRecord decoded;
+  ASSERT_TRUE(rvm::DecodeTransaction(base::ByteSpan(payload.data(), payload.size()), &decoded).ok());
+  EXPECT_EQ(want, decoded);
 }
 
 TEST(LogFormat, PeekKindDistinguishes) {
@@ -102,22 +121,24 @@ TEST(LogIo, WriteReadMultipleRecords) {
   EXPECT_FALSE(reader.tail_was_torn());
 }
 
-TEST(LogIo, GatherAppendEqualsContiguous) {
+TEST(LogIo, BatchAppendEqualsSingleAppends) {
+  // A group-commit batch frames each payload exactly as separate appends
+  // would: the batch changes the write count, never the log bytes.
   store::MemStore store;
-  auto payload = rvm::EncodeTransaction(MakeRecord(3));
+  auto p1 = rvm::EncodeTransaction(MakeRecord(3));
+  auto p2 = rvm::EncodeTransaction(MakeRecord(4));
   {
-    auto f = std::move(*store.Open("a", true));
-    rvm::LogWriter w(std::move(f));
-    ASSERT_TRUE(w.Append(base::ByteSpan(payload.data(), payload.size()), true).ok());
+    rvm::LogWriter w(std::move(*store.Open("a", true)));
+    ASSERT_TRUE(w.Append(base::ByteSpan(p1.data(), p1.size()), false).ok());
+    ASSERT_TRUE(w.Append(base::ByteSpan(p2.data(), p2.size()), true).ok());
   }
   {
-    auto f = std::move(*store.Open("b", true));
-    rvm::LogWriter w(std::move(f));
-    std::vector<base::ByteSpan> parts;
-    parts.push_back(base::ByteSpan(payload.data(), 5));
-    parts.push_back(base::ByteSpan(payload.data() + 5, 11));
-    parts.push_back(base::ByteSpan(payload.data() + 16, payload.size() - 16));
-    ASSERT_TRUE(w.Append(parts, true).ok());
+    rvm::LogWriter w(std::move(*store.Open("b", true)));
+    ASSERT_TRUE(w.AppendBatch({base::ByteSpan(p1.data(), p1.size()),
+                               base::ByteSpan(p2.data(), p2.size())},
+                              true)
+                    .ok());
+    EXPECT_EQ(2u, w.records_written());
   }
   auto fa = std::move(*store.Open("a", false));
   auto fb = std::move(*store.Open("b", false));

@@ -165,15 +165,70 @@ TEST(RvmTxn, ExternalUpdateBypassesLog) {
   store::MemStore store;
   auto r = OpenRvm(&store);
   rvm::Region* region = *r->MapRegion(kRegion, 64);
-  uint8_t data[3] = {1, 2, 3};
-  ASSERT_TRUE(r->ApplyExternalUpdate(kRegion, 10, base::ByteSpan(data, 3)).ok());
+  const std::vector<uint8_t> data = {1, 2, 3};
+  ASSERT_TRUE(r->ApplyExternalRanges({{kRegion, 10, data}}).ok());
   EXPECT_EQ(2, region->data()[11]);
   auto txns = *rvm::ReadLogTransactions(&store, rvm::LogFileName(1));
   EXPECT_TRUE(txns.empty());
+  EXPECT_EQ(base::StatusCode::kOutOfRange, r->ApplyExternalRanges({{kRegion, 62, data}}).code());
+  EXPECT_EQ(base::StatusCode::kNotFound, r->ApplyExternalRanges({{99, 0, data}}).code());
+}
+
+TEST(RvmTxn, ExternalRangesApplyValidRangesInOrder) {
+  // One record mixing valid ranges with one in an unmapped region and one
+  // past the region end: exactly the valid ranges land, in record order
+  // (the later write to byte 5 wins), and the first error is reported.
+  store::MemStore store;
+  auto r = OpenRvm(&store);
+  rvm::Region* one = *r->MapRegion(kRegion, 64);
+  rvm::Region* two = *r->MapRegion(2, 32);
+  const std::vector<rvm::RangeImage> record = {
+      {kRegion, 4, {1, 1, 1}},
+      {99, 0, {7, 7}},
+      {kRegion, 62, {8, 8, 8}},
+      {kRegion, 5, {2}},
+      {kRegion, UINT64_MAX - 1, {9, 9, 9}},
+      {2, 30, {3, 3}},
+  };
+  EXPECT_EQ(base::StatusCode::kNotFound, r->ApplyExternalRanges(record).code());
+
+  std::vector<uint8_t> want_one(64, 0);
+  want_one[4] = 1;
+  want_one[5] = 2;
+  want_one[6] = 1;
+  std::vector<uint8_t> want_two(32, 0);
+  want_two[30] = 3;
+  want_two[31] = 3;
+  EXPECT_EQ(want_one, std::vector<uint8_t>(one->data(), one->data() + one->size()));
+  EXPECT_EQ(want_two, std::vector<uint8_t>(two->data(), two->data() + two->size()));
+  EXPECT_EQ(3u, r->stats().external_updates_applied);
+  EXPECT_EQ(6u, r->stats().external_bytes_applied);
+
+  // The first error wins even when it is not a missing region.
   EXPECT_EQ(base::StatusCode::kOutOfRange,
-            r->ApplyExternalUpdate(kRegion, 62, base::ByteSpan(data, 3)).code());
-  EXPECT_EQ(base::StatusCode::kNotFound,
-            r->ApplyExternalUpdate(99, 0, base::ByteSpan(data, 3)).code());
+            r->ApplyExternalRanges({{kRegion, 63, {1, 1}}, {99, 0, {1}}}).code());
+  EXPECT_TRUE(r->ApplyExternalRanges({}).ok());
+}
+
+TEST(RvmTxn, SetRangeRejectsWrappingOffset) {
+  // offset + len wraps uint64 here; an unguarded check would accept it and
+  // the kRestore undo snapshot would read far outside the image.
+  for (rvm::RestoreMode mode : {rvm::RestoreMode::kRestore, rvm::RestoreMode::kNoRestore}) {
+    store::MemStore store;
+    auto r = OpenRvm(&store);
+    rvm::Region* region = *r->MapRegion(kRegion, 4096);
+    rvm::TxnId t = r->BeginTransaction(mode);
+    EXPECT_EQ(base::StatusCode::kOutOfRange, r->SetRange(t, kRegion, UINT64_MAX - 3, 8).code());
+    EXPECT_EQ(base::StatusCode::kOutOfRange, r->SetRange(t, kRegion, 8, UINT64_MAX).code());
+    // The transaction is still usable.
+    ASSERT_TRUE(r->SetRange(t, kRegion, 4088, 8).ok());
+    std::memcpy(region->data() + 4088, "LASTWORD", 8);
+    ASSERT_TRUE(r->EndTransaction(t, rvm::CommitMode::kFlush).ok());
+    auto txns = *rvm::ReadLogTransactions(&store, rvm::LogFileName(1));
+    ASSERT_EQ(1u, txns.size());
+    ASSERT_EQ(1u, txns[0].ranges.size());
+    EXPECT_EQ(4088u, txns[0].ranges[0].offset);
+  }
 }
 
 TEST(RvmTxn, StatsCountUpdates) {

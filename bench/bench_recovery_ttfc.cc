@@ -1,4 +1,5 @@
-// Time-to-first-commit after a server restart: eager vs incremental recovery.
+// Time-to-first-commit after a server restart: replay-before-serve vs
+// serve-first recovery.
 //
 // The store injects 2 ms of latency into every database-file op (region_*
 // data and sidecar files) while log reads stay fast — the classic recovery
@@ -6,15 +7,18 @@
 // per-region workload is committed, the server is killed, and the clock runs
 // from RestartServer to the first successful commit afterward:
 //
-//   * kEager replays every region's redo before serving — TTFC grows
-//     linearly with the number of regions (the log volume).
-//   * kIncremental only builds the per-page log index (a read-only scan) —
-//     TTFC stays ~constant; pages materialize on first touch and in the
+//   * replay-before-serve (the reference): RestartServer -> DrainRecovery ->
+//     first commit. Every region's redo is replayed before the commit, so
+//     TTFC grows linearly with the number of regions (the log volume).
+//   * serve-first (what the cluster does): RestartServer -> first commit.
+//     Boot only builds the per-page log index (a read-only scan), so TTFC
+//     stays ~constant; pages materialize on first touch and in the
 //     background drain, off the commit path.
 //
 // The final `recovery_ttfc:` line (largest region count) is the smoke gate:
-// scripts/check.sh --bench-smoke fails when eager/incremental TTFC ratio
-// regresses below 80% of bench/BENCH_baseline.json's checked-in floor.
+// scripts/check.sh --bench-smoke fails when the replay-before-serve /
+// serve-first TTFC ratio regresses below 80% of bench/BENCH_baseline.json's
+// checked-in floor.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -39,9 +43,9 @@ constexpr uint64_t kDbLatencyNanos = 2'000'000;  // per database-file op
 rvm::LockId LockFor(int region) { return static_cast<rvm::LockId>(region * 10 + 1); }
 
 struct TtfcResult {
-  double restart_ms = 0;      // RestartServer wall time
+  double restart_ms = 0;      // RestartServer (+ DrainRecovery) wall time
   double ttfc_ms = 0;         // restart start -> first commit done
-  uint64_t index_build_ms = 0;   // counter delta (incremental only)
+  uint64_t index_build_ms = 0;   // counter delta
   uint64_t lazy_pages = 0;       // on-demand + background page replays
 };
 
@@ -49,11 +53,12 @@ uint64_t Counter(const char* name) {
   return obs::MetricsRegistry::Global()->GetCounter(name)->value();
 }
 
-TtfcResult MeasureTtfc(int regions, lbc::Cluster::RecoveryMode mode) {
+// replay_first: drain every pending page before the first commit (the
+// reference); otherwise serve first and drain after the measurement.
+TtfcResult MeasureTtfc(int regions, bool replay_first) {
   store::MemStore mem;
   store::ResourceStore store(&mem);
   lbc::Cluster cluster(&store);
-  cluster.SetRecoveryMode(mode);
   for (int r = 1; r <= regions; ++r) {
     cluster.DefineLock(LockFor(r), static_cast<rvm::RegionId>(r), 1);
   }
@@ -98,6 +103,10 @@ TtfcResult MeasureTtfc(int regions, lbc::Cluster::RecoveryMode mode) {
     std::fprintf(stderr, "RestartServer failed\n");
     std::exit(1);
   }
+  if (replay_first && !cluster.DrainRecovery().ok()) {
+    std::fprintf(stderr, "DrainRecovery failed\n");
+    std::exit(1);
+  }
   const auto t_restart = std::chrono::steady_clock::now();
   if (!client->RejoinServer().ok()) {
     std::fprintf(stderr, "RejoinServer failed\n");
@@ -116,7 +125,7 @@ TtfcResult MeasureTtfc(int regions, lbc::Cluster::RecoveryMode mode) {
     }
   }
   const auto t_commit = std::chrono::steady_clock::now();
-  if (!cluster.DrainRecovery().ok()) {  // off the TTFC path by design
+  if (!cluster.DrainRecovery().ok()) {  // serve-first: off the TTFC path
     std::fprintf(stderr, "DrainRecovery failed\n");
     std::exit(1);
   }
@@ -132,39 +141,40 @@ TtfcResult MeasureTtfc(int regions, lbc::Cluster::RecoveryMode mode) {
 }  // namespace
 
 int main() {
-  std::printf("=== Recovery TTFC: eager replay vs incremental (serve-first) ===\n\n");
+  std::printf("=== Recovery TTFC: replay-before-serve vs serve-first ===\n\n");
   std::printf("2 ms per database-file op, %d full-page commits per region;\n"
-              "TTFC = RestartServer start -> first post-restart commit done.\n\n",
+              "TTFC = RestartServer start -> first post-restart commit done;\n"
+              "replay-before-serve drains every page before that commit.\n\n",
               kCommitsPerRegion);
-  std::printf("%8s  %12s  %12s  %12s  %12s  %7s\n", "regions", "eager_restart",
-              "eager_ttfc", "incr_restart", "incr_ttfc", "ratio");
+  std::printf("%8s  %12s  %12s  %12s  %12s  %7s\n", "regions", "replay_boot",
+              "replay_ttfc", "serve_boot", "serve_ttfc", "ratio");
 
   const std::vector<int> sweep = {2, 6, 12};
   double last_ratio = 0;
   int last_regions = 0;
-  double first_incr_ttfc = 0, last_incr_ttfc = 0;
+  double first_serve_ttfc = 0, last_serve_ttfc = 0;
   for (int regions : sweep) {
-    TtfcResult eager = MeasureTtfc(regions, lbc::Cluster::RecoveryMode::kEager);
-    TtfcResult incr = MeasureTtfc(regions, lbc::Cluster::RecoveryMode::kIncremental);
-    last_ratio = incr.ttfc_ms > 0 ? eager.ttfc_ms / incr.ttfc_ms : 0;
+    TtfcResult replay = MeasureTtfc(regions, /*replay_first=*/true);
+    TtfcResult serve = MeasureTtfc(regions, /*replay_first=*/false);
+    last_ratio = serve.ttfc_ms > 0 ? replay.ttfc_ms / serve.ttfc_ms : 0;
     last_regions = regions;
-    last_incr_ttfc = incr.ttfc_ms;
-    if (first_incr_ttfc == 0) {
-      first_incr_ttfc = incr.ttfc_ms;
+    last_serve_ttfc = serve.ttfc_ms;
+    if (first_serve_ttfc == 0) {
+      first_serve_ttfc = serve.ttfc_ms;
     }
     std::printf("%8d  %10.1fms  %10.1fms  %10.1fms  %10.1fms  %6.1fx\n", regions,
-                eager.restart_ms, eager.ttfc_ms, incr.restart_ms, incr.ttfc_ms,
+                replay.restart_ms, replay.ttfc_ms, serve.restart_ms, serve.ttfc_ms,
                 last_ratio);
     std::printf("%8s  index_build_ms=%llu lazy_pages=%llu (drained after "
                 "measurement)\n",
-                "", static_cast<unsigned long long>(incr.index_build_ms),
-                static_cast<unsigned long long>(incr.lazy_pages));
+                "", static_cast<unsigned long long>(serve.index_build_ms),
+                static_cast<unsigned long long>(serve.lazy_pages));
   }
 
-  std::printf("\nShape check: eager TTFC grows with the region count (replay is\n"
-              "on the boot path); incremental TTFC stays ~flat (%.1fms -> %.1fms)\n"
+  std::printf("\nShape check: replay-before-serve TTFC grows with the region count\n"
+              "(replay is on the boot path); serve-first TTFC stays ~flat (%.1fms -> %.1fms)\n"
               "because boot only indexes and the first commit touches no page.\n\n",
-              first_incr_ttfc, last_incr_ttfc);
+              first_serve_ttfc, last_serve_ttfc);
   std::printf("recovery_ttfc: regions=%d ratio=%.2f\n", last_regions, last_ratio);
 
   std::string snapshot_path = obs::SnapshotPath();

@@ -21,15 +21,16 @@
 # speedup over one writer regresses more than 20% below the checked-in
 # baseline, or when the batch sync amortization stops happening
 # (fsyncs_saved == 0). It also runs bench_recovery_ttfc and fails when the
-# eager/incremental time-to-first-commit ratio regresses more than 20%
-# below the checked-in recovery_ttfc baseline.
+# replay-before-serve / serve-first time-to-first-commit ratio regresses
+# more than 20% below the checked-in recovery_ttfc baseline.
 #
 # --recovery-sweep runs the incremental-recovery gate on its own:
 # recovery_sweep_test (the crash-schedule sweep driven through
 # LogIndex + IncrementalRecovery, including power cuts during the recovery
 # itself with a serving-window probe between crash and re-boot) plus
 # incremental_recovery_test (serve-before-drain byte identity, deadline
-# bounds, lazy-rot-through-scrubber, heartbeats-mid-recovery).
+# bounds, lazy-rot-through-scrubber, bounded drain repair,
+# heartbeats-mid-recovery).
 #
 # --static runs the concurrency-discipline gate on its own:
 #   * scripts/lint.py (always — no toolchain dependency),
@@ -118,16 +119,18 @@ fi
 
 if [[ "$run_tsan" == 1 ]]; then
   echo "=== TSan: netsim/lbc/obs concurrency tests ==="
+  # incremental_recovery_test is here because every server restart and
+  # dead-client recovery starts the background drainer thread.
   cmake -B build-tsan -S . -DLBC_SANITIZE=thread
   cmake --build build-tsan -j "$jobs" --target \
     netsim_chaos_test netsim_fabric_test netsim_multicast_test \
     netsim_reliable_wakeup_test obs_metrics_test \
     lbc_lock_protocol_test lbc_robustness_test rvm_concurrency_test \
-    base_sync_test
+    incremental_recovery_test base_sync_test
   for t in netsim_chaos_test netsim_fabric_test netsim_multicast_test \
            netsim_reliable_wakeup_test obs_metrics_test \
            lbc_lock_protocol_test lbc_robustness_test rvm_concurrency_test \
-           base_sync_test; do
+           incremental_recovery_test base_sync_test; do
     echo "--- tsan: $t"
     # base_sync_test constructs intentional ABBA inversions to exercise the
     # repo's own lock-order detector; TSan's deadlock detector flags the same
@@ -233,10 +236,10 @@ import sys
 measured, baseline = float(sys.argv[1]), float(sys.argv[2])
 floor = 0.8 * baseline
 if measured < floor:
-    sys.exit(f"bench smoke FAILED: eager/incremental TTFC ratio {measured:.2f}x "
+    sys.exit(f"bench smoke FAILED: replay-before-serve/serve-first TTFC ratio {measured:.2f}x "
              f"is below 80% of the checked-in baseline {baseline:.2f}x "
-             f"(floor {floor:.2f}x) — incremental recovery is back on the "
-             f"boot path")
+             f"(floor {floor:.2f}x) — page replay is back on the boot or "
+             f"first-commit path")
 EOF
 fi
 

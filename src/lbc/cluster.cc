@@ -466,14 +466,12 @@ base::Status Cluster::RecoverDeadClient(rvm::NodeId node) {
     return base::Unavailable("server down");
   }
   DeclareDead(node);
-  RecoveryMode mode;
   uint64_t dedup_bound = 0;
   {
     base::MutexLock guard(mu_);
     if (recovered_.count(node) != 0) {
       return base::OkStatus();
     }
-    mode = recovery_mode_;
     auto bound = merged_commit_seq_.find(node);
     if (bound != merged_commit_seq_.end()) {
       dedup_bound = bound->second;
@@ -484,30 +482,26 @@ base::Status Cluster::RecoverDeadClient(rvm::NodeId node) {
   std::vector<rvm::TransactionRecord> merged;
   if (exists) {
     ASSIGN_OR_RETURN(merged, rvm::MergeLogs(store_, {log_name}));
-    // Drop the prefix boot recovery already merged: those records replayed
-    // (or were indexed) in full merged order at restart, and re-applying
-    // them here — after newer overlapping records — would roll pages back.
+    // Drop the prefix boot recovery already merged: those records were
+    // indexed in full merged order at restart, and re-applying them here —
+    // after newer overlapping records — would roll pages back.
     merged.erase(std::remove_if(merged.begin(), merged.end(),
                                 [&](const rvm::TransactionRecord& txn) {
                                   return txn.commit_seq <= dedup_bound;
                                 }),
                  merged.end());
-    // Incremental mode reads and indexes only — no database replay while
-    // the caller (typically a survivor's heartbeat thread, which must keep
-    // beating) waits. The pages the dead client's records touch are
-    // (re-)pended below and replayed on first touch or by the drainer.
-    if (mode == RecoveryMode::kEager) {
-      base::MutexLock db_guard(db_mu_);
-      RETURN_IF_ERROR(rvm::ApplyToDatabase(store_, merged));
-    }
   }
+  // Read and index only — no database replay while the caller (typically a
+  // survivor's heartbeat thread, which must keep beating) waits. The pages
+  // the dead client's records touch are (re-)pended below and replayed on
+  // first touch or by the drainer.
   bool start_drainer = false;
   {
     base::MutexLock guard(mu_);
     if (!recovered_.insert(node).second) {
       return base::OkStatus();  // lost a race with a concurrent detector
     }
-    if (mode == RecoveryMode::kIncremental && !merged.empty()) {
+    if (!merged.empty()) {
       if (recovery_ != nullptr) {
         // Under mu_ on purpose: retirement also runs under mu_, so the
         // extension cannot land on a recovery that already retired. Records
@@ -630,23 +624,19 @@ void Cluster::KillServer() {
 
 base::Status Cluster::RestartServer() {
   const auto boot_start = std::chrono::steady_clock::now();
-  RecoveryMode mode;
   {
     base::MutexLock guard(mu_);
     if (server_up_) {
       return base::OkStatus();
     }
-    mode = recovery_mode_;
   }
-  // Recovery at boot (§3.5): merge every client log still on the store and
-  // replay it into the database files, then rebuild the per-lock baselines
-  // and the record cache from the merged history. Records that an earlier
-  // trim already removed from the logs are in the database files and at or
-  // below any baseline those trims established, so nothing is lost.
-  //
-  // kIncremental replaces the replay with a per-page index over the same
-  // merged history — a read-only scan, so service resumes as soon as the
-  // directory is rebuilt and pages materialize lazily.
+  // Recovery at boot (§3.5): merge every client log still on the store into
+  // a per-page index over the merged history, then rebuild the per-lock
+  // baselines and the record cache from it. Records that an earlier trim
+  // already removed from the logs are in the database files and at or below
+  // any baseline those trims established, so nothing is lost. The index
+  // build is a read-only scan: service resumes as soon as the directory is
+  // rebuilt, and pages replay on first touch or in the background drain.
   ASSIGN_OR_RETURN(auto names, store_->List());
   std::vector<std::string> log_names;
   for (const auto& name : names) {
@@ -655,23 +645,14 @@ base::Status Cluster::RestartServer() {
       log_names.push_back(name);
     }
   }
-  std::vector<rvm::TransactionRecord> merged;
   rvm::LogIndex index;
   if (!log_names.empty()) {
-    if (mode == RecoveryMode::kEager) {
-      base::MutexLock db_guard(db_mu_);
-      ASSIGN_OR_RETURN(merged, rvm::MergeLogs(store_, log_names));
-      RETURN_IF_ERROR(rvm::ApplyToDatabase(store_, merged));
-    } else {
-      ASSIGN_OR_RETURN(index, rvm::LogIndex::Build(store_, log_names));
-    }
+    ASSIGN_OR_RETURN(index, rvm::LogIndex::Build(store_, log_names));
   }
   bool start_drainer = false;
   {
     base::MutexLock guard(mu_);
-    const std::vector<rvm::TransactionRecord>& history =
-        mode == RecoveryMode::kEager ? merged : index.transactions();
-    for (const auto& txn : history) {
+    for (const auto& txn : index.transactions()) {
       uint64_t& bound = merged_commit_seq_[txn.node];
       bound = std::max(bound, txn.commit_seq);
       for (const auto& lock : txn.locks) {
@@ -682,7 +663,7 @@ base::Status Cluster::RestartServer() {
         record_cache_[lock.lock_id].emplace(lock.sequence, txn);
       }
     }
-    if (mode == RecoveryMode::kIncremental && !index.empty()) {
+    if (!index.empty()) {
       recovery_ = std::make_shared<rvm::IncrementalRecovery>(store_, std::move(index),
                                                              &db_mu_);
       start_drainer = true;
@@ -697,16 +678,6 @@ base::Status Cluster::RestartServer() {
     StartRecoveryDrain();
   }
   return base::OkStatus();
-}
-
-void Cluster::SetRecoveryMode(RecoveryMode mode) {
-  base::MutexLock guard(mu_);
-  recovery_mode_ = mode;
-}
-
-Cluster::RecoveryMode Cluster::GetRecoveryMode() const {
-  base::MutexLock guard(mu_);
-  return recovery_mode_;
 }
 
 bool Cluster::RecoveryActive() const {
@@ -736,41 +707,18 @@ base::Status Cluster::EnsureRegionRecovered(rvm::RegionId region,
   RETURN_IF_ERROR(rec->MaterializeRegion(region, deadline_ms));
   // Opportunistic retirement: whoever replays the last page puts the
   // cluster back on the steady-state path.
+  RetireIfDrained(rec);
+  return base::OkStatus();
+}
+
+void Cluster::RetireIfDrained(const std::shared_ptr<rvm::IncrementalRecovery>& rec) {
   base::MutexLock guard(mu_);
   if (recovery_ == rec && rec->Drained()) {
     recovery_.reset();
   }
-  return base::OkStatus();
 }
 
-base::Status Cluster::DrainRecovery() {
-  for (;;) {
-    std::shared_ptr<rvm::IncrementalRecovery> rec;
-    {
-      base::MutexLock guard(mu_);
-      rec = recovery_;
-    }
-    if (rec == nullptr) {
-      return base::OkStatus();
-    }
-    rvm::RegionId failed = 0;
-    base::Result<bool> step = rec->DrainStep(&failed);
-    if (!step.ok()) {
-      if (step.status().code() == base::StatusCode::kDataLoss &&
-          TryRepairRegion(failed)) {
-        continue;  // pre-image healed from a replica; retry the page
-      }
-      return step.status();
-    }
-    if (!step.value()) {
-      base::MutexLock guard(mu_);
-      if (recovery_ == rec && rec->Drained()) {
-        recovery_.reset();
-      }
-      return base::OkStatus();
-    }
-  }
-}
+base::Status Cluster::DrainRecovery() { return DrainLoop(/*stop=*/nullptr); }
 
 void Cluster::StartRecoveryDrain() {
   base::MutexLock guard(drain_mu_);
@@ -780,7 +728,7 @@ void Cluster::StartRecoveryDrain() {
     drain_thread_.join();
   }
   drain_stop_.store(false, std::memory_order_relaxed);
-  drain_thread_ = std::thread([this] { RecoveryDrainLoop(); });
+  drain_thread_ = std::thread([this] { base::IgnoreError(DrainLoop(&drain_stop_)); });
 }
 
 void Cluster::StopRecoveryDrain() {
@@ -791,41 +739,41 @@ void Cluster::StopRecoveryDrain() {
   }
 }
 
-void Cluster::RecoveryDrainLoop() {
+base::Status Cluster::DrainLoop(const std::atomic<bool>* stop) {
   // Bounded heal-and-retry: a DATA_LOSS page is re-scrubbed a few times (a
   // replica may serve rot once and a clean copy on the next read), then the
-  // drainer gives up and leaves the page pending — a client touching it
-  // surfaces the same error through the first-touch path and runs its own
-  // bounded repair loop.
+  // loop gives up and returns the error with the page still pending — a
+  // client touching it surfaces the same error through the first-touch path
+  // and runs its own bounded repair loop. The bound matters: a scrub that
+  // runs but cannot heal the pre-image still reports success.
+  constexpr int kMaxRepairAttempts = 8;
   int repair_attempts = 0;
-  while (!drain_stop_.load(std::memory_order_relaxed)) {
+  while (stop == nullptr || !stop->load(std::memory_order_relaxed)) {
     std::shared_ptr<rvm::IncrementalRecovery> rec;
     {
       base::MutexLock guard(mu_);
       rec = recovery_;
     }
     if (rec == nullptr) {
-      return;
+      return base::OkStatus();
     }
     rvm::RegionId failed = 0;
     base::Result<bool> step = rec->DrainStep(&failed);
     if (!step.ok()) {
       if (step.status().code() == base::StatusCode::kDataLoss &&
-          repair_attempts < 8 && TryRepairRegion(failed)) {
+          repair_attempts < kMaxRepairAttempts && TryRepairRegion(failed)) {
         ++repair_attempts;
-        continue;
+        continue;  // pre-image possibly healed from a replica; retry the page
       }
-      return;
+      return step.status();
     }
     repair_attempts = 0;
     if (!step.value()) {
-      base::MutexLock guard(mu_);
-      if (recovery_ == rec && rec->Drained()) {
-        recovery_.reset();
-      }
-      return;
+      RetireIfDrained(rec);
+      return base::OkStatus();
     }
   }
+  return base::OkStatus();
 }
 
 bool Cluster::ServerUp() const {

@@ -234,18 +234,20 @@ class Cluster {
   base::Mutex& DbMutex() LBC_RETURN_CAPABILITY(db_mu_) { return db_mu_; }
 
   void KillServer();
-  // Rebuilds the directory from the merged client logs (replaying them into
-  // the database files along the way — recovery at boot), bumps the restart
-  // epoch, and resumes service. Live clients notice the epoch change via
-  // their heartbeat thread (or an explicit Client::RejoinServer) and
-  // re-register their mappings and applied reports.
+  // Rebuilds the directory from the merged client logs (recovery at boot),
+  // bumps the restart epoch, and resumes service. Live clients notice the
+  // epoch change via their heartbeat thread (or an explicit
+  // Client::RejoinServer) and re-register their mappings and applied
+  // reports.
   //
-  // In kIncremental recovery mode the boot replay is replaced by a per-page
-  // index over the merged logs (rvm::LogIndex — read-only, so the server is
-  // serving the moment the scan finishes); pages are replayed on first
-  // touch via EnsureRegionRecovered and in the background by a drainer
-  // thread this call starts. Once the last page is done the recovery object
-  // retires and steady state is byte-identical to eager replay.
+  // Boot does not replay: it builds a per-page index over the merged logs
+  // (rvm::LogIndex — read-only, so the server is serving the moment the
+  // scan finishes). Pages are replayed on first touch via
+  // EnsureRegionRecovered and in the background by a drainer thread this
+  // call starts. Once the last page is done the recovery object retires and
+  // the database files are byte-identical to a full merged-log replay
+  // (rvm::ReplayLogsIntoDatabase). Callers that need every page replayed
+  // before they go on call DrainRecovery().
   base::Status RestartServer();
   bool ServerUp() const;
   // Incremented by every restart; clients track it to detect that their
@@ -253,12 +255,6 @@ class Cluster {
   uint64_t ServerEpoch() const;
 
   // --- incremental recovery (serve before replay finishes) ------------------
-
-  enum class RecoveryMode { kEager, kIncremental };
-  // Selects how RestartServer and RecoverDeadClient replay logs. The
-  // default, kEager, is the historical stop-the-world replay.
-  void SetRecoveryMode(RecoveryMode mode);
-  RecoveryMode GetRecoveryMode() const;
 
   // First-touch interlock: materializes every still-pending page of
   // `region`, waiting (bounded by deadline_ms per page when non-zero, else
@@ -272,12 +268,14 @@ class Cluster {
   uint64_t RecoveryPendingPages() const;
 
   // Synchronous barrier: replays every pending page on the calling thread
-  // (healing DATA_LOSS pages through the scrubber when one is attached) and
-  // retires the recovery object. Every eager full-replay entry point
-  // (ReplayAndRecordBaselines, RecoverAndTrim, the standby checkpoint)
-  // calls this first — eager replay racing or preceding indexed pages could
-  // certify stale bytes and then truncate the logs they came from. Callers
-  // must NOT hold DbMutex(): page replay acquires it per page.
+  // and retires the recovery object. A DATA_LOSS page is healed through the
+  // scrubber when one is attached, at most 8 times in a row; after that (or
+  // with no scrubber) the DATA_LOSS is returned and the page stays pending.
+  // Every full-replay entry point (ReplayAndRecordBaselines,
+  // RecoverAndTrim, the standby checkpoint) calls this first — a full
+  // replay racing or preceding indexed pages could certify stale bytes and
+  // then truncate the logs they came from. Callers must NOT hold
+  // DbMutex(): page replay acquires it per page.
   base::Status DrainRecovery();
 
   // Background drainer controls. RestartServer/RecoverDeadClient start the
@@ -287,7 +285,10 @@ class Cluster {
   void StopRecoveryDrain();
 
  private:
-  void RecoveryDrainLoop();
+  // The one drain loop behind DrainRecovery (stop == nullptr) and the
+  // background drainer (stop == &drain_stop_).
+  base::Status DrainLoop(const std::atomic<bool>* stop);
+  void RetireIfDrained(const std::shared_ptr<rvm::IncrementalRecovery>& rec);
   store::DurableStore* store_;
   netsim::Fabric fabric_;
 
@@ -339,14 +340,12 @@ class Cluster {
   bool server_up_ LBC_GUARDED_BY(mu_) = true;
   uint64_t server_epoch_ LBC_GUARDED_BY(mu_) = 0;
   rvm::Scrubber* scrubber_ LBC_GUARDED_BY(mu_) = nullptr;
-  // Active incremental recovery; null when drained/retired or in eager
-  // mode. shared_ptr so workers materialize pages with mu_ released while
-  // KillServer resets the directory's reference. Retirement (reset once
-  // Drained()) happens only under mu_, which is also where
-  // RecoverDeadClient extends it — an extension therefore cannot land on a
-  // recovery that just retired.
+  // Active incremental recovery; null when drained/retired. shared_ptr so
+  // workers materialize pages with mu_ released while KillServer resets the
+  // directory's reference. Retirement (reset once Drained()) happens only
+  // under mu_, which is also where RecoverDeadClient extends it — an
+  // extension therefore cannot land on a recovery that just retired.
   std::shared_ptr<rvm::IncrementalRecovery> recovery_ LBC_GUARDED_BY(mu_);
-  RecoveryMode recovery_mode_ LBC_GUARDED_BY(mu_) = RecoveryMode::kEager;
   // Time-to-first-commit instrumentation: armed by RestartServer, resolved
   // by the first admitted commit (recovery.first_commit_ms).
   bool first_commit_pending_ LBC_GUARDED_BY(mu_) = false;

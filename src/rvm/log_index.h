@@ -1,9 +1,9 @@
 // Per-page index over the merged §3.4 history (the heart of incremental
 // recovery, after Sauer & Härder's fast REDO-only recovery).
 //
-// Eager recovery replays every merged redo record into the database files
-// before anybody is served, so boot time grows linearly with log volume.
-// The index replaces that replay with a cheap scan: it records, for every
+// Replaying every merged redo record into the database files before anybody
+// is served makes boot time grow linearly with log volume. The index
+// replaces that replay with a cheap scan: it records, for every
 // (region, page) a redo record touches, the ordered list of records that
 // must be applied to materialize the page. Building it reads the logs and
 // merges them in memory — NO database writes — so a server can declare
@@ -46,10 +46,10 @@ class LogIndex {
   LogIndex() = default;
 
   // Reads the named logs (missing ones are treated as empty, exactly like
-  // eager recovery), merges them into one serial history via the lock
-  // records, and indexes every touched page. Read-only with respect to the
-  // store — the build contributes zero mutating operations, which is what
-  // lets a power cut during it degrade to a cut at its start.
+  // ReplayLogsIntoDatabase), merges them into one serial history via the
+  // lock records, and indexes every touched page. Read-only with respect to
+  // the store — the build contributes zero mutating operations, which is
+  // what lets a power cut during it degrade to a cut at its start.
   static base::Result<LogIndex> Build(store::DurableStore* store,
                                       const std::vector<std::string>& log_names);
 

@@ -134,35 +134,17 @@ base::Status ChecksumSidecar::WriteEntry(uint64_t page, uint32_t crc) {
 
 base::Status ChecksumSidecar::Sync() { return file_->Sync(); }
 
-base::Status UpdatePageChecksums(store::DurableStore* store, RegionId region,
-                                 const std::vector<uint64_t>& pages) {
-  if (pages.empty()) {
-    return base::OkStatus();
-  }
+base::Status RewriteRegionChecksums(store::DurableStore* store, RegionId region) {
   ASSIGN_OR_RETURN(auto db, store->Open(RegionFileName(region), /*create=*/false));
   ASSIGN_OR_RETURN(uint64_t file_size, db->Size());
   ASSIGN_OR_RETURN(auto sidecar, ChecksumSidecar::Open(store, region, /*create=*/true));
   std::vector<uint8_t> buf(kDbPageSize);
-  for (uint64_t page : pages) {
-    uint64_t offset = page * kDbPageSize;
-    size_t want = static_cast<size_t>(
-        offset < file_size ? std::min<uint64_t>(kDbPageSize, file_size - offset) : 0);
-    if (want > 0) {
-      RETURN_IF_ERROR(db->ReadExact(offset, buf.data(), want));
-    }
-    RETURN_IF_ERROR(sidecar->WriteEntry(page, PageCrc(buf.data(), want)));
+  for (uint64_t offset = 0; offset < file_size; offset += kDbPageSize) {
+    size_t want = static_cast<size_t>(std::min<uint64_t>(kDbPageSize, file_size - offset));
+    RETURN_IF_ERROR(db->ReadExact(offset, buf.data(), want));
+    RETURN_IF_ERROR(sidecar->WriteEntry(offset / kDbPageSize, PageCrc(buf.data(), want)));
   }
   return sidecar->Sync();
-}
-
-base::Status RewriteRegionChecksums(store::DurableStore* store, RegionId region) {
-  ASSIGN_OR_RETURN(auto db, store->Open(RegionFileName(region), /*create=*/false));
-  ASSIGN_OR_RETURN(uint64_t file_size, db->Size());
-  std::vector<uint64_t> pages((file_size + kDbPageSize - 1) / kDbPageSize);
-  for (uint64_t p = 0; p < pages.size(); ++p) {
-    pages[p] = p;
-  }
-  return UpdatePageChecksums(store, region, pages);
 }
 
 base::Result<std::vector<uint64_t>> VerifyImagePages(store::DurableStore* store,

@@ -6,9 +6,10 @@
 // the next checkpoint. This module adds a CRC32C *sidecar* per region file
 // (region_N.dbsum) holding one checksum per kDbPageSize page:
 //
-//   * Writers — recovery replay (ApplyToDatabase), checkpoint/trim, and the
-//     scrubber's repairs — read the pages they touched back from the store
-//     and record their checksums, which doubles as write verification.
+//   * Writers — page replay (ReplayWriteSet: recovery's per-page
+//     materialization, trim and the standby checkpoint) and the scrubber's
+//     repairs — read the pages they wrote back from the store and record
+//     each page's checksum once, which doubles as write verification.
 //   * Readers — Rvm::MapRegion (the server image fetch) and the scrubber —
 //     verify pages against the sidecar and fail with DATA_LOSS on mismatch.
 //
@@ -89,14 +90,7 @@ class ChecksumSidecar {
   bool header_written_ = false;
 };
 
-// Reads the given pages of the region's database file back from the store
-// and records their checksums (the write-verification half: any EIO or
-// short read during the read-back surfaces here). Creates the sidecar on
-// first use; syncs it before returning.
-base::Status UpdatePageChecksums(store::DurableStore* store, RegionId region,
-                                 const std::vector<uint64_t>& pages);
-
-// Recomputes the entire sidecar from the database file (checkpoint path).
+// Recomputes the entire sidecar from the database file.
 base::Status RewriteRegionChecksums(store::DurableStore* store, RegionId region);
 
 // Verifies an image of the region's database file against the sidecar.

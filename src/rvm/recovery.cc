@@ -118,21 +118,34 @@ base::Status ReplayWriteSet::Apply(const RangeImage& range) {
 }
 
 base::Status ReplayWriteSet::Commit() {
+  // One sidecar handle per region; each page's entry is written exactly
+  // once per commit, from the image this write set already holds.
+  std::map<RegionId, std::unique_ptr<ChecksumSidecar>> sidecars;
+  auto sidecar_for = [&](RegionId region) -> base::Result<ChecksumSidecar*> {
+    auto it = sidecars.find(region);
+    if (it == sidecars.end()) {
+      ASSIGN_OR_RETURN(auto sidecar, ChecksumSidecar::Open(store_, region, /*create=*/true));
+      it = sidecars.emplace(region, std::move(sidecar)).first;
+    }
+    return it->second.get();
+  };
+  auto sync_sidecars = [&]() -> base::Status {
+    for (auto& [region, sidecar] : sidecars) {
+      RETURN_IF_ERROR(sidecar->Sync());
+    }
+    return base::OkStatus();
+  };
   if (options_.verify_preimages) {
     // Rot gate + intent: before mutating anything, check each pre-image
     // against its sidecar entry, then certify the FINAL image in the
-    // sidecar. A crash anywhere between here and the data sync leaves the
-    // intent entry behind, which the case analysis below recognizes on the
-    // next attempt — so a torn page resumes instead of reading as rot.
-    std::map<RegionId, std::unique_ptr<ChecksumSidecar>> sidecars;
+    // sidecar. That entry is final — the read-back below confirms the data
+    // matches it. A crash anywhere between here and the data sync leaves
+    // the intent entry behind, which the case analysis below recognizes on
+    // the next attempt — so a torn page resumes instead of reading as rot.
     for (auto& [key, build] : pages_) {
       const auto& [region, page] = key;
-      auto sc_it = sidecars.find(region);
-      if (sc_it == sidecars.end()) {
-        ASSIGN_OR_RETURN(auto sidecar, ChecksumSidecar::Open(store_, region, /*create=*/true));
-        sc_it = sidecars.emplace(region, std::move(sidecar)).first;
-      }
-      ASSIGN_OR_RETURN(auto entry, sc_it->second->ReadEntry(page));
+      ASSIGN_OR_RETURN(ChecksumSidecar * sidecar, sidecar_for(region));
+      ASSIGN_OR_RETURN(auto entry, sidecar->ReadEntry(page));
       uint32_t final_crc = PageCrc(build.image.data(), build.image.size());
       bool fully_covered =
           std::find(build.covered.begin(), build.covered.end(), 0) == build.covered.end();
@@ -152,26 +165,23 @@ base::Status ReplayWriteSet::Commit() {
         return base::DataLoss("pre-image failed sidecar verification before replay: region " +
                               std::to_string(region) + " page " + std::to_string(page));
       }
-      RETURN_IF_ERROR(sc_it->second->WriteEntry(page, final_crc));
+      RETURN_IF_ERROR(sidecar->WriteEntry(page, final_crc));
     }
-    for (auto& [region, sidecar] : sidecars) {
-      RETURN_IF_ERROR(sidecar->Sync());
-    }
+    RETURN_IF_ERROR(sync_sidecars());
   }
   for (auto& [key, build] : pages_) {
     const auto& [region, page] = key;
     RETURN_IF_ERROR(files_[region]->Write(
         page * kDbPageSize, base::ByteSpan(build.image.data(), build.image.size())));
   }
-  // Sync every opened file — even ones with no accumulated pages, so eager
+  // Sync every opened file — even ones with no accumulated pages, so full
   // replay keeps its "database durable before log truncation" guarantee for
   // regions touched only by empty ranges.
   for (auto& [region, file] : files_) {
     RETURN_IF_ERROR(file->Sync());
   }
-  // Read-back verification + sidecar update for every replayed page.
+  // Read-back verification of every replayed page against its image.
   std::vector<uint8_t> readback(kDbPageSize);
-  std::map<RegionId, std::vector<uint64_t>> touched;
   for (const auto& [key, build] : pages_) {
     const auto& [region, page] = key;
     auto& file = files_[region];
@@ -189,12 +199,18 @@ base::Status ReplayWriteSet::Commit() {
                             std::to_string(region) + " page " + std::to_string(page));
     }
     GlobalIntegrityMetrics()->pages_verified->Increment();
-    touched[region].push_back(page);
   }
-  for (const auto& [region, pages] : touched) {
-    RETURN_IF_ERROR(UpdatePageChecksums(store_, region, pages));
+  if (options_.verify_preimages) {
+    return base::OkStatus();  // the intent entries already certify these pages
   }
-  return base::OkStatus();
+  // Plain mode certifies once the data is durable and has read back intact.
+  for (const auto& [key, build] : pages_) {
+    const auto& [region, page] = key;
+    ASSIGN_OR_RETURN(ChecksumSidecar * sidecar, sidecar_for(region));
+    uint32_t crc = PageCrc(build.image.data(), build.image.size());
+    RETURN_IF_ERROR(sidecar->WriteEntry(page, crc));
+  }
+  return sync_sidecars();
 }
 
 base::Status ApplyToDatabase(store::DurableStore* store,

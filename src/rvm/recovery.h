@@ -28,16 +28,17 @@ namespace rvm {
 base::Result<std::vector<TransactionRecord>> ReadLogTransactions(
     store::DurableStore* store, const std::string& log_name, bool* tail_was_torn = nullptr);
 
-// The single replay core shared by eager replay (ApplyToDatabase), the
-// on-demand page replay of incremental recovery (replay_on_demand.h), and
-// the standby checkpoint's image write (lbc::CheckpointFromStandby).
+// The single replay core shared by full-history replay (ApplyToDatabase:
+// trim and ReplayLogsIntoDatabase), recovery's per-page replay
+// (replay_on_demand.h), and the standby checkpoint's image write
+// (lbc::CheckpointFromStandby).
 //
 // Apply() accumulates redo ranges page by page (pre-image read from the
 // database file, zero-padded past EOF, then overwritten by the ranges in
 // call order). Commit() performs all store mutations: page writes, file
 // syncs, a read-back verification of every touched page against the
-// accumulated image, and the sidecar checksum update — so the CRC/sidecar
-// logic exists exactly once.
+// accumulated image, and exactly one sidecar entry per page, computed from
+// that image — so the CRC/sidecar logic exists exactly once.
 //
 // Options:
 //   page_filter      When set, only pages for which it returns true are
@@ -67,9 +68,10 @@ class ReplayWriteSet {
 
   // Accumulates one redo range (reads pre-images as needed; no writes).
   base::Status Apply(const RangeImage& range);
-  // Writes, syncs, read-back-verifies, and re-checksums every accumulated
-  // page. In verify_preimages mode the sidecar intent entries are written
-  // and synced BEFORE the data, making a crash mid-write self-describing.
+  // Writes, syncs, read-back-verifies, and checksums every accumulated page,
+  // one sidecar write per page. In verify_preimages mode that entry is the
+  // intent, written and synced BEFORE the data, making a crash mid-write
+  // self-describing; otherwise it is written after the read-back.
   base::Status Commit();
 
   uint64_t pages_touched() const { return pages_.size(); }

@@ -1,13 +1,13 @@
 // Replay-on-first-touch over a LogIndex: the serving half of incremental
 // recovery.
 //
-// Eager recovery replays the whole merged history before anyone is served.
-// IncrementalRecovery instead tracks, per indexed page, whether its redo has
-// been materialized into the database file yet, and replays a page the
-// first time anything needs it — a client mapping the page's region, the
+// Rather than replaying the whole merged history before anyone is served,
+// IncrementalRecovery tracks, per indexed page, whether its redo has been
+// materialized into the database file yet, and replays a page the first
+// time anything needs it — a client mapping the page's region, the
 // background drainer, or a synchronous DrainRecovery barrier. Once every
-// page is done the object is retired by its owner and the steady-state path
-// is byte-identical to eager replay.
+// page is done the object is retired by its owner and the database files
+// are byte-identical to a full merged-log replay (ReplayLogsIntoDatabase).
 //
 // Per-page state machine (mu_, rank LockRank::kRecovery):
 //
@@ -50,7 +50,7 @@ namespace rvm {
 // Process-wide incremental-recovery instruments (recovery.*).
 // index_build_ms is advanced by LogIndex::Build and first_commit_ms by the
 // cluster's admission path; they are registered here so the whole family
-// exports together (zeros on a clean eager-only run).
+// exports together (zeros on a run that never recovers).
 struct IncrementalRecoveryMetrics {
   obs::Counter* index_build_ms;     // total ms spent building log indexes
   obs::Counter* pages_on_demand;    // pages materialized on first touch

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "src/base/crc32.h"
+#include "src/rvm/log_index.h"
 #include "src/rvm/log_io.h"
 #include "src/rvm/log_merge.h"
 #include "src/rvm/page_checksum.h"
@@ -107,12 +108,13 @@ base::Status RewriteFile(store::DurableStore* store, const std::string& name,
 
 }  // namespace
 
-// Per-run cache: the merged client history is loaded at most once, lazily,
-// and only if some page actually needs log reconstruction.
+// Per-run cache: the merged client history is loaded and indexed by page at
+// most once, lazily, and only if some page actually needs log
+// reconstruction.
 struct Scrubber::RunState {
   bool merged_loaded = false;
   bool merged_failed = false;
-  std::vector<TransactionRecord> merged;
+  LogIndex merged;
 };
 
 namespace {
@@ -329,9 +331,11 @@ base::Result<std::vector<uint8_t>> Scrubber::ReconstructPage(RunState* run,
       }
     }
     std::sort(logs.begin(), logs.end());
+    // FromMerged, not LogIndex::Build: a scrub is not a recovery, so it
+    // must not add to recovery.index_build_ms.
     auto merged = MergeLogs(store_, logs);
     if (merged.ok()) {
-      run->merged = std::move(*merged);
+      run->merged = LogIndex::FromMerged(std::move(*merged));
       run->merged_failed = false;
     }
   }
@@ -339,23 +343,21 @@ base::Result<std::vector<uint8_t>> Scrubber::ReconstructPage(RunState* run,
     return base::DataLoss("merged client history unavailable for reconstruction");
   }
   // Region files start zero-filled and every change since the last trim is a
-  // redo record of absolute bytes: zeros + the merged ranges IS the page.
+  // redo record of absolute bytes: zeros + the page's merged ranges, in
+  // merged order, IS the page.
   std::vector<uint8_t> buf(kDbPageSize, 0);
+  const std::vector<LogIndex::Slice>* slices = run->merged.SlicesFor(region, page);
+  if (slices == nullptr) {
+    return buf;
+  }
   const uint64_t page_lo = page * kDbPageSize;
   const uint64_t page_hi = page_lo + kDbPageSize;
-  for (const TransactionRecord& txn : run->merged) {
-    for (const RangeImage& range : txn.ranges) {
-      if (range.region != region || range.data.empty()) {
-        continue;
-      }
-      const uint64_t lo = std::max(range.offset, page_lo);
-      const uint64_t hi = std::min(range.offset + range.data.size(), page_hi);
-      if (lo >= hi) {
-        continue;
-      }
-      std::memcpy(buf.data() + (lo - page_lo), range.data.data() + (lo - range.offset),
-                  static_cast<size_t>(hi - lo));
-    }
+  for (const LogIndex::Slice& slice : *slices) {
+    const RangeImage& range = run->merged.transactions()[slice.txn].ranges[slice.range];
+    const uint64_t lo = std::max(range.offset, page_lo);
+    const uint64_t hi = std::min(range.offset + range.data.size(), page_hi);
+    std::memcpy(buf.data() + (lo - page_lo), range.data.data() + (lo - range.offset),
+                static_cast<size_t>(hi - lo));
   }
   return buf;
 }

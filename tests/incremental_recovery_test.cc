@@ -5,12 +5,14 @@
 //
 //   * the LogIndex itself (mirrors the merged history; Extend dedups by
 //     per-node commit sequence),
-//   * the serve-before-drain window and post-drain byte identity with
-//     eager replay,
+//   * the serve-before-drain window and post-drain byte identity with an
+//     independent full replay of the merged logs,
+//   * one sidecar write and one sidecar sync per materialized page,
 //   * the op_deadline_ms bound on a first-touch wait (the transaction — and
 //     the client — stay usable after a DEADLINE_EXCEEDED map),
 //   * lazily discovered pre-image rot failing certification and routing
-//     through the Scrubber instead of being replayed over,
+//     through the Scrubber instead of being replayed over — and DrainRecovery
+//     returning DATA_LOSS when the scrubber cannot heal it,
 //   * a dead-client recovery that no longer starves the calling heartbeat
 //     thread behind a synchronous replay, and
 //   * the boot-record dedup that keeps a late RecoverDeadClient from
@@ -21,7 +23,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,9 +37,11 @@
 #include "src/rvm/log_io.h"
 #include "src/rvm/log_merge.h"
 #include "src/rvm/page_checksum.h"
+#include "src/rvm/recovery.h"
 #include "src/rvm/replay_on_demand.h"
 #include "src/rvm/scrub.h"
 #include "src/store/corrupting_store.h"
+#include "src/store/crash_point_store.h"
 #include "src/store/mem_store.h"
 #include "src/store/replicated_store.h"
 #include "src/store/resource_store.h"
@@ -220,22 +226,24 @@ TEST(LogIndex, ExtendDedupsByCommitSeq) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Serve before the drain finishes; byte-identical to eager afterwards
+// 2. Serve before the drain finishes; byte-identical to a full replay after
 // ---------------------------------------------------------------------------
 
 TEST(IncrementalRecovery, ServesBeforeDrainThenMatchesEagerByteForByte) {
-  // Twin clusters, identical workload: one restarts eagerly (the reference
-  // bytes), one incrementally.
-  Fixture eager;
-  eager.CommitWorkload();
-  eager.cluster->KillServer();
-  ASSERT_TRUE(eager.cluster->RestartServer().ok());
-  ASSERT_FALSE(eager.cluster->RecoveryActive());  // eager mode has no window
+  // Twin clusters, identical workload. The reference twin's server stays
+  // down while rvm::ReplayLogsIntoDatabase replays its merged logs in one
+  // pass — the independent reference bytes. The other cluster restarts and
+  // recovers.
+  Fixture reference;
+  reference.CommitWorkload();
+  reference.cluster->KillServer();
+  ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(
+                  &reference.mem, {rvm::LogFileName(1), rvm::LogFileName(2)})
+                  .ok());
 
   Fixture incr;
   incr.CommitWorkload();
   incr.cluster->KillServer();
-  incr.cluster->SetRecoveryMode(lbc::Cluster::RecoveryMode::kIncremental);
 
   const uint64_t on_demand_before = Counter("recovery.pages_on_demand");
   const uint64_t background_before = Counter("recovery.pages_background");
@@ -248,11 +256,12 @@ TEST(IncrementalRecovery, ServesBeforeDrainThenMatchesEagerByteForByte) {
     EXPECT_TRUE(incr.cluster->ServerUp());
     EXPECT_TRUE(incr.cluster->RecoveryActive());
     EXPECT_EQ(kPagesA + kPagesB, incr.cluster->RecoveryPendingPages());
-    // The directory is already rebuilt — baselines match the eager twin
-    // before a single page has been replayed.
-    for (rvm::LockId lock : {kLockA1, kLockA2, kLockB1, kLockB2}) {
-      EXPECT_EQ(eager.cluster->BaselineSeq(lock), incr.cluster->BaselineSeq(lock));
-    }
+    // The directory is already rebuilt — baselines hold every logged
+    // sequence number before a single page has been replayed.
+    EXPECT_EQ(2u, incr.cluster->BaselineSeq(kLockA1));
+    EXPECT_EQ(2u, incr.cluster->BaselineSeq(kLockA2));
+    EXPECT_EQ(1u, incr.cluster->BaselineSeq(kLockB1));
+    EXPECT_EQ(1u, incr.cluster->BaselineSeq(kLockB2));
   }
 
   // First touch: a fresh client maps region A while region B may still be
@@ -267,13 +276,13 @@ TEST(IncrementalRecovery, ServesBeforeDrainThenMatchesEagerByteForByte) {
   EXPECT_FALSE(incr.cluster->RecoveryActive());
   EXPECT_EQ(0u, incr.cluster->RecoveryPendingPages());
 
-  // Steady state after the drain is byte-identical to eager replay:
+  // Steady state after the drain is byte-identical to the full replay:
   // database files AND checksum sidecars.
   for (rvm::RegionId region : {kRegionA, kRegionB}) {
-    EXPECT_EQ(ReadFile(&eager.mem, rvm::RegionFileName(region)),
+    EXPECT_EQ(ReadFile(&reference.mem, rvm::RegionFileName(region)),
               ReadFile(&incr.mem, rvm::RegionFileName(region)))
         << "region " << region;
-    EXPECT_EQ(ReadFile(&eager.mem, rvm::ChecksumFileName(region)),
+    EXPECT_EQ(ReadFile(&reference.mem, rvm::ChecksumFileName(region)),
               ReadFile(&incr.mem, rvm::ChecksumFileName(region)))
         << "sidecar " << region;
   }
@@ -289,6 +298,64 @@ TEST(IncrementalRecovery, ServesBeforeDrainThenMatchesEagerByteForByte) {
 }
 
 // ---------------------------------------------------------------------------
+// 2b. Each materialized page is certified once: one sidecar write and sync
+//     (the intent entry, which is final), then one data write and sync
+// ---------------------------------------------------------------------------
+
+TEST(IncrementalRecovery, MaterializedPageWritesOneSidecarEntry) {
+  constexpr rvm::RegionId kRegion = 4;
+  store::MemStore mem;
+  store::CrashPointStore store(&mem);
+
+  // A full replay first creates the region file and its sidecar (header
+  // included), so the ops counted below are the page's own.
+  rvm::TransactionRecord full;
+  full.ranges.push_back({kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11)});
+  ASSERT_TRUE(rvm::ApplyToDatabase(&store, {full}).ok());
+  const std::vector<uint8_t> preimage = ReadFile(&mem, rvm::RegionFileName(kRegion));
+
+  rvm::TransactionRecord redo;
+  redo.node = 1;
+  redo.commit_seq = 1;
+  redo.ranges.push_back({kRegion, 100, std::vector<uint8_t>(64, 0x22)});
+  std::vector<uint8_t> expected = preimage;
+  std::memset(expected.data() + 100, 0x22, 64);
+  const uint32_t final_crc = rvm::PageCrc(expected.data(), expected.size());
+  auto sidecar_entry = [&]() -> std::optional<uint32_t> {
+    auto sidecar = rvm::ChecksumSidecar::Open(&mem, kRegion, /*create=*/false);
+    if (!sidecar.ok()) {
+      return std::nullopt;
+    }
+    auto entry = (*sidecar)->ReadEntry(0);
+    return entry.ok() ? *entry : std::nullopt;
+  };
+  rvm::IncrementalRecovery recovery(&store, rvm::LogIndex::FromMerged({redo}));
+
+  // Power cut at the third op: the first two were the sidecar's, because
+  // the final entry is durable while the data file still holds the
+  // pre-image — intent before data.
+  store.ResetOpCount();
+  store.ArmCrashAtOp(2);
+  EXPECT_FALSE(recovery.MaterializePage(kRegion, 0).ok());
+  store.Disarm();
+  EXPECT_EQ(final_crc, sidecar_entry());
+  EXPECT_EQ(preimage, ReadFile(&mem, rvm::RegionFileName(kRegion)));
+
+  // The retry resumes from that intent and costs exactly one sidecar write,
+  // one sidecar sync, one data write and one data sync.
+  store.ResetOpCount();
+  ASSERT_TRUE(recovery.MaterializePage(kRegion, 0).ok());
+  EXPECT_EQ(4u, store.op_count());
+  EXPECT_EQ((std::vector<store::CrashOpKind>{
+                store::CrashOpKind::kWrite, store::CrashOpKind::kSync,
+                store::CrashOpKind::kWrite, store::CrashOpKind::kSync}),
+            store.op_kinds());
+  EXPECT_EQ(final_crc, sidecar_entry());
+  EXPECT_EQ(expected, ReadFile(&mem, rvm::RegionFileName(kRegion)));
+  EXPECT_TRUE(recovery.Drained());
+}
+
+// ---------------------------------------------------------------------------
 // 3. op_deadline_ms bounds the first-touch wait
 // ---------------------------------------------------------------------------
 
@@ -296,7 +363,6 @@ TEST(IncrementalRecovery, MapRegionDeadlineBoundsWaitOnInFlightPage) {
   Fixture fx;
   fx.CommitWorkload();
   fx.cluster->KillServer();
-  fx.cluster->SetRecoveryMode(lbc::Cluster::RecoveryMode::kIncremental);
 
   std::unique_ptr<lbc::Client> c;
   std::thread claimant;
@@ -385,7 +451,6 @@ TEST(IncrementalRecovery, FirstTouchRotRoutesThroughScrubber) {
   }
 
   cluster.KillServer();
-  cluster.SetRecoveryMode(lbc::Cluster::RecoveryMode::kIncremental);
   const uint64_t failures_before = Counter("integrity.verify_failures");
   const uint64_t repaired_before = Counter("scrub.repaired_from_replica");
   const std::string db = rvm::RegionFileName(kRegion);
@@ -420,6 +485,84 @@ TEST(IncrementalRecovery, FirstTouchRotRoutesThroughScrubber) {
 }
 
 // ---------------------------------------------------------------------------
+// 4b. Rot that no repair path can heal: DrainRecovery gives up with
+//     DATA_LOSS instead of retrying forever
+// ---------------------------------------------------------------------------
+
+TEST(IncrementalRecovery, DrainRecoveryReturnsDataLossOnUnrepairablePreImage) {
+  constexpr rvm::RegionId kRegion = 13;
+  constexpr uint64_t kLen = rvm::kDbPageSize;
+  constexpr rvm::LockId kFirstLock = 400;   // manager 1
+  constexpr rvm::LockId kSecondLock = 401;  // manager 3
+
+  // One store, so no replica to repair from.
+  store::MemStore mem;
+  store::CorruptionInjectingStore corrupt(&mem);
+  rvm::Scrubber scrubber(&corrupt);
+  lbc::Cluster cluster(&corrupt);
+  cluster.DefineLock(kFirstLock, kRegion, 1);
+  cluster.DefineLock(kSecondLock, kRegion, 3);
+  cluster.SetScrubber(&scrubber);
+
+  auto commit = [&](lbc::Client* c, rvm::LockId lock, uint64_t offset, uint64_t len,
+                    uint8_t fill) {
+    lbc::Transaction txn = c->Begin();
+    ASSERT_TRUE(txn.Acquire(lock).ok());
+    ASSERT_TRUE(txn.SetRange(kRegion, offset, len).ok());
+    std::memset(c->GetRegion(kRegion)->data() + offset, fill, len);
+    ASSERT_TRUE(txn.Commit(rvm::CommitMode::kFlush).ok());
+  };
+  // A full-page commit, replayed and trimmed: the logs can no longer
+  // rebuild this page, so log reconstruction cannot repair it either.
+  {
+    auto a = std::move(*lbc::Client::Create(&cluster, 1, {}));
+    ASSERT_TRUE(a->MapRegion(kRegion, kLen).ok());
+    commit(a.get(), kFirstLock, 0, kLen, 0x31);
+  }
+  ASSERT_TRUE(cluster.RecoverAndTrim({1}).ok());
+  // A partial-page redo: the only record the boot index holds.
+  {
+    auto b = std::move(*lbc::Client::Create(&cluster, 3, {}));
+    ASSERT_TRUE(b->MapRegion(kRegion, kLen).ok());
+    commit(b.get(), kSecondLock, 3000, 100, 0x42);
+  }
+
+  cluster.KillServer();
+  {
+    base::MutexLock stall(cluster.DbMutex());
+    ASSERT_TRUE(cluster.RestartServer().ok());
+    ASSERT_EQ(1u, cluster.RecoveryPendingPages());
+    // Rot the pre-image outside the pending redo range.
+    ASSERT_TRUE(corrupt.FlipBit(rvm::RegionFileName(kRegion), 7000, 3).ok());
+  }
+
+  // Watchdog: if DrainRecovery has not returned in 10 s, detaching the
+  // scrubber ends its repair loop, so a regression fails here instead of
+  // hanging the suite.
+  std::promise<base::Status> drained;
+  std::future<base::Status> result = drained.get_future();
+  std::thread drain([&] { drained.set_value(cluster.DrainRecovery()); });
+  const bool returned =
+      result.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!returned) {
+    cluster.SetScrubber(nullptr);
+  }
+  drain.join();
+  ASSERT_TRUE(returned) << "DrainRecovery kept retrying an unrepairable page";
+  base::Status status = result.get();
+  EXPECT_EQ(base::StatusCode::kDataLoss, status.code()) << status.ToString();
+  // The rotten page was neither replayed over nor certified: it is still
+  // pending, and still fails its sidecar check.
+  EXPECT_TRUE(cluster.RecoveryActive());
+  EXPECT_EQ(1u, cluster.RecoveryPendingPages());
+  std::vector<uint8_t> image = ReadFile(&mem, rvm::RegionFileName(kRegion));
+  auto failed =
+      rvm::VerifyImagePages(&mem, kRegion, image.data(), image.size(), image.size());
+  ASSERT_TRUE(failed.ok());
+  EXPECT_EQ((std::vector<uint64_t>{0}), *failed);
+}
+
+// ---------------------------------------------------------------------------
 // 5. Dead-client recovery no longer starves the heartbeat thread
 // ---------------------------------------------------------------------------
 
@@ -433,7 +576,6 @@ TEST(IncrementalRecovery, DeadClientRecoveryKeepsHeartbeatsFlowing) {
   store::ResourceStore store(&mem);  // slow-disk injection surface
   lbc::Cluster cluster(&store);
   cluster.DefineLock(kLock, kRegion, 1);
-  cluster.SetRecoveryMode(lbc::Cluster::RecoveryMode::kIncremental);
 
   auto survivor = std::move(*lbc::Client::Create(&cluster, 1, {}));
   ASSERT_TRUE(survivor->MapRegion(kRegion, kLen).ok());
@@ -454,10 +596,10 @@ TEST(IncrementalRecovery, DeadClientRecoveryKeepsHeartbeatsFlowing) {
     victim->Disconnect();
   }
 
-  // Every database-file I/O now costs 25 ms. An eager RecoverDeadClient
-  // would replay all 12 pages synchronously on the calling thread (several
-  // I/Os per page — well over a second); the incremental path only reads
-  // the log, which is not delayed.
+  // Every database-file I/O now costs 25 ms. Replaying all 12 pages
+  // synchronously on the calling thread would take several I/Os per page —
+  // well over a second; RecoverDeadClient only reads the log, which is not
+  // delayed.
   store.InjectLatency(rvm::RegionFileName(kRegion), 25'000'000, 0);
 
   // Emulate the survivor's heartbeat thread: beat every 20 ms, handle the
@@ -527,7 +669,6 @@ TEST(IncrementalRecovery, LateDeadClientRecoveryDedupsBootRecords) {
 
   // Boot recovery indexes and drains the victim's records.
   cluster.KillServer();
-  cluster.SetRecoveryMode(lbc::Cluster::RecoveryMode::kIncremental);
   ASSERT_TRUE(cluster.RestartServer().ok());
   ASSERT_TRUE(survivor->RejoinServer().ok());
   ASSERT_TRUE(cluster.DrainRecovery().ok());

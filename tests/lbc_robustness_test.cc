@@ -281,7 +281,10 @@ TEST(Robustness, UpdateForUnknownLockIsTolerated) {
   ASSERT_TRUE(peer->Send(1, lbc::EncodeUpdateRecord(rec, true)).ok());
 
   // The range still applies (last-writer-wins for unsynchronized data).
-  for (int i = 0; i < 1000 && a->GetRegion(kRegion)->data()[0] != 42; ++i) {
+  // Poll the receive counter, not the bytes: the receiver bumps it under
+  // the client mutex it applies under, so reading it orders the apply
+  // before the check below (polling the bytes themselves is a data race).
+  for (int i = 0; i < 1000 && a->stats().updates_received == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(42, a->GetRegion(kRegion)->data()[0]);

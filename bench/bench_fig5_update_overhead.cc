@@ -2,7 +2,7 @@
 // transaction grow to 5000, for the Unordered / Ordered / Redundant access
 // patterns. Absolute numbers reflect this host (the paper's Alpha measured
 // ~18 / ~14.8 / ~5 usec at 1000 updates); the shape — redundant < ordered <
-// unordered, with a mild upward drift from tree depth — is the result.
+// unordered, with a mild upward drift from the commit-time sort — is the result.
 #include <cstdio>
 
 #include "bench/update_sweep.h"

@@ -1,5 +1,5 @@
 // Figure 6: the Figure 5 sweep extended to 300,000 updates per transaction.
-// The per-update cost keeps growing slowly (log-depth of the range tree)
+// The per-update cost keeps growing slowly (the n log n commit-time sort)
 // for the unordered pattern and stays flat for ordered/redundant.
 #include <cstdio>
 

@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the primitives the cost model
-// prices: set_range in its three patterns, commit encoding, coherency
-// message encode/decode, per-record update application, the log CRC, and
-// the CpyCmp page diff.
+// prices: set_range in its three patterns and on the OO7 T2-B sequence,
+// commit encoding, coherency message encode/decode, per-record update
+// application, the log CRC, and the CpyCmp page diff.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 
+#include "bench/harness.h"
 #include "src/base/crc32.h"
 #include "src/baselines/cpycmp.h"
 #include "src/lbc/wire_format.h"
@@ -49,6 +50,34 @@ void BM_SetRangeRedundant(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_SetRangeRedundant)->Arg(1000);
+
+// The declaration sequence of OO7 T2-B at paper scale: 43 740 eight-byte
+// calls that revisit composite parts out of address order. Recorded once,
+// then replayed through set_range + commit per iteration.
+void BM_SetRangeOo7T2B(benchmark::State& state) {
+  store::MemStore store;
+  rvm::RvmOptions options;
+  options.disk_logging = false;
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, options));
+  const oo7::Config config;
+  const uint64_t size = oo7::Database::RequiredSize(config);
+  rvm::Region* region = *r->MapRegion(1, size);
+  if (!oo7::Database::Build(region->data(), size, config).ok()) {
+    state.SkipWithError("oo7 database build failed");
+    return;
+  }
+  bench::RecordingSink recorder;
+  (void)oo7::RunT2(oo7::Database(region->data()), recorder, oo7::Variant::kB);
+  for (auto _ : state) {
+    rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    for (const auto& [offset, len] : recorder.ranges()) {
+      benchmark::DoNotOptimize(r->SetRange(txn, 1, offset, len));
+    }
+    benchmark::DoNotOptimize(r->EndTransaction(txn, rvm::CommitMode::kNoFlush));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(recorder.ranges().size()));
+}
+BENCHMARK(BM_SetRangeOo7T2B);
 
 void BM_EncodeUpdate(benchmark::State& state) {
   rvm::TransactionRecord txn;

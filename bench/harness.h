@@ -61,6 +61,9 @@ class RecordingSink : public oo7::UpdateSink {
     return timer.ElapsedMicros();
   }
 
+  // The recorded (offset, len) declarations, in call order.
+  const std::vector<std::pair<uint64_t, uint64_t>>& ranges() const { return ranges_; }
+
  private:
   std::vector<std::pair<uint64_t, uint64_t>> ranges_;
 };

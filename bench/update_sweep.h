@@ -1,9 +1,11 @@
 // Shared micro-harness for Figures 5 and 6: the per-update cost of
 // set_range + commit as the number of updates per transaction grows, for
 // three access patterns:
-//   Unordered — random distinct addresses (full tree search per call),
-//   Ordered   — ascending addresses (the §3.1 last-insert fast path),
-//   Redundant — re-registrations of ranges already in the tree.
+//   Unordered — random distinct addresses (an index probe per call and a
+//               sort at commit),
+//   Ordered   — ascending addresses (the §3.1 ordered-insertion fast path:
+//               a plain append),
+//   Redundant — re-registrations of a working set of 128 ranges.
 #ifndef BENCH_UPDATE_SWEEP_H_
 #define BENCH_UPDATE_SWEEP_H_
 

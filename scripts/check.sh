@@ -20,7 +20,11 @@
 # compared against bench/BENCH_baseline.json. Fails when the 16-writer
 # speedup over one writer regresses more than 20% below the checked-in
 # baseline, or when the batch sync amortization stops happening
-# (fsyncs_saved == 0). It also runs bench_recovery_ttfc and fails when the
+# (fsyncs_saved == 0). It runs bench_fig5 twice more and fails unless the
+# Unordered per-update cost exceeds the Ordered one at 5000 updates/txn,
+# each the median of the three runs: the paper's ordered-insertion fast
+# path (§3.1) must stay measurably cheaper than out-of-order insertion.
+# It also runs bench_recovery_ttfc and fails when the
 # replay-before-serve / serve-first time-to-first-commit ratio regresses
 # more than 20% below the checked-in recovery_ttfc baseline.
 #
@@ -218,6 +222,24 @@ if measured < floor:
     sys.exit(f"bench smoke FAILED: 16-writer speedup {measured:.2f}x is below "
              f"80% of the checked-in baseline {baseline:.2f}x (floor {floor:.2f}x)")
 EOF
+
+  echo "=== bench smoke: Figure 5 shape, unordered > ordered at 5000 updates/txn ==="
+  fig5_out="$(printf '%s\n' "$bench_out"; ./build/bench/bench_fig5_update_overhead; \
+              ./build/bench/bench_fig5_update_overhead)"
+  printf '%s\n' "$fig5_out" | python3 -c '
+import statistics, sys
+rows = [line.split() for line in sys.stdin]
+rows = [r for r in rows if len(r) == 4 and r[0] == "5000"]
+if len(rows) != 3:
+    sys.exit(f"bench smoke: expected 3 Figure 5 rows at 5000 updates/txn, found {len(rows)}")
+unordered = statistics.median(float(r[1]) for r in rows)
+ordered = statistics.median(float(r[2]) for r in rows)
+print(f"bench smoke: 5000 updates/txn median of 3: unordered={unordered:.3f}us "
+      f"ordered={ordered:.3f}us")
+if not unordered > ordered:
+    sys.exit("bench smoke FAILED: unordered set_range is no slower than ordered at "
+             "5000 updates/txn - the ordered-insertion fast path is gone")
+'
 
   echo "=== bench smoke: recovery time-to-first-commit vs checked-in baseline ==="
   cmake --build build -j "$jobs" --target bench_recovery_ttfc

@@ -1,6 +1,7 @@
 #include "src/rvm/range_set.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace rvm {
 
@@ -11,6 +12,32 @@ AddOutcome RangeSet::Add(uint64_t offset, uint64_t len) {
   return AddExactMatch(offset, len);
 }
 
+void RangeSet::Clear() {
+  ranges_.clear();
+  sorted_ = true;
+  index_.clear();
+  merged_.clear();
+  total_bytes_ = 0;
+}
+
+const std::vector<Range>& RangeSet::ranges() {
+  if (mode_ == CoalesceMode::kFullCoalesce) {
+    ranges_.clear();
+    ranges_.reserve(merged_.size());
+    for (const auto& [offset, len] : merged_) {
+      ranges_.push_back(Range{offset, len});
+    }
+  } else if (!sorted_) {
+    // Offsets are unique, so the order is total. Sorting moves entries, so
+    // the index goes too; the next Add off the fast paths rebuilds it.
+    std::sort(ranges_.begin(), ranges_.end(),
+              [](const Range& a, const Range& b) { return a.offset < b.offset; });
+    sorted_ = true;
+    index_.clear();
+  }
+  return ranges_;
+}
+
 AddOutcome RangeSet::AddFullCoalesce(uint64_t offset, uint64_t len) {
   uint64_t lo = offset;
   uint64_t hi = offset + len;
@@ -18,14 +45,14 @@ AddOutcome RangeSet::AddFullCoalesce(uint64_t offset, uint64_t len) {
 
   // Find the first existing range that could touch [lo, hi): the predecessor
   // (it may extend past lo) and everything starting before hi.
-  auto it = ranges_.lower_bound(lo);
-  if (it != ranges_.begin()) {
+  auto it = merged_.lower_bound(lo);
+  if (it != merged_.begin()) {
     auto prev = std::prev(it);
     if (prev->first + prev->second >= lo) {
       it = prev;
     }
   }
-  while (it != ranges_.end() && it->first <= hi) {
+  while (it != merged_.end() && it->first <= hi) {
     uint64_t r_lo = it->first;
     uint64_t r_hi = it->first + it->second;
     if (r_hi < lo) {
@@ -38,61 +65,84 @@ AddOutcome RangeSet::AddFullCoalesce(uint64_t offset, uint64_t len) {
     lo = std::min(lo, r_lo);
     hi = std::max(hi, r_hi);
     total_bytes_ -= it->second;
-    it = ranges_.erase(it);
+    it = merged_.erase(it);
     merged = true;
   }
-  ranges_.emplace(lo, hi - lo);
+  merged_.emplace(lo, hi - lo);
   total_bytes_ += hi - lo;
-  have_hint_ = false;  // hint unused in this mode
   return merged ? AddOutcome::kCoalesced : AddOutcome::kInserted;
 }
 
 AddOutcome RangeSet::AddExactMatch(uint64_t offset, uint64_t len) {
-  // Fast path 1: the common compiler-generated pattern re-registers the same
-  // object; check the hinted (last touched) range first.
-  if (have_hint_ && hint_->first == offset) {
+  if (ranges_.empty()) {
+    return Append(offset, len);
+  }
+  // Fast path 1: the common compiler-generated pattern re-registers the
+  // object it just registered.
+  Range& last = ranges_.back();
+  if (last.offset == offset) {
     ++hint_hits_;
-    if (hint_->second == len) {
-      return AddOutcome::kExactDuplicate;
+    return Reregister(last, len);
+  }
+  if (sorted_) {
+    // Fast path 2: an ascending-address sequence appends in order.
+    if (offset > last.offset) {
+      ++hint_hits_;
+      return Append(offset, len);
     }
-    // Same start, different length: keep the larger registration.
-    if (len > hint_->second) {
-      total_bytes_ += len - hint_->second;
-      hint_->second = len;
-    }
+    // The first call off both fast paths: index the set from here on.
+    sorted_ = false;
+    BuildIndex();
+  }
+  Slot& slot = Probe(offset);
+  if (slot.pos_plus_one != 0) {
+    return Reregister(ranges_[slot.pos_plus_one - 1], len);
+  }
+  slot = Slot{offset, ranges_.size() + 1};
+  AddOutcome outcome = Append(offset, len);
+  // Keep the load factor at or below one half.
+  if (2 * ranges_.size() > index_.size()) {
+    BuildIndex();
+  }
+  return outcome;
+}
+
+AddOutcome RangeSet::Reregister(Range& range, uint64_t len) {
+  // Same start: keep the larger registration.
+  if (len <= range.len) {
     return AddOutcome::kExactDuplicate;
   }
+  total_bytes_ += len - range.len;
+  range.len = len;
+  return AddOutcome::kGrown;
+}
 
-  // Fast path 2: ascending-address sequences insert just after the hint
-  // without a full tree search.
-  if (have_hint_ && offset > hint_->first) {
-    auto next = std::next(hint_);
-    if (next == ranges_.end() || offset < next->first) {
-      if (next != ranges_.end() && next->first == offset) {
-        // fall through to generic path below (shouldn't happen: offset <
-        // next->first was checked), kept for clarity
-      } else {
-        ++hint_hits_;
-        hint_ = ranges_.emplace_hint(next, offset, len);
-        total_bytes_ += len;
-        return AddOutcome::kInserted;
-      }
-    }
-  }
-
-  // Generic path: O(log n) search.
-  auto [it, inserted] = ranges_.try_emplace(offset, len);
-  hint_ = it;
-  have_hint_ = true;
-  if (!inserted) {
-    if (len > it->second) {
-      total_bytes_ += len - it->second;
-      it->second = len;
-    }
-    return AddOutcome::kExactDuplicate;
-  }
+AddOutcome RangeSet::Append(uint64_t offset, uint64_t len) {
+  ranges_.push_back(Range{offset, len});
   total_bytes_ += len;
   return AddOutcome::kInserted;
+}
+
+RangeSet::Slot& RangeSet::Probe(uint64_t offset) {
+  // Fibonacci hashing: the top bits of the product spread the 8-byte-aligned
+  // offsets that compilers emit.
+  const size_t mask = index_.size() - 1;
+  size_t i = static_cast<size_t>((offset * 0x9E3779B97F4A7C15ull) >> index_shift_);
+  while (index_[i].pos_plus_one != 0 && index_[i].offset != offset) {
+    i = (i + 1) & mask;
+  }
+  return index_[i];
+}
+
+void RangeSet::BuildIndex() {
+  // The smallest power of two above twice the set: a fresh index is under
+  // half full, and the rebuild that a half-full index triggers doubles it.
+  const size_t capacity = std::bit_ceil(std::max<size_t>(16, 2 * ranges_.size() + 1));
+  index_.assign(capacity, Slot{});
+  index_shift_ = 64 - std::countr_zero(capacity);
+  for (size_t pos = 0; pos < ranges_.size(); ++pos) {
+    Probe(ranges_[pos].offset) = Slot{ranges_[pos].offset, pos + 1};
+  }
 }
 
 }  // namespace rvm

@@ -1,40 +1,63 @@
-// The per-transaction tree of modified ranges (paper §3.1).
+// The per-transaction write set of modified ranges (paper §3.1).
 //
-// set_range calls insert [offset, offset+len) ranges into an address-ordered
-// tree. Classic RVM coalesces any adjacent or overlapping ranges so that no
-// byte is written to the log twice. The paper observes that compiler-emitted
-// set_range calls rarely overlap partially, and replaces general coalescing
-// with two cheaper fast paths that we reproduce:
-//   1. exact-match coalescing: re-registering an identical range is a no-op
-//      (objects modified several times per transaction are still coalesced);
-//   2. an ordered-insertion hint: when successive calls arrive in ascending
-//      address order, insertion skips the tree search entirely.
-// Both modes are kept so the "Standard RVM" vs "Optimized RVM" comparison in
-// Figure 8 and the Unordered/Ordered/Redundant curves of Figures 5-6 can be
-// reproduced.
+// set_range calls register [offset, offset+len) ranges; at commit the set is
+// read back in address order and gathered into the log record. Classic RVM
+// keeps the ranges in an address-ordered tree and coalesces any adjacent or
+// overlapping ranges so that no byte is written to the log twice. The paper
+// observes that compiler-emitted set_range calls rarely overlap partially,
+// and replaces general coalescing with two cheaper fast paths.
+//
+// kExactMatch (the default) keeps a flat write set: a vector of ranges in
+// insertion order plus an open-addressing offset -> position index. The
+// paper's fast paths map onto it as follows:
+//   1. redundant updates: re-registering the last-added range is one
+//      compare against the vector's last entry; an older range is found
+//      with one index probe. Either way the set keeps one entry per offset
+//      with the larger length;
+//   2. the ordered-insertion hint: while calls arrive in ascending address
+//      order the vector stays sorted, so an offset above the last entry is
+//      a plain append — no search, no index, and no sort at commit.
+// The first call that takes neither fast path builds the index; from then
+// on every call is one probe, plus an append for a new offset, and ranges()
+// sorts the vector once at commit.
+//
+// kFullCoalesce keeps the classic address-ordered tree with insert-time
+// merging: it is Figure 8's "Standard RVM" baseline, and its merging cost
+// is the point of that comparison. Both modes expose the same sorted view,
+// so Figure 8 and the Unordered/Ordered/Redundant curves of Figures 5-6 can
+// be reproduced.
 #ifndef SRC_RVM_RANGE_SET_H_
 #define SRC_RVM_RANGE_SET_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <vector>
 
 namespace rvm {
 
 enum class CoalesceMode {
   // Classic RVM: merge adjacent/overlapping ranges on insert.
   kFullCoalesce,
-  // Paper's optimization: merge only exact duplicates; keep the
-  // last-insertion hint for address-ordered call sequences.
+  // Paper's optimization: merge only ranges with the same start; keep the
+  // ordered-insertion fast path for address-ordered call sequences.
   kExactMatch,
 };
 
-// Outcome of a single Add, used by the instrumentation that reproduces the
-// per-update overhead curves.
+// Outcome of a single Add. A caller that keeps undo copies must snapshot
+// every range whose outcome is not kExactDuplicate.
 enum class AddOutcome {
-  kInserted,        // new range entered the tree
-  kExactDuplicate,  // identical range already present (redundant update)
+  kInserted,        // new range entered the set
+  kExactDuplicate,  // already covered by a registration with the same start
+  kGrown,           // same start, longer length: the registration grew
   kCoalesced,       // merged with neighbours (kFullCoalesce only)
+};
+
+struct Range {
+  uint64_t offset = 0;
+  uint64_t len = 0;
+
+  bool operator==(const Range&) const = default;
 };
 
 class RangeSet {
@@ -43,38 +66,57 @@ class RangeSet {
 
   AddOutcome Add(uint64_t offset, uint64_t len);
 
-  void Clear() {
-    ranges_.clear();
-    total_bytes_ = 0;
-    have_hint_ = false;
+  void Clear();
+
+  size_t range_count() const {
+    return mode_ == CoalesceMode::kFullCoalesce ? merged_.size() : ranges_.size();
   }
 
-  size_t range_count() const { return ranges_.size(); }
-
   // Total bytes covered by the registered ranges. With kExactMatch this can
-  // double-count genuinely overlapping (non-identical) registrations, just
+  // double-count genuinely overlapping (different-start) registrations, just
   // as the paper's optimized RVM writes redundant bytes in that rare case.
   uint64_t byte_count() const { return total_bytes_; }
 
-  // Number of Add calls that avoided the tree search via the ordered hint.
+  // Number of Add calls that took a fast path: a re-registration of the
+  // last-added range or an in-order append.
   uint64_t hint_hits() const { return hint_hits_; }
 
-  // Address-ordered iteration: map offset -> length.
-  using Map = std::map<uint64_t, uint64_t>;
-  const Map& ranges() const { return ranges_; }
+  // The registered ranges in address order. With kExactMatch this sorts the
+  // flat set in place if an Add left the fast paths since the last call;
+  // Adds may continue afterwards.
+  const std::vector<Range>& ranges();
 
  private:
+  // One open-addressing slot: a range's offset and its position in ranges_
+  // plus one (0 marks an empty slot).
+  struct Slot {
+    uint64_t offset = 0;
+    size_t pos_plus_one = 0;
+  };
+
   AddOutcome AddFullCoalesce(uint64_t offset, uint64_t len);
   AddOutcome AddExactMatch(uint64_t offset, uint64_t len);
+  AddOutcome Reregister(Range& range, uint64_t len);
+  AddOutcome Append(uint64_t offset, uint64_t len);
+  // The slot holding `offset`, or the empty slot where it belongs.
+  Slot& Probe(uint64_t offset);
+  // Sizes index_ for the current set and indexes every range.
+  void BuildIndex();
 
   CoalesceMode mode_;
-  Map ranges_;
+  // kExactMatch: the write set, in insertion order. kFullCoalesce: the
+  // sorted view of merged_, refreshed by ranges().
+  std::vector<Range> ranges_;
+  // kExactMatch: ranges_ is in address order and index_ is not built;
+  // cleared by the first Add off the fast paths, set again by ranges().
+  bool sorted_ = true;
+  // Offset -> position in ranges_, power-of-two sized, linear probing.
+  std::vector<Slot> index_;
+  int index_shift_ = 64;
+  // kFullCoalesce only: offset -> length, disjoint and non-adjacent.
+  std::map<uint64_t, uint64_t> merged_;
   uint64_t total_bytes_ = 0;
   uint64_t hint_hits_ = 0;
-  // Last-inserted position, valid when have_hint_; mirrors the paper's
-  // "avoid this search when set_range calls are ordered by address".
-  Map::iterator hint_;
-  bool have_hint_ = false;
 };
 
 }  // namespace rvm

@@ -178,14 +178,14 @@ base::Status Rvm::SetRange(TxnId txn_id, RegionId region_id, uint64_t offset, ui
   }
 
   Txn& txn = it->second;
-  auto [ranges_it, inserted] =
-      txn.ranges.try_emplace(region_id, RangeSet(options_.coalesce));
-  AddOutcome outcome = ranges_it->second.Add(offset, len);
+  const AddOutcome outcome =
+      txn.ranges.try_emplace(region_id, options_.coalesce).first->second.Add(offset, len);
 
   // Undo copies: snapshot the declared range before the application mutates
   // it. Exact re-registrations skip the snapshot — the first registration
-  // already holds the pre-transaction bytes, and undo entries are restored
-  // in reverse order so earlier snapshots win.
+  // already holds the pre-transaction bytes. A grown re-registration
+  // snapshots its whole new extent: undo entries are restored in reverse
+  // order, so the earlier snapshot still wins for the bytes it covers.
   if (txn.mode == RestoreMode::kRestore && outcome != AddOutcome::kExactDuplicate) {
     Txn::UndoEntry undo;
     undo.region = region_id;
@@ -195,7 +195,7 @@ base::Status Rvm::SetRange(TxnId txn_id, RegionId region_id, uint64_t offset, ui
   }
 
   ++stats_.set_range_calls;
-  if (outcome == AddOutcome::kExactDuplicate) {
+  if (outcome == AddOutcome::kExactDuplicate || outcome == AddOutcome::kGrown) {
     ++stats_.set_range_duplicates;
   }
   return base::OkStatus();
@@ -301,7 +301,7 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
       declared += entry.second.range_count();
     }
     ctx.ranges.reserve(declared);
-    for (const auto& [region_id, range_set] : txn.ranges) {
+    for (auto& [region_id, range_set] : txn.ranges) {
       uint8_t* image = regions_.at(region_id)->data();
       // Gather (offset, len) in address order straight into ctx.ranges.
       const size_t region_begin = ctx.ranges.size();

@@ -1,8 +1,9 @@
-// RangeSet: the §3.1 modified-range tree, both coalescing modes.
+// RangeSet: the §3.1 write set, both coalescing modes.
 #include "src/rvm/range_set.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -12,6 +13,7 @@ namespace {
 
 using rvm::AddOutcome;
 using rvm::CoalesceMode;
+using rvm::Range;
 using rvm::RangeSet;
 
 TEST(RangeSetFull, MergesAdjacent) {
@@ -99,9 +101,28 @@ TEST(RangeSetExact, RepeatedSameRangeUsesHint) {
 TEST(RangeSetExact, SameStartLongerLengthGrows) {
   RangeSet s(CoalesceMode::kExactMatch);
   s.Add(0, 8);
-  s.Add(0, 16);
+  EXPECT_EQ(AddOutcome::kGrown, s.Add(0, 16));
+  EXPECT_EQ(AddOutcome::kExactDuplicate, s.Add(0, 8));
   EXPECT_EQ(1u, s.range_count());
   EXPECT_EQ(16u, s.byte_count());
+}
+
+TEST(RangeSetExact, OlderRangeFoundBeforeAndAfterSort) {
+  RangeSet s(CoalesceMode::kExactMatch);
+  s.Add(16, 8);
+  s.Add(32, 8);
+  // An older offset: the set builds its index and finds it there.
+  EXPECT_EQ(AddOutcome::kExactDuplicate, s.Add(16, 8));
+  EXPECT_EQ(AddOutcome::kInserted, s.Add(0, 8));
+  EXPECT_EQ(AddOutcome::kGrown, s.Add(32, 16));
+  EXPECT_EQ((std::vector<Range>{{0, 8}, {16, 8}, {32, 16}}), s.ranges());
+  // The sort moved every entry; re-registrations still find them.
+  EXPECT_EQ(AddOutcome::kExactDuplicate, s.Add(0, 8));
+  EXPECT_EQ(AddOutcome::kGrown, s.Add(16, 24));
+  EXPECT_EQ(AddOutcome::kInserted, s.Add(8, 8));
+  EXPECT_EQ(AddOutcome::kExactDuplicate, s.Add(32, 8));
+  EXPECT_EQ((std::vector<Range>{{0, 8}, {8, 8}, {16, 24}, {32, 16}}), s.ranges());
+  EXPECT_EQ(56u, s.byte_count());
 }
 
 TEST(RangeSet, ClearResets) {
@@ -184,6 +205,67 @@ TEST_P(RangeSetPropertyTest, ExactModeNeverLosesBytes) {
   for (const auto& [b, unused] : bytes) {
     EXPECT_TRUE(covered.count(b)) << "byte " << b << " lost";
   }
+}
+
+// Property: kExactMatch holds exactly the reference map offset -> largest
+// registered length, reports each Add's outcome against it, and lists it in
+// address order — including when ranges() is read mid-transaction and the
+// adds continue over the sorted set.
+TEST_P(RangeSetPropertyTest, ExactModeMatchesReferenceMap) {
+  base::Rng rng(GetParam());
+  RangeSet s(CoalesceMode::kExactMatch);
+  std::map<uint64_t, uint64_t> ref;
+  std::vector<uint64_t> keys;  // ref's keys in insertion order
+  uint64_t highest = 0;
+  auto expect_same = [&] {
+    std::vector<Range> want;
+    uint64_t bytes = 0;
+    for (const auto& [off, len] : ref) {
+      want.push_back(Range{off, len});
+      bytes += len;
+    }
+    EXPECT_EQ(want, s.ranges());
+    EXPECT_EQ(ref.size(), s.range_count());
+    EXPECT_EQ(bytes, s.byte_count());
+  };
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t off;
+    uint64_t len = 8 << rng.Uniform(2);
+    switch (keys.empty() ? 0 : rng.Uniform(5)) {
+      case 0:  // ascending
+        off = highest + 8 * (1 + rng.Uniform(4));
+        break;
+      case 1:  // random
+        off = rng.Uniform(1 << 14) & ~7ull;
+        break;
+      case 2:  // the last entry again
+        off = keys.back();
+        break;
+      case 3:  // an older entry again
+        off = keys[rng.Uniform(keys.size())];
+        break;
+      default:  // an older entry, longer
+        off = keys[rng.Uniform(keys.size())];
+        len = ref[off] + 8 * (1 + rng.Uniform(3));
+        break;
+    }
+    auto it = ref.find(off);
+    AddOutcome want = AddOutcome::kExactDuplicate;
+    if (it == ref.end()) {
+      want = AddOutcome::kInserted;
+      ref.emplace(off, len);
+      keys.push_back(off);
+    } else if (len > it->second) {
+      want = AddOutcome::kGrown;
+      it->second = len;
+    }
+    ASSERT_EQ(want, s.Add(off, len)) << "add " << i << " at " << off << " len " << len;
+    highest = std::max(highest, off);
+    if (rng.Chance(1, 40)) {
+      expect_same();
+    }
+  }
+  expect_same();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RangeSetPropertyTest, ::testing::Range<uint64_t>(0, 10));

@@ -2,9 +2,15 @@
 // lock records, external updates, stats, truncation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <vector>
 
+#include "bench/harness.h"
 #include "src/base/rng.h"
+#include "src/lbc/wire_format.h"
+#include "src/rvm/log_format.h"
 #include "src/rvm/recovery.h"
 #include "src/rvm/rvm.h"
 #include "src/store/mem_store.h"
@@ -93,6 +99,23 @@ TEST(RvmTxn, AbortRestoresOverlappingRangesInOrder) {
   std::memset(region->data() + 8, 'c', 16);
   ASSERT_TRUE(r->AbortTransaction(t).ok());
   for (int i = 0; i < 32; ++i) {
+    EXPECT_EQ('a', region->data()[i]) << i;
+  }
+}
+
+TEST(RvmTxn, AbortRestoresGrownReRegistration) {
+  store::MemStore store;
+  auto r = OpenRvm(&store);
+  rvm::Region* region = *r->MapRegion(kRegion, 64);
+  std::memset(region->data(), 'a', 64);
+  rvm::TxnId t = r->BeginTransaction(rvm::RestoreMode::kRestore);
+  ASSERT_TRUE(r->SetRange(t, kRegion, 0, 8).ok());
+  std::memset(region->data(), 'b', 8);
+  // Same start, longer: bytes 8-15 are new to the transaction.
+  ASSERT_TRUE(r->SetRange(t, kRegion, 0, 16).ok());
+  std::memset(region->data(), 'c', 16);
+  ASSERT_TRUE(r->AbortTransaction(t).ok());
+  for (int i = 0; i < 16; ++i) {
     EXPECT_EQ('a', region->data()[i]) << i;
   }
 }
@@ -353,6 +376,55 @@ TEST(RvmTxn, MultipleRegionsInOneTransaction) {
   ASSERT_EQ(2u, txns[0].ranges.size());
   EXPECT_EQ(1u, txns[0].ranges[0].region);
   EXPECT_EQ(2u, txns[0].ranges[1].region);
+}
+
+// The OO7 T2-B declaration sequence (43 740 eight-byte set_range calls over
+// the paper-scale database, revisiting ranges out of address order) commits
+// to the record that encodes the reference write set: each distinct offset
+// once, with its largest length, in address order — in the log and on the
+// wire.
+TEST(RvmTxn, Oo7T2BRecordEncodesReferenceSet) {
+  const oo7::Config config;
+  const uint64_t size = oo7::Database::RequiredSize(config);
+  store::MemStore store;
+  auto r = OpenRvm(&store);
+  rvm::Region* region = *r->MapRegion(kRegion, size);
+  ASSERT_TRUE(oo7::Database::Build(region->data(), size, config).ok());
+  bench::RecordingSink recorder;
+  ASSERT_TRUE(oo7::RunT2(oo7::Database(region->data()), recorder, oo7::Variant::kB).status.ok());
+  ASSERT_EQ(43740u, recorder.ranges().size());
+
+  std::map<uint64_t, uint64_t> reference;
+  for (const auto& [offset, len] : recorder.ranges()) {
+    uint64_t& max_len = reference[offset];
+    max_len = std::max(max_len, len);
+  }
+  ASSERT_LT(reference.size(), recorder.ranges().size());
+  rvm::TransactionRecord expected;
+  expected.node = 1;
+  expected.commit_seq = 1;
+  for (const auto& [offset, len] : reference) {
+    expected.ranges.push_back(rvm::RangeImage{
+        kRegion, offset,
+        std::vector<uint8_t>(region->data() + offset, region->data() + offset + len)});
+  }
+
+  std::vector<uint8_t> log_record;
+  std::vector<uint8_t> wire_update;
+  r->SetCommitHook([&](const rvm::CommitContext& ctx) {
+    log_record.assign(ctx.record.begin(), ctx.record.end());
+    wire_update = lbc::EncodeUpdate(ctx, /*compress_headers=*/true);
+  });
+  rvm::TxnId t = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+  for (const auto& [offset, len] : recorder.ranges()) {
+    ASSERT_TRUE(r->SetRange(t, kRegion, offset, len).ok());
+  }
+  ASSERT_TRUE(r->EndTransaction(t, rvm::CommitMode::kFlush).ok());
+  EXPECT_TRUE(log_record == rvm::EncodeTransaction(expected));
+  EXPECT_TRUE(wire_update == lbc::EncodeUpdateRecord(expected, /*compress_headers=*/true));
+  auto logged = *rvm::ReadLogTransactions(&store, rvm::LogFileName(1));
+  ASSERT_EQ(1u, logged.size());
+  EXPECT_TRUE(logged[0] == expected);
 }
 
 // Property: a random sequence of committed transactions replays to exactly

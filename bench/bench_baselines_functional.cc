@@ -121,8 +121,8 @@ int main() {
       CpyCmpSink sink(&engine);
       LBC_CHECK_OK(Run(name, oo7::Database(image.data()), sink).status);
       engine.CollectDiffs(1);
-      diff_bytes = engine.stats().diff_bytes;
-      dirty_pages = engine.stats().pages_compared;
+      diff_bytes = engine.metrics().diff_bytes.value();
+      dirty_pages = engine.metrics().pages_compared.value();
     }
 
     // Page: the real write-invalidate protocol; dirty pages are then pulled
@@ -141,7 +141,7 @@ int main() {
         LBC_CHECK_OK(manager.StartRead(off));
       }
       LBC_CHECK(std::memcmp(manager.data(), writer.data(), image.size()) == 0);
-      page_bytes = writer.stats().page_bytes_sent;
+      page_bytes = writer.metrics().page_bytes_sent.value();
     }
 
     std::printf("%-8s %14llu %16llu %14llu %14llu\n", name,

@@ -39,19 +39,19 @@ Oo7Harness::Oo7Harness(HarnessOptions options) : options_(std::move(options)) {
 
 Oo7Harness::~Oo7Harness() = default;
 
-void Oo7Harness::ResetAllStats() {
-  for (auto& client : clients_) {
-    client->ResetStats();
-    client->rvm()->ResetStats();
-  }
-}
-
 TraversalRun Oo7Harness::Run(const std::string& name) {
-  ResetAllStats();
   TraversalRun run;
   run.name = name;
 
   lbc::Client* writer = clients_[0].get();
+  // Counters are monotonic: this run's counts are the difference of a
+  // reading now and one after the run.
+  const rvm::RvmStats w0 = writer->rvm()->stats();
+  const lbc::ClientStats ws0 = writer->stats();
+  uint64_t apply_nanos0 = 0;
+  for (size_t i = 1; i < clients_.size(); ++i) {
+    apply_nanos0 += clients_[i]->rvm()->stats().apply_nanos;
+  }
   oo7::Database db(writer->GetRegion(kRegion)->data());
 
   base::Stopwatch total;
@@ -83,8 +83,9 @@ TraversalRun Oo7Harness::Run(const std::string& name) {
   run.measured.detect_us = sink.IssueTimed(
       [&](uint64_t offset, uint64_t len) { return txn.SetRange(kRegion, offset, len); });
   LBC_CHECK_OK(txn.Commit(rvm::CommitMode::kFlush));
-  bool made_updates = writer->rvm()->stats().transactions_committed > 0 &&
-                      writer->rvm()->stats().bytes_logged > 0;
+  const rvm::RvmStats committed = writer->rvm()->stats();
+  bool made_updates = committed.transactions_committed > w0.transactions_committed &&
+                      committed.bytes_logged > w0.bytes_logged;
   if (made_updates) {
     ++committed_seq_;
   }
@@ -101,25 +102,26 @@ TraversalRun Oo7Harness::Run(const std::string& name) {
   }
 
   const rvm::RvmStats w = writer->rvm()->stats();
-  lbc::ClientStats ws = writer->stats();
-  run.profile.updates = w.set_range_calls;
-  run.profile.bytes_updated = w.bytes_logged;
-  run.profile.pages_updated = w.pages_logged;
+  const lbc::ClientStats ws = writer->stats();
+  run.profile.updates = w.set_range_calls - w0.set_range_calls;
+  run.profile.bytes_updated = w.bytes_logged - w0.bytes_logged;
+  run.profile.pages_updated = w.pages_logged - w0.pages_logged;
   // Message bytes to ONE peer (Table 3's configuration); updates_sent counts
   // per-peer sends.
+  const uint64_t sends = ws.updates_sent - ws0.updates_sent;
   run.profile.message_bytes =
-      ws.updates_sent == 0 ? 0 : ws.update_bytes_sent / ws.updates_sent;
+      sends == 0 ? 0 : (ws.update_bytes_sent - ws0.update_bytes_sent) / sends;
   run.profile.updates_ordered = false;
   run.profile.updates_redundant = name.back() == 'C' && name.rfind("T3-", 0) != 0;
 
-  run.measured.collect_us = static_cast<double>(w.collect_nanos) / 1e3;
-  run.measured.disk_us = static_cast<double>(w.disk_nanos) / 1e3;
-  run.measured.network_us = static_cast<double>(ws.network_nanos) / 1e3;
-  double apply_ns = 0;
+  run.measured.collect_us = static_cast<double>(w.collect_nanos - w0.collect_nanos) / 1e3;
+  run.measured.disk_us = static_cast<double>(w.disk_nanos - w0.disk_nanos) / 1e3;
+  run.measured.network_us = static_cast<double>(ws.network_nanos - ws0.network_nanos) / 1e3;
+  uint64_t apply_nanos = 0;
   for (size_t i = 1; i < clients_.size(); ++i) {
-    apply_ns += static_cast<double>(clients_[i]->rvm()->stats().apply_nanos);
+    apply_nanos += clients_[i]->rvm()->stats().apply_nanos;
   }
-  run.measured.apply_us = apply_ns / 1e3;
+  run.measured.apply_us = static_cast<double>(apply_nanos - apply_nanos0) / 1e3;
 
   // Correctness: every receiver's cache must now equal the writer's.
   run.caches_match = true;
@@ -195,27 +197,14 @@ void RunFigureComparison(const std::vector<std::string>& names) {
   // server should report recovery.{index_build_ms,pages_on_demand,
   // pages_background,first_commit_ms} as explicit zeros.
   rvm::GlobalIncrementalRecoveryMetrics();
-  // Same for the exhaustion/overload families (they register lazily on
-  // their fault paths): a clean bench snapshot must state outright that the
-  // quota, backpressure, admission, and gray-detection paths never fired.
-  {
-    auto* reg = obs::MetricsRegistry::Global();
-    for (const char* name :
-         {"backpressure.stalls", "backpressure.stall_nanos",
-          "backpressure.trim_requests", "backpressure.exhausted",
-          "admission.admitted", "admission.shed", "admission.fetch_shed",
-          "admission.commit_shed", "gray.suspect_slow",
-          "gray.evictions_averted", "gray.false_evictions", "gray.retries",
-          "gray.backoff_nanos", "gray.deadline_misses",
-          "store.resource.enospc", "store.resource.short_appends",
-          "store.resource.delays", "store.resource.delay_nanos",
-          "commit.batch.batches", "commit.batch.txns", "commit.batch.bytes",
-          "commit.batch.fsyncs_saved"}) {
-      reg->GetCounter(name);
-    }
-    // The batch-shape histograms, for the same reason (zeros included).
-    reg->GetHistogram("commit.batch.size");
-    reg->GetHistogram("commit.batch.cohort_wait_nanos");
+  // Same for the store-quota family (it registers lazily on its fault
+  // path): a clean bench snapshot must state outright that it never fired.
+  // The backpressure, admission, gray and commit.batch names need no entry
+  // here: the Cluster, Rvm and Client instances built for every run attach
+  // them, and an attached name stays exported after its instance is gone.
+  for (const char* name : {"store.resource.enospc", "store.resource.short_appends",
+                           "store.resource.delays", "store.resource.delay_nanos"}) {
+    obs::MetricsRegistry::Global()->GetCounter(name);
   }
   std::string snapshot_path = obs::SnapshotPath();
   base::Status status = obs::WriteJsonSnapshot(snapshot_path);

@@ -112,8 +112,6 @@ class Oo7Harness {
   oo7::Database database() { return oo7::Database(writer()->GetRegion(kRegion)->data()); }
 
  private:
-  void ResetAllStats();
-
   HarnessOptions options_;
   store::MemStore store_;
   std::unique_ptr<lbc::Cluster> cluster_;

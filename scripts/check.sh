@@ -2,10 +2,11 @@
 # Full pre-merge check: the tier-1 build+test sweep, the static-analysis
 # gate (lint + Clang thread-safety + clang-tidy where available), then a
 # ThreadSanitizer build of the concurrency-heavy netsim/lbc/obs tests (the
-# chaos suite doubles as the data-race check for the stats accessors and
-# the obs counters), an ASan+UBSan pass over the full tier-1 suite minus
-# the chaos tests (excluded via `ctest -LE chaos` — their real-sleep timing
-# does not survive sanitizer slowdown),
+# chaos suite doubles as the data-race check for the obs instruments, which
+# every stats() reads without a lock while other threads count), an
+# ASan+UBSan pass over the full tier-1 suite minus the chaos tests
+# (excluded via `ctest -LE chaos` — their real-sleep timing does not
+# survive sanitizer slowdown),
 # the exhaustive crash-schedule sweep, and the resource-exhaustion sweep
 # (ENOSPC quota ladder with crash-at-every-op, backpressure watermarks,
 # admission shedding, gray-liveness deadlines).
@@ -37,7 +38,8 @@
 # heartbeats-mid-recovery).
 #
 # --static runs the concurrency-discipline gate on its own:
-#   * scripts/lint.py (always — no toolchain dependency),
+#   * scripts/lint.py (always — no toolchain dependency), including rule 6:
+#     no stats_ members or shadow *Stats structs under src/,
 #   * a clang++ build with -DLBC_THREAD_SAFETY=ON, promoting
 #     -Wthread-safety to errors (skipped with a note if clang++ is absent),
 #   * clang-tidy over src/ using the repo .clang-tidy and the exported

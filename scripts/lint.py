@@ -33,6 +33,12 @@ and tools/:
      fuzz/corpus/<harness>/. A new untrusted-byte decoder cannot ship
      without a fuzzer pointed at it.
 
+  6. One instrument per fact (DESIGN.md §9): under src/, no class keeps a
+     member named `stats_` or `*_stats_`, and no `struct *Stats` exists
+     except the value snapshots in STATS_SNAPSHOT_ALLOWLIST. A class that
+     counts owns obs instruments and attaches them to the registry; a
+     shadow stats struct beside them double-books every event.
+
 Exit status 0 when clean, 1 with findings on stderr.
 """
 
@@ -102,6 +108,8 @@ def check_file(path, rel, findings):
 
     in_header = rel.endswith((".h", ".hpp"))
     in_src = rel.startswith("src" + os.sep)
+    if in_src:
+        check_stats(rel, lines, findings)
     for lineno, raw in enumerate(lines, 1):
         line = strip_comments(raw)
         if in_src:
@@ -166,6 +174,38 @@ def check_file(path, rel, findings):
                         f"reference to guarded member {m.group(3)}; return a "
                         f"copy taken under the lock instead"
                     )
+
+
+# Rule 6: stats-struct members and declarations under src/.
+STATS_MEMBER = re.compile(r"\b((?:\w+_)?stats_)\b")
+STATS_STRUCT = re.compile(r"^\s*(?:struct|class)\s+(\w*Stats)\b")
+# Value snapshots that stats() fills from the instruments, kept only
+# because perfbench/ (benchmark-owned) reads them by field. Each goes when
+# a benchmark change moves perfbench to the instruments.
+STATS_SNAPSHOT_ALLOWLIST = {
+    "RvmStats": os.path.join("src", "rvm", "rvm.h"),
+    "ClientStats": os.path.join("src", "lbc", "client.h"),
+    "EndpointStats": os.path.join("src", "netsim", "fabric.h"),
+}
+
+
+def check_stats(rel, lines, findings):
+    """Rule 6: no shadow stats structs or stats_ members under src/."""
+    for lineno, raw in enumerate(lines, 1):
+        line = strip_comments(raw)
+        for m in STATS_MEMBER.finditer(line):
+            findings.append(
+                f"{rel}:{lineno}: member {m.group(1)} shadows the obs "
+                f"instruments; count with obs::Counter members attached "
+                f"via obs::Attachment (one instrument per fact)"
+            )
+        m = STATS_STRUCT.match(line)
+        if m and STATS_SNAPSHOT_ALLOWLIST.get(m.group(1)) != rel:
+            findings.append(
+                f"{rel}:{lineno}: struct {m.group(1)} keeps a second copy "
+                f"of counted facts; expose the instance's obs instruments "
+                f"instead"
+            )
 
 
 # A public decoder entry point: takes untrusted bytes, returns Status.

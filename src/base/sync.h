@@ -97,7 +97,6 @@ struct LockRank {
   static constexpr int kStoreResource = 63;    // store::ResourceStore (quota/latency)
   static constexpr int kStoreMem = 65;         // store::MemStore
   static constexpr int kStoreFileQuota = 66;   // store::FileStore quota ledger
-  static constexpr int kCpyCmp = 70;           // baselines::CpyCmpEngine
   static constexpr int kObs = 80;              // obs registry / trace ring
   static constexpr int kLogging = 90;          // base logging emit lock (leaf)
 };

@@ -18,17 +18,14 @@ void CpyCmpEngine::NoteWrite(uint64_t offset, uint64_t len) {
     uint64_t page_len = std::min(page_size_, len_ - page_start);
     twins_.emplace(page, std::vector<uint8_t>(base_ + page_start,
                                               base_ + page_start + page_len));
-    base::MutexLock lock(mu_);
-    ++stats_.write_faults;
-    ++stats_.pages_twinned;
+    m_.write_faults.Increment();
   }
 }
 
 std::vector<Diff> CpyCmpEngine::CollectDiffs(rvm::RegionId region) {
   std::vector<Diff> diffs;
-  base::MutexLock lock(mu_);
+  uint64_t diff_bytes = 0;
   for (const auto& [page, twin] : twins_) {
-    ++stats_.pages_compared;
     const uint8_t* cur = base_ + page * page_size_;
     uint64_t n = twin.size();
     uint64_t i = 0;
@@ -45,11 +42,13 @@ std::vector<Diff> CpyCmpEngine::CollectDiffs(rvm::RegionId region) {
       d.region = region;
       d.offset = page * page_size_ + start;
       d.data.assign(cur + start, cur + i);
-      stats_.diff_bytes += d.data.size();
-      ++stats_.diff_ranges;
+      diff_bytes += d.data.size();
       diffs.push_back(std::move(d));
     }
   }
+  m_.pages_compared.Add(twins_.size());
+  m_.diff_ranges.Add(diffs.size());
+  m_.diff_bytes.Add(diff_bytes);
   twins_.clear();
   return diffs;
 }

@@ -14,18 +14,10 @@
 #include <map>
 #include <vector>
 
-#include "src/base/sync.h"
+#include "src/obs/metrics.h"
 #include "src/rvm/types.h"
 
 namespace baselines {
-
-struct CpyCmpStats {
-  uint64_t write_faults = 0;     // first-touch faults (== pages twinned)
-  uint64_t pages_twinned = 0;
-  uint64_t pages_compared = 0;
-  uint64_t diff_ranges = 0;
-  uint64_t diff_bytes = 0;       // modified bytes found by comparison
-};
 
 // A diff hunk: the new bytes at [offset, offset+data.size()).
 using Diff = rvm::RangeImage;
@@ -47,25 +39,21 @@ class CpyCmpEngine {
   // Pages currently twinned (dirty pages this interval).
   uint64_t dirty_pages() const { return twins_.size(); }
 
-  // Point-in-time copy under the engine lock — never a reference into
-  // mutable state, so a snapshot taken while another thread commits is safe.
-  CpyCmpStats stats() const {
-    base::MutexLock lock(mu_);
-    return stats_;
-  }
-  void ResetStats() {
-    base::MutexLock lock(mu_);
-    stats_ = CpyCmpStats{};
-  }
+  // This engine's counts, readable from any thread while another commits.
+  struct Metrics {
+    obs::Counter write_faults;  // first-touch faults, one per page twinned
+    obs::Counter pages_compared;
+    obs::Counter diff_ranges;
+    obs::Counter diff_bytes;    // modified bytes found by comparison
+  };
+  const Metrics& metrics() const { return m_; }
 
  private:
   uint8_t* base_;
   uint64_t len_;
   uint64_t page_size_;
   std::map<uint64_t, std::vector<uint8_t>> twins_;  // page index -> twin copy
-  // Guards stats_ only (twins_ stays caller-serialized).
-  mutable base::Mutex mu_{"baselines.cpycmp", base::LockRank::kCpyCmp};
-  CpyCmpStats stats_ LBC_GUARDED_BY(mu_);
+  Metrics m_;
 };
 
 }  // namespace baselines

@@ -45,16 +45,6 @@ PageAccess PageDsmNode::AccessOf(uint64_t page) const {
   return access_[page];
 }
 
-PageDsmStats PageDsmNode::stats() const {
-  base::MutexLock lk(mu_);
-  return stats_;
-}
-
-void PageDsmNode::ResetStats() {
-  base::MutexLock lk(mu_);
-  stats_ = PageDsmStats{};
-}
-
 std::string PageDsmNode::DebugString(uint64_t page) const {
   base::MutexLock lk(mu_);
   std::string out = "node " + std::to_string(id_) + ": access=";
@@ -95,9 +85,9 @@ base::Status PageDsmNode::Fault(uint64_t offset, bool write) {
     return base::OkStatus();
   }
   if (write) {
-    ++stats_.write_faults;
+    m_.write_faults.Increment();
   } else {
-    ++stats_.read_faults;
+    m_.read_faults.Increment();
   }
   // Request/grant loop: a grant can be undone by a racing invalidation
   // before we observe it, in which case we simply fault again. The request
@@ -167,8 +157,8 @@ void PageDsmNode::OnMessage(netsim::Message&& msg) {
         // Ownership moves on writes, so our copy dies; reads demote us to
         // a shared copy.
         access_[page] = want_write ? PageAccess::kInvalid : PageAccess::kRead;
-        ++stats_.pages_sent;
-        stats_.page_bytes_sent += len;
+        m_.pages_sent.Increment();
+        m_.page_bytes_sent.Add(len);
       }
       base::IgnoreError(SendMsg(static_cast<netsim::NodeId>(requester), data_msg));
       break;
@@ -212,7 +202,7 @@ void PageDsmNode::OnMessage(netsim::Message&& msg) {
       {
         base::MutexLock lk(mu_);
         access_[page] = PageAccess::kInvalid;
-        ++stats_.invalidations_received;
+        m_.invalidations_received.Increment();
       }
       base::IgnoreError(
           SendMsg(manager_, Encode(static_cast<uint8_t>(Msg::kInvAck), page)));

@@ -22,18 +22,11 @@
 #include "src/base/status.h"
 #include "src/base/sync.h"
 #include "src/netsim/fabric.h"
+#include "src/obs/metrics.h"
 
 namespace baselines {
 
 enum class PageAccess : uint8_t { kInvalid = 0, kRead = 1, kWrite = 2 };
-
-struct PageDsmStats {
-  uint64_t read_faults = 0;    // StartRead calls that required the protocol
-  uint64_t write_faults = 0;   // StartWrite calls that required the protocol
-  uint64_t pages_sent = 0;     // whole-page data transfers sent by this node
-  uint64_t page_bytes_sent = 0;
-  uint64_t invalidations_received = 0;
-};
 
 class PageDsmNode {
  public:
@@ -58,8 +51,16 @@ class PageDsmNode {
   base::Status StartWrite(uint64_t offset);
 
   PageAccess AccessOf(uint64_t page) const;
-  PageDsmStats stats() const;
-  void ResetStats();
+
+  // This node's protocol counts, readable without the node lock.
+  struct Metrics {
+    obs::Counter read_faults;   // StartRead calls that required the protocol
+    obs::Counter write_faults;  // StartWrite calls that required the protocol
+    obs::Counter pages_sent;    // whole-page data transfers sent by this node
+    obs::Counter page_bytes_sent;
+    obs::Counter invalidations_received;
+  };
+  const Metrics& metrics() const { return m_; }
 
   // Diagnostic snapshot of this node's per-page access rights and (on the
   // manager) the directory state — used when debugging protocol stalls.
@@ -107,7 +108,7 @@ class PageDsmNode {
   // Bumps on every grant install.
   std::map<uint64_t, uint64_t> grant_gen_ LBC_GUARDED_BY(mu_);
   std::map<uint64_t, PageDir> directory_ LBC_GUARDED_BY(mu_);  // manager role only
-  PageDsmStats stats_ LBC_GUARDED_BY(mu_);
+  Metrics m_;
   netsim::Endpoint* endpoint_ = nullptr;
 };
 

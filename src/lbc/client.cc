@@ -10,30 +10,6 @@
 #include "src/rvm/page_checksum.h"
 
 namespace lbc {
-namespace {
-
-// Client-side gray-failure tolerance outcomes (process totals; the cluster
-// owns the detector-side gray.* counters).
-struct GrayClientMetrics {
-  obs::Counter* retries;          // ops re-submitted after a server shed
-  obs::Counter* backoff_nanos;    // total time spent backing off
-  obs::Counter* deadline_misses;  // acquires that exhausted their budget
-};
-
-GrayClientMetrics* GlobalGrayClientMetrics() {
-  static GrayClientMetrics* metrics = [] {
-    auto* reg = obs::MetricsRegistry::Global();
-    auto* m = new GrayClientMetrics();
-    m->retries = reg->GetCounter("gray.retries");
-    m->backoff_nanos = reg->GetCounter("gray.backoff_nanos");
-    m->deadline_misses = reg->GetCounter("gray.deadline_misses");
-    return m;
-  }();
-  return metrics;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Transaction
 // ---------------------------------------------------------------------------
@@ -104,7 +80,7 @@ base::Status Transaction::Commit(rvm::CommitMode mode) {
   }
   // End-to-end commit latency: local commit + log write + broadcast +
   // release (the per-phase split lives in the rvm.* and lbc.* counters).
-  obs::ScopedTimer commit_timer(nullptr, client_->obs_commit_latency_);
+  obs::ScopedTimer commit_timer(nullptr, client_->commit_nanos_);
   // Admission control: take a commit slot before any log byte is written.
   // A shed that survives the backoff budget leaves the transaction OPEN and
   // untouched — the caller may Commit again later or Abort.
@@ -140,6 +116,33 @@ base::Status Transaction::Abort() {
 // Client lifecycle
 // ---------------------------------------------------------------------------
 
+Client::Client(Cluster* cluster, rvm::NodeId node, const ClientOptions& options)
+    : cluster_(cluster),
+      node_(node),
+      options_(options),
+      backoff_rng_(options.backoff_seed),
+      attached_(obs::MetricsRegistry::Global(), obs::NodeMetricName("lbc", node, ""),
+                {{"updates_sent", &m_.updates_sent},
+                 {"update_bytes_sent", &m_.update_bytes_sent},
+                 {"updates_received", &m_.updates_received},
+                 {"updates_applied", &m_.updates_applied},
+                 {"updates_held", &m_.updates_held},
+                 {"updates_duplicate", &m_.updates_duplicate},
+                 {"lock_messages_sent", &m_.lock_messages_sent},
+                 {"acquire_waits", &m_.acquire_waits},
+                 {"network_nanos", &m_.network_nanos},
+                 {"records_fetched", &m_.records_fetched},
+                 {"locks_reclaimed", &m_.locks_reclaimed},
+                 {"revokes_received", &m_.revokes_received},
+                 {"gray.retries", &m_.overload_retries},
+                 {"gray.deadline_misses", &m_.deadline_misses},
+                 {"gray.backoff_nanos", &backoff_nanos_},
+                 {"interlock_wait_nanos", &interlock_wait_nanos_}}),
+      acquire_nanos_(obs::MetricsRegistry::Global()->GetHistogram(
+          obs::NodeMetricName("lbc", node, "acquire_nanos"))),
+      commit_nanos_(obs::MetricsRegistry::Global()->GetHistogram(
+          obs::NodeMetricName("lbc", node, "commit_nanos"))) {}
+
 base::Result<std::unique_ptr<Client>> Client::Create(Cluster* cluster, rvm::NodeId node,
                                                      const ClientOptions& options) {
   std::unique_ptr<Client> client(new Client(cluster, node, options));
@@ -148,26 +151,11 @@ base::Result<std::unique_ptr<Client>> Client::Create(Cluster* cluster, rvm::Node
 }
 
 base::Status Client::Init() {
-  auto* reg = obs::MetricsRegistry::Global();
-  obs_network_nanos_ = reg->GetCounter(obs::NodeMetricName("lbc", node_, "network_nanos"));
-  obs_interlock_wait_nanos_ =
-      reg->GetCounter(obs::NodeMetricName("lbc", node_, "interlock_wait_nanos"));
-  obs_updates_sent_ = reg->GetCounter(obs::NodeMetricName("lbc", node_, "updates_sent"));
-  obs_update_bytes_sent_ =
-      reg->GetCounter(obs::NodeMetricName("lbc", node_, "update_bytes_sent"));
-  obs_acquire_latency_ = reg->GetHistogram(obs::NodeMetricName("lbc", node_, "acquire_nanos"));
-  obs_commit_latency_ = reg->GetHistogram(obs::NodeMetricName("lbc", node_, "commit_nanos"));
-
   ASSIGN_OR_RETURN(rvm_, rvm::Rvm::Open(cluster_->store(), node_, options_.rvm));
   rvm_->SetCommitHook([this](const rvm::CommitContext& ctx) { OnCommit(ctx); });
   endpoint_ = cluster_->fabric()->AddNode(node_);
-  auto handler = [this](netsim::Message&& msg) { OnMessage(std::move(msg)); };
-  if (options_.reliable_transport) {
-    channel_ = std::make_unique<netsim::ReliableChannel>(endpoint_);
-    channel_->StartReceiver(handler);
-  } else {
-    endpoint_->StartReceiver(handler);
-  }
+  channel_ = std::make_unique<netsim::ReliableChannel>(endpoint_);
+  channel_->StartReceiver([this](netsim::Message&& msg) { OnMessage(std::move(msg)); });
   cluster_->NoteAlive(node_);
   {
     // server_epoch_seen_ is guarded; Init is an ordinary method (the
@@ -201,18 +189,9 @@ void Client::Disconnect() {
   if (heartbeat_.joinable()) {
     heartbeat_.join();
   }
-  if (channel_ != nullptr) {
+  if (channel_ != nullptr) {  // null only when Init failed before creating it
     channel_->Shutdown();
-  } else {
-    endpoint_->StopReceiver();
   }
-}
-
-base::Status Client::SendTo(rvm::NodeId to, base::Buffer payload) {
-  if (channel_ != nullptr) {
-    return channel_->Send(to, std::move(payload));
-  }
-  return endpoint_->Send(to, std::move(payload));
 }
 
 base::Status Client::AdmitServer(Cluster::ServerQueue queue) {
@@ -235,11 +214,9 @@ base::Status Client::AdmitServer(Cluster::ServerQueue queue) {
       base::MutexLock lk(mu_);
       uint64_t lo = backoff_ms * 500;
       sleep_us = lo + backoff_rng_.Uniform(backoff_ms * 500 + 1);
-      ++stats_.overload_retries;
     }
-    auto* gm = GlobalGrayClientMetrics();
-    gm->retries->Increment();
-    gm->backoff_nanos->Add(sleep_us * 1000);
+    m_.overload_retries.Increment();
+    backoff_nanos_.Add(sleep_us * 1000);
     std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
     st = cluster_->Admit(queue, &hint_ms);
   }
@@ -369,11 +346,7 @@ base::Result<rvm::Region*> Client::MapRegion(rvm::RegionId region, uint64_t leng
         cluster_->EnsureRegionRecovered(region, options_.op_deadline_ms);
     if (recovered.code() == base::StatusCode::kDeadlineExceeded) {
       cluster_->Finish(Cluster::ServerQueue::kFetch);
-      {
-        base::MutexLock lk(mu_);
-        ++stats_.deadline_misses;
-      }
-      GlobalGrayClientMetrics()->deadline_misses->Increment();
+      m_.deadline_misses.Increment();
       return recovered;
     }
     if (!recovered.ok()) {
@@ -429,13 +402,22 @@ Transaction Client::Begin(rvm::RestoreMode mode) {
 }
 
 ClientStats Client::stats() const {
-  base::MutexLock lk(mu_);
-  return stats_;
-}
-
-void Client::ResetStats() {
-  base::MutexLock lk(mu_);
-  stats_ = ClientStats{};
+  ClientStats s;
+  s.updates_sent = m_.updates_sent.value();
+  s.update_bytes_sent = m_.update_bytes_sent.value();
+  s.updates_received = m_.updates_received.value();
+  s.updates_applied = m_.updates_applied.value();
+  s.updates_held = m_.updates_held.value();
+  s.updates_duplicate = m_.updates_duplicate.value();
+  s.lock_messages_sent = m_.lock_messages_sent.value();
+  s.acquire_waits = m_.acquire_waits.value();
+  s.network_nanos = m_.network_nanos.value();
+  s.records_fetched = m_.records_fetched.value();
+  s.locks_reclaimed = m_.locks_reclaimed.value();
+  s.revokes_received = m_.revokes_received.value();
+  s.overload_retries = m_.overload_retries.value();
+  s.deadline_misses = m_.deadline_misses.value();
+  return s;
 }
 
 uint64_t Client::AppliedSeq(rvm::LockId lock) const {
@@ -570,7 +552,7 @@ void Client::BroadcastEager(const rvm::CommitContext& ctx) {
     return;
   }
 
-  obs::ScopedTimer timer(obs_network_nanos_);
+  obs::ScopedTimer timer(&m_.network_nanos);
   // One refcounted committed-tail buffer, shared by every channel: each
   // per-peer send (and any retransmit) bumps a refcount instead of copying
   // the encoded record.
@@ -588,7 +570,7 @@ void Client::BroadcastEager(const rvm::CommitContext& ctx) {
     for (rvm::NodeId peer : peers) {
       // One writev per peer, as in the prototype (§4.3.1): cost grows
       // linearly with the number of peers sharing the segment.
-      base::Status st = SendTo(peer, payload);
+      base::Status st = channel_->Send(peer, payload);
       if (!st.ok()) {
         LBC_LOG(Warning) << "coherency send to node " << peer
                          << " failed: " << st.ToString();
@@ -596,16 +578,13 @@ void Client::BroadcastEager(const rvm::CommitContext& ctx) {
     }
     sends = peers.size();
   }
-  obs_updates_sent_->Add(sends);
-  obs_update_bytes_sent_->Add(payload.size() * sends);
+  timer.StopNanos();
+  m_.updates_sent.Add(sends);
+  m_.update_bytes_sent.Add(payload.size() * sends);
   obs::TraceRing::Global()->Emit(
       node_, obs::TraceType::kCommitBroadcast,
       ctx.locks != nullptr && !ctx.locks->empty() ? ctx.locks->front().lock_id : 0,
       ctx.commit_seq, payload.size() * sends);
-  base::MutexLock lk(mu_);
-  stats_.updates_sent += sends;
-  stats_.update_bytes_sent += payload.size() * sends;
-  stats_.network_nanos += timer.StopNanos();
 }
 
 void Client::RetainForLazy(const rvm::CommitContext& ctx) {
@@ -641,7 +620,7 @@ base::Result<uint64_t> Client::AcquireLock(rvm::LockId lock) {
     return base::FailedPrecondition("lock's region not mapped on this node");
   }
 
-  obs::ScopedTimer acquire_timer(nullptr, obs_acquire_latency_);
+  obs::ScopedTimer acquire_timer(nullptr, acquire_nanos_);
   // Deadline budget: a gray manager or token holder must not park this
   // thread forever. 0 preserves the unbounded wait.
   const bool budgeted = options_.op_deadline_ms > 0;
@@ -677,15 +656,15 @@ base::Result<uint64_t> Client::AcquireLock(rvm::LockId lock) {
       interlock_stalled = true;
       if (!counted_wait) {
         counted_wait = true;
-        ++stats_.acquire_waits;
+        m_.acquire_waits.Increment();
         obs::TraceRing::Global()->Emit(node_, obs::TraceType::kInterlockStall, lock,
                                        applied_seq_[lock]);
       }
     } else if (!st.have_token && !st.requested) {
       st.requested = true;
       LockRequestMsg req{lock, node_, applied_seq_[lock], st.epoch};
-      ++stats_.lock_messages_sent;
-      base::Status send_st = SendTo(spec.manager, EncodeLockRequest(req));
+      m_.lock_messages_sent.Increment();
+      base::Status send_st = channel_->Send(spec.manager, EncodeLockRequest(req));
       if (!send_st.ok()) {
         st.requested = false;
         --acquires_waiting_;
@@ -696,7 +675,7 @@ base::Result<uint64_t> Client::AcquireLock(rvm::LockId lock) {
     if (interlock_stalled) {
       // Token is here but updates lag behind it: charge the wait to the
       // paper's interlock cost.
-      obs::ScopedTimer wait_timer(obs_interlock_wait_nanos_);
+      obs::ScopedTimer wait_timer(&interlock_wait_nanos_);
       if (budgeted) {
         expired = !cv_.WaitUntil(lk, op_deadline);
       } else {
@@ -711,8 +690,7 @@ base::Result<uint64_t> Client::AcquireLock(rvm::LockId lock) {
       // Give up, but keep the request state: a token that arrives after
       // this deadline is retained for the next acquire, not bounced.
       --acquires_waiting_;
-      ++stats_.deadline_misses;
-      GlobalGrayClientMetrics()->deadline_misses->Increment();
+      m_.deadline_misses.Increment();
       return base::DeadlineExceeded(
           "acquire of lock " + std::to_string(lock) + ": " +
           std::to_string(options_.op_deadline_ms) + "ms budget exhausted");
@@ -770,11 +748,11 @@ void Client::PassTokenLocked(rvm::LockId lock, LockState& st) {
     }
   }
   st.have_token = false;
-  ++stats_.lock_messages_sent;
+  m_.lock_messages_sent.Increment();
   std::vector<uint8_t> payload = EncodeLockToken(token, options_.compress_headers);
   obs::TraceRing::Global()->Emit(node_, obs::TraceType::kTokenPass, lock, st.token_seq,
                                  payload.size());
-  base::Status send_st = SendTo(fwd.requester, std::move(payload));
+  base::Status send_st = channel_->Send(fwd.requester, std::move(payload));
   if (!send_st.ok()) {
     LBC_LOG(Warning) << "token pass to node " << fwd.requester
                      << " failed: " << send_st.ToString();
@@ -852,7 +830,7 @@ void Client::OnMessage(netsim::Message&& msg) {
 
 void Client::HandleUpdate(rvm::TransactionRecord&& rec) {
   base::MutexLock lk(mu_);
-  ++stats_.updates_received;
+  m_.updates_received.Increment();
   if (options_.versioned_reads && acquires_waiting_ == 0) {
     // Versioned-read model: stay on the current consistent version until
     // the application accepts (or acquires a lock).
@@ -860,7 +838,7 @@ void Client::HandleUpdate(rvm::TransactionRecord&& rec) {
     return;
   }
   if (!TryApplyLocked(rec)) {
-    ++stats_.updates_held;
+    m_.updates_held.Increment();
     pending_.push_back(std::move(rec));
   } else {
     DrainPendingLocked();
@@ -877,9 +855,9 @@ void Client::HandleLockRequest(const LockRequestMsg& msg) {
     // node that merely missed the revoke — e.g. one that mapped the region
     // after the reclaim — can resend instead of waiting forever.
     LockRevokeMsg sync{msg.lock, st.epoch, node_};
-    ++stats_.lock_messages_sent;
+    m_.lock_messages_sent.Increment();
     lk.Unlock();
-    base::IgnoreError(SendTo(msg.requester, EncodeLockRevoke(sync)));
+    base::IgnoreError(channel_->Send(msg.requester, EncodeLockRevoke(sync)));
     return;
   }
   rvm::NodeId prev_tail = st.queue_tail;
@@ -890,9 +868,9 @@ void Client::HandleLockRequest(const LockRequestMsg& msg) {
     cv_.NotifyAll();
     return;
   }
-  ++stats_.lock_messages_sent;
+  m_.lock_messages_sent.Increment();
   lk.Unlock();
-  base::Status st_send = SendTo(prev_tail, EncodeLockForward(fwd));
+  base::Status st_send = channel_->Send(prev_tail, EncodeLockForward(fwd));
   if (!st_send.ok()) {
     LBC_LOG(Warning) << "lock forward to node " << prev_tail
                      << " failed: " << st_send.ToString();
@@ -956,9 +934,7 @@ base::Status Client::OnPeerDeath(rvm::NodeId dead) {
   // files and publish its records to the record cache, so everything below
   // finds the post-merge baselines and fetchable records in place.
   RETURN_IF_ERROR(cluster_->RecoverDeadClient(dead));
-  if (channel_ != nullptr) {
-    channel_->ForgetPeer(dead);  // stop retransmitting into the void
-  }
+  channel_->ForgetPeer(dead);  // stop retransmitting into the void
   for (rvm::LockId lock : cluster_->AllLocks()) {
     auto spec = cluster_->GetLock(lock);
     if (!spec.ok() || spec->manager != node_) {
@@ -1004,7 +980,7 @@ void Client::StartReclaim(rvm::LockId lock, rvm::RegionId region, rvm::NodeId de
       st.reclaim_pending.insert(n);
     }
   }
-  ++stats_.locks_reclaimed;
+  m_.locks_reclaimed.Increment();
   obs::TraceRing::Global()->Emit(node_, obs::TraceType::kReclaimRound, lock, st.epoch);
   if (st.reclaim_pending.empty()) {
     FinishReclaimLocked(lock, st);
@@ -1014,10 +990,10 @@ void Client::StartReclaim(rvm::LockId lock, rvm::RegionId region, rvm::NodeId de
   LockRevokeMsg revoke{lock, st.epoch, node_};
   std::vector<uint8_t> payload = EncodeLockRevoke(revoke);
   std::vector<rvm::NodeId> targets(st.reclaim_pending.begin(), st.reclaim_pending.end());
-  stats_.lock_messages_sent += targets.size();
+  m_.lock_messages_sent.Add(targets.size());
   lk.Unlock();
   for (rvm::NodeId n : targets) {
-    base::Status send_st = SendTo(n, payload);
+    base::Status send_st = channel_->Send(n, payload);
     if (!send_st.ok()) {
       LBC_LOG(Warning) << "lock revoke to node " << n
                        << " failed: " << send_st.ToString();
@@ -1028,7 +1004,7 @@ void Client::StartReclaim(rvm::LockId lock, rvm::RegionId region, rvm::NodeId de
 void Client::HandleLockRevoke(const LockRevokeMsg& msg) {
   base::MutexLock lk(mu_);
   LockState& st = StateFor(msg.lock);
-  ++stats_.revokes_received;
+  m_.revokes_received.Increment();
   if (msg.epoch <= st.epoch) {
     return;  // stale or already-processed revoke
   }
@@ -1053,9 +1029,9 @@ void Client::HandleLockRevoke(const LockRevokeMsg& msg) {
   // cache by now (recovery runs before the revoke is sent); catch up so the
   // reissued token's interlock can be satisfied.
   FetchFromServerLocked(msg.lock);
-  ++stats_.lock_messages_sent;
+  m_.lock_messages_sent.Increment();
   lk.Unlock();
-  base::Status send_st = SendTo(msg.manager, EncodeLockRevokeReply(reply));
+  base::Status send_st = channel_->Send(msg.manager, EncodeLockRevokeReply(reply));
   if (!send_st.ok()) {
     LBC_LOG(Warning) << "revoke reply to node " << msg.manager
                      << " failed: " << send_st.ToString();
@@ -1109,7 +1085,7 @@ void Client::FetchFromServerLocked(rvm::LockId lock) {
                                    records.size());
   }
   for (auto& rec : records) {
-    ++stats_.records_fetched;
+    m_.records_fetched.Increment();
     if (!TryApplyLocked(rec)) {
       pending_.push_back(std::move(rec));
     }
@@ -1146,7 +1122,7 @@ bool Client::TryApplyLocked(const rvm::TransactionRecord& rec) {
     }
   }
   if (any_relevant && all_applied) {
-    ++stats_.updates_duplicate;  // e.g. lazy piggyback overlapping a resend
+    m_.updates_duplicate.Increment();  // e.g. lazy piggyback overlapping a resend
     return true;
   }
 
@@ -1161,7 +1137,7 @@ bool Client::TryApplyLocked(const rvm::TransactionRecord& rec) {
     applied = std::max(applied, lr.sequence);
     ReportAppliedLocked(lr.lock_id);
   }
-  ++stats_.updates_applied;
+  m_.updates_applied.Increment();
   return true;
 }
 

@@ -75,12 +75,6 @@ struct ClientOptions {
   // implies acceptance). Readers thus operate on a stable consistent
   // snapshot while writers progress elsewhere.
   bool versioned_reads = false;
-  // Run point-to-point traffic over netsim::ReliableChannel, restoring
-  // exactly-once FIFO delivery when the fabric injects faults. On a
-  // fault-free fabric the channel stays off the fast path: no retransmits
-  // fire and the only overhead is one small ACK frame per message.
-  // Multicast sends bypass the channel (best-effort, as in the paper).
-  bool reliable_transport = true;
   // Failure detector. With heartbeat_interval_ms > 0 a background thread
   // renews this node's lease in the cluster's liveness registry; if
   // lease_timeout_ms > 0 too, the same thread watches for peers whose lease
@@ -113,22 +107,30 @@ struct ClientOptions {
   uint64_t backoff_seed = 0xB0FF;
 };
 
-struct ClientStats {
-  uint64_t updates_sent = 0;        // coherency messages sent (per peer)
-  uint64_t update_bytes_sent = 0;   // payload bytes of those messages
-  uint64_t updates_received = 0;
-  uint64_t updates_applied = 0;     // transactions applied to local cache
-  uint64_t updates_held = 0;        // arrived out of order, buffered (§3.4)
-  uint64_t updates_duplicate = 0;   // already applied (lazy + eager overlap)
-  uint64_t lock_messages_sent = 0;
-  uint64_t acquire_waits = 0;       // acquires that blocked on the interlock
-  uint64_t network_nanos = 0;       // time in Send during commit broadcast
-  uint64_t records_fetched = 0;     // records pulled from the server cache
-  uint64_t locks_reclaimed = 0;     // reclaim rounds started as manager
-  uint64_t revokes_received = 0;    // revoke messages processed as mapper
-  uint64_t overload_retries = 0;    // ops re-submitted after a server shed
-  uint64_t deadline_misses = 0;     // acquires that exhausted op_deadline_ms
+// Everything a Client counts, one field per fact. The Client owns a
+// ClientCounts<obs::Counter>, exported as lbc.n<node>.<field> except as
+// noted.
+template <typename Count>
+struct ClientCounts {
+  Count updates_sent{};        // coherency messages sent (per peer)
+  Count update_bytes_sent{};   // payload bytes of those messages
+  Count updates_received{};
+  Count updates_applied{};     // transactions applied to local cache
+  Count updates_held{};        // arrived out of order, buffered (§3.4)
+  Count updates_duplicate{};   // already applied (lazy + eager overlap)
+  Count lock_messages_sent{};
+  Count acquire_waits{};       // acquires that blocked on the interlock
+  Count network_nanos{};       // time in Send during commit broadcast
+  Count records_fetched{};     // records pulled from the server cache
+  Count locks_reclaimed{};     // reclaim rounds started as manager
+  Count revokes_received{};    // revoke messages processed as mapper
+  Count overload_retries{};    // ops re-submitted after a shed (gray.retries)
+  Count deadline_misses{};     // ops that exhausted op_deadline_ms (gray.deadline_misses)
 };
+
+// Value snapshot that Client::stats() fills from the instruments. It goes
+// away once the benchmark reads the instruments directly.
+struct ClientStats : ClientCounts<uint64_t> {};
 
 class Client;
 
@@ -210,8 +212,9 @@ class Client {
   // `lock`, or `timeout_ms` elapses.
   bool WaitForAppliedSeq(rvm::LockId lock, uint64_t seq, int timeout_ms);
 
+  // Reads every instrument of this client (no lock taken). Counts are this
+  // client's own; the process-wide exports sum all clients.
   ClientStats stats() const;
-  void ResetStats();
 
   // Detaches from the fabric (stops the receiver and heartbeat threads)
   // without destroying local state; used by crash tests. No messages are
@@ -264,9 +267,7 @@ class Client {
     uint64_t reclaim_max_seq = 0;
   };
 
-  Client(Cluster* cluster, rvm::NodeId node, const ClientOptions& options)
-      : cluster_(cluster), node_(node), options_(options),
-        backoff_rng_(options.backoff_seed) {}
+  Client(Cluster* cluster, rvm::NodeId node, const ClientOptions& options);
 
   base::Status Init();
 
@@ -306,9 +307,6 @@ class Client {
   // Heartbeat / lease-watch loop (runs when heartbeat_interval_ms > 0).
   void HeartbeatThreadMain();
 
-  // Point-to-point send, routed through the reliable channel when enabled.
-  base::Status SendTo(rvm::NodeId to, base::Buffer payload);
-
   // Takes a slot on a server admission queue, retrying sheds with jittered
   // exponential backoff per the ClientOptions budget. Pair a success with
   // Cluster::Finish. mu_ must not be held (sleeps between attempts).
@@ -337,6 +335,10 @@ class Client {
   ClientOptions options_;
   std::unique_ptr<rvm::Rvm> rvm_;
   netsim::Endpoint* endpoint_ = nullptr;
+  // Point-to-point traffic rides a ReliableChannel, restoring exactly-once
+  // FIFO delivery when the fabric injects faults. On a fault-free fabric
+  // the only overhead is one small ACK frame per message. Multicast sends
+  // bypass it (best-effort, as in the paper).
   std::unique_ptr<netsim::ReliableChannel> channel_;
   std::thread heartbeat_;
 
@@ -352,7 +354,6 @@ class Client {
   std::vector<rvm::TransactionRecord> pending_ LBC_GUARDED_BY(mu_);
   // Versioned-read buffer: updates held until Accept().
   std::deque<rvm::TransactionRecord> version_buffer_ LBC_GUARDED_BY(mu_);
-  ClientStats stats_ LBC_GUARDED_BY(mu_);
   // Jitter stream for overload backoff (seeded; see ClientOptions).
   base::Rng backoff_rng_ LBC_GUARDED_BY(mu_);
   bool disconnected_ LBC_GUARDED_BY(mu_) = false;
@@ -360,13 +361,12 @@ class Client {
   // against Cluster::ServerEpoch means our directory entries were wiped.
   uint64_t server_epoch_seen_ LBC_GUARDED_BY(mu_) = 0;
 
-  // Registered once in Init() (lbc.n<node>.*); hot paths bump the atomics.
-  obs::Counter* obs_network_nanos_ = nullptr;
-  obs::Counter* obs_interlock_wait_nanos_ = nullptr;
-  obs::Counter* obs_updates_sent_ = nullptr;
-  obs::Counter* obs_update_bytes_sent_ = nullptr;
-  obs::Histogram* obs_acquire_latency_ = nullptr;
-  obs::Histogram* obs_commit_latency_ = nullptr;
+  ClientCounts<obs::Counter> m_;
+  obs::Counter backoff_nanos_;         // gray.backoff_nanos
+  obs::Counter interlock_wait_nanos_;  // lbc.n<node>.interlock_wait_nanos
+  obs::Attachment attached_;
+  obs::Histogram* acquire_nanos_;  // lbc.n<node>.acquire_nanos
+  obs::Histogram* commit_nanos_;   // lbc.n<node>.commit_nanos
 };
 
 }  // namespace lbc

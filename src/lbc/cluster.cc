@@ -12,73 +12,24 @@
 #include "src/rvm/replay_on_demand.h"
 #include "src/rvm/scrub.h"
 
-namespace {
-
-// Server-role counters (the cluster is logically one storage/lock server, so
-// these are process totals).
-struct ServerMetrics {
-  obs::Counter* records_cached;
-  obs::Counter* records_fetched;
-  obs::Counter* dead_clients_recovered;
-  obs::Counter* rebuilds;  // directory rebuilds after a server crash
-};
-
-ServerMetrics* GlobalServerMetrics() {
-  static ServerMetrics* metrics = [] {
-    auto* reg = obs::MetricsRegistry::Global();
-    auto* m = new ServerMetrics();
-    m->records_cached = reg->GetCounter("server.records_cached");
-    m->records_fetched = reg->GetCounter("server.records_fetched");
-    m->dead_clients_recovered = reg->GetCounter("server.dead_clients_recovered");
-    m->rebuilds = reg->GetCounter("server.rebuilds");
-    return m;
-  }();
-  return metrics;
-}
-
-// Gray-failure detector outcomes (process totals; see Cluster::LeaseExpired).
-struct GrayMetrics {
-  obs::Counter* suspect_slow;       // nodes entering the suspect-slow state
-  obs::Counter* evictions_averted;  // suspects that beat again before expiry
-  obs::Counter* false_evictions;    // heartbeats from a declared-dead node
-};
-
-GrayMetrics* GlobalGrayMetrics() {
-  static GrayMetrics* metrics = [] {
-    auto* reg = obs::MetricsRegistry::Global();
-    auto* m = new GrayMetrics();
-    m->suspect_slow = reg->GetCounter("gray.suspect_slow");
-    m->evictions_averted = reg->GetCounter("gray.evictions_averted");
-    m->false_evictions = reg->GetCounter("gray.false_evictions");
-    return m;
-  }();
-  return metrics;
-}
-
-// Overload-shedding outcomes (see Cluster::Admit).
-struct AdmissionMetrics {
-  obs::Counter* admitted;
-  obs::Counter* shed;
-  obs::Counter* fetch_shed;
-  obs::Counter* commit_shed;
-};
-
-AdmissionMetrics* GlobalAdmissionMetrics() {
-  static AdmissionMetrics* metrics = [] {
-    auto* reg = obs::MetricsRegistry::Global();
-    auto* m = new AdmissionMetrics();
-    m->admitted = reg->GetCounter("admission.admitted");
-    m->shed = reg->GetCounter("admission.shed");
-    m->fetch_shed = reg->GetCounter("admission.fetch_shed");
-    m->commit_shed = reg->GetCounter("admission.commit_shed");
-    return m;
-  }();
-  return metrics;
-}
-
-}  // namespace
-
 namespace lbc {
+
+Cluster::Cluster(store::DurableStore* store)
+    : store_(store),
+      attached_(obs::MetricsRegistry::Global(), "",
+                {{"server.records_cached", &m_.records_cached},
+                 {"server.records_fetched", &m_.records_fetched},
+                 {"server.dead_clients_recovered", &m_.dead_clients_recovered},
+                 {"server.rebuilds", &m_.rebuilds},
+                 {"gray.suspect_slow", &m_.suspect_slow},
+                 {"gray.evictions_averted", &m_.evictions_averted},
+                 {"gray.false_evictions", &m_.false_evictions},
+                 {"admission.admitted", &m_.admitted},
+                 // admission.shed is the sum of the two queues' counters.
+                 {"admission.shed", &m_.fetch_shed},
+                 {"admission.shed", &m_.commit_shed},
+                 {"admission.fetch_shed", &m_.fetch_shed},
+                 {"admission.commit_shed", &m_.commit_shed}}) {}
 
 Cluster::~Cluster() { StopRecoveryDrain(); }
 
@@ -259,7 +210,7 @@ void Cluster::CacheRecords(rvm::LockId lock, const rvm::TransactionRecord& rec) 
   if (!server_up_) {
     return;
   }
-  GlobalServerMetrics()->records_cached->Increment();
+  m_.records_cached.Increment();
   record_cache_[lock].emplace(seq, rec);
 }
 
@@ -278,7 +229,7 @@ std::vector<rvm::TransactionRecord> Cluster::FetchRecordsSince(rvm::LockId lock,
        ++rec_it) {
     out.push_back(rec_it->second);
   }
-  GlobalServerMetrics()->records_fetched->Add(out.size());
+  m_.records_fetched.Add(out.size());
   return out;
 }
 
@@ -310,7 +261,7 @@ void Cluster::NoteAlive(rvm::NodeId node) {
     // the peer was gray, not gone. Death stays permanent (its tokens may
     // already be reissued), but the mistake is counted so chaos runs can
     // assert the detector never fired one.
-    GlobalGrayMetrics()->false_evictions->Increment();
+    m_.false_evictions.Increment();
     return;  // declared dead stays dead; see header
   }
   auto now = std::chrono::steady_clock::now();
@@ -324,7 +275,7 @@ void Cluster::NoteAlive(rvm::NodeId node) {
   }
   last_heartbeat_[node] = now;
   if (suspect_.erase(node) != 0) {
-    GlobalGrayMetrics()->evictions_averted->Increment();
+    m_.evictions_averted.Increment();
   }
 }
 
@@ -370,7 +321,7 @@ std::vector<rvm::NodeId> Cluster::LeaseExpired(std::chrono::milliseconds lease) 
     uint64_t stretched = std::max(lease_nanos, gray_slack_factor_ * ewma);
     if (elapsed <= stretched) {
       if (suspect_.insert(node).second) {
-        GlobalGrayMetrics()->suspect_slow->Increment();
+        m_.suspect_slow.Increment();
       }
       continue;
     }
@@ -405,9 +356,7 @@ void Cluster::SetAdmissionLimit(ServerQueue queue, uint64_t max_inflight) {
 base::Status Cluster::Admit(ServerQueue queue, uint64_t* retry_after_ms) {
   base::MutexLock guard(mu_);
   AdmissionQueue& q = QueueFor(queue);
-  auto* m = GlobalAdmissionMetrics();
   if (q.limit > 0 && q.inflight >= q.limit) {
-    ++q.shed;
     // Server-paced hint: doubles per consecutive shed (1ms .. 64ms), so a
     // saturated queue pushes its clients apart without any client-side
     // coordination. Reset by the next successful admit.
@@ -417,8 +366,7 @@ base::Status Cluster::Admit(ServerQueue queue, uint64_t* retry_after_ms) {
     if (retry_after_ms != nullptr) {
       *retry_after_ms = hint;
     }
-    m->shed->Increment();
-    (queue == ServerQueue::kFetch ? m->fetch_shed : m->commit_shed)->Increment();
+    (queue == ServerQueue::kFetch ? m_.fetch_shed : m_.commit_shed).Increment();
     const char* name = queue == ServerQueue::kFetch ? "fetch" : "commit";
     return base::Overloaded(std::string("server ") + name + " queue full (" +
                             std::to_string(q.inflight) + "/" +
@@ -427,9 +375,8 @@ base::Status Cluster::Admit(ServerQueue queue, uint64_t* retry_after_ms) {
                             "ms");
   }
   ++q.inflight;
-  ++q.admitted;
   q.consecutive_sheds = 0;
-  m->admitted->Increment();
+  m_.admitted.Increment();
   if (queue == ServerQueue::kCommit && first_commit_pending_) {
     // Time-to-first-commit after a restart (the availability number the
     // incremental path exists to shrink).
@@ -457,8 +404,7 @@ uint64_t Cluster::Inflight(ServerQueue queue) const {
 }
 
 uint64_t Cluster::ShedCount(ServerQueue queue) const {
-  base::MutexLock guard(mu_);
-  return QueueFor(queue).shed;
+  return (queue == ServerQueue::kFetch ? m_.fetch_shed : m_.commit_shed).value();
 }
 
 base::Status Cluster::RecoverDeadClient(rvm::NodeId node) {
@@ -514,7 +460,7 @@ base::Status Cluster::RecoverDeadClient(rvm::NodeId node) {
         start_drainer = true;
       }
     }
-    GlobalServerMetrics()->dead_clients_recovered->Increment();
+    m_.dead_clients_recovered.Increment();
     obs::TraceRing::Global()->Emit(node, obs::TraceType::kClientRecovered, /*lock=*/0,
                                    /*seq=*/0, /*bytes=*/merged.size());
     uint64_t& bound = merged_commit_seq_[node];
@@ -672,7 +618,7 @@ base::Status Cluster::RestartServer() {
     recovery_start_ = boot_start;
     server_up_ = true;
     ++server_epoch_;
-    GlobalServerMetrics()->rebuilds->Increment();
+    m_.rebuilds.Increment();
   }
   if (start_drainer) {
     StartRecoveryDrain();

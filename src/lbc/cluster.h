@@ -24,6 +24,7 @@
 #include "src/base/status.h"
 #include "src/base/sync.h"
 #include "src/netsim/fabric.h"
+#include "src/obs/metrics.h"
 #include "src/rvm/types.h"
 #include "src/store/durable_store.h"
 
@@ -41,7 +42,7 @@ struct LockSpec {
 
 class Cluster {
  public:
-  explicit Cluster(store::DurableStore* store) : store_(store) {}
+  explicit Cluster(store::DurableStore* store);
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -321,8 +322,6 @@ class Cluster {
   struct AdmissionQueue {
     uint64_t limit = 0;  // 0 = unlimited
     uint64_t inflight = 0;
-    uint64_t admitted = 0;
-    uint64_t shed = 0;
     uint64_t consecutive_sheds = 0;
   };
   AdmissionQueue& QueueFor(ServerQueue queue) LBC_REQUIRES(mu_);
@@ -355,6 +354,23 @@ class Cluster {
   base::Mutex drain_mu_{"lbc.cluster.drain"};
   std::thread drain_thread_ LBC_GUARDED_BY(drain_mu_);
   std::atomic<bool> drain_stop_{false};
+
+  // Server-role counts (the cluster is logically one storage/lock server),
+  // exported under the names in the comments. Mutable: const lookups count.
+  struct Metrics {
+    obs::Counter records_cached;  // server.*
+    obs::Counter records_fetched;
+    obs::Counter dead_clients_recovered;
+    obs::Counter rebuilds;           // directory rebuilds after a server crash
+    obs::Counter suspect_slow;       // gray.*: nodes entering the suspect-slow state
+    obs::Counter evictions_averted;  // suspects that beat again before expiry
+    obs::Counter false_evictions;    // heartbeats from a declared-dead node
+    obs::Counter admitted;           // admission.* (see Admit)
+    obs::Counter fetch_shed;         // admission.shed exports their sum
+    obs::Counter commit_shed;
+  };
+  mutable Metrics m_;
+  obs::Attachment attached_;
 };
 
 }  // namespace lbc

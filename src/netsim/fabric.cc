@@ -2,16 +2,15 @@
 
 namespace netsim {
 
-Endpoint::Endpoint(Fabric* fabric, NodeId id) : fabric_(fabric), id_(id) {
-  auto* reg = obs::MetricsRegistry::Global();
-  obs_messages_sent_ = reg->GetCounter(obs::NodeMetricName("netsim", id, "messages_sent"));
-  obs_bytes_sent_ = reg->GetCounter(obs::NodeMetricName("netsim", id, "bytes_sent"));
-  obs_messages_received_ =
-      reg->GetCounter(obs::NodeMetricName("netsim", id, "messages_received"));
-  obs_bytes_received_ =
-      reg->GetCounter(obs::NodeMetricName("netsim", id, "bytes_received"));
-  obs_send_nanos_ = reg->GetCounter(obs::NodeMetricName("netsim", id, "send_nanos"));
-}
+Endpoint::Endpoint(Fabric* fabric, NodeId id)
+    : fabric_(fabric),
+      id_(id),
+      attached_(obs::MetricsRegistry::Global(), obs::NodeMetricName("netsim", id, ""),
+                {{"messages_sent", &m_.messages_sent},
+                 {"bytes_sent", &m_.bytes_sent},
+                 {"messages_received", &m_.messages_received},
+                 {"bytes_received", &m_.bytes_received},
+                 {"send_nanos", &m_.send_nanos}}) {}
 
 Endpoint::~Endpoint() { StopReceiver(); }
 
@@ -21,22 +20,19 @@ base::Status Endpoint::Send(NodeId to, base::Buffer payload) {
 
 base::Status Endpoint::Send(NodeId to, std::vector<uint8_t> header,
                             base::Buffer payload) {
-  obs::ScopedTimer timer(obs_send_nanos_);
+  obs::ScopedTimer timer(&m_.send_nanos);
   size_t bytes = header.size() + payload.size();
   RETURN_IF_ERROR(
       fabric_->Deliver(Message{id_, to, std::move(header), std::move(payload)}));
-  obs_messages_sent_->Increment();
-  obs_bytes_sent_->Add(bytes);
-  base::MutexLock lock(mu_);
-  ++stats_.messages_sent;
-  stats_.bytes_sent += bytes;
-  stats_.send_nanos += timer.StopNanos();
+  timer.StopNanos();
+  m_.messages_sent.Increment();
+  m_.bytes_sent.Add(bytes);
   return base::OkStatus();
 }
 
 base::Status Endpoint::Multicast(const std::vector<NodeId>& to,
                                  base::Buffer payload) {
-  obs::ScopedTimer timer(obs_send_nanos_);
+  obs::ScopedTimer timer(&m_.send_nanos);
   size_t bytes = payload.size();
   for (NodeId node : to) {
     // Refcount bump per recipient — every copy of the message shares the
@@ -46,12 +42,9 @@ base::Status Endpoint::Multicast(const std::vector<NodeId>& to,
       return st;
     }
   }
-  obs_messages_sent_->Increment();
-  obs_bytes_sent_->Add(bytes);
-  base::MutexLock lock(mu_);
-  ++stats_.messages_sent;
-  stats_.bytes_sent += bytes;
-  stats_.send_nanos += timer.StopNanos();
+  timer.StopNanos();
+  m_.messages_sent.Increment();
+  m_.bytes_sent.Add(bytes);
   return base::OkStatus();
 }
 
@@ -65,10 +58,8 @@ std::optional<Message> Endpoint::Receive() {
   }
   Message msg = std::move(inbox_.front());
   inbox_.pop_front();
-  ++stats_.messages_received;
-  stats_.bytes_received += msg.wire_size();
-  obs_messages_received_->Increment();
-  obs_bytes_received_->Add(msg.wire_size());
+  m_.messages_received.Increment();
+  m_.bytes_received.Add(msg.wire_size());
   return msg;
 }
 
@@ -105,13 +96,13 @@ void Endpoint::StopReceiver() {
 }
 
 EndpointStats Endpoint::stats() const {
-  base::MutexLock lock(mu_);
-  return stats_;
-}
-
-void Endpoint::ResetStats() {
-  base::MutexLock lock(mu_);
-  stats_ = EndpointStats{};
+  EndpointStats s;
+  s.messages_sent = m_.messages_sent.value();
+  s.bytes_sent = m_.bytes_sent.value();
+  s.messages_received = m_.messages_received.value();
+  s.bytes_received = m_.bytes_received.value();
+  s.send_nanos = m_.send_nanos.value();
+  return s;
 }
 
 void Endpoint::Enqueue(Message&& msg) {
@@ -122,14 +113,13 @@ void Endpoint::Enqueue(Message&& msg) {
   cv_.NotifyOne();
 }
 
-Fabric::Fabric() {
-  auto* reg = obs::MetricsRegistry::Global();
-  obs_dropped_ = reg->GetCounter("netsim.fabric.dropped");
-  obs_duplicated_ = reg->GetCounter("netsim.fabric.duplicated");
-  obs_delayed_ = reg->GetCounter("netsim.fabric.delayed");
-  obs_partitioned_ = reg->GetCounter("netsim.fabric.partitioned");
-  obs_degraded_ = reg->GetCounter("netsim.fabric.degraded");
-}
+Fabric::Fabric()
+    : attached_(obs::MetricsRegistry::Global(), "",
+                {{"netsim.fabric.dropped", &fault_metrics_.dropped},
+                 {"netsim.fabric.duplicated", &fault_metrics_.duplicated},
+                 {"netsim.fabric.delayed", &fault_metrics_.delayed},
+                 {"netsim.fabric.partitioned", &fault_metrics_.partitioned},
+                 {"netsim.fabric.degraded", &fault_metrics_.degraded}}) {}
 
 Endpoint* Fabric::AddNode(NodeId id) {
   base::MutexLock lock(mu_);
@@ -227,11 +217,6 @@ void Fabric::HealAll() {
 bool Fabric::IsPartitioned(NodeId from, NodeId to) const {
   base::MutexLock lock(mu_);
   return partitions_.count({from, to}) != 0;
-}
-
-FaultStats Fabric::fault_stats() const {
-  base::MutexLock lock(mu_);
-  return fault_stats_;
 }
 
 const LinkFaults& Fabric::FaultsForLocked(NodeId from, NodeId to) const {
@@ -364,8 +349,7 @@ base::Status Fabric::Deliver(Message msg) {
     }
     if (partitions_.count({from, to}) != 0) {
       // The sender's datagram is gone; Send still reports success.
-      ++fault_stats_.partitioned;
-      obs_partitioned_->Increment();
+      fault_metrics_.partitioned.Increment();
       return base::OkStatus();
     }
     const LinkFaults& faults = FaultsForLocked(from, to);
@@ -382,19 +366,16 @@ base::Status Fabric::Deliver(Message msg) {
                     rng.Uniform(faults.delay_max_micros - faults.delay_min_micros + 1)
               : faults.delay_min_micros;
       if (drop) {
-        ++fault_stats_.dropped;
-        obs_dropped_->Increment();
+        fault_metrics_.dropped.Increment();
         return base::OkStatus();
       }
       if (duplicate) {
-        ++fault_stats_.duplicated;
-        obs_duplicated_->Increment();
+        fault_metrics_.duplicated.Increment();
       }
       if (delay) {
         // Deliberately NOT clamped behind earlier traffic on the link:
         // fault delay is the fabric's reordering mechanism.
-        ++fault_stats_.delayed;
-        obs_delayed_->Increment();
+        fault_metrics_.delayed.Increment();
         auto deliver_at =
             std::chrono::steady_clock::now() + std::chrono::microseconds(extra_us);
         if (duplicate) {
@@ -415,8 +396,7 @@ base::Status Fabric::Deliver(Message msg) {
         // so the link stays slow-but-ordered.
         uint64_t lo = d.mean_us > d.jitter_us ? d.mean_us - d.jitter_us : 0;
         extra_us = lo + FaultRngLocked(from, to).Uniform(2 * d.jitter_us + 1);
-        ++fault_stats_.degraded;
-        obs_degraded_->Increment();
+        fault_metrics_.degraded.Increment();
       }
       // Schedule, preserving per-link order even across delay changes.
       auto deliver_at = std::chrono::steady_clock::now() +

@@ -55,13 +55,20 @@ struct Message {
   size_t wire_size() const { return header.size() + payload.size(); }
 };
 
-struct EndpointStats {
-  uint64_t messages_sent = 0;
-  uint64_t bytes_sent = 0;
-  uint64_t messages_received = 0;
-  uint64_t bytes_received = 0;
-  uint64_t send_nanos = 0;  // wall time spent in Send ("Network I/O")
+// Everything an Endpoint counts. The Endpoint owns an
+// EndpointCounts<obs::Counter>, exported as netsim.n<id>.<field>.
+template <typename Count>
+struct EndpointCounts {
+  Count messages_sent{};
+  Count bytes_sent{};
+  Count messages_received{};
+  Count bytes_received{};
+  Count send_nanos{};  // wall time spent in Send ("Network I/O")
 };
+
+// Value snapshot that Endpoint::stats() fills from the instruments. It goes
+// away once the benchmark reads the instruments directly.
+struct EndpointStats : EndpointCounts<uint64_t> {};
 
 // Probabilistic fault policy for one directed link (or the whole fabric,
 // via SetDefaultFaults). All probabilities are in [0, 1].
@@ -78,14 +85,6 @@ struct LinkFaults {
   bool any() const {
     return drop_probability > 0 || duplicate_probability > 0 || delay_probability > 0;
   }
-};
-
-struct FaultStats {
-  uint64_t dropped = 0;      // messages lost to drop_probability
-  uint64_t duplicated = 0;   // extra copies injected
-  uint64_t delayed = 0;      // messages routed through the fault delay path
-  uint64_t partitioned = 0;  // messages lost to a partition
-  uint64_t degraded = 0;     // messages slowed by DegradeLink jitter
 };
 
 class Fabric;
@@ -126,8 +125,8 @@ class Endpoint {
   // Stops the receiver thread (idempotent). Queued messages stay queued.
   void StopReceiver();
 
+  // Reads this endpoint's instruments (no lock taken).
   EndpointStats stats() const;
-  void ResetStats();
 
  private:
   friend class Fabric;
@@ -142,17 +141,11 @@ class Endpoint {
   base::CondVar cv_;
   std::deque<Message> inbox_ LBC_GUARDED_BY(mu_);
   bool shutdown_ LBC_GUARDED_BY(mu_) = false;
-  EndpointStats stats_ LBC_GUARDED_BY(mu_);
   std::thread receiver_;
   bool receiver_running_ LBC_GUARDED_BY(mu_) = false;
 
-  // Registered once at construction (netsim.n<id>.*); bumped alongside the
-  // per-instance stats_ so snapshots see the whole cluster at once.
-  obs::Counter* obs_messages_sent_ = nullptr;
-  obs::Counter* obs_bytes_sent_ = nullptr;
-  obs::Counter* obs_messages_received_ = nullptr;
-  obs::Counter* obs_bytes_received_ = nullptr;
-  obs::Counter* obs_send_nanos_ = nullptr;
+  EndpointCounts<obs::Counter> m_;
+  obs::Attachment attached_;
 };
 
 class Fabric {
@@ -218,7 +211,15 @@ class Fabric {
   void HealAll();
   bool IsPartitioned(NodeId from, NodeId to) const;
 
-  FaultStats fault_stats() const;
+  // Fault-injection outcomes, attached as netsim.fabric.<name>.
+  struct FaultMetrics {
+    obs::Counter dropped;      // messages lost to drop_probability
+    obs::Counter duplicated;   // extra copies injected
+    obs::Counter delayed;      // messages routed through the fault delay path
+    obs::Counter partitioned;  // messages lost to a partition
+    obs::Counter degraded;     // messages slowed by DegradeLink jitter
+  };
+  const FaultMetrics& fault_metrics() const { return fault_metrics_; }
 
   // Unblocks all receivers and joins receiver threads.
   void Shutdown();
@@ -248,13 +249,8 @@ class Fabric {
   // One RNG stream per directed link, created on first use from fault_seed_.
   std::map<std::pair<NodeId, NodeId>, base::Rng> fault_rngs_ LBC_GUARDED_BY(mu_);
   std::set<std::pair<NodeId, NodeId>> partitions_ LBC_GUARDED_BY(mu_);
-  FaultStats fault_stats_ LBC_GUARDED_BY(mu_);
-  // Process-wide fault totals (netsim.fabric.*), registered at construction.
-  obs::Counter* obs_dropped_ = nullptr;
-  obs::Counter* obs_duplicated_ = nullptr;
-  obs::Counter* obs_delayed_ = nullptr;
-  obs::Counter* obs_partitioned_ = nullptr;
-  obs::Counter* obs_degraded_ = nullptr;
+  FaultMetrics fault_metrics_;
+  obs::Attachment attached_;
 
   // --- delayed delivery ---------------------------------------------------
   struct DelayedMessage {

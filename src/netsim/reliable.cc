@@ -33,13 +33,17 @@ std::vector<uint8_t> EncodeAckHeader(uint64_t cumulative_seq) {
 }  // namespace
 
 ReliableChannel::ReliableChannel(Endpoint* endpoint, const ReliableChannelOptions& options)
-    : endpoint_(endpoint), options_(options) {
-  auto* reg = obs::MetricsRegistry::Global();
-  obs_retransmits_ =
-      reg->GetCounter(obs::NodeMetricName("netsim", endpoint->id(), "retransmits"));
-  obs_frames_abandoned_ =
-      reg->GetCounter(obs::NodeMetricName("netsim", endpoint->id(), "frames_abandoned"));
-}
+    : endpoint_(endpoint),
+      options_(options),
+      attached_(obs::MetricsRegistry::Global(), obs::NodeMetricName("netsim", endpoint->id(), ""),
+                {{"data_frames_sent", &m_.data_frames_sent},
+                 {"retransmits", &m_.retransmits},
+                 {"acks_sent", &m_.acks_sent},
+                 {"frames_delivered", &m_.frames_delivered},
+                 {"duplicates_dropped", &m_.duplicates_dropped},
+                 {"out_of_order_buffered", &m_.out_of_order_buffered},
+                 {"frames_abandoned", &m_.frames_abandoned},
+                 {"raw_passthrough", &m_.raw_passthrough}}) {}
 
 ReliableChannel::~ReliableChannel() { Shutdown(); }
 
@@ -58,7 +62,7 @@ base::Status ReliableChannel::Send(NodeId to, base::Buffer payload) {
   entry.next_resend =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(entry.backoff_ms);
   peer.unacked.emplace(seq, std::move(entry));
-  ++stats_.data_frames_sent;
+  m_.data_frames_sent.Increment();
   if (!retransmit_thread_running_) {
     retransmit_thread_running_ = true;
     retransmit_thread_ = std::thread([this] { RetransmitThreadMain(); });
@@ -89,10 +93,10 @@ void ReliableChannel::OnMessage(Message&& msg) {
     if (msg.payload.empty()) {
       return;
     }
+    m_.raw_passthrough.Increment();
     std::function<void(Message&&)> handler;
     {
       base::MutexLock lock(mu_);
-      ++stats_.raw_passthrough;
       handler = handler_;
     }
     if (handler) {
@@ -129,7 +133,7 @@ void ReliableChannel::OnMessage(Message&& msg) {
     handler = handler_;
     PeerRecvState& peer = recv_state_[msg.from];
     if (seq <= peer.delivered) {
-      ++stats_.duplicates_dropped;  // retransmission of something delivered
+      m_.duplicates_dropped.Increment();  // retransmission of something delivered
     } else if (seq == peer.delivered + 1) {
       deliver.push_back(Message{msg.from, msg.to, {}, std::move(msg.payload)});
       peer.delivered = seq;
@@ -140,15 +144,15 @@ void ReliableChannel::OnMessage(Message&& msg) {
         peer.delivered = it->first;
         it = peer.buffered.erase(it);
       }
-      stats_.frames_delivered += deliver.size();
+      m_.frames_delivered.Add(deliver.size());
     } else if (peer.buffered.emplace(seq, std::move(msg.payload)).second) {
-      ++stats_.out_of_order_buffered;
+      m_.out_of_order_buffered.Increment();
     } else {
-      ++stats_.duplicates_dropped;  // duplicate of an already-buffered frame
+      m_.duplicates_dropped.Increment();  // duplicate of an already-buffered frame
     }
     ack = peer.delivered;
-    ++stats_.acks_sent;
   }
+  m_.acks_sent.Increment();
   // Cumulative ACK: also re-acks duplicates, repairing lost ACKs. ACKs are
   // header-only messages (empty payload).
   base::IgnoreError(endpoint_->Send(msg.from, EncodeAckHeader(ack), base::Buffer()));
@@ -196,16 +200,14 @@ void ReliableChannel::RetransmitThreadMain() {
         }
         size_t frame_bytes = f.header.size() + f.payload.size();
         if (options_.max_retransmits != 0 && f.attempts >= options_.max_retransmits) {
-          ++stats_.frames_abandoned;
-          obs_frames_abandoned_->Increment();
+          m_.frames_abandoned.Increment();
           obs::TraceRing::Global()->Emit(endpoint_->id(), obs::TraceType::kFrameAbandoned,
                                          /*lock=*/0, it->first, frame_bytes);
           it = peer.unacked.erase(it);
           continue;
         }
         ++f.attempts;
-        ++stats_.retransmits;
-        obs_retransmits_->Increment();
+        m_.retransmits.Increment();
         obs::TraceRing::Global()->Emit(endpoint_->id(), obs::TraceType::kRetransmit,
                                        /*lock=*/0, it->first, frame_bytes);
         f.backoff_ms = std::min(f.backoff_ms * 2, options_.retransmit_max_ms);
@@ -249,11 +251,6 @@ bool ReliableChannel::AllAcked() const {
     }
   }
   return true;
-}
-
-ReliableChannelStats ReliableChannel::stats() const {
-  base::MutexLock lock(mu_);
-  return stats_;
 }
 
 }  // namespace netsim

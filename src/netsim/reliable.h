@@ -48,17 +48,6 @@ struct ReliableChannelOptions {
   uint32_t max_retransmits = 50;
 };
 
-struct ReliableChannelStats {
-  uint64_t data_frames_sent = 0;     // first transmissions only
-  uint64_t retransmits = 0;
-  uint64_t acks_sent = 0;
-  uint64_t frames_delivered = 0;     // in-order deliveries to the handler
-  uint64_t duplicates_dropped = 0;   // frames at or below the cumulative ack
-  uint64_t out_of_order_buffered = 0;
-  uint64_t frames_abandoned = 0;     // gave up after max_retransmits
-  uint64_t raw_passthrough = 0;      // un-framed messages handed through
-};
-
 // Wraps an Endpoint with per-peer sequencing/ACK/retransmit state. The
 // channel owns the endpoint's receiver thread: install the application
 // handler with StartReceiver and send with Send; ACK frames never reach the
@@ -95,7 +84,19 @@ class ReliableChannel {
   // True when every frame sent so far has been acknowledged or abandoned.
   bool AllAcked() const;
 
-  ReliableChannelStats stats() const;
+  // One instrument per fact, attached at construction as
+  // netsim.n<endpoint id>.<name>.
+  struct Metrics {
+    obs::Counter data_frames_sent;  // first transmissions only
+    obs::Counter retransmits;
+    obs::Counter acks_sent;
+    obs::Counter frames_delivered;    // in-order deliveries to the handler
+    obs::Counter duplicates_dropped;  // frames at or below the cumulative ack
+    obs::Counter out_of_order_buffered;
+    obs::Counter frames_abandoned;  // gave up after max_retransmits
+    obs::Counter raw_passthrough;   // un-framed messages handed through
+  };
+  const Metrics& metrics() const { return m_; }
 
  private:
   struct UnackedFrame {
@@ -121,16 +122,14 @@ class ReliableChannel {
 
   Endpoint* endpoint_;
   ReliableChannelOptions options_;
-  // Registered once at construction (netsim.n<id>.*).
-  obs::Counter* obs_retransmits_ = nullptr;
-  obs::Counter* obs_frames_abandoned_ = nullptr;
+  Metrics m_;
+  obs::Attachment attached_;
 
   mutable base::Mutex mu_{"netsim.reliable", base::LockRank::kReliable};
   base::CondVar retransmit_cv_;
   std::function<void(Message&&)> handler_ LBC_GUARDED_BY(mu_);
   std::map<NodeId, PeerSendState> send_state_ LBC_GUARDED_BY(mu_);
   std::map<NodeId, PeerRecvState> recv_state_ LBC_GUARDED_BY(mu_);
-  ReliableChannelStats stats_ LBC_GUARDED_BY(mu_);
   std::thread retransmit_thread_;
   bool retransmit_thread_running_ LBC_GUARDED_BY(mu_) = false;
   bool shutdown_ LBC_GUARDED_BY(mu_) = false;

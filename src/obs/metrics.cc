@@ -1,6 +1,10 @@
 #include "src/obs/metrics.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstring>
+#include <span>
 
 #include "src/base/logging.h"
 
@@ -38,9 +42,10 @@ uint64_t Histogram::PercentileUpperBound(double p) const {
   uint64_t total = 0;
   for (uint64_t c : counts) total += c;
   if (total == 0) return 0;
-  // Rank of the percentile sample, 1-based, clamped to [1, total].
-  uint64_t rank = static_cast<uint64_t>(p / 100.0 * static_cast<double>(total));
-  if (rank < 1) rank = 1;
+  // Nearest rank: the ceil(p/100 * total)-th sample, 1-based, clamped to
+  // [1, total]. Flooring would under-report (p50 of {1, 1000, 1000} is 1000).
+  const double exact = p * static_cast<double>(total) / 100.0;
+  uint64_t rank = exact <= 1.0 ? 1 : static_cast<uint64_t>(std::ceil(exact));
   if (rank > total) rank = total;
   uint64_t seen = 0;
   for (int b = 0; b < kBuckets; ++b) {
@@ -104,6 +109,9 @@ MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
   for (const auto& [name, c] : counters_) {
     snap.counters[name] = c->value();
   }
+  for (const auto& [name, live] : attached_) {
+    for (const Counter* c : live) snap.counters[name] += c->value();
+  }
   for (const auto& [name, g] : gauges_) {
     snap.gauges[name] = g->value();
   }
@@ -126,9 +134,47 @@ MetricsRegistry::Snapshot MetricsRegistry::TakeSnapshot() const {
   return snap;
 }
 
+uint64_t MetricsRegistry::CounterValue(const std::string& name) const {
+  base::MutexLock lock(mu_);
+  auto it = counters_.find(name);
+  uint64_t total = it == counters_.end() ? 0 : it->second->value();
+  if (auto a = attached_.find(name); a != attached_.end()) {
+    for (const Counter* c : a->second) total += c->value();
+  }
+  return total;
+}
+
+void MetricsRegistry::Attach(const std::string& prefix,
+                             std::initializer_list<Binding> bindings, Attached* out) {
+  base::MutexLock lock(mu_);
+  std::string name;  // one buffer for every binding's name
+  for (const auto& [metric, counter] : bindings) {
+    name.assign(std::strchr(metric, '.') != nullptr ? "" : prefix).append(metric);
+    LBC_CHECK(gauges_.count(name) == 0 && histograms_.count(name) == 0);
+    // The registry's own counter exports the name even at zero and
+    // collects the attached counter's final value on Detach.
+    auto& own = counters_[name];
+    if (own == nullptr) own = std::make_unique<Counter>();
+    auto& live = attached_[name];
+    live.push_back(counter);
+    *out++ = {own.get(), &live, counter};
+  }
+}
+
+void MetricsRegistry::Detach(const Attached* attached, size_t n) {
+  base::MutexLock lock(mu_);
+  for (const Attached& a : std::span(attached, n)) {
+    a.own->Add(a.counter->value());
+    a.live->erase(std::find(a.live->begin(), a.live->end(), a.counter));
+  }
+}
+
 void MetricsRegistry::ResetAll() {
   base::MutexLock lock(mu_);
   for (auto& [name, c] : counters_) c->Reset();
+  for (auto& [name, live] : attached_) {
+    for (Counter* c : live) c->Reset();
+  }
   for (auto& [name, g] : gauges_) g->Reset();
   for (auto& [name, h] : histograms_) h->Reset();
 }

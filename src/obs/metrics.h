@@ -10,10 +10,12 @@
 //
 // Instruments are owned by a MetricsRegistry and live for the registry's
 // lifetime, so pointers handed out by GetCounter() & co. are stable and may
-// be cached in member fields. The intended hot-path pattern is:
+// be cached in member fields. A class that counts per instance owns its
+// counters instead and exports them with an obs::Attachment (below). Either
+// way the hot path is one relaxed atomic add:
 //
-//   register once (constructor):   ctr_ = reg->GetCounter(name);
-//   bump on the hot path:          ctr_->Add(n);           // one atomic add
+//   register once (constructor):   attached_(reg, "lbc.n1.", {{"sends", &sends_}})
+//   bump on the hot path:          sends_.Add(n);
 //
 // Registry lookups take a mutex and must stay OFF hot paths.
 //
@@ -27,9 +29,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -94,8 +98,9 @@ class Histogram {
   uint64_t min() const;
   uint64_t max() const { return max_.load(std::memory_order_relaxed); }
   double mean() const;
-  // Upper bound of the bucket containing the p-th percentile (p in [0,100]).
-  // Returns 0 for an empty histogram.
+  // Upper bound of the bucket holding the nearest-rank p-th percentile
+  // sample (p in [0,100]): the ceil(p/100 * n)-th smallest, rank clamped to
+  // [1, n]. Returns 0 for an empty histogram.
   uint64_t PercentileUpperBound(double p) const;
 
   std::array<uint64_t, kBuckets> BucketCounts() const;
@@ -117,6 +122,14 @@ class Histogram {
 // for the same name share one instrument. A name denotes one kind of
 // instrument; asking for "x" as a counter after it was created as a gauge
 // aborts (programming error, caught in tests).
+//
+// A counter name may also carry instance-owned counters (Attach). Its
+// exported value is the registry's own counter, plus every attached one,
+// plus the final values of detached ones (Detach folds them into the
+// registry's own). So an export is process-wide and never decreases, while
+// each instance's counters count only its own events. GetCounter returns
+// the registry's own counter, not that sum: read a name's total with
+// CounterValue() or TakeSnapshot().
 //
 // Metric naming scheme (see DESIGN.md "Observability"):
 //   <module>.n<node>.<metric>   e.g. rvm.n3.apply_nanos
@@ -152,8 +165,30 @@ class MetricsRegistry {
   };
   Snapshot TakeSnapshot() const;
 
-  // Zeroes every instrument (pointers stay valid). For test isolation and
-  // for benches that snapshot per-configuration.
+  // Exported value of counter `name` (see above); 0 if never registered.
+  uint64_t CounterValue(const std::string& name) const;
+
+  // (metric, instance-owned counter). A metric containing a dot is a full
+  // export name; any other is appended to the caller's prefix, e.g.
+  // "rvm.n3." + "apply_nanos". Attach takes the lock once for all bindings
+  // and records where each went in `out` (one entry per binding); Detach
+  // folds each counter's final value into its name's total, so events
+  // counted afterwards are not exported. Bindings carry no strings: once a
+  // name exists, attaching allocates nothing per binding, which keeps
+  // instance set-up and tear-down from churning the heap.
+  using Binding = std::pair<const char*, Counter*>;
+  struct Attached {
+    Counter* own;                 // the registry's counter under the name
+    std::vector<Counter*>* live;  // the name's attached counters
+    Counter* counter;
+  };
+  void Attach(const std::string& prefix, std::initializer_list<Binding> bindings,
+              Attached* out);
+  void Detach(const Attached* attached, size_t n);
+
+  // Zeroes every instrument (pointers stay valid), attached counters
+  // included: the exports and the instances restart from zero together.
+  // For test isolation and for benches that snapshot per-configuration.
   void ResetAll();
 
  private:
@@ -161,6 +196,25 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_ LBC_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ LBC_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_ LBC_GUARDED_BY(mu_);
+  std::map<std::string, std::vector<Counter*>> attached_ LBC_GUARDED_BY(mu_);
+};
+
+// Keeps instance-owned counters attached for its lifetime. Declare it
+// after the counters it binds, so it detaches first.
+class Attachment {
+ public:
+  Attachment(MetricsRegistry* registry, const std::string& prefix,
+             std::initializer_list<MetricsRegistry::Binding> bindings)
+      : registry_(registry), attached_(bindings.size()) {
+    registry_->Attach(prefix, bindings, attached_.data());
+  }
+  ~Attachment() { registry_->Detach(attached_.data(), attached_.size()); }
+  Attachment(const Attachment&) = delete;
+  Attachment& operator=(const Attachment&) = delete;
+
+ private:
+  MetricsRegistry* registry_;
+  std::vector<MetricsRegistry::Attached> attached_;
 };
 
 // "rvm" + 3 + "apply_nanos" -> "rvm.n3.apply_nanos".

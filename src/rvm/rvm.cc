@@ -11,58 +11,38 @@
 #include "src/rvm/recovery.h"
 
 namespace rvm {
-namespace {
 
-// Process-wide log-quota backpressure instruments (backpressure.*), exported
-// in bench/chaos snapshots. All zero on the clean path.
-struct BackpressureMetrics {
-  obs::Counter* stalls;         // commits blocked at the hard watermark
-  obs::Counter* stall_nanos;    // total stalled time
-  obs::Counter* trim_requests;  // trim-hook firings (soft crossings + stalls)
-  obs::Counter* exhausted;      // stalls that expired -> RESOURCE_EXHAUSTED
-};
-
-BackpressureMetrics* GlobalBackpressureMetrics() {
-  static BackpressureMetrics* metrics = [] {
-    auto* reg = obs::MetricsRegistry::Global();
-    auto* m = new BackpressureMetrics();
-    m->stalls = reg->GetCounter("backpressure.stalls");
-    m->stall_nanos = reg->GetCounter("backpressure.stall_nanos");
-    m->trim_requests = reg->GetCounter("backpressure.trim_requests");
-    m->exhausted = reg->GetCounter("backpressure.exhausted");
-    return m;
-  }();
-  return metrics;
-}
-
-// Process-wide group-commit instruments (commit.batch.*), exported in bench
-// snapshots. A batch of one is still a batch: one vectored write and at most
-// one sync, exactly the pre-pipeline store-op sequence.
-struct CommitBatchMetrics {
-  obs::Counter* batches;            // leader drains (one vectored append each)
-  obs::Counter* txns;               // transactions committed through the pipeline
-  obs::Counter* bytes;              // framed bytes written by batches
-  obs::Counter* fsyncs_saved;       // kFlush commits that shared the leader's sync
-  obs::Histogram* size;             // transactions per batch
-  obs::Histogram* cohort_wait_nanos;  // enqueue -> batch-completion wait
-};
-
-CommitBatchMetrics* GlobalCommitBatchMetrics() {
-  static CommitBatchMetrics* metrics = [] {
-    auto* reg = obs::MetricsRegistry::Global();
-    auto* m = new CommitBatchMetrics();
-    m->batches = reg->GetCounter("commit.batch.batches");
-    m->txns = reg->GetCounter("commit.batch.txns");
-    m->bytes = reg->GetCounter("commit.batch.bytes");
-    m->fsyncs_saved = reg->GetCounter("commit.batch.fsyncs_saved");
-    m->size = reg->GetHistogram("commit.batch.size");
-    m->cohort_wait_nanos = reg->GetHistogram("commit.batch.cohort_wait_nanos");
-    return m;
-  }();
-  return metrics;
-}
-
-}  // namespace
+Rvm::Rvm(store::DurableStore* store, NodeId node, const RvmOptions& options)
+    : store_(store),
+      node_(node),
+      options_(options),
+      attached_(obs::MetricsRegistry::Global(), obs::NodeMetricName("rvm", node, ""),
+                {{"set_range_calls", &m_.set_range_calls},
+                 {"set_range_duplicates", &m_.set_range_duplicates},
+                 {"commits", &m_.transactions_committed},
+                 {"transactions_aborted", &m_.transactions_aborted},
+                 {"ranges_logged", &m_.ranges_logged},
+                 {"bytes_logged", &m_.bytes_logged},
+                 {"pages_logged", &m_.pages_logged},
+                 {"adaptive_pages_coalesced", &m_.adaptive_pages_coalesced},
+                 {"commit.batch.bytes", &m_.log_bytes_written},
+                 {"commit.batch.batches", &m_.commit_batches},
+                 {"commit.batch.txns", &m_.commit_batch_txns},
+                 {"commit.batch.fsyncs_saved", &m_.fsyncs_saved},
+                 {"collect_nanos", &m_.collect_nanos},
+                 {"disk_nanos", &m_.disk_nanos},
+                 {"apply_nanos", &m_.apply_nanos},
+                 {"external_updates_applied", &m_.external_updates_applied},
+                 {"external_bytes_applied", &m_.external_bytes_applied},
+                 {"backpressure.stalls", &m_.backpressure_stalls},
+                 {"backpressure.stall_nanos", &m_.backpressure_stall_nanos},
+                 {"backpressure.trim_requests", &m_.trim_requests},
+                 {"backpressure.exhausted", &m_.commits_exhausted}}),
+      commit_nanos_(obs::MetricsRegistry::Global()->GetHistogram(
+          obs::NodeMetricName("rvm", node, "commit_nanos"))),
+      batch_size_(obs::MetricsRegistry::Global()->GetHistogram("commit.batch.size")),
+      cohort_wait_nanos_(
+          obs::MetricsRegistry::Global()->GetHistogram("commit.batch.cohort_wait_nanos")) {}
 
 base::Result<std::unique_ptr<Rvm>> Rvm::Open(store::DurableStore* store, NodeId node,
                                              const RvmOptions& options) {
@@ -75,14 +55,6 @@ base::Status Rvm::Init() {
   // Init runs before the instance escapes Open(), but commit_seq_ and log_
   // are guarded members and this is an ordinary method, so hold the lock.
   base::MutexLock lock(mu_);
-  auto* reg = obs::MetricsRegistry::Global();
-  obs_collect_nanos_ = reg->GetCounter(obs::NodeMetricName("rvm", node_, "collect_nanos"));
-  obs_disk_nanos_ = reg->GetCounter(obs::NodeMetricName("rvm", node_, "disk_nanos"));
-  obs_apply_nanos_ = reg->GetCounter(obs::NodeMetricName("rvm", node_, "apply_nanos"));
-  obs_commits_ = reg->GetCounter(obs::NodeMetricName("rvm", node_, "commits"));
-  obs_commit_latency_ =
-      reg->GetHistogram(obs::NodeMetricName("rvm", node_, "commit_nanos"));
-
   ASSIGN_OR_RETURN(auto file, store_->Open(LogFileName(node_), /*create=*/true));
   // Append after any existing valid records; a torn tail is overwritten.
   uint64_t valid_end = 0;
@@ -194,9 +166,9 @@ base::Status Rvm::SetRange(TxnId txn_id, RegionId region_id, uint64_t offset, ui
     txn.undo.push_back(std::move(undo));
   }
 
-  ++stats_.set_range_calls;
+  ++txn.set_range_calls;
   if (outcome == AddOutcome::kExactDuplicate || outcome == AddOutcome::kGrown) {
-    ++stats_.set_range_duplicates;
+    ++txn.set_range_duplicates;
   }
   return base::OkStatus();
 }
@@ -222,11 +194,11 @@ base::Status Rvm::SetLockId(TxnId txn_id, LockId lock, uint64_t sequence) {
 base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
   // Whole-commit latency (gather + log write + commit hook) for the
   // histogram; the phase counters below split the same work.
-  obs::ScopedTimer commit_timer(nullptr, obs_commit_latency_);
+  obs::ScopedTimer commit_timer(nullptr, commit_nanos_);
   CommitContext ctx;
   bool crossed_soft = false;
   {
-    obs::ScopedTimer collect_timer(obs_collect_nanos_);
+    obs::ScopedTimer collect_timer(&m_.collect_nanos);
     base::MutexLock lock(mu_);
 
     // Hard-watermark backpressure: stall (never abort) until a trim frees
@@ -236,9 +208,7 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
     // episode. Runs before the txn lookup because the lock is dropped.
     const uint64_t hard = options_.log_hard_limit_bytes;
     if (options_.disk_logging && hard > 0 && CurrentLogBytes() >= hard) {
-      auto* bp = GlobalBackpressureMetrics();
-      ++stats_.backpressure_stalls;
-      bp->stalls->Increment();
+      m_.backpressure_stalls.Increment();
       const uint64_t start = base::SteadyClock::Instance()->NowNanos();
       const uint64_t deadline =
           start + options_.backpressure_stall_ms * 1'000'000ull;
@@ -249,8 +219,7 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
         // below may land back here long past the budget.
         uint64_t now = base::SteadyClock::Instance()->NowNanos();
         if (now >= deadline) {
-          ++stats_.commits_exhausted;
-          bp->exhausted->Increment();
+          m_.commits_exhausted.Increment();
           stall_status = base::ResourceExhausted(
               "log quota: " + std::to_string(CurrentLogBytes()) +
               " bytes at hard watermark " + std::to_string(hard) +
@@ -263,8 +232,7 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
         // instead of stacking redundant requests behind it.
         if (trim_hook_ && !trim_hook_fired_) {
           trim_hook_fired_ = true;
-          ++stats_.trim_requests;
-          bp->trim_requests->Increment();
+          m_.trim_requests.Increment();
           uint64_t used = CurrentLogBytes();
           lock.Unlock();
           trim_hook_(used, hard);
@@ -278,9 +246,7 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
             lock, std::chrono::nanoseconds(
                       std::min<uint64_t>(deadline - now, 5'000'000ull)));
       }
-      uint64_t stalled = base::SteadyClock::Instance()->NowNanos() - start;
-      stats_.backpressure_stall_nanos += stalled;
-      bp->stall_nanos->Add(stalled);
+      m_.backpressure_stall_nanos.Add(base::SteadyClock::Instance()->NowNanos() - start);
       // The transaction stays active on failure: the caller may trim out of
       // band and retry EndTransaction, or abort.
       RETURN_IF_ERROR(stall_status);
@@ -301,6 +267,8 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
       declared += entry.second.range_count();
     }
     ctx.ranges.reserve(declared);
+    uint64_t pages = 0;
+    uint64_t pages_coalesced = 0;
     for (auto& [region_id, range_set] : txn.ranges) {
       uint8_t* image = regions_.at(region_id)->data();
       // Gather (offset, len) in address order straight into ctx.ranges.
@@ -325,7 +293,7 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
           }
           if (j - i > options_.adaptive_ranges_per_page) {
             ctx.ranges[out++] = RangeRef{region_id, start, image + start, span_end - start};
-            ++stats_.adaptive_pages_coalesced;
+            ++pages_coalesced;
             i = j;
           }
           while (i < j) {
@@ -350,14 +318,16 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
         uint64_t first = std::max(offset / kPageSize, next_uncounted_page);
         uint64_t last = (offset + len - 1) / kPageSize;
         if (first <= last) {
-          stats_.pages_logged += last - first + 1;
+          pages += last - first + 1;
           next_uncounted_page = last + 1;
         }
       }
     }
 
-    stats_.ranges_logged += ctx.ranges.size();
-    stats_.bytes_logged += ctx.TotalBytes();
+    m_.pages_logged.Add(pages);
+    m_.adaptive_pages_coalesced.Add(pages_coalesced);
+    m_.ranges_logged.Add(ctx.ranges.size());
+    m_.bytes_logged.Add(ctx.TotalBytes());
 
     // Read-only transactions (no registered ranges) leave no log record:
     // the coherency layer rolls their lock sequence numbers back, so a
@@ -375,9 +345,9 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
       for (size_t i = 0; i < ctx.ranges.size(); ++i) {
         ctx.ranges[i].data = ctx.record.data() + data_offsets[i];
       }
-      stats_.collect_nanos += collect_timer.StopNanos();
+      collect_timer.StopNanos();
 
-      obs::ScopedTimer disk_timer(obs_disk_nanos_);
+      obs::ScopedTimer disk_timer(&m_.disk_nanos);
       PendingCommit pc;
       pc.payload = ctx.record;
       pc.mode = mode;
@@ -405,18 +375,17 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
           commit_cv_.Wait(lock);
         }
       }
-      stats_.disk_nanos += disk_timer.StopNanos();
-      GlobalCommitBatchMetrics()->cohort_wait_nanos->Record(
-          base::SteadyClock::Instance()->NowNanos() - pc.enqueued_nanos);
+      disk_timer.StopNanos();
+      cohort_wait_nanos_->Record(base::SteadyClock::Instance()->NowNanos() - pc.enqueued_nanos);
       // The transaction stays active on a batch write failure: the caller
       // may trim out of band and retry EndTransaction, or abort.
       RETURN_IF_ERROR(pc.status);
     } else {
-      stats_.collect_nanos += collect_timer.StopNanos();
+      collect_timer.StopNanos();
     }
 
-    ++stats_.transactions_committed;
-    obs_commits_->Increment();
+    m_.transactions_committed.Increment();
+    CountSetRanges(txn);
     // Keep the lock records alive for the hook invocation below. txns_ is a
     // node-based map, so `it` survived the pipeline's Unlock/Lock windows
     // (other committers only ever erase their own entries).
@@ -473,19 +442,13 @@ void Rvm::FinishBatchLocked(const std::vector<PendingCommit*>& batch,
   if (!result.status.ok()) {
     return;
   }
-  auto* m = GlobalCommitBatchMetrics();
-  ++stats_.commit_batches;
-  stats_.commit_batch_txns += batch.size();
-  const uint64_t delta = result.bytes_after - result.bytes_before;
-  stats_.log_bytes_written += delta;
-  m->batches->Increment();
-  m->txns->Add(batch.size());
-  m->bytes->Add(delta);
-  m->size->Record(batch.size());
+  m_.commit_batches.Increment();
+  m_.commit_batch_txns.Add(batch.size());
+  m_.log_bytes_written.Add(result.bytes_after - result.bytes_before);
+  batch_size_->Record(batch.size());
   if (result.synced && flushes > 0) {
     // Without the pipeline each kFlush commit would have synced alone.
-    stats_.fsyncs_saved += flushes - 1;
-    m->fsyncs_saved->Add(flushes - 1);
+    m_.fsyncs_saved.Add(flushes - 1);
   }
   const uint64_t soft = options_.log_soft_limit_bytes;
   if (soft > 0 && result.bytes_before < soft && result.bytes_after >= soft) {
@@ -502,13 +465,8 @@ void Rvm::FireSoftTrim() {
   if (!trim_hook_) {
     return;
   }
-  uint64_t used = CurrentLogBytes();
-  {
-    base::MutexLock lock(mu_);
-    ++stats_.trim_requests;
-  }
-  GlobalBackpressureMetrics()->trim_requests->Increment();
-  trim_hook_(used, options_.log_soft_limit_bytes);
+  m_.trim_requests.Increment();
+  trim_hook_(CurrentLogBytes(), options_.log_soft_limit_bytes);
 }
 
 void Rvm::HoldCommitPipeline() {
@@ -558,6 +516,7 @@ base::Status Rvm::AbortTransaction(TxnId txn_id) {
     return base::FailedPrecondition("no such active transaction");
   }
   Txn& txn = it->second;
+  CountSetRanges(txn);
   if (txn.mode != RestoreMode::kRestore && !txn.ranges.empty()) {
     txns_.erase(it);
     return base::FailedPrecondition("abort of a no-restore transaction with updates");
@@ -570,7 +529,7 @@ base::Status Rvm::AbortTransaction(TxnId txn_id) {
               region->data() + undo_it->offset);
   }
   txns_.erase(it);
-  ++stats_.transactions_aborted;
+  m_.transactions_aborted.Increment();
   return base::OkStatus();
 }
 
@@ -588,9 +547,11 @@ base::Status Rvm::FlushLog() {
 }
 
 base::Status Rvm::ApplyExternalRanges(const std::vector<RangeImage>& ranges) {
-  obs::ScopedTimer timer(obs_apply_nanos_);
+  obs::ScopedTimer timer(&m_.apply_nanos);
   base::MutexLock lock(mu_);
   base::Status first_error;
+  uint64_t applied = 0;
+  uint64_t applied_bytes = 0;
   // Records group their ranges by region: look the region up only when the
   // id changes.
   auto region_it = regions_.end();
@@ -603,26 +564,48 @@ base::Status Rvm::ApplyExternalRanges(const std::vector<RangeImage>& ranges) {
     const uint64_t len = r.data.size();
     if (region != nullptr && len <= region->size() && r.offset <= region->size() - len) {
       std::copy(r.data.begin(), r.data.end(), region->data() + r.offset);
-      ++stats_.external_updates_applied;
-      stats_.external_bytes_applied += len;
+      ++applied;
+      applied_bytes += len;
     } else if (first_error.ok()) {
       first_error = region == nullptr
                         ? base::NotFound("region not mapped: " + std::to_string(r.region))
                         : base::OutOfRange("external update beyond region end");
     }
   }
-  stats_.apply_nanos += timer.StopNanos();
+  m_.external_updates_applied.Add(applied);
+  m_.external_bytes_applied.Add(applied_bytes);
   return first_error;
 }
 
-RvmStats Rvm::stats() const {
-  base::MutexLock lock(mu_);
-  return stats_;
+void Rvm::CountSetRanges(const Txn& txn) {
+  m_.set_range_calls.Add(txn.set_range_calls);
+  m_.set_range_duplicates.Add(txn.set_range_duplicates);
 }
 
-void Rvm::ResetStats() {
-  base::MutexLock lock(mu_);
-  stats_ = RvmStats{};
+RvmStats Rvm::stats() const {
+  RvmStats s;
+  s.set_range_calls = m_.set_range_calls.value();
+  s.set_range_duplicates = m_.set_range_duplicates.value();
+  s.transactions_committed = m_.transactions_committed.value();
+  s.transactions_aborted = m_.transactions_aborted.value();
+  s.ranges_logged = m_.ranges_logged.value();
+  s.bytes_logged = m_.bytes_logged.value();
+  s.pages_logged = m_.pages_logged.value();
+  s.adaptive_pages_coalesced = m_.adaptive_pages_coalesced.value();
+  s.log_bytes_written = m_.log_bytes_written.value();
+  s.commit_batches = m_.commit_batches.value();
+  s.commit_batch_txns = m_.commit_batch_txns.value();
+  s.fsyncs_saved = m_.fsyncs_saved.value();
+  s.collect_nanos = m_.collect_nanos.value();
+  s.disk_nanos = m_.disk_nanos.value();
+  s.apply_nanos = m_.apply_nanos.value();
+  s.external_updates_applied = m_.external_updates_applied.value();
+  s.external_bytes_applied = m_.external_bytes_applied.value();
+  s.backpressure_stalls = m_.backpressure_stalls.value();
+  s.backpressure_stall_nanos = m_.backpressure_stall_nanos.value();
+  s.trim_requests = m_.trim_requests.value();
+  s.commits_exhausted = m_.commits_exhausted.value();
+  return s;
 }
 
 uint64_t Rvm::commit_seq() const {

@@ -92,35 +92,45 @@ struct RvmOptions {
   uint64_t backpressure_stall_ms = 2000;
 };
 
-// Counters and timing buckets used to reproduce the paper's figures.
-// Times are wall-clock nanoseconds accumulated on this node, read per
-// commit or per applied record, never per update: SetRange reads no clock,
-// so callers that want the Detect phase time a batch of calls themselves.
-struct RvmStats {
-  uint64_t set_range_calls = 0;
-  uint64_t set_range_duplicates = 0;  // redundant re-registrations coalesced
-  uint64_t transactions_committed = 0;
-  uint64_t transactions_aborted = 0;
-  uint64_t ranges_logged = 0;
-  uint64_t bytes_logged = 0;       // modified bytes (payload data only)
-  uint64_t pages_logged = 0;       // distinct 8 KB pages containing logged bytes
-  uint64_t adaptive_pages_coalesced = 0;  // dense pages collapsed to one span
-  uint64_t log_bytes_written = 0;  // framed bytes to the durable log
-  // Group commit (the commit pipeline; see DESIGN.md §13).
-  uint64_t commit_batches = 0;     // leader drains: one vectored write each
-  uint64_t commit_batch_txns = 0;  // transactions committed through the pipeline
-  uint64_t fsyncs_saved = 0;       // kFlush commits that shared the leader's sync
-  uint64_t collect_nanos = 0;      // commit-time gather+encode ("Collect")
-  uint64_t disk_nanos = 0;         // log write + sync ("Disk I/O")
-  uint64_t apply_nanos = 0;        // ApplyExternalRanges ("Apply Updates")
-  uint64_t external_updates_applied = 0;
-  uint64_t external_bytes_applied = 0;
-  // Log-quota backpressure (see RvmOptions watermarks).
-  uint64_t backpressure_stalls = 0;      // commits that hit the hard watermark
-  uint64_t backpressure_stall_nanos = 0; // total time commits spent stalled
-  uint64_t trim_requests = 0;            // trim-hook firings (soft + stalled)
-  uint64_t commits_exhausted = 0;        // stalls that expired -> RESOURCE_EXHAUSTED
+// Everything an Rvm counts, one field per fact, used to reproduce the
+// paper's figures. The Rvm owns an RvmCounts<obs::Counter>, exported as
+// rvm.n<node>.<field> except as noted. Times are wall-clock nanoseconds
+// accumulated on this node, read per commit or per applied record, never
+// per update: SetRange reads no clock, so callers that want the Detect
+// phase time a batch of calls themselves. SetRange counts land when the
+// transaction ends.
+template <typename Count>
+struct RvmCounts {
+  Count set_range_calls{};
+  Count set_range_duplicates{};    // redundant re-registrations coalesced
+  Count transactions_committed{};  // exported as rvm.n<node>.commits
+  Count transactions_aborted{};
+  Count ranges_logged{};
+  Count bytes_logged{};              // modified bytes (payload data only)
+  Count pages_logged{};              // distinct 8 KB pages containing logged bytes
+  Count adaptive_pages_coalesced{};  // dense pages collapsed to one span
+  Count log_bytes_written{};         // framed bytes to the log (commit.batch.bytes)
+  // Group commit (the commit pipeline; see DESIGN.md §13), exported as
+  // commit.batch.{batches,txns,fsyncs_saved}.
+  Count commit_batches{};     // leader drains: one vectored write each
+  Count commit_batch_txns{};  // transactions committed through the pipeline
+  Count fsyncs_saved{};       // kFlush commits that shared the leader's sync
+  Count collect_nanos{};      // commit-time gather+encode ("Collect")
+  Count disk_nanos{};         // log write + sync ("Disk I/O")
+  Count apply_nanos{};        // ApplyExternalRanges ("Apply Updates")
+  Count external_updates_applied{};
+  Count external_bytes_applied{};
+  // Log-quota backpressure (see RvmOptions watermarks), exported as
+  // backpressure.{stalls,stall_nanos,trim_requests,exhausted}.
+  Count backpressure_stalls{};       // commits that hit the hard watermark
+  Count backpressure_stall_nanos{};  // total time commits spent stalled
+  Count trim_requests{};             // trim-hook firings (soft + stalled)
+  Count commits_exhausted{};         // stalls that expired -> RESOURCE_EXHAUSTED
 };
+
+// Value snapshot that Rvm::stats() fills from the instruments. It goes away
+// once the benchmark reads the instruments directly.
+struct RvmStats : RvmCounts<uint64_t> {};
 
 class Rvm {
  public:
@@ -238,17 +248,15 @@ class Rvm {
   // Commits currently parked on the pipeline (test synchronization).
   size_t PendingCommitCount() const;
 
-  // Point-in-time copy taken under the instance lock; safe to call while
-  // receiver threads are applying external updates.
+  // Reads every instrument of this instance (no lock taken). Counts are
+  // this instance's own; the process-wide exports sum all instances.
   RvmStats stats() const;
-  void ResetStats();
   uint64_t commit_seq() const;
   // Framed bytes currently in the redo log (what the watermarks measure).
   uint64_t log_bytes() const;
 
  private:
-  Rvm(store::DurableStore* store, NodeId node, const RvmOptions& options)
-      : store_(store), node_(node), options_(options) {}
+  Rvm(store::DurableStore* store, NodeId node, const RvmOptions& options);
 
   struct Txn {
     RestoreMode mode = RestoreMode::kNoRestore;
@@ -261,6 +269,10 @@ class Rvm {
       std::vector<uint8_t> old_data;
     };
     std::vector<UndoEntry> undo;
+    // SetRange tallies, added to the instruments once when the transaction
+    // ends: SetRange is too hot for an atomic per call.
+    uint64_t set_range_calls = 0;
+    uint64_t set_range_duplicates = 0;
   };
 
   // One commit parked on the pipeline: the fully encoded log payload plus
@@ -291,7 +303,7 @@ class Rvm {
   BatchResult WriteBatch(const std::vector<PendingCommit*>& batch)
       LBC_EXCLUDES(mu_, log_mu_);
 
-  // Publishes a finished batch: per-entry statuses, batch stats/metrics.
+  // Publishes a finished batch: per-entry statuses and batch instruments.
   void FinishBatchLocked(const std::vector<PendingCommit*>& batch,
                          const BatchResult& result, bool* crossed_soft)
       LBC_REQUIRES(mu_);
@@ -303,6 +315,9 @@ class Rvm {
   // Fires the soft-watermark trim hook outside the locks (edge-triggered
   // tail of EndTransaction / ReleaseCommitPipeline).
   void FireSoftTrim() LBC_EXCLUDES(mu_);
+
+  // Adds a finished transaction's SetRange tallies to the instruments.
+  void CountSetRanges(const Txn& txn);
 
   store::DurableStore* store_;
   NodeId node_;
@@ -344,16 +359,12 @@ class Rvm {
   bool trim_hook_fired_ LBC_GUARDED_BY(mu_) = false;
   CommitHook commit_hook_;
   TrimHook trim_hook_;
-  RvmStats stats_ LBC_GUARDED_BY(mu_);
 
-  // Registered once in Init(); hot paths only bump the atomics. These mirror
-  // the phase fields of RvmStats into the process-wide registry under
-  // rvm.n<node>.<phase>_nanos.
-  obs::Counter* obs_collect_nanos_ = nullptr;
-  obs::Counter* obs_disk_nanos_ = nullptr;
-  obs::Counter* obs_apply_nanos_ = nullptr;
-  obs::Counter* obs_commits_ = nullptr;
-  obs::Histogram* obs_commit_latency_ = nullptr;
+  RvmCounts<obs::Counter> m_;
+  obs::Attachment attached_;
+  obs::Histogram* commit_nanos_;       // rvm.n<node>.commit_nanos
+  obs::Histogram* batch_size_;         // commit.batch.size
+  obs::Histogram* cohort_wait_nanos_;  // commit.batch.cohort_wait_nanos
 };
 
 }  // namespace rvm

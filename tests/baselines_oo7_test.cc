@@ -75,8 +75,8 @@ TEST(CpyCmpOo7, DiffBytesNeverExceedDeclaredBytes) {
   auto result = oo7::RunT2(db, sink, oo7::Variant::kB);
   ASSERT_TRUE(result.status.ok());
   engine.CollectDiffs(1);
-  EXPECT_LE(engine.stats().diff_bytes, result.updates * 8);
-  EXPECT_GT(engine.stats().diff_bytes, 0u);
+  EXPECT_LE(engine.metrics().diff_bytes.value(), result.updates * 8);
+  EXPECT_GT(engine.metrics().diff_bytes.value(), 0u);
 }
 
 TEST(PageDsmOo7, ProtocolConvergesBothNodes) {
@@ -97,15 +97,15 @@ TEST(PageDsmOo7, ProtocolConvergesBothNodes) {
   oo7::Database db(writer.data());
   auto result = oo7::RunT12(db, sink, oo7::Variant::kA);
   ASSERT_TRUE(result.status.ok());
-  EXPECT_GT(writer.stats().write_faults, 0u);
-  EXPECT_GT(manager.stats().pages_sent, 0u);  // ownership transfers
+  EXPECT_GT(writer.metrics().write_faults.value(), 0u);
+  EXPECT_GT(manager.metrics().pages_sent.value(), 0u);  // ownership transfers
 
   // The manager reads everything back: whole dirty pages travel.
-  uint64_t writer_sent_before = writer.stats().pages_sent;
+  uint64_t writer_sent_before = writer.metrics().pages_sent.value();
   for (uint64_t offset = 0; offset < size; offset += manager.page_size()) {
     ASSERT_TRUE(manager.StartRead(offset).ok());
   }
-  EXPECT_GT(writer.stats().pages_sent, writer_sent_before);
+  EXPECT_GT(writer.metrics().pages_sent.value(), writer_sent_before);
   EXPECT_EQ(0, std::memcmp(manager.data(), writer.data(), size))
       << "page DSM caches diverged";
 }
@@ -129,7 +129,7 @@ TEST(PageDsmOo7, WholePagesTravelForSparseUpdates) {
   auto result = oo7::RunT12(db, sink, oo7::Variant::kA);
   ASSERT_TRUE(result.status.ok());
 
-  uint64_t page_bytes = manager.stats().page_bytes_sent;
+  uint64_t page_bytes = manager.metrics().page_bytes_sent.value();
   uint64_t log_bytes = result.updates * 8;  // what Log would ship (data only)
   EXPECT_GT(page_bytes, log_bytes * 20) << "page transfer should dwarf modified bytes";
 }

@@ -35,7 +35,7 @@ TEST(CpyCmp, OnlyFirstTouchTwinsAPage) {
   engine.NoteWrite(0, 8);
   engine.NoteWrite(64, 8);
   engine.NoteWrite(128, 8);
-  EXPECT_EQ(1u, engine.stats().write_faults);
+  EXPECT_EQ(1u, engine.metrics().write_faults.value());
   EXPECT_EQ(1u, engine.dirty_pages());
 }
 
@@ -43,7 +43,7 @@ TEST(CpyCmp, WriteSpanningPagesTwinsBoth) {
   std::vector<uint8_t> buf(16384, 0);
   baselines::CpyCmpEngine engine(buf.data(), buf.size());
   engine.NoteWrite(8190, 4);
-  EXPECT_EQ(2u, engine.stats().write_faults);
+  EXPECT_EQ(2u, engine.metrics().write_faults.value());
 }
 
 TEST(CpyCmp, UnmodifiedTwinnedPageProducesNoDiff) {
@@ -52,8 +52,8 @@ TEST(CpyCmp, UnmodifiedTwinnedPageProducesNoDiff) {
   engine.NoteWrite(0, 8);  // declared but never actually changed
   auto diffs = engine.CollectDiffs(1);
   EXPECT_TRUE(diffs.empty());
-  EXPECT_EQ(1u, engine.stats().pages_compared);
-  EXPECT_EQ(0u, engine.stats().diff_bytes);
+  EXPECT_EQ(1u, engine.metrics().pages_compared.value());
+  EXPECT_EQ(0u, engine.metrics().diff_bytes.value());
 }
 
 TEST(CpyCmp, AdjacentChangesCoalesceIntoOneHunk) {
@@ -131,7 +131,7 @@ TEST(PageDsm, WriteInvalidatesReaders) {
   std::memcpy(fx.nodes[1]->data(), "NEWV", 4);
   // Node 3's copy must be gone.
   EXPECT_EQ(baselines::PageAccess::kInvalid, fx.nodes[2]->AccessOf(0));
-  EXPECT_GE(fx.nodes[2]->stats().invalidations_received, 1u);
+  EXPECT_GE(fx.nodes[2]->metrics().invalidations_received.value(), 1u);
   // Re-reading fetches the new data from the new owner.
   ASSERT_TRUE(fx.nodes[2]->StartRead(0).ok());
   EXPECT_EQ(0, std::memcmp(fx.nodes[2]->data(), "NEWV", 4));
@@ -142,8 +142,8 @@ TEST(PageDsm, WholePageTravels) {
   ASSERT_TRUE(fx.nodes[0]->StartWrite(8192).ok());
   fx.nodes[0]->data()[8192] = 42;
   ASSERT_TRUE(fx.nodes[1]->StartRead(8192).ok());
-  EXPECT_EQ(8192u, fx.nodes[0]->stats().page_bytes_sent);
-  EXPECT_EQ(1u, fx.nodes[0]->stats().pages_sent);
+  EXPECT_EQ(8192u, fx.nodes[0]->metrics().page_bytes_sent.value());
+  EXPECT_EQ(1u, fx.nodes[0]->metrics().pages_sent.value());
 }
 
 TEST(PageDsm, PingPongOwnership) {

@@ -10,7 +10,9 @@
 #include <cstring>
 #include <thread>
 
+#include "src/obs/metrics.h"
 #include "src/rvm/recovery.h"
+#include "src/store/crash_point_store.h"
 #include "src/store/mem_store.h"
 
 namespace {
@@ -399,6 +401,30 @@ TEST(LbcRecovery, RecoverAndTrimSkipsMissingLogs) {
   EXPECT_TRUE(cluster.RecoverAndTrim({7, 8, 9}).ok());
 }
 
+// Create fails in Init before the client joins the fabric (its log cannot
+// be opened). The half-built client must be torn down cleanly, and the node
+// id stays free for a client created once the store is back.
+TEST(LbcLifecycle, CreateFailingBeforeJoiningFabricTearsDownCleanly) {
+  store::MemStore mem;
+  store::CrashPointStore store(&mem);
+  lbc::Cluster cluster(&store);
+  cluster.DefineLock(kLock, kRegion, /*manager=*/1);
+  store.SetOffline(true);
+  auto failed = lbc::Client::Create(&cluster, 1, {});
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(base::StatusCode::kUnavailable, failed.status().code());
+
+  store.SetOffline(false);
+  auto client = lbc::Client::Create(&cluster, 1, {});
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)->MapRegion(kRegion, 8192).ok());
+  lbc::Transaction txn = (*client)->Begin();
+  ASSERT_TRUE(txn.Acquire(kLock).ok());
+  ASSERT_TRUE(txn.SetRange(kRegion, 0, 1).ok());
+  ASSERT_TRUE(txn.Commit().ok());
+  EXPECT_EQ(1u, (*client)->AppliedSeq(kLock));
+}
+
 // --- statistics ----------------------------------------------------------------
 
 TEST(LbcStats, CountsMessageBytes) {
@@ -411,6 +437,32 @@ TEST(LbcStats, CountsMessageBytes) {
   ASSERT_TRUE(tc[1]->WaitForAppliedSeq(kLock, 1, 5000));
   EXPECT_EQ(1u, tc[1]->stats().updates_received);
   EXPECT_EQ(1u, tc[1]->stats().updates_applied);
+}
+
+// Two clusters live at once, each with a node 1: each client's stats()
+// counts only its own traffic, while the exported lbc.n1.* counters sum
+// both instances.
+TEST(LbcStats, ConcurrentClustersCountSeparatelyAndExportTheSum) {
+  auto* reg = obs::MetricsRegistry::Global();
+  const uint64_t exported_before = reg->CounterValue("lbc.n1.updates_sent");
+  const uint64_t bytes_before = reg->CounterValue("lbc.n1.update_bytes_sent");
+  TestCluster first(3);
+  TestCluster second(2);
+  WriteValue(first[0], 0, "a", 1);   // node 1 -> two peers
+  WriteValue(second[0], 0, "b", 1);  // node 1 -> one peer
+  WriteValue(second[0], 1, "c", 1);
+
+  const lbc::ClientStats one = first[0]->stats();
+  const lbc::ClientStats two = second[0]->stats();
+  EXPECT_EQ(2u, one.updates_sent);
+  EXPECT_EQ(2u, two.updates_sent);
+  EXPECT_EQ(0u, first[1]->stats().updates_sent);
+  EXPECT_EQ(one.updates_sent + two.updates_sent,
+            reg->CounterValue("lbc.n1.updates_sent") - exported_before);
+  EXPECT_EQ(one.update_bytes_sent + two.update_bytes_sent,
+            reg->CounterValue("lbc.n1.update_bytes_sent") - bytes_before);
+  ASSERT_TRUE(second[1]->WaitForAppliedSeq(kLock, 2, 5000));
+  EXPECT_EQ(2u, second[1]->stats().updates_received);
 }
 
 }  // namespace

@@ -281,12 +281,16 @@ TEST(Robustness, UpdateForUnknownLockIsTolerated) {
   ASSERT_TRUE(peer->Send(1, lbc::EncodeUpdateRecord(rec, true)).ok());
 
   // The range still applies (last-writer-wins for unsynchronized data).
-  // Poll the receive counter, not the bytes: the receiver bumps it under
-  // the client mutex it applies under, so reading it orders the apply
-  // before the check below (polling the bytes themselves is a data race).
+  // Poll the receive counter, not the bytes (polling the bytes is a data
+  // race). The counter is a lock-free read, so it does not order the apply
+  // by itself: the receiver bumps it and then applies, both under the
+  // client mutex. Taking that mutex afterwards (AppliedSeq does) waits for
+  // the apply to finish and orders it before the check below.
   for (int i = 0; i < 1000 && a->stats().updates_received == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ASSERT_EQ(1u, a->stats().updates_received);
+  (void)a->AppliedSeq(kLock);
   EXPECT_EQ(42, a->GetRegion(kRegion)->data()[0]);
 }
 

@@ -99,22 +99,29 @@ TEST(TxnHandle, UnflushedCommitLostInCrash) {
   EXPECT_NE('g', b);
 }
 
-TEST(TxnHandle, StatsResetClearsCounters) {
+// Counters are monotonic and never reset: a phase is measured as the
+// difference of two readings.
+TEST(TxnHandle, StatsDeltasMeasureOnePhase) {
   Fixture fx;
-  {
+  auto commit_one = [&fx] {
     lbc::Transaction txn = fx.client->Begin();
     ASSERT_TRUE(txn.Acquire(kLock).ok());
     ASSERT_TRUE(txn.SetRange(kRegion, 0, 1).ok());
-    fx.client->GetRegion(kRegion)->data()[0] = 1;
+    ++fx.client->GetRegion(kRegion)->data()[0];
     ASSERT_TRUE(txn.Commit().ok());
-  }
-  EXPECT_GT(fx.client->rvm()->stats().transactions_committed, 0u);
-  fx.client->ResetStats();
-  fx.client->rvm()->ResetStats();
-  EXPECT_EQ(0u, fx.client->rvm()->stats().transactions_committed);
-  EXPECT_EQ(0u, fx.client->stats().updates_sent);
-  // Sequence state is NOT reset: the lock continues from where it was.
-  EXPECT_EQ(1u, fx.client->AppliedSeq(kLock));
+  };
+  commit_one();
+  const rvm::RvmStats rvm_before = fx.client->rvm()->stats();
+  const lbc::ClientStats client_before = fx.client->stats();
+  EXPECT_GT(rvm_before.transactions_committed, 0u);
+  EXPECT_EQ(0u, fx.client->rvm()->stats().transactions_committed -
+                    rvm_before.transactions_committed);
+  EXPECT_EQ(0u, fx.client->stats().updates_sent - client_before.updates_sent);
+  commit_one();
+  EXPECT_EQ(1u, fx.client->rvm()->stats().transactions_committed -
+                    rvm_before.transactions_committed);
+  // Sequence state is not a counter: the lock continues from where it was.
+  EXPECT_EQ(2u, fx.client->AppliedSeq(kLock));
 }
 
 TEST(TxnHandle, WaitForAppliedSeqTimesOutCleanly) {

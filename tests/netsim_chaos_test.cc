@@ -59,7 +59,8 @@ const ::testing::Environment* const kObsEnv =
 
 struct LossyRunResult {
   std::vector<uint32_t> delivered;  // message ids in arrival order
-  netsim::FaultStats stats;
+  uint64_t dropped = 0;
+  uint64_t duplicated = 0;
 };
 
 LossyRunResult RunLossyStream(uint64_t seed) {
@@ -79,9 +80,10 @@ LossyRunResult RunLossyStream(uint64_t seed) {
     EXPECT_TRUE(a->Send(2, std::move(payload)).ok());
   }
   LossyRunResult out;
-  out.stats = fabric.fault_stats();
+  out.dropped = fabric.fault_metrics().dropped.value();
+  out.duplicated = fabric.fault_metrics().duplicated.value();
   // No delay faults: every survivor is already queued synchronously.
-  uint64_t expect = kMessages - out.stats.dropped + out.stats.duplicated;
+  uint64_t expect = kMessages - out.dropped + out.duplicated;
   for (uint64_t i = 0; i < expect; ++i) {
     auto msg = b->Receive();
     if (!msg.has_value()) {
@@ -97,10 +99,10 @@ LossyRunResult RunLossyStream(uint64_t seed) {
 TEST(FabricFaults, SameSeedSameFaultDecisions) {
   LossyRunResult r1 = RunLossyStream(0xFEE1);
   LossyRunResult r2 = RunLossyStream(0xFEE1);
-  EXPECT_GT(r1.stats.dropped, 0u);
-  EXPECT_GT(r1.stats.duplicated, 0u);
-  EXPECT_EQ(r1.stats.dropped, r2.stats.dropped);
-  EXPECT_EQ(r1.stats.duplicated, r2.stats.duplicated);
+  EXPECT_GT(r1.dropped, 0u);
+  EXPECT_GT(r1.duplicated, 0u);
+  EXPECT_EQ(r1.dropped, r2.dropped);
+  EXPECT_EQ(r1.duplicated, r2.duplicated);
   EXPECT_EQ(r1.delivered, r2.delivered);
 
   // A different seed draws a different stream (overwhelmingly likely).
@@ -118,7 +120,7 @@ TEST(FabricFaults, PartitionDropsSilentlyUntilHealed) {
   // Sends "succeed" (the sender cannot tell, as with IP) but nothing lands.
   EXPECT_TRUE(a->Send(2, {1}).ok());
   EXPECT_TRUE(b->Send(1, {2}).ok());
-  EXPECT_EQ(2u, fabric.fault_stats().partitioned);
+  EXPECT_EQ(2u, fabric.fault_metrics().partitioned.value());
   fabric.Heal(1, 2);
   EXPECT_FALSE(fabric.IsPartitioned(1, 2));
   EXPECT_TRUE(a->Send(2, {3}).ok());
@@ -178,10 +180,10 @@ TEST(ReliableChannel, ExactlyOnceFifoOverLossyLink) {
     ASSERT_EQ(i, got[i]) << "delivery out of order at " << i;
   }
   // The link really was hostile, and the channel really did repair it.
-  EXPECT_GT(fabric.fault_stats().dropped, 0u);
-  EXPECT_GT(fabric.fault_stats().duplicated, 0u);
-  EXPECT_GT(sender.stats().retransmits, 0u);
-  EXPECT_GT(receiver.stats().duplicates_dropped, 0u);
+  EXPECT_GT(fabric.fault_metrics().dropped.value(), 0u);
+  EXPECT_GT(fabric.fault_metrics().duplicated.value(), 0u);
+  EXPECT_GT(sender.metrics().retransmits.value(), 0u);
+  EXPECT_GT(receiver.metrics().duplicates_dropped.value(), 0u);
 
   for (int spin = 0; spin < 30000 && !sender.AllAcked(); ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -241,8 +243,8 @@ TEST(ReliableChannel, CleanFabricCostIsHeaderPlusAckOnly) {
     }
     EXPECT_EQ(kMessages, got.load());
     EXPECT_TRUE(sender.AllAcked());
-    retransmits = sender.stats().retransmits;
-    acks = receiver.stats().acks_sent;
+    retransmits = sender.metrics().retransmits.value();
+    acks = receiver.metrics().acks_sent.value();
     sender.Shutdown();
     receiver.Shutdown();
     reliable_bytes = a->stats().bytes_sent + b->stats().bytes_sent;
@@ -287,7 +289,9 @@ rvm::NodeId ManagerFor(int region, int k) {
 struct ChaosResult {
   std::vector<std::vector<uint8_t>> images;      // per region, survivors' view
   std::vector<std::vector<uint8_t>> recovered;   // per region, post-crash db
-  netsim::FaultStats faults;
+  uint64_t dropped = 0;
+  uint64_t duplicated = 0;
+  uint64_t partitioned = 0;
   uint64_t min_records_fetched = UINT64_MAX;     // across survivors
   uint64_t locks_reclaimed = 0;                  // across survivors
 };
@@ -315,7 +319,7 @@ void RunChaosScenario(uint64_t seed, ChaosResult* out) {
   }
   std::vector<std::unique_ptr<lbc::Client>> clients;
   for (int i = 0; i < kClients; ++i) {
-    lbc::ClientOptions options;  // reliable_transport defaults on
+    lbc::ClientOptions options;
     clients.push_back(
         std::move(*lbc::Client::Create(cluster.get(), 1 + i, options)));
     for (int region = 1; region <= kRegions; ++region) {
@@ -491,7 +495,9 @@ void RunChaosScenario(uint64_t seed, ChaosResult* out) {
     }
     result.images.emplace_back(reference, reference + kRegionSize);
   }
-  result.faults = fabric->fault_stats();
+  result.dropped = fabric->fault_metrics().dropped.value();
+  result.duplicated = fabric->fault_metrics().duplicated.value();
+  result.partitioned = fabric->fault_metrics().partitioned.value();
   for (int c = 0; c < kClients - 1; ++c) {
     lbc::ClientStats stats = clients[c]->stats();
     result.min_records_fetched = std::min(result.min_records_fetched, stats.records_fetched);
@@ -530,9 +536,9 @@ TEST_P(ChaosTest, LossyPartitionedClusterConvergesAndRecovers) {
     return;
   }
   // The fabric really was hostile.
-  EXPECT_GT(run.faults.dropped, 0u);
-  EXPECT_GT(run.faults.duplicated, 0u);
-  EXPECT_GT(run.faults.partitioned, 0u);
+  EXPECT_GT(run.dropped, 0u);
+  EXPECT_GT(run.duplicated, 0u);
+  EXPECT_GT(run.partitioned, 0u);
   // Token reclamation ran, and every survivor re-fetched the victim's
   // unpropagated commit from the server record cache.
   EXPECT_GT(run.locks_reclaimed, 0u);
@@ -605,7 +611,7 @@ TEST(ChaosGray, SlowLinkAndSlowDiskConvergeWithoutFalseEviction) {
   }
 
   auto counter = [](const char* name) {
-    return obs::MetricsRegistry::Global()->GetCounter(name)->value();
+    return obs::MetricsRegistry::Global()->CounterValue(name);
   };
   const uint64_t false_evictions_before = counter("gray.false_evictions");
   const uint64_t delays_before = counter("store.resource.delays");
@@ -704,7 +710,7 @@ TEST(ChaosGray, SlowLinkAndSlowDiskConvergeWithoutFalseEviction) {
   }
 
   // The injections really happened.
-  EXPECT_GT(fabric->fault_stats().degraded, 0u);
+  EXPECT_GT(fabric->fault_metrics().degraded.value(), 0u);
   EXPECT_GT(counter("store.resource.delays"), delays_before);
 
   // Now the gray node goes silent for real. The stretched deadline delays
@@ -790,7 +796,7 @@ TEST(ChaosRecovery, IncrementalRestartsRaceCommittersScrubberAndDrainer) {
   }
 
   auto counter = [](const char* name) {
-    return obs::MetricsRegistry::Global()->GetCounter(name)->value();
+    return obs::MetricsRegistry::Global()->CounterValue(name);
   };
   const uint64_t lazy_before =
       counter("recovery.pages_on_demand") + counter("recovery.pages_background");

@@ -117,8 +117,11 @@ TEST(Fabric, StatsCountTraffic) {
   EXPECT_EQ(4u, sa.bytes_sent);
   EXPECT_EQ(2u, sb.messages_received);
   EXPECT_EQ(4u, sb.bytes_received);
-  a->ResetStats();
-  EXPECT_EQ(0u, a->stats().messages_sent);
+  // Counters never reset: a phase is the difference of two readings.
+  const uint64_t sent_before = a->stats().messages_sent;
+  EXPECT_EQ(0u, a->stats().messages_sent - sent_before);
+  ASSERT_TRUE(a->Send(2, Bytes({5})).ok());
+  EXPECT_EQ(1u, a->stats().messages_sent - sent_before);
 }
 
 TEST(Fabric, ReceiverThreadDrainsInbox) {

@@ -54,7 +54,7 @@ TEST(ReliableChannelWakeup, NotifyStormDoesNotStarveRetransmits) {
   EXPECT_GT(storm_sends, 20u);
   // The heart of the regression: due frames were rescanned and re-sent even
   // though every wakeup looked like a notify. A starved scan would sit at 0.
-  EXPECT_GT(sender.stats().retransmits, 10u);
+  EXPECT_GT(sender.metrics().retransmits.value(), 10u);
   EXPECT_EQ(0u, got.load());  // partition really dropped everything
 
   // Heal: retransmission repairs the backlog end to end, exactly once each.
@@ -68,7 +68,7 @@ TEST(ReliableChannelWakeup, NotifyStormDoesNotStarveRetransmits) {
   }
   EXPECT_EQ(total, got.load());
   EXPECT_TRUE(sender.AllAcked());
-  EXPECT_EQ(0u, sender.stats().frames_abandoned);
+  EXPECT_EQ(0u, sender.metrics().frames_abandoned.value());
   sender.Shutdown();
   receiver.Shutdown();
 }

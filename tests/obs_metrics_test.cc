@@ -68,14 +68,34 @@ TEST(Histogram, RecordTracksExactCountSumMinMax) {
   EXPECT_EQ(3u, h.min());
   EXPECT_EQ(100000u, h.max());
   EXPECT_DOUBLE_EQ(100110.0 / 4.0, h.mean());
-  // With 4 samples, p99's rank truncates to 3: the third value ascending is
-  // 100, whose bucket [64, 128) is reported as <= 127. p100 is the top
-  // sample's bucket [65536, 131072).
-  EXPECT_EQ(127u, h.PercentileUpperBound(99));
+  // With 4 samples, p99's nearest rank is ceil(3.96) = 4: the top sample,
+  // whose bucket [65536, 131072) is reported as <= 131071. So is p100.
+  EXPECT_EQ(131071u, h.PercentileUpperBound(99));
   EXPECT_EQ((uint64_t{1} << 17) - 1, h.PercentileUpperBound(100));
   h.Reset();
   EXPECT_EQ(0u, h.count());
   EXPECT_EQ(0u, h.min());
+}
+
+// Nearest rank: the p-th percentile is the ceil(p/100 * n)-th smallest
+// sample. Flooring the rank under-reports low-count percentiles.
+TEST(Histogram, PercentileUsesNearestRank) {
+  obs::Histogram three;
+  for (uint64_t v : {1u, 1000u, 1000u}) three.Record(v);
+  EXPECT_EQ(1023u, three.PercentileUpperBound(50));  // rank 2 of 3, not 1
+  EXPECT_EQ(1u, three.PercentileUpperBound(0));      // rank clamps to 1
+
+  obs::Histogram outlier;
+  for (int i = 0; i < 9; ++i) outlier.Record(1);
+  outlier.Record(1000000);
+  // rank ceil(9.5) = 10: the outlier's bucket [524288, 1048576).
+  EXPECT_EQ((uint64_t{1} << 20) - 1, outlier.PercentileUpperBound(95));
+  EXPECT_EQ(1u, outlier.PercentileUpperBound(90));  // rank 9 exactly
+
+  obs::Histogram hundred;
+  for (uint64_t v = 1; v <= 100; ++v) hundred.Record(v);
+  EXPECT_EQ(127u, hundred.PercentileUpperBound(99));  // rank 99 is 99
+  EXPECT_EQ(63u, hundred.PercentileUpperBound(50));   // rank 50 is 50
 }
 
 TEST(Registry, FindOrCreateSharesInstruments) {
@@ -104,6 +124,67 @@ TEST(Registry, SnapshotAndResetAll) {
   auto zeroed = reg.TakeSnapshot();
   EXPECT_EQ(0u, zeroed.counters.at("x.count"));
   EXPECT_EQ(0u, zeroed.histograms.at("x.nanos").count);
+}
+
+// Instance-owned counters attached under one name export their sum.
+TEST(Registry, AttachedCountersSumUnderOneName) {
+  obs::MetricsRegistry reg;
+  obs::Counter a;
+  obs::Counter b;
+  obs::Attachment first(&reg, "lbc.n1.", {{"updates_sent", &a}});
+  obs::Attachment second(&reg, "lbc.n1.", {{"updates_sent", &b}});
+  reg.GetCounter("lbc.n1.updates_sent")->Add(1);  // the registry's own share
+  a.Add(2);
+  b.Add(5);
+  EXPECT_EQ(8u, reg.CounterValue("lbc.n1.updates_sent"));
+  EXPECT_EQ(8u, reg.TakeSnapshot().counters.at("lbc.n1.updates_sent"));
+  EXPECT_EQ(0u, reg.CounterValue("never.registered"));
+  // Each instance still reads only its own events.
+  EXPECT_EQ(2u, a.value());
+  EXPECT_EQ(5u, b.value());
+}
+
+// Detaching folds the final value into the name's total: the export never
+// decreases when an instance goes away, and later events are not exported.
+TEST(Registry, DetachedValuesPersist) {
+  obs::MetricsRegistry reg;
+  obs::Counter live;
+  obs::Attachment stays(&reg, "", {{"netsim.fabric.dropped", &live}});
+  live.Add(4);
+  {
+    obs::Counter gone;
+    obs::Attachment scoped(&reg, "", {{"netsim.fabric.dropped", &gone}});
+    gone.Add(3);
+    EXPECT_EQ(7u, reg.CounterValue("netsim.fabric.dropped"));
+  }
+  EXPECT_EQ(7u, reg.CounterValue("netsim.fabric.dropped"));
+  // An attached name exports even at zero, and a dotted metric is a full
+  // name: the prefix does not apply.
+  obs::Counter idle;
+  obs::Attachment idle_attached(&reg, "netsim.n1.", {{"netsim.fabric.delayed", &idle}});
+  EXPECT_EQ(0u, reg.TakeSnapshot().counters.at("netsim.fabric.delayed"));
+  live.Add(1);
+  EXPECT_EQ(8u, reg.CounterValue("netsim.fabric.dropped"));
+}
+
+// ResetAll zeroes attached counters too: the export and each instance's own
+// reads restart from zero together, and detached totals are dropped.
+TEST(Registry, ResetAllZeroesAttachedCounters) {
+  obs::MetricsRegistry reg;
+  obs::Counter live;
+  obs::Attachment attached(&reg, "rvm.n1.", {{"commits", &live}});
+  {
+    obs::Counter gone;
+    obs::Attachment scoped(&reg, "rvm.n1.", {{"commits", &gone}});
+    gone.Add(10);
+  }
+  live.Add(2);
+  EXPECT_EQ(12u, reg.CounterValue("rvm.n1.commits"));
+  reg.ResetAll();
+  EXPECT_EQ(0u, live.value());
+  EXPECT_EQ(0u, reg.CounterValue("rvm.n1.commits"));
+  live.Add(1);
+  EXPECT_EQ(1u, reg.CounterValue("rvm.n1.commits"));
 }
 
 TEST(Registry, NodeMetricNameScheme) {

@@ -78,7 +78,7 @@ uint64_t EnvU64(const char* name, uint64_t fallback) {
 }
 
 uint64_t CounterValue(const char* name) {
-  return obs::MetricsRegistry::Global()->GetCounter(name)->value();
+  return obs::MetricsRegistry::Global()->CounterValue(name);
 }
 
 // --- log-quota backpressure -------------------------------------------------

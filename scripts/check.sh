@@ -32,10 +32,14 @@
 # --recovery-sweep runs the incremental-recovery gate on its own:
 # recovery_sweep_test (the crash-schedule sweep driven through
 # LogIndex + IncrementalRecovery, including power cuts during the recovery
-# itself with a serving-window probe between crash and re-boot) plus
-# incremental_recovery_test (serve-before-drain byte identity, deadline
-# bounds, lazy-rot-through-scrubber, bounded drain repair,
-# heartbeats-mid-recovery).
+# itself with a serving-window probe between crash and re-boot, run over
+# one-page regions and again over the multi-page batch case: a three-page
+# region whose every write covers pages 0 and 2 partially and page 1
+# fully, so power is cut inside one three-page file replay) plus
+# incremental_recovery_test (serve-before-drain byte identity, seven
+# database-file ops per replayed file, deadline bounds,
+# lazy-rot-through-scrubber, bounded drain repair, heartbeats-mid-recovery,
+# the drain worker pool).
 #
 # --static runs the concurrency-discipline gate on its own:
 #   * scripts/lint.py (always — no toolchain dependency), including rule 6:
@@ -126,7 +130,7 @@ fi
 if [[ "$run_tsan" == 1 ]]; then
   echo "=== TSan: netsim/lbc/obs concurrency tests ==="
   # incremental_recovery_test is here because every server restart and
-  # dead-client recovery starts the background drainer thread.
+  # dead-client recovery starts the background drain worker pool.
   cmake -B build-tsan -S . -DLBC_SANITIZE=thread
   cmake --build build-tsan -j "$jobs" --target \
     netsim_chaos_test netsim_fabric_test netsim_multicast_test \
@@ -146,6 +150,13 @@ if [[ "$run_tsan" == 1 ]]; then
     [[ "$t" == base_sync_test ]] && opts="detect_deadlocks=0"
     TSAN_OPTIONS="$opts" ./build-tsan/tests/"$t"
   done
+  # The drain worker pool's concurrency test, repeated: replays of
+  # different region files overlap, one file's never do, and a page
+  # re-pended mid-flight replays again.
+  echo "--- tsan: incremental_recovery_test (worker pool, 50 repeats)"
+  ./build-tsan/tests/incremental_recovery_test \
+    --gtest_filter=IncrementalRecovery.WorkerPoolOverlapsFilesButNeverOneFile \
+    --gtest_repeat=50
 fi
 
 if [[ "$run_asan" == 1 ]]; then

@@ -6,9 +6,10 @@ and tools/:
 
   1. No bare standard-library synchronization primitives outside
      src/base/sync.{h,cc}: std::mutex, std::recursive_mutex,
-     std::lock_guard, std::unique_lock, std::scoped_lock,
-     std::condition_variable[_any]. All locking goes through base::Mutex /
-     base::MutexLock / base::CondVar so the Clang thread-safety annotations
+     std::shared_mutex, std::lock_guard, std::unique_lock,
+     std::scoped_lock, std::shared_lock, std::condition_variable[_any].
+     All locking goes through base::Mutex / base::SharedMutex and their
+     scoped locks / base::CondVar so the Clang thread-safety annotations
      and the runtime lock-order detector see every acquisition.
 
   2. Every method whose name ends in `Locked(` declared in a header must

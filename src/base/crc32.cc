@@ -1,6 +1,12 @@
 #include "src/base/crc32.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define LBC_CRC32C_SSE42 1
+#endif
 
 namespace base {
 namespace {
@@ -37,9 +43,45 @@ inline uint32_t LoadLe32(const uint8_t* p) {
   return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
 }
 
+#ifdef LBC_CRC32C_SSE42
+// SSE4.2's crc32 instruction computes this same CRC-32C (reflected
+// 0x82F63B78), eight bytes per instruction: ~4x the sliced tables.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const uint8_t* p, size_t len,
+                                                       uint32_t seed) {
+  uint64_t crc = ~seed;
+  for (; len >= 8; p += 8, len -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; len > 0; ++p, --len) {
+    crc32 = _mm_crc32_u8(crc32, *p);
+  }
+  return ~crc32;
+}
+
+bool HaveSse42() {
+  static const bool have = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return have;
+}
+#endif
+
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t len, uint32_t seed) {
+#ifdef LBC_CRC32C_SSE42
+  if (HaveSse42()) {
+    return Crc32cSse42(static_cast<const uint8_t*>(data), len, seed);
+  }
+#endif
+  return Crc32cPortable(data, len, seed);
+}
+
+uint32_t Crc32cPortable(const void* data, size_t len, uint32_t seed) {
   const auto& t = kTables;
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;

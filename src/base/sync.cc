@@ -29,8 +29,8 @@ Registry& GetRegistry() {
   return *r;
 }
 
-std::vector<const Mutex*>& HeldStack() {
-  thread_local std::vector<const Mutex*> stack;
+std::vector<const LockTag*>& HeldStack() {
+  thread_local std::vector<const LockTag*> stack;
   return stack;
 }
 
@@ -74,9 +74,9 @@ std::string JoinStack(const std::vector<std::string>& stack) {
   return out;
 }
 
-std::vector<std::string> HeldNames(const Mutex* acquiring) {
+std::vector<std::string> HeldNames(const LockTag* acquiring) {
   std::vector<std::string> names;
-  for (const Mutex* held : HeldStack()) names.push_back(held->name());
+  for (const LockTag* held : HeldStack()) names.push_back(held->name());
   if (acquiring != nullptr) names.push_back(std::string(acquiring->name()) + " (acquiring)");
   return names;
 }
@@ -136,12 +136,12 @@ int InternLockName(const char* name) {
   return id;
 }
 
-void LockOrderBeforeAcquire(const Mutex* mu) {
+void LockOrderBeforeAcquire(const LockTag* mu) {
   g_acquires_checked.fetch_add(1, std::memory_order_relaxed);
-  const std::vector<const Mutex*>& held = HeldStack();
+  const std::vector<const LockTag*>& held = HeldStack();
   if (held.empty()) return;
 
-  for (const Mutex* h : held) {
+  for (const LockTag* h : held) {
     if (h == mu) {
       g_self_recursions.fetch_add(1, std::memory_order_relaxed);
       LockOrderReport report;
@@ -155,8 +155,8 @@ void LockOrderBeforeAcquire(const Mutex* mu) {
   }
 
   // Rank discipline: never acquire below the highest rank already held.
-  const Mutex* max_ranked = nullptr;
-  for (const Mutex* h : held) {
+  const LockTag* max_ranked = nullptr;
+  for (const LockTag* h : held) {
     if (h->rank() == LockRank::kUnranked) continue;
     if (max_ranked == nullptr || h->rank() > max_ranked->rank()) max_ranked = h;
   }
@@ -176,7 +176,7 @@ void LockOrderBeforeAcquire(const Mutex* mu) {
   {
     Registry& reg = GetRegistry();
     std::lock_guard<std::mutex> lock(reg.mu);
-    for (const Mutex* h : held) {
+    for (const LockTag* h : held) {
       const int from = h->name_id();
       const int to = mu->name_id();
       if (from < 0 || from == to) continue;  // same-name nesting: instance
@@ -209,10 +209,10 @@ void LockOrderBeforeAcquire(const Mutex* mu) {
   for (LockOrderReport& report : cycles) Dispatch(std::move(report));
 }
 
-void LockOrderAfterAcquire(const Mutex* mu) { HeldStack().push_back(mu); }
+void LockOrderAfterAcquire(const LockTag* mu) { HeldStack().push_back(mu); }
 
-void LockOrderOnRelease(const Mutex* mu) {
-  std::vector<const Mutex*>& held = HeldStack();
+void LockOrderOnRelease(const LockTag* mu) {
+  std::vector<const LockTag*>& held = HeldStack();
   for (auto it = held.rbegin(); it != held.rend(); ++it) {
     if (*it == mu) {
       held.erase(std::next(it).base());
@@ -222,9 +222,9 @@ void LockOrderOnRelease(const Mutex* mu) {
   // Not found: the detector was enabled while this lock was already held.
 }
 
-void LockOrderBeforeWait(const Mutex* mu) { LockOrderOnRelease(mu); }
+void LockOrderBeforeWait(const LockTag* mu) { LockOrderOnRelease(mu); }
 
-void LockOrderAfterWait(const Mutex* mu) {
+void LockOrderAfterWait(const LockTag* mu) {
   // Waking from a wait re-acquires the mutex, possibly under locks acquired
   // since; treat it as a fresh acquisition so edges are re-recorded.
   LockOrderBeforeAcquire(mu);

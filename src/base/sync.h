@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -55,7 +56,10 @@
 #define LBC_ACQUIRED_AFTER(...) LBC_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
 #define LBC_REQUIRES(...) LBC_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
 #define LBC_ACQUIRE(...) LBC_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
+#define LBC_ACQUIRE_SHARED(...) LBC_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 #define LBC_RELEASE(...) LBC_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
+#define LBC_RELEASE_SHARED(...) LBC_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
+#define LBC_RELEASE_GENERIC(...) LBC_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
 #define LBC_TRY_ACQUIRE(...) LBC_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 #define LBC_EXCLUDES(...) LBC_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 #define LBC_ASSERT_CAPABILITY(x) LBC_THREAD_ANNOTATION_(assert_capability(x))
@@ -64,7 +68,7 @@
 
 namespace base {
 
-class Mutex;
+class LockTag;
 
 // ---------------------------------------------------------------------------
 // Lock ranks.
@@ -82,7 +86,7 @@ class Mutex;
 struct LockRank {
   static constexpr int kUnranked = -1;
   static constexpr int kClient = 10;           // lbc::Client::mu_
-  static constexpr int kClusterDb = 15;        // lbc::Cluster::db_mu_ (database-file writers)
+  static constexpr int kClusterDb = 15;        // lbc::Cluster::db_mu_ (shared: page replays)
   static constexpr int kCluster = 20;          // lbc::Cluster::mu_
   static constexpr int kRecovery = 25;         // rvm::IncrementalRecovery::mu_
   static constexpr int kRvm = 30;              // rvm::Rvm::mu_
@@ -141,26 +145,44 @@ extern std::atomic<bool> g_lock_order_enabled;
 inline bool LockOrderIsEnabled() {
   return g_lock_order_enabled.load(std::memory_order_relaxed);
 }
-void LockOrderBeforeAcquire(const Mutex* mu);
-void LockOrderAfterAcquire(const Mutex* mu);
-void LockOrderOnRelease(const Mutex* mu);
+void LockOrderBeforeAcquire(const LockTag* mu);
+void LockOrderAfterAcquire(const LockTag* mu);
+void LockOrderOnRelease(const LockTag* mu);
 // CondVar wait: the mutex leaves the held stack for the duration of the
 // wait and re-records its acquired-before edges on wakeup.
-void LockOrderBeforeWait(const Mutex* mu);
-void LockOrderAfterWait(const Mutex* mu);
+void LockOrderBeforeWait(const LockTag* mu);
+void LockOrderAfterWait(const LockTag* mu);
 int InternLockName(const char* name);
 }  // namespace detail
+
+// The identity the lock-order detector tracks: a registered name and rank.
+// Shared and exclusive holds of a SharedMutex are one node in the graph —
+// a reader blocks a writer just as a writer blocks a reader.
+class LockTag {
+ public:
+  const char* name() const { return name_ != nullptr ? name_ : "(anon)"; }
+  int rank() const { return rank_; }
+  int name_id() const { return name_id_; }
+
+ protected:
+  LockTag(const char* name, int rank)
+      : name_(name), rank_(rank), name_id_(detail::InternLockName(name)) {}
+
+ private:
+  const char* name_;  // string literal; not owned
+  int rank_;
+  int name_id_;  // interned id for the acquired-before graph; -1 if anonymous
+};
 
 // ---------------------------------------------------------------------------
 // Mutex: std::mutex plus a capability annotation, a registered name/rank
 // for the lock-order detector, and Lock/Unlock spelled as methods so the
 // acquisition hooks have one choke point.
 // ---------------------------------------------------------------------------
-class LBC_CAPABILITY("mutex") Mutex {
+class LBC_CAPABILITY("mutex") Mutex : public LockTag {
  public:
   Mutex() : Mutex(nullptr, LockRank::kUnranked) {}
-  explicit Mutex(const char* name, int rank = LockRank::kUnranked)
-      : name_(name), rank_(rank), name_id_(detail::InternLockName(name)) {}
+  explicit Mutex(const char* name, int rank = LockRank::kUnranked) : LockTag(name, rank) {}
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
@@ -184,18 +206,75 @@ class LBC_CAPABILITY("mutex") Mutex {
     return true;
   }
 
-  const char* name() const { return name_ != nullptr ? name_ : "(anon)"; }
-  int rank() const { return rank_; }
-  int name_id() const { return name_id_; }
 
  private:
   friend class CondVar;
   std::mutex& native_handle() { return mu_; }
 
   std::mutex mu_;
-  const char* name_;  // string literal; not owned
-  int rank_;
-  int name_id_;  // interned id for the acquired-before graph; -1 if anonymous
+};
+
+// ---------------------------------------------------------------------------
+// SharedMutex: a reader/writer lock under the same detector and analysis.
+// Any number of shared holders, or one exclusive holder. No CondVar waits on
+// it. Take it through WriterMutexLock / ReaderMutexLock.
+// ---------------------------------------------------------------------------
+class LBC_CAPABILITY("mutex") SharedMutex : public LockTag {
+ public:
+  explicit SharedMutex(const char* name, int rank = LockRank::kUnranked)
+      : LockTag(name, rank) {}
+
+  SharedMutex(const SharedMutex&) = delete;
+  SharedMutex& operator=(const SharedMutex&) = delete;
+
+  void Lock() LBC_ACQUIRE() {
+    if (detail::LockOrderIsEnabled()) detail::LockOrderBeforeAcquire(this);
+    mu_.lock();
+    if (detail::LockOrderIsEnabled()) detail::LockOrderAfterAcquire(this);
+  }
+
+  void Unlock() LBC_RELEASE() {
+    if (detail::LockOrderIsEnabled()) detail::LockOrderOnRelease(this);
+    mu_.unlock();
+  }
+
+  void LockShared() LBC_ACQUIRE_SHARED() {
+    if (detail::LockOrderIsEnabled()) detail::LockOrderBeforeAcquire(this);
+    mu_.lock_shared();
+    if (detail::LockOrderIsEnabled()) detail::LockOrderAfterAcquire(this);
+  }
+
+  void UnlockShared() LBC_RELEASE_SHARED() {
+    if (detail::LockOrderIsEnabled()) detail::LockOrderOnRelease(this);
+    mu_.unlock_shared();
+  }
+
+ private:
+  std::shared_mutex mu_;
+};
+
+class LBC_SCOPED_CAPABILITY WriterMutexLock {
+ public:
+  explicit WriterMutexLock(SharedMutex& mu) LBC_ACQUIRE(mu) : mu_(&mu) { mu_->Lock(); }
+  ~WriterMutexLock() LBC_RELEASE() { mu_->Unlock(); }
+  WriterMutexLock(const WriterMutexLock&) = delete;
+  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
+
+ private:
+  SharedMutex* mu_;
+};
+
+class LBC_SCOPED_CAPABILITY ReaderMutexLock {
+ public:
+  explicit ReaderMutexLock(SharedMutex& mu) LBC_ACQUIRE_SHARED(mu) : mu_(&mu) {
+    mu_->LockShared();
+  }
+  ~ReaderMutexLock() LBC_RELEASE_GENERIC() { mu_->UnlockShared(); }
+  ReaderMutexLock(const ReaderMutexLock&) = delete;
+  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
+
+ private:
+  SharedMutex* mu_;
 };
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Harness for the page-checksum sidecar: arbitrary sidecar bytes paired
 // with arbitrary database bytes (a two-part container). The sidecar parser
-// must treat any rot as "no entry" — never crash, never mis-verify — and
-// the scrub-repair path must leave a rewritten region that verifies clean.
+// must treat any rot as "no entry" — never crash, never mis-verify, and a
+// ranged entry read must agree with single-entry reads — and the
+// scrub-repair path must leave a rewritten region that verifies clean.
 #include <cstdint>
 #include <vector>
 
@@ -56,6 +57,37 @@ int RunPageSidecar(const uint8_t* data, size_t size) {
       auto entry = (*sidecar)->ReadEntry(page);
       if (!entry.ok()) {
         return 0;  // read-side failure is a clean rejection
+      }
+    }
+    // Round trip: one ranged read over every page (and one past the end)
+    // gives each page the verdict its single-entry read gives.
+    auto ranged = rvm::ChecksumSidecar::Open(&store, kRegion, /*create=*/false);
+    if (!ranged.ok()) {
+      return 0;
+    }
+    auto entries = (*ranged)->ReadEntries(0, n_pages + 1);
+    if (!entries.ok()) {
+      return 0;
+    }
+    for (uint64_t page = 0; page <= n_pages; ++page) {
+      auto entry = (*sidecar)->ReadEntry(page);
+      if (!entry.ok()) {
+        return 0;
+      }
+      if (*entry != (*entries)[page]) {
+        OracleFailure("page_sidecar", "ranged entry read disagrees with ReadEntry", data,
+                      size);
+      }
+    }
+    for (uint64_t page : probes) {
+      auto span = (*ranged)->ReadEntries(page, 2);
+      if (!span.ok()) {
+        return 0;
+      }
+      if (page > UINT64_MAX / rvm::kChecksumEntrySize - 2 &&
+          ((*span)[0].has_value() || (*span)[1].has_value())) {
+        OracleFailure("page_sidecar", "ranged read past the offset limit found an entry",
+                      data, size);
       }
     }
   }

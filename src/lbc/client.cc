@@ -325,7 +325,7 @@ base::Result<rvm::Region*> Client::MapRegion(rvm::RegionId region, uint64_t leng
   // First-touch interlock of incremental recovery: the indexed redo for this
   // region must be materialized before its image may be served, else the
   // fetch would read (and adopt baselines above) unreplayed bytes. The wait
-  // on a page another thread is replaying is charged to the op deadline so
+  // on a file another thread is replaying is charged to the op deadline so
   // a stalled drain cannot park a mapping client forever.
   constexpr int kMaxFetchAttempts = 3;
   base::Result<rvm::Region*> mapped =

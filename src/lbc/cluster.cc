@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -119,7 +121,7 @@ base::Status Cluster::ReplayAndRecordBaselines(const std::vector<std::string>& l
   // log record and then lazily materializing the same page would overwrite
   // the newer bytes with older ones — and certify them.
   RETURN_IF_ERROR(DrainRecovery());
-  base::MutexLock db_guard(db_mu_);
+  base::WriterMutexLock db_guard(db_mu_);
   ASSIGN_OR_RETURN(auto merged, rvm::MergeLogs(store_, log_names));
   RETURN_IF_ERROR(rvm::ApplyToDatabase(store_, merged));
   base::MutexLock guard(mu_);
@@ -539,7 +541,7 @@ bool Cluster::TryRepairRegion(rvm::RegionId region) {
   // leave a half-repaired, half-replayed hybrid on disk. The scrub itself
   // never rewrites logs (ScrubRegion is detect-only for them), so live
   // appenders need no quiescing here.
-  base::MutexLock db_guard(db_mu_);
+  base::WriterMutexLock db_guard(db_mu_);
   auto report = scrubber->ScrubRegion(region);
   return report.ok();
 }
@@ -657,11 +659,16 @@ base::Status Cluster::EnsureRegionRecovered(rvm::RegionId region,
   return base::OkStatus();
 }
 
-void Cluster::RetireIfDrained(const std::shared_ptr<rvm::IncrementalRecovery>& rec) {
+bool Cluster::RetireIfDrained(const std::shared_ptr<rvm::IncrementalRecovery>& rec) {
   base::MutexLock guard(mu_);
-  if (recovery_ == rec && rec->Drained()) {
-    recovery_.reset();
+  if (recovery_ != rec) {
+    return true;  // already retired, or reset by KillServer
   }
+  if (!rec->Drained()) {
+    return false;
+  }
+  recovery_.reset();
+  return true;
 }
 
 base::Status Cluster::DrainRecovery() { return DrainLoop(/*stop=*/nullptr); }
@@ -674,7 +681,16 @@ void Cluster::StartRecoveryDrain() {
     drain_thread_.join();
   }
   drain_stop_.store(false, std::memory_order_relaxed);
-  drain_thread_ = std::thread([this] { base::IgnoreError(DrainLoop(&drain_stop_)); });
+  drain_thread_ = std::thread([this] {
+    std::vector<std::thread> workers;
+    for (int i = 1; i < kDrainWorkers; ++i) {
+      workers.emplace_back([this] { base::IgnoreError(DrainLoop(&drain_stop_)); });
+    }
+    base::IgnoreError(DrainLoop(&drain_stop_));
+    for (std::thread& worker : workers) {
+      worker.join();
+    }
+  });
 }
 
 void Cluster::StopRecoveryDrain() {
@@ -714,8 +730,7 @@ base::Status Cluster::DrainLoop(const std::atomic<bool>* stop) {
       return step.status();
     }
     repair_attempts = 0;
-    if (!step.value()) {
-      RetireIfDrained(rec);
+    if (!step.value() && RetireIfDrained(rec)) {
       return base::OkStatus();
     }
   }

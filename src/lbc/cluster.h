@@ -226,13 +226,16 @@ class Cluster {
   // directory mutex mu_ is never held across the scrub.
   bool TryRepairRegion(rvm::RegionId region);
 
-  // Serializes every writer of the permanent database files that runs
-  // through this cluster: recovery/trim replay (ApplyToDatabase), the
-  // standby checkpoint's region-file writes, and the scrubber's page
-  // repairs (TryRepairRegion). Without it a repair_copy could interleave
-  // with a concurrent replay on the same page. Public so helpers that write
-  // the database files directly (lbc::CheckpointFromStandby) can hold it.
-  base::Mutex& DbMutex() LBC_RETURN_CAPABILITY(db_mu_) { return db_mu_; }
+  // Orders the writers of the permanent database files that run through
+  // this cluster. Recovery's file replays hold it SHARED: each claims a
+  // whole region file, so replays of different files overlap. Full-history
+  // replay (ReplayAndRecordBaselines), the standby checkpoint's region-file
+  // writes, and the scrubber's page repairs (TryRepairRegion) hold it
+  // EXCLUSIVE — without it a repair_copy could interleave with a replay of
+  // the same page. Holding it exclusive therefore freezes every page
+  // materialization. Public so helpers that write the database files
+  // directly (lbc::CheckpointFromStandby) can hold it.
+  base::SharedMutex& DbMutex() LBC_RETURN_CAPABILITY(db_mu_) { return db_mu_; }
 
   void KillServer();
   // Rebuilds the directory from the merged client logs (recovery at boot),
@@ -243,8 +246,8 @@ class Cluster {
   //
   // Boot does not replay: it builds a per-page index over the merged logs
   // (rvm::LogIndex — read-only, so the server is serving the moment the
-  // scan finishes). Pages are replayed on first touch via
-  // EnsureRegionRecovered and in the background by a drainer thread this
+  // scan finishes). Region files are replayed on first touch via
+  // EnsureRegionRecovered and in the background by the drain workers this
   // call starts. Once the last page is done the recovery object retires and
   // the database files are byte-identical to a full merged-log replay
   // (rvm::ReplayLogsIntoDatabase). Callers that need every page replayed
@@ -258,8 +261,8 @@ class Cluster {
   // --- incremental recovery (serve before replay finishes) ------------------
 
   // First-touch interlock: materializes every still-pending page of
-  // `region`, waiting (bounded by deadline_ms per page when non-zero, else
-  // indefinitely) on pages another thread is already replaying. Clients
+  // `region`, waiting (bounded by deadline_ms when non-zero, else
+  // indefinitely) while another thread is already replaying the file. Clients
   // call this before fetching a region image; a no-op when no recovery is
   // active. kDeadlineExceeded on a timed-out wait; DATA_LOSS when a page's
   // pre-image fails its sidecar check (route through TryRepairRegion).
@@ -268,35 +271,49 @@ class Cluster {
   bool RecoveryActive() const;
   uint64_t RecoveryPendingPages() const;
 
-  // Synchronous barrier: replays every pending page on the calling thread
-  // and retires the recovery object. A DATA_LOSS page is healed through the
+  // Synchronous barrier: replays pending region files on the calling thread,
+  // alongside the background workers, until every page is done, and
+  // retires the recovery object. A DATA_LOSS page is healed through the
   // scrubber when one is attached, at most 8 times in a row; after that (or
   // with no scrubber) the DATA_LOSS is returned and the page stays pending.
   // Every full-replay entry point (ReplayAndRecordBaselines,
   // RecoverAndTrim, the standby checkpoint) calls this first — a full
   // replay racing or preceding indexed pages could certify stale bytes and
   // then truncate the logs they came from. Callers must NOT hold
-  // DbMutex(): page replay acquires it per page.
+  // DbMutex(): each file replay acquires it (shared) per file. The caller
+  // drains alongside the background workers, not instead of them.
   base::Status DrainRecovery();
 
   // Background drainer controls. RestartServer/RecoverDeadClient start the
-  // drainer automatically when they create a recovery; KillServer and the
-  // destructor stop it. Public for tests that want to race it explicitly.
+  // drainer automatically when they create a recovery; the drainer thread
+  // starts the rest of the kDrainWorkers pool itself, so the caller pays
+  // for one thread start. KillServer and the destructor stop and join them
+  // all. Public for tests that want to race it explicitly.
   void StartRecoveryDrain();
   void StopRecoveryDrain();
 
+  // Background drain workers per recovery, the drainer thread included.
+  // The drain is store-latency bound — a file replay is seven dependent
+  // store round trips — so files in flight, not cores, set its speed; four
+  // (plus a DrainRecovery caller) cut a 12-file restart's drain to three
+  // waves of replays while leaving cores to the clients being served.
+  static constexpr int kDrainWorkers = 4;
+
  private:
-  // The one drain loop behind DrainRecovery (stop == nullptr) and the
-  // background drainer (stop == &drain_stop_).
+  // The one drain loop behind DrainRecovery (stop == nullptr) and each
+  // background worker (stop == &drain_stop_).
   base::Status DrainLoop(const std::atomic<bool>* stop);
-  void RetireIfDrained(const std::shared_ptr<rvm::IncrementalRecovery>& rec);
+  // Retires `rec` once drained. False while `rec` is still the active
+  // recovery with pages pending (Extend re-pended some after a drain
+  // step saw none).
+  bool RetireIfDrained(const std::shared_ptr<rvm::IncrementalRecovery>& rec);
   store::DurableStore* store_;
   netsim::Fabric fabric_;
 
   // Database-file writer lock (see DbMutex()). Ranked below mu_ so a
   // writer may consult the directory mid-operation; it guards on-store
   // state, not members, so it carries no LBC_GUARDED_BY users.
-  mutable base::Mutex db_mu_{"lbc.cluster.db", base::LockRank::kClusterDb};
+  mutable base::SharedMutex db_mu_{"lbc.cluster.db", base::LockRank::kClusterDb};
   mutable base::Mutex mu_{"lbc.cluster", base::LockRank::kCluster};
   std::map<rvm::LockId, LockSpec> locks_ LBC_GUARDED_BY(mu_);
   std::map<rvm::RegionId, std::vector<rvm::NodeId>> mappings_ LBC_GUARDED_BY(mu_);
@@ -350,7 +367,8 @@ class Cluster {
   bool first_commit_pending_ LBC_GUARDED_BY(mu_) = false;
   std::chrono::steady_clock::time_point recovery_start_ LBC_GUARDED_BY(mu_);
   // Background drainer lifecycle. drain_mu_ orders start/stop/join only; the
-  // drainer itself never takes it, so joining under it cannot deadlock.
+  // drain workers never take it, so joining under it cannot deadlock. The
+  // drainer thread joins the workers it started before it exits.
   base::Mutex drain_mu_{"lbc.cluster.drain"};
   std::thread drain_thread_ LBC_GUARDED_BY(drain_mu_);
   std::atomic<bool> drain_stop_{false};

@@ -39,7 +39,7 @@ base::Status CheckpointFromStandby(Cluster* cluster, Client* standby,
   //    recovery replay and scrub repairs from interleaving with the image
   //    write on the same pages.
   {
-    base::MutexLock db_guard(cluster->DbMutex());
+    base::WriterMutexLock db_guard(cluster->DbMutex());
     for (rvm::RegionId region : standby->MappedRegions()) {
       const rvm::Region* r = standby->GetRegion(region);
       // The whole image goes through the shared replay core as one

@@ -1,5 +1,6 @@
 #include "src/rvm/log_io.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/base/crc32.h"
@@ -44,19 +45,46 @@ base::Status LogWriter::Reset() {
   return base::OkStatus();
 }
 
+base::Result<size_t> LogReader::Buffer(size_t n) {
+  const uint64_t start = offset_ - buf_offset_;
+  const size_t have = start < buf_.size() ? buf_.size() - static_cast<size_t>(start) : 0;
+  if (have >= n) {
+    return have;
+  }
+  // Keep the unread tail and read ahead behind it.
+  if (have > 0) {
+    std::memmove(buf_.data(), buf_.data() + start, have);
+  }
+  buf_.resize(std::max(n, have + kReadAheadBytes));
+  ASSIGN_OR_RETURN(size_t got,
+                   file_->Read(offset_ + have, buf_.data() + have, buf_.size() - have));
+  buf_.resize(have + got);
+  buf_offset_ = offset_;
+  return buf_.size();
+}
+
 base::Status LogReader::ReadNext(std::vector<uint8_t>* payload, bool* at_end) {
+  base::ByteSpan view;
+  RETURN_IF_ERROR(ReadNext(&view, at_end));
+  if (!*at_end) {
+    payload->assign(view.begin(), view.end());
+  }
+  return base::OkStatus();
+}
+
+base::Status LogReader::ReadNext(base::ByteSpan* payload, bool* at_end) {
   *at_end = false;
-  uint8_t header[kFrameHeaderSize];
-  ASSIGN_OR_RETURN(size_t n, file_->Read(offset_, header, sizeof(header)));
-  if (n == 0) {
+  ASSIGN_OR_RETURN(size_t have, Buffer(kFrameHeaderSize));
+  if (have == 0) {
     *at_end = true;
     return base::OkStatus();
   }
-  if (n < sizeof(header)) {
+  if (have < kFrameHeaderSize) {
     tail_was_torn_ = true;
     *at_end = true;
     return base::OkStatus();
   }
+  const uint8_t* header = buf_.data() + (offset_ - buf_offset_);
   uint32_t magic, len, crc;
   std::memcpy(&magic, header, 4);
   std::memcpy(&len, header + 4, 4);
@@ -66,27 +94,31 @@ base::Status LogReader::ReadNext(std::vector<uint8_t>* payload, bool* at_end) {
     *at_end = true;
     return base::OkStatus();
   }
-  // A corrupt length field must not trigger a giant allocation: anything
-  // longer than the remaining file is a torn frame by definition.
-  ASSIGN_OR_RETURN(uint64_t file_size, file_->Size());
-  if (offset_ + sizeof(header) + len > file_size) {
+  const uint64_t frame = kFrameHeaderSize + uint64_t{len};
+  if (have < frame) {
+    // A corrupt length field must not trigger a giant allocation: anything
+    // longer than the remaining file is a torn frame by definition.
+    ASSIGN_OR_RETURN(uint64_t file_size, file_->Size());
+    if (offset_ + frame > file_size) {
+      tail_was_torn_ = true;
+      *at_end = true;
+      return base::OkStatus();
+    }
+    ASSIGN_OR_RETURN(have, Buffer(static_cast<size_t>(frame)));
+    if (have < frame) {
+      tail_was_torn_ = true;
+      *at_end = true;
+      return base::OkStatus();
+    }
+  }
+  const uint8_t* body = buf_.data() + (offset_ - buf_offset_) + kFrameHeaderSize;
+  if (base::Crc32c(body, len) != crc) {
     tail_was_torn_ = true;
     *at_end = true;
     return base::OkStatus();
   }
-  payload->resize(len);
-  ASSIGN_OR_RETURN(size_t got, file_->Read(offset_ + sizeof(header), payload->data(), len));
-  if (got < len) {
-    tail_was_torn_ = true;
-    *at_end = true;
-    return base::OkStatus();
-  }
-  if (base::Crc32c(payload->data(), payload->size()) != crc) {
-    tail_was_torn_ = true;
-    *at_end = true;
-    return base::OkStatus();
-  }
-  offset_ += sizeof(header) + len;
+  *payload = base::ByteSpan(body, len);
+  offset_ += frame;
   return base::OkStatus();
 }
 

@@ -11,6 +11,11 @@ namespace rvm {
 
 base::Result<std::vector<TransactionRecord>> MergeTransactionLists(
     std::vector<std::vector<TransactionRecord>> per_node) {
+  if (per_node.size() == 1) {
+    // One node's log is already a serial order: its own commit order (the
+    // same shortcut ReplayLogsIntoDatabase takes for a single log).
+    return std::move(per_node[0]);
+  }
   // For each lock, the next sequence number that may be emitted is the
   // minimum sequence remaining across all queues. A queue head is *ready*
   // when every one of its lock records carries that minimum. Strict 2PL

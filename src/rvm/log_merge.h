@@ -25,7 +25,8 @@ namespace rvm {
 // into one serial order consistent with every lock's sequence numbers.
 // Fails with FAILED_PRECONDITION if the inputs admit no legal order (which
 // strict 2PL makes impossible for well-formed logs: it indicates corruption
-// or a synchronization bug).
+// or a synchronization bug). A single sequence is returned as it is: one
+// node's commit order is already serial.
 base::Result<std::vector<TransactionRecord>> MergeTransactionLists(
     std::vector<std::vector<TransactionRecord>> per_node);
 

@@ -17,8 +17,23 @@ uint32_t EntryGuard(uint64_t page, uint32_t crc) {
   return base::Crc32c(buf, sizeof(buf));
 }
 
+// Highest page whose entry offset fits in a uint64_t.
+constexpr uint64_t kMaxPage = (UINT64_MAX - kChecksumHeaderSize) / kChecksumEntrySize - 1;
+
 uint64_t EntryOffset(uint64_t page) {
   return kChecksumHeaderSize + page * kChecksumEntrySize;
+}
+
+// `n` bytes read from offset 0 hold a complete header for this layout.
+bool HeaderValid(const uint8_t* header, size_t n) {
+  if (n < kChecksumHeaderSize) {
+    return false;
+  }
+  uint32_t magic, version, page_size;
+  std::memcpy(&magic, header, 4);
+  std::memcpy(&version, header + 4, 4);
+  std::memcpy(&page_size, header + 8, 4);
+  return magic == kChecksumMagic && version == kChecksumVersion && page_size == kDbPageSize;
 }
 
 }  // namespace
@@ -67,23 +82,26 @@ base::Result<std::unique_ptr<ChecksumSidecar>> ChecksumSidecar::Open(
     }
   }
   ASSIGN_OR_RETURN(auto file, store->Open(ChecksumFileName(region), create));
-  auto sidecar = std::unique_ptr<ChecksumSidecar>(new ChecksumSidecar(std::move(file)));
-  ASSIGN_OR_RETURN(uint64_t size, sidecar->file_->Size());
+  return std::unique_ptr<ChecksumSidecar>(new ChecksumSidecar(std::move(file)));
+}
+
+base::Status ChecksumSidecar::ReadHeader() {
+  // A file too short for a header (a sidecar just created) needs no Read.
+  ASSIGN_OR_RETURN(uint64_t size, file_->Size());
+  size_t n = 0;
+  uint8_t header[kChecksumHeaderSize];
   if (size >= kChecksumHeaderSize) {
-    uint8_t header[kChecksumHeaderSize];
-    RETURN_IF_ERROR(sidecar->file_->ReadExact(0, header, sizeof(header)));
-    uint32_t magic, version, page_size;
-    std::memcpy(&magic, header, 4);
-    std::memcpy(&version, header + 4, 4);
-    std::memcpy(&page_size, header + 8, 4);
-    sidecar->header_written_ = magic == kChecksumMagic && version == kChecksumVersion &&
-                               page_size == kDbPageSize;
+    ASSIGN_OR_RETURN(n, file_->Read(0, header, sizeof(header)));
   }
-  return sidecar;
+  header_ = HeaderValid(header, n) ? Header::kValid : Header::kInvalid;
+  return base::OkStatus();
 }
 
 base::Status ChecksumSidecar::EnsureHeader() {
-  if (header_written_) {
+  if (header_ == Header::kUnread) {
+    RETURN_IF_ERROR(ReadHeader());
+  }
+  if (header_ == Header::kValid) {
     return base::OkStatus();
   }
   uint8_t header[kChecksumHeaderSize] = {};
@@ -94,41 +112,84 @@ base::Status ChecksumSidecar::EnsureHeader() {
   std::memcpy(header + 4, &version, 4);
   std::memcpy(header + 8, &page_size, 4);
   RETURN_IF_ERROR(file_->Write(0, base::ByteSpan(header, sizeof(header))));
-  header_written_ = true;
+  header_ = Header::kValid;
   return base::OkStatus();
 }
 
 base::Result<std::optional<uint32_t>> ChecksumSidecar::ReadEntry(uint64_t page) {
-  if (!header_written_) {
-    return std::optional<uint32_t>();  // unreadable header: no believable entries
+  ASSIGN_OR_RETURN(auto entries, ReadEntries(page, 1));
+  return entries[0];
+}
+
+base::Result<std::vector<std::optional<uint32_t>>> ChecksumSidecar::ReadEntries(
+    uint64_t first_page, uint64_t count) {
+  std::vector<std::optional<uint32_t>> out(count);
+  // Pages past kMaxPage have no offset (EntryOffset would wrap and alias a
+  // low entry); no real sidecar holds them, so they verify vacuously.
+  if (count == 0 || first_page > kMaxPage) {
+    return out;
   }
-  if (page > (UINT64_MAX - kChecksumHeaderSize) / kChecksumEntrySize) {
-    // EntryOffset would wrap and alias a low entry; no real sidecar can hold
-    // such a page, so it verifies vacuously instead.
-    return std::optional<uint32_t>();
+  const uint64_t last_page = std::min(kMaxPage, first_page + (count - 1));
+  if (header_ == Header::kUnread && first_page > kHeaderReadSpanPages) {
+    RETURN_IF_ERROR(ReadHeader());  // too far from the entries to share a Read
   }
-  uint8_t entry[kChecksumEntrySize];
-  ASSIGN_OR_RETURN(size_t n, file_->Read(EntryOffset(page), entry, sizeof(entry)));
-  if (n < sizeof(entry)) {
-    return std::optional<uint32_t>();
+  if (header_ == Header::kUnread) {
+    ASSIGN_OR_RETURN(uint64_t size, file_->Size());
+    if (size < kChecksumHeaderSize) {
+      header_ = Header::kInvalid;  // no header yet: no entries to read
+    }
   }
-  uint32_t crc, guard;
-  std::memcpy(&crc, entry, 4);
-  std::memcpy(&guard, entry + 4, 4);
-  if (guard != EntryGuard(page, crc)) {
-    return std::optional<uint32_t>();
+  if (header_ == Header::kInvalid) {
+    return out;
   }
-  return std::optional<uint32_t>(crc);
+  const bool with_header = header_ == Header::kUnread;
+  const uint64_t begin = with_header ? 0 : EntryOffset(first_page);
+  std::vector<uint8_t> buf(static_cast<size_t>(EntryOffset(last_page + 1) - begin));
+  ASSIGN_OR_RETURN(size_t n, file_->Read(begin, buf.data(), buf.size()));
+  if (with_header) {
+    header_ = HeaderValid(buf.data(), n) ? Header::kValid : Header::kInvalid;
+    if (header_ == Header::kInvalid) {
+      return out;  // unreadable header: no believable entries
+    }
+  }
+  for (uint64_t page = first_page; page <= last_page; ++page) {
+    const uint64_t at = EntryOffset(page) - begin;
+    if (at + kChecksumEntrySize > n) {
+      break;  // short file: this entry and every later one are absent
+    }
+    uint32_t crc, guard;
+    std::memcpy(&crc, buf.data() + at, 4);
+    std::memcpy(&guard, buf.data() + at + 4, 4);
+    if (guard == EntryGuard(page, crc)) {
+      out[page - first_page] = crc;
+    }
+  }
+  return out;
 }
 
 base::Status ChecksumSidecar::WriteEntry(uint64_t page, uint32_t crc) {
+  return WriteEntries(page, {crc});
+}
+
+base::Status ChecksumSidecar::WriteEntries(uint64_t first_page,
+                                           const std::vector<uint32_t>& crcs) {
+  if (crcs.empty()) {
+    return base::OkStatus();
+  }
+  if (first_page > kMaxPage || crcs.size() - 1 > kMaxPage - first_page) {
+    return base::InvalidArgument("checksum entry offset overflows: page " +
+                                 std::to_string(first_page));
+  }
   RETURN_IF_ERROR(EnsureHeader());
-  uint8_t entry[kChecksumEntrySize];
-  uint32_t guard = EntryGuard(page, crc);
-  std::memcpy(entry, &crc, 4);
-  std::memcpy(entry + 4, &guard, 4);
-  RETURN_IF_ERROR(file_->Write(EntryOffset(page), base::ByteSpan(entry, sizeof(entry))));
-  GlobalIntegrityMetrics()->pages_checksummed->Increment();
+  std::vector<uint8_t> buf(crcs.size() * kChecksumEntrySize);
+  for (size_t i = 0; i < crcs.size(); ++i) {
+    uint32_t guard = EntryGuard(first_page + i, crcs[i]);
+    std::memcpy(buf.data() + i * kChecksumEntrySize, &crcs[i], 4);
+    std::memcpy(buf.data() + i * kChecksumEntrySize + 4, &guard, 4);
+  }
+  RETURN_IF_ERROR(
+      file_->Write(EntryOffset(first_page), base::ByteSpan(buf.data(), buf.size())));
+  GlobalIntegrityMetrics()->pages_checksummed->Add(crcs.size());
   return base::OkStatus();
 }
 
@@ -179,9 +240,11 @@ base::Result<std::vector<uint64_t>> VerifyImagePages(store::DurableStore* store,
     }
     return sidecar_or.status();
   }
-  std::unique_ptr<ChecksumSidecar> sidecar = std::move(*sidecar_or);
+  // The header and every entry checked below, in one read.
+  ASSIGN_OR_RETURN(auto entries,
+                   (*sidecar_or)->ReadEntries(0, check_pages + (boundary ? 1 : 0)));
   for (uint64_t page = 0; page < check_pages; ++page) {
-    ASSIGN_OR_RETURN(auto entry, sidecar->ReadEntry(page));
+    const std::optional<uint32_t>& entry = entries[page];
     if (!entry.has_value()) {
       m->pages_unverified->Increment();
       continue;
@@ -197,7 +260,7 @@ base::Result<std::vector<uint64_t>> VerifyImagePages(store::DurableStore* store,
   }
   if (boundary) {
     const uint64_t page = check_pages;  // == len / kDbPageSize
-    ASSIGN_OR_RETURN(auto entry, sidecar->ReadEntry(page));
+    const std::optional<uint32_t>& entry = entries[page];
     if (!entry.has_value()) {
       m->pages_unverified->Increment();
     } else {

@@ -69,25 +69,45 @@ IntegrityMetrics* GlobalIntegrityMetrics();
 
 // Open sidecar of one region. Entries are self-validating, so a rotten or
 // truncated sidecar degrades to "fewer entries", never to a wrong verdict.
+// The header is read lazily, together with the first entries asked for.
 class ChecksumSidecar {
  public:
   // create=false fails with NOT_FOUND when the region has no sidecar yet.
+  // Reads nothing: the first entry read or write reads the header.
   static base::Result<std::unique_ptr<ChecksumSidecar>> Open(
       store::DurableStore* store, RegionId region, bool create);
 
   // The stored checksum of `page`, or nullopt if absent/unreadable.
   base::Result<std::optional<uint32_t>> ReadEntry(uint64_t page);
+  // The stored checksums of pages [first_page, first_page + count), each
+  // nullopt if absent/unreadable (bad header, short file, failed guard, or
+  // an index whose offset would wrap). One Read: it starts at the header
+  // when the header is still unread and the span begins within
+  // kHeaderReadSpanPages of it, else at the first entry (after a separate
+  // header read if needed).
+  base::Result<std::vector<std::optional<uint32_t>>> ReadEntries(uint64_t first_page,
+                                                                 uint64_t count);
   base::Status WriteEntry(uint64_t page, uint32_t crc);
+  // Writes the entries of pages [first_page, first_page + crcs.size()) with
+  // one Write (plus the header's, if the file has no valid header yet).
+  base::Status WriteEntries(uint64_t first_page, const std::vector<uint32_t>& crcs);
   base::Status Sync();
 
  private:
+  enum class Header { kUnread, kValid, kInvalid };
+
+  // Widest gap of entries a header-plus-entries read spans: 32 KiB of
+  // entries, i.e. a 32 MiB region file.
+  static constexpr uint64_t kHeaderReadSpanPages = 4096;
+
   explicit ChecksumSidecar(std::unique_ptr<store::DurableFile> file)
       : file_(std::move(file)) {}
 
+  base::Status ReadHeader();
   base::Status EnsureHeader();
 
   std::unique_ptr<store::DurableFile> file_;
-  bool header_written_ = false;
+  Header header_ = Header::kUnread;
 };
 
 // Recomputes the entire sidecar from the database file.

@@ -1,8 +1,12 @@
 #include "src/rvm/recovery.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <map>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -13,6 +17,10 @@
 
 namespace rvm {
 namespace {
+
+// Longest run of pages ReplayWriteSet::Commit moves as one Write and one
+// read-back Read; bounds its staging buffer at 1 MiB.
+constexpr uint64_t kMaxRunPages = 128;
 
 // Process-wide recovery instruments (rvm.*): recovery is a whole-cluster
 // event, so these are totals rather than per-node counters.
@@ -40,14 +48,13 @@ base::Result<std::vector<TransactionRecord>> ReadLogTransactions(store::DurableS
   ASSIGN_OR_RETURN(auto file, store->Open(log_name, /*create=*/false));
   LogReader reader(file.get());
   std::vector<TransactionRecord> txns;
-  std::vector<uint8_t> payload;
+  base::ByteSpan span;
   bool at_end = false;
   while (true) {
-    RETURN_IF_ERROR(reader.ReadNext(&payload, &at_end));
+    RETURN_IF_ERROR(reader.ReadNext(&span, &at_end));
     if (at_end) {
       break;
     }
-    base::ByteSpan span(payload.data(), payload.size());
     ASSIGN_OR_RETURN(LogRecordKind kind, PeekKind(span));
     if (kind == LogRecordKind::kCheckpoint) {
       // A checkpoint payload is exactly its kind byte. Anything longer is a
@@ -76,11 +83,51 @@ base::Result<std::vector<TransactionRecord>> ReadLogTransactions(store::DurableS
 ReplayWriteSet::ReplayWriteSet(store::DurableStore* store, ReplayOptions options)
     : store_(store), options_(std::move(options)) {}
 
-base::Status ReplayWriteSet::Apply(const RangeImage& range) {
-  auto it = files_.find(range.region);
+base::Result<store::DurableFile*> ReplayWriteSet::FileFor(RegionId region) {
+  auto it = files_.find(region);
   if (it == files_.end()) {
-    ASSIGN_OR_RETURN(auto file, store_->Open(RegionFileName(range.region), /*create=*/true));
-    it = files_.emplace(range.region, std::move(file)).first;
+    ASSIGN_OR_RETURN(auto file, store_->Open(RegionFileName(region), /*create=*/true));
+    it = files_.emplace(region, std::move(file)).first;
+  }
+  return it->second.get();
+}
+
+ReplayWriteSet::PageMap::iterator ReplayWriteSet::AddPage(RegionId region, uint64_t page,
+                                                          std::vector<uint8_t> image) {
+  PageBuild build;
+  build.image = std::move(image);
+  if (options_.verify_preimages) {
+    build.preimage = build.image;
+    build.covered.assign(kDbPageSize, 0);
+  }
+  return pages_.emplace(std::make_pair(region, page), std::move(build)).first;
+}
+
+base::Status ReplayWriteSet::LoadPages(RegionId region, const std::vector<uint64_t>& pages) {
+  confined_ = true;
+  ASSIGN_OR_RETURN(store::DurableFile * file, FileFor(region));
+  std::vector<uint8_t> buf;
+  for (size_t i = 0; i < pages.size();) {
+    size_t j = i + 1;
+    while (j < pages.size() && pages[j] == pages[j - 1] + 1) {
+      ++j;
+    }
+    buf.assign((j - i) * kDbPageSize, 0);
+    ASSIGN_OR_RETURN(size_t n, file->Read(pages[i] * kDbPageSize, buf.data(), buf.size()));
+    (void)n;  // short read past EOF leaves zeros, matching file growth
+    for (size_t k = i; k < j; ++k) {
+      auto at = buf.begin() + static_cast<std::ptrdiff_t>((k - i) * kDbPageSize);
+      AddPage(region, pages[k], std::vector<uint8_t>(at, at + kDbPageSize));
+    }
+    i = j;
+  }
+  return base::OkStatus();
+}
+
+base::Status ReplayWriteSet::Apply(const RangeImage& range) {
+  store::DurableFile* file = nullptr;
+  if (!confined_) {
+    ASSIGN_OR_RETURN(file, FileFor(range.region));
   }
   if (range.data.empty()) {
     return base::OkStatus();
@@ -88,22 +135,15 @@ base::Status ReplayWriteSet::Apply(const RangeImage& range) {
   uint64_t first_page = range.offset / kDbPageSize;
   uint64_t last_page = (range.offset + range.data.size() - 1) / kDbPageSize;
   for (uint64_t page = first_page; page <= last_page; ++page) {
-    if (options_.page_filter && !options_.page_filter(range.region, page)) {
-      continue;
-    }
-    auto key = std::make_pair(range.region, page);
-    auto page_it = pages_.find(key);
+    auto page_it = pages_.find(std::make_pair(range.region, page));
     if (page_it == pages_.end()) {
-      PageBuild build;
-      build.image.assign(kDbPageSize, 0);
-      ASSIGN_OR_RETURN(auto n, it->second->Read(page * kDbPageSize, build.image.data(),
-                                                build.image.size()));
-      (void)n;  // short read past EOF leaves zeros, matching file growth
-      if (options_.verify_preimages) {
-        build.preimage = build.image;
-        build.covered.assign(kDbPageSize, 0);
+      if (confined_) {
+        continue;
       }
-      page_it = pages_.emplace(key, std::move(build)).first;
+      std::vector<uint8_t> image(kDbPageSize, 0);
+      ASSIGN_OR_RETURN(auto n, file->Read(page * kDbPageSize, image.data(), image.size()));
+      (void)n;  // short read past EOF leaves zeros, matching file growth
+      page_it = AddPage(range.region, page, std::move(image));
     }
     uint64_t page_start = page * kDbPageSize;
     uint64_t lo = std::max(range.offset, page_start);
@@ -117,7 +157,26 @@ base::Status ReplayWriteSet::Apply(const RangeImage& range) {
   return base::OkStatus();
 }
 
+std::vector<ReplayWriteSet::Run> ReplayWriteSet::Runs() {
+  std::vector<Run> runs;
+  for (auto it = pages_.begin(); it != pages_.end(); ++it) {
+    if (!runs.empty()) {
+      Run& run = runs.back();
+      const auto& prev = std::prev(run.end)->first;
+      if (prev.first == it->first.first && prev.second + 1 == it->first.second &&
+          run.pages < kMaxRunPages) {
+        run.end = std::next(it);
+        ++run.pages;
+        continue;
+      }
+    }
+    runs.push_back(Run{it, std::next(it), 1});
+  }
+  return runs;
+}
+
 base::Status ReplayWriteSet::Commit() {
+  const std::vector<Run> runs = Runs();
   // One sidecar handle per region; each page's entry is written exactly
   // once per commit, from the image this write set already holds.
   std::map<RegionId, std::unique_ptr<ChecksumSidecar>> sidecars;
@@ -128,6 +187,15 @@ base::Status ReplayWriteSet::Commit() {
       it = sidecars.emplace(region, std::move(sidecar)).first;
     }
     return it->second.get();
+  };
+  auto write_entries = [&](const Run& run) -> base::Status {
+    std::vector<uint32_t> crcs;
+    crcs.reserve(run.pages);
+    for (auto it = run.begin; it != run.end; ++it) {
+      crcs.push_back(PageCrc(it->second.image.data(), it->second.image.size()));
+    }
+    ASSIGN_OR_RETURN(ChecksumSidecar * sidecar, sidecar_for(run.begin->first.first));
+    return sidecar->WriteEntries(run.begin->first.second, crcs);
   };
   auto sync_sidecars = [&]() -> base::Status {
     for (auto& [region, sidecar] : sidecars) {
@@ -142,37 +210,52 @@ base::Status ReplayWriteSet::Commit() {
     // matches it. A crash anywhere between here and the data sync leaves
     // the intent entry behind, which the case analysis below recognizes on
     // the next attempt — so a torn page resumes instead of reading as rot.
-    for (auto& [key, build] : pages_) {
-      const auto& [region, page] = key;
+    for (auto it = pages_.begin(); it != pages_.end();) {
+      // One sidecar read covers every page of this region.
+      const RegionId region = it->first.first;
+      const auto region_end = pages_.upper_bound(std::make_pair(region, UINT64_MAX));
+      const uint64_t first = it->first.second;
+      const uint64_t last = std::prev(region_end)->first.second;
       ASSIGN_OR_RETURN(ChecksumSidecar * sidecar, sidecar_for(region));
-      ASSIGN_OR_RETURN(auto entry, sidecar->ReadEntry(page));
-      uint32_t final_crc = PageCrc(build.image.data(), build.image.size());
-      bool fully_covered =
-          std::find(build.covered.begin(), build.covered.end(), 0) == build.covered.end();
-      if (!entry.has_value()) {
-        GlobalIntegrityMetrics()->pages_unverified->Increment();
-      } else if (*entry == PageCrc(build.preimage.data(), build.preimage.size())) {
-        GlobalIntegrityMetrics()->pages_verified->Increment();
-      } else if (*entry == final_crc) {
-        // Crash window of a previous materialization of this page: the
-        // intent was durable but the data write didn't finish. The bytes
-        // redo doesn't cover still hold their old values, so re-applying
-        // the same slices lands on the certified final image.
-      } else if (fully_covered) {
-        // Pre-image is rotten but irrelevant: redo overwrites every byte.
-      } else {
-        GlobalIntegrityMetrics()->verify_failures->Increment();
-        return base::DataLoss("pre-image failed sidecar verification before replay: region " +
-                              std::to_string(region) + " page " + std::to_string(page));
+      ASSIGN_OR_RETURN(auto entries, sidecar->ReadEntries(first, last - first + 1));
+      for (; it != region_end; ++it) {
+        const uint64_t page = it->first.second;
+        const PageBuild& build = it->second;
+        const std::optional<uint32_t>& entry = entries[page - first];
+        bool fully_covered =
+            std::find(build.covered.begin(), build.covered.end(), 0) == build.covered.end();
+        if (!entry.has_value()) {
+          GlobalIntegrityMetrics()->pages_unverified->Increment();
+        } else if (*entry == PageCrc(build.preimage.data(), build.preimage.size())) {
+          GlobalIntegrityMetrics()->pages_verified->Increment();
+        } else if (*entry == PageCrc(build.image.data(), build.image.size())) {
+          // Crash window of a previous materialization of this page: the
+          // intent was durable but the data write didn't finish. The bytes
+          // redo doesn't cover still hold their old values, so re-applying
+          // the same slices lands on the certified final image.
+        } else if (fully_covered) {
+          // Pre-image is rotten but irrelevant: redo overwrites every byte.
+        } else {
+          GlobalIntegrityMetrics()->verify_failures->Increment();
+          return base::DataLoss("pre-image failed sidecar verification before replay: region " +
+                                std::to_string(region) + " page " + std::to_string(page));
+        }
       }
-      RETURN_IF_ERROR(sidecar->WriteEntry(page, final_crc));
+    }
+    for (const Run& run : runs) {
+      RETURN_IF_ERROR(write_entries(run));
     }
     RETURN_IF_ERROR(sync_sidecars());
   }
-  for (auto& [key, build] : pages_) {
-    const auto& [region, page] = key;
-    RETURN_IF_ERROR(files_[region]->Write(
-        page * kDbPageSize, base::ByteSpan(build.image.data(), build.image.size())));
+  std::vector<uint8_t> staging;
+  for (const Run& run : runs) {
+    staging.clear();
+    for (auto it = run.begin; it != run.end; ++it) {
+      staging.insert(staging.end(), it->second.image.begin(), it->second.image.end());
+    }
+    const auto& [region, page] = run.begin->first;
+    RETURN_IF_ERROR(files_[region]->Write(page * kDbPageSize,
+                                          base::ByteSpan(staging.data(), staging.size())));
   }
   // Sync every opened file — even ones with no accumulated pages, so full
   // replay keeps its "database durable before log truncation" guarantee for
@@ -181,34 +264,29 @@ base::Status ReplayWriteSet::Commit() {
     RETURN_IF_ERROR(file->Sync());
   }
   // Read-back verification of every replayed page against its image.
-  std::vector<uint8_t> readback(kDbPageSize);
-  for (const auto& [key, build] : pages_) {
-    const auto& [region, page] = key;
-    auto& file = files_[region];
-    ASSIGN_OR_RETURN(uint64_t file_size, file->Size());
-    uint64_t offset = page * kDbPageSize;
-    size_t want = static_cast<size_t>(
-        offset < file_size ? std::min<uint64_t>(kDbPageSize, file_size - offset) : 0);
-    std::fill(readback.begin(), readback.end(), 0);
-    if (want > 0) {
-      RETURN_IF_ERROR(file->ReadExact(offset, readback.data(), want));
+  for (const Run& run : runs) {
+    const auto& [region, first_page] = run.begin->first;
+    staging.assign(run.pages * kDbPageSize, 0);
+    ASSIGN_OR_RETURN(size_t n, files_[region]->Read(first_page * kDbPageSize, staging.data(),
+                                                    staging.size()));
+    (void)n;  // past EOF reads as zeros, as the image is padded
+    const uint8_t* got = staging.data();
+    for (auto it = run.begin; it != run.end; ++it, got += kDbPageSize) {
+      if (std::memcmp(got, it->second.image.data(), kDbPageSize) != 0) {
+        GlobalIntegrityMetrics()->verify_failures->Increment();
+        return base::DataLoss("replayed page failed read-back verification: region " +
+                              std::to_string(region) + " page " +
+                              std::to_string(it->first.second));
+      }
+      GlobalIntegrityMetrics()->pages_verified->Increment();
     }
-    if (std::memcmp(readback.data(), build.image.data(), kDbPageSize) != 0) {
-      GlobalIntegrityMetrics()->verify_failures->Increment();
-      return base::DataLoss("replayed page failed read-back verification: region " +
-                            std::to_string(region) + " page " + std::to_string(page));
-    }
-    GlobalIntegrityMetrics()->pages_verified->Increment();
   }
   if (options_.verify_preimages) {
     return base::OkStatus();  // the intent entries already certify these pages
   }
   // Plain mode certifies once the data is durable and has read back intact.
-  for (const auto& [key, build] : pages_) {
-    const auto& [region, page] = key;
-    ASSIGN_OR_RETURN(ChecksumSidecar * sidecar, sidecar_for(region));
-    uint32_t crc = PageCrc(build.image.data(), build.image.size());
-    RETURN_IF_ERROR(sidecar->WriteEntry(page, crc));
+  for (const Run& run : runs) {
+    RETURN_IF_ERROR(write_entries(run));
   }
   return sync_sidecars();
 }

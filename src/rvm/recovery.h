@@ -10,7 +10,6 @@
 #define SRC_RVM_RECOVERY_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,7 +28,7 @@ base::Result<std::vector<TransactionRecord>> ReadLogTransactions(
     store::DurableStore* store, const std::string& log_name, bool* tail_was_torn = nullptr);
 
 // The single replay core shared by full-history replay (ApplyToDatabase:
-// trim and ReplayLogsIntoDatabase), recovery's per-page replay
+// trim and ReplayLogsIntoDatabase), recovery's per-file batch replay
 // (replay_on_demand.h), and the standby checkpoint's image write
 // (lbc::CheckpointFromStandby).
 //
@@ -38,14 +37,15 @@ base::Result<std::vector<TransactionRecord>> ReadLogTransactions(
 // call order). Commit() performs all store mutations: page writes, file
 // syncs, a read-back verification of every touched page against the
 // accumulated image, and exactly one sidecar entry per page, computed from
-// that image — so the CRC/sidecar logic exists exactly once.
+// that image — so the CRC/sidecar logic exists exactly once. Commit moves
+// each run of consecutive pages of a file as one unit: one data Write, one
+// read-back Read and one sidecar-entry Write per run.
 //
 // Options:
-//   page_filter      When set, only pages for which it returns true are
-//                    accumulated and written (single-page materialization).
 //   verify_preimages The on-demand path's rot gate. Before any mutation,
 //                    each accumulated page's pre-image is checked against
-//                    its existing sidecar entry. A mismatch is accepted
+//                    its existing sidecar entry (one sidecar Read per
+//                    file). A mismatch is accepted
 //                    when (a) the entry equals the page's FINAL image CRC —
 //                    the signature of a power cut during an earlier
 //                    materialization of this same page, whose sidecar
@@ -55,10 +55,9 @@ base::Result<std::vector<TransactionRecord>> ReadLogTransactions(
 //                    pre-image is irrelevant. Any other mismatch is genuine
 //                    rot under partially-covering redo: Commit fails with
 //                    DATA_LOSS before writing a byte, so the caller routes
-//                    the page through the Scrubber instead of laundering
+//                    the file through the Scrubber instead of laundering
 //                    the rot into a freshly certified page.
 struct ReplayOptions {
-  std::function<bool(RegionId, uint64_t)> page_filter;
   bool verify_preimages = false;
 };
 
@@ -66,10 +65,16 @@ class ReplayWriteSet {
  public:
   explicit ReplayWriteSet(store::DurableStore* store, ReplayOptions options = {});
 
+  // Confines the write set to `pages` of `region` (ascending, distinct) and
+  // reads their pre-images now, one Read per run of consecutive pages;
+  // Apply then skips every other page. Recovery's file batch calls it once
+  // before its Applies. A write set that never calls it takes every page a
+  // range touches and reads each pre-image on first touch.
+  base::Status LoadPages(RegionId region, const std::vector<uint64_t>& pages);
   // Accumulates one redo range (reads pre-images as needed; no writes).
   base::Status Apply(const RangeImage& range);
   // Writes, syncs, read-back-verifies, and checksums every accumulated page,
-  // one sidecar write per page. In verify_preimages mode that entry is the
+  // one sidecar entry per page. In verify_preimages mode that entry is the
   // intent, written and synced BEFORE the data, making a crash mid-write
   // self-describing; otherwise it is written after the read-back.
   base::Status Commit();
@@ -82,11 +87,24 @@ class ReplayWriteSet {
     std::vector<uint8_t> preimage;   // as first read (verify_preimages only)
     std::vector<uint8_t> covered;    // per-byte redo coverage (verify mode)
   };
+  using PageMap = std::map<std::pair<RegionId, uint64_t>, PageBuild>;
+  // Consecutive accumulated pages of one file: [begin, end) in pages_.
+  struct Run {
+    PageMap::iterator begin;
+    PageMap::iterator end;
+    uint64_t pages;
+  };
+
+  base::Result<store::DurableFile*> FileFor(RegionId region);
+  // Adds a page whose pre-image is `image` (kDbPageSize bytes).
+  PageMap::iterator AddPage(RegionId region, uint64_t page, std::vector<uint8_t> image);
+  std::vector<Run> Runs();
 
   store::DurableStore* store_;
   ReplayOptions options_;
+  bool confined_ = false;  // LoadPages fixed the page set
   std::map<RegionId, std::unique_ptr<store::DurableFile>> files_;
-  std::map<std::pair<RegionId, uint64_t>, PageBuild> pages_;
+  PageMap pages_;
 };
 
 // Applies transactions, in the given order, to the region database files.

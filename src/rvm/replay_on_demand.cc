@@ -1,5 +1,6 @@
 #include "src/rvm/replay_on_demand.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -22,145 +23,138 @@ IncrementalRecoveryMetrics* GlobalIncrementalRecoveryMetrics() {
 }
 
 IncrementalRecovery::IncrementalRecovery(store::DurableStore* store, LogIndex index,
-                                         base::Mutex* io_mu)
+                                         base::SharedMutex* io_mu)
     : store_(store), io_mu_(io_mu != nullptr ? io_mu : &own_io_mu_) {
   base::MutexLock lk(mu_);
   index_ = std::move(index);
-  for (const auto& key : index_.Pages()) {
-    pages_.emplace(key, PageEntry{});
+  for (const auto& [region, page] : index_.Pages()) {
+    files_[region].pending.insert(page);
   }
-  pending_ = pages_.size();
+  pending_ = index_.page_count();
 }
 
-base::Status IncrementalRecovery::MaterializeRegion(RegionId region,
-                                                    uint64_t deadline_ms) {
-  std::vector<uint64_t> pages;
-  {
-    base::MutexLock lk(mu_);
-    pages = index_.PagesOf(region);
+IncrementalRecovery::Batch IncrementalRecovery::ClaimLocked(
+    std::map<RegionId, FileEntry>::iterator file) {
+  file->second.in_flight = true;
+  Batch batch;
+  batch.region = file->first;
+  batch.pages.assign(file->second.pending.begin(), file->second.pending.end());
+  // A range spanning several claimed pages is listed under each of them;
+  // replay it once, in merged (transaction, range) order.
+  std::vector<std::pair<size_t, size_t>> slices;
+  for (uint64_t page : batch.pages) {
+    const std::vector<LogIndex::Slice>* page_slices = index_.SlicesFor(batch.region, page);
+    if (page_slices == nullptr) {
+      continue;
+    }
+    for (const LogIndex::Slice& s : *page_slices) {
+      slices.emplace_back(s.txn, s.range);
+    }
   }
-  // The deadline bounds each page's wait individually; the common stall is
-  // one page stuck behind another thread's replay, not many.
-  for (uint64_t page : pages) {
-    RETURN_IF_ERROR(MaterializePage(region, page, deadline_ms, /*background=*/false));
+  std::sort(slices.begin(), slices.end());
+  slices.erase(std::unique(slices.begin(), slices.end()), slices.end());
+  batch.ranges.reserve(slices.size());
+  for (const auto& [txn, range] : slices) {
+    batch.ranges.push_back(index_.transactions()[txn].ranges[range]);
   }
-  return base::OkStatus();
+  return batch;
 }
 
-std::vector<RangeImage> IncrementalRecovery::CollectRangesLocked(
-    LogIndex::PageKey key) {
-  std::vector<RangeImage> out;
-  const std::vector<LogIndex::Slice>* slices = index_.SlicesFor(key.first, key.second);
-  if (slices == nullptr) {
-    return out;
+void IncrementalRecovery::FinishLocked(const Batch& batch, bool replayed, bool background) {
+  auto file = files_.find(batch.region);
+  FileEntry& entry = file->second;
+  entry.in_flight = false;
+  uint64_t done = 0;
+  if (replayed) {
+    for (uint64_t page : batch.pages) {
+      if (entry.renewed.count(page) == 0) {
+        entry.pending.erase(page);
+        ++done;
+      }
+    }
   }
-  out.reserve(slices->size());
-  for (const LogIndex::Slice& s : *slices) {
-    out.push_back(index_.transactions()[s.txn].ranges[s.range]);
+  entry.renewed.clear();
+  if (entry.pending.empty()) {
+    files_.erase(file);
   }
-  return out;
+  pending_ -= done;
+  cv_.NotifyAll();
+  auto* m = GlobalIncrementalRecoveryMetrics();
+  (background ? m->pages_background : m->pages_on_demand)->Add(done);
 }
 
-base::Status IncrementalRecovery::ReplayPage(LogIndex::PageKey key,
-                                             std::vector<RangeImage> ranges) {
-  base::MutexLock io(*io_mu_);
+base::Status IncrementalRecovery::ReplayFile(const Batch& batch) {
+  base::ReaderMutexLock io(*io_mu_);
   ReplayOptions options;
   options.verify_preimages = true;
-  options.page_filter = [key](RegionId region, uint64_t page) {
-    return region == key.first && page == key.second;
-  };
-  ReplayWriteSet writes(store_, std::move(options));
-  for (const RangeImage& range : ranges) {
+  ReplayWriteSet writes(store_, options);
+  RETURN_IF_ERROR(writes.LoadPages(batch.region, batch.pages));
+  for (const RangeImage& range : batch.ranges) {
     RETURN_IF_ERROR(writes.Apply(range));
   }
   return writes.Commit();
 }
 
-base::Status IncrementalRecovery::MaterializePage(RegionId region, uint64_t page,
-                                                  uint64_t deadline_ms,
-                                                  bool background) {
+base::Status IncrementalRecovery::MaterializeRegion(RegionId region, uint64_t deadline_ms) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(deadline_ms);
-  const LogIndex::PageKey key{region, page};
   base::MutexLock lk(mu_);
   for (;;) {
-    auto it = pages_.find(key);
-    if (it == pages_.end() || it->second.state == PageState::kDone) {
+    auto file = files_.find(region);
+    if (file == files_.end()) {
       return base::OkStatus();
     }
-    if (it->second.state == PageState::kInProgress) {
+    if (file->second.in_flight) {
       if (deadline_ms > 0) {
         if (!cv_.WaitUntil(lk, deadline)) {
-          return base::DeadlineExceeded(
-              "timed out waiting for page replay: region " + std::to_string(region) +
-              " page " + std::to_string(page));
+          return base::DeadlineExceeded("timed out waiting for region file replay: region " +
+                                        std::to_string(region));
         }
       } else {
         cv_.Wait(lk);
       }
       continue;
     }
-    // kPending: claim it. The ranges are copied under mu_ because Extend may
-    // reallocate the index's transaction storage while we replay.
-    it->second.state = PageState::kInProgress;
-    const uint64_t gen = it->second.gen;
-    std::vector<RangeImage> ranges = CollectRangesLocked(key);
+    Batch batch = ClaimLocked(file);
     lk.Unlock();
-    base::Status replayed = ReplayPage(key, std::move(ranges));
+    base::Status replayed = ReplayFile(batch);
     lk.Lock();
-    PageEntry& entry = pages_[key];
-    if (!replayed.ok()) {
-      entry.state = PageState::kPending;  // stays recoverable (repair + retry)
-      cv_.NotifyAll();
-      return replayed;
-    }
-    if (entry.gen != gen) {
-      // Extend indexed new records for this page mid-replay; go again so
-      // the page is never marked done while redo for it is outstanding.
-      entry.state = PageState::kPending;
-      cv_.NotifyAll();
-      continue;
-    }
-    entry.state = PageState::kDone;
-    --pending_;
-    cv_.NotifyAll();
-    auto* m = GlobalIncrementalRecoveryMetrics();
-    (background ? m->pages_background : m->pages_on_demand)->Increment();
-    return base::OkStatus();
+    FinishLocked(batch, replayed.ok(), /*background=*/false);
+    // On success loop: pages Extend renewed mid-flight replay again.
+    RETURN_IF_ERROR(replayed);
   }
 }
 
 base::Result<bool> IncrementalRecovery::DrainStep(RegionId* failed_region) {
-  LogIndex::PageKey key{};
-  {
-    base::MutexLock lk(mu_);
-    for (;;) {
-      if (pending_ == 0) {
-        return false;
-      }
-      bool found = false;
-      for (const auto& [k, entry] : pages_) {
-        if (entry.state == PageState::kPending) {
-          key = k;
-          found = true;
-          break;
-        }
-      }
-      if (found) {
-        break;
-      }
-      // Every remaining page is in flight on another thread; wait for one
-      // to complete (or fail back to pending) rather than spinning.
-      cv_.Wait(lk);
+  base::MutexLock lk(mu_);
+  auto file = files_.begin();
+  for (;;) {
+    if (pending_ == 0) {
+      return false;
     }
+    // files_ holds only files with pending pages, so the scan passes over
+    // at most the files other threads have in flight.
+    file = files_.begin();
+    while (file != files_.end() && file->second.in_flight) {
+      ++file;
+    }
+    if (file != files_.end()) {
+      break;
+    }
+    // Every remaining file is in flight on another thread; wait for one to
+    // finish (or fail back to pending) rather than spinning.
+    cv_.Wait(lk);
   }
-  base::Status st = MaterializePage(key.first, key.second, /*deadline_ms=*/0,
-                                    /*background=*/true);
-  if (!st.ok()) {
+  Batch batch = ClaimLocked(file);
+  lk.Unlock();
+  base::Status replayed = ReplayFile(batch);
+  lk.Lock();
+  FinishLocked(batch, replayed.ok(), /*background=*/true);
+  if (!replayed.ok()) {
     if (failed_region != nullptr) {
-      *failed_region = key.first;
+      *failed_region = batch.region;
     }
-    return st;
+    return replayed;
   }
   return true;
 }
@@ -178,22 +172,13 @@ uint64_t IncrementalRecovery::PendingPages() const {
 void IncrementalRecovery::Extend(std::vector<TransactionRecord> merged) {
   base::MutexLock lk(mu_);
   std::vector<LogIndex::PageKey> touched = index_.Extend(std::move(merged));
-  for (const LogIndex::PageKey& key : touched) {
-    auto [it, inserted] = pages_.try_emplace(key);
-    if (inserted) {
+  for (const auto& [region, page] : touched) {
+    FileEntry& file = files_[region];
+    if (file.pending.insert(page).second) {
       ++pending_;
-      continue;
     }
-    switch (it->second.state) {
-      case PageState::kDone:
-        it->second.state = PageState::kPending;
-        ++pending_;
-        break;
-      case PageState::kInProgress:
-        ++it->second.gen;  // in-flight replay re-runs before marking done
-        break;
-      case PageState::kPending:
-        break;
+    if (file.in_flight) {
+      file.renewed.insert(page);  // the running replay predates this redo
     }
   }
   cv_.NotifyAll();

@@ -3,39 +3,47 @@
 //
 // Rather than replaying the whole merged history before anyone is served,
 // IncrementalRecovery tracks, per indexed page, whether its redo has been
-// materialized into the database file yet, and replays a page the first
-// time anything needs it — a client mapping the page's region, the
-// background drainer, or a synchronous DrainRecovery barrier. Once every
-// page is done the object is retired by its owner and the database files
-// are byte-identical to a full merged-log replay (ReplayLogsIntoDatabase).
+// materialized into the database file yet, and replays a region file the
+// first time anything needs it — a client mapping the region, a background
+// drain worker, or a synchronous DrainRecovery barrier. Once every page is
+// done the object is retired by its owner and the database files are
+// byte-identical to a full merged-log replay (ReplayLogsIntoDatabase).
 //
-// Per-page state machine (mu_, rank LockRank::kRecovery):
+// The claim unit is the region file (mu_, rank LockRank::kRecovery):
 //
-//   kPending ──claim──> kInProgress ──replayed──> kDone
-//      ^                    │  │
-//      └──── error ─────────┘  └── Extend() bumped the page's generation
-//                                  mid-flight: back to kPending and replay
-//                                  again with the newly indexed records.
+//   pending pages ──claim all──> in flight ──replayed──> done
+//        ^                          │  │
+//        └──────── error ───────────┘  └── Extend() renewed a claimed page
+//                                          mid-flight: that page stays
+//                                          pending and the file is claimed
+//                                          again with the new records.
 //
-// The claiming thread copies the page's redo ranges while holding mu_
-// (Extend may reallocate the backing transaction vector), releases mu_, and
-// replays through a ReplayWriteSet with verify_preimages=true — page writes
-// are serialized with the owner's other database writers via `io_mu` (the
-// cluster passes its DbMutex). Threads finding the page kInProgress wait on
-// the condvar; a non-zero deadline turns that wait into kDeadlineExceeded
-// so a mapping client's transaction stays usable under a stalled drain.
+// A claim takes every pending page of one file at once and copies their
+// redo ranges, in merged order, while holding mu_ (Extend may reallocate
+// the backing transaction vector). It then releases mu_ and replays the
+// pages as one ReplayWriteSet batch with verify_preimages=true: one sidecar
+// read for the file; per run of consecutive pages one pre-image read, one
+// intent-entry write, one data write and one read-back; one sync of each
+// file (seven ops for a contiguous file). At most one replay of a
+// file runs at a time; replays of different files overlap, each holding
+// `io_mu` SHARED (the cluster passes its DbMutex, whose other writers take
+// it exclusive). Threads that need a file in flight wait on the condvar; a
+// non-zero deadline turns that wait into kDeadlineExceeded so a mapping
+// client's transaction stays usable under a stalled drain.
 //
-// Invariant the crash sweep leans on: a page leaves kPending only through a
+// Invariant the crash sweep leans on: a page leaves pending only through a
 // CRC-gated replay (pre-image checked against the sidecar, intent entry
 // written before data, read-back verified after), so a recovering server
 // never serves an unreplayed or uncertified byte — rot discovered lazily at
-// first touch fails the materialization with DATA_LOSS instead of being
-// replayed over, and the caller routes it through the Scrubber.
+// first touch fails the whole file's materialization with DATA_LOSS
+// instead of being replayed over, and the caller routes it through the
+// Scrubber.
 #ifndef SRC_RVM_REPLAY_ON_DEMAND_H_
 #define SRC_RVM_REPLAY_ON_DEMAND_H_
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "src/base/status.h"
@@ -61,66 +69,72 @@ IncrementalRecoveryMetrics* GlobalIncrementalRecoveryMetrics();
 
 class IncrementalRecovery {
  public:
-  // `io_mu` serializes this object's database-file writes with the owner's
-  // other writers (lbc::Cluster passes its DbMutex); nullptr uses a private
-  // mutex of the same rank (standalone use in tests and crash sweeps).
+  // Page replays hold `io_mu` shared, so they exclude the owner's other
+  // database-file writers, which hold it exclusive (lbc::Cluster passes its
+  // DbMutex); nullptr uses a private lock of the same rank (standalone use
+  // in tests and crash sweeps).
   IncrementalRecovery(store::DurableStore* store, LogIndex index,
-                      base::Mutex* io_mu = nullptr);
+                      base::SharedMutex* io_mu = nullptr);
 
   IncrementalRecovery(const IncrementalRecovery&) = delete;
   IncrementalRecovery& operator=(const IncrementalRecovery&) = delete;
 
   // Materializes every currently pending page of `region` (first-touch
-  // path). deadline_ms > 0 bounds only the time spent waiting on pages
-  // another thread is already replaying; 0 waits indefinitely.
+  // path). deadline_ms > 0 bounds the time spent waiting on a replay of
+  // this file another thread is running; 0 waits indefinitely.
   base::Status MaterializeRegion(RegionId region, uint64_t deadline_ms = 0);
 
-  // Materializes a single page (kDeadlineExceeded on a timed-out wait, as
-  // above). `background` only selects which counter the replay lands in.
-  base::Status MaterializePage(RegionId region, uint64_t page,
-                               uint64_t deadline_ms = 0, bool background = false);
-
-  // Background drain: replays one pending page (deterministically the first
-  // in (region, page) order). Returns false when every page is done; blocks
-  // while the only remaining pages are in flight on other threads. On
-  // error, *failed_region (if non-null) names the region for repair.
+  // Background drain: replays the pending pages of one file —
+  // deterministically the first pending file in region order that no other
+  // thread is replaying. Returns false when every page is done; blocks
+  // while every remaining file is in flight on other threads. On error,
+  // *failed_region (if non-null) names the file's region for repair.
   base::Result<bool> DrainStep(RegionId* failed_region = nullptr);
 
   bool Drained() const;
-  uint64_t PendingPages() const;  // pages not yet kDone
+  uint64_t PendingPages() const;  // pages not yet done
 
   // Folds newly merged records (a dead client's log) into the index and
   // re-pends the pages they touch — including pages already materialized or
-  // currently in flight (their generation is bumped so the in-flight replay
-  // re-runs with the new records before the page is marked done).
+  // currently in flight (those stay pending after the in-flight replay, so
+  // the file is replayed again with the new records).
   void Extend(std::vector<TransactionRecord> merged);
 
  private:
-  enum class PageState { kPending, kInProgress, kDone };
-  struct PageEntry {
-    PageState state = PageState::kPending;
-    uint64_t gen = 0;  // bumped by Extend while kInProgress
+  // The pages of one region file that are not yet done. Files leave files_
+  // when their last page is done.
+  struct FileEntry {
+    std::set<uint64_t> pending;  // claimed pages included
+    bool in_flight = false;      // one thread is replaying a claimed batch
+    std::set<uint64_t> renewed;  // pages Extend re-indexed while in flight
+  };
+  // One claimed file: its pending pages and their redo, in merged order.
+  struct Batch {
+    RegionId region = 0;
+    std::vector<uint64_t> pages;
+    std::vector<RangeImage> ranges;
   };
 
-  // Copies the redo ranges intersecting `key` out of the index (claiming
-  // threads call this before dropping mu_ — Extend may reallocate the
-  // index's transaction storage while the replay runs).
-  std::vector<RangeImage> CollectRangesLocked(LogIndex::PageKey key)
+  // Marks the file in flight and copies its pending pages' redo ranges out
+  // of the index (before dropping mu_ — Extend may reallocate the index's
+  // transaction storage while the replay runs).
+  Batch ClaimLocked(std::map<RegionId, FileEntry>::iterator file) LBC_REQUIRES(mu_);
+  // Takes the file out of flight; on success its claimed pages are done
+  // unless Extend renewed them mid-flight.
+  void FinishLocked(const Batch& batch, bool replayed, bool background)
       LBC_REQUIRES(mu_);
-
-  // The actual page replay (no locks of this object held; takes the io
-  // mutex around the ReplayWriteSet).
-  base::Status ReplayPage(LogIndex::PageKey key, std::vector<RangeImage> ranges)
-      LBC_EXCLUDES(mu_);
+  // The batch replay itself (no locks of this object held; holds the io
+  // lock shared around the ReplayWriteSet).
+  base::Status ReplayFile(const Batch& batch) LBC_EXCLUDES(mu_);
 
   store::DurableStore* store_;
-  base::Mutex own_io_mu_{"rvm.recovery.io", base::LockRank::kClusterDb};
-  base::Mutex* io_mu_;
+  base::SharedMutex own_io_mu_{"rvm.recovery.io", base::LockRank::kClusterDb};
+  base::SharedMutex* io_mu_;
   mutable base::Mutex mu_{"rvm.recovery", base::LockRank::kRecovery};
   base::CondVar cv_;
   LogIndex index_ LBC_GUARDED_BY(mu_);
-  std::map<LogIndex::PageKey, PageEntry> pages_ LBC_GUARDED_BY(mu_);
-  uint64_t pending_ LBC_GUARDED_BY(mu_) = 0;  // pages not kDone
+  std::map<RegionId, FileEntry> files_ LBC_GUARDED_BY(mu_);
+  uint64_t pending_ LBC_GUARDED_BY(mu_) = 0;  // pages not done
 };
 
 }  // namespace rvm

@@ -10,7 +10,7 @@
 
 namespace {
 
-// Bit-at-a-time CRC-32C: the definition the sliced implementation must
+// Bit-at-a-time CRC-32C: the definition both implementations must
 // reproduce exactly.
 uint32_t ReferenceCrc32c(const uint8_t* p, size_t len, uint32_t seed = 0) {
   uint32_t crc = ~seed;
@@ -71,6 +71,21 @@ TEST(Crc32c, SlicedMatchesReferenceAtEveryLengthAndAlignment) {
     for (size_t len = 0; len <= 1024; ++len) {
       ASSERT_EQ(ReferenceCrc32c(data.data() + align, len),
                 base::Crc32c(data.data() + align, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32c, PortableMatchesReferenceAtEveryLengthAndAlignment) {
+  // Crc32c may take the CPU's CRC32C instruction; the table-driven fallback
+  // must give the same values wherever it runs.
+  const std::vector<uint8_t> data = RandomBytes(1024 + 8, 4);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const uint32_t reference = ReferenceCrc32c(data.data() + align, len, 0x1234u);
+      ASSERT_EQ(reference, base::Crc32cPortable(data.data() + align, len, 0x1234u))
+          << "align " << align << " len " << len;
+      ASSERT_EQ(reference, base::Crc32c(data.data() + align, len, 0x1234u))
           << "align " << align << " len " << len;
     }
   }

@@ -1,7 +1,9 @@
 // Tests for the concurrency-discipline layer (src/base/sync.h): the
 // runtime lock-order detector — deterministic ABBA cycle detection, rank
-// inversions, self-recursion, the consistent-order regression — and the
-// MutexLock <-> CondVar re-acquisition protocol.
+// inversions, self-recursion, the consistent-order regression — the
+// MutexLock <-> CondVar re-acquisition protocol, and SharedMutex: shared
+// holders overlap, an exclusive holder excludes them, and both modes are
+// ranked.
 //
 // The acquired-before graph is process-global, so every test resets it
 // (LockOrderTestOnlyReset) and uses mutex names unique to the test; the
@@ -11,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -279,6 +283,62 @@ TEST(LockOrderTest, DisabledDetectorRecordsNothing) {
   EXPECT_EQ(0u, base::GetLockOrderCounters().edges_recorded);
   base::SetLockOrderEnabled(true);
   base::LockOrderTestOnlyReset();
+}
+
+TEST(SharedMutexTest, ReadersOverlapAndAWriterExcludesThem) {
+  ReportCollector collector;
+  base::SharedMutex mu("test.shared.rw");
+  std::atomic<int> readers_in{0};
+  std::atomic<bool> overlapped{false};
+  std::atomic<bool> writer_saw_reader{false};
+
+  // Each reader stays inside until both have been in at once (which only a
+  // shared hold allows) or 5 s pass.
+  auto reader = [&] {
+    base::ReaderMutexLock lk(mu);
+    if (++readers_in == 2) {
+      overlapped = true;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!overlapped.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    --readers_in;
+  };
+  std::thread r1(reader);
+  std::thread r2(reader);
+  r1.join();
+  r2.join();
+  EXPECT_TRUE(overlapped.load());
+
+  std::thread w;
+  {
+    base::WriterMutexLock held(mu);
+    w = std::thread([&] {
+      base::ReaderMutexLock lk(mu);  // blocks until the writer leaves
+      writer_saw_reader = readers_in.load() != 0;
+      ++readers_in;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(0, readers_in.load()) << "a reader entered under an exclusive hold";
+  }
+  w.join();
+  EXPECT_EQ(1, readers_in.load());
+  EXPECT_FALSE(writer_saw_reader.load());
+  EXPECT_TRUE(collector.reports().empty());
+}
+
+TEST(SharedMutexTest, SharedAcquisitionIsRanked) {
+  ReportCollector collector;
+  base::Mutex high("test.shared.high", 50);
+  base::SharedMutex low("test.shared.low", 10);
+  {
+    base::MutexLock lh(high);
+    base::ReaderMutexLock ll(low);  // rank 10 under rank 50
+  }
+  ASSERT_EQ(1u, collector.reports().size());
+  EXPECT_EQ(base::LockOrderReport::Kind::kRankInversion, collector.reports()[0].kind);
+  EXPECT_EQ("test.shared.low", collector.reports()[0].acquiring);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // truncation at every boundary, maximal length fields, dual encodings,
 // wrapping arithmetic, trailing bytes, and zero-size edge cases.
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -407,6 +408,73 @@ TEST_F(AdversarialSidecar, GarbageEntriesDegradeToUnverified) {
   auto bad = rvm::VerifyImagePages(&store_, 1, db.data(), db.size(), db.size());
   ASSERT_TRUE(bad.ok());
   EXPECT_TRUE(bad->empty());
+}
+
+TEST_F(AdversarialSidecar, RangedReadAgreesWithEntryReadsAtEveryTruncation) {
+  // A valid sidecar for four pages, with entry 2 rotten, torn at every byte.
+  // The one-read ranged entry read must give each page exactly the verdict
+  // a single-entry read gives: rotten, short and guard-failing entries (and
+  // everything behind a torn header) read as "no entry".
+  std::vector<uint8_t> db(4 * rvm::kDbPageSize);
+  for (size_t i = 0; i < db.size(); ++i) {
+    db[i] = static_cast<uint8_t>(i * 7);
+  }
+  {
+    auto file = store_.Open(rvm::RegionFileName(1), /*create=*/true);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Write(0, ByteSpan(db.data(), db.size())).ok());
+  }
+  ASSERT_TRUE(rvm::RewriteRegionChecksums(&store_, 1).ok());
+  std::vector<uint8_t> full;
+  {
+    auto sc = store_.Open(rvm::ChecksumFileName(1), /*create=*/false);
+    ASSERT_TRUE(sc.ok());
+    full.resize(*(*sc)->Size());
+    ASSERT_TRUE((*sc)->ReadExact(0, full.data(), full.size()).ok());
+  }
+  ASSERT_EQ(rvm::kChecksumHeaderSize + 4 * rvm::kChecksumEntrySize, full.size());
+  full[rvm::kChecksumHeaderSize + 2 * rvm::kChecksumEntrySize + 1] ^= 0x10;
+
+  for (size_t len = 0; len <= full.size(); ++len) {
+    WriteSidecarBytes(std::vector<uint8_t>(full.begin(), full.begin() + len));
+    auto ranged = rvm::ChecksumSidecar::Open(&store_, 1, /*create=*/false);
+    ASSERT_TRUE(ranged.ok()) << "tear at " << len;
+    // Pages 0..5: four real entries and two past the end of the file.
+    auto entries = (*ranged)->ReadEntries(0, 6);
+    ASSERT_TRUE(entries.ok()) << "tear at " << len;
+    ASSERT_EQ(6u, entries->size());
+    for (uint64_t page = 0; page < 6; ++page) {
+      auto single = rvm::ChecksumSidecar::Open(&store_, 1, /*create=*/false);
+      ASSERT_TRUE(single.ok());
+      auto entry = (*single)->ReadEntry(page);
+      ASSERT_TRUE(entry.ok());
+      EXPECT_EQ(*entry, (*entries)[page]) << "tear at " << len << ", page " << page;
+      const bool whole = len >= rvm::kChecksumHeaderSize + (page + 1) * rvm::kChecksumEntrySize;
+      EXPECT_EQ(whole && page != 2, (*entries)[page].has_value())
+          << "tear at " << len << ", page " << page;
+    }
+    // A span starting past the header reads after the (now known) header;
+    // it must agree with the span read from offset zero.
+    auto tail = (*ranged)->ReadEntries(1, 3);
+    ASSERT_TRUE(tail.ok());
+    EXPECT_EQ(std::vector<std::optional<uint32_t>>(entries->begin() + 1, entries->begin() + 4),
+              *tail)
+        << "tear at " << len;
+  }
+
+  // Spans that reach the offset-overflow boundary read as "no entry" there
+  // instead of wrapping onto a low entry.
+  WriteSidecarBytes(full);
+  auto sidecar = rvm::ChecksumSidecar::Open(&store_, 1, /*create=*/false);
+  ASSERT_TRUE(sidecar.ok());
+  for (uint64_t first : {UINT64_MAX / rvm::kChecksumEntrySize - 3,
+                         UINT64_MAX / rvm::kChecksumEntrySize, UINT64_MAX - 1}) {
+    auto entries = (*sidecar)->ReadEntries(first, 2);
+    ASSERT_TRUE(entries.ok());
+    for (const auto& entry : *entries) {
+      EXPECT_FALSE(entry.has_value()) << "span at " << first << " aliased a low entry";
+    }
+  }
 }
 
 }  // namespace

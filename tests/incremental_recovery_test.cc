@@ -7,7 +7,9 @@
 //     per-node commit sequence),
 //   * the serve-before-drain window and post-drain byte identity with an
 //     independent full replay of the merged logs,
-//   * one sidecar write and one sidecar sync per materialized page,
+//   * one sidecar write and one sidecar sync per materialized page, and
+//     seven database-file ops per materialized region file, one page or
+//     three,
 //   * the op_deadline_ms bound on a first-touch wait (the transaction — and
 //     the client — stay usable after a DEADLINE_EXCEEDED map),
 //   * lazily discovered pre-image rot failing certification and routing
@@ -16,20 +18,27 @@
 //   * a dead-client recovery that no longer starves the calling heartbeat
 //     thread behind a synchronous replay, and
 //   * the boot-record dedup that keeps a late RecoverDeadClient from
-//     rolling already-replayed pages backwards.
+//     rolling already-replayed pages backwards, and
+//   * the drain worker pool: files replay concurrently, never two replays
+//     of one file at once, and a page re-pended while its file is in
+//     flight is replayed again.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/base/sync.h"
 #include "src/lbc/client.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
@@ -75,6 +84,150 @@ std::vector<uint8_t> ReadFile(store::DurableStore* store, const std::string& nam
   }
   return bytes;
 }
+
+// ---------------------------------------------------------------------------
+// ProbeStore: records every data op on a database file or sidecar — which
+// region, which thread, when — and can park the first Write to one file
+// until the test releases it, holding that file's replay in flight.
+// ---------------------------------------------------------------------------
+
+class ProbeStore : public store::DurableStore {
+ public:
+  struct Op {
+    std::string file;
+    char kind;  // 'R'ead, 'W'rite, 'A'ppend, 'S'ync, 'T'runcate
+    rvm::RegionId region;
+    std::thread::id thread;
+    std::chrono::steady_clock::time_point start;
+    std::chrono::steady_clock::time_point end;
+  };
+
+  explicit ProbeStore(store::DurableStore* base) : base_(base) {}
+
+  base::Result<std::unique_ptr<store::DurableFile>> Open(const std::string& name,
+                                                         bool create) override {
+    ASSIGN_OR_RETURN(auto file, base_->Open(name, create));
+    if (name.rfind("region_", 0) != 0) {
+      return file;  // logs are not probed
+    }
+    return std::unique_ptr<store::DurableFile>(new File(this, name, std::move(file)));
+  }
+  base::Status Remove(const std::string& name) override { return base_->Remove(name); }
+  base::Result<bool> Exists(const std::string& name) override { return base_->Exists(name); }
+  base::Result<std::vector<std::string>> List() override { return base_->List(); }
+  base::Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  base::Status SyncDir() override { return base_->SyncDir(); }
+
+  void HoldFirstWrite(const std::string& name) {
+    base::MutexLock lk(mu_);
+    hold_file_ = name;
+  }
+  // True once the held Write has arrived (within 10 s).
+  bool WaitHeld() {
+    base::MutexLock lk(mu_);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!held_) {
+      if (!cv_.WaitUntil(lk, deadline)) {
+        return false;
+      }
+    }
+    return true;
+  }
+  void Release() {
+    base::MutexLock lk(mu_);
+    hold_file_.clear();
+    cv_.NotifyAll();
+  }
+
+  std::vector<Op> ops() const {
+    base::MutexLock lk(mu_);
+    return ops_;
+  }
+  void ClearOps() {
+    base::MutexLock lk(mu_);
+    ops_.clear();
+  }
+  // "<file>:<kind>" for every recorded op, in the order they completed.
+  std::vector<std::string> OpTrace() const {
+    std::vector<std::string> out;
+    for (const Op& op : ops()) {
+      out.push_back(op.file + ":" + op.kind);
+    }
+    return out;
+  }
+
+ private:
+  class File : public store::DurableFile {
+   public:
+    File(ProbeStore* owner, std::string name, std::unique_ptr<store::DurableFile> base)
+        : owner_(owner), name_(std::move(name)), base_(std::move(base)) {}
+    base::Result<size_t> Read(uint64_t offset, void* buf, size_t len) override {
+      const auto start = owner_->Begin(name_, /*is_write=*/false);
+      auto result = base_->Read(offset, buf, len);
+      owner_->End(name_, 'R', start);
+      return result;
+    }
+    base::Status Write(uint64_t offset, base::ByteSpan data) override {
+      const auto start = owner_->Begin(name_, /*is_write=*/true);
+      base::Status status = base_->Write(offset, data);
+      owner_->End(name_, 'W', start);
+      return status;
+    }
+    base::Result<uint64_t> Append(base::ByteSpan data) override {
+      const auto start = owner_->Begin(name_, /*is_write=*/false);
+      auto result = base_->Append(data);
+      owner_->End(name_, 'A', start);
+      return result;
+    }
+    base::Status Sync() override {
+      const auto start = owner_->Begin(name_, /*is_write=*/false);
+      base::Status status = base_->Sync();
+      owner_->End(name_, 'S', start);
+      return status;
+    }
+    base::Result<uint64_t> Size() const override { return base_->Size(); }
+    base::Status Truncate(uint64_t size) override {
+      const auto start = owner_->Begin(name_, /*is_write=*/false);
+      base::Status status = base_->Truncate(size);
+      owner_->End(name_, 'T', start);
+      return status;
+    }
+
+   private:
+    ProbeStore* owner_;
+    std::string name_;
+    std::unique_ptr<store::DurableFile> base_;
+  };
+
+  std::chrono::steady_clock::time_point Begin(const std::string& name, bool is_write) {
+    base::MutexLock lk(mu_);
+    if (is_write && !held_ && name == hold_file_) {
+      held_ = true;
+      cv_.NotifyAll();
+      while (!hold_file_.empty()) {
+        cv_.Wait(lk);
+      }
+    }
+    return std::chrono::steady_clock::now();
+  }
+
+  void End(const std::string& name, char kind, std::chrono::steady_clock::time_point start) {
+    const auto end = std::chrono::steady_clock::now();
+    // "region_<id>.db" / "region_<id>.dbsum"
+    const auto region = static_cast<rvm::RegionId>(std::strtoull(name.c_str() + 7, nullptr, 10));
+    base::MutexLock lk(mu_);
+    ops_.push_back(Op{name, kind, region, std::this_thread::get_id(), start, end});
+  }
+
+  store::DurableStore* base_;
+  mutable base::Mutex mu_{"test.probe_store"};
+  base::CondVar cv_;
+  std::string hold_file_;
+  bool held_ = false;
+  std::vector<Op> ops_;
+};
 
 // ---------------------------------------------------------------------------
 // Shared two-region workload over a plain MemStore cluster
@@ -251,7 +404,7 @@ TEST(IncrementalRecovery, ServesBeforeDrainThenMatchesEagerByteForByte) {
   {
     // Holding the database-writer lock freezes all page materialization, so
     // the serving-while-unreplayed window is observable deterministically.
-    base::MutexLock stall(incr.cluster->DbMutex());
+    base::WriterMutexLock stall(incr.cluster->DbMutex());
     ASSERT_TRUE(incr.cluster->RestartServer().ok());
     EXPECT_TRUE(incr.cluster->ServerUp());
     EXPECT_TRUE(incr.cluster->RecoveryActive());
@@ -336,7 +489,7 @@ TEST(IncrementalRecovery, MaterializedPageWritesOneSidecarEntry) {
   // pre-image — intent before data.
   store.ResetOpCount();
   store.ArmCrashAtOp(2);
-  EXPECT_FALSE(recovery.MaterializePage(kRegion, 0).ok());
+  EXPECT_FALSE(recovery.MaterializeRegion(kRegion).ok());
   store.Disarm();
   EXPECT_EQ(final_crc, sidecar_entry());
   EXPECT_EQ(preimage, ReadFile(&mem, rvm::RegionFileName(kRegion)));
@@ -344,7 +497,7 @@ TEST(IncrementalRecovery, MaterializedPageWritesOneSidecarEntry) {
   // The retry resumes from that intent and costs exactly one sidecar write,
   // one sidecar sync, one data write and one data sync.
   store.ResetOpCount();
-  ASSERT_TRUE(recovery.MaterializePage(kRegion, 0).ok());
+  ASSERT_TRUE(recovery.MaterializeRegion(kRegion).ok());
   EXPECT_EQ(4u, store.op_count());
   EXPECT_EQ((std::vector<store::CrashOpKind>{
                 store::CrashOpKind::kWrite, store::CrashOpKind::kSync,
@@ -353,6 +506,75 @@ TEST(IncrementalRecovery, MaterializedPageWritesOneSidecarEntry) {
   EXPECT_EQ(final_crc, sidecar_entry());
   EXPECT_EQ(expected, ReadFile(&mem, rvm::RegionFileName(kRegion)));
   EXPECT_TRUE(recovery.Drained());
+}
+
+// ---------------------------------------------------------------------------
+// 2c. A region file is one batch: seven database-file ops whether it holds
+//     one pending page or three
+// ---------------------------------------------------------------------------
+
+TEST(IncrementalRecovery, DrainingOneFileCostsSevenDatabaseFileOps) {
+  constexpr rvm::RegionId kOnePage = 5;
+  constexpr rvm::RegionId kThreePages = 6;
+  store::MemStore mem;
+  ProbeStore probe(&mem);
+
+  // A full replay first creates both region files and their sidecars
+  // (headers included), so the ops counted below are the drain's own.
+  rvm::TransactionRecord base;
+  base.ranges.push_back({kOnePage, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11)});
+  base.ranges.push_back({kThreePages, 0, std::vector<uint8_t>(3 * rvm::kDbPageSize, 0x22)});
+  ASSERT_TRUE(rvm::ApplyToDatabase(&mem, {base}).ok());
+
+  // Redo: a partial write to the one-page file; for the three-page file a
+  // write covering page 0 partially, page 1 fully and page 2 partially.
+  rvm::TransactionRecord redo;
+  redo.node = 1;
+  redo.commit_seq = 1;
+  redo.ranges.push_back({kOnePage, 100, std::vector<uint8_t>(64, 0x33)});
+  redo.ranges.push_back(
+      {kThreePages, rvm::kDbPageSize - 50, std::vector<uint8_t>(rvm::kDbPageSize + 100, 0x44)});
+  std::vector<uint8_t> one_page(rvm::kDbPageSize, 0x11);
+  std::memset(one_page.data() + 100, 0x33, 64);
+  std::vector<uint8_t> three_pages(3 * rvm::kDbPageSize, 0x22);
+  std::memset(three_pages.data() + rvm::kDbPageSize - 50, 0x44, rvm::kDbPageSize + 100);
+
+  rvm::IncrementalRecovery recovery(&probe, rvm::LogIndex::FromMerged({redo}));
+  ASSERT_EQ(4u, recovery.PendingPages());
+  const std::string db1 = rvm::RegionFileName(kOnePage);
+  const std::string sum1 = rvm::ChecksumFileName(kOnePage);
+  const std::string db3 = rvm::RegionFileName(kThreePages);
+  const std::string sum3 = rvm::ChecksumFileName(kThreePages);
+
+  // Pre-image read, sidecar read (header and entries), intent write and
+  // sync, data write and sync, read-back.
+  auto step = recovery.DrainStep();
+  ASSERT_TRUE(step.ok() && *step) << step.status().ToString();
+  EXPECT_EQ((std::vector<std::string>{db1 + ":R", sum1 + ":R", sum1 + ":W", sum1 + ":S",
+                                      db1 + ":W", db1 + ":S", db1 + ":R"}),
+            probe.OpTrace());
+  EXPECT_EQ(3u, recovery.PendingPages());
+
+  probe.ClearOps();
+  step = recovery.DrainStep();
+  ASSERT_TRUE(step.ok() && *step) << step.status().ToString();
+  EXPECT_EQ((std::vector<std::string>{db3 + ":R", sum3 + ":R", sum3 + ":W", sum3 + ":S",
+                                      db3 + ":W", db3 + ":S", db3 + ":R"}),
+            probe.OpTrace());
+  EXPECT_TRUE(recovery.Drained());
+  step = recovery.DrainStep();
+  ASSERT_TRUE(step.ok());
+  EXPECT_FALSE(*step);
+
+  EXPECT_EQ(one_page, ReadFile(&mem, db1));
+  EXPECT_EQ(three_pages, ReadFile(&mem, db3));
+  for (auto [region, image] : {std::make_pair(kOnePage, &one_page),
+                               std::make_pair(kThreePages, &three_pages)}) {
+    auto failed = rvm::VerifyImagePages(&mem, region, image->data(), image->size(),
+                                        image->size());
+    ASSERT_TRUE(failed.ok());
+    EXPECT_TRUE(failed->empty()) << "region " << region;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -369,7 +591,7 @@ TEST(IncrementalRecovery, MapRegionDeadlineBoundsWaitOnInFlightPage) {
   {
     // Freeze page replay: claimants mark pages in-progress, then block on
     // the database-writer lock we hold.
-    base::MutexLock stall(fx.cluster->DbMutex());
+    base::WriterMutexLock stall(fx.cluster->DbMutex());
     ASSERT_TRUE(fx.cluster->RestartServer().ok());
     claimant = std::thread([&fx] {
       base::IgnoreError(fx.cluster->EnsureRegionRecovered(kRegionA));
@@ -455,7 +677,7 @@ TEST(IncrementalRecovery, FirstTouchRotRoutesThroughScrubber) {
   const uint64_t repaired_before = Counter("scrub.repaired_from_replica");
   const std::string db = rvm::RegionFileName(kRegion);
   {
-    base::MutexLock stall(cluster.DbMutex());
+    base::WriterMutexLock stall(cluster.DbMutex());
     ASSERT_TRUE(cluster.RestartServer().ok());
     EXPECT_EQ(2u, cluster.RecoveryPendingPages());  // pages 1 and 2 only
     // Rot replica 0's pre-image of page 1, outside the pending redo range.
@@ -529,7 +751,7 @@ TEST(IncrementalRecovery, DrainRecoveryReturnsDataLossOnUnrepairablePreImage) {
 
   cluster.KillServer();
   {
-    base::MutexLock stall(cluster.DbMutex());
+    base::WriterMutexLock stall(cluster.DbMutex());
     ASSERT_TRUE(cluster.RestartServer().ok());
     ASSERT_EQ(1u, cluster.RecoveryPendingPages());
     // Rot the pre-image outside the pending redo range.
@@ -694,6 +916,177 @@ TEST(IncrementalRecovery, LateDeadClientRecoveryDedupsBootRecords) {
   EXPECT_FALSE(cluster.RecoveryActive());
   ASSERT_TRUE(cluster.DrainRecovery().ok());
   EXPECT_EQ(gold, ReadFile(&mem, rvm::RegionFileName(kRegion)));
+}
+
+// ---------------------------------------------------------------------------
+// 7. The drain worker pool: region files replay concurrently, one replay per
+//    file at a time, and a page Extend re-pends mid-flight replays again
+// ---------------------------------------------------------------------------
+
+TEST(IncrementalRecovery, WorkerPoolOverlapsFilesButNeverOneFile) {
+  constexpr int kFiles = 6;
+  constexpr uint64_t kPages = 3;
+  constexpr uint64_t kLen = kPages * rvm::kDbPageSize;
+  constexpr rvm::RegionId kHeld = 1;      // claimed first, held mid-replay
+  constexpr rvm::RegionId kTouched = 6;   // a client's first touch
+  constexpr rvm::LockId kVictimLock = 90;  // region kHeld, manager 3
+  auto lock_of = [](rvm::RegionId region, rvm::NodeId node) {
+    return static_cast<rvm::LockId>(100 + 10 * region + node);
+  };
+
+  store::MemStore mem;
+  store::ResourceStore slow(&mem);
+  ProbeStore probe(&slow);
+  lbc::Cluster cluster(&probe);
+  std::map<rvm::RegionId, std::vector<uint8_t>> expected;
+  for (rvm::RegionId region = 1; region <= kFiles; ++region) {
+    cluster.DefineLock(lock_of(region, 1), region, 1);
+    cluster.DefineLock(lock_of(region, 2), region, 2);
+    expected[region].assign(kLen, 0);
+  }
+  cluster.DefineLock(kVictimLock, kHeld, 3);
+
+  auto commit = [&](lbc::Client* c, rvm::LockId lock, rvm::RegionId region, uint64_t offset,
+                    uint64_t len, uint8_t fill) {
+    lbc::Transaction txn = c->Begin();
+    ASSERT_TRUE(txn.Acquire(lock).ok());
+    ASSERT_TRUE(txn.SetRange(region, offset, len).ok());
+    std::memset(c->GetRegion(region)->data() + offset, fill, len);
+    ASSERT_TRUE(txn.Commit(rvm::CommitMode::kFlush).ok());
+    std::memset(expected[region].data() + offset, fill, len);
+  };
+  // Every file gets three pending pages: page 0 full and page 2 partial
+  // from node 1, page 1 full from node 2 (byte-disjoint, so the merged
+  // order cannot change the image).
+  auto victim = std::move(*lbc::Client::Create(&cluster, 3, {}));
+  ASSERT_TRUE(victim->MapRegion(kHeld, kLen).ok());
+  {
+    auto a = std::move(*lbc::Client::Create(&cluster, 1, {}));
+    auto b = std::move(*lbc::Client::Create(&cluster, 2, {}));
+    for (rvm::RegionId region = 1; region <= kFiles; ++region) {
+      ASSERT_TRUE(a->MapRegion(region, kLen).ok());
+      ASSERT_TRUE(b->MapRegion(region, kLen).ok());
+      const auto fill = static_cast<uint8_t>(0x10 * region);
+      commit(a.get(), lock_of(region, 1), region, 0, rvm::kDbPageSize, fill + 1);
+      commit(b.get(), lock_of(region, 2), region, rvm::kDbPageSize, rvm::kDbPageSize,
+             fill + 2);
+      commit(a.get(), lock_of(region, 1), region, 2 * rvm::kDbPageSize + 100, 300, fill + 3);
+    }
+  }
+
+  cluster.KillServer();
+  slow.InjectLatency("region_", 2'000'000, 500'000);
+  const uint64_t on_demand_before = Counter("recovery.pages_on_demand");
+  const uint64_t background_before = Counter("recovery.pages_background");
+  // The first worker claims region kHeld and parks at its intent write —
+  // in flight, holding DbMutex shared — while the other workers drain
+  // every other file.
+  probe.HoldFirstWrite(rvm::ChecksumFileName(kHeld));
+  ASSERT_TRUE(cluster.RestartServer().ok());
+  ASSERT_TRUE(probe.WaitHeld()) << "no worker reached region " << kHeld << "'s intent write";
+
+  // The victim commits a new record to page 2 of the in-flight file, then
+  // dies; its recovery Extends the live index and re-pends that page.
+  ASSERT_TRUE(victim->RejoinServer().ok());
+  commit(victim.get(), kVictimLock, kHeld, 2 * rvm::kDbPageSize + 1000, 200, 0xEE);
+  victim->Disconnect();
+  ASSERT_TRUE(cluster.RecoverDeadClient(3).ok());
+
+  // First touch from a client while the held file is still in flight: a
+  // shared DbMutex lets it replay (or wait for) region kTouched. Bounded, so
+  // a replay that excluded the others fails here instead of hanging.
+  auto reader = std::move(*lbc::Client::Create(&cluster, 4, {}));
+  std::future<base::Status> touched = std::async(std::launch::async, [&] {
+    auto mapped = reader->MapRegion(kTouched, kLen);
+    if (!mapped.ok()) {
+      return mapped.status();
+    }
+    return std::memcmp((*mapped)->data(), expected[kTouched].data(), kLen) == 0
+               ? base::OkStatus()
+               : base::DataLoss("first touch served the wrong bytes");
+  });
+  const bool touched_in_time =
+      touched.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+
+  // Only the held file is left: every other file replayed while it was in
+  // flight.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cluster.RecoveryPendingPages() > kPages &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(kPages, cluster.RecoveryPendingPages());
+  probe.Release();
+  EXPECT_TRUE(touched_in_time) << "first touch waited on the held file's replay";
+  base::Status touch_status = touched.get();
+  ASSERT_TRUE(touch_status.ok()) << touch_status.ToString();
+  ASSERT_TRUE(cluster.DrainRecovery().ok());
+  EXPECT_FALSE(cluster.RecoveryActive());
+  // Every page is counted once, when it is done: the re-pended page's first
+  // replay did not finish it.
+  EXPECT_EQ(kFiles * kPages,
+            (Counter("recovery.pages_on_demand") - on_demand_before) +
+                (Counter("recovery.pages_background") - background_before));
+
+  // The drained files hold the committed images — the victim's late write
+  // included — and every page verifies against its sidecar.
+  std::map<std::string, std::vector<uint8_t>> drained;
+  for (rvm::RegionId region = 1; region <= kFiles; ++region) {
+    std::vector<uint8_t> image = ReadFile(&mem, rvm::RegionFileName(region));
+    EXPECT_EQ(expected[region], image) << "region " << region;
+    auto failed =
+        rvm::VerifyImagePages(&mem, region, image.data(), image.size(), image.size());
+    ASSERT_TRUE(failed.ok());
+    EXPECT_TRUE(failed->empty()) << "region " << region;
+    drained[rvm::RegionFileName(region)] = std::move(image);
+    drained[rvm::ChecksumFileName(region)] = ReadFile(&mem, rvm::ChecksumFileName(region));
+  }
+  // ...and byte-identical, sidecars included, to an independent full replay
+  // of the merged logs over them.
+  cluster.KillServer();
+  std::vector<std::string> logs;
+  for (rvm::NodeId node : {1, 2, 3, 4}) {
+    logs.push_back(rvm::LogFileName(node));
+  }
+  ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(&mem, logs).ok());
+  for (const auto& [name, bytes] : drained) {
+    EXPECT_EQ(bytes, ReadFile(&mem, name)) << name;
+  }
+
+  // A file replay's ops run back to back on one thread, so each thread's
+  // consecutive ops on one region are one replay (or one image read).
+  struct Replay {
+    rvm::RegionId region;
+    std::thread::id thread;
+    std::chrono::steady_clock::time_point start, end;
+  };
+  std::vector<ProbeStore::Op> ops = probe.ops();
+  std::sort(ops.begin(), ops.end(),
+            [](const ProbeStore::Op& x, const ProbeStore::Op& y) { return x.start < y.start; });
+  std::vector<Replay> replays;
+  std::map<std::thread::id, size_t> last_of_thread;
+  for (const ProbeStore::Op& op : ops) {
+    auto it = last_of_thread.find(op.thread);
+    if (it != last_of_thread.end() && replays[it->second].region == op.region) {
+      replays[it->second].end = std::max(replays[it->second].end, op.end);
+      continue;
+    }
+    last_of_thread[op.thread] = replays.size();
+    replays.push_back(Replay{op.region, op.thread, op.start, op.end});
+  }
+  int cross_file_overlaps = 0;
+  for (size_t i = 0; i < replays.size(); ++i) {
+    for (size_t j = i + 1; j < replays.size(); ++j) {
+      const Replay& x = replays[i];
+      const Replay& y = replays[j];
+      if (x.thread == y.thread || x.end <= y.start || y.end <= x.start) {
+        continue;
+      }
+      EXPECT_NE(x.region, y.region) << "two replays of region " << x.region << " overlapped";
+      cross_file_overlaps += x.region != y.region ? 1 : 0;
+    }
+  }
+  EXPECT_GT(cross_file_overlaps, 0) << "no two region files ever replayed at once";
 }
 
 }  // namespace

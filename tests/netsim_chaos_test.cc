@@ -899,7 +899,7 @@ TEST(ChaosRecovery, IncrementalRestartsRaceCommittersScrubberAndDrainer) {
   mem.Crash(0);
   store.SetOffline(false);
   {
-    base::MutexLock stall(cluster.DbMutex());
+    base::WriterMutexLock stall(cluster.DbMutex());
     ASSERT_TRUE(cluster.RestartServer().ok());
     // Serving with every indexed page still pending: that IS the tentpole.
     EXPECT_TRUE(cluster.RecoveryActive());
@@ -924,7 +924,7 @@ TEST(ChaosRecovery, IncrementalRestartsRaceCommittersScrubberAndDrainer) {
   mem.Crash(0);
   store.SetOffline(false);
   {
-    base::MutexLock stall(cluster.DbMutex());
+    base::WriterMutexLock stall(cluster.DbMutex());
     ASSERT_TRUE(cluster.RestartServer().ok());
     EXPECT_TRUE(cluster.RecoveryActive());
     for (auto& client : clients) {

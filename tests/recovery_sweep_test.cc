@@ -18,6 +18,10 @@
 //   4. Composition with bit rot: a lazily discovered rotten pre-image fails
 //      materialization with DATA_LOSS and is NOT replayed over; healing the
 //      page lets the same materialization succeed.
+//   5. Sweeps 1 and 2 again over a multi-page batch: region 1 grows to three
+//      pages and every write to it covers pages 0 and 2 partially and page
+//      1 fully, so each replay of region 1 is one three-page file batch and
+//      the sweeps cut power inside it.
 //
 // Budget/seed are env-tunable like crash_explorer_test: LBC_CRASH_BUDGET
 // (0 = exhaustive) and LBC_CRASH_SEED.
@@ -97,23 +101,49 @@ std::vector<std::string> AllLogs() {
   return {rvm::LogFileName(1), rvm::LogFileName(2), rvm::LogFileName(3)};
 }
 
+// Where each step writes. kSlices: every node owns a 16-byte slice of a
+// 48-byte, one-page region. kMultiPage: region 1 spans three pages and node
+// n writes the last 64n bytes of page 0, all of page 1 and the first 64n
+// bytes of page 2 — overlapping writes, so replay order matters on every
+// page, and the partial pages depend on certified pre-images.
+enum class Shape { kSlices, kMultiPage };
+
+uint64_t RegionSize(Shape shape, rvm::RegionId region) {
+  return shape == Shape::kMultiPage && region == 1 ? 3 * rvm::kDbPageSize : kRegionSize;
+}
+
+struct Extent {
+  uint64_t offset;
+  uint64_t len;
+};
+
+Extent ExtentOf(Shape shape, const Step& step) {
+  if (shape == Shape::kMultiPage && step.region == 1) {
+    const uint64_t edge = 64 * step.node;
+    return {rvm::kDbPageSize - edge, rvm::kDbPageSize + 2 * edge};
+  }
+  return {(step.node - 1) * kSliceSize, kSliceSize};
+}
+
 using RegionBytes = std::vector<uint8_t>;
 using ClusterState = std::array<RegionBytes, 2>;
 
-std::vector<ClusterState> BuildShadow() {
+std::vector<ClusterState> BuildShadow(Shape shape) {
   std::vector<ClusterState> shadow;
-  ClusterState state = {RegionBytes(kRegionSize, 0), RegionBytes(kRegionSize, 0)};
+  ClusterState state = {RegionBytes(RegionSize(shape, 1), 0),
+                        RegionBytes(RegionSize(shape, 2), 0)};
   shadow.push_back(state);
   for (const Step& step : kSteps) {
-    std::memset(state[step.region - 1].data() + (step.node - 1) * kSliceSize,
-                step.value, kSliceSize);
+    const Extent e = ExtentOf(shape, step);
+    std::memset(state[step.region - 1].data() + e.offset, step.value, e.len);
     shadow.push_back(state);
   }
   return shadow;
 }
 
-base::Result<RegionBytes> ReadRegionFile(store::DurableStore* s, rvm::RegionId id) {
-  RegionBytes out(kRegionSize, 0);  // missing / short file reads as zeros
+base::Result<RegionBytes> ReadRegionFile(store::DurableStore* s, rvm::RegionId id,
+                                         uint64_t region_size = kRegionSize) {
+  RegionBytes out(region_size, 0);  // missing / short file reads as zeros
   ASSIGN_OR_RETURN(bool exists, s->Exists(rvm::RegionFileName(id)));
   if (!exists) {
     return out;
@@ -122,7 +152,7 @@ base::Result<RegionBytes> ReadRegionFile(store::DurableStore* s, rvm::RegionId i
   ASSIGN_OR_RETURN(uint64_t size, file->Size());
   if (size > 0) {
     RETURN_IF_ERROR(
-        file->ReadExact(0, out.data(), std::min<uint64_t>(size, kRegionSize)));
+        file->ReadExact(0, out.data(), std::min<uint64_t>(size, region_size)));
   }
   return out;
 }
@@ -171,7 +201,8 @@ base::Status RecoverIncrementally(store::DurableStore* s) {
 // recovery procedure swapped in.
 class IncrementalHarness {
  public:
-  IncrementalHarness(uint64_t budget, uint64_t seed) : shadow_(BuildShadow()) {
+  IncrementalHarness(uint64_t budget, uint64_t seed, Shape shape = Shape::kSlices)
+      : shape_(shape), shadow_(BuildShadow(shape)) {
     options_.budget = budget;
     options_.seed = seed;
   }
@@ -192,8 +223,8 @@ class IncrementalHarness {
     std::map<rvm::NodeId, std::unique_ptr<rvm::Rvm>> nodes;
     for (rvm::NodeId n : {rvm::NodeId{1}, rvm::NodeId{2}, rvm::NodeId{3}}) {
       ASSIGN_OR_RETURN(auto node, rvm::Rvm::Open(s, n, rvm::RvmOptions{}));
-      RETURN_IF_ERROR(node->MapRegion(1, kRegionSize).status());
-      RETURN_IF_ERROR(node->MapRegion(2, kRegionSize).status());
+      RETURN_IF_ERROR(node->MapRegion(1, RegionSize(shape_, 1)).status());
+      RETURN_IF_ERROR(node->MapRegion(2, RegionSize(shape_, 2)).status());
       nodes[n] = std::move(node);
     }
     std::map<rvm::LockId, uint64_t> seq;
@@ -204,9 +235,9 @@ class IncrementalHarness {
       const Step& step = kSteps[i];
       rvm::Rvm* node = nodes[step.node].get();
       rvm::TxnId txn = node->BeginTransaction(rvm::RestoreMode::kNoRestore);
-      uint64_t off = (step.node - 1) * kSliceSize;
-      RETURN_IF_ERROR(node->SetRange(txn, step.region, off, kSliceSize));
-      std::memset(node->GetRegion(step.region)->data() + off, step.value, kSliceSize);
+      const Extent e = ExtentOf(shape_, step);
+      RETURN_IF_ERROR(node->SetRange(txn, step.region, e.offset, e.len));
+      std::memset(node->GetRegion(step.region)->data() + e.offset, step.value, e.len);
       rvm::LockId lock = LockFor(step.region);
       RETURN_IF_ERROR(node->SetLockId(txn, lock, seq[lock] + 1));
       RETURN_IF_ERROR(node->EndTransaction(txn, rvm::CommitMode::kFlush));
@@ -247,8 +278,8 @@ class IncrementalHarness {
     if (!recovery.Drained()) {
       return base::Internal("probe left indexed pages unmaterialized");
     }
-    ASSIGN_OR_RETURN(RegionBytes r1, ReadRegionFile(s, 1));
-    ASSIGN_OR_RETURN(RegionBytes r2, ReadRegionFile(s, 2));
+    ASSIGN_OR_RETURN(RegionBytes r1, ReadRegionFile(s, 1, RegionSize(shape_, 1)));
+    ASSIGN_OR_RETURN(RegionBytes r2, ReadRegionFile(s, 2, RegionSize(shape_, 2)));
     const ClusterState& committed = shadow_[kTxns];
     if (r1 != committed[0] || r2 != committed[1]) {
       return base::DataLoss("serving window exposed a non-committed image");
@@ -260,8 +291,8 @@ class IncrementalHarness {
   // Committed-prefix invariant over the fully drained database, plus page
   // verification (the drain may not have certified a byte it cannot prove).
   base::Status Verify(store::DurableStore* s) {
-    ASSIGN_OR_RETURN(RegionBytes r1, ReadRegionFile(s, 1));
-    ASSIGN_OR_RETURN(RegionBytes r2, ReadRegionFile(s, 2));
+    ASSIGN_OR_RETURN(RegionBytes r1, ReadRegionFile(s, 1, RegionSize(shape_, 1)));
+    ASSIGN_OR_RETURN(RegionBytes r2, ReadRegionFile(s, 2, RegionSize(shape_, 2)));
     auto matches = [&](int k) {
       return r1 == shadow_[k][0] && r2 == shadow_[k][1];
     };
@@ -276,16 +307,17 @@ class IncrementalHarness {
   }
 
   rvm::CrashExplorerOptions options_;
+  Shape shape_;
   std::vector<ClusterState> shadow_;
   int commits_ = 0;
 };
 
 // --- the sweeps -------------------------------------------------------------
 
-TEST(RecoverySweep, EveryWorkloadCrashDrainsToCommittedPrefix) {
+void SweepWorkloadCrashes(Shape shape) {
   uint64_t budget = EnvU64("LBC_CRASH_BUDGET", 0);
   uint64_t seed = EnvU64("LBC_CRASH_SEED", 0x5eed);
-  IncrementalHarness harness(budget, seed);
+  IncrementalHarness harness(budget, seed, shape);
   rvm::CrashExplorer explorer = harness.MakeExplorer(/*with_probe=*/false);
 
   rvm::CrashExplorerReport report;
@@ -305,10 +337,10 @@ TEST(RecoverySweep, EveryWorkloadCrashDrainsToCommittedPrefix) {
   }
 }
 
-TEST(RecoverySweep, EveryRecoveryCrashServesAndReconvergesByteIdentical) {
+void SweepRecoveryCrashes(Shape shape) {
   uint64_t budget = EnvU64("LBC_CRASH_BUDGET", 0);
   uint64_t seed = EnvU64("LBC_CRASH_SEED", 0x5eed);
-  IncrementalHarness harness(budget, seed);
+  IncrementalHarness harness(budget, seed, shape);
   rvm::CrashExplorer explorer = harness.MakeExplorer(/*with_probe=*/true);
 
   rvm::CrashExplorerReport report;
@@ -326,6 +358,22 @@ TEST(RecoverySweep, EveryRecoveryCrashServesAndReconvergesByteIdentical) {
   if (budget == 0) {
     EXPECT_GE(report.nested_schedules_run, report.recovery_ops);
   }
+}
+
+TEST(RecoverySweep, EveryWorkloadCrashDrainsToCommittedPrefix) {
+  SweepWorkloadCrashes(Shape::kSlices);
+}
+
+TEST(RecoverySweep, EveryRecoveryCrashServesAndReconvergesByteIdentical) {
+  SweepRecoveryCrashes(Shape::kSlices);
+}
+
+TEST(RecoverySweep, MultiPageBatchEveryWorkloadCrashDrainsToCommittedPrefix) {
+  SweepWorkloadCrashes(Shape::kMultiPage);
+}
+
+TEST(RecoverySweep, MultiPageBatchEveryRecoveryCrashServesAndReconvergesByteIdentical) {
+  SweepRecoveryCrashes(Shape::kMultiPage);
 }
 
 // --- index builds are read-only ---------------------------------------------
@@ -390,7 +438,7 @@ TEST(RecoverySweep, RottenPreImageFailsMaterializationAndIsNotReplayedOver) {
 
   // First touch discovers the rot: DATA_LOSS, the page stays pending, and
   // the damaged bytes were NOT overwritten by the redo.
-  base::Status touched = recovery.MaterializePage(1, 0);
+  base::Status touched = recovery.MaterializeRegion(1);
   ASSERT_FALSE(touched.ok());
   EXPECT_EQ(base::StatusCode::kDataLoss, touched.code());
   EXPECT_EQ(1u, recovery.PendingPages());
@@ -399,7 +447,7 @@ TEST(RecoverySweep, RottenPreImageFailsMaterializationAndIsNotReplayedOver) {
   // Heal the page (flip the bit back — a scrubber's replica repair in
   // miniature) and the very same materialization succeeds.
   ASSERT_TRUE(store.FlipBit(db, 2 * kSliceSize + 3, 5).ok());
-  ASSERT_TRUE(recovery.MaterializePage(1, 0).ok());
+  ASSERT_TRUE(recovery.MaterializeRegion(1).ok());
   EXPECT_TRUE(recovery.Drained());
   RegionBytes expected(kRegionSize, 0x42);
   std::memset(expected.data(), 0x77, kSliceSize);

@@ -205,6 +205,67 @@ TEST_P(TornTailTest, TruncatedLogReadsCleanPrefix) {
 
 INSTANTIATE_TEST_SUITE_P(CutPoints, TornTailTest, ::testing::Range<uint64_t>(0, 24));
 
+TEST(LogIo, ReadAheadCrossesChunkBoundaries) {
+  // The reader fetches the log in 64 KiB chunks. Frames of mixed sizes — a
+  // few bytes up to one larger than a chunk — must come back byte for byte
+  // wherever they straddle a chunk edge, and a frame torn past the first
+  // chunk still ends the log cleanly.
+  store::MemStore store;
+  std::vector<std::vector<uint8_t>> payloads;
+  base::Rng rng(17);
+  for (int i = 0; i < 120; ++i) {
+    const size_t len = i == 40 ? 100 * 1024 : 1 + rng.Uniform(4000);
+    std::vector<uint8_t> p(len);
+    for (auto& b : p) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    payloads.push_back(std::move(p));
+  }
+  uint64_t end_before_last = 0;
+  {
+    auto file = std::move(*store.Open("log", true));
+    rvm::LogWriter writer(std::move(file));
+    for (const auto& p : payloads) {
+      end_before_last = writer.bytes_written();
+      ASSERT_TRUE(writer.Append(base::ByteSpan(p.data(), p.size()), false).ok());
+    }
+    ASSERT_TRUE(writer.Sync().ok());
+    ASSERT_GT(writer.bytes_written(), 3u * 64 * 1024);
+  }
+  auto read_all = [&](uint64_t* end, bool* torn) {
+    auto file = std::move(*store.Open("log", false));
+    rvm::LogReader reader(file.get());
+    std::vector<std::vector<uint8_t>> got;
+    std::vector<uint8_t> payload;
+    bool at_end = false;
+    while (true) {
+      EXPECT_TRUE(reader.ReadNext(&payload, &at_end).ok());
+      if (at_end) {
+        break;
+      }
+      got.push_back(payload);
+    }
+    *end = reader.offset();
+    *torn = reader.tail_was_torn();
+    return got;
+  };
+  uint64_t end = 0;
+  bool torn = false;
+  EXPECT_EQ(payloads, read_all(&end, &torn));
+  EXPECT_FALSE(torn);
+
+  // Tear the last frame: every earlier frame survives, the reader stops at
+  // the torn one's start.
+  {
+    auto file = std::move(*store.Open("log", false));
+    ASSERT_TRUE(file->Truncate(end_before_last + rvm::kFrameHeaderSize + 1).ok());
+  }
+  std::vector<std::vector<uint8_t>> prefix(payloads.begin(), payloads.end() - 1);
+  EXPECT_EQ(prefix, read_all(&end, &torn));
+  EXPECT_EQ(end_before_last, end);
+  EXPECT_TRUE(torn);
+}
+
 TEST(LogIo, CorruptedPayloadStopsRead) {
   store::MemStore store;
   {

@@ -3,7 +3,9 @@
 # gate (lint + Clang thread-safety + clang-tidy where available), then a
 # ThreadSanitizer build of the concurrency-heavy netsim/lbc/obs tests (the
 # chaos suite doubles as the data-race check for the obs instruments, which
-# every stats() reads without a lock while other threads count), an
+# every stats() reads without a lock while other threads count; the
+# incremental-recovery, standby and extensions tests cover the drain worker
+# pool that restarts, trims and the standby checkpoint replay on), an
 # ASan+UBSan pass over the full tier-1 suite minus the chaos tests
 # (excluded via `ctest -LE chaos` — their real-sleep timing does not
 # survive sanitizer slowdown),
@@ -130,17 +132,19 @@ fi
 if [[ "$run_tsan" == 1 ]]; then
   echo "=== TSan: netsim/lbc/obs concurrency tests ==="
   # incremental_recovery_test is here because every server restart and
-  # dead-client recovery starts the background drain worker pool.
+  # dead-client recovery starts the background drain worker pool;
+  # lbc_extensions_test (OnlineTrim) and lbc_standby_test because trims and
+  # the standby checkpoint replay on that pool while committers run.
   cmake -B build-tsan -S . -DLBC_SANITIZE=thread
   cmake --build build-tsan -j "$jobs" --target \
     netsim_chaos_test netsim_fabric_test netsim_multicast_test \
     netsim_reliable_wakeup_test obs_metrics_test \
     lbc_lock_protocol_test lbc_robustness_test rvm_concurrency_test \
-    incremental_recovery_test base_sync_test
+    incremental_recovery_test lbc_standby_test lbc_extensions_test base_sync_test
   for t in netsim_chaos_test netsim_fabric_test netsim_multicast_test \
            netsim_reliable_wakeup_test obs_metrics_test \
            lbc_lock_protocol_test lbc_robustness_test rvm_concurrency_test \
-           incremental_recovery_test base_sync_test; do
+           incremental_recovery_test lbc_standby_test lbc_extensions_test base_sync_test; do
     echo "--- tsan: $t"
     # base_sync_test constructs intentional ABBA inversions to exercise the
     # repo's own lock-order detector; TSan's deadlock detector flags the same

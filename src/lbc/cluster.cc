@@ -116,22 +116,50 @@ base::Status Cluster::ReplayAndRecordBaselines(const std::vector<std::string>& l
   if (log_names.empty()) {
     return base::OkStatus();
   }
-  // Full-history replay must not run while indexed pages are still pending:
-  // an indexed record is older than anything in these logs, so replaying a
-  // log record and then lazily materializing the same page would overwrite
-  // the newer bytes with older ones — and certify them.
-  RETURN_IF_ERROR(DrainRecovery());
-  base::WriterMutexLock db_guard(db_mu_);
   ASSIGN_OR_RETURN(auto merged, rvm::MergeLogs(store_, log_names));
-  RETURN_IF_ERROR(rvm::ApplyToDatabase(store_, merged));
-  base::MutexLock guard(mu_);
+  bool start_drainer = false;
+  {
+    base::MutexLock guard(mu_);
+    if (!server_up_) {
+      return base::Unavailable("server down");
+    }
+    // This thread drains too, so a one-file recovery needs no pool: the
+    // workers could only race it for that file's claim.
+    start_drainer =
+        FoldIntoRecoveryLocked(std::move(merged)) && recovery_->PendingFiles() > 1;
+  }
+  if (start_drainer) {
+    StartRecoveryDrain();
+  }
+  // The trim's records now sit behind every record the recovery already
+  // indexed, so draining replays each page in merged order — on this thread
+  // and the drain workers, with DrainLoop's bounded scrub repair.
+  return DrainRecovery();
+}
+
+bool Cluster::FoldIntoRecoveryLocked(std::vector<rvm::TransactionRecord> merged) {
+  if (merged.empty()) {
+    return false;
+  }
   for (const auto& txn : merged) {
+    uint64_t& bound = merged_commit_seq_[txn.node];
+    bound = std::max(bound, txn.commit_seq);
     for (const auto& lock : txn.locks) {
       uint64_t& baseline = baseline_seq_[lock.lock_id];
       baseline = std::max(baseline, lock.sequence);
     }
   }
-  return base::OkStatus();
+  if (recovery_ != nullptr) {
+    // Under mu_ on purpose: retirement also runs under mu_, so the
+    // extension cannot land on a recovery that already retired. Records the
+    // index already holds are deduplicated inside Extend by per-node
+    // commit_seq.
+    recovery_->Extend(std::move(merged));
+    return false;
+  }
+  recovery_ = std::make_shared<rvm::IncrementalRecovery>(
+      store_, rvm::LogIndex::FromMerged(std::move(merged)), &db_mu_);
+  return true;
 }
 
 uint64_t Cluster::BaselineSeq(rvm::LockId lock) const {
@@ -449,35 +477,17 @@ base::Status Cluster::RecoverDeadClient(rvm::NodeId node) {
     if (!recovered_.insert(node).second) {
       return base::OkStatus();  // lost a race with a concurrent detector
     }
-    if (!merged.empty()) {
-      if (recovery_ != nullptr) {
-        // Under mu_ on purpose: retirement also runs under mu_, so the
-        // extension cannot land on a recovery that already retired. Records
-        // the restart-time index already holds (this log was on the store
-        // then) are deduplicated inside Extend by per-node commit_seq.
-        recovery_->Extend(merged);
-      } else {
-        recovery_ = std::make_shared<rvm::IncrementalRecovery>(
-            store_, rvm::LogIndex::FromMerged(merged), &db_mu_);
-        start_drainer = true;
-      }
-    }
     m_.dead_clients_recovered.Increment();
     obs::TraceRing::Global()->Emit(node, obs::TraceType::kClientRecovered, /*lock=*/0,
                                    /*seq=*/0, /*bytes=*/merged.size());
-    uint64_t& bound = merged_commit_seq_[node];
-    for (const auto& txn : merged) {
-      bound = std::max(bound, txn.commit_seq);
-    }
+    // Survivors whose cached image is missing an update re-fetch it from
+    // the record cache (the dead writer will never retransmit).
     for (const auto& txn : merged) {
       for (const auto& lock : txn.locks) {
-        uint64_t& baseline = baseline_seq_[lock.lock_id];
-        baseline = std::max(baseline, lock.sequence);
-        // Survivors whose cached image is missing this update re-fetch it
-        // from the record cache (the dead writer will never retransmit).
         record_cache_[lock.lock_id].emplace(lock.sequence, txn);
       }
     }
+    start_drainer = FoldIntoRecoveryLocked(std::move(merged));
     for (auto& [region, nodes] : mappings_) {
       nodes.erase(std::remove(nodes.begin(), nodes.end(), node), nodes.end());
     }
@@ -536,9 +546,9 @@ bool Cluster::TryRepairRegion(rvm::RegionId region) {
   // which re-runs the materialization over the healed bytes.
   base::IgnoreError(EnsureRegionRecovered(region));
   // Serialize the repair's database-file writes with the cluster's other
-  // writers (trim/recovery replay, standby checkpoint): an unserialized
-  // repair_copy could interleave with ApplyToDatabase on the same page and
-  // leave a half-repaired, half-replayed hybrid on disk. The scrub itself
+  // writers (file replays, standby checkpoint): an unserialized repair_copy
+  // could interleave with a replay of the same page and leave a
+  // half-repaired, half-replayed hybrid on disk. The scrub itself
   // never rewrites logs (ScrubRegion is detect-only for them), so live
   // appenders need no quiescing here.
   base::WriterMutexLock db_guard(db_mu_);

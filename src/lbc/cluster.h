@@ -69,12 +69,20 @@ class Cluster {
   // --- server-side maintenance --------------------------------------------
 
   // Merges the given nodes' logs (missing logs are skipped), replays the
-  // merged history into the database files, then truncates every log.
-  // Callers must ensure the named nodes are not actively committing.
+  // merged history into the database files (ReplayAndRecordBaselines), then
+  // truncates every log. Callers must ensure the named nodes are not
+  // actively committing.
   base::Status RecoverAndTrim(const std::vector<rvm::NodeId>& nodes);
 
   // Merge + replay WITHOUT truncating (the caller resets the logs itself —
-  // used by lbc::OnlineTrim, where each client owns its log handle).
+  // used by lbc::OnlineTrim, where each client owns its log handle). The
+  // merged records are folded into the active recovery (or a new one, which
+  // starts the drain workers when it spans more than one region file) and
+  // the per-lock baselines advance; then DrainRecovery replays every
+  // pending page, so a trim's replay is the recovery drain — same file
+  // batches, same workers, same bounded scrub repair. Returns the drain's
+  // error (DATA_LOSS for unhealable rot, with the page left pending).
+  // Callers must NOT hold DbMutex().
   base::Status ReplayAndRecordBaselines(const std::vector<std::string>& log_names);
 
   // Highest update sequence number for `lock` that is reflected in the
@@ -157,13 +165,15 @@ class Cluster {
 
   // Server-side half of client-failure recovery (§3.5 applied to a dead
   // *client*): declares the node dead, merges its durable log via the
-  // regular log-merge path, replays it into the database files, advances
-  // the per-lock baselines to the dead node's last committed sequence
-  // numbers, publishes the merged records to the record cache (so survivors
-  // can re-fetch updates the dead writer committed but never managed to
-  // propagate), and withdraws the node from every region mapping. The dead
-  // node's log is NOT truncated: replay is idempotent redo, and a later
-  // full recovery may merge it again. Idempotent per node.
+  // regular log-merge path and folds the records into the active recovery
+  // (or a new one) — indexing only; the pages they touch replay on first
+  // touch or in the background drain. It advances the per-lock baselines to
+  // the dead node's last committed sequence numbers, publishes the merged
+  // records to the record cache (so survivors can re-fetch updates the dead
+  // writer committed but never managed to propagate), and withdraws the
+  // node from every region mapping. The dead node's log is NOT truncated:
+  // replay is idempotent redo, and a later full recovery may merge it
+  // again. Idempotent per node.
   base::Status RecoverDeadClient(rvm::NodeId node);
 
   // --- overload admission control -------------------------------------------
@@ -227,12 +237,12 @@ class Cluster {
   bool TryRepairRegion(rvm::RegionId region);
 
   // Orders the writers of the permanent database files that run through
-  // this cluster. Recovery's file replays hold it SHARED: each claims a
-  // whole region file, so replays of different files overlap. Full-history
-  // replay (ReplayAndRecordBaselines), the standby checkpoint's region-file
-  // writes, and the scrubber's page repairs (TryRepairRegion) hold it
-  // EXCLUSIVE — without it a repair_copy could interleave with a replay of
-  // the same page. Holding it exclusive therefore freezes every page
+  // this cluster. File replays — boot and dead-client recovery and trims
+  // alike — hold it SHARED: each claims a whole region file, so replays of
+  // different files overlap. The standby checkpoint's region-file writes
+  // and the scrubber's page repairs (TryRepairRegion) hold it EXCLUSIVE —
+  // without it a repair_copy could interleave with a replay of the same
+  // page. Holding it exclusive therefore freezes every page
   // materialization. Public so helpers that write the database files
   // directly (lbc::CheckpointFromStandby) can hold it.
   base::SharedMutex& DbMutex() LBC_RETURN_CAPABILITY(db_mu_) { return db_mu_; }
@@ -276,19 +286,20 @@ class Cluster {
   // retires the recovery object. A DATA_LOSS page is healed through the
   // scrubber when one is attached, at most 8 times in a row; after that (or
   // with no scrubber) the DATA_LOSS is returned and the page stays pending.
-  // Every full-replay entry point (ReplayAndRecordBaselines,
-  // RecoverAndTrim, the standby checkpoint) calls this first — a full
-  // replay racing or preceding indexed pages could certify stale bytes and
-  // then truncate the logs they came from. Callers must NOT hold
-  // DbMutex(): each file replay acquires it (shared) per file. The caller
-  // drains alongside the background workers, not instead of them.
+  // Trims (ReplayAndRecordBaselines, RecoverAndTrim) fold their records
+  // into the recovery and then call this; the standby checkpoint calls it
+  // before writing its image, which is newer than every indexed record.
+  // Callers must NOT hold DbMutex(): each file replay acquires it (shared)
+  // per file. The caller drains alongside the background workers, not
+  // instead of them.
   base::Status DrainRecovery();
 
-  // Background drainer controls. RestartServer/RecoverDeadClient start the
-  // drainer automatically when they create a recovery; the drainer thread
-  // starts the rest of the kDrainWorkers pool itself, so the caller pays
-  // for one thread start. KillServer and the destructor stop and join them
-  // all. Public for tests that want to race it explicitly.
+  // Background drainer controls. RestartServer and RecoverDeadClient start
+  // the drainer when they create a recovery, ReplayAndRecordBaselines when
+  // the recovery it creates spans more than one file (it drains too). The
+  // drainer thread starts the rest of the kDrainWorkers pool itself, so the
+  // caller pays for one thread start. KillServer and the destructor stop
+  // and join them all. Public for tests that want to race it explicitly.
   void StartRecoveryDrain();
   void StopRecoveryDrain();
 
@@ -307,6 +318,12 @@ class Cluster {
   // recovery with pages pending (Extend re-pended some after a drain
   // step saw none).
   bool RetireIfDrained(const std::shared_ptr<rvm::IncrementalRecovery>& rec);
+  // Folds merged records into the active recovery (Extend) or starts a new
+  // one over them, advancing the per-node merge bounds and the per-lock
+  // baselines: every read of the records' pages replays them first. True
+  // when a new recovery was created and the caller must start the drainer.
+  bool FoldIntoRecoveryLocked(std::vector<rvm::TransactionRecord> merged)
+      LBC_REQUIRES(mu_);
   store::DurableStore* store_;
   netsim::Fabric fabric_;
 
@@ -347,11 +364,11 @@ class Cluster {
   AdmissionQueue commit_queue_ LBC_GUARDED_BY(mu_);
   // Dead nodes whose log has been merged.
   std::set<rvm::NodeId> recovered_ LBC_GUARDED_BY(mu_);
-  // Highest commit sequence per node that boot recovery already merged.
-  // RecoverDeadClient drops records at or below this bound: re-applying a
-  // boot-time record after newer overlapping records have replayed would
-  // roll those pages backwards (absolute-value redo is only idempotent in
-  // merged order).
+  // Highest commit sequence per node already folded into a recovery (boot,
+  // dead-client or trim). RecoverDeadClient drops records at or below this
+  // bound: re-applying an already-replayed record after newer overlapping
+  // records have replayed would roll those pages backwards (absolute-value
+  // redo is only idempotent in merged order).
   std::map<rvm::NodeId, uint64_t> merged_commit_seq_ LBC_GUARDED_BY(mu_);
   bool server_up_ LBC_GUARDED_BY(mu_) = true;
   uint64_t server_epoch_ LBC_GUARDED_BY(mu_) = 0;
@@ -359,7 +376,7 @@ class Cluster {
   // Active incremental recovery; null when drained/retired. shared_ptr so
   // workers materialize pages with mu_ released while KillServer resets the
   // directory's reference. Retirement (reset once Drained()) happens only
-  // under mu_, which is also where RecoverDeadClient extends it — an
+  // under mu_, which is also where FoldIntoRecoveryLocked extends it — an
   // extension therefore cannot land on a recovery that just retired.
   std::shared_ptr<rvm::IncrementalRecovery> recovery_ LBC_GUARDED_BY(mu_);
   // Time-to-first-commit instrumentation: armed by RestartServer, resolved

@@ -1,8 +1,11 @@
 #include "src/lbc/standby.h"
 
+#include <cstdint>
 #include <map>
+#include <numeric>
 #include <vector>
 
+#include "src/rvm/page_checksum.h"
 #include "src/rvm/recovery.h"
 #include "src/rvm/types.h"
 
@@ -42,18 +45,21 @@ base::Status CheckpointFromStandby(Cluster* cluster, Client* standby,
     base::WriterMutexLock db_guard(cluster->DbMutex());
     for (rvm::RegionId region : standby->MappedRegions()) {
       const rvm::Region* r = standby->GetRegion(region);
-      // The whole image goes through the shared replay core as one
-      // offset-zero range: page writes, file sync, read-back verification,
-      // and the sidecar rewrite are the same code recovery replay uses.
-      // Re-checksumming must precede the trims below: if we crash in
-      // between, the untrimmed logs still cover every page whose sidecar
-      // entry is stale, and boot-time replay rewrites it.
-      rvm::ReplayWriteSet writes(cluster->store());
+      // The whole image goes through the replay engine as one offset-zero
+      // range over every page it spans: intent entries, page writes, file
+      // sync and read-back verification are the same code recovery replay
+      // uses. The image is durable and certified before the trims below: a
+      // crash in between leaves every log untrimmed, and boot-time replay
+      // applies their records over the certified image.
       rvm::RangeImage image;
       image.region = region;
       image.offset = 0;
       image.data.assign(r->data(), r->data() + r->size());
-      RETURN_IF_ERROR(writes.Apply(image));
+      std::vector<uint64_t> pages((r->size() + rvm::kDbPageSize - 1) / rvm::kDbPageSize);
+      std::iota(pages.begin(), pages.end(), uint64_t{0});
+      rvm::ReplayWriteSet writes(cluster->store(), region);
+      RETURN_IF_ERROR(writes.LoadPages(pages));
+      writes.Apply(image);
       RETURN_IF_ERROR(writes.Commit());
     }
   }

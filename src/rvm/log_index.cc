@@ -89,6 +89,29 @@ const std::vector<LogIndex::Slice>* LogIndex::SlicesFor(RegionId region,
   return it == pages_.end() ? nullptr : &it->second;
 }
 
+std::vector<RangeImage> LogIndex::RangesFor(RegionId region,
+                                            const std::vector<uint64_t>& pages) const {
+  // A range spanning several of the pages is listed under each of them.
+  std::vector<std::pair<uint32_t, uint32_t>> slices;
+  for (uint64_t page : pages) {
+    const std::vector<Slice>* page_slices = SlicesFor(region, page);
+    if (page_slices == nullptr) {
+      continue;
+    }
+    for (const Slice& s : *page_slices) {
+      slices.emplace_back(s.txn, s.range);
+    }
+  }
+  std::sort(slices.begin(), slices.end());
+  slices.erase(std::unique(slices.begin(), slices.end()), slices.end());
+  std::vector<RangeImage> ranges;
+  ranges.reserve(slices.size());
+  for (const auto& [txn, range] : slices) {
+    ranges.push_back(txns_[txn].ranges[range]);
+  }
+  return ranges;
+}
+
 uint64_t LogIndex::MaxCommitSeq(NodeId node) const {
   auto it = max_commit_seq_.find(node);
   return it == max_commit_seq_.end() ? 0 : it->second;

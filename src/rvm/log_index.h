@@ -45,11 +45,13 @@ class LogIndex {
 
   LogIndex() = default;
 
-  // Reads the named logs (missing ones are treated as empty, exactly like
-  // ReplayLogsIntoDatabase), merges them into one serial history via the
-  // lock records, and indexes every touched page. Read-only with respect to
-  // the store — the build contributes zero mutating operations, which is
-  // what lets a power cut during it degrade to a cut at its start.
+  // Reads the named logs (a missing one is treated as empty: a node that
+  // crashed before its first flush has nothing to recover), merges them
+  // into one serial history via the lock records, and indexes every touched
+  // page. ReplayLogsIntoDatabase and boot recovery both start here.
+  // Read-only with respect to the store — the build contributes zero
+  // mutating operations, which is what lets a power cut during it degrade
+  // to a cut at its start.
   static base::Result<LogIndex> Build(store::DurableStore* store,
                                       const std::vector<std::string>& log_names);
 
@@ -66,6 +68,10 @@ class LogIndex {
   // nullptr when the page has no indexed records. The returned pointer is
   // invalidated by Extend.
   const std::vector<Slice>* SlicesFor(RegionId region, uint64_t page) const;
+
+  // The redo ranges that touch `pages` of `region` (ascending), each once,
+  // in merged (transaction, range) order — one file batch's input.
+  std::vector<RangeImage> RangesFor(RegionId region, const std::vector<uint64_t>& pages) const;
 
   // Highest sequence number per lock across the whole history (baseline
   // rebuild without replay).

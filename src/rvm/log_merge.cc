@@ -12,8 +12,7 @@ namespace rvm {
 base::Result<std::vector<TransactionRecord>> MergeTransactionLists(
     std::vector<std::vector<TransactionRecord>> per_node) {
   if (per_node.size() == 1) {
-    // One node's log is already a serial order: its own commit order (the
-    // same shortcut ReplayLogsIntoDatabase takes for a single log).
+    // One node's log is already a serial order: its own commit order.
     return std::move(per_node[0]);
   }
   // For each lock, the next sequence number that may be emitted is the

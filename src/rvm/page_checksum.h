@@ -6,10 +6,11 @@
 // the next checkpoint. This module adds a CRC32C *sidecar* per region file
 // (region_N.dbsum) holding one checksum per kDbPageSize page:
 //
-//   * Writers — page replay (ReplayWriteSet: recovery's per-page
-//     materialization, trim and the standby checkpoint) and the scrubber's
-//     repairs — read the pages they wrote back from the store and record
-//     each page's checksum once, which doubles as write verification.
+//   * Writers — page replay (ReplayWriteSet, recovery.h: every full
+//     replay, trim, incremental drain and the standby checkpoint) and the
+//     scrubber's repairs — record each page's checksum once and read the
+//     pages they wrote back from the store, which doubles as write
+//     verification. Replay writes the entry first, as an intent.
 //   * Readers — Rvm::MapRegion (the server image fetch) and the scrubber —
 //     verify pages against the sidecar and fail with DATA_LOSS on mismatch.
 //
@@ -19,11 +20,10 @@
 //     growing the file (which zero-fills) never invalidates the entry of a
 //     formerly short tail page. Region files never shrink.
 //   * A page with no (or unreadable) sidecar entry verifies vacuously:
-//     files written before this layer existed, pages never replayed, and a
-//     crash between a data sync and the sidecar sync all read as
-//     "unverified", never as corrupt. Every replay rewrites the entries of
-//     the pages it touches — replay idempotence heals the crash window the
-//     same way it heals torn data.
+//     files written before this layer existed, pages never replayed and a
+//     torn entry write all read as "unverified", never as corrupt. Every
+//     replay rewrites the entries of the pages it touches; its intent entry
+//     lets the next replay recognize a page torn mid-write (recovery.h).
 //
 // Each 8-byte sidecar entry is self-guarded: [page CRC][CRC of (page index,
 // page CRC)], so rot *in the sidecar* is distinguishable from rot in the

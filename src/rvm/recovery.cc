@@ -11,8 +11,8 @@
 
 #include "src/obs/metrics.h"
 #include "src/rvm/log_format.h"
+#include "src/rvm/log_index.h"
 #include "src/rvm/log_io.h"
-#include "src/rvm/log_merge.h"
 #include "src/rvm/page_checksum.h"
 
 namespace rvm {
@@ -38,6 +38,19 @@ RecoveryMetrics* GlobalRecoveryMetrics() {
     return m;
   }();
   return metrics;
+}
+
+// True when the page-relative {offset, length} spans cover the whole page.
+bool FullyCovered(std::vector<std::pair<uint64_t, uint64_t>> spans) {
+  std::sort(spans.begin(), spans.end());
+  uint64_t covered = 0;  // [0, covered) is covered
+  for (const auto& [at, len] : spans) {
+    if (at > covered) {
+      return false;
+    }
+    covered = std::max(covered, at + len);
+  }
+  return covered >= kDbPageSize;
 }
 
 }  // namespace
@@ -80,32 +93,27 @@ base::Result<std::vector<TransactionRecord>> ReadLogTransactions(store::DurableS
   return txns;
 }
 
-ReplayWriteSet::ReplayWriteSet(store::DurableStore* store, ReplayOptions options)
-    : store_(store), options_(std::move(options)) {}
-
-base::Result<store::DurableFile*> ReplayWriteSet::FileFor(RegionId region) {
-  auto it = files_.find(region);
-  if (it == files_.end()) {
-    ASSIGN_OR_RETURN(auto file, store_->Open(RegionFileName(region), /*create=*/true));
-    it = files_.emplace(region, std::move(file)).first;
+std::pair<uint64_t, uint64_t> OverlayRange(const RangeImage& range, uint64_t page,
+                                           uint8_t* page_image) {
+  const uint64_t page_start = page * kDbPageSize;
+  const uint64_t lo = std::max(range.offset, page_start);
+  const uint64_t hi = std::min(range.offset + range.data.size(), page_start + kDbPageSize);
+  if (lo >= hi) {
+    return {0, 0};
   }
-  return it->second.get();
+  std::memcpy(page_image + (lo - page_start), range.data.data() + (lo - range.offset),
+              static_cast<size_t>(hi - lo));
+  return {lo - page_start, hi - lo};
 }
 
-ReplayWriteSet::PageMap::iterator ReplayWriteSet::AddPage(RegionId region, uint64_t page,
-                                                          std::vector<uint8_t> image) {
-  PageBuild build;
-  build.image = std::move(image);
-  if (options_.verify_preimages) {
-    build.preimage = build.image;
-    build.covered.assign(kDbPageSize, 0);
-  }
-  return pages_.emplace(std::make_pair(region, page), std::move(build)).first;
-}
+ReplayWriteSet::ReplayWriteSet(store::DurableStore* store, RegionId region)
+    : store_(store), region_(region) {}
 
-base::Status ReplayWriteSet::LoadPages(RegionId region, const std::vector<uint64_t>& pages) {
-  confined_ = true;
-  ASSIGN_OR_RETURN(store::DurableFile * file, FileFor(region));
+base::Status ReplayWriteSet::LoadPages(const std::vector<uint64_t>& pages) {
+  if (pages.empty()) {
+    return base::OkStatus();
+  }
+  ASSIGN_OR_RETURN(file_, store_->Open(RegionFileName(region_), /*create=*/true));
   std::vector<uint8_t> buf;
   for (size_t i = 0; i < pages.size();) {
     size_t j = i + 1;
@@ -113,48 +121,29 @@ base::Status ReplayWriteSet::LoadPages(RegionId region, const std::vector<uint64
       ++j;
     }
     buf.assign((j - i) * kDbPageSize, 0);
-    ASSIGN_OR_RETURN(size_t n, file->Read(pages[i] * kDbPageSize, buf.data(), buf.size()));
+    ASSIGN_OR_RETURN(size_t n, file_->Read(pages[i] * kDbPageSize, buf.data(), buf.size()));
     (void)n;  // short read past EOF leaves zeros, matching file growth
     for (size_t k = i; k < j; ++k) {
       auto at = buf.begin() + static_cast<std::ptrdiff_t>((k - i) * kDbPageSize);
-      AddPage(region, pages[k], std::vector<uint8_t>(at, at + kDbPageSize));
+      PageBuild& build = pages_[pages[k]];
+      build.image.assign(at, at + kDbPageSize);
+      build.preimage_crc = PageCrc(build.image.data(), build.image.size());
     }
     i = j;
   }
   return base::OkStatus();
 }
 
-base::Status ReplayWriteSet::Apply(const RangeImage& range) {
-  store::DurableFile* file = nullptr;
-  if (!confined_) {
-    ASSIGN_OR_RETURN(file, FileFor(range.region));
+void ReplayWriteSet::Apply(const RangeImage& range) {
+  if (range.region != region_ || range.data.empty()) {
+    return;
   }
-  if (range.data.empty()) {
-    return base::OkStatus();
+  const uint64_t first_page = range.offset / kDbPageSize;
+  const uint64_t last_page = (range.offset + range.data.size() - 1) / kDbPageSize;
+  for (auto it = pages_.lower_bound(first_page); it != pages_.end() && it->first <= last_page;
+       ++it) {
+    it->second.redo.push_back(OverlayRange(range, it->first, it->second.image.data()));
   }
-  uint64_t first_page = range.offset / kDbPageSize;
-  uint64_t last_page = (range.offset + range.data.size() - 1) / kDbPageSize;
-  for (uint64_t page = first_page; page <= last_page; ++page) {
-    auto page_it = pages_.find(std::make_pair(range.region, page));
-    if (page_it == pages_.end()) {
-      if (confined_) {
-        continue;
-      }
-      std::vector<uint8_t> image(kDbPageSize, 0);
-      ASSIGN_OR_RETURN(auto n, file->Read(page * kDbPageSize, image.data(), image.size()));
-      (void)n;  // short read past EOF leaves zeros, matching file growth
-      page_it = AddPage(range.region, page, std::move(image));
-    }
-    uint64_t page_start = page * kDbPageSize;
-    uint64_t lo = std::max(range.offset, page_start);
-    uint64_t hi = std::min(range.offset + range.data.size(), page_start + kDbPageSize);
-    std::memcpy(page_it->second.image.data() + (lo - page_start),
-                range.data.data() + (lo - range.offset), hi - lo);
-    if (options_.verify_preimages) {
-      std::memset(page_it->second.covered.data() + (lo - page_start), 1, hi - lo);
-    }
-  }
-  return base::OkStatus();
 }
 
 std::vector<ReplayWriteSet::Run> ReplayWriteSet::Runs() {
@@ -162,9 +151,7 @@ std::vector<ReplayWriteSet::Run> ReplayWriteSet::Runs() {
   for (auto it = pages_.begin(); it != pages_.end(); ++it) {
     if (!runs.empty()) {
       Run& run = runs.back();
-      const auto& prev = std::prev(run.end)->first;
-      if (prev.first == it->first.first && prev.second + 1 == it->first.second &&
-          run.pages < kMaxRunPages) {
+      if (std::prev(run.end)->first + 1 == it->first && run.pages < kMaxRunPages) {
         run.end = std::next(it);
         ++run.pages;
         continue;
@@ -176,128 +163,85 @@ std::vector<ReplayWriteSet::Run> ReplayWriteSet::Runs() {
 }
 
 base::Status ReplayWriteSet::Commit() {
+  if (pages_.empty()) {
+    return base::OkStatus();
+  }
   const std::vector<Run> runs = Runs();
-  // One sidecar handle per region; each page's entry is written exactly
-  // once per commit, from the image this write set already holds.
-  std::map<RegionId, std::unique_ptr<ChecksumSidecar>> sidecars;
-  auto sidecar_for = [&](RegionId region) -> base::Result<ChecksumSidecar*> {
-    auto it = sidecars.find(region);
-    if (it == sidecars.end()) {
-      ASSIGN_OR_RETURN(auto sidecar, ChecksumSidecar::Open(store_, region, /*create=*/true));
-      it = sidecars.emplace(region, std::move(sidecar)).first;
+  ASSIGN_OR_RETURN(auto sidecar, ChecksumSidecar::Open(store_, region_, /*create=*/true));
+  // Rot gate: before mutating anything, check each pre-image against its
+  // sidecar entry (one read covers every page of the file).
+  const uint64_t first = pages_.begin()->first;
+  const uint64_t last = std::prev(pages_.end())->first;
+  ASSIGN_OR_RETURN(auto entries, sidecar->ReadEntries(first, last - first + 1));
+  for (const auto& [page, build] : pages_) {
+    const std::optional<uint32_t>& entry = entries[page - first];
+    if (!entry.has_value()) {
+      GlobalIntegrityMetrics()->pages_unverified->Increment();
+    } else if (*entry == build.preimage_crc) {
+      GlobalIntegrityMetrics()->pages_verified->Increment();
+    } else if (*entry == PageCrc(build.image.data(), build.image.size())) {
+      // Crash window of a previous replay of this page: the intent was
+      // durable but the data write didn't finish. The bytes redo doesn't
+      // cover still hold their old values, so re-applying the same slices
+      // lands on the certified final image.
+    } else if (FullyCovered(build.redo)) {
+      // Pre-image is rotten but irrelevant: redo overwrites every byte.
+    } else {
+      GlobalIntegrityMetrics()->verify_failures->Increment();
+      return base::DataLoss("pre-image failed sidecar verification before replay: region " +
+                            std::to_string(region_) + " page " + std::to_string(page));
     }
-    return it->second.get();
-  };
-  auto write_entries = [&](const Run& run) -> base::Status {
-    std::vector<uint32_t> crcs;
-    crcs.reserve(run.pages);
+  }
+  // Intent: certify the FINAL image before the data moves. The entry is
+  // final — the read-back below confirms the data matches it — and a crash
+  // anywhere before the data sync leaves it behind for the gate above to
+  // recognize on the next attempt, so a torn page resumes instead of
+  // reading as rot.
+  std::vector<uint32_t> crcs;
+  for (const Run& run : runs) {
+    crcs.clear();
     for (auto it = run.begin; it != run.end; ++it) {
       crcs.push_back(PageCrc(it->second.image.data(), it->second.image.size()));
     }
-    ASSIGN_OR_RETURN(ChecksumSidecar * sidecar, sidecar_for(run.begin->first.first));
-    return sidecar->WriteEntries(run.begin->first.second, crcs);
-  };
-  auto sync_sidecars = [&]() -> base::Status {
-    for (auto& [region, sidecar] : sidecars) {
-      RETURN_IF_ERROR(sidecar->Sync());
-    }
-    return base::OkStatus();
-  };
-  if (options_.verify_preimages) {
-    // Rot gate + intent: before mutating anything, check each pre-image
-    // against its sidecar entry, then certify the FINAL image in the
-    // sidecar. That entry is final — the read-back below confirms the data
-    // matches it. A crash anywhere between here and the data sync leaves
-    // the intent entry behind, which the case analysis below recognizes on
-    // the next attempt — so a torn page resumes instead of reading as rot.
-    for (auto it = pages_.begin(); it != pages_.end();) {
-      // One sidecar read covers every page of this region.
-      const RegionId region = it->first.first;
-      const auto region_end = pages_.upper_bound(std::make_pair(region, UINT64_MAX));
-      const uint64_t first = it->first.second;
-      const uint64_t last = std::prev(region_end)->first.second;
-      ASSIGN_OR_RETURN(ChecksumSidecar * sidecar, sidecar_for(region));
-      ASSIGN_OR_RETURN(auto entries, sidecar->ReadEntries(first, last - first + 1));
-      for (; it != region_end; ++it) {
-        const uint64_t page = it->first.second;
-        const PageBuild& build = it->second;
-        const std::optional<uint32_t>& entry = entries[page - first];
-        bool fully_covered =
-            std::find(build.covered.begin(), build.covered.end(), 0) == build.covered.end();
-        if (!entry.has_value()) {
-          GlobalIntegrityMetrics()->pages_unverified->Increment();
-        } else if (*entry == PageCrc(build.preimage.data(), build.preimage.size())) {
-          GlobalIntegrityMetrics()->pages_verified->Increment();
-        } else if (*entry == PageCrc(build.image.data(), build.image.size())) {
-          // Crash window of a previous materialization of this page: the
-          // intent was durable but the data write didn't finish. The bytes
-          // redo doesn't cover still hold their old values, so re-applying
-          // the same slices lands on the certified final image.
-        } else if (fully_covered) {
-          // Pre-image is rotten but irrelevant: redo overwrites every byte.
-        } else {
-          GlobalIntegrityMetrics()->verify_failures->Increment();
-          return base::DataLoss("pre-image failed sidecar verification before replay: region " +
-                                std::to_string(region) + " page " + std::to_string(page));
-        }
-      }
-    }
-    for (const Run& run : runs) {
-      RETURN_IF_ERROR(write_entries(run));
-    }
-    RETURN_IF_ERROR(sync_sidecars());
+    RETURN_IF_ERROR(sidecar->WriteEntries(run.begin->first, crcs));
   }
+  RETURN_IF_ERROR(sidecar->Sync());
   std::vector<uint8_t> staging;
   for (const Run& run : runs) {
     staging.clear();
     for (auto it = run.begin; it != run.end; ++it) {
       staging.insert(staging.end(), it->second.image.begin(), it->second.image.end());
     }
-    const auto& [region, page] = run.begin->first;
-    RETURN_IF_ERROR(files_[region]->Write(page * kDbPageSize,
-                                          base::ByteSpan(staging.data(), staging.size())));
+    RETURN_IF_ERROR(file_->Write(run.begin->first * kDbPageSize,
+                                 base::ByteSpan(staging.data(), staging.size())));
   }
-  // Sync every opened file — even ones with no accumulated pages, so full
-  // replay keeps its "database durable before log truncation" guarantee for
-  // regions touched only by empty ranges.
-  for (auto& [region, file] : files_) {
-    RETURN_IF_ERROR(file->Sync());
-  }
+  RETURN_IF_ERROR(file_->Sync());
   // Read-back verification of every replayed page against its image.
   for (const Run& run : runs) {
-    const auto& [region, first_page] = run.begin->first;
     staging.assign(run.pages * kDbPageSize, 0);
-    ASSIGN_OR_RETURN(size_t n, files_[region]->Read(first_page * kDbPageSize, staging.data(),
-                                                    staging.size()));
+    ASSIGN_OR_RETURN(size_t n,
+                     file_->Read(run.begin->first * kDbPageSize, staging.data(), staging.size()));
     (void)n;  // past EOF reads as zeros, as the image is padded
     const uint8_t* got = staging.data();
     for (auto it = run.begin; it != run.end; ++it, got += kDbPageSize) {
       if (std::memcmp(got, it->second.image.data(), kDbPageSize) != 0) {
         GlobalIntegrityMetrics()->verify_failures->Increment();
         return base::DataLoss("replayed page failed read-back verification: region " +
-                              std::to_string(region) + " page " +
-                              std::to_string(it->first.second));
+                              std::to_string(region_) + " page " + std::to_string(it->first));
       }
       GlobalIntegrityMetrics()->pages_verified->Increment();
     }
   }
-  if (options_.verify_preimages) {
-    return base::OkStatus();  // the intent entries already certify these pages
-  }
-  // Plain mode certifies once the data is durable and has read back intact.
-  for (const Run& run : runs) {
-    RETURN_IF_ERROR(write_entries(run));
-  }
-  return sync_sidecars();
+  return base::OkStatus();
 }
 
-base::Status ApplyToDatabase(store::DurableStore* store,
-                             const std::vector<TransactionRecord>& txns) {
-  ReplayWriteSet writes(store);
-  for (const auto& txn : txns) {
-    for (const auto& range : txn.ranges) {
-      RETURN_IF_ERROR(writes.Apply(range));
-    }
+base::Status ReplayRegionFile(store::DurableStore* store, RegionId region,
+                              const std::vector<uint64_t>& pages,
+                              const std::vector<RangeImage>& ranges) {
+  ReplayWriteSet writes(store, region);
+  RETURN_IF_ERROR(writes.LoadPages(pages));
+  for (const RangeImage& range : ranges) {
+    writes.Apply(range);
   }
   return writes.Commit();
 }
@@ -305,25 +249,17 @@ base::Status ApplyToDatabase(store::DurableStore* store,
 base::Status ReplayLogsIntoDatabase(store::DurableStore* store,
                                     const std::vector<std::string>& log_names) {
   GlobalRecoveryMetrics()->replays->Increment();
-  // A named log may not exist: a node that crashed before its first flush
-  // never made the file durable. Such a node has no committed transactions,
-  // so its log reads as empty.
-  std::vector<std::string> present;
-  for (const std::string& name : log_names) {
-    ASSIGN_OR_RETURN(bool exists, store->Exists(name));
-    if (exists) {
-      present.push_back(name);
+  ASSIGN_OR_RETURN(const LogIndex index, LogIndex::Build(store, log_names));
+  const std::vector<LogIndex::PageKey> keys = index.Pages();
+  for (auto it = keys.begin(); it != keys.end();) {
+    const RegionId region = it->first;
+    std::vector<uint64_t> pages;
+    for (; it != keys.end() && it->first == region; ++it) {
+      pages.push_back(it->second);
     }
+    RETURN_IF_ERROR(ReplayRegionFile(store, region, pages, index.RangesFor(region, pages)));
   }
-  if (present.empty()) {
-    return base::OkStatus();
-  }
-  if (present.size() == 1) {
-    ASSIGN_OR_RETURN(auto txns, ReadLogTransactions(store, present[0]));
-    return ApplyToDatabase(store, txns);
-  }
-  ASSIGN_OR_RETURN(auto merged, MergeLogs(store, present));
-  return ApplyToDatabase(store, merged);
+  return base::OkStatus();
 }
 
 }  // namespace rvm

@@ -5,7 +5,11 @@
 //
 // With multiple clients each writing its own log, the logs are first merged
 // into a single serial order using the lock records (see log_merge.h),
-// exactly as the paper's new RVM merge utility does (§3.4).
+// exactly as the paper's new RVM merge utility does (§3.4). The merged
+// history is indexed by page (log_index.h) and replayed one region file at
+// a time by one engine, ReplayWriteSet: crash recovery, the §3.5 trim, the
+// incremental drain (replay_on_demand.h) and the standby checkpoint all
+// write database files through the same intent-first, rot-gated batch.
 #ifndef SRC_RVM_RECOVERY_H_
 #define SRC_RVM_RECOVERY_H_
 
@@ -27,95 +31,90 @@ namespace rvm {
 base::Result<std::vector<TransactionRecord>> ReadLogTransactions(
     store::DurableStore* store, const std::string& log_name, bool* tail_was_torn = nullptr);
 
-// The single replay core shared by full-history replay (ApplyToDatabase:
-// trim and ReplayLogsIntoDatabase), recovery's per-file batch replay
-// (replay_on_demand.h), and the standby checkpoint's image write
-// (lbc::CheckpointFromStandby).
-//
-// Apply() accumulates redo ranges page by page (pre-image read from the
-// database file, zero-padded past EOF, then overwritten by the ranges in
-// call order). Commit() performs all store mutations: page writes, file
-// syncs, a read-back verification of every touched page against the
-// accumulated image, and exactly one sidecar entry per page, computed from
-// that image — so the CRC/sidecar logic exists exactly once. Commit moves
-// each run of consecutive pages of a file as one unit: one data Write, one
-// read-back Read and one sidecar-entry Write per run.
-//
-// Options:
-//   verify_preimages The on-demand path's rot gate. Before any mutation,
-//                    each accumulated page's pre-image is checked against
-//                    its existing sidecar entry (one sidecar Read per
-//                    file). A mismatch is accepted
-//                    when (a) the entry equals the page's FINAL image CRC —
-//                    the signature of a power cut during an earlier
-//                    materialization of this same page, whose sidecar
-//                    intent (written before the data, see Commit) already
-//                    certifies where this replay is going — or (b) the
-//                    pending redo covers the whole page, in which case the
-//                    pre-image is irrelevant. Any other mismatch is genuine
-//                    rot under partially-covering redo: Commit fails with
-//                    DATA_LOSS before writing a byte, so the caller routes
-//                    the file through the Scrubber instead of laundering
-//                    the rot into a freshly certified page.
-struct ReplayOptions {
-  bool verify_preimages = false;
-};
+// Copies the part of `range` that falls on `page` into `page_image`, which
+// holds that page (kDbPageSize bytes). Returns the page-relative span it
+// wrote as {offset, length}; length 0 when the range misses the page. The
+// one place a redo range is clipped to a page: replay and the scrubber's
+// page reconstruction both build pages through it.
+std::pair<uint64_t, uint64_t> OverlayRange(const RangeImage& range, uint64_t page,
+                                           uint8_t* page_image);
 
+// The replay engine: one batch of redo against pages of ONE region file.
+// Every write of logged or checkpointed bytes into a database file goes
+// through it — recovery's per-file replay (ReplayRegionFile, which full
+// replays, trims and the incremental drain all call) and the standby
+// checkpoint's whole-image write (lbc::CheckpointFromStandby).
+//
+// LoadPages reads the pre-images of the pages the batch covers; Apply then
+// overlays redo ranges on them in call order (ranges of other regions and
+// bytes on pages not loaded are skipped); Commit performs every store
+// mutation. Commit moves each run of consecutive pages as one unit, so a
+// contiguous file costs seven ops: pre-image read, sidecar read, intent
+// write and sync, data write and sync, read-back.
+//
+// Commit is intent-first and rot-gated:
+//   * Rot gate. Before any mutation, each page's pre-image is checked
+//     against its sidecar entry (one sidecar Read). A mismatch is accepted
+//     when (a) the entry equals the page's FINAL image CRC — the signature
+//     of a power cut during an earlier replay of this same page, whose
+//     intent already certifies where this replay is going — or (b) the redo
+//     covers the whole page, so the pre-image is irrelevant. Any other
+//     mismatch is rot under partially-covering redo: Commit fails with
+//     DATA_LOSS before writing a byte, so the caller routes the file through
+//     the Scrubber instead of laundering the rot into a certified page.
+//   * Intent. The final image's sidecar entry is written and synced BEFORE
+//     the data, making a crash mid-write self-describing; a read-back of
+//     every page after the data sync confirms the data matches it.
 class ReplayWriteSet {
  public:
-  explicit ReplayWriteSet(store::DurableStore* store, ReplayOptions options = {});
+  ReplayWriteSet(store::DurableStore* store, RegionId region);
 
-  // Confines the write set to `pages` of `region` (ascending, distinct) and
-  // reads their pre-images now, one Read per run of consecutive pages;
-  // Apply then skips every other page. Recovery's file batch calls it once
-  // before its Applies. A write set that never calls it takes every page a
-  // range touches and reads each pre-image on first touch.
-  base::Status LoadPages(RegionId region, const std::vector<uint64_t>& pages);
-  // Accumulates one redo range (reads pre-images as needed; no writes).
-  base::Status Apply(const RangeImage& range);
-  // Writes, syncs, read-back-verifies, and checksums every accumulated page,
-  // one sidecar entry per page. In verify_preimages mode that entry is the
-  // intent, written and synced BEFORE the data, making a crash mid-write
-  // self-describing; otherwise it is written after the read-back.
+  // Reads the pre-images of `pages` (ascending, distinct), one Read per run
+  // of consecutive pages; past EOF reads as zeros, matching file growth.
+  base::Status LoadPages(const std::vector<uint64_t>& pages);
+  // Overlays one redo range on the loaded pages (no I/O).
+  void Apply(const RangeImage& range);
+  // Gates, certifies, writes, syncs and read-back-verifies every loaded
+  // page, one sidecar entry per page (see the class comment).
   base::Status Commit();
-
-  uint64_t pages_touched() const { return pages_.size(); }
 
  private:
   struct PageBuild {
-    std::vector<uint8_t> image;      // pre-image + redo, zero-padded
-    std::vector<uint8_t> preimage;   // as first read (verify_preimages only)
-    std::vector<uint8_t> covered;    // per-byte redo coverage (verify mode)
+    std::vector<uint8_t> image;  // pre-image + redo, zero-padded
+    uint32_t preimage_crc = 0;   // PageCrc of the page as loaded
+    // Page-relative {offset, length} of every range Apply overlaid.
+    std::vector<std::pair<uint64_t, uint64_t>> redo;
   };
-  using PageMap = std::map<std::pair<RegionId, uint64_t>, PageBuild>;
-  // Consecutive accumulated pages of one file: [begin, end) in pages_.
+  using PageMap = std::map<uint64_t, PageBuild>;
+  // Consecutive loaded pages: [begin, end) in pages_.
   struct Run {
     PageMap::iterator begin;
     PageMap::iterator end;
     uint64_t pages;
   };
 
-  base::Result<store::DurableFile*> FileFor(RegionId region);
-  // Adds a page whose pre-image is `image` (kDbPageSize bytes).
-  PageMap::iterator AddPage(RegionId region, uint64_t page, std::vector<uint8_t> image);
   std::vector<Run> Runs();
 
   store::DurableStore* store_;
-  ReplayOptions options_;
-  bool confined_ = false;  // LoadPages fixed the page set
-  std::map<RegionId, std::unique_ptr<store::DurableFile>> files_;
+  RegionId region_;
+  std::unique_ptr<store::DurableFile> file_;
   PageMap pages_;
 };
 
-// Applies transactions, in the given order, to the region database files.
-base::Status ApplyToDatabase(store::DurableStore* store,
-                             const std::vector<TransactionRecord>& txns);
+// Replays one region file: `ranges` (merged order) over `pages` of
+// `region`, as one ReplayWriteSet batch. The per-file step every replay
+// takes — IncrementalRecovery's claims and ReplayLogsIntoDatabase alike.
+base::Status ReplayRegionFile(store::DurableStore* store, RegionId region,
+                              const std::vector<uint64_t>& pages,
+                              const std::vector<RangeImage>& ranges);
 
-// Full recovery path: read the named logs, merge them into a single order
-// (single log: no merge needed), and replay into the database files. A
-// named log that does not exist is treated as empty — a node that crashed
-// before its first flush has no durable log and nothing to recover. Logs
-// are left intact; callers truncate them afterwards if desired.
+// Full recovery path: read the named logs, merge them into a single order,
+// index it by page, and replay each region file in region order through
+// ReplayRegionFile. A named log that does not exist is treated as empty — a
+// node that crashed before its first flush has no durable log and nothing
+// to recover. Logs are left intact; callers truncate them afterwards if
+// desired. Takes no lock: callers order it against other writers of the
+// same files (Rvm::TruncateLog runs it under its own log lock).
 base::Status ReplayLogsIntoDatabase(store::DurableStore* store,
                                     const std::vector<std::string>& log_names);
 

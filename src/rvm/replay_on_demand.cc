@@ -1,6 +1,5 @@
 #include "src/rvm/replay_on_demand.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -39,24 +38,7 @@ IncrementalRecovery::Batch IncrementalRecovery::ClaimLocked(
   Batch batch;
   batch.region = file->first;
   batch.pages.assign(file->second.pending.begin(), file->second.pending.end());
-  // A range spanning several claimed pages is listed under each of them;
-  // replay it once, in merged (transaction, range) order.
-  std::vector<std::pair<size_t, size_t>> slices;
-  for (uint64_t page : batch.pages) {
-    const std::vector<LogIndex::Slice>* page_slices = index_.SlicesFor(batch.region, page);
-    if (page_slices == nullptr) {
-      continue;
-    }
-    for (const LogIndex::Slice& s : *page_slices) {
-      slices.emplace_back(s.txn, s.range);
-    }
-  }
-  std::sort(slices.begin(), slices.end());
-  slices.erase(std::unique(slices.begin(), slices.end()), slices.end());
-  batch.ranges.reserve(slices.size());
-  for (const auto& [txn, range] : slices) {
-    batch.ranges.push_back(index_.transactions()[txn].ranges[range]);
-  }
+  batch.ranges = index_.RangesFor(batch.region, batch.pages);
   return batch;
 }
 
@@ -85,14 +67,7 @@ void IncrementalRecovery::FinishLocked(const Batch& batch, bool replayed, bool b
 
 base::Status IncrementalRecovery::ReplayFile(const Batch& batch) {
   base::ReaderMutexLock io(*io_mu_);
-  ReplayOptions options;
-  options.verify_preimages = true;
-  ReplayWriteSet writes(store_, options);
-  RETURN_IF_ERROR(writes.LoadPages(batch.region, batch.pages));
-  for (const RangeImage& range : batch.ranges) {
-    RETURN_IF_ERROR(writes.Apply(range));
-  }
-  return writes.Commit();
+  return ReplayRegionFile(store_, batch.region, batch.pages, batch.ranges);
 }
 
 base::Status IncrementalRecovery::MaterializeRegion(RegionId region, uint64_t deadline_ms) {
@@ -167,6 +142,11 @@ bool IncrementalRecovery::Drained() const {
 uint64_t IncrementalRecovery::PendingPages() const {
   base::MutexLock lk(mu_);
   return pending_;
+}
+
+uint64_t IncrementalRecovery::PendingFiles() const {
+  base::MutexLock lk(mu_);
+  return files_.size();
 }
 
 void IncrementalRecovery::Extend(std::vector<TransactionRecord> merged) {

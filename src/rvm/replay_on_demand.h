@@ -1,5 +1,5 @@
 // Replay-on-first-touch over a LogIndex: the serving half of incremental
-// recovery.
+// recovery, and the replay path of every trim.
 //
 // Rather than replaying the whole merged history before anyone is served,
 // IncrementalRecovery tracks, per indexed page, whether its redo has been
@@ -7,7 +7,9 @@
 // first time anything needs it — a client mapping the region, a background
 // drain worker, or a synchronous DrainRecovery barrier. Once every page is
 // done the object is retired by its owner and the database files are
-// byte-identical to a full merged-log replay (ReplayLogsIntoDatabase).
+// byte-identical to a full merged-log replay (ReplayLogsIntoDatabase). The
+// cluster folds a trim's merged logs into the same object (Extend, or a
+// fresh index) and drains it, so trims replay on the same workers.
 //
 // The claim unit is the region file (mu_, rank LockRank::kRecovery):
 //
@@ -21,15 +23,16 @@
 // A claim takes every pending page of one file at once and copies their
 // redo ranges, in merged order, while holding mu_ (Extend may reallocate
 // the backing transaction vector). It then releases mu_ and replays the
-// pages as one ReplayWriteSet batch with verify_preimages=true: one sidecar
-// read for the file; per run of consecutive pages one pre-image read, one
-// intent-entry write, one data write and one read-back; one sync of each
-// file (seven ops for a contiguous file). At most one replay of a
-// file runs at a time; replays of different files overlap, each holding
-// `io_mu` SHARED (the cluster passes its DbMutex, whose other writers take
-// it exclusive). Threads that need a file in flight wait on the condvar; a
-// non-zero deadline turns that wait into kDeadlineExceeded so a mapping
-// client's transaction stays usable under a stalled drain.
+// file through rvm::ReplayRegionFile — the one replay engine (recovery.h):
+// one sidecar read for the file; per run of consecutive pages one
+// pre-image read, one intent-entry write, one data write and one
+// read-back; one sync of each file (seven ops for a contiguous file). At
+// most one replay of a file runs at a time; replays of different files
+// overlap, each holding `io_mu` SHARED (the cluster passes its DbMutex,
+// whose other writers take it exclusive). Threads that need a file in
+// flight wait on the condvar; a non-zero deadline turns that wait into
+// kDeadlineExceeded so a mapping client's transaction stays usable under a
+// stalled drain.
 //
 // Invariant the crash sweep leans on: a page leaves pending only through a
 // CRC-gated replay (pre-image checked against the sidecar, intent entry
@@ -93,6 +96,7 @@ class IncrementalRecovery {
 
   bool Drained() const;
   uint64_t PendingPages() const;  // pages not yet done
+  uint64_t PendingFiles() const;  // region files with pages not yet done
 
   // Folds newly merged records (a dead client's log) into the index and
   // re-pends the pages they touch — including pages already materialized or
@@ -124,7 +128,7 @@ class IncrementalRecovery {
   void FinishLocked(const Batch& batch, bool replayed, bool background)
       LBC_REQUIRES(mu_);
   // The batch replay itself (no locks of this object held; holds the io
-  // lock shared around the ReplayWriteSet).
+  // lock shared around rvm::ReplayRegionFile).
   base::Status ReplayFile(const Batch& batch) LBC_EXCLUDES(mu_);
 
   store::DurableStore* store_;

@@ -12,6 +12,7 @@
 #include "src/rvm/log_io.h"
 #include "src/rvm/log_merge.h"
 #include "src/rvm/page_checksum.h"
+#include "src/rvm/recovery.h"
 
 namespace rvm {
 
@@ -350,14 +351,8 @@ base::Result<std::vector<uint8_t>> Scrubber::ReconstructPage(RunState* run,
   if (slices == nullptr) {
     return buf;
   }
-  const uint64_t page_lo = page * kDbPageSize;
-  const uint64_t page_hi = page_lo + kDbPageSize;
   for (const LogIndex::Slice& slice : *slices) {
-    const RangeImage& range = run->merged.transactions()[slice.txn].ranges[slice.range];
-    const uint64_t lo = std::max(range.offset, page_lo);
-    const uint64_t hi = std::min(range.offset + range.data.size(), page_hi);
-    std::memcpy(buf.data() + (lo - page_lo), range.data.data() + (lo - range.offset),
-                static_cast<size_t>(hi - lo));
+    OverlayRange(run->merged.transactions()[slice.txn].ranges[slice.range], page, buf.data());
   }
   return buf;
 }

@@ -5,8 +5,8 @@
 //
 //   * the LogIndex itself (mirrors the merged history; Extend dedups by
 //     per-node commit sequence),
-//   * the serve-before-drain window and post-drain byte identity with an
-//     independent full replay of the merged logs,
+//   * the serve-before-drain window and post-drain byte identity with the
+//     merged logs,
 //   * one sidecar write and one sidecar sync per materialized page, and
 //     seven database-file ops per materialized region file, one page or
 //     three,
@@ -21,7 +21,14 @@
 //     rolling already-replayed pages backwards, and
 //   * the drain worker pool: files replay concurrently, never two replays
 //     of one file at once, and a page re-pended while its file is in
-//     flight is replayed again.
+//     flight is replayed again,
+//   * rot under a full replay or a trim: DATA_LOSS before any byte is
+//     written, never a re-certified rotten page, healed by a trim once a
+//     scrubber is attached — waived only for redo covering the whole page,
+//     and
+//   * full replay, the online trim and the standby checkpoint landing on
+//     the reference computed from the merged logs (tests/replay_reference.h),
+//     sidecars included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,6 +47,8 @@
 
 #include "src/base/sync.h"
 #include "src/lbc/client.h"
+#include "src/lbc/online_trim.h"
+#include "src/lbc/standby.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/rvm/log_index.h"
@@ -48,12 +57,14 @@
 #include "src/rvm/page_checksum.h"
 #include "src/rvm/recovery.h"
 #include "src/rvm/replay_on_demand.h"
+#include "src/rvm/rvm.h"
 #include "src/rvm/scrub.h"
 #include "src/store/corrupting_store.h"
 #include "src/store/crash_point_store.h"
 #include "src/store/mem_store.h"
 #include "src/store/replicated_store.h"
 #include "src/store/resource_store.h"
+#include "tests/replay_reference.h"
 
 namespace {
 
@@ -83,6 +94,19 @@ std::vector<uint8_t> ReadFile(store::DurableStore* store, const std::string& nam
     EXPECT_TRUE(file->ReadExact(0, bytes.data(), bytes.size()).ok());
   }
   return bytes;
+}
+
+// Replays `merged` (already in merged order) through a drained recovery:
+// the setup step that leaves certified region files and sidecars behind.
+base::Status ReplayMerged(store::DurableStore* store,
+                          std::vector<rvm::TransactionRecord> merged) {
+  rvm::IncrementalRecovery recovery(store, rvm::LogIndex::FromMerged(std::move(merged)));
+  for (;;) {
+    ASSIGN_OR_RETURN(bool more, recovery.DrainStep());
+    if (!more) {
+      return base::OkStatus();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -264,6 +288,14 @@ struct Fixture {
     ASSERT_TRUE(b->MapRegion(kRegionA, kLenA).ok());
     ASSERT_TRUE(a->MapRegion(kRegionB, kLenB).ok());
     ASSERT_TRUE(b->MapRegion(kRegionB, kLenB).ok());
+    Commits(a.get(), b.get());
+    a.reset();
+    b.reset();
+  }
+
+  // The workload's commits from nodes 1 (a) and 2 (b), which map both
+  // regions; returns once each has applied the other's updates.
+  void Commits(lbc::Client* a, lbc::Client* b) {
     auto commit = [&](lbc::Client* c, rvm::LockId lock, rvm::RegionId region,
                       uint64_t offset, uint64_t len, uint8_t fill) {
       lbc::Transaction txn = c->Begin();
@@ -274,16 +306,16 @@ struct Fixture {
       auto& expected = region == kRegionA ? expected_a : expected_b;
       std::memset(expected.data() + offset, fill, len);
     };
-    commit(a.get(), kLockA1, kRegionA, 0 * rvm::kDbPageSize, rvm::kDbPageSize, 0x11);
-    commit(b.get(), kLockA2, kRegionA, 1 * rvm::kDbPageSize, rvm::kDbPageSize, 0x22);
-    commit(a.get(), kLockA1, kRegionA, 2 * rvm::kDbPageSize, rvm::kDbPageSize, 0x33);
-    commit(b.get(), kLockA2, kRegionA, 8000, 400, 0x44);  // page 0/1 straddle
-    commit(a.get(), kLockB1, kRegionB, 0, rvm::kDbPageSize, 0x55);
-    commit(b.get(), kLockB2, kRegionB, rvm::kDbPageSize + 100, 200, 0x66);
+    commit(a, kLockA1, kRegionA, 0 * rvm::kDbPageSize, rvm::kDbPageSize, 0x11);
+    commit(b, kLockA2, kRegionA, 1 * rvm::kDbPageSize, rvm::kDbPageSize, 0x22);
+    commit(a, kLockA1, kRegionA, 2 * rvm::kDbPageSize, rvm::kDbPageSize, 0x33);
+    commit(b, kLockA2, kRegionA, 8000, 400, 0x44);  // page 0/1 straddle
+    commit(a, kLockB1, kRegionB, 0, rvm::kDbPageSize, 0x55);
+    commit(b, kLockB2, kRegionB, rvm::kDbPageSize + 100, 200, 0x66);
     ASSERT_TRUE(a->WaitForAppliedSeq(kLockA2, 2, 5000));
     ASSERT_TRUE(b->WaitForAppliedSeq(kLockA1, 2, 5000));
-    a.reset();
-    b.reset();
+    ASSERT_TRUE(a->WaitForAppliedSeq(kLockB2, 1, 5000));
+    ASSERT_TRUE(b->WaitForAppliedSeq(kLockB1, 1, 5000));
   }
 
   store::MemStore mem;
@@ -383,20 +415,14 @@ TEST(LogIndex, ExtendDedupsByCommitSeq) {
 // ---------------------------------------------------------------------------
 
 TEST(IncrementalRecovery, ServesBeforeDrainThenMatchesEagerByteForByte) {
-  // Twin clusters, identical workload. The reference twin's server stays
-  // down while rvm::ReplayLogsIntoDatabase replays its merged logs in one
-  // pass — the independent reference bytes. The other cluster restarts and
-  // recovers.
-  Fixture reference;
-  reference.CommitWorkload();
-  reference.cluster->KillServer();
-  ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(
-                  &reference.mem, {rvm::LogFileName(1), rvm::LogFileName(2)})
-                  .ok());
-
+  // The reference bytes come straight from the merged logs (pre-image plus
+  // every range, in merged order), independent of the replay engine.
   Fixture incr;
   incr.CommitWorkload();
   incr.cluster->KillServer();
+  const replay_reference::Files reference =
+      replay_reference::ReferenceFiles(&incr.mem, {rvm::LogFileName(1), rvm::LogFileName(2)});
+  ASSERT_EQ(4u, reference.size());
 
   const uint64_t on_demand_before = Counter("recovery.pages_on_demand");
   const uint64_t background_before = Counter("recovery.pages_background");
@@ -429,16 +455,9 @@ TEST(IncrementalRecovery, ServesBeforeDrainThenMatchesEagerByteForByte) {
   EXPECT_FALSE(incr.cluster->RecoveryActive());
   EXPECT_EQ(0u, incr.cluster->RecoveryPendingPages());
 
-  // Steady state after the drain is byte-identical to the full replay:
-  // database files AND checksum sidecars.
-  for (rvm::RegionId region : {kRegionA, kRegionB}) {
-    EXPECT_EQ(ReadFile(&reference.mem, rvm::RegionFileName(region)),
-              ReadFile(&incr.mem, rvm::RegionFileName(region)))
-        << "region " << region;
-    EXPECT_EQ(ReadFile(&reference.mem, rvm::ChecksumFileName(region)),
-              ReadFile(&incr.mem, rvm::ChecksumFileName(region)))
-        << "sidecar " << region;
-  }
+  // Steady state after the drain is byte-identical to the merged-log
+  // reference: database files AND checksum sidecars.
+  replay_reference::ExpectFiles(&incr.mem, reference);
   EXPECT_EQ(incr.expected_a, ReadFile(&incr.mem, rvm::RegionFileName(kRegionA)));
   EXPECT_EQ(incr.expected_b, ReadFile(&incr.mem, rvm::RegionFileName(kRegionB)));
 
@@ -460,11 +479,11 @@ TEST(IncrementalRecovery, MaterializedPageWritesOneSidecarEntry) {
   store::MemStore mem;
   store::CrashPointStore store(&mem);
 
-  // A full replay first creates the region file and its sidecar (header
+  // A drained replay first creates the region file and its sidecar (header
   // included), so the ops counted below are the page's own.
   rvm::TransactionRecord full;
   full.ranges.push_back({kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11)});
-  ASSERT_TRUE(rvm::ApplyToDatabase(&store, {full}).ok());
+  ASSERT_TRUE(ReplayMerged(&store, {full}).ok());
   const std::vector<uint8_t> preimage = ReadFile(&mem, rvm::RegionFileName(kRegion));
 
   rvm::TransactionRecord redo;
@@ -519,12 +538,12 @@ TEST(IncrementalRecovery, DrainingOneFileCostsSevenDatabaseFileOps) {
   store::MemStore mem;
   ProbeStore probe(&mem);
 
-  // A full replay first creates both region files and their sidecars
+  // A drained replay first creates both region files and their sidecars
   // (headers included), so the ops counted below are the drain's own.
   rvm::TransactionRecord base;
   base.ranges.push_back({kOnePage, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11)});
   base.ranges.push_back({kThreePages, 0, std::vector<uint8_t>(3 * rvm::kDbPageSize, 0x22)});
-  ASSERT_TRUE(rvm::ApplyToDatabase(&mem, {base}).ok());
+  ASSERT_TRUE(ReplayMerged(&mem, {base}).ok());
 
   // Redo: a partial write to the one-page file; for the three-page file a
   // write covering page 0 partially, page 1 fully and page 2 partially.
@@ -1041,17 +1060,14 @@ TEST(IncrementalRecovery, WorkerPoolOverlapsFilesButNeverOneFile) {
     drained[rvm::RegionFileName(region)] = std::move(image);
     drained[rvm::ChecksumFileName(region)] = ReadFile(&mem, rvm::ChecksumFileName(region));
   }
-  // ...and byte-identical, sidecars included, to an independent full replay
-  // of the merged logs over them.
+  // ...and byte-identical, sidecars included, to the reference computed
+  // from the merged logs.
   cluster.KillServer();
   std::vector<std::string> logs;
   for (rvm::NodeId node : {1, 2, 3, 4}) {
     logs.push_back(rvm::LogFileName(node));
   }
-  ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(&mem, logs).ok());
-  for (const auto& [name, bytes] : drained) {
-    EXPECT_EQ(bytes, ReadFile(&mem, name)) << name;
-  }
+  EXPECT_EQ(replay_reference::ReferenceFiles(&mem, logs), drained);
 
   // A file replay's ops run back to back on one thread, so each thread's
   // consecutive ops on one region are one replay (or one image read).
@@ -1087,6 +1103,184 @@ TEST(IncrementalRecovery, WorkerPoolOverlapsFilesButNeverOneFile) {
     }
   }
   EXPECT_GT(cross_file_overlaps, 0) << "no two region files ever replayed at once";
+}
+
+// ---------------------------------------------------------------------------
+// 8. Rot under full replay: neither ReplayLogsIntoDatabase nor the trim's
+//    replay launders a rotten certified page, and a trim with a scrubber
+//    heals it through the drain's repair loop
+// ---------------------------------------------------------------------------
+
+TEST(IncrementalRecovery, FullReplayRefusesRotAndTrimHealsIt) {
+  constexpr rvm::RegionId kRegion = 15;
+  constexpr uint64_t kLen = rvm::kDbPageSize;
+  constexpr rvm::LockId kLock = 500;
+  constexpr uint64_t kRotByte = 5000;  // outside the redo at [100, 164)
+
+  // Reads are served replica-0-first, so rot in replica 0 is what every
+  // replay sees; replica 1 keeps the clean copy a scrubber can heal from.
+  store::MemStore backends[2];
+  store::CorruptionInjectingStore rot(&backends[0]);
+  store::ReplicatedStore replicated(std::vector<store::DurableStore*>{&rot, &backends[1]});
+  lbc::Cluster cluster(&replicated);
+  cluster.DefineLock(kLock, kRegion, 1);
+  auto a = std::move(*lbc::Client::Create(&cluster, 1, {}));
+  ASSERT_TRUE(a->MapRegion(kRegion, kLen).ok());
+  auto commit = [&](uint64_t offset, uint64_t len, uint8_t fill) {
+    lbc::Transaction txn = a->Begin();
+    ASSERT_TRUE(txn.Acquire(kLock).ok());
+    ASSERT_TRUE(txn.SetRange(kRegion, offset, len).ok());
+    std::memset(a->GetRegion(kRegion)->data() + offset, fill, len);
+    ASSERT_TRUE(txn.Commit(rvm::CommitMode::kFlush).ok());
+  };
+  // A certified page whose records the trim removes, then a partial redo
+  // whose replay depends on that page's bytes.
+  commit(0, kLen, 0x11);
+  ASSERT_TRUE(lbc::OnlineTrim(&cluster, a.get(), {a.get()}).ok());
+  commit(100, 64, 0x22);
+  std::vector<uint8_t> expected(kLen, 0x11);
+  std::memset(expected.data() + 100, 0x22, 64);
+
+  const std::string db = rvm::RegionFileName(kRegion);
+  const std::string sum = rvm::ChecksumFileName(kRegion);
+  ASSERT_TRUE(rot.FlipBit(db, kRotByte, 2).ok());
+  const std::vector<uint8_t> rotten = ReadFile(&backends[0], db);
+  auto untouched = [&] {
+    EXPECT_EQ(rotten, ReadFile(&backends[0], db));
+    EXPECT_EQ(std::vector<uint8_t>(kLen, 0x11), ReadFile(&backends[1], db));
+    for (store::MemStore& backend : backends) {
+      EXPECT_EQ(replay_reference::ReferenceSidecar(kRegion, std::vector<uint8_t>(kLen, 0x11)),
+                ReadFile(&backend, sum));
+    }
+  };
+
+  // Full replay: DATA_LOSS before a data or sidecar byte is written.
+  base::Status replayed = rvm::ReplayLogsIntoDatabase(&replicated, {rvm::LogFileName(1)});
+  EXPECT_EQ(base::StatusCode::kDataLoss, replayed.code()) << replayed.ToString();
+  untouched();
+
+  // The trim's replay, with no scrubber to heal from: the same verdict.
+  base::Status trimmed = cluster.ReplayAndRecordBaselines({rvm::LogFileName(1)});
+  EXPECT_EQ(base::StatusCode::kDataLoss, trimmed.code()) << trimmed.ToString();
+  untouched();
+
+  // A fresh map never serves the flipped byte: the page still fails its
+  // sidecar check.
+  {
+    auto fresh = std::move(*rvm::Rvm::Open(&replicated, 9, rvm::RvmOptions{}));
+    auto mapped = fresh->MapRegion(kRegion, kLen);
+    ASSERT_FALSE(mapped.ok()) << "served a rotten page";
+    EXPECT_EQ(base::StatusCode::kDataLoss, mapped.status().code());
+  }
+
+  // With a replica-aware scrubber attached, the next trim heals the page
+  // through the drain's repair loop and lands on the committed image.
+  rvm::Scrubber scrubber(&replicated, &replicated);
+  cluster.SetScrubber(&scrubber);
+  const uint64_t repaired_before = Counter("scrub.repaired_from_replica");
+  base::Status healed = lbc::OnlineTrim(&cluster, a.get(), {a.get()});
+  ASSERT_TRUE(healed.ok()) << healed.ToString();
+  EXPECT_FALSE(cluster.RecoveryActive());
+  EXPECT_GE(Counter("scrub.repaired_from_replica"), repaired_before + 1);
+  for (store::MemStore& backend : backends) {
+    EXPECT_EQ(expected, ReadFile(&backend, db));
+    EXPECT_EQ(replay_reference::ReferenceSidecar(kRegion, expected), ReadFile(&backend, sum));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 8b. The rot gate waives a rotten pre-image only when the redo covers every
+//     byte of the page, however its ranges overlap
+// ---------------------------------------------------------------------------
+
+TEST(IncrementalRecovery, RotGateWaivesOnlyWholePageRedo) {
+  constexpr rvm::RegionId kRegion = 16;
+  store::MemStore mem;
+  store::CorruptionInjectingStore rot(&mem);
+  const std::string db = rvm::RegionFileName(kRegion);
+  rvm::TransactionRecord base;
+  base.ranges.push_back({kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11)});
+  ASSERT_TRUE(ReplayMerged(&rot, {base}).ok());
+  ASSERT_TRUE(rot.FlipBit(db, 5000, 1).ok());
+
+  // Two overlapping ranges, out of offset order, that miss the last byte.
+  rvm::TransactionRecord redo;
+  redo.node = 1;
+  redo.commit_seq = 1;
+  redo.ranges.push_back({kRegion, 4000, std::vector<uint8_t>(rvm::kDbPageSize - 4001, 0x33)});
+  redo.ranges.push_back({kRegion, 0, std::vector<uint8_t>(5000, 0x22)});
+  const std::vector<uint8_t> rotten = ReadFile(&mem, db);
+  EXPECT_EQ(base::StatusCode::kDataLoss, ReplayMerged(&rot, {redo}).code());
+  EXPECT_EQ(rotten, ReadFile(&mem, db));
+
+  // With the last byte too, the redo overwrites the whole page: the rotten
+  // pre-image is irrelevant and the replay certifies the redo's bytes.
+  redo.ranges.push_back({kRegion, rvm::kDbPageSize - 1, std::vector<uint8_t>(1, 0x44)});
+  ASSERT_TRUE(ReplayMerged(&rot, {redo}).ok());
+  std::vector<uint8_t> expected(rvm::kDbPageSize, 0x33);
+  std::memset(expected.data(), 0x22, 5000);
+  expected.back() = 0x44;
+  EXPECT_EQ(expected, ReadFile(&mem, db));
+  EXPECT_EQ(replay_reference::ReferenceSidecar(kRegion, expected),
+            ReadFile(&mem, rvm::ChecksumFileName(kRegion)));
+}
+
+// ---------------------------------------------------------------------------
+// 9. Full replay, the online trim and the standby checkpoint all land on the
+//    merged-log reference, sidecars included
+// ---------------------------------------------------------------------------
+
+TEST(IncrementalRecovery, EveryReplayPathMatchesTheMergedLogReference) {
+  const std::vector<std::string> logs = {rvm::LogFileName(1), rvm::LogFileName(2)};
+  {
+    Fixture fx;
+    fx.CommitWorkload();
+    fx.cluster->KillServer();
+    const replay_reference::Files want = replay_reference::ReferenceFiles(&fx.mem, logs);
+    ASSERT_EQ(4u, want.size());
+    ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(&fx.mem, logs).ok());
+    replay_reference::ExpectFiles(&fx.mem, want);
+  }
+  // The nodes that committed stay up for the trim and the checkpoint.
+  auto up = [](Fixture* fx, rvm::NodeId node, lbc::ClientOptions options = {}) {
+    auto c = std::move(*lbc::Client::Create(fx->cluster.get(), node, options));
+    EXPECT_TRUE(c->MapRegion(kRegionA, kLenA).ok());
+    EXPECT_TRUE(c->MapRegion(kRegionB, kLenB).ok());
+    return c;
+  };
+  {
+    Fixture fx;
+    auto a = up(&fx, 1);
+    auto b = up(&fx, 2);
+    fx.Commits(a.get(), b.get());
+    const replay_reference::Files want = replay_reference::ReferenceFiles(&fx.mem, logs);
+    ASSERT_TRUE(lbc::OnlineTrim(fx.cluster.get(), a.get(), {a.get(), b.get()}).ok());
+    replay_reference::ExpectFiles(&fx.mem, want);
+  }
+  {
+    Fixture fx;
+    auto a = up(&fx, 1);
+    auto b = up(&fx, 2);
+    lbc::ClientOptions versioned;
+    versioned.versioned_reads = true;
+    auto standby = up(&fx, 3, versioned);
+    fx.Commits(a.get(), b.get());
+    // The standby has buffered every update once Accept exposes them all.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (;;) {
+      ASSERT_TRUE(standby->Accept().ok());
+      if (std::memcmp(standby->GetRegion(kRegionA)->data(), fx.expected_a.data(), kLenA) == 0 &&
+          std::memcmp(standby->GetRegion(kRegionB)->data(), fx.expected_b.data(), kLenB) == 0) {
+        break;
+      }
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "standby never caught up";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const replay_reference::Files want = replay_reference::ReferenceFiles(&fx.mem, logs);
+    ASSERT_TRUE(
+        lbc::CheckpointFromStandby(fx.cluster.get(), standby.get(), {a.get(), b.get()}).ok());
+    replay_reference::ExpectFiles(&fx.mem, want);
+  }
 }
 
 }  // namespace

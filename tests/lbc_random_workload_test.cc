@@ -130,8 +130,9 @@ TEST_P(RandomWorkloadTest, ConvergesAndRecovers) {
   }
   auto merged = rvm::MergeLogs(&store, logs);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  std::vector<std::vector<uint8_t>> reference;  // per region
   for (int region = 1; region <= kRegions; ++region) {
-    std::vector<uint8_t> replayed(kRegionSize, 0);
+    std::vector<uint8_t>& replayed = reference.emplace_back(kRegionSize, 0);
     for (const auto& txn : *merged) {
       for (const auto& r : txn.ranges) {
         if (r.region == static_cast<rvm::RegionId>(region)) {
@@ -165,6 +166,8 @@ TEST_P(RandomWorkloadTest, ConvergesAndRecovers) {
     EXPECT_EQ(0, std::memcmp(recovered.data(), final_images[region - 1].data(),
                              kRegionSize))
         << "recovered database diverged on region " << region;
+    EXPECT_EQ(reference[region - 1], recovered)
+        << "recovered database diverged from the merged-log replay on region " << region;
   }
 }
 

@@ -32,6 +32,7 @@
 #include "src/store/crash_point_store.h"
 #include "src/store/mem_store.h"
 #include "src/store/resource_store.h"
+#include "tests/replay_reference.h"
 
 namespace {
 
@@ -289,6 +290,7 @@ rvm::NodeId ManagerFor(int region, int k) {
 struct ChaosResult {
   std::vector<std::vector<uint8_t>> images;      // per region, survivors' view
   std::vector<std::vector<uint8_t>> recovered;   // per region, post-crash db
+  std::vector<std::vector<uint8_t>> reference;   // per region, merged-log reference
   uint64_t dropped = 0;
   uint64_t duplicated = 0;
   uint64_t partitioned = 0;
@@ -514,6 +516,17 @@ void RunChaosScenario(uint64_t seed, ChaosResult* out) {
   }
   clients.clear();
   mem.Crash(0);
+  std::vector<rvm::RegionId> regions;
+  for (int region = 1; region <= kRegions; ++region) {
+    regions.push_back(static_cast<rvm::RegionId>(region));
+  }
+  // The merged logs over the crashed files' bytes, computed without the
+  // replay engine under test.
+  auto reference = replay_reference::ReferenceImages(
+      &store, logs, replay_reference::CurrentImages(&store, regions));
+  for (rvm::RegionId region : regions) {
+    result.reference.push_back(replay_reference::Prefix(reference[region], kRegionSize));
+  }
   EXPECT_TRUE(rvm::ReplayLogsIntoDatabase(&store, logs).ok());
   for (int region = 1; region <= kRegions; ++region) {
     auto file = std::move(*store.Open(rvm::RegionFileName(region), false));
@@ -543,11 +556,15 @@ TEST_P(ChaosTest, LossyPartitionedClusterConvergesAndRecovers) {
   // unpropagated commit from the server record cache.
   EXPECT_GT(run.locks_reclaimed, 0u);
   EXPECT_GE(run.min_records_fetched, 1u);
-  // Survivors' cached images equal the crash-recovered database files.
+  // Survivors' cached images equal the crash-recovered database files, and
+  // both equal the merged-log reference.
   ASSERT_EQ(static_cast<size_t>(kRegions), run.recovered.size());
+  ASSERT_EQ(static_cast<size_t>(kRegions), run.reference.size());
   for (int region = 0; region < kRegions; ++region) {
     EXPECT_EQ(run.images[region], run.recovered[region])
         << "recovered database diverged on region " << (region + 1);
+    EXPECT_EQ(run.reference[region], run.recovered[region])
+        << "recovered database diverged from the merged logs on region " << (region + 1);
   }
 }
 
@@ -976,6 +993,12 @@ TEST(ChaosRecovery, IncrementalRestartsRaceCommittersScrubberAndDrainer) {
   for (int n = 1; n <= kNodes; ++n) {
     logs.push_back(rvm::LogFileName(n));
   }
+  std::vector<rvm::RegionId> regions;
+  for (int region = 1; region <= kRecRegions; ++region) {
+    regions.push_back(static_cast<rvm::RegionId>(region));
+  }
+  auto reference = replay_reference::ReferenceImages(
+      &store, logs, replay_reference::CurrentImages(&store, regions));
   ASSERT_TRUE(rvm::ReplayLogsIntoDatabase(&store, logs).ok());
   for (int region = 1; region <= kRecRegions; ++region) {
     auto file = std::move(*store.Open(rvm::RegionFileName(region), false));
@@ -987,6 +1010,8 @@ TEST(ChaosRecovery, IncrementalRestartsRaceCommittersScrubberAndDrainer) {
                     .ok());
     EXPECT_EQ(images[region - 1], recovered)
         << "eager replay diverged on region " << region;
+    EXPECT_EQ(replay_reference::Prefix(reference[region], kRecRegionSize), recovered)
+        << "eager replay diverged from the merged logs on region " << region;
     auto failed = rvm::VerifyImagePages(&store, region, recovered.data(),
                                         recovered.size(), *file_size);
     ASSERT_TRUE(failed.ok()) << failed.status().ToString();

@@ -3,7 +3,8 @@
 // of an eager ReplayLogsIntoDatabase.
 //
 //   1. Workload sweep — power cut before every mutating op of a three-node
-//      workload (with a mid-run checkpoint/trim), then an incremental boot:
+//      workload (with two mid-run checkpoint/trims, the second replaying
+//      over pages the first certified), then an incremental boot:
 //      index build, one region materialized on demand, the rest drained in
 //      the background order. The drained database must land on a committed
 //      prefix, and every page must pass sidecar verification.
@@ -27,10 +28,12 @@
 // (0 = exhaustive) and LBC_CRASH_SEED.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -81,7 +84,10 @@ constexpr uint64_t kSliceSize = 16;
 constexpr uint64_t kRegionSize = 3 * kSliceSize;
 constexpr rvm::LockId kLockR1 = 101;
 constexpr rvm::LockId kLockR2 = 202;
-constexpr int kCheckpointAfter = 5;
+// Steps before which the workload checkpoints. The second replays over pages
+// the first already certified, so the sweep cuts power inside a full replay
+// whose pre-images carry sidecar entries.
+constexpr int kCheckpointsBefore[] = {5, 6};
 
 struct Step {
   rvm::NodeId node;
@@ -229,7 +235,8 @@ class IncrementalHarness {
     }
     std::map<rvm::LockId, uint64_t> seq;
     for (int i = 0; i < kTxns; ++i) {
-      if (i == kCheckpointAfter) {
+      if (std::find(std::begin(kCheckpointsBefore), std::end(kCheckpointsBefore), i) !=
+          std::end(kCheckpointsBefore)) {
         RETURN_IF_ERROR(Checkpoint(s, nodes, seq));
       }
       const Step& step = kSteps[i];
@@ -247,9 +254,9 @@ class IncrementalHarness {
     return base::OkStatus();
   }
 
-  // Mid-run checkpoint: the eager shared-core replay plus per-node trims,
-  // so the sweep also cuts power inside truncation — and incremental boots
-  // then start from a certified, partially-trimmed history.
+  // Mid-run checkpoint: a full replay plus per-node trims, so the sweep
+  // also cuts power inside truncation — and incremental boots then start
+  // from a certified, partially-trimmed history.
   base::Status Checkpoint(store::DurableStore* s,
                           std::map<rvm::NodeId, std::unique_ptr<rvm::Rvm>>& nodes,
                           const std::map<rvm::LockId, uint64_t>& seq) {

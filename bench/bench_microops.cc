@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the primitives the cost model
 // prices: set_range in its three patterns and on the OO7 T2-B sequence,
-// commit encoding, coherency message encode/decode, per-record update
-// application, the log CRC, and the CpyCmp page diff.
+// commit encoding, coherency message encode/decode (alone and with the
+// apply), per-record update application, the log CRC, and the CpyCmp page
+// diff.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -79,16 +80,27 @@ void BM_SetRangeOo7T2B(benchmark::State& state) {
 }
 BENCHMARK(BM_SetRangeOo7T2B);
 
-void BM_EncodeUpdate(benchmark::State& state) {
+// The sparse OO7 pattern of Table 3: `ranges` eight-byte ranges, one per
+// 8 KB page of region 1, under one lock. The record holds its own bytes.
+rvm::TransactionRecord SparseRecord(int ranges) {
+  std::vector<uint8_t> bytes(static_cast<size_t>(ranges) * 8);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i / 8);
+  }
   rvm::TransactionRecord txn;
   txn.node = 1;
   txn.commit_seq = 1;
   txn.locks = {{1, 1}};
-  const int ranges = static_cast<int>(state.range(0));
   for (int i = 0; i < ranges; ++i) {
     txn.ranges.push_back({1, static_cast<uint64_t>(i) * 8192,
-                          std::vector<uint8_t>(8, static_cast<uint8_t>(i))});
+                          base::ByteSpan(bytes.data() + static_cast<size_t>(i) * 8, 8)});
   }
+  return txn.Own();
+}
+
+void BM_EncodeUpdate(benchmark::State& state) {
+  const int ranges = static_cast<int>(state.range(0));
+  const rvm::TransactionRecord txn = SparseRecord(ranges);
   for (auto _ : state) {
     benchmark::DoNotOptimize(lbc::EncodeUpdateRecord(txn, true));
   }
@@ -96,22 +108,36 @@ void BM_EncodeUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeUpdate)->Arg(10)->Arg(500);
 
+// The receive path: the decoded record views the message Buffer.
 void BM_DecodeUpdate(benchmark::State& state) {
-  rvm::TransactionRecord txn;
-  txn.node = 1;
-  txn.commit_seq = 1;
-  for (int i = 0; i < 500; ++i) {
-    txn.ranges.push_back({1, static_cast<uint64_t>(i) * 8192,
-                          std::vector<uint8_t>(8, static_cast<uint8_t>(i))});
-  }
-  auto payload = lbc::EncodeUpdateRecord(txn, true);
+  const int ranges = static_cast<int>(state.range(0));
+  const base::Buffer payload = lbc::EncodeUpdateRecord(SparseRecord(ranges), true);
   for (auto _ : state) {
     rvm::TransactionRecord out;
-    benchmark::DoNotOptimize(
-        lbc::DecodeUpdate(base::ByteSpan(payload.data(), payload.size()), &out));
+    benchmark::DoNotOptimize(lbc::DecodeUpdate(payload, &out));
   }
+  state.SetItemsProcessed(state.iterations() * ranges);
 }
-BENCHMARK(BM_DecodeUpdate);
+BENCHMARK(BM_DecodeUpdate)->Arg(500);
+
+// A receiver's whole per-record work outside the interlock: decode, then
+// apply every range to the cached image under one lock.
+void BM_DecodeApplyUpdate(benchmark::State& state) {
+  const int ranges = static_cast<int>(state.range(0));
+  store::MemStore store;
+  rvm::RvmOptions options;
+  options.disk_logging = false;
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, options));
+  (void)*r->MapRegion(1, static_cast<uint64_t>(ranges) * 8192);
+  const base::Buffer payload = lbc::EncodeUpdateRecord(SparseRecord(ranges), true);
+  for (auto _ : state) {
+    rvm::TransactionRecord out;
+    benchmark::DoNotOptimize(lbc::DecodeUpdate(payload, &out));
+    benchmark::DoNotOptimize(r->ApplyExternalRanges(out.ranges));
+  }
+  state.SetItemsProcessed(state.iterations() * ranges);
+}
+BENCHMARK(BM_DecodeApplyUpdate)->Arg(500);
 
 void BM_ApplyExternalRanges(benchmark::State& state) {
   // One received record of 500 eight-byte ranges, applied under one lock.
@@ -120,13 +146,9 @@ void BM_ApplyExternalRanges(benchmark::State& state) {
   options.disk_logging = false;
   auto r = std::move(*rvm::Rvm::Open(&store, 1, options));
   (void)*r->MapRegion(1, 500 * 8192);
-  std::vector<rvm::RangeImage> record;
-  for (int i = 0; i < 500; ++i) {
-    record.push_back({1, static_cast<uint64_t>(i) * 8192,
-                      std::vector<uint8_t>(8, static_cast<uint8_t>(i))});
-  }
+  const rvm::TransactionRecord record = SparseRecord(500);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(r->ApplyExternalRanges(record));
+    benchmark::DoNotOptimize(r->ApplyExternalRanges(record.ranges));
   }
   state.SetItemsProcessed(state.iterations() * 500);
 }

@@ -51,24 +51,28 @@ void Crash(const std::string& harness, const std::string& name,
   WriteSeed("crashes", harness, name, base::ByteSpan(bytes.data(), bytes.size()));
 }
 
+// One range with the bytes it carries.
+struct Range {
+  rvm::RegionId region = 0;
+  uint64_t offset = 0;
+  std::vector<uint8_t> data;
+};
+
 rvm::TransactionRecord MakeTxn(rvm::NodeId node, uint64_t seq,
                                std::vector<rvm::LockRecord> locks,
-                               std::vector<rvm::RangeImage> ranges) {
+                               const std::vector<Range>& ranges) {
   rvm::TransactionRecord txn;
   txn.node = node;
   txn.commit_seq = seq;
   txn.locks = std::move(locks);
-  txn.ranges = std::move(ranges);
-  return txn;
+  for (const Range& r : ranges) {
+    txn.ranges.push_back(rvm::RangeImage{r.region, r.offset, r.data});
+  }
+  return txn.Own();  // copies the bytes out of `ranges`
 }
 
-rvm::RangeImage MakeRange(rvm::RegionId region, uint64_t offset, size_t len,
-                          uint8_t fill) {
-  rvm::RangeImage r;
-  r.region = region;
-  r.offset = offset;
-  r.data.assign(len, fill);
-  return r;
+Range MakeRange(rvm::RegionId region, uint64_t offset, size_t len, uint8_t fill) {
+  return Range{region, offset, std::vector<uint8_t>(len, fill)};
 }
 
 // A small realistic history: two nodes, a shared lock ordering them, ranges

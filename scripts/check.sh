@@ -27,7 +27,9 @@
 # Unordered per-update cost exceeds the Ordered one at 5000 updates/txn,
 # each the median of the three runs: the paper's ordered-insertion fast
 # path (§3.1) must stay measurably cheaper than out-of-order insertion.
-# It also runs bench_recovery_ttfc and fails when the
+# It runs bench_microops and fails unless decoding a 500-range update costs
+# at most 3x encoding it (median of three repetitions each): receive must
+# stay as zero-copy as send. It also runs bench_recovery_ttfc and fails when the
 # replay-before-serve / serve-first time-to-first-commit ratio regresses
 # more than 20% below the checked-in recovery_ttfc baseline.
 #
@@ -256,6 +258,22 @@ print(f"bench smoke: 5000 updates/txn median of 3: unordered={unordered:.3f}us "
 if not unordered > ordered:
     sys.exit("bench smoke FAILED: unordered set_range is no slower than ordered at "
              "5000 updates/txn - the ordered-insertion fast path is gone")
+'
+
+  echo "=== bench smoke: receive vs send, DecodeUpdate <= 3x EncodeUpdate at 500 ranges ==="
+  cmake --build build -j "$jobs" --target bench_microops
+  ./build/bench/bench_microops --benchmark_filter='^BM_(En|De)codeUpdate/500$' \
+      --benchmark_repetitions=3 --benchmark_format=json | python3 -c '
+import json, sys
+runs = json.load(sys.stdin)["benchmarks"]
+median = {r["run_name"]: r["cpu_time"] for r in runs if r.get("aggregate_name") == "median"}
+encode = median["BM_EncodeUpdate/500"]
+decode = median["BM_DecodeUpdate/500"]
+print(f"bench smoke: 500 ranges median of 3: encode={encode:.0f}ns decode={decode:.0f}ns "
+      f"ratio={decode / encode:.2f}x (ceiling 3x)")
+if decode > 3 * encode:
+    sys.exit("bench smoke FAILED: DecodeUpdate is more than 3x EncodeUpdate at 500 ranges - "
+             "the receive path copies per range again")
 '
 
   echo "=== bench smoke: recovery time-to-first-commit vs checked-in baseline ==="

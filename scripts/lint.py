@@ -209,8 +209,13 @@ def check_stats(rel, lines, findings):
             )
 
 
-# A public decoder entry point: takes untrusted bytes, returns Status.
-DECODER_DECL = re.compile(r"\bbase::Status\s+(Decode\w*)\s*\(\s*base::ByteSpan\b")
+# A public decoder entry point: takes untrusted bytes, returns Status. The
+# bytes come as a borrowed base::ByteSpan or as the base::Buffer a zero-copy
+# decoder's records go on to view.
+DECODER_DECL = re.compile(
+    r"\bbase::Status\s+(Decode\w*)\s*\(\s*"
+    r"(?:base::ByteSpan\b|const\s+base::Buffer\s*&)"
+)
 REGISTRY_LINE = re.compile(r"^(\S+)\s+(\S+)\s*$")
 HARNESS_REG = re.compile(r'\{\s*"([\w]+)"\s*,\s*Run\w+\s*,')
 
@@ -248,7 +253,8 @@ def check_registry(findings):
             if m:
                 registered.add(m.group(1))
 
-    # Every header-declared Decode*(ByteSpan, ...) in src/ needs a mapping.
+    # Every header-declared Decode*(ByteSpan or Buffer, ...) in src/ needs a
+    # mapping.
     src_root = os.path.join(REPO_ROOT, "src")
     for dirpath, _, names in os.walk(src_root):
         for name in sorted(names):

@@ -46,7 +46,11 @@ class Buffer {
       : Buffer(std::vector<uint8_t>(bytes)) {}
 
   static Buffer Copy(ByteSpan data) {
-    return Buffer(std::vector<uint8_t>(data.begin(), data.end()));
+    Buffer out;  // the bytes go straight into the shared block
+    if (!data.empty()) {
+      out.block_ = std::make_shared<const std::vector<uint8_t>>(data.begin(), data.end());
+    }
+    return out;
   }
 
   const uint8_t* data() const { return block_ ? block_->data() : nullptr; }
@@ -160,15 +164,24 @@ class Reader {
   Status ReadU64(uint64_t* out) { return ReadRaw(out, sizeof(*out)); }
 
   Status ReadVarint(uint64_t* out) {
+    if (const char* error = TakeVarint(out)) {
+      return DataLoss(error);
+    }
+    return OkStatus();
+  }
+
+  // ReadVarint without a Status, for hot decode loops: nullptr, or why not.
+  const char* TakeVarint(uint64_t* out) {
     uint64_t value = 0;
     int shift = 0;
+    size_t pos = pos_;
     while (true) {
-      if (pos_ >= data_.size()) {
-        return DataLoss("varint truncated");
+      if (pos >= data_.size()) {
+        return "varint truncated";
       }
-      uint8_t byte = data_[pos_++];
+      uint8_t byte = data_[pos++];
       if (shift >= 63 && (byte & ~uint8_t{1})) {
-        return DataLoss("varint overflow");
+        return "varint overflow";
       }
       value |= static_cast<uint64_t>(byte & 0x7F) << shift;
       if ((byte & 0x80) == 0) {
@@ -178,14 +191,15 @@ class Reader {
         // canonical, so decode-then-re-encode is byte-identical and a forged
         // duplicate record cannot dodge byte-level comparison or dedup.
         if (byte == 0 && shift > 0) {
-          return DataLoss("non-minimal varint");
+          return "non-minimal varint";
         }
         break;
       }
       shift += 7;
     }
+    pos_ = pos;
     *out = value;
-    return OkStatus();
+    return nullptr;
   }
 
   // Varint bounded to uint32 identifiers (NodeId, RegionId). A value above

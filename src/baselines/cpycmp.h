@@ -19,8 +19,13 @@
 
 namespace baselines {
 
-// A diff hunk: the new bytes at [offset, offset+data.size()).
-using Diff = rvm::RangeImage;
+// A diff hunk: a copy of the new bytes at [offset, offset+data.size()),
+// made at collection time as the diffing systems do.
+struct Diff {
+  rvm::RegionId region = 0;
+  uint64_t offset = 0;
+  std::vector<uint8_t> data;
+};
 
 class CpyCmpEngine {
  public:

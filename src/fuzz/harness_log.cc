@@ -7,6 +7,7 @@
 // the encoder EMITS must decode back to the same value.
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/fuzz/container.h"
@@ -49,9 +50,9 @@ int RunLogTransaction(const uint8_t* data, size_t size) {
   if (size > kMaxInputBytes) {
     return 0;
   }
-  base::ByteSpan span(data, size);
+  // The record alone holds the Buffer its ranges view.
   rvm::TransactionRecord txn;
-  if (!rvm::DecodeTransaction(span, &txn).ok()) {
+  if (!rvm::DecodeTransaction(base::Buffer::Copy(base::ByteSpan(data, size)), &txn).ok()) {
     return 0;  // rejected cleanly — the only other acceptable outcome
   }
   CheckTransactionBounds("log_transaction", txn, data, size);
@@ -63,8 +64,7 @@ int RunLogTransaction(const uint8_t* data, size_t size) {
   }
   // And the encoder's output round-trips to the same value.
   rvm::TransactionRecord again;
-  if (!rvm::DecodeTransaction(base::ByteSpan(re.data(), re.size()), &again).ok() ||
-      !(again == txn)) {
+  if (!rvm::DecodeTransaction(base::Buffer(std::move(re)), &again).ok() || !(again == txn)) {
     OracleFailure("log_transaction", "Decode(Encode(txn)) != txn", data, size);
   }
   return 0;

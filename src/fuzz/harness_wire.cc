@@ -2,8 +2,10 @@
 // wire format is one-spelling canonical for every message except the lock
 // token, whose piggybacked records each embed their own header-compression
 // flag; those get the value-level oracle (decode ∘ encode is the identity
-// on values) instead of byte identity.
+// on values) instead of byte identity. The update and token harnesses
+// decode from a Buffer, as a receiver does, and the records view it.
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/fuzz/harness.h"
@@ -36,7 +38,7 @@ int RunWireUpdate(const uint8_t* data, size_t size) {
   }
   base::ByteSpan span(data, size);
   rvm::TransactionRecord txn;
-  if (!lbc::DecodeUpdate(span, &txn).ok()) {
+  if (!lbc::DecodeUpdate(base::Buffer::Copy(span), &txn).ok()) {
     return 0;
   }
   // An accepted update always passed the type peek.
@@ -55,8 +57,7 @@ int RunWireUpdate(const uint8_t* data, size_t size) {
     OracleFailure("wire_update", "Encode(Decode(x)) != x for accepted update", data, size);
   }
   rvm::TransactionRecord again;
-  if (!lbc::DecodeUpdate(base::ByteSpan(re.data(), re.size()), &again).ok() ||
-      !(again == txn)) {
+  if (!lbc::DecodeUpdate(base::Buffer(std::move(re)), &again).ok() || !(again == txn)) {
     OracleFailure("wire_update", "Decode(Encode(txn)) != txn", data, size);
   }
   return 0;
@@ -93,7 +94,7 @@ int RunWireLockToken(const uint8_t* data, size_t size) {
     return 0;
   }
   lbc::LockTokenMsg msg;
-  if (!lbc::DecodeLockToken(base::ByteSpan(data, size), &msg).ok()) {
+  if (!lbc::DecodeLockToken(base::Buffer::Copy(base::ByteSpan(data, size)), &msg).ok()) {
     return 0;
   }
   uint64_t piggyback_bytes = 0;
@@ -108,8 +109,7 @@ int RunWireLockToken(const uint8_t* data, size_t size) {
   for (bool compress : {false, true}) {
     std::vector<uint8_t> re = lbc::EncodeLockToken(msg, compress);
     lbc::LockTokenMsg again;
-    if (!lbc::DecodeLockToken(base::ByteSpan(re.data(), re.size()), &again).ok() ||
-        !(again == msg)) {
+    if (!lbc::DecodeLockToken(base::Buffer(re), &again).ok() || !(again == msg)) {
       OracleFailure("wire_lock_token", "Decode(Encode(msg)) != msg", data, size);
     }
     if (msg.piggyback.empty() &&

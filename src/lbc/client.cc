@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <set>
 #include <thread>
 
@@ -152,7 +153,7 @@ base::Result<std::unique_ptr<Client>> Client::Create(Cluster* cluster, rvm::Node
 
 base::Status Client::Init() {
   ASSIGN_OR_RETURN(rvm_, rvm::Rvm::Open(cluster_->store(), node_, options_.rvm));
-  rvm_->SetCommitHook([this](const rvm::CommitContext& ctx) { OnCommit(ctx); });
+  rvm_->SetCommitHook([this](const rvm::TransactionRecord& rec) { OnCommit(rec); });
   endpoint_ = cluster_->fabric()->AddNode(node_);
   channel_ = std::make_unique<netsim::ReliableChannel>(endpoint_);
   channel_->StartReceiver([this](netsim::Message&& msg) { OnMessage(std::move(msg)); });
@@ -369,10 +370,11 @@ base::Result<rvm::Region*> Client::MapRegion(rvm::RegionId region, uint64_t leng
     // The image just loaded from the database file reflects everything up
     // to each lock's trim baseline: adopt those sequence numbers so the
     // interlock does not wait for updates that predate this mapping.
+    std::vector<rvm::TransactionRecord> woken;
     for (rvm::LockId lock : cluster_->LocksForRegion(region)) {
-      uint64_t& applied = applied_seq_[lock];
-      applied = std::max(applied, cluster_->BaselineSeq(lock));
+      AdvanceAppliedLocked(lock, cluster_->BaselineSeq(lock), &woken);
     }
+    DrainWokenLocked(&woken);
   }
   cluster_->RegisterMapping(region, node_);
   return r;
@@ -384,7 +386,17 @@ base::Status Client::UnmapRegion(rvm::RegionId region) {
     base::MutexLock lk(mu_);
     mapped_regions_.erase(region);
   }
-  return rvm_->UnmapRegion(region);
+  RETURN_IF_ERROR(rvm_->UnmapRegion(region));
+  // The region's locks gate nothing here any more: redeliver every held
+  // record, to be re-keyed or applied.
+  base::MutexLock lk(mu_);
+  std::vector<rvm::TransactionRecord> woken;
+  for (auto& [key, records] : std::exchange(held_, {})) {
+    std::move(records.begin(), records.end(), std::back_inserter(woken));
+  }
+  DrainWokenLocked(&woken);
+  cv_.NotifyAll();
+  return base::OkStatus();
 }
 
 std::vector<rvm::RegionId> Client::MappedRegions() const {
@@ -432,34 +444,13 @@ size_t Client::RetainedCount(rvm::LockId lock) const {
   return it == locks_.end() ? 0 : it->second.retained.size();
 }
 
-void Client::ReportAppliedLocked(rvm::LockId lock) {
-  if (options_.policy == PropagationPolicy::kEager) {
-    return;
-  }
-  auto it = applied_seq_.find(lock);
-  if (it != applied_seq_.end()) {
-    cluster_->NoteApplied(lock, node_, it->second);
-  }
-}
-
 void Client::TrimRetainedLocked(rvm::LockId lock, LockState& st) {
   if (st.retained.empty()) {
     return;
   }
   uint64_t min_needed = cluster_->MinApplied(lock, node_);
-  while (!st.retained.empty()) {
-    uint64_t seq = 0;
-    for (const auto& lr : st.retained.front().locks) {
-      if (lr.lock_id == lock) {
-        seq = lr.sequence;
-        break;
-      }
-    }
-    if (seq <= min_needed) {
-      st.retained.pop_front();
-    } else {
-      break;
-    }
+  while (!st.retained.empty() && st.retained.front().SequenceOf(lock) <= min_needed) {
+    st.retained.pop_front();
   }
 }
 
@@ -483,64 +474,44 @@ bool Client::WaitForAppliedSeq(rvm::LockId lock, uint64_t seq, int timeout_ms) {
 // Commit path
 // ---------------------------------------------------------------------------
 
-void Client::OnCommit(const rvm::CommitContext& ctx) {
-  if (ctx.ranges.empty()) {
+void Client::OnCommit(const rvm::TransactionRecord& rec) {
+  if (rec.ranges.empty()) {
     return;  // read-only: sequence numbers will be rolled back at release
   }
   switch (options_.policy) {
     case PropagationPolicy::kEager:
-      BroadcastEager(ctx);
+      BroadcastEager(rec);
       break;
     case PropagationPolicy::kLazy:
-      RetainForLazy(ctx);
+      RetainForLazy(rec);
       break;
     case PropagationPolicy::kLazyServer:
-      PublishToServer(ctx);
+      PublishToServer(rec);
       break;
   }
 }
 
-void Client::PublishToServer(const rvm::CommitContext& ctx) {
-  rvm::TransactionRecord rec = MaterializeRecord(ctx);
-  for (const auto& lock : rec.locks) {
-    cluster_->CacheRecords(lock.lock_id, rec);
+void Client::PublishToServer(const rvm::TransactionRecord& rec) {
+  const rvm::TransactionRecord owned = rec.Own();  // a refcount bump with logging on
+  for (const auto& lock : owned.locks) {
+    cluster_->CacheRecords(lock.lock_id, owned);
     cluster_->TrimRecordCache(lock.lock_id);
   }
 }
 
-rvm::TransactionRecord Client::MaterializeRecord(const rvm::CommitContext& ctx) {
-  rvm::TransactionRecord rec;
-  rec.node = ctx.node;
-  rec.commit_seq = ctx.commit_seq;
-  if (ctx.locks != nullptr) {
-    rec.locks = *ctx.locks;
-  }
-  rec.ranges.reserve(ctx.ranges.size());
-  for (const auto& r : ctx.ranges) {
-    rvm::RangeImage img;
-    img.region = r.region;
-    img.offset = r.offset;
-    img.data.assign(r.data, r.data + r.len);
-    rec.ranges.push_back(std::move(img));
-  }
-  return rec;
-}
-
-void Client::BroadcastEager(const rvm::CommitContext& ctx) {
+void Client::BroadcastEager(const rvm::TransactionRecord& rec) {
   // Recipients: every peer that maps a modified region, plus peers of the
   // regions protected by the held locks (so their sequence interlock always
   // advances, even for updates entirely in another region).
   std::set<rvm::NodeId> peers;
   std::set<rvm::RegionId> regions;
-  for (const auto& r : ctx.ranges) {
+  for (const auto& r : rec.ranges) {
     regions.insert(r.region);
   }
-  if (ctx.locks != nullptr) {
-    for (const auto& lock : *ctx.locks) {
-      auto spec = cluster_->GetLock(lock.lock_id);
-      if (spec.ok()) {
-        regions.insert(spec->region);
-      }
+  for (const auto& lock : rec.locks) {
+    auto spec = cluster_->GetLock(lock.lock_id);
+    if (spec.ok()) {
+      regions.insert(spec->region);
     }
   }
   for (rvm::RegionId region : regions) {
@@ -556,7 +527,7 @@ void Client::BroadcastEager(const rvm::CommitContext& ctx) {
   // One refcounted committed-tail buffer, shared by every channel: each
   // per-peer send (and any retransmit) bumps a refcount instead of copying
   // the encoded record.
-  base::Buffer payload = EncodeUpdate(ctx, options_.compress_headers);
+  base::Buffer payload = EncodeUpdateRecord(rec, options_.compress_headers);
   size_t sends = 0;
   if (options_.use_multicast) {
     // One multicast reaches every peer (§4.3.1's scaling remedy).
@@ -583,16 +554,16 @@ void Client::BroadcastEager(const rvm::CommitContext& ctx) {
   m_.update_bytes_sent.Add(payload.size() * sends);
   obs::TraceRing::Global()->Emit(
       node_, obs::TraceType::kCommitBroadcast,
-      ctx.locks != nullptr && !ctx.locks->empty() ? ctx.locks->front().lock_id : 0,
-      ctx.commit_seq, payload.size() * sends);
+      rec.locks.empty() ? 0 : rec.locks.front().lock_id, rec.commit_seq,
+      payload.size() * sends);
 }
 
-void Client::RetainForLazy(const rvm::CommitContext& ctx) {
-  rvm::TransactionRecord rec = MaterializeRecord(ctx);
+void Client::RetainForLazy(const rvm::TransactionRecord& rec) {
+  const rvm::TransactionRecord owned = rec.Own();  // a refcount bump with logging on
   base::MutexLock lk(mu_);
-  for (const auto& lock : rec.locks) {
+  for (const auto& lock : owned.locks) {
     LockState& st = StateFor(lock.lock_id);
-    st.retained.push_back(rec);
+    st.retained.push_back(owned);
     TrimRetainedLocked(lock.lock_id, st);
   }
 }
@@ -602,16 +573,25 @@ void Client::RetainForLazy(const rvm::CommitContext& ctx) {
 // ---------------------------------------------------------------------------
 
 Client::LockState& Client::StateFor(rvm::LockId lock) {
+  LockState* st = StateIfDefined(lock);
+  LBC_CHECK(st != nullptr);
+  return *st;
+}
+
+Client::LockState* Client::StateIfDefined(rvm::LockId lock) {
   auto it = locks_.find(lock);
   if (it == locks_.end()) {
     auto spec = cluster_->GetLock(lock);
-    LBC_CHECK(spec.ok());
+    if (!spec.ok()) {
+      return nullptr;
+    }
     LockState st;
+    st.region = spec->region;
     st.queue_tail = spec->manager;
     st.have_token = (spec->manager == node_);
     it = locks_.emplace(lock, std::move(st)).first;
   }
-  return it->second;
+  return &it->second;
 }
 
 base::Result<uint64_t> Client::AcquireLock(rvm::LockId lock) {
@@ -704,14 +684,13 @@ base::Result<uint64_t> Client::AcquireLock(rvm::LockId lock) {
 
 void Client::ReleaseLocks(const std::vector<rvm::LockRecord>& held, bool committed_updates) {
   base::MutexLock lk(mu_);
+  std::vector<rvm::TransactionRecord> woken;
   for (const auto& rec : held) {
     LockState& st = StateFor(rec.lock_id);
     st.held = false;
     if (committed_updates) {
       // Our own updates are trivially visible locally.
-      uint64_t& applied = applied_seq_[rec.lock_id];
-      applied = std::max(applied, rec.sequence);
-      ReportAppliedLocked(rec.lock_id);
+      AdvanceAppliedLocked(rec.lock_id, rec.sequence, &woken);
     } else {
       // Aborted or read-only: hand the sequence number back so peers never
       // wait for updates that will not come.
@@ -723,7 +702,7 @@ void Client::ReleaseLocks(const std::vector<rvm::LockRecord>& held, bool committ
       PassTokenLocked(rec.lock_id, st);
     }
   }
-  DrainPendingLocked();
+  DrainWokenLocked(&woken);
   cv_.NotifyAll();
 }
 
@@ -739,11 +718,8 @@ void Client::PassTokenLocked(rvm::LockId lock, LockState& st) {
     // requester is still missing (§2.2).
     TrimRetainedLocked(lock, st);
     for (const auto& rec : st.retained) {
-      for (const auto& lr : rec.locks) {
-        if (lr.lock_id == lock && lr.sequence > fwd.applied_seq) {
-          token.piggyback.push_back(rec);
-          break;
-        }
+      if (rec.SequenceOf(lock) > fwd.applied_seq) {
+        token.piggyback.push_back(rec);
       }
     }
   }
@@ -782,8 +758,10 @@ void Client::OnMessage(netsim::Message&& msg) {
   };
   switch (*type) {
     case MsgType::kUpdate: {
+      // The record views the message's bytes: it holds msg.payload (a
+      // refcount bump) however long it waits in held_ or elsewhere.
       rvm::TransactionRecord rec;
-      if (DecodeUpdate(payload, &rec).ok()) {
+      if (DecodeUpdate(msg.payload, &rec).ok()) {
         HandleUpdate(std::move(rec));
       } else {
         LBC_LOG(Error) << "corrupt update from node " << msg.from;
@@ -806,7 +784,7 @@ void Client::OnMessage(netsim::Message&& msg) {
     }
     case MsgType::kLockToken: {
       LockTokenMsg token;
-      if (DecodeLockToken(payload, &token).ok() && known_lock(token.lock)) {
+      if (DecodeLockToken(msg.payload, &token).ok() && known_lock(token.lock)) {
         HandleLockToken(std::move(token));
       }
       break;
@@ -837,12 +815,11 @@ void Client::HandleUpdate(rvm::TransactionRecord&& rec) {
     version_buffer_.push_back(std::move(rec));
     return;
   }
-  if (!TryApplyLocked(rec)) {
+  std::vector<rvm::TransactionRecord> woken;
+  if (!DeliverLocked(std::move(rec), &woken)) {
     m_.updates_held.Increment();
-    pending_.push_back(std::move(rec));
-  } else {
-    DrainPendingLocked();
   }
+  DrainWokenLocked(&woken);
   cv_.NotifyAll();
 }
 
@@ -910,12 +887,11 @@ void Client::HandleLockToken(LockTokenMsg&& msg) {
   st.epoch = msg.epoch;
   // Lazy policy: the piggybacked records are exactly the updates this node
   // is missing; apply them before announcing the token.
+  std::vector<rvm::TransactionRecord> woken;
   for (auto& rec : msg.piggyback) {
-    if (!TryApplyLocked(rec)) {
-      pending_.push_back(std::move(rec));
-    }
+    DeliverLocked(std::move(rec), &woken);
   }
-  DrainPendingLocked();
+  DrainWokenLocked(&woken);
   st.have_token = true;
   st.requested = false;
   st.token_seq = msg.token_seq;
@@ -1084,28 +1060,39 @@ void Client::FetchFromServerLocked(rvm::LockId lock) {
     obs::TraceRing::Global()->Emit(node_, obs::TraceType::kRecordFetch, lock, applied,
                                    records.size());
   }
+  std::vector<rvm::TransactionRecord> woken;
   for (auto& rec : records) {
     m_.records_fetched.Increment();
-    if (!TryApplyLocked(rec)) {
-      pending_.push_back(std::move(rec));
-    }
+    DeliverLocked(std::move(rec), &woken);
   }
-  DrainPendingLocked();
+  DrainWokenLocked(&woken);
 }
 
 // ---------------------------------------------------------------------------
 // Update application (§3.4 ordering interlock)
 // ---------------------------------------------------------------------------
 
-bool Client::TryApplyLocked(const rvm::TransactionRecord& rec) {
+void Client::DrainWokenLocked(std::vector<rvm::TransactionRecord>* woken) {
+  // A worklist, not recursion: a long reordered chain wakes one successor
+  // per apply.
+  while (!woken->empty()) {
+    rvm::TransactionRecord next = std::move(woken->back());
+    woken->pop_back();
+    DeliverLocked(std::move(next), woken);
+  }
+}
+
+bool Client::DeliverLocked(rvm::TransactionRecord rec,
+                           std::vector<rvm::TransactionRecord>* woken) {
   // Consider only lock dimensions whose protected region is mapped here; we
   // receive updates for those locks completely, so their sequences gate
-  // application. Locks of unmapped regions are irrelevant to this cache.
+  // application. Locks of unmapped regions are irrelevant to this cache,
+  // and so are locks the cluster never defined.
   bool any_relevant = false;
   bool all_applied = true;
   for (const auto& lr : rec.locks) {
-    auto spec = cluster_->GetLock(lr.lock_id);
-    if (!spec.ok() || rvm_->GetRegion(spec->region) == nullptr) {
+    const LockState* st = StateIfDefined(lr.lock_id);
+    if (st == nullptr || rvm_->GetRegion(st->region) == nullptr) {
       continue;
     }
     any_relevant = true;
@@ -1118,7 +1105,9 @@ bool Client::TryApplyLocked(const rvm::TransactionRecord& rec) {
     }
     all_applied = false;
     if (applied + 1 != lr.sequence) {
-      return false;  // a predecessor update is still missing: hold (§3.4)
+      // A predecessor update is still missing: hold until it applies (§3.4).
+      held_[{lr.lock_id, lr.sequence - 1}].push_back(std::move(rec));
+      return false;
     }
   }
   if (any_relevant && all_applied) {
@@ -1133,27 +1122,25 @@ bool Client::TryApplyLocked(const rvm::TransactionRecord& rec) {
     LBC_LOG(Error) << "apply failed: " << st.ToString();
   }
   for (const auto& lr : rec.locks) {
-    uint64_t& applied = applied_seq_[lr.lock_id];
-    applied = std::max(applied, lr.sequence);
-    ReportAppliedLocked(lr.lock_id);
+    AdvanceAppliedLocked(lr.lock_id, lr.sequence, woken);
   }
   m_.updates_applied.Increment();
   return true;
 }
 
-void Client::DrainPendingLocked() {
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (TryApplyLocked(*it)) {
-        it = pending_.erase(it);
-        progressed = true;
-      } else {
-        ++it;
-      }
-    }
+void Client::AdvanceAppliedLocked(rvm::LockId lock, uint64_t seq,
+                                  std::vector<rvm::TransactionRecord>* woken) {
+  uint64_t& applied = applied_seq_[lock];
+  applied = std::max(applied, seq);
+  if (options_.policy != PropagationPolicy::kEager) {
+    cluster_->NoteApplied(lock, node_, applied);
   }
+  auto first = held_.lower_bound({lock, 0});
+  auto last = held_.upper_bound({lock, applied});
+  for (auto it = first; it != last; ++it) {
+    std::move(it->second.begin(), it->second.end(), std::back_inserter(*woken));
+  }
+  held_.erase(first, last);
 }
 
 base::Status Client::Accept() {
@@ -1164,14 +1151,12 @@ base::Status Client::Accept() {
 }
 
 void Client::AcceptLocked() {
-  while (!version_buffer_.empty()) {
-    rvm::TransactionRecord rec = std::move(version_buffer_.front());
-    version_buffer_.pop_front();
-    if (!TryApplyLocked(rec)) {
-      pending_.push_back(std::move(rec));
-    }
+  std::vector<rvm::TransactionRecord> woken;
+  for (rvm::TransactionRecord& rec : version_buffer_) {
+    DeliverLocked(std::move(rec), &woken);
   }
-  DrainPendingLocked();
+  version_buffer_.clear();
+  DrainWokenLocked(&woken);
 }
 
 }  // namespace lbc

@@ -30,6 +30,7 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -244,6 +245,7 @@ class Client {
   friend class Transaction;
 
   struct LockState {
+    rvm::RegionId region = 0;  // from the cluster's (fixed) lock definition
     bool have_token = false;
     uint64_t token_seq = 0;  // last completed acquire (valid when have_token)
     bool held = false;       // held by a local transaction
@@ -272,11 +274,10 @@ class Client {
   base::Status Init();
 
   // --- commit path ---------------------------------------------------------
-  void OnCommit(const rvm::CommitContext& ctx);
-  void BroadcastEager(const rvm::CommitContext& ctx);
-  void RetainForLazy(const rvm::CommitContext& ctx);
-  void PublishToServer(const rvm::CommitContext& ctx);
-  static rvm::TransactionRecord MaterializeRecord(const rvm::CommitContext& ctx);
+  void OnCommit(const rvm::TransactionRecord& rec);
+  void BroadcastEager(const rvm::TransactionRecord& rec);
+  void RetainForLazy(const rvm::TransactionRecord& rec);
+  void PublishToServer(const rvm::TransactionRecord& rec);
 
   // --- lock operations (called by Transaction) ------------------------------
   base::Result<uint64_t> AcquireLock(rvm::LockId lock);
@@ -312,11 +313,18 @@ class Client {
   // Cluster::Finish. mu_ must not be held (sleeps between attempts).
   base::Status AdmitServer(Cluster::ServerQueue queue) LBC_EXCLUDES(mu_);
 
-  // Applies `rec` if its lock-sequence predecessors are all applied; returns
-  // true if applied (or duplicate).
-  bool TryApplyLocked(const rvm::TransactionRecord& rec) LBC_REQUIRES(mu_);
-  // Applies buffered updates until no more progress.
-  void DrainPendingLocked() LBC_REQUIRES(mu_);
+  // Applies `rec` if its lock-sequence predecessors are all applied, else
+  // holds it in held_. Returns true if applied (or duplicate). An apply
+  // moves the held records it may unblock into *woken, for DrainWokenLocked.
+  bool DeliverLocked(rvm::TransactionRecord rec, std::vector<rvm::TransactionRecord>* woken)
+      LBC_REQUIRES(mu_);
+  // Delivers *woken, and whatever each apply wakes in turn, until empty.
+  void DrainWokenLocked(std::vector<rvm::TransactionRecord>* woken) LBC_REQUIRES(mu_);
+  // Raises the applied sequence of `lock` to at least `seq` (reporting it to
+  // the server directory under the lazy policies) and moves the held
+  // records waiting on it into *woken.
+  void AdvanceAppliedLocked(rvm::LockId lock, uint64_t seq,
+                            std::vector<rvm::TransactionRecord>* woken) LBC_REQUIRES(mu_);
   // Applies the versioned-read buffer.
   void AcceptLocked() LBC_REQUIRES(mu_);
   // Token pass helper.
@@ -324,11 +332,10 @@ class Client {
   // Discards retained records every current mapper has applied (§2.2's
   // hold-count scheme, via the server directory).
   void TrimRetainedLocked(rvm::LockId lock, LockState& st) LBC_REQUIRES(mu_);
-  // Reports this node's applied sequence to the server directory (lazy
-  // policy only).
-  void ReportAppliedLocked(rvm::LockId lock) LBC_REQUIRES(mu_);
 
   LockState& StateFor(rvm::LockId lock) LBC_REQUIRES(mu_);
+  // StateFor, but nullptr for a lock the cluster never defined.
+  LockState* StateIfDefined(rvm::LockId lock) LBC_REQUIRES(mu_);
 
   Cluster* cluster_;
   rvm::NodeId node_;
@@ -350,8 +357,12 @@ class Client {
   // Acquires currently blocked in AcquireLock; while nonzero, versioned-read
   // buffering is bypassed so the interlock can make progress.
   int acquires_waiting_ LBC_GUARDED_BY(mu_) = 0;
-  // Updates waiting for their predecessors (§3.4).
-  std::vector<rvm::TransactionRecord> pending_ LBC_GUARDED_BY(mu_);
+  // Updates waiting for their predecessors (§3.4), keyed (lock, s) by the
+  // first lock dimension on which each is not next: it may apply once `lock`
+  // is applied through s. An apply wakes only the keys it reaches; a woken
+  // record that still waits is re-keyed on its next unmet dimension.
+  std::map<std::pair<rvm::LockId, uint64_t>, std::vector<rvm::TransactionRecord>> held_
+      LBC_GUARDED_BY(mu_);
   // Versioned-read buffer: updates held until Accept().
   std::deque<rvm::TransactionRecord> version_buffer_ LBC_GUARDED_BY(mu_);
   // Jitter stream for overload backoff (seeded; see ClientOptions).

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/logging.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/rvm/log_index.h"
@@ -37,7 +38,9 @@ Cluster::~Cluster() { StopRecoveryDrain(); }
 
 void Cluster::DefineLock(rvm::LockId lock, rvm::RegionId region, rvm::NodeId manager) {
   base::MutexLock guard(mu_);
-  locks_[lock] = LockSpec{region, manager};
+  auto [it, inserted] = locks_.try_emplace(lock, LockSpec{region, manager});
+  LBC_CHECK(inserted || it->second.region == region);  // clients cache the region
+  it->second.manager = manager;
 }
 
 base::Result<LockSpec> Cluster::GetLock(rvm::LockId lock) const {
@@ -229,19 +232,12 @@ uint64_t Cluster::MinApplied(rvm::LockId lock, rvm::NodeId exclude) const {
 }
 
 void Cluster::CacheRecords(rvm::LockId lock, const rvm::TransactionRecord& rec) {
-  uint64_t seq = 0;
-  for (const auto& lr : rec.locks) {
-    if (lr.lock_id == lock) {
-      seq = lr.sequence;
-      break;
-    }
-  }
   base::MutexLock guard(mu_);
   if (!server_up_) {
     return;
   }
   m_.records_cached.Increment();
-  record_cache_[lock].emplace(seq, rec);
+  record_cache_[lock].emplace(rec.SequenceOf(lock), rec);
 }
 
 std::vector<rvm::TransactionRecord> Cluster::FetchRecordsSince(rvm::LockId lock,

@@ -53,7 +53,9 @@ class Cluster {
   // --- lock directory (static configuration) ----------------------------
 
   // Defines a segment lock. Must precede any client's use of the lock; the
-  // manager node is also the token's initial owner.
+  // manager node is also the token's initial owner. A lock's region is
+  // fixed once defined (clients cache it): redefining a lock with a
+  // different region is a fatal configuration error.
   void DefineLock(rvm::LockId lock, rvm::RegionId region, rvm::NodeId manager);
   base::Result<LockSpec> GetLock(rvm::LockId lock) const;
   std::vector<rvm::LockId> LocksForRegion(rvm::RegionId region) const;

@@ -51,10 +51,7 @@ base::Status CheckpointFromStandby(Cluster* cluster, Client* standby,
       // uses. The image is durable and certified before the trims below: a
       // crash in between leaves every log untrimmed, and boot-time replay
       // applies their records over the certified image.
-      rvm::RangeImage image;
-      image.region = region;
-      image.offset = 0;
-      image.data.assign(r->data(), r->data() + r->size());
+      const rvm::RangeImage image{region, 0, base::ByteSpan(r->data(), r->size())};
       std::vector<uint64_t> pages((r->size() + rvm::kDbPageSize - 1) / rvm::kDbPageSize);
       std::iota(pages.begin(), pages.end(), uint64_t{0});
       rvm::ReplayWriteSet writes(cluster->store(), region);

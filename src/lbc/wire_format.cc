@@ -8,21 +8,6 @@ namespace {
 // Range header tag bits.
 constexpr uint8_t kTagDelta = 0x01;  // address is a delta from the previous range start
 
-// Common front matter of an update payload: type, writer, commit sequence,
-// lock records.
-void EncodeUpdateHeader(base::Writer* w, rvm::NodeId node, uint64_t commit_seq,
-                        const std::vector<rvm::LockRecord>& locks, bool compress_headers) {
-  w->WriteU8(static_cast<uint8_t>(MsgType::kUpdate));
-  w->WriteU8(compress_headers ? 1 : 0);
-  w->WriteVarint(node);
-  w->WriteVarint(commit_seq);
-  w->WriteVarint(locks.size());
-  for (const auto& lock : locks) {
-    w->WriteVarint(lock.lock_id);
-    w->WriteVarint(lock.sequence);
-  }
-}
-
 void EncodeRangeHeader(base::Writer* w, bool compress, uint64_t prev_start,
                        rvm::RegionId region, uint64_t start, uint64_t len) {
   if (!compress) {
@@ -74,30 +59,23 @@ base::Result<MsgType> PeekMsgType(base::ByteSpan payload) {
   return static_cast<MsgType>(t);
 }
 
-std::vector<uint8_t> EncodeUpdate(const rvm::CommitContext& txn, bool compress_headers) {
-  base::Writer w;
-  static const std::vector<rvm::LockRecord> kNoLocks;
-  EncodeUpdateHeader(&w, txn.node, txn.commit_seq, txn.locks ? *txn.locks : kNoLocks,
-                     compress_headers);
-  w.WriteVarint(txn.ranges.size());
-  uint64_t prev_start = UINT64_MAX;
-  for (const auto& r : txn.ranges) {
-    EncodeRangeHeader(&w, compress_headers, prev_start, r.region, r.offset, r.len);
-    w.WriteBytes(r.data, r.len);
-    prev_start = r.offset;
-  }
-  return w.TakeBytes();
-}
-
 std::vector<uint8_t> EncodeUpdateRecord(const rvm::TransactionRecord& txn,
                                         bool compress_headers) {
   base::Writer w;
-  EncodeUpdateHeader(&w, txn.node, txn.commit_seq, txn.locks, compress_headers);
+  w.WriteU8(static_cast<uint8_t>(MsgType::kUpdate));
+  w.WriteU8(compress_headers ? 1 : 0);
+  w.WriteVarint(txn.node);
+  w.WriteVarint(txn.commit_seq);
+  w.WriteVarint(txn.locks.size());
+  for (const auto& lock : txn.locks) {
+    w.WriteVarint(lock.lock_id);
+    w.WriteVarint(lock.sequence);
+  }
   w.WriteVarint(txn.ranges.size());
   uint64_t prev_start = UINT64_MAX;
   for (const auto& r : txn.ranges) {
     EncodeRangeHeader(&w, compress_headers, prev_start, r.region, r.offset, r.data.size());
-    w.WriteBytes(r.data.data(), r.data.size());
+    w.WriteBytes(r.data);
     prev_start = r.offset;
   }
   return w.TakeBytes();
@@ -105,34 +83,45 @@ std::vector<uint8_t> EncodeUpdateRecord(const rvm::TransactionRecord& txn,
 
 namespace {
 
-base::Status DecodeUpdateFrom(base::Reader* r, rvm::TransactionRecord* out) {
+// Parses one update message, `bytes`, which lies in `owner`: the record
+// holds `owner` (even on a reject, so no range outlives its bytes) and its
+// ranges view it.
+base::Status DecodeUpdateIn(base::ByteSpan bytes, const base::Buffer& owner,
+                            rvm::TransactionRecord* out) {
+  out->ranges.clear();
+  out->bytes = owner;
+  base::Reader r(bytes);
+  uint8_t type = 0;
+  RETURN_IF_ERROR(r.ReadU8(&type));
+  if (type != static_cast<uint8_t>(MsgType::kUpdate)) {
+    return base::InvalidArgument("not an update message");
+  }
   uint8_t compressed = 0;
-  RETURN_IF_ERROR(r->ReadU8(&compressed));
+  RETURN_IF_ERROR(r.ReadU8(&compressed));
   if (compressed > 1) {
     return base::DataLoss("bad header-compression flag");
   }
   rvm::NodeId node = 0;
   uint64_t commit_seq = 0, n_locks = 0, n_ranges = 0;
-  RETURN_IF_ERROR(r->ReadVarint32(&node));
-  RETURN_IF_ERROR(r->ReadVarint(&commit_seq));
+  RETURN_IF_ERROR(r.ReadVarint32(&node));
+  RETURN_IF_ERROR(r.ReadVarint(&commit_seq));
   out->node = node;
   out->commit_seq = commit_seq;
-  RETURN_IF_ERROR(r->ReadVarint(&n_locks));
-  if (n_locks > r->remaining() / 2) {  // each lock record needs >= 2 bytes
+  RETURN_IF_ERROR(r.ReadVarint(&n_locks));
+  if (n_locks > r.remaining() / 2) {  // each lock record needs >= 2 bytes
     return base::DataLoss("lock count exceeds message");
   }
   out->locks.clear();
   for (uint64_t i = 0; i < n_locks; ++i) {
     uint64_t lock_id = 0, seq = 0;
-    RETURN_IF_ERROR(r->ReadVarint(&lock_id));
-    RETURN_IF_ERROR(r->ReadVarint(&seq));
+    RETURN_IF_ERROR(r.ReadVarint(&lock_id));
+    RETURN_IF_ERROR(r.ReadVarint(&seq));
     out->locks.push_back(rvm::LockRecord{lock_id, seq});
   }
-  RETURN_IF_ERROR(r->ReadVarint(&n_ranges));
-  if (n_ranges > r->remaining() / 4) {  // each range needs >= 4 bytes of header
+  RETURN_IF_ERROR(r.ReadVarint(&n_ranges));
+  if (n_ranges > r.remaining() / 4) {  // each range needs >= 4 bytes of header
     return base::DataLoss("range count exceeds message");
   }
-  out->ranges.clear();
   out->ranges.reserve(n_ranges);
   uint64_t prev_start = UINT64_MAX;
   // The range headers are held to exactly what EncodeRangeHeader emits for
@@ -144,7 +133,7 @@ base::Status DecodeUpdateFrom(base::Reader* r, rvm::TransactionRecord* out) {
   // Encode(Decode(x)) == x a checkable fuzz oracle.
   for (uint64_t i = 0; i < n_ranges; ++i) {
     uint8_t tag = 0;
-    RETURN_IF_ERROR(r->ReadU8(&tag));
+    RETURN_IF_ERROR(r.ReadU8(&tag));
     rvm::RangeImage img;
     uint64_t len = 0;
     if (compressed == 0) {
@@ -153,11 +142,11 @@ base::Status DecodeUpdateFrom(base::Reader* r, rvm::TransactionRecord* out) {
       }
       uint32_t region = 0;
       uint64_t start = 0;
-      RETURN_IF_ERROR(r->ReadU32(&region));
-      RETURN_IF_ERROR(r->ReadU64(&start));
-      RETURN_IF_ERROR(r->ReadU64(&len));
+      RETURN_IF_ERROR(r.ReadU32(&region));
+      RETURN_IF_ERROR(r.ReadU64(&start));
+      RETURN_IF_ERROR(r.ReadU64(&len));
       base::ByteSpan pad;
-      RETURN_IF_ERROR(r->ReadBytes(kStandardRvmRangeHeaderSize - 21, &pad));
+      RETURN_IF_ERROR(r.ReadBytes(kStandardRvmRangeHeaderSize - 21, &pad));
       for (uint8_t b : pad) {
         if (b != 0) {
           return base::DataLoss("nonzero reserved padding in range header");
@@ -169,12 +158,17 @@ base::Status DecodeUpdateFrom(base::Reader* r, rvm::TransactionRecord* out) {
       if (tag != 0 && tag != kTagDelta) {
         return base::DataLoss("bad compressed range tag");
       }
-      rvm::RegionId region = 0;
-      uint64_t addr = 0;
-      RETURN_IF_ERROR(r->ReadVarint32(&region));
-      RETURN_IF_ERROR(r->ReadVarint(&addr));
-      RETURN_IF_ERROR(r->ReadVarint(&len));
-      img.region = region;
+      uint64_t region = 0, addr = 0;
+      // Status-free reads: these varints are most of a decode's work.
+      for (uint64_t* field : {&region, &addr, &len}) {
+        if (const char* error = r.TakeVarint(field)) {
+          return base::DataLoss(error);
+        }
+      }
+      if (region > UINT32_MAX) {
+        return base::DataLoss("varint exceeds 32-bit identifier");
+      }
+      img.region = static_cast<rvm::RegionId>(region);
       if (tag == kTagDelta) {
         if (prev_start == UINT64_MAX) {
           return base::DataLoss("delta range with no predecessor");
@@ -197,29 +191,24 @@ base::Status DecodeUpdateFrom(base::Reader* r, rvm::TransactionRecord* out) {
     if (img.offset + len < img.offset) {
       return base::DataLoss("range end overflows uint64");
     }
-    base::ByteSpan data;
-    RETURN_IF_ERROR(r->ReadBytes(len, &data));
-    img.data.assign(data.begin(), data.end());
+    RETURN_IF_ERROR(r.ReadBytes(len, &img.data));
     prev_start = img.offset;
-    out->ranges.push_back(std::move(img));
+    out->ranges.push_back(img);
+  }
+  if (!r.empty()) {
+    return base::DataLoss("trailing bytes after update");
   }
   return base::OkStatus();
 }
 
 }  // namespace
 
+base::Status DecodeUpdate(const base::Buffer& payload, rvm::TransactionRecord* out) {
+  return DecodeUpdateIn(payload.span(), payload, out);
+}
+
 base::Status DecodeUpdate(base::ByteSpan payload, rvm::TransactionRecord* out) {
-  base::Reader r(payload);
-  uint8_t type = 0;
-  RETURN_IF_ERROR(r.ReadU8(&type));
-  if (type != static_cast<uint8_t>(MsgType::kUpdate)) {
-    return base::InvalidArgument("not an update message");
-  }
-  RETURN_IF_ERROR(DecodeUpdateFrom(&r, out));
-  if (!r.empty()) {
-    return base::DataLoss("trailing bytes after update");
-  }
-  return base::OkStatus();
+  return DecodeUpdate(base::Buffer::Copy(payload), out);
 }
 
 std::vector<uint8_t> EncodeLockRequest(const LockRequestMsg& msg) {
@@ -363,8 +352,8 @@ base::Status DecodeLockRevokeReply(base::ByteSpan payload, LockRevokeReplyMsg* o
   return base::OkStatus();
 }
 
-base::Status DecodeLockToken(base::ByteSpan payload, LockTokenMsg* out) {
-  base::Reader r(payload);
+base::Status DecodeLockToken(const base::Buffer& payload, LockTokenMsg* out) {
+  base::Reader r(payload.span());
   uint8_t type = 0;
   RETURN_IF_ERROR(r.ReadU8(&type));
   if (type != static_cast<uint8_t>(MsgType::kLockToken)) {
@@ -385,7 +374,7 @@ base::Status DecodeLockToken(base::ByteSpan payload, LockTokenMsg* out) {
     base::ByteSpan encoded;
     RETURN_IF_ERROR(r.ReadLengthPrefixed(&encoded));
     rvm::TransactionRecord rec;
-    RETURN_IF_ERROR(DecodeUpdate(encoded, &rec));
+    RETURN_IF_ERROR(DecodeUpdateIn(encoded, payload, &rec));
     out->piggyback.push_back(std::move(rec));
   }
   if (!r.empty()) {

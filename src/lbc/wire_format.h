@@ -12,6 +12,10 @@
 //
 // All fabric messages share a one-byte type tag so a node's single receiver
 // thread can dispatch updates and lock-protocol traffic from one inbox.
+//
+// Receive matches send (§3.2): the encoder gathers straight from a record's
+// range views, and a decoder given the received payload Buffer returns
+// records that hold it and view it, with no per-range copy.
 #ifndef SRC_LBC_WIRE_FORMAT_H_
 #define SRC_LBC_WIRE_FORMAT_H_
 
@@ -36,14 +40,14 @@ base::Result<MsgType> PeekMsgType(base::ByteSpan payload);
 
 // --- update messages -------------------------------------------------------
 
-// Encodes a just-committed transaction directly from the region-image I/O
-// vectors (no intermediate copy of the data).
-std::vector<uint8_t> EncodeUpdate(const rvm::CommitContext& txn, bool compress_headers);
-
-// Encodes an owned record (used when lazily re-sending retained updates).
+// Encodes a committed (or retained) transaction straight from its range
+// views: no intermediate copy of the data.
 std::vector<uint8_t> EncodeUpdateRecord(const rvm::TransactionRecord& txn,
                                         bool compress_headers);
 
+// The record holds `payload` and its ranges view it. The ByteSpan form first
+// copies the bytes once into a new Buffer.
+base::Status DecodeUpdate(const base::Buffer& payload, rvm::TransactionRecord* out);
 base::Status DecodeUpdate(base::ByteSpan payload, rvm::TransactionRecord* out);
 
 // Size in bytes of the encoded header for one range, given its predecessor's
@@ -96,6 +100,7 @@ struct LockTokenMsg {
   uint64_t token_seq = 0;
   uint64_t epoch = 0;
   // Lazy policy: retained update records the requester has not yet applied.
+  // Decoded, each holds the token message's Buffer and views its bytes.
   std::vector<rvm::TransactionRecord> piggyback;
 
   bool operator==(const LockTokenMsg&) const = default;
@@ -134,7 +139,7 @@ std::vector<uint8_t> EncodeLockRevokeReply(const LockRevokeReplyMsg& msg);
 
 base::Status DecodeLockRequest(base::ByteSpan payload, LockRequestMsg* out);
 base::Status DecodeLockForward(base::ByteSpan payload, LockForwardMsg* out);
-base::Status DecodeLockToken(base::ByteSpan payload, LockTokenMsg* out);
+base::Status DecodeLockToken(const base::Buffer& payload, LockTokenMsg* out);
 base::Status DecodeLockRevoke(base::ByteSpan payload, LockRevokeMsg* out);
 base::Status DecodeLockRevokeReply(base::ByteSpan payload, LockRevokeReplyMsg* out);
 

@@ -1,70 +1,45 @@
 #include "src/rvm/log_format.h"
 
 namespace rvm {
-namespace {
 
-// The one kTransaction writer. `range_at(i)` views range i as a RangeRef, so
-// borrowed and owned records share the layout code. The first pass only
-// sizes the record; the second writes it into a buffer that never regrows.
-template <typename RangeAt>
-std::vector<uint8_t> EncodeRecord(NodeId node, uint64_t commit_seq,
-                                  const std::vector<LockRecord>& locks, size_t n_ranges,
-                                  RangeAt range_at, std::vector<size_t>* data_offsets) {
-  size_t size = 1 + base::VarintSize(node) + base::VarintSize(commit_seq) +
-                base::VarintSize(locks.size()) + base::VarintSize(n_ranges);
-  for (const auto& lock : locks) {
+// One pass sizes the record; the second writes it into a buffer that never
+// regrows.
+std::vector<uint8_t> EncodeTransaction(const TransactionRecord& txn,
+                                       std::vector<size_t>* data_offsets) {
+  size_t size = 1 + base::VarintSize(txn.node) + base::VarintSize(txn.commit_seq) +
+                base::VarintSize(txn.locks.size()) + base::VarintSize(txn.ranges.size());
+  for (const auto& lock : txn.locks) {
     size += base::VarintSize(lock.lock_id) + base::VarintSize(lock.sequence);
   }
-  for (size_t i = 0; i < n_ranges; ++i) {
-    const RangeRef r = range_at(i);
-    size += base::VarintSize(r.region) + base::VarintSize(r.offset) + base::VarintSize(r.len) +
-            r.len;
+  for (const RangeImage& r : txn.ranges) {
+    size += base::VarintSize(r.region) + base::VarintSize(r.offset) +
+            base::VarintSize(r.data.size()) + r.data.size();
   }
 
   base::Writer w(size);
   w.WriteU8(static_cast<uint8_t>(LogRecordKind::kTransaction));
-  w.WriteVarint(node);
-  w.WriteVarint(commit_seq);
-  w.WriteVarint(locks.size());
-  for (const auto& lock : locks) {
+  w.WriteVarint(txn.node);
+  w.WriteVarint(txn.commit_seq);
+  w.WriteVarint(txn.locks.size());
+  for (const auto& lock : txn.locks) {
     w.WriteVarint(lock.lock_id);
     w.WriteVarint(lock.sequence);
   }
-  w.WriteVarint(n_ranges);
+  w.WriteVarint(txn.ranges.size());
   if (data_offsets != nullptr) {
-    data_offsets->resize(n_ranges);
+    data_offsets->resize(txn.ranges.size());
   }
-  for (size_t i = 0; i < n_ranges; ++i) {
-    const RangeRef r = range_at(i);
+  for (size_t i = 0; i < txn.ranges.size(); ++i) {
+    const RangeImage& r = txn.ranges[i];
     w.WriteVarint(r.region);
     w.WriteVarint(r.offset);
-    w.WriteVarint(r.len);
+    w.WriteVarint(r.data.size());
     if (data_offsets != nullptr) {
       (*data_offsets)[i] = w.size();
     }
-    w.WriteBytes(r.data, r.len);
+    w.WriteBytes(r.data);
   }
   return w.TakeBytes();
-}
-
-}  // namespace
-
-std::vector<uint8_t> EncodeTransaction(const CommitContext& txn,
-                                       std::vector<size_t>* data_offsets) {
-  static const std::vector<LockRecord> kNoLocks;
-  return EncodeRecord(
-      txn.node, txn.commit_seq, txn.locks ? *txn.locks : kNoLocks, txn.ranges.size(),
-      [&](size_t i) { return txn.ranges[i]; }, data_offsets);
-}
-
-std::vector<uint8_t> EncodeTransaction(const TransactionRecord& txn) {
-  return EncodeRecord(
-      txn.node, txn.commit_seq, txn.locks, txn.ranges.size(),
-      [&](size_t i) {
-        const RangeImage& r = txn.ranges[i];
-        return RangeRef{r.region, r.offset, r.data.data(), r.data.size()};
-      },
-      /*data_offsets=*/nullptr);
 }
 
 std::vector<uint8_t> EncodeCheckpoint() {
@@ -86,7 +61,14 @@ base::Result<LogRecordKind> PeekKind(base::ByteSpan payload) {
 }
 
 base::Status DecodeTransaction(base::ByteSpan payload, TransactionRecord* out) {
-  base::Reader r(payload);
+  return DecodeTransaction(base::Buffer::Copy(payload), out);
+}
+
+base::Status DecodeTransaction(const base::Buffer& payload, TransactionRecord* out) {
+  base::Reader r(payload.span());
+  // Held from the start, so even a rejected record views only bytes it holds.
+  out->ranges.clear();
+  out->bytes = payload;
   uint8_t kind = 0;
   RETURN_IF_ERROR(r.ReadU8(&kind));
   if (kind != static_cast<uint8_t>(LogRecordKind::kTransaction)) {
@@ -116,7 +98,6 @@ base::Status DecodeTransaction(base::ByteSpan payload, TransactionRecord* out) {
   if (n_ranges > r.remaining() / 3) {  // each range needs >= 3 bytes
     return base::DataLoss("range count exceeds payload");
   }
-  out->ranges.clear();
   out->ranges.reserve(n_ranges);
   for (uint64_t i = 0; i < n_ranges; ++i) {
     RegionId region = 0;
@@ -131,11 +112,7 @@ base::Status DecodeTransaction(base::ByteSpan payload, TransactionRecord* out) {
     if (offset + data.size() < offset) {
       return base::DataLoss("range end overflows uint64");
     }
-    RangeImage img;
-    img.region = region;
-    img.offset = offset;
-    img.data.assign(data.begin(), data.end());
-    out->ranges.push_back(std::move(img));
+    out->ranges.push_back(RangeImage{region, offset, data});
   }
   if (!r.empty()) {
     return base::DataLoss("trailing bytes after transaction record");

@@ -9,9 +9,10 @@
 // One encoder writes every kTransaction payload, in one pass into a buffer
 // sized exactly up front: the commit path gathers the range data straight
 // out of the region images (the paper's writev I/O vectors) into the record
-// that is both logged and broadcast, and the merge utility re-encodes owned
-// records through the same code. DecodeTransaction parses the full record
-// back into an owned TransactionRecord.
+// that is both logged and broadcast, and the merge utility re-encodes
+// decoded records through the same code. DecodeTransaction parses a payload
+// into a TransactionRecord whose ranges view the payload's Buffer: no
+// per-range copy.
 #ifndef SRC_RVM_LOG_FORMAT_H_
 #define SRC_RVM_LOG_FORMAT_H_
 
@@ -34,23 +35,21 @@ enum class LogRecordKind : uint8_t {
 //   varint n_ranges | n_ranges x (varint region, varint offset, varint len,
 //                                 len raw bytes)
 
-// Encodes a committed transaction whose range data is borrowed (at commit,
-// the live region images). When `data_offsets` is non-null it receives, per
+// Encodes a committed transaction. At commit its range data is borrowed from
+// the live region images; when `data_offsets` is non-null it receives, per
 // range, the payload offset of that range's raw bytes, so the caller can
-// repoint its RangeRefs into the finished record.
-std::vector<uint8_t> EncodeTransaction(const CommitContext& txn,
+// point the ranges into the finished record.
+std::vector<uint8_t> EncodeTransaction(const TransactionRecord& txn,
                                        std::vector<size_t>* data_offsets = nullptr);
-
-// Encodes a fully-owned TransactionRecord (used by the merge utility when
-// rewriting logs); byte-identical to the CommitContext form.
-std::vector<uint8_t> EncodeTransaction(const TransactionRecord& txn);
 
 std::vector<uint8_t> EncodeCheckpoint();
 
 // Peeks the payload kind.
 base::Result<LogRecordKind> PeekKind(base::ByteSpan payload);
 
-// Parses a kTransaction payload.
+// Parses a kTransaction payload; the record holds `payload` and its ranges
+// view it. The ByteSpan form first copies the bytes once into a new Buffer.
+base::Status DecodeTransaction(const base::Buffer& payload, TransactionRecord* out);
 base::Status DecodeTransaction(base::ByteSpan payload, TransactionRecord* out);
 
 }  // namespace rvm

@@ -195,7 +195,7 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
   // Whole-commit latency (gather + log write + commit hook) for the
   // histogram; the phase counters below split the same work.
   obs::ScopedTimer commit_timer(nullptr, commit_nanos_);
-  CommitContext ctx;
+  TransactionRecord rec;
   bool crossed_soft = false;
   {
     obs::ScopedTimer collect_timer(&m_.collect_nanos);
@@ -258,55 +258,57 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
     }
     Txn& txn = it->second;
 
-    ctx.node = node_;
-    ctx.commit_seq = ++commit_seq_;
-    ctx.locks = &txn.locks;
+    rec.node = node_;
+    rec.commit_seq = ++commit_seq_;
+    rec.locks = txn.locks;
     constexpr uint64_t kPageSize = 8192;
     size_t declared = 0;
     for (const auto& entry : txn.ranges) {
       declared += entry.second.range_count();
     }
-    ctx.ranges.reserve(declared);
+    rec.ranges.reserve(declared);
     uint64_t pages = 0;
     uint64_t pages_coalesced = 0;
     for (auto& [region_id, range_set] : txn.ranges) {
       uint8_t* image = regions_.at(region_id)->data();
-      // Gather (offset, len) in address order straight into ctx.ranges.
-      const size_t region_begin = ctx.ranges.size();
+      // Gather (offset, len) in address order straight into rec.ranges.
+      const size_t region_begin = rec.ranges.size();
       for (const auto& [offset, len] : range_set.ranges()) {
-        ctx.ranges.push_back(RangeRef{region_id, offset, image + offset, len});
+        rec.ranges.push_back(
+            RangeImage{region_id, offset, base::ByteSpan(image + offset, len)});
       }
       if (options_.adaptive_ranges_per_page > 0) {
         // Adaptive hybrid: collapse each update-dense page's ranges, in
         // place, into one covering span.
         size_t out = region_begin;
         size_t i = region_begin;
-        while (i < ctx.ranges.size()) {
-          const uint64_t start = ctx.ranges[i].offset;
+        while (i < rec.ranges.size()) {
+          const uint64_t start = rec.ranges[i].offset;
           const uint64_t page = start / kPageSize;
           size_t j = i;
           uint64_t span_end = 0;
           // Group the ranges that *start* in this page.
-          while (j < ctx.ranges.size() && ctx.ranges[j].offset / kPageSize == page) {
-            span_end = std::max(span_end, ctx.ranges[j].offset + ctx.ranges[j].len);
+          while (j < rec.ranges.size() && rec.ranges[j].offset / kPageSize == page) {
+            span_end = std::max(span_end, rec.ranges[j].offset + rec.ranges[j].data.size());
             ++j;
           }
           if (j - i > options_.adaptive_ranges_per_page) {
-            ctx.ranges[out++] = RangeRef{region_id, start, image + start, span_end - start};
+            rec.ranges[out++] =
+                RangeImage{region_id, start, base::ByteSpan(image + start, span_end - start)};
             ++pages_coalesced;
             i = j;
           }
           while (i < j) {
-            ctx.ranges[out++] = ctx.ranges[i++];
+            rec.ranges[out++] = rec.ranges[i++];
           }
         }
-        ctx.ranges.resize(out);
+        rec.ranges.resize(out);
       }
 
       uint64_t next_uncounted_page = 0;
-      for (size_t k = region_begin; k < ctx.ranges.size(); ++k) {
-        const uint64_t offset = ctx.ranges[k].offset;
-        const uint64_t len = ctx.ranges[k].len;
+      for (size_t k = region_begin; k < rec.ranges.size(); ++k) {
+        const uint64_t offset = rec.ranges[k].offset;
+        const uint64_t len = rec.ranges[k].data.size();
         if (len == 0) {
           continue;
         }
@@ -326,30 +328,31 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
 
     m_.pages_logged.Add(pages);
     m_.adaptive_pages_coalesced.Add(pages_coalesced);
-    m_.ranges_logged.Add(ctx.ranges.size());
-    m_.bytes_logged.Add(ctx.TotalBytes());
+    m_.ranges_logged.Add(rec.ranges.size());
+    m_.bytes_logged.Add(rec.TotalBytes());
 
     // Read-only transactions (no registered ranges) leave no log record:
     // the coherency layer rolls their lock sequence numbers back, so a
     // record would only confuse the merge order.
-    if (options_.disk_logging && !ctx.ranges.empty()) {
+    if (options_.disk_logging && !rec.ranges.empty()) {
       // Encode the whole record NOW, while the images still hold exactly
       // this transaction's bytes: the pipeline wait below releases mu_, and
       // later transactions overwrite the live images before the batch
       // leader gets this record to disk. The contiguous payload doubles as
-      // the zero-copy broadcast buffer — ctx.record is refcounted, and the
-      // RangeRefs are repointed into it so the commit hook (and every peer
+      // the zero-copy broadcast buffer — rec.bytes is refcounted, and the
+      // ranges are repointed into it so the commit hook (and every peer
       // channel it fans out to) reads bytes that can no longer change.
       std::vector<size_t> data_offsets;
-      ctx.record = base::Buffer(EncodeTransaction(ctx, &data_offsets));
-      for (size_t i = 0; i < ctx.ranges.size(); ++i) {
-        ctx.ranges[i].data = ctx.record.data() + data_offsets[i];
+      rec.bytes = base::Buffer(EncodeTransaction(rec, &data_offsets));
+      for (size_t i = 0; i < rec.ranges.size(); ++i) {
+        rec.ranges[i].data =
+            base::ByteSpan(rec.bytes.data() + data_offsets[i], rec.ranges[i].data.size());
       }
       collect_timer.StopNanos();
 
       obs::ScopedTimer disk_timer(&m_.disk_nanos);
       PendingCommit pc;
-      pc.payload = ctx.record;
+      pc.payload = rec.bytes;
       pc.mode = mode;
       pc.enqueued_nanos = base::SteadyClock::Instance()->NowNanos();
       commit_queue_.push_back(&pc);
@@ -386,16 +389,14 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
 
     m_.transactions_committed.Increment();
     CountSetRanges(txn);
-    // Keep the lock records alive for the hook invocation below. txns_ is a
-    // node-based map, so `it` survived the pipeline's Unlock/Lock windows
-    // (other committers only ever erase their own entries).
-    Txn finished = std::move(txn);
+    // txns_ is a node-based map, so `it` survived the pipeline's
+    // Unlock/Lock windows (other committers only ever erase their own
+    // entries).
     txns_.erase(it);
     lock.Unlock();
 
-    ctx.locks = &finished.locks;
     if (commit_hook_) {
-      commit_hook_(ctx);
+      commit_hook_(rec);
     }
   }
   // Edge-triggered soft watermark: only the batch that crossed it asks for

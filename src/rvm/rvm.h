@@ -185,13 +185,12 @@ class Rvm {
 
   // --- coherency integration ----------------------------------------------
 
-  // Hook invoked inside EndTransaction after the log write. With disk
-  // logging on, the CommitContext's RangeRefs point into ctx.record (the
-  // refcounted encoded log payload — stable no matter how many later
-  // transactions have already overwritten the live images by the time the
-  // batch leader finishes); with logging off they point into the live
-  // region images, unchanged since there is no pipeline to outrun them.
-  using CommitHook = std::function<void(const CommitContext&)>;
+  // Hook invoked inside EndTransaction after the log write, with the
+  // committed record. With disk logging on, its ranges view its own `bytes`,
+  // the encoded log payload: stable however far later transactions have
+  // overwritten the live images, and kept or fanned out by refcount. With
+  // logging off they view the live images until the hook returns.
+  using CommitHook = std::function<void(const TransactionRecord&)>;
   void SetCommitHook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
   // Hook asking the coherency layer to checkpoint/trim this node's log

@@ -3,6 +3,7 @@
 #ifndef SRC_RVM_TYPES_H_
 #define SRC_RVM_TYPES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,17 +36,33 @@ struct LockRecord {
 };
 
 // A modified range inside a committed transaction: absolute new values, the
-// unit of both redo logging and coherency propagation.
+// unit of both redo logging and coherency propagation. `data` views the
+// bytes of the record that lists the range (see TransactionRecord).
 struct RangeImage {
   RegionId region = 0;
   uint64_t offset = 0;
-  std::vector<uint8_t> data;
+  base::ByteSpan data;
 
-  bool operator==(const RangeImage&) const = default;
+  RangeImage() = default;
+  RangeImage(RegionId region, uint64_t offset, base::ByteSpan data)
+      : region(region), offset(offset), data(data) {}
+  // A view cannot keep a temporary alive.
+  RangeImage(RegionId, uint64_t, std::vector<uint8_t>&&) = delete;
+
+  // Compares the bytes, not where they live.
+  bool operator==(const RangeImage& o) const {
+    return region == o.region && offset == o.offset &&
+           std::ranges::equal(data, o.data);
+  }
 };
 
 // One committed transaction as it appears in a log (and on the wire, minus
-// header compression).
+// header compression). Its ranges view `bytes`, the refcounted immutable
+// Buffer they were decoded or encoded from (a message payload, a log
+// payload, the commit record): copying a record bumps a refcount, and the
+// spans survive moves of the record. `bytes` is empty only in the commit
+// hook with disk logging off, where the ranges view the live images until
+// the hook returns. DESIGN.md §13, "Zero-copy receive", has the details.
 struct TransactionRecord {
   NodeId node = 0;
   // Per-node commit sequence number; with `node` this uniquely names the
@@ -53,8 +70,23 @@ struct TransactionRecord {
   uint64_t commit_seq = 0;
   std::vector<LockRecord> locks;
   std::vector<RangeImage> ranges;
+  base::Buffer bytes;
 
-  bool operator==(const TransactionRecord&) const = default;
+  // Compares contents, not Buffers.
+  bool operator==(const TransactionRecord& o) const {
+    return node == o.node && commit_seq == o.commit_seq && locks == o.locks &&
+           ranges == o.ranges;
+  }
+
+  // The sequence number this transaction holds for `lock`; 0 if none.
+  uint64_t SequenceOf(LockId lock) const {
+    for (const LockRecord& lr : locks) {
+      if (lr.lock_id == lock) {
+        return lr.sequence;
+      }
+    }
+    return 0;
+  }
 
   uint64_t TotalBytes() const {
     uint64_t n = 0;
@@ -63,37 +95,23 @@ struct TransactionRecord {
     }
     return n;
   }
-};
 
-// View of a committed transaction handed to the commit hook while the range
-// data still points into the region images (the paper's writev I/O vectors:
-// no intermediate copy of the object data is built).
-struct RangeRef {
-  RegionId region = 0;
-  uint64_t offset = 0;
-  const uint8_t* data = nullptr;
-  uint64_t len = 0;
-};
-
-struct CommitContext {
-  NodeId node = 0;
-  uint64_t commit_seq = 0;
-  const std::vector<LockRecord>* locks = nullptr;
-  std::vector<RangeRef> ranges;
-  // When disk logging is on, the encoded log payload for this transaction;
-  // `ranges` then point into it (not the live images, which may already
-  // hold later transactions' bytes by the time the group-commit leader
-  // finishes the batch I/O and the hook runs). Refcounted: the coherency
-  // layer may hand the same bytes to every peer channel without copying.
-  // Empty when disk logging is off — `ranges` point into the live images.
-  base::Buffer record;
-
-  uint64_t TotalBytes() const {
-    uint64_t n = 0;
-    for (const auto& r : ranges) {
-      n += r.len;
+  // A copy that holds its bytes: a refcount bump when `bytes` is set, else
+  // one copy of every range into a new Buffer.
+  TransactionRecord Own() const {
+    if (!bytes.empty()) {
+      return *this;
     }
-    return n;
+    TransactionRecord out = *this;
+    std::vector<uint8_t> packed;
+    packed.reserve(TotalBytes());  // so the views taken below stay valid
+    for (auto& r : out.ranges) {
+      const uint8_t* at = packed.data() + packed.size();
+      packed.insert(packed.end(), r.data.begin(), r.data.end());
+      r.data = base::ByteSpan(at, r.data.size());
+    }
+    out.bytes = base::Buffer(std::move(packed));  // adopts that storage, no copy
+    return out;
   }
 };
 

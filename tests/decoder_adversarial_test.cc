@@ -16,22 +16,15 @@
 #include "src/rvm/page_checksum.h"
 #include "src/rvm/recovery.h"
 #include "src/store/mem_store.h"
+#include "tests/testing_records.h"
 
 namespace {
 
 using base::ByteSpan;
 
 rvm::TransactionRecord SampleTxn() {
-  rvm::TransactionRecord txn;
-  txn.node = 3;
-  txn.commit_seq = 9;
-  txn.locks = {{7, 1}, {500, 2}};
-  rvm::RangeImage r;
-  r.region = 1;
-  r.offset = 4096;
-  r.data = {0xAA, 0xBB, 0xCC, 0xDD, 0xEE};
-  txn.ranges = {r};
-  return txn;
+  return testing_records::Record(3, 9, {{7, 1}, {500, 2}},
+                                 {{1, 4096, {0xAA, 0xBB, 0xCC, 0xDD, 0xEE}}});
 }
 
 // --- DecodeTransaction -------------------------------------------------------
@@ -181,14 +174,8 @@ TEST(AdversarialUpdate, BadCompressionFlagRejects) {
 }
 
 TEST(AdversarialUpdate, NonzeroReservedPaddingRejects) {
-  rvm::TransactionRecord txn;
-  txn.node = 0;
-  txn.commit_seq = 1;
-  rvm::RangeImage r;
-  r.region = 1;
-  r.offset = 0;
-  r.data = {0x11, 0x22, 0x33, 0x44};
-  txn.ranges = {r};
+  const rvm::TransactionRecord txn =
+      testing_records::Record(0, 1, {}, {{1, 0, {0x11, 0x22, 0x33, 0x44}}});
   std::vector<uint8_t> bytes = lbc::EncodeUpdateRecord(txn, false);
   rvm::TransactionRecord out;
   ASSERT_TRUE(lbc::DecodeUpdate(ByteSpan(bytes.data(), bytes.size()), &out).ok());
@@ -240,17 +227,10 @@ TEST(AdversarialUpdate, DeltaWithNoPredecessorRejects) {
 TEST(AdversarialUpdate, AbsoluteAddressWhereEncoderEmitsDeltaRejects) {
   // Two spellings of the same range list would defeat byte-level dedup; the
   // decoder requires the delta form exactly when the encoder would emit it.
-  rvm::TransactionRecord txn;
-  txn.node = 0;
-  txn.commit_seq = 1;
-  rvm::RangeImage a, b;
-  a.region = 1;
-  a.offset = 100;
-  a.data = {0x01};
-  b.region = 1;
-  b.offset = 200;  // gap 100 < kNearRangeBound: encoder uses a delta
-  b.data = {0x02};
-  txn.ranges = {a, b};
+  // The second range's gap, 100, is below kNearRangeBound: the encoder
+  // uses a delta.
+  const rvm::TransactionRecord txn =
+      testing_records::Record(0, 1, {}, {{1, 100, {0x01}}, {1, 200, {0x02}}});
   std::vector<uint8_t> canonical = lbc::EncodeUpdateRecord(txn, true);
   rvm::TransactionRecord out;
   ASSERT_TRUE(lbc::DecodeUpdate(ByteSpan(canonical.data(), canonical.size()), &out).ok());
@@ -308,7 +288,7 @@ TEST(AdversarialLockMessages, TrailingBytesReject) {
     std::vector<uint8_t> b = lbc::EncodeLockToken({.lock = 1, .token_seq = 2}, true);
     b.push_back(0);
     lbc::LockTokenMsg out;
-    EXPECT_FALSE(lbc::DecodeLockToken(ByteSpan(b.data(), b.size()), &out).ok());
+    EXPECT_FALSE(lbc::DecodeLockToken(base::Buffer(b), &out).ok());
   }
 }
 

@@ -64,6 +64,7 @@
 #include "src/store/mem_store.h"
 #include "src/store/replicated_store.h"
 #include "src/store/resource_store.h"
+#include "tests/testing_records.h"
 #include "tests/replay_reference.h"
 
 namespace {
@@ -392,15 +393,9 @@ TEST(LogIndex, ExtendDedupsByCommitSeq) {
 
   // A genuinely new record (fresh commit_seq) is indexed and reports the
   // page it touches — including a page the index has never seen.
-  rvm::TransactionRecord rec;
-  rec.node = 2;
-  rec.commit_seq = index.MaxCommitSeq(2) + 1;
-  rec.locks.push_back({kLockA2, 3});
-  rvm::RangeImage range;
-  range.region = kRegionB;
-  range.offset = rvm::kDbPageSize + 10;
-  range.data.assign(16, 0x5A);
-  rec.ranges.push_back(range);
+  const rvm::TransactionRecord rec =
+      testing_records::Record(2, index.MaxCommitSeq(2) + 1, {{kLockA2, 3}},
+                              {{kRegionB, rvm::kDbPageSize + 10, std::vector<uint8_t>(16, 0x5A)}});
   std::vector<rvm::LogIndex::PageKey> touched = index.Extend({rec});
   ASSERT_EQ(1u, touched.size());
   EXPECT_EQ(rvm::LogIndex::PageKey(kRegionB, 1), touched[0]);
@@ -482,14 +477,14 @@ TEST(IncrementalRecovery, MaterializedPageWritesOneSidecarEntry) {
   // A drained replay first creates the region file and its sidecar (header
   // included), so the ops counted below are the page's own.
   rvm::TransactionRecord full;
-  full.ranges.push_back({kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11)});
+  testing_records::AddRange(&full, kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11));
   ASSERT_TRUE(ReplayMerged(&store, {full}).ok());
   const std::vector<uint8_t> preimage = ReadFile(&mem, rvm::RegionFileName(kRegion));
 
   rvm::TransactionRecord redo;
   redo.node = 1;
   redo.commit_seq = 1;
-  redo.ranges.push_back({kRegion, 100, std::vector<uint8_t>(64, 0x22)});
+  testing_records::AddRange(&redo, kRegion, 100, std::vector<uint8_t>(64, 0x22));
   std::vector<uint8_t> expected = preimage;
   std::memset(expected.data() + 100, 0x22, 64);
   const uint32_t final_crc = rvm::PageCrc(expected.data(), expected.size());
@@ -541,8 +536,9 @@ TEST(IncrementalRecovery, DrainingOneFileCostsSevenDatabaseFileOps) {
   // A drained replay first creates both region files and their sidecars
   // (headers included), so the ops counted below are the drain's own.
   rvm::TransactionRecord base;
-  base.ranges.push_back({kOnePage, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11)});
-  base.ranges.push_back({kThreePages, 0, std::vector<uint8_t>(3 * rvm::kDbPageSize, 0x22)});
+  testing_records::AddRange(&base, kOnePage, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11));
+  testing_records::AddRange(&base, kThreePages, 0,
+                            std::vector<uint8_t>(3 * rvm::kDbPageSize, 0x22));
   ASSERT_TRUE(ReplayMerged(&mem, {base}).ok());
 
   // Redo: a partial write to the one-page file; for the three-page file a
@@ -550,9 +546,9 @@ TEST(IncrementalRecovery, DrainingOneFileCostsSevenDatabaseFileOps) {
   rvm::TransactionRecord redo;
   redo.node = 1;
   redo.commit_seq = 1;
-  redo.ranges.push_back({kOnePage, 100, std::vector<uint8_t>(64, 0x33)});
-  redo.ranges.push_back(
-      {kThreePages, rvm::kDbPageSize - 50, std::vector<uint8_t>(rvm::kDbPageSize + 100, 0x44)});
+  testing_records::AddRange(&redo, kOnePage, 100, std::vector<uint8_t>(64, 0x33));
+  testing_records::AddRange(&redo, kThreePages, rvm::kDbPageSize - 50,
+                            std::vector<uint8_t>(rvm::kDbPageSize + 100, 0x44));
   std::vector<uint8_t> one_page(rvm::kDbPageSize, 0x11);
   std::memset(one_page.data() + 100, 0x33, 64);
   std::vector<uint8_t> three_pages(3 * rvm::kDbPageSize, 0x22);
@@ -1199,7 +1195,7 @@ TEST(IncrementalRecovery, RotGateWaivesOnlyWholePageRedo) {
   store::CorruptionInjectingStore rot(&mem);
   const std::string db = rvm::RegionFileName(kRegion);
   rvm::TransactionRecord base;
-  base.ranges.push_back({kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11)});
+  testing_records::AddRange(&base, kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11));
   ASSERT_TRUE(ReplayMerged(&rot, {base}).ok());
   ASSERT_TRUE(rot.FlipBit(db, 5000, 1).ok());
 
@@ -1207,15 +1203,16 @@ TEST(IncrementalRecovery, RotGateWaivesOnlyWholePageRedo) {
   rvm::TransactionRecord redo;
   redo.node = 1;
   redo.commit_seq = 1;
-  redo.ranges.push_back({kRegion, 4000, std::vector<uint8_t>(rvm::kDbPageSize - 4001, 0x33)});
-  redo.ranges.push_back({kRegion, 0, std::vector<uint8_t>(5000, 0x22)});
+  testing_records::AddRange(&redo, kRegion, 4000,
+                            std::vector<uint8_t>(rvm::kDbPageSize - 4001, 0x33));
+  testing_records::AddRange(&redo, kRegion, 0, std::vector<uint8_t>(5000, 0x22));
   const std::vector<uint8_t> rotten = ReadFile(&mem, db);
   EXPECT_EQ(base::StatusCode::kDataLoss, ReplayMerged(&rot, {redo}).code());
   EXPECT_EQ(rotten, ReadFile(&mem, db));
 
   // With the last byte too, the redo overwrites the whole page: the rotten
   // pre-image is irrelevant and the replay certifies the redo's bytes.
-  redo.ranges.push_back({kRegion, rvm::kDbPageSize - 1, std::vector<uint8_t>(1, 0x44)});
+  testing_records::AddRange(&redo, kRegion, rvm::kDbPageSize - 1, std::vector<uint8_t>(1, 0x44));
   ASSERT_TRUE(ReplayMerged(&rot, {redo}).ok());
   std::vector<uint8_t> expected(rvm::kDbPageSize, 0x33);
   std::memset(expected.data(), 0x22, 5000);

@@ -17,9 +17,14 @@ TEST(Cluster, LockDirectory) {
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(7u, spec->region);
   EXPECT_EQ(3u, spec->manager);
-  // Redefinition overwrites (static configuration update).
-  cluster.DefineLock(1, 8, 4);
-  EXPECT_EQ(8u, cluster.GetLock(1)->region);
+  // Redefinition may move the manager (static configuration update) but
+  // never the region: clients cache a lock's region when they first see it.
+  cluster.DefineLock(1, 7, 4);
+  EXPECT_EQ(7u, cluster.GetLock(1)->region);
+  EXPECT_EQ(4u, cluster.GetLock(1)->manager);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(cluster.DefineLock(1, 8, 4), "CHECK failed");
+  EXPECT_EQ(7u, cluster.GetLock(1)->region);
 }
 
 TEST(Cluster, LocksForRegionAndAllLocks) {

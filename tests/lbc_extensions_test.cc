@@ -91,8 +91,8 @@ TEST(AdaptiveCapture, DensePageCollapsesToOneSpan) {
   auto r = std::move(*rvm::Rvm::Open(&store, 1, options));
   rvm::Region* region = *r->MapRegion(kRegion, 3 * 8192);
 
-  rvm::CommitContext captured;
-  r->SetCommitHook([&](const rvm::CommitContext& ctx) { captured = ctx; });
+  rvm::TransactionRecord captured;
+  r->SetCommitHook([&](const rvm::TransactionRecord& rec) { captured = rec; });
 
   rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
   // 20 scattered 8-byte updates inside page 0 (dense), 2 in page 2 (sparse).
@@ -108,7 +108,7 @@ TEST(AdaptiveCapture, DensePageCollapsesToOneSpan) {
   // Page 0's 20 ranges became one span [0, 19*400+8); page 2 kept 2 ranges.
   ASSERT_EQ(3u, captured.ranges.size());
   EXPECT_EQ(0u, captured.ranges[0].offset);
-  EXPECT_EQ(19u * 400 + 8, captured.ranges[0].len);
+  EXPECT_EQ(19u * 400 + 8, captured.ranges[0].data.size());
   EXPECT_EQ(1u, r->stats().adaptive_pages_coalesced);
 }
 
@@ -139,8 +139,8 @@ TEST(AdaptiveCapture, DisabledByDefault) {
   store::MemStore store;
   auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
   rvm::Region* region = *r->MapRegion(kRegion, 8192);
-  rvm::CommitContext captured;
-  r->SetCommitHook([&](const rvm::CommitContext& ctx) { captured = ctx; });
+  rvm::TransactionRecord captured;
+  r->SetCommitHook([&](const rvm::TransactionRecord& rec) { captured = rec; });
   rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(r->SetRange(txn, kRegion, static_cast<uint64_t>(i) * 16, 8).ok());

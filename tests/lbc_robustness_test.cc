@@ -6,11 +6,14 @@
 #include <thread>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/lbc/client.h"
 #include "src/lbc/wire_format.h"
 #include "src/store/mem_store.h"
+#include "tests/testing_records.h"
 
 namespace {
 
@@ -38,7 +41,7 @@ TEST_P(FuzzDecodeTest, RandomBytesNeverCrashDecoders) {
     lbc::LockForwardMsg fwd;
     (void)lbc::DecodeLockForward(span, &fwd);
     lbc::LockTokenMsg token;
-    (void)lbc::DecodeLockToken(span, &token);
+    (void)lbc::DecodeLockToken(base::Buffer::Copy(span), &token);
     lbc::LockRevokeMsg revoke;
     (void)lbc::DecodeLockRevoke(span, &revoke);
     lbc::LockRevokeReplyMsg reply;
@@ -53,8 +56,8 @@ TEST_P(FuzzDecodeTest, MutatedValidUpdatesNeverCrash) {
   txn.commit_seq = 1;
   txn.locks = {{1, 1}};
   for (int i = 0; i < 5; ++i) {
-    txn.ranges.push_back({1, static_cast<uint64_t>(i) * 1000,
-                          std::vector<uint8_t>(32, static_cast<uint8_t>(i))});
+    testing_records::AddRange(&txn, 1, static_cast<uint64_t>(i) * 1000,
+                              std::vector<uint8_t>(32, static_cast<uint8_t>(i)));
   }
   std::vector<uint8_t> valid = lbc::EncodeUpdateRecord(txn, true);
   for (int i = 0; i < 2000; ++i) {
@@ -100,21 +103,22 @@ class RoundTripTest : public ::testing::TestWithParam<uint64_t> {
     // exercises both delta and absolute address headers.
     uint64_t offset = rng.Uniform(1 << 16);
     size_t nranges = rng.Uniform(5);
+    std::vector<testing_records::Range> ranges;
     for (size_t i = 0; i < nranges; ++i) {
-      rvm::RangeImage img;
+      testing_records::Range img;
       img.region = 1;
       img.offset = offset;
       img.data.resize(1 + rng.Uniform(rng.Chance(1, 4) ? 8192 : 64));
       for (auto& b : img.data) {
         b = static_cast<uint8_t>(rng.Next());
       }
-      rec.ranges.push_back(std::move(img));
+      ranges.push_back(std::move(img));
       // Sometimes jump past the 256 KB near-range bound to force an
       // absolute header mid-message.
-      offset += rec.ranges.back().data.size() +
+      offset += ranges.back().data.size() +
                 (rng.Chance(1, 3) ? lbc::kNearRangeBound + 1 : 1 + rng.Uniform(4096));
     }
-    return rec;
+    return testing_records::Record(rec.node, rec.commit_seq, rec.locks, ranges);
   }
 };
 
@@ -180,8 +184,7 @@ TEST_P(RoundTripTest, LockTokenWithPiggyback) {
     for (bool compress : {true, false}) {
       auto payload = lbc::EncodeLockToken(msg, compress);
       lbc::LockTokenMsg out;
-      ASSERT_TRUE(
-          lbc::DecodeLockToken(base::ByteSpan(payload.data(), payload.size()), &out).ok());
+      ASSERT_TRUE(lbc::DecodeLockToken(base::Buffer(payload), &out).ok());
       EXPECT_EQ(msg.lock, out.lock);
       EXPECT_EQ(msg.token_seq, out.token_seq);
       EXPECT_EQ(msg.epoch, out.epoch);
@@ -276,7 +279,7 @@ TEST(Robustness, UpdateForUnknownLockIsTolerated) {
   rec.node = 2;
   rec.commit_seq = 1;
   rec.locks = {{9999, 5}};  // undefined lock
-  rec.ranges.push_back({kRegion, 0, {42}});
+  testing_records::AddRange(&rec, kRegion, 0, {42});
   netsim::Endpoint* peer = cluster.fabric()->AddNode(2);
   ASSERT_TRUE(peer->Send(1, lbc::EncodeUpdateRecord(rec, true)).ok());
 
@@ -305,8 +308,8 @@ TEST(Robustness, UpdateForUnmappedRegionDropsBytesOnly) {
   rec.node = 2;
   rec.commit_seq = 1;
   rec.locks = {{kLock, 1}};
-  rec.ranges.push_back({/*region=*/77, 0, {1, 2, 3}});  // not mapped at A
-  rec.ranges.push_back({kRegion, 10, {9}});
+  testing_records::AddRange(&rec, /*region=*/77, 0, {1, 2, 3});  // not mapped at A
+  testing_records::AddRange(&rec, kRegion, 10, {9});
   netsim::Endpoint* peer = cluster.fabric()->AddNode(2);
   ASSERT_TRUE(peer->Send(1, lbc::EncodeUpdateRecord(rec, true)).ok());
 
@@ -325,7 +328,7 @@ TEST(Robustness, DuplicateUpdateIsIdempotent) {
   rec.node = 2;
   rec.commit_seq = 1;
   rec.locks = {{kLock, 1}};
-  rec.ranges.push_back({kRegion, 0, {5}});
+  testing_records::AddRange(&rec, kRegion, 0, {5});
   auto payload = lbc::EncodeUpdateRecord(rec, true);
   netsim::Endpoint* peer = cluster.fabric()->AddNode(2);
   ASSERT_TRUE(peer->Send(1, payload).ok());
@@ -338,6 +341,126 @@ TEST(Robustness, DuplicateUpdateIsIdempotent) {
   EXPECT_EQ(1u, a->stats().updates_applied);
   EXPECT_EQ(1u, a->stats().updates_duplicate);
   EXPECT_EQ(1u, a->AppliedSeq(kLock));
+}
+
+// Sends a one-lock update from `peer` (node 2) as a raw message: seq `seq`
+// of kLock writing `ranges`.
+void SendUpdate(netsim::Endpoint* peer, uint64_t seq,
+                const std::vector<testing_records::Range>& ranges) {
+  ASSERT_TRUE(peer->Send(1, lbc::EncodeUpdateRecord(
+                                testing_records::Record(2, seq, {{kLock, seq}}, ranges), true))
+                  .ok());
+}
+
+void WaitForReceived(lbc::Client* client, uint64_t n) {
+  for (int i = 0; i < 5000 && client->stats().updates_received < n; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(n, client->stats().updates_received);
+}
+
+TEST(Robustness, ReverseOrderedChainAppliesInSequence) {
+  // 2000 single-lock updates arrive newest first: every one but the last
+  // to arrive is held (§3.4), and each apply must wake exactly its
+  // successor. Record i writes i into its own slot, and into slot 0 and
+  // slot 1 + i % 16 shared with others, so applying any two out of sequence
+  // leaves a shared slot different from the writer's image.
+  constexpr uint64_t kCount = 2000;
+  constexpr uint64_t kSlot = 8;
+  store::MemStore store;
+  lbc::Cluster cluster(&store);
+  cluster.DefineLock(kLock, kRegion, 1);
+  auto a = std::move(*lbc::Client::Create(&cluster, 1, {}));
+  const uint64_t size = (kCount + 17) * kSlot;
+  ASSERT_TRUE(a->MapRegion(kRegion, size).ok());
+  netsim::Endpoint* peer = cluster.fabric()->AddNode(2);
+
+  std::vector<uint8_t> writer(size, 0);
+  auto ranges_of = [&](uint64_t i) {
+    std::vector<uint8_t> value(kSlot);
+    std::memcpy(value.data(), &i, kSlot);
+    return std::vector<testing_records::Range>{{kRegion, 0, value},
+                                               {kRegion, (1 + i % 16) * kSlot, value},
+                                               {kRegion, (16 + i) * kSlot, value}};
+  };
+  for (uint64_t i = 1; i <= kCount; ++i) {
+    for (const auto& r : ranges_of(i)) {
+      std::memcpy(writer.data() + r.offset, r.data.data(), r.data.size());
+    }
+  }
+  for (uint64_t i = kCount; i >= 2; --i) {
+    SendUpdate(peer, i, ranges_of(i));
+  }
+  WaitForReceived(a.get(), kCount - 1);
+  EXPECT_EQ(0u, a->AppliedSeq(kLock));
+  SendUpdate(peer, 1, ranges_of(1));
+
+  ASSERT_TRUE(a->WaitForAppliedSeq(kLock, kCount, 10000));
+  const uint8_t* image = a->GetRegion(kRegion)->data();
+  EXPECT_EQ(writer, std::vector<uint8_t>(image, image + size));
+  EXPECT_EQ(kCount, a->stats().updates_applied);
+  EXPECT_EQ(kCount - 1, a->stats().updates_held);
+}
+
+TEST(Robustness, VersionedReadsAcceptAppliesBufferedUpdatesInOrder) {
+  // Under versioned reads, updates wait in the version buffer until
+  // Accept; their message Buffers are gone by then, and the buffered
+  // records arrive out of order, so Accept holds seq 3 until seq 2 applies.
+  store::MemStore store;
+  lbc::Cluster cluster(&store);
+  cluster.DefineLock(kLock, kRegion, 1);
+  lbc::ClientOptions opts;
+  opts.versioned_reads = true;
+  auto a = std::move(*lbc::Client::Create(&cluster, 1, opts));
+  ASSERT_TRUE(a->MapRegion(kRegion, 8192).ok());
+  netsim::Endpoint* peer = cluster.fabric()->AddNode(2);
+  SendUpdate(peer, 3, {{kRegion, 4, {'3', '3', '3', '3'}}});
+  SendUpdate(peer, 1, {{kRegion, 0, {'1', '1', '1', '1'}}});
+  SendUpdate(peer, 2, {{kRegion, 2, {'2', '2', '2', '2'}}});
+  WaitForReceived(a.get(), 3);
+
+  const uint8_t* image = a->GetRegion(kRegion)->data();
+  EXPECT_EQ(0u, a->AppliedSeq(kLock));  // takes the client mutex: orders the read below
+  EXPECT_EQ(std::string(8, '\0'), std::string(image, image + 8));
+  ASSERT_TRUE(a->Accept().ok());
+  EXPECT_EQ(3u, a->AppliedSeq(kLock));
+  EXPECT_EQ("11223333", std::string(image, image + 8));
+  EXPECT_EQ(3u, a->stats().updates_applied);
+}
+
+TEST(Robustness, UnmapReleasesRecordsHeldOnItsLocks) {
+  // A record is held on a lock whose region this node then unmaps: that
+  // lock no longer gates anything here, so the record must still apply and
+  // advance its other lock, or every later update on that lock waits
+  // behind it forever.
+  constexpr rvm::RegionId kOther = 2;
+  constexpr rvm::LockId kOtherLock = 20;
+  store::MemStore store;
+  lbc::Cluster cluster(&store);
+  cluster.DefineLock(kLock, kRegion, 1);
+  cluster.DefineLock(kOtherLock, kOther, 1);
+  auto a = std::move(*lbc::Client::Create(&cluster, 1, {}));
+  ASSERT_TRUE(a->MapRegion(kRegion, 8192).ok());
+  ASSERT_TRUE(a->MapRegion(kOther, 8192).ok());
+  netsim::Endpoint* peer = cluster.fabric()->AddNode(2);
+
+  // kLock seq 2 (its predecessor never comes) and kOtherLock seq 1.
+  ASSERT_TRUE(peer->Send(1, lbc::EncodeUpdateRecord(
+                                testing_records::Record(2, 1, {{kLock, 2}, {kOtherLock, 1}},
+                                                        {{kOther, 0, {'x'}}}),
+                                true))
+                  .ok());
+  WaitForReceived(a.get(), 1);
+  EXPECT_EQ(0u, a->AppliedSeq(kOtherLock));
+  ASSERT_TRUE(a->UnmapRegion(kRegion).ok());
+  ASSERT_TRUE(peer->Send(1, lbc::EncodeUpdateRecord(
+                                testing_records::Record(2, 2, {{kOtherLock, 2}},
+                                                        {{kOther, 1, {'y'}}}),
+                                true))
+                  .ok());
+  ASSERT_TRUE(a->WaitForAppliedSeq(kOtherLock, 2, 5000));
+  const uint8_t* image = a->GetRegion(kOther)->data();
+  EXPECT_EQ("xy", std::string(image, image + 2));
 }
 
 }  // namespace

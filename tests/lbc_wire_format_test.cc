@@ -5,18 +5,15 @@
 #include <gtest/gtest.h>
 
 #include "src/base/rng.h"
+#include "tests/testing_records.h"
 
 namespace {
 
 rvm::TransactionRecord MakeTxn() {
-  rvm::TransactionRecord txn;
-  txn.node = 4;
-  txn.commit_seq = 11;
-  txn.locks = {{3, 7}};
-  txn.ranges.push_back({1, 100, {1, 2, 3, 4, 5, 6, 7, 8}});
-  txn.ranges.push_back({1, 200, {9, 9}});          // near predecessor: delta
-  txn.ranges.push_back({1, 5 * 1024 * 1024, {1}}); // far: absolute
-  return txn;
+  return testing_records::Record(4, 11, {{3, 7}},
+                                 {{1, 100, {1, 2, 3, 4, 5, 6, 7, 8}},
+                                  {1, 200, {9, 9}},            // near predecessor: delta
+                                  {1, 5 * 1024 * 1024, {1}}});  // far: absolute
 }
 
 TEST(WireFormat, UpdateRoundTripCompressed) {
@@ -73,13 +70,11 @@ TEST(WireFormat, NearRangesUseDeltaEncoding) {
 TEST(WireFormat, SparseOo7StyleHeadersAverageNearFourBytes) {
   // 500 ranges of 8 bytes, one per 8 KB page (the T12-A/T2-A pattern):
   // Table 3 shows 6000 message bytes for 4000 data bytes — 4 bytes/header.
-  rvm::TransactionRecord txn;
-  txn.node = 1;
-  txn.commit_seq = 1;
+  std::vector<testing_records::Range> ranges;
   for (int i = 0; i < 500; ++i) {
-    txn.ranges.push_back(
-        {1, static_cast<uint64_t>(i) * 8192, {0, 0, 0, 0, 0, 0, 0, 0}});
+    ranges.push_back({1, static_cast<uint64_t>(i) * 8192, {0, 0, 0, 0, 0, 0, 0, 0}});
   }
+  const rvm::TransactionRecord txn = testing_records::Record(1, 1, {}, ranges);
   auto payload = lbc::EncodeUpdateRecord(txn, true);
   size_t data_bytes = 500 * 8;
   size_t header_bytes = payload.size() - data_bytes;
@@ -144,8 +139,7 @@ TEST(WireFormat, LockTokenRoundTripWithPiggyback) {
   msg.piggyback[1].commit_seq = 12;
   auto payload = lbc::EncodeLockToken(msg, true);
   lbc::LockTokenMsg out;
-  ASSERT_TRUE(
-      lbc::DecodeLockToken(base::ByteSpan(payload.data(), payload.size()), &out).ok());
+  ASSERT_TRUE(lbc::DecodeLockToken(base::Buffer(payload), &out).ok());
   EXPECT_EQ(9u, out.lock);
   EXPECT_EQ(77u, out.token_seq);
   ASSERT_EQ(2u, out.piggyback.size());
@@ -177,17 +171,19 @@ TEST_P(WireFormatPropertyTest, RandomRoundTrip) {
   }
   int n_ranges = static_cast<int>(rng.Uniform(20));
   uint64_t offset = 0;
+  std::vector<testing_records::Range> ranges;
   for (int i = 0; i < n_ranges; ++i) {
     offset += rng.Uniform(1 << 20);  // sometimes near, sometimes far
-    rvm::RangeImage img;
+    testing_records::Range img;
     img.region = static_cast<rvm::RegionId>(1 + rng.Uniform(3));
     img.offset = offset;
     img.data.resize(1 + rng.Uniform(300));
     for (auto& b : img.data) {
       b = static_cast<uint8_t>(rng.Next());
     }
-    txn.ranges.push_back(std::move(img));
+    ranges.push_back(std::move(img));
   }
+  txn = testing_records::Record(txn.node, txn.commit_seq, txn.locks, ranges);
   for (bool compress : {true, false}) {
     auto payload = lbc::EncodeUpdateRecord(txn, compress);
     rvm::TransactionRecord out;
@@ -213,14 +209,11 @@ size_t EmittedHeaderSize(uint64_t prev_start, uint64_t start, uint64_t len) {
   base_txn.node = 1;
   base_txn.commit_seq = 1;
   if (prev_start != UINT64_MAX) {
-    base_txn.ranges.push_back({1, prev_start, {0xAA}});
+    testing_records::AddRange(&base_txn, 1, prev_start, {0xAA});
   }
   rvm::TransactionRecord with_txn = base_txn;
-  rvm::RangeImage img;
-  img.region = 1;  // estimator assumes small (1-byte varint) region ids
-  img.offset = start;
-  img.data.assign(len, 0xBB);
-  with_txn.ranges.push_back(std::move(img));
+  // The estimator assumes small (1-byte varint) region ids.
+  testing_records::AddRange(&with_txn, 1, start, std::vector<uint8_t>(len, 0xBB));
   size_t base_size = lbc::EncodeUpdateRecord(base_txn, /*compress_headers=*/true).size();
   size_t with_size = lbc::EncodeUpdateRecord(with_txn, /*compress_headers=*/true).size();
   return with_size - base_size - len;

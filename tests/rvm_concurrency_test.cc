@@ -90,7 +90,8 @@ TEST(RvmConcurrency, ExternalUpdatesRaceLocalCommits) {
 
   std::atomic<bool> stop{false};
   std::thread applier([&] {
-    const std::vector<rvm::RangeImage> record = {{kRegion, 4096, std::vector<uint8_t>(8, 9)}};
+    const std::vector<uint8_t> nines(8, 9);
+    const std::vector<rvm::RangeImage> record = {{kRegion, 4096, nines}};
     while (!stop) {
       r->ApplyExternalRanges(record).ok();
     }
@@ -118,9 +119,10 @@ TEST(RvmConcurrency, HookRunsWithoutRvmLockHeld) {
   store::MemStore store;
   auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
   rvm::Region* region = *r->MapRegion(kRegion, 4096);
-  r->SetCommitHook([&](const rvm::CommitContext& ctx) {
+  const std::vector<uint8_t> answer = {42};
+  r->SetCommitHook([&](const rvm::TransactionRecord&) {
     EXPECT_NE(nullptr, r->GetRegion(kRegion));
-    EXPECT_TRUE(r->ApplyExternalRanges({{kRegion, 2048, {42}}}).ok());
+    EXPECT_TRUE(r->ApplyExternalRanges({{kRegion, 2048, answer}}).ok());
   });
   rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
   ASSERT_TRUE(r->SetRange(txn, kRegion, 0, 1).ok());
@@ -185,18 +187,18 @@ TEST(GroupCommit, HookSeesCommittedBytesNotLaterImageWrites) {
 
   // Both transactions rewrite the SAME 8 bytes; by the time the batch
   // leader finishes, the live image holds only the second one's value. The
-  // hook's RangeRefs must show each transaction its OWN bytes (they point
-  // into ctx.record, encoded while the image still held them).
+  // hook's ranges must show each transaction its OWN bytes (they point
+  // into rec.bytes, encoded while the image still held them).
   std::atomic<int> empty_records{0};
   std::atomic<int> byte_mismatches{0};
-  r->SetCommitHook([&](const rvm::CommitContext& ctx) {
-    if (ctx.record.empty()) {
+  r->SetCommitHook([&](const rvm::TransactionRecord& rec) {
+    if (rec.bytes.empty()) {
       ++empty_records;
     }
-    const uint8_t expected = static_cast<uint8_t>(0x60 + ctx.commit_seq);
-    for (const auto& range : ctx.ranges) {
-      for (uint64_t i = 0; i < range.len; ++i) {
-        if (range.data[i] != expected) {
+    const uint8_t expected = static_cast<uint8_t>(0x60 + rec.commit_seq);
+    for (const auto& range : rec.ranges) {
+      for (uint8_t b : range.data) {
+        if (b != expected) {
           ++byte_mismatches;
         }
       }

@@ -8,18 +8,13 @@
 #include "src/rvm/log_io.h"
 #include "src/rvm/rvm.h"
 #include "src/store/mem_store.h"
+#include "tests/testing_records.h"
 
 namespace {
 
 rvm::TransactionRecord MakeRecord(uint64_t seq) {
-  rvm::TransactionRecord txn;
-  txn.node = 3;
-  txn.commit_seq = seq;
-  txn.locks = {{7, seq}, {9, seq + 100}};
-  rvm::RangeImage r1{1, 64, {1, 2, 3, 4}};
-  rvm::RangeImage r2{1, 4096, {9, 8, 7}};
-  txn.ranges = {r1, r2};
-  return txn;
+  return testing_records::Record(3, seq, {{7, seq}, {9, seq + 100}},
+                                 {{1, 64, {1, 2, 3, 4}}, {1, 4096, {9, 8, 7}}});
 }
 
 TEST(LogFormat, TransactionRoundTrip) {
@@ -44,7 +39,7 @@ TEST(LogFormat, CommittedRecordMatchesOwnedEncoding) {
   rvm::Region* one = *r->MapRegion(1, 256);
   rvm::Region* two = *r->MapRegion(2, 200);
   base::Buffer hooked;
-  r->SetCommitHook([&](const rvm::CommitContext& ctx) { hooked = ctx.record; });
+  r->SetCommitHook([&](const rvm::TransactionRecord& rec) { hooked = rec.bytes; });
   rvm::TxnId t = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
   ASSERT_TRUE(r->SetLockId(t, 7, 5).ok());
   ASSERT_TRUE(r->SetRange(t, 2, 190, 4).ok());
@@ -61,11 +56,8 @@ TEST(LogFormat, CommittedRecordMatchesOwnedEncoding) {
   ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
   ASSERT_FALSE(at_end);
 
-  rvm::TransactionRecord want;
-  want.node = 3;
-  want.commit_seq = 1;
-  want.locks = {{7, 5}};
-  want.ranges = {{1, 16, {}}, {1, 200, {'a', 'b', 'c'}}, {2, 190, {'W', 'X', 'Y', 'Z'}}};
+  const rvm::TransactionRecord want = testing_records::Record(
+      3, 1, {{7, 5}}, {{1, 16, {}}, {1, 200, {'a', 'b', 'c'}}, {2, 190, {'W', 'X', 'Y', 'Z'}}});
   EXPECT_EQ(rvm::EncodeTransaction(want), payload);
   EXPECT_EQ(hooked, payload);
   rvm::TransactionRecord decoded;

@@ -11,18 +11,14 @@
 #include "src/rvm/log_merge.h"
 #include "src/rvm/recovery.h"
 #include "src/store/mem_store.h"
+#include "tests/testing_records.h"
 
 namespace {
 
 rvm::TransactionRecord Txn(rvm::NodeId node, uint64_t commit_seq,
                            std::vector<rvm::LockRecord> locks,
-                           std::vector<rvm::RangeImage> ranges = {}) {
-  rvm::TransactionRecord t;
-  t.node = node;
-  t.commit_seq = commit_seq;
-  t.locks = std::move(locks);
-  t.ranges = std::move(ranges);
-  return t;
+                           const std::vector<testing_records::Range>& ranges = {}) {
+  return testing_records::Record(node, commit_seq, std::move(locks), ranges);
 }
 
 TEST(LogMerge, OrdersByLockSequence) {

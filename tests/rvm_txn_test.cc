@@ -14,6 +14,7 @@
 #include "src/rvm/recovery.h"
 #include "src/rvm/rvm.h"
 #include "src/store/mem_store.h"
+#include "tests/testing_records.h"
 
 namespace {
 
@@ -167,12 +168,12 @@ TEST(RvmTxn, CommitHookSeesIoVectors) {
   store::MemStore store;
   auto r = OpenRvm(&store);
   rvm::Region* region = *r->MapRegion(kRegion, 64);
-  rvm::CommitContext captured;
+  rvm::TransactionRecord captured;
   std::vector<uint8_t> captured_bytes;
-  r->SetCommitHook([&](const rvm::CommitContext& ctx) {
-    captured = ctx;
-    for (const auto& range : ctx.ranges) {
-      captured_bytes.insert(captured_bytes.end(), range.data, range.data + range.len);
+  r->SetCommitHook([&](const rvm::TransactionRecord& rec) {
+    captured = rec;
+    for (const auto& range : rec.ranges) {
+      captured_bytes.insert(captured_bytes.end(), range.data.begin(), range.data.end());
     }
   });
   rvm::TxnId t = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
@@ -189,12 +190,13 @@ TEST(RvmTxn, ExternalUpdateBypassesLog) {
   auto r = OpenRvm(&store);
   rvm::Region* region = *r->MapRegion(kRegion, 64);
   const std::vector<uint8_t> data = {1, 2, 3};
-  ASSERT_TRUE(r->ApplyExternalRanges({{kRegion, 10, data}}).ok());
+  const base::ByteSpan view(data);
+  ASSERT_TRUE(r->ApplyExternalRanges({{kRegion, 10, view}}).ok());
   EXPECT_EQ(2, region->data()[11]);
   auto txns = *rvm::ReadLogTransactions(&store, rvm::LogFileName(1));
   EXPECT_TRUE(txns.empty());
-  EXPECT_EQ(base::StatusCode::kOutOfRange, r->ApplyExternalRanges({{kRegion, 62, data}}).code());
-  EXPECT_EQ(base::StatusCode::kNotFound, r->ApplyExternalRanges({{99, 0, data}}).code());
+  EXPECT_EQ(base::StatusCode::kOutOfRange, r->ApplyExternalRanges({{kRegion, 62, view}}).code());
+  EXPECT_EQ(base::StatusCode::kNotFound, r->ApplyExternalRanges({{99, 0, view}}).code());
 }
 
 TEST(RvmTxn, ExternalRangesApplyValidRangesInOrder) {
@@ -205,15 +207,15 @@ TEST(RvmTxn, ExternalRangesApplyValidRangesInOrder) {
   auto r = OpenRvm(&store);
   rvm::Region* one = *r->MapRegion(kRegion, 64);
   rvm::Region* two = *r->MapRegion(2, 32);
-  const std::vector<rvm::RangeImage> record = {
+  const rvm::TransactionRecord record = testing_records::Ranges({
       {kRegion, 4, {1, 1, 1}},
       {99, 0, {7, 7}},
       {kRegion, 62, {8, 8, 8}},
       {kRegion, 5, {2}},
       {kRegion, UINT64_MAX - 1, {9, 9, 9}},
       {2, 30, {3, 3}},
-  };
-  EXPECT_EQ(base::StatusCode::kNotFound, r->ApplyExternalRanges(record).code());
+  });
+  EXPECT_EQ(base::StatusCode::kNotFound, r->ApplyExternalRanges(record.ranges).code());
 
   std::vector<uint8_t> want_one(64, 0);
   want_one[4] = 1;
@@ -229,7 +231,9 @@ TEST(RvmTxn, ExternalRangesApplyValidRangesInOrder) {
 
   // The first error wins even when it is not a missing region.
   EXPECT_EQ(base::StatusCode::kOutOfRange,
-            r->ApplyExternalRanges({{kRegion, 63, {1, 1}}, {99, 0, {1}}}).code());
+            r->ApplyExternalRanges(
+                 testing_records::Ranges({{kRegion, 63, {1, 1}}, {99, 0, {1}}}).ranges)
+                .code());
   EXPECT_TRUE(r->ApplyExternalRanges({}).ok());
 }
 
@@ -305,7 +309,7 @@ TEST(RvmTxn, DiskLoggingDisabledStillDrivesHook) {
   auto r = OpenRvm(&store, 1, opts);
   rvm::Region* region = *r->MapRegion(kRegion, 64);
   int hook_calls = 0;
-  r->SetCommitHook([&](const rvm::CommitContext&) { ++hook_calls; });
+  r->SetCommitHook([&](const rvm::TransactionRecord&) { ++hook_calls; });
   rvm::TxnId t = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
   ASSERT_TRUE(r->SetRange(t, kRegion, 0, 4).ok());
   std::memcpy(region->data(), "NOLG", 4);
@@ -404,16 +408,16 @@ TEST(RvmTxn, Oo7T2BRecordEncodesReferenceSet) {
   expected.node = 1;
   expected.commit_seq = 1;
   for (const auto& [offset, len] : reference) {
-    expected.ranges.push_back(rvm::RangeImage{
-        kRegion, offset,
-        std::vector<uint8_t>(region->data() + offset, region->data() + offset + len)});
+    expected.ranges.push_back(
+        rvm::RangeImage{kRegion, offset, base::ByteSpan(region->data() + offset, len)});
   }
+  expected = expected.Own();  // a copy of its own, independent of the image
 
   std::vector<uint8_t> log_record;
   std::vector<uint8_t> wire_update;
-  r->SetCommitHook([&](const rvm::CommitContext& ctx) {
-    log_record.assign(ctx.record.begin(), ctx.record.end());
-    wire_update = lbc::EncodeUpdate(ctx, /*compress_headers=*/true);
+  r->SetCommitHook([&](const rvm::TransactionRecord& rec) {
+    log_record.assign(rec.bytes.begin(), rec.bytes.end());
+    wire_update = lbc::EncodeUpdateRecord(rec, /*compress_headers=*/true);
   });
   rvm::TxnId t = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
   for (const auto& [offset, len] : recorder.ranges()) {

@@ -141,6 +141,13 @@ void GenLogSeeds() {
   Corpus("log_merge", "two-node-merge", Container2(log0, log1));
   Corpus("log_index_build", "single-log", log1);
   Corpus("log_index_build", "two-node-merge", Container2(log0, log1));
+  {
+    // Node 1's log carries node 0's lock-7 record ahead of its own (the
+    // successor forced its predecessor): the merge must count it once.
+    std::vector<uint8_t> carried = BuildLogBytes({history[0], history[1]}, false);
+    Corpus("log_merge", "carried-copy", Container2(log0, carried));
+    Corpus("log_index_build", "carried-copy", Container2(log0, carried));
+  }
 
   // Pinned finds (inputs the pre-hardening decoders accepted, or crashed on):
   // 1. Dual varint spelling: node 0 written as 0x80 0x00 instead of 0x00.
@@ -208,6 +215,8 @@ void GenWireSeeds() {
     Corpus("wire_update", "near-ranges-" + suffix,
            lbc::EncodeUpdateRecord(history[0], compress));
   }
+  // A durable watermark wide enough for a multi-byte varint.
+  Corpus("wire_update", "watermark", lbc::EncodeUpdateRecord(history[2], true, 1'000'000));
   Corpus("wire_lock_request", "basic",
          lbc::EncodeLockRequest({.lock = 7, .requester = 2, .applied_seq = 5, .epoch = 1}));
   Corpus("wire_lock_forward", "basic",
@@ -227,6 +236,8 @@ void GenWireSeeds() {
     token.lock = 7;
     token.token_seq = 3;
     token.epoch = 1;
+    token.holder = 1;
+    token.durable_seq = 300;
     Corpus("wire_lock_token", "no-piggyback", lbc::EncodeLockToken(token, true));
     token.piggyback = {history[0], history[1]};
     Corpus("wire_lock_token", "piggyback-compressed", lbc::EncodeLockToken(token, true));
@@ -240,10 +251,10 @@ void GenWireSeeds() {
   {
     std::vector<uint8_t> loose =
         lbc::EncodeUpdateRecord(MakeTxn(0, 1, {}, {MakeRange(1, 0, 4, 0x11)}), false);
-    // Layout: type(1) flag(1) node(1) seq(1) n_locks(1) n_ranges(1), then the
-    // range's tag(1) region(4) start(8) len(8) pad(83) data(4). Byte 6+21 is
-    // the first padding byte.
-    loose[6 + 21] = 0x42;
+    // Layout: type(1) flag(1) node(1) seq(1) durable(1) n_locks(1)
+    // n_ranges(1), then the range's tag(1) region(4) start(8) len(8) pad(83)
+    // data(4). Byte 7+21 is the first padding byte.
+    loose[7 + 21] = 0x42;
     Crash("wire_update", "nonzero-reserved-padding", loose);
   }
   // 2. Compression flag byte outside {0,1}: old decoder treated any nonzero
@@ -260,6 +271,7 @@ void GenWireSeeds() {
     w.WriteU8(1);      // compressed
     w.WriteVarint(0);  // node
     w.WriteVarint(1);  // commit_seq
+    w.WriteVarint(0);  // durable watermark
     w.WriteVarint(0);  // n_locks
     w.WriteVarint(2);  // n_ranges
     w.WriteU8(0);      // absolute

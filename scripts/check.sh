@@ -65,7 +65,9 @@
 # suspect-slow-vs-dead liveness checks.
 #
 # The crash sweep re-runs crash_explorer_test with the full (unbudgeted)
-# schedule set; the exhaustion sweep's embedded crash sweeps honour the same
+# schedule set — including the token-pass window sweep (TokenPassWindow.*:
+# on 2 and 3 nodes, a power cut at every store op between a token pass and
+# each holder's force must recover a gap-free merged log); the exhaustion sweep's embedded crash sweeps honour the same
 # knobs. Tune them through the environment:
 #   LBC_CRASH_BUDGET  max schedules per sweep (0 = exhaustive, the default)
 #   LBC_CRASH_SEED    sample-selection seed when a budget is set
@@ -136,17 +138,22 @@ if [[ "$run_tsan" == 1 ]]; then
   # incremental_recovery_test is here because every server restart and
   # dead-client recovery starts the background drain worker pool;
   # lbc_extensions_test (OnlineTrim) and lbc_standby_test because trims and
-  # the standby checkpoint replay on that pool while committers run.
+  # the standby checkpoint replay on that pool while committers run;
+  # history_oracle_test and lbc_ordered_durable_test because the token now
+  # passes while the holder's log force (and its carried records) are still
+  # in flight.
   cmake -B build-tsan -S . -DLBC_SANITIZE=thread
   cmake --build build-tsan -j "$jobs" --target \
     netsim_chaos_test netsim_fabric_test netsim_multicast_test \
     netsim_reliable_wakeup_test obs_metrics_test \
     lbc_lock_protocol_test lbc_robustness_test rvm_concurrency_test \
-    incremental_recovery_test lbc_standby_test lbc_extensions_test base_sync_test
+    incremental_recovery_test lbc_standby_test lbc_extensions_test base_sync_test \
+    history_oracle_test lbc_ordered_durable_test crash_explorer_test
   for t in netsim_chaos_test netsim_fabric_test netsim_multicast_test \
            netsim_reliable_wakeup_test obs_metrics_test \
            lbc_lock_protocol_test lbc_robustness_test rvm_concurrency_test \
-           incremental_recovery_test lbc_standby_test lbc_extensions_test base_sync_test; do
+           incremental_recovery_test lbc_standby_test lbc_extensions_test base_sync_test \
+           history_oracle_test lbc_ordered_durable_test; do
     echo "--- tsan: $t"
     # base_sync_test constructs intentional ABBA inversions to exercise the
     # repo's own lock-order detector; TSan's deadlock detector flags the same
@@ -156,6 +163,10 @@ if [[ "$run_tsan" == 1 ]]; then
     [[ "$t" == base_sync_test ]] && opts="detect_deadlocks=0"
     TSAN_OPTIONS="$opts" ./build-tsan/tests/"$t"
   done
+  # The crash sweep of the token-pass window: committer threads park
+  # ordered commits while peers receive, carry and take the token.
+  echo "--- tsan: crash_explorer_test (token-pass window sweep)"
+  ./build-tsan/tests/crash_explorer_test --gtest_filter='TokenPassWindow.*'
   # The drain worker pool's concurrency test, repeated: replays of
   # different region files overlap, one file's never do, and a page
   # re-pended mid-flight replays again.

@@ -1,8 +1,16 @@
 #include "src/base/buffer.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace base {
+
+void Writer::Grow(size_t n) {
+  const size_t used = size();
+  bytes_.resize(std::max({bytes_.size() * 2, used + n, size_t{64}}));
+  pos_ = bytes_.data() + used;
+  end_ = bytes_.data() + bytes_.size();
+}
 
 std::string HexDump(ByteSpan data, size_t max_bytes) {
   std::string out;

@@ -13,6 +13,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/status.h"
@@ -89,26 +90,42 @@ inline size_t VarintSize(uint64_t v) {
 }
 
 // Growable append-only byte buffer used to build log records and messages.
+// Every write claims its bytes with one capacity check and then stores
+// through a pointer, so an encoder that sizes its output first and passes
+// the size to the constructor never grows and pays no per-byte check.
 class Writer {
  public:
   Writer() = default;
-  explicit Writer(size_t reserve) { bytes_.reserve(reserve); }
+  explicit Writer(size_t reserve)
+      : bytes_(reserve), pos_(bytes_.data()), end_(bytes_.data() + reserve) {}
+  // The cursor points into the storage: no copies.
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
 
-  void WriteU8(uint8_t v) { bytes_.push_back(v); }
-  void WriteU16(uint16_t v) { AppendLittleEndian(&v, sizeof(v)); }
-  void WriteU32(uint32_t v) { AppendLittleEndian(&v, sizeof(v)); }
-  void WriteU64(uint64_t v) { AppendLittleEndian(&v, sizeof(v)); }
+  void WriteU8(uint8_t v) { *Claim(1) = v; }
+  void WriteU16(uint16_t v) { WriteLittleEndian(v); }
+  void WriteU32(uint32_t v) { WriteLittleEndian(v); }
+  void WriteU64(uint64_t v) { WriteLittleEndian(v); }
 
   // LEB128 unsigned varint: 1 byte for values < 128, etc.
   void WriteVarint(uint64_t v) {
+    if (static_cast<size_t>(end_ - pos_) < kMaxVarintSize) {
+      Reserve(VarintSize(v));  // near the end: size it exactly
+    }
+    uint8_t* p = pos_;
     while (v >= 0x80) {
-      bytes_.push_back(static_cast<uint8_t>(v) | 0x80);
+      *p++ = static_cast<uint8_t>(v) | 0x80;
       v >>= 7;
     }
-    bytes_.push_back(static_cast<uint8_t>(v));
+    *p++ = static_cast<uint8_t>(v);
+    pos_ = p;
   }
 
-  void WriteBytes(ByteSpan data) { bytes_.insert(bytes_.end(), data.begin(), data.end()); }
+  void WriteBytes(ByteSpan data) {
+    if (!data.empty()) {
+      std::memcpy(Claim(data.size()), data.data(), data.size());
+    }
+  }
   void WriteBytes(const void* data, size_t len) { WriteBytes(AsBytes(data, len)); }
 
   // Length-prefixed string/blob.
@@ -124,27 +141,52 @@ class Writer {
   // record length or checksum once the payload is known). Out-of-bounds
   // offsets are programming errors.
   void PatchU32(size_t offset, uint32_t v) {
-    if (offset + sizeof(v) > bytes_.size()) {
+    if (offset + sizeof(v) > size()) {
       __builtin_trap();
     }
     std::memcpy(bytes_.data() + offset, &v, sizeof(v));
   }
 
-  size_t size() const { return bytes_.size(); }
+  size_t size() const { return pos_ - bytes_.data(); }
   const uint8_t* data() const { return bytes_.data(); }
-  ByteSpan span() const { return ByteSpan(bytes_.data(), bytes_.size()); }
-  std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
-  void Clear() { bytes_.clear(); }
+  ByteSpan span() const { return ByteSpan(bytes_.data(), size()); }
+  std::vector<uint8_t> TakeBytes() {
+    bytes_.resize(size());
+    pos_ = end_ = nullptr;
+    return std::exchange(bytes_, {});
+  }
+  void Clear() { pos_ = bytes_.data(); }
 
  private:
-  void AppendLittleEndian(const void* v, size_t n) {
+  static constexpr size_t kMaxVarintSize = 10;
+
+  // Makes room for `n` more bytes.
+  void Reserve(size_t n) {
+    if (static_cast<size_t>(end_ - pos_) < n) [[unlikely]] {
+      Grow(n);
+    }
+  }
+  // The next `n` bytes, growing the storage when they do not fit.
+  uint8_t* Claim(size_t n) {
+    Reserve(n);
+    uint8_t* p = pos_;
+    pos_ += n;
+    return p;
+  }
+  // Out of line: a sized writer never calls it, and keeping it out of
+  // every inlined write keeps the encoders small.
+  void Grow(size_t n);
+
+  template <typename T>
+  void WriteLittleEndian(T v) {
     // Host is little-endian on all supported targets; memcpy keeps this
     // well-defined regardless of alignment.
-    const auto* p = static_cast<const uint8_t*>(v);
-    bytes_.insert(bytes_.end(), p, p + n);
+    std::memcpy(Claim(sizeof(v)), &v, sizeof(v));
   }
 
-  std::vector<uint8_t> bytes_;
+  std::vector<uint8_t> bytes_;  // storage: written up to pos_, room up to end_
+  uint8_t* pos_ = nullptr;
+  uint8_t* end_ = nullptr;
 };
 
 // Bounds-checked sequential reader over a byte span. All read methods return

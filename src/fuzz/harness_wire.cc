@@ -38,7 +38,8 @@ int RunWireUpdate(const uint8_t* data, size_t size) {
   }
   base::ByteSpan span(data, size);
   rvm::TransactionRecord txn;
-  if (!lbc::DecodeUpdate(base::Buffer::Copy(span), &txn).ok()) {
+  uint64_t durable_seq = 0;
+  if (!lbc::DecodeUpdate(base::Buffer::Copy(span), &txn, &durable_seq).ok()) {
     return 0;
   }
   // An accepted update always passed the type peek.
@@ -50,14 +51,17 @@ int RunWireUpdate(const uint8_t* data, size_t size) {
     OracleFailure("wire_update", "decoded update exceeds input size", data, size);
   }
   // Byte 1 is the header-compression flag; the decoder only accepts 0 or 1,
-  // and re-encoding under the same mode must reproduce the input exactly.
+  // and re-encoding under the same mode, with the same durable watermark,
+  // must reproduce the input exactly.
   bool compressed = size > 1 && data[1] == 1;
-  std::vector<uint8_t> re = lbc::EncodeUpdateRecord(txn, compressed);
+  std::vector<uint8_t> re = lbc::EncodeUpdateRecord(txn, compressed, durable_seq);
   if (re.size() != size || std::memcmp(re.data(), data, size) != 0) {
     OracleFailure("wire_update", "Encode(Decode(x)) != x for accepted update", data, size);
   }
   rvm::TransactionRecord again;
-  if (!lbc::DecodeUpdate(base::Buffer(std::move(re)), &again).ok() || !(again == txn)) {
+  uint64_t durable_again = 0;
+  if (!lbc::DecodeUpdate(base::Buffer(std::move(re)), &again, &durable_again).ok() ||
+      !(again == txn) || durable_again != durable_seq) {
     OracleFailure("wire_update", "Decode(Encode(txn)) != txn", data, size);
   }
   return 0;

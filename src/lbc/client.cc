@@ -17,20 +17,17 @@ namespace lbc {
 
 Transaction::Transaction(Transaction&& other) noexcept
     : client_(other.client_), tid_(other.tid_), open_(other.open_),
-      has_updates_(other.has_updates_), held_(std::move(other.held_)) {
+      held_(std::move(other.held_)) {
   other.open_ = false;
   other.client_ = nullptr;
 }
 
 Transaction& Transaction::operator=(Transaction&& other) noexcept {
   if (this != &other) {
-    if (open_) {
-      base::IgnoreError(Abort());  // best effort; discarding an open transaction aborts it
-    }
+    Close();
     client_ = other.client_;
     tid_ = other.tid_;
     open_ = other.open_;
-    has_updates_ = other.has_updates_;
     held_ = std::move(other.held_);
     other.open_ = false;
     other.client_ = nullptr;
@@ -38,10 +35,19 @@ Transaction& Transaction::operator=(Transaction&& other) noexcept {
   return *this;
 }
 
-Transaction::~Transaction() {
-  if (open_) {
-    base::IgnoreError(Abort());
+Transaction::~Transaction() { Close(); }
+
+void Transaction::Close() {
+  if (!open_) {
+    return;
   }
+  if (client_->rvm()->ForgetOrdered(tid_)) {
+    // Its commit failed after ordering: there is nothing to abort, and the
+    // node's next batch writes the record.
+    open_ = false;
+    return;
+  }
+  base::IgnoreError(Abort());  // best effort; discarding an open transaction aborts it
 }
 
 base::Status Transaction::Acquire(rvm::LockId lock) {
@@ -68,19 +74,15 @@ base::Status Transaction::SetRange(rvm::RegionId region, uint64_t offset, uint64
   if (!open_) {
     return base::FailedPrecondition("transaction closed");
   }
-  base::Status st = client_->rvm()->SetRange(tid_, region, offset, len);
-  if (st.ok()) {
-    has_updates_ = true;
-  }
-  return st;
+  return client_->rvm()->SetRange(tid_, region, offset, len);
 }
 
 base::Status Transaction::Commit(rvm::CommitMode mode) {
   if (!open_) {
     return base::FailedPrecondition("transaction closed");
   }
-  // End-to-end commit latency: local commit + log write + broadcast +
-  // release (the per-phase split lives in the rvm.* and lbc.* counters).
+  // End-to-end commit latency: local commit + broadcast + release + log
+  // write (the per-phase split lives in the rvm.* and lbc.* counters).
   obs::ScopedTimer commit_timer(nullptr, client_->commit_nanos_);
   // Admission control: take a commit slot before any log byte is written.
   // A shed that survives the backoff budget leaves the transaction OPEN and
@@ -89,23 +91,43 @@ base::Status Transaction::Commit(rvm::CommitMode mode) {
   if (!admitted.ok()) {
     return admitted;
   }
+  client_->DropFoldedRecords();
   open_ = false;
+  // A retry after a log-write failure: the record was ordered and its locks
+  // released by the first attempt.
+  const std::optional<rvm::TransactionRecord> retried = client_->rvm()->OrderedRecord(tid_);
+  // The commit hook (OnCommit) propagates and releases the locks as soon as
+  // the commit is ordered; EndTransaction returns once it is durable.
   base::Status st = client_->rvm()->EndTransaction(tid_, mode);
   client_->cluster_->Finish(Cluster::ServerQueue::kCommit);
-  if (!st.ok()) {
-    // Leave the store consistent: abandon the transaction and hand the
-    // locks back without consuming their sequence numbers.
-    base::IgnoreError(client_->rvm()->AbortTransaction(tid_));
-    client_->ReleaseLocks(held_, /*committed_updates=*/false);
+  if (st.ok()) {
+    if (retried.has_value()) {
+      // Propagate again: the first attempt's may have reached nobody (a
+      // server outage empties the peer directory); receivers drop copies.
+      client_->Propagate(*retried);
+    }
     return st;
   }
-  client_->ReleaseLocks(held_, /*committed_updates=*/has_updates_);
-  return base::OkStatus();
+  if (client_->rvm()->OrderedRecord(tid_).has_value()) {
+    // The log write failed after ordering: peers may already hold the
+    // record and the locks have moved on, so it cannot abort. The handle
+    // stays open for a retry, which re-enqueues the same record.
+    open_ = true;
+    return st;
+  }
+  // Failed before ordering: abandon the transaction and hand the locks back
+  // without consuming their sequence numbers.
+  base::IgnoreError(client_->rvm()->AbortTransaction(tid_));
+  client_->ReleaseLocks(held_, /*committed_updates=*/false);
+  return st;
 }
 
 base::Status Transaction::Abort() {
   if (!open_) {
     return base::FailedPrecondition("transaction closed");
+  }
+  if (client_->rvm()->OrderedRecord(tid_).has_value()) {
+    return base::FailedPrecondition("transaction is ordered: retry Commit instead");
   }
   open_ = false;
   base::Status st = client_->rvm()->AbortTransaction(tid_);
@@ -153,6 +175,7 @@ base::Result<std::unique_ptr<Client>> Client::Create(Cluster* cluster, rvm::Node
 
 base::Status Client::Init() {
   ASSIGN_OR_RETURN(rvm_, rvm::Rvm::Open(cluster_->store(), node_, options_.rvm));
+  rvm_->AdvanceCommitSeq(cluster_->HighestCommitSeq(node_));
   rvm_->SetCommitHook([this](const rvm::TransactionRecord& rec) { OnCommit(rec); });
   endpoint_ = cluster_->fabric()->AddNode(node_);
   channel_ = std::make_unique<netsim::ReliableChannel>(endpoint_);
@@ -475,9 +498,17 @@ bool Client::WaitForAppliedSeq(rvm::LockId lock, uint64_t seq, int timeout_ms) {
 // ---------------------------------------------------------------------------
 
 void Client::OnCommit(const rvm::TransactionRecord& rec) {
-  if (rec.ranges.empty()) {
-    return;  // read-only: sequence numbers will be rolled back at release
+  // Ordered, not yet durable: propagate, then pass the locks on. Successors
+  // that read this record carry it into their own log batches until they
+  // learn it is durable.
+  if (!rec.ranges.empty()) {
+    Propagate(rec);
   }
+  // A read-only commit hands its sequence numbers back.
+  ReleaseLocks(rec.locks, /*committed_updates=*/!rec.ranges.empty());
+}
+
+void Client::Propagate(const rvm::TransactionRecord& rec) {
   switch (options_.policy) {
     case PropagationPolicy::kEager:
       BroadcastEager(rec);
@@ -502,37 +533,47 @@ void Client::PublishToServer(const rvm::TransactionRecord& rec) {
 void Client::BroadcastEager(const rvm::TransactionRecord& rec) {
   // Recipients: every peer that maps a modified region, plus peers of the
   // regions protected by the held locks (so their sequence interlock always
-  // advances, even for updates entirely in another region).
-  std::set<rvm::NodeId> peers;
-  std::set<rvm::RegionId> regions;
+  // advances, even for updates entirely in another region). A commit names
+  // few regions: sorted small vectors, and each lock's region comes from
+  // its LockState, not the cluster's lock table.
+  std::vector<rvm::RegionId> regions;
+  regions.reserve(rec.ranges.size() + rec.locks.size());
   for (const auto& r : rec.ranges) {
-    regions.insert(r.region);
-  }
-  for (const auto& lock : rec.locks) {
-    auto spec = cluster_->GetLock(lock.lock_id);
-    if (spec.ok()) {
-      regions.insert(spec->region);
+    if (regions.empty() || regions.back() != r.region) {
+      regions.push_back(r.region);
     }
   }
+  {
+    base::MutexLock lk(mu_);
+    for (const auto& lock : rec.locks) {
+      if (const LockState* st = StateIfDefined(lock.lock_id); st != nullptr) {
+        regions.push_back(st->region);
+      }
+    }
+  }
+  std::sort(regions.begin(), regions.end());
+  regions.erase(std::unique(regions.begin(), regions.end()), regions.end());
+  std::vector<rvm::NodeId> peers;
   for (rvm::RegionId region : regions) {
-    for (rvm::NodeId peer : cluster_->PeersOf(region, node_)) {
-      peers.insert(peer);
-    }
+    std::vector<rvm::NodeId> of = cluster_->PeersOf(region, node_);
+    peers.insert(peers.end(), of.begin(), of.end());
   }
   if (peers.empty()) {
     return;
   }
+  std::sort(peers.begin(), peers.end());
+  peers.erase(std::unique(peers.begin(), peers.end()), peers.end());
 
   obs::ScopedTimer timer(&m_.network_nanos);
   // One refcounted committed-tail buffer, shared by every channel: each
   // per-peer send (and any retransmit) bumps a refcount instead of copying
   // the encoded record.
-  base::Buffer payload = EncodeUpdateRecord(rec, options_.compress_headers);
+  base::Buffer payload =
+      EncodeUpdateRecord(rec, options_.compress_headers, rvm_->DurableSeq());
   size_t sends = 0;
   if (options_.use_multicast) {
     // One multicast reaches every peer (§4.3.1's scaling remedy).
-    std::vector<rvm::NodeId> recipients(peers.begin(), peers.end());
-    base::Status st = endpoint_->Multicast(recipients, payload);
+    base::Status st = endpoint_->Multicast(peers, payload);
     if (!st.ok()) {
       LBC_LOG(Warning) << "coherency multicast failed: " << st.ToString();
     }
@@ -563,7 +604,11 @@ void Client::RetainForLazy(const rvm::TransactionRecord& rec) {
   base::MutexLock lk(mu_);
   for (const auto& lock : owned.locks) {
     LockState& st = StateFor(lock.lock_id);
-    st.retained.push_back(owned);
+    if (std::none_of(st.retained.begin(), st.retained.end(), [&](const auto& kept) {
+          return kept.commit_seq == owned.commit_seq;  // a retried commit's
+        })) {
+      st.retained.push_back(owned);
+    }
     TrimRetainedLocked(lock.lock_id, st);
   }
 }
@@ -619,7 +664,7 @@ base::Result<uint64_t> Client::AcquireLock(rvm::LockId lock) {
       --acquires_waiting_;
       return base::Unavailable("client disconnected");
     }
-    if (!st.held && st.have_token) {
+    if (!st.held && st.have_token && !st.reclaiming) {
       uint64_t applied = applied_seq_[lock];
       if (applied >= st.token_seq) {
         break;  // token here and every preceding update applied (§3.4)
@@ -698,7 +743,7 @@ void Client::ReleaseLocks(const std::vector<rvm::LockRecord>& held, bool committ
         st.token_seq = rec.sequence - 1;
       }
     }
-    if (st.have_token && st.next_holder.has_value()) {
+    if (st.have_token && st.next_holder.has_value() && !st.reclaiming) {
       PassTokenLocked(rec.lock_id, st);
     }
   }
@@ -713,6 +758,8 @@ void Client::PassTokenLocked(rvm::LockId lock, LockState& st) {
   token.lock = lock;
   token.token_seq = st.token_seq;
   token.epoch = st.epoch;
+  token.holder = node_;
+  token.durable_seq = rvm_->DurableSeq();
   if (options_.policy == PropagationPolicy::kLazy) {
     // Drop records every current mapper has applied, then ship whatever the
     // requester is still missing (§2.2).
@@ -761,8 +808,9 @@ void Client::OnMessage(netsim::Message&& msg) {
       // The record views the message's bytes: it holds msg.payload (a
       // refcount bump) however long it waits in held_ or elsewhere.
       rvm::TransactionRecord rec;
-      if (DecodeUpdate(msg.payload, &rec).ok()) {
-        HandleUpdate(std::move(rec));
+      uint64_t durable_seq = 0;
+      if (DecodeUpdate(msg.payload, &rec, &durable_seq).ok()) {
+        HandleUpdate(std::move(rec), durable_seq);
       } else {
         LBC_LOG(Error) << "corrupt update from node " << msg.from;
       }
@@ -806,9 +854,10 @@ void Client::OnMessage(netsim::Message&& msg) {
   }
 }
 
-void Client::HandleUpdate(rvm::TransactionRecord&& rec) {
+void Client::HandleUpdate(rvm::TransactionRecord&& rec, uint64_t durable_seq) {
   base::MutexLock lk(mu_);
   m_.updates_received.Increment();
+  rvm_->DropCarried(rec.node, durable_seq);  // the writer's durable watermark
   if (options_.versioned_reads && acquires_waiting_ == 0) {
     // Versioned-read model: stay on the current consistent version until
     // the application accepts (or acquires a lock).
@@ -865,13 +914,25 @@ void Client::HandleLockForward(const LockForwardMsg& msg) {
 
 void Client::HandleForwardLocked(const LockForwardMsg& msg) {
   LockState& st = StateFor(msg.lock);
-  if (st.have_token && !st.held) {
-    st.next_holder = msg;
+  if (msg.requester == node_) {
+    // Our own request reached us as the queue tail: only a reclaim leaves
+    // the manager at the tail without the token. The request heads the
+    // rebuilt queue, and FinishReclaimLocked hands it the reissued token.
+    // (Keeping it as next_holder would let the next forward overwrite it.)
+    if (st.have_token) {
+      st.requested = false;
+    } else {
+      st.self_queued = true;
+    }
+    return;
+  }
+  st.next_holder = msg;
+  // Pass an idle token at once. Otherwise pass it at the next release: we
+  // are still waiting for it, a local transaction holds the lock, or — as
+  // manager — a reclaim round is deciding where the token is, and
+  // FinishReclaimLocked passes it.
+  if (st.have_token && !st.held && !st.reclaiming) {
     PassTokenLocked(msg.lock, st);
-  } else {
-    // Still waiting for the token ourselves, or a local transaction holds
-    // the lock: pass it along at the next release.
-    st.next_holder = msg;
   }
 }
 
@@ -885,6 +946,7 @@ void Client::HandleLockToken(LockTokenMsg&& msg) {
     return;
   }
   st.epoch = msg.epoch;
+  rvm_->DropCarried(msg.holder, msg.durable_seq);  // the holder's durable watermark
   // Lazy policy: the piggybacked records are exactly the updates this node
   // is missing; apply them before announcing the token.
   std::vector<rvm::TransactionRecord> woken;
@@ -911,6 +973,7 @@ base::Status Client::OnPeerDeath(rvm::NodeId dead) {
   // finds the post-merge baselines and fetchable records in place.
   RETURN_IF_ERROR(cluster_->RecoverDeadClient(dead));
   channel_->ForgetPeer(dead);  // stop retransmitting into the void
+  SecureRecordsOfDead();  // before StartReclaim reads this node's sequences
   for (rvm::LockId lock : cluster_->AllLocks()) {
     auto spec = cluster_->GetLock(lock);
     if (!spec.ok() || spec->manager != node_) {
@@ -946,10 +1009,11 @@ void Client::StartReclaim(rvm::LockId lock, rvm::RegionId region, rvm::NodeId de
   // Wipe chain state built under the old epoch: the manager is the queue
   // tail again, and live waiters re-request when the revoke reaches them.
   st.requested = false;
+  st.self_queued = false;
   st.next_holder.reset();
   st.queue_tail = node_;
   st.reclaim_owner = (st.have_token && st.held) ? node_ : 0;
-  st.reclaim_max_seq = std::max(st.token_seq, applied_seq_[lock]);
+  st.reclaim_max_seq = std::max({st.token_seq, applied_seq_[lock], HeldMaxSeqLocked(lock)});
   st.reclaim_pending.clear();
   for (rvm::NodeId n : mappers) {
     if (n != dead && n != node_) {
@@ -978,6 +1042,10 @@ void Client::StartReclaim(rvm::LockId lock, rvm::RegionId region, rvm::NodeId de
 }
 
 void Client::HandleLockRevoke(const LockRevokeMsg& msg) {
+  // The reissued token may not skip or reuse a sequence some record of the
+  // dead writer holds: make those this node carries or holds durable, and
+  // fetchable, before answering.
+  SecureRecordsOfDead();
   base::MutexLock lk(mu_);
   LockState& st = StateFor(msg.lock);
   m_.revokes_received.Increment();
@@ -990,7 +1058,6 @@ void Client::HandleLockRevoke(const LockRevokeMsg& msg) {
   reply.epoch = msg.epoch;
   reply.node = node_;
   reply.token_seq = st.token_seq;
-  reply.applied_seq = applied_seq_[msg.lock];
   if (st.held) {
     // A local transaction legitimately holds the lock: the token stays put
     // and the manager anchors the rebuilt queue at this node.
@@ -1005,6 +1072,8 @@ void Client::HandleLockRevoke(const LockRevokeMsg& msg) {
   // cache by now (recovery runs before the revoke is sent); catch up so the
   // reissued token's interlock can be satisfied.
   FetchFromServerLocked(msg.lock);
+  // A record still held here names an ordered sequence too.
+  reply.applied_seq = std::max(applied_seq_[msg.lock], HeldMaxSeqLocked(msg.lock));
   m_.lock_messages_sent.Increment();
   lk.Unlock();
   base::Status send_st = channel_->Send(msg.manager, EncodeLockRevokeReply(reply));
@@ -1037,9 +1106,26 @@ void Client::FinishReclaimLocked(rvm::LockId lock, LockState& st) {
   st.reclaim_max_seq = std::max(st.reclaim_max_seq, cluster_->BaselineSeq(lock));
   if (st.reclaim_owner != 0 && st.reclaim_owner != node_) {
     // A live transaction holds the lock; the token stays with that node and
-    // the rebuilt waiter queue anchors behind it.
-    st.queue_tail = st.reclaim_owner;
+    // the waiter queue rebuilt here during the round follows it: its head
+    // (our own request, or the first requester) is forwarded to the holder.
     st.have_token = false;
+    std::optional<LockForwardMsg> head;
+    if (st.self_queued) {
+      st.self_queued = false;
+      head = LockForwardMsg{lock, node_, applied_seq_[lock], st.epoch};
+    } else if (st.next_holder.has_value()) {
+      head = std::exchange(st.next_holder, std::nullopt);
+    }
+    if (!head.has_value()) {
+      st.queue_tail = st.reclaim_owner;
+      return;
+    }
+    m_.lock_messages_sent.Increment();
+    if (base::Status sent = channel_->Send(st.reclaim_owner, EncodeLockForward(*head));
+        !sent.ok()) {
+      LBC_LOG(Warning) << "lock forward to node " << st.reclaim_owner
+                       << " failed: " << sent.ToString();
+    }
     return;
   }
   // The token was lost with the dead node (or is already here): reissue it
@@ -1048,9 +1134,69 @@ void Client::FinishReclaimLocked(rvm::LockId lock, LockState& st) {
   // anything visible, so they are abandoned exactly like aborted ones.
   st.have_token = true;
   st.token_seq = std::max(st.token_seq, st.reclaim_max_seq);
+  if (st.self_queued) {
+    // Our own acquire heads the queue: it takes the token, and the release
+    // passes it on to next_holder.
+    st.self_queued = false;
+    st.requested = false;
+    if (acquires_waiting_ > 0) {
+      return;
+    }
+  }
   if (st.next_holder.has_value() && !st.held) {
     PassTokenLocked(lock, st);
   }
+}
+
+void Client::SecureRecordsOfDead() {
+  std::vector<rvm::TransactionRecord> records;
+  {
+    base::MutexLock lk(mu_);
+    for (const auto& [key, held] : held_) {
+      for (const rvm::TransactionRecord& rec : held) {
+        if (cluster_->IsDead(rec.node)) {
+          rvm_->Carry(rec);
+          records.push_back(rec);
+        }
+      }
+    }
+  }
+  for (rvm::NodeId dead : cluster_->DeadNodes()) {
+    std::vector<rvm::TransactionRecord> carried = rvm_->CarriedFrom(dead);
+    std::move(carried.begin(), carried.end(), std::back_inserter(records));
+  }
+  if (records.empty()) {
+    return;
+  }
+  // Into this node's log, and into the server cache for survivors that
+  // never received them (the dead writer's broadcast may have stopped
+  // halfway).
+  if (base::Status st = rvm_->ForceCarried(); !st.ok()) {
+    LBC_LOG(Warning) << "forcing a dead writer's records failed: " << st.ToString();
+  }
+  for (const rvm::TransactionRecord& rec : records) {
+    for (const rvm::LockRecord& lock : rec.locks) {
+      cluster_->CacheRecords(lock.lock_id, rec);
+    }
+  }
+}
+
+uint64_t Client::HeldMaxSeqLocked(rvm::LockId lock) const {
+  uint64_t max_seq = 0;
+  for (const auto& [key, held] : held_) {
+    for (const rvm::TransactionRecord& rec : held) {
+      max_seq = std::max(max_seq, rec.SequenceOf(lock));
+    }
+  }
+  return max_seq;
+}
+
+void Client::DropFoldedRecords() {
+  const uint64_t epoch = cluster_->TrimEpoch();
+  if (trim_epoch_seen_.exchange(epoch) == epoch) {
+    return;
+  }
+  rvm_->DropFolded(cluster_->TrimCut());
 }
 
 void Client::FetchFromServerLocked(rvm::LockId lock) {
@@ -1125,6 +1271,10 @@ bool Client::DeliverLocked(rvm::TransactionRecord rec,
     AdvanceAppliedLocked(lr.lock_id, lr.sequence, woken);
   }
   m_.updates_applied.Increment();
+  // Carried while mu_ is still held, so before any local transaction can
+  // read these bytes and order: its batch writes the record unless the
+  // writer has said it is durable.
+  rvm_->Carry(std::move(rec));
   return true;
 }
 

@@ -20,10 +20,13 @@
 //   txn.Commit();                          // Trans.Commit
 //
 // Locks follow strict two-phase locking: acquired inside the transaction,
-// all released at commit (or abort).
+// all released at commit (or abort). A commit releases them once it is
+// ordered, before its log force; Commit returns once it is durable
+// (DESIGN.md §16).
 #ifndef SRC_LBC_CLIENT_H_
 #define SRC_LBC_CLIENT_H_
 
+#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -151,7 +154,12 @@ class Transaction {
   // Declares intent to modify [offset, offset+len) of `region`.
   base::Status SetRange(rvm::RegionId region, uint64_t offset, uint64_t len);
 
+  // Returns once the record is durable (kFlush). The locks pass on as soon
+  // as the commit is ordered. A failure after ordering leaves the handle
+  // open: the commit cannot abort, and a retry logs the same record. The
+  // node's next batch logs it too if the handle is dropped instead.
   base::Status Commit(rvm::CommitMode mode = rvm::CommitMode::kFlush);
+  // Refused (FAILED_PRECONDITION) for a transaction whose commit is ordered.
   base::Status Abort();
 
   bool open() const { return open_; }
@@ -160,13 +168,12 @@ class Transaction {
  private:
   friend class Client;
   Transaction(Client* client, rvm::TxnId tid) : client_(client), tid_(tid), open_(true) {}
+  // Drops an open handle: aborts it, or forgets it if its commit is ordered.
+  void Close();
 
   Client* client_ = nullptr;
   rvm::TxnId tid_ = 0;
   bool open_ = false;
-  // Read-only transactions (no SetRange) hand their lock sequence numbers
-  // back at commit, since no update message will ever exist for them.
-  bool has_updates_ = false;
   std::vector<rvm::LockRecord> held_;
 };
 
@@ -232,6 +239,12 @@ class Client {
   // Idempotent; safe to call from multiple survivors concurrently.
   base::Status OnPeerDeath(rvm::NodeId dead);
 
+  // Stops carrying the records a trim folded into the database files (all
+  // of whose lock sequences are at or below Cluster::TrimCut), when
+  // Cluster::TrimEpoch moved since the last call. Every commit runs it
+  // first; OnlineTrim and the standby checkpoint run it on their clients.
+  void DropFoldedRecords();
+
   // Re-registers this node with a restarted server: liveness, region
   // mappings, and applied-sequence reports (the soft directory state a
   // server crash wiped). Client-resident state — lock tokens, sequence
@@ -250,6 +263,9 @@ class Client {
     uint64_t token_seq = 0;  // last completed acquire (valid when have_token)
     bool held = false;       // held by a local transaction
     bool requested = false;  // token request outstanding
+    // Manager role: our own request reached us as the queue tail during a
+    // reclaim round (see HandleForwardLocked).
+    bool self_queued = false;
     // Forward received while holding: pass the token here on release.
     std::optional<LockForwardMsg> next_holder;
     // Manager role: current queue tail (last requester).
@@ -263,6 +279,8 @@ class Client {
     // death). pending = mappers whose revoke reply is still outstanding;
     // owner = live node that nacked because a local transaction holds the
     // lock (0 if none); max_seq = highest token/applied sequence reported.
+    // While a round is in flight the manager neither uses nor passes a
+    // token it holds: FinishReclaimLocked decides where the token is.
     bool reclaiming = false;
     std::set<rvm::NodeId> reclaim_pending;
     rvm::NodeId reclaim_owner = 0;
@@ -274,7 +292,12 @@ class Client {
   base::Status Init();
 
   // --- commit path ---------------------------------------------------------
+  // The rvm commit hook: runs once the commit is ordered, before its log
+  // force. Propagates the record per the policy, then releases the locks
+  // (passing the token to a waiting successor).
   void OnCommit(const rvm::TransactionRecord& rec);
+  // Sends or keeps a committed record per the propagation policy.
+  void Propagate(const rvm::TransactionRecord& rec);
   void BroadcastEager(const rvm::TransactionRecord& rec);
   void RetainForLazy(const rvm::TransactionRecord& rec);
   void PublishToServer(const rvm::TransactionRecord& rec);
@@ -287,7 +310,7 @@ class Client {
 
   // --- receive path ----------------------------------------------------------
   void OnMessage(netsim::Message&& msg);
-  void HandleUpdate(rvm::TransactionRecord&& rec);
+  void HandleUpdate(rvm::TransactionRecord&& rec, uint64_t durable_seq);
   void HandleLockRequest(const LockRequestMsg& msg);
   void HandleLockForward(const LockForwardMsg& msg);
   void HandleForwardLocked(const LockForwardMsg& msg) LBC_REQUIRES(mu_);
@@ -305,6 +328,14 @@ class Client {
   // Pulls records this node is missing from the server record cache and
   // applies what it can.
   void FetchFromServerLocked(rvm::LockId lock) LBC_REQUIRES(mu_);
+  // Forces every record of a dead writer that this node carries or holds
+  // into its own log and publishes them to the server cache, so a reissued
+  // token never skips or reuses a sequence that is neither durable nor
+  // dropped everywhere.
+  void SecureRecordsOfDead() LBC_EXCLUDES(mu_);
+  // Highest sequence of `lock` among the records held here.
+  uint64_t HeldMaxSeqLocked(rvm::LockId lock) const LBC_REQUIRES(mu_);
+
   // Heartbeat / lease-watch loop (runs when heartbeat_interval_ms > 0).
   void HeartbeatThreadMain();
 
@@ -365,6 +396,8 @@ class Client {
       LBC_GUARDED_BY(mu_);
   // Versioned-read buffer: updates held until Accept().
   std::deque<rvm::TransactionRecord> version_buffer_ LBC_GUARDED_BY(mu_);
+  // Cluster::TrimEpoch as of the last DropFoldedRecords.
+  std::atomic<uint64_t> trim_epoch_seen_{0};
   // Jitter stream for overload backoff (seeded; see ClientOptions).
   base::Rng backoff_rng_ LBC_GUARDED_BY(mu_);
   bool disconnected_ LBC_GUARDED_BY(mu_) = false;

@@ -126,6 +126,12 @@ base::Status Cluster::ReplayAndRecordBaselines(const std::vector<std::string>& l
     if (!server_up_) {
       return base::Unavailable("server down");
     }
+    for (const auto& txn : merged) {
+      for (const auto& lock : txn.locks) {
+        uint64_t& cut = trim_cut_[lock.lock_id];
+        cut = std::max(cut, lock.sequence);
+      }
+    }
     // This thread drains too, so a one-file recovery needs no pool: the
     // workers could only race it for that file's claim.
     start_drainer =
@@ -137,7 +143,9 @@ base::Status Cluster::ReplayAndRecordBaselines(const std::vector<std::string>& l
   // The trim's records now sit behind every record the recovery already
   // indexed, so draining replays each page in merged order — on this thread
   // and the drain workers, with DrainLoop's bounded scrub repair.
-  return DrainRecovery();
+  RETURN_IF_ERROR(DrainRecovery());
+  trim_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  return base::OkStatus();
 }
 
 bool Cluster::FoldIntoRecoveryLocked(std::vector<rvm::TransactionRecord> merged) {
@@ -181,6 +189,30 @@ void Cluster::RecordBaseline(rvm::LockId lock, uint64_t seq) {
   }
   uint64_t& baseline = baseline_seq_[lock];
   baseline = std::max(baseline, seq);
+  uint64_t& cut = trim_cut_[lock];
+  cut = std::max(cut, seq);
+  trim_epoch_.fetch_add(1, std::memory_order_acq_rel);
+}
+
+uint64_t Cluster::HighestCommitSeq(rvm::NodeId node) const {
+  base::MutexLock guard(mu_);
+  uint64_t highest = 0;
+  if (auto it = merged_commit_seq_.find(node); it != merged_commit_seq_.end()) {
+    highest = it->second;
+  }
+  for (const auto& [lock, records] : record_cache_) {
+    for (const auto& [seq, rec] : records) {
+      if (rec.node == node) {
+        highest = std::max(highest, rec.commit_seq);
+      }
+    }
+  }
+  return highest;
+}
+
+std::map<rvm::LockId, uint64_t> Cluster::TrimCut() const {
+  base::MutexLock guard(mu_);
+  return trim_cut_;
 }
 
 void Cluster::NoteApplied(rvm::LockId lock, rvm::NodeId node, uint64_t seq) {
@@ -438,30 +470,33 @@ base::Status Cluster::RecoverDeadClient(rvm::NodeId node) {
     return base::Unavailable("server down");
   }
   DeclareDead(node);
-  uint64_t dedup_bound = 0;
+  std::set<rvm::NodeId> dead;
+  std::map<rvm::NodeId, uint64_t> dedup_bounds;
   {
     base::MutexLock guard(mu_);
     if (recovered_.count(node) != 0) {
       return base::OkStatus();
     }
-    auto bound = merged_commit_seq_.find(node);
-    if (bound != merged_commit_seq_.end()) {
-      dedup_bound = bound->second;
-    }
+    dead = dead_;
+    dedup_bounds = merged_commit_seq_;
   }
   std::string log_name = rvm::LogFileName(node);
   ASSIGN_OR_RETURN(bool exists, store_->Exists(log_name));
   std::vector<rvm::TransactionRecord> merged;
   if (exists) {
     ASSIGN_OR_RETURN(merged, rvm::MergeLogs(store_, {log_name}));
-    // Drop the prefix boot recovery already merged: those records were
-    // indexed in full merged order at restart, and re-applying them here —
-    // after newer overlapping records — would roll pages back.
-    merged.erase(std::remove_if(merged.begin(), merged.end(),
-                                [&](const rvm::TransactionRecord& txn) {
-                                  return txn.commit_seq <= dedup_bound;
-                                }),
-                 merged.end());
+    // Keep the records of dead writers only: a live writer's record this
+    // node carried is in (or on its way to) its writer's own log, which the
+    // next full merge orders behind that writer's earlier records. Drop
+    // what a recovery already merged, each record against its own writer's
+    // bound: those records were indexed in full merged order, and
+    // re-applying them here — after newer overlapping records — would roll
+    // pages back.
+    std::erase_if(merged, [&](const rvm::TransactionRecord& txn) {
+      auto bound = dedup_bounds.find(txn.node);
+      return dead.count(txn.node) == 0 ||
+             (bound != dedup_bounds.end() && txn.commit_seq <= bound->second);
+    });
   }
   // Read and index only — no database replay while the caller (typically a
   // survivor's heartbeat thread, which must keep beating) waits. The pages
@@ -566,6 +601,7 @@ void Cluster::KillServer() {
     dead_.clear();
     recovered_.clear();
     merged_commit_seq_.clear();
+    trim_cut_.clear();
     // An in-flight recovery dies too: the next RestartServer re-indexes the
     // logs from scratch (replay idempotence makes the rerun harmless).
     recovery_.reset();

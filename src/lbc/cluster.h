@@ -98,6 +98,20 @@ class Cluster {
   // which establishes its cut without going through a merge).
   void RecordBaseline(rvm::LockId lock, uint64_t seq);
 
+  // Per-lock cut of the trims so far (ReplayAndRecordBaselines, hence
+  // OnlineTrim and RecoverAndTrim, and RecordBaseline): a record whose every
+  // lock sequence is at or below it is in the database files, so clients
+  // stop carrying it (Client::DropFoldedRecords). Unlike BaselineSeq it
+  // ignores the raises of boot and dead-client recovery, which index a
+  // record without making its predecessors durable.
+  std::map<rvm::LockId, uint64_t> TrimCut() const;
+  // Highest commit_seq of `node` that a merge folded or the record cache
+  // holds: copies of its records in other nodes' logs never exceed it once
+  // merged or published. A client opening as `node` stays above it.
+  uint64_t HighestCommitSeq(rvm::NodeId node) const;
+  // Bumped by every trim, after its cut moved. Lock-free read.
+  uint64_t TrimEpoch() const { return trim_epoch_.load(std::memory_order_acquire); }
+
   // --- lazy-propagation record discard (§2.2) -----------------------------
   //
   // Under the lazy policy, writers retain committed records until every
@@ -167,7 +181,9 @@ class Cluster {
 
   // Server-side half of client-failure recovery (§3.5 applied to a dead
   // *client*): declares the node dead, merges its durable log via the
-  // regular log-merge path and folds the records into the active recovery
+  // regular log-merge path and folds the records written by it (or by
+  // another dead node; records of live writers it carried reach recovery
+  // through their writers' logs) into the active recovery
   // (or a new one) — indexing only; the pages they touch replay on first
   // touch or in the background drain. It advances the per-lock baselines to
   // the dead node's last committed sequence numbers, publishes the merged
@@ -372,6 +388,8 @@ class Cluster {
   // records have replayed would roll those pages backwards (absolute-value
   // redo is only idempotent in merged order).
   std::map<rvm::NodeId, uint64_t> merged_commit_seq_ LBC_GUARDED_BY(mu_);
+  std::map<rvm::LockId, uint64_t> trim_cut_ LBC_GUARDED_BY(mu_);
+  std::atomic<uint64_t> trim_epoch_{0};
   bool server_up_ LBC_GUARDED_BY(mu_) = true;
   uint64_t server_epoch_ LBC_GUARDED_BY(mu_) = 0;
   rvm::Scrubber* scrubber_ LBC_GUARDED_BY(mu_) = nullptr;

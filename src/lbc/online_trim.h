@@ -8,11 +8,12 @@
 //   1. a coordinator client acquires EVERY segment lock inside one
 //      transaction (strict 2PL quiesces all writers — committed state is
 //      stable and every log is final for the trim window);
-//   2. every client flushes its redo log to the storage service;
+//   2. every client flushes its redo log to the storage service (waiting
+//      out the log forces of commits that passed their locks on at ordered);
 //   3. the logs are merged by lock records and replayed into the permanent
 //      database files (the standard recovery procedure);
 //   4. every client resets its log — the records are now reflected in the
-//      database files;
+//      database files — and drops the carried records the merge folded in;
 //   5. the coordinator commits its (read-only) transaction, releasing the
 //      locks; writers resume with empty logs.
 //

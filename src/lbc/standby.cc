@@ -64,8 +64,12 @@ base::Status CheckpointFromStandby(Cluster* cluster, Client* standby,
     cluster->RecordBaseline(lock, seq);
   }
 
-  // 3. Trim every writer's log below the cut — no quiescing.
+  // 3. Trim every writer's log below the cut — no quiescing — and stop
+  //    carrying the records the checkpoint covers (the trim drops covered
+  //    carried copies from the log too).
+  standby->DropFoldedRecords();
   for (Client* writer : writers) {
+    writer->DropFoldedRecords();
     RETURN_IF_ERROR(writer->rvm()->TrimLogWithBaselines(baselines));
   }
   return base::OkStatus();

@@ -8,6 +8,29 @@ namespace {
 // Range header tag bits.
 constexpr uint8_t kTagDelta = 0x01;  // address is a delta from the previous range start
 
+// A compressed header's address field: the delta from the previous range's
+// start when it is near (tag kTagDelta), else the absolute address.
+uint64_t AddressField(uint64_t prev_start, uint64_t start, uint8_t* tag) {
+  if (prev_start != UINT64_MAX && start >= prev_start &&
+      start - prev_start < kNearRangeBound) {
+    *tag = kTagDelta;
+    return start - prev_start;
+  }
+  *tag = 0;
+  return start;
+}
+
+// Bytes EncodeRangeHeader writes for the same arguments.
+size_t RangeHeaderSize(bool compress, uint64_t prev_start, rvm::RegionId region,
+                       uint64_t start, uint64_t len) {
+  if (!compress) {
+    return kStandardRvmRangeHeaderSize;
+  }
+  uint8_t tag = 0;
+  const uint64_t addr_field = AddressField(prev_start, start, &tag);
+  return 1 + base::VarintSize(region) + base::VarintSize(addr_field) + base::VarintSize(len);
+}
+
 void EncodeRangeHeader(base::Writer* w, bool compress, uint64_t prev_start,
                        rvm::RegionId region, uint64_t start, uint64_t len) {
   if (!compress) {
@@ -23,12 +46,7 @@ void EncodeRangeHeader(base::Writer* w, bool compress, uint64_t prev_start,
     return;
   }
   uint8_t tag = 0;
-  uint64_t addr_field = start;
-  if (prev_start != UINT64_MAX && start >= prev_start &&
-      start - prev_start < kNearRangeBound) {
-    tag |= kTagDelta;
-    addr_field = start - prev_start;
-  }
+  const uint64_t addr_field = AddressField(prev_start, start, &tag);
   w->WriteU8(tag);
   w->WriteVarint(region);
   w->WriteVarint(addr_field);
@@ -38,11 +56,8 @@ void EncodeRangeHeader(base::Writer* w, bool compress, uint64_t prev_start,
 }  // namespace
 
 size_t CompressedRangeHeaderSize(uint64_t prev_start, uint64_t start, uint64_t len) {
-  uint64_t addr_field = start;
-  if (prev_start != UINT64_MAX && start >= prev_start &&
-      start - prev_start < kNearRangeBound) {
-    addr_field = start - prev_start;
-  }
+  uint8_t tag = 0;
+  const uint64_t addr_field = AddressField(prev_start, start, &tag);
   // tag + region varint (assume small region ids) + address + length.
   return 1 + 1 + base::VarintSize(addr_field) + base::VarintSize(len);
 }
@@ -60,19 +75,35 @@ base::Result<MsgType> PeekMsgType(base::ByteSpan payload) {
 }
 
 std::vector<uint8_t> EncodeUpdateRecord(const rvm::TransactionRecord& txn,
-                                        bool compress_headers) {
-  base::Writer w;
+                                        bool compress_headers, uint64_t durable_seq) {
+  // Sized in one pass first, like rvm::EncodeTransaction, so the writer
+  // never grows.
+  size_t size = 2 + base::VarintSize(txn.node) + base::VarintSize(txn.commit_seq) +
+                base::VarintSize(durable_seq) + base::VarintSize(txn.locks.size()) +
+                base::VarintSize(txn.ranges.size());
+  for (const auto& lock : txn.locks) {
+    size += base::VarintSize(lock.lock_id) + base::VarintSize(lock.sequence);
+  }
+  uint64_t prev_start = UINT64_MAX;
+  for (const auto& r : txn.ranges) {
+    size += RangeHeaderSize(compress_headers, prev_start, r.region, r.offset, r.data.size()) +
+            r.data.size();
+    prev_start = r.offset;
+  }
+
+  base::Writer w(size);
   w.WriteU8(static_cast<uint8_t>(MsgType::kUpdate));
   w.WriteU8(compress_headers ? 1 : 0);
   w.WriteVarint(txn.node);
   w.WriteVarint(txn.commit_seq);
+  w.WriteVarint(durable_seq);
   w.WriteVarint(txn.locks.size());
   for (const auto& lock : txn.locks) {
     w.WriteVarint(lock.lock_id);
     w.WriteVarint(lock.sequence);
   }
   w.WriteVarint(txn.ranges.size());
-  uint64_t prev_start = UINT64_MAX;
+  prev_start = UINT64_MAX;
   for (const auto& r : txn.ranges) {
     EncodeRangeHeader(&w, compress_headers, prev_start, r.region, r.offset, r.data.size());
     w.WriteBytes(r.data);
@@ -87,7 +118,7 @@ namespace {
 // holds `owner` (even on a reject, so no range outlives its bytes) and its
 // ranges view it.
 base::Status DecodeUpdateIn(base::ByteSpan bytes, const base::Buffer& owner,
-                            rvm::TransactionRecord* out) {
+                            rvm::TransactionRecord* out, uint64_t* durable_seq) {
   out->ranges.clear();
   out->bytes = owner;
   base::Reader r(bytes);
@@ -103,10 +134,15 @@ base::Status DecodeUpdateIn(base::ByteSpan bytes, const base::Buffer& owner,
   }
   rvm::NodeId node = 0;
   uint64_t commit_seq = 0, n_locks = 0, n_ranges = 0;
+  uint64_t watermark = 0;
   RETURN_IF_ERROR(r.ReadVarint32(&node));
   RETURN_IF_ERROR(r.ReadVarint(&commit_seq));
+  RETURN_IF_ERROR(r.ReadVarint(&watermark));
   out->node = node;
   out->commit_seq = commit_seq;
+  if (durable_seq != nullptr) {
+    *durable_seq = watermark;
+  }
   RETURN_IF_ERROR(r.ReadVarint(&n_locks));
   if (n_locks > r.remaining() / 2) {  // each lock record needs >= 2 bytes
     return base::DataLoss("lock count exceeds message");
@@ -203,12 +239,14 @@ base::Status DecodeUpdateIn(base::ByteSpan bytes, const base::Buffer& owner,
 
 }  // namespace
 
-base::Status DecodeUpdate(const base::Buffer& payload, rvm::TransactionRecord* out) {
-  return DecodeUpdateIn(payload.span(), payload, out);
+base::Status DecodeUpdate(const base::Buffer& payload, rvm::TransactionRecord* out,
+                          uint64_t* durable_seq) {
+  return DecodeUpdateIn(payload.span(), payload, out, durable_seq);
 }
 
-base::Status DecodeUpdate(base::ByteSpan payload, rvm::TransactionRecord* out) {
-  return DecodeUpdate(base::Buffer::Copy(payload), out);
+base::Status DecodeUpdate(base::ByteSpan payload, rvm::TransactionRecord* out,
+                          uint64_t* durable_seq) {
+  return DecodeUpdate(base::Buffer::Copy(payload), out, durable_seq);
 }
 
 std::vector<uint8_t> EncodeLockRequest(const LockRequestMsg& msg) {
@@ -237,6 +275,8 @@ std::vector<uint8_t> EncodeLockToken(const LockTokenMsg& msg, bool compress_head
   w.WriteVarint(msg.lock);
   w.WriteVarint(msg.token_seq);
   w.WriteVarint(msg.epoch);
+  w.WriteVarint(msg.holder);
+  w.WriteVarint(msg.durable_seq);
   w.WriteVarint(msg.piggyback.size());
   for (const auto& rec : msg.piggyback) {
     std::vector<uint8_t> encoded = EncodeUpdateRecord(rec, compress_headers);
@@ -360,10 +400,14 @@ base::Status DecodeLockToken(const base::Buffer& payload, LockTokenMsg* out) {
     return base::InvalidArgument("not a lock token");
   }
   uint64_t lock = 0, n_piggyback = 0;
+  rvm::NodeId holder = 0;
   RETURN_IF_ERROR(r.ReadVarint(&lock));
   RETURN_IF_ERROR(r.ReadVarint(&out->token_seq));
   RETURN_IF_ERROR(r.ReadVarint(&out->epoch));
+  RETURN_IF_ERROR(r.ReadVarint32(&holder));
+  RETURN_IF_ERROR(r.ReadVarint(&out->durable_seq));
   out->lock = lock;
+  out->holder = holder;
   RETURN_IF_ERROR(r.ReadVarint(&n_piggyback));
   if (n_piggyback > r.remaining()) {
     return base::DataLoss("piggyback count exceeds message");
@@ -374,7 +418,7 @@ base::Status DecodeLockToken(const base::Buffer& payload, LockTokenMsg* out) {
     base::ByteSpan encoded;
     RETURN_IF_ERROR(r.ReadLengthPrefixed(&encoded));
     rvm::TransactionRecord rec;
-    RETURN_IF_ERROR(DecodeUpdateIn(encoded, payload, &rec));
+    RETURN_IF_ERROR(DecodeUpdateIn(encoded, payload, &rec, /*durable_seq=*/nullptr));
     out->piggyback.push_back(std::move(rec));
   }
   if (!r.empty()) {

@@ -41,14 +41,26 @@ base::Result<MsgType> PeekMsgType(base::ByteSpan payload);
 // --- update messages -------------------------------------------------------
 
 // Encodes a committed (or retained) transaction straight from its range
-// views: no intermediate copy of the data.
+// views: no intermediate copy of the data, into a buffer sized up front.
+// `durable_seq` is the writer's durable watermark when it sends: every
+// record of txn.node with commit_seq at or below it is in a log, so
+// receivers stop carrying those (DESIGN.md, "Ordered and durable"). Records
+// piggybacked on a token carry 0; the token has its own watermark.
+//
+// Layout: u8 type | u8 compressed | varint node | varint commit_seq |
+//         varint durable_seq | varint n_locks | n_locks x (varint lock,
+//         varint sequence) | varint n_ranges | n_ranges x (range header,
+//         bytes)
 std::vector<uint8_t> EncodeUpdateRecord(const rvm::TransactionRecord& txn,
-                                        bool compress_headers);
+                                        bool compress_headers, uint64_t durable_seq = 0);
 
 // The record holds `payload` and its ranges view it. The ByteSpan form first
-// copies the bytes once into a new Buffer.
-base::Status DecodeUpdate(const base::Buffer& payload, rvm::TransactionRecord* out);
-base::Status DecodeUpdate(base::ByteSpan payload, rvm::TransactionRecord* out);
+// copies the bytes once into a new Buffer. *durable_seq (when non-null)
+// receives the sender's watermark.
+base::Status DecodeUpdate(const base::Buffer& payload, rvm::TransactionRecord* out,
+                          uint64_t* durable_seq = nullptr);
+base::Status DecodeUpdate(base::ByteSpan payload, rvm::TransactionRecord* out,
+                          uint64_t* durable_seq = nullptr);
 
 // Size in bytes of the encoded header for one range, given its predecessor's
 // start address (UINT64_MAX for the first range). Exposed for tests and for
@@ -99,6 +111,10 @@ struct LockTokenMsg {
   // updates through token_seq have been applied locally (§3.4).
   uint64_t token_seq = 0;
   uint64_t epoch = 0;
+  // The passing holder and its durable watermark (see EncodeUpdateRecord):
+  // the recipient stops carrying the holder's records at or below it.
+  rvm::NodeId holder = 0;
+  uint64_t durable_seq = 0;
   // Lazy policy: retained update records the requester has not yet applied.
   // Decoded, each holds the token message's Buffer and views its bytes.
   std::vector<rvm::TransactionRecord> piggyback;

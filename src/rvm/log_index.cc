@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 
 #include "src/obs/metrics.h"
 #include "src/rvm/log_merge.h"
@@ -118,10 +119,16 @@ uint64_t LogIndex::MaxCommitSeq(NodeId node) const {
 }
 
 std::vector<LogIndex::PageKey> LogIndex::Extend(std::vector<TransactionRecord> merged) {
+  // Extend is rare (a dead client's log, a trim while recovery runs): name
+  // the indexed records here instead of on every Build.
+  std::set<std::pair<NodeId, uint64_t>> indexed;
+  for (const TransactionRecord& txn : txns_) {
+    indexed.emplace(txn.node, txn.commit_seq);
+  }
   std::vector<PageKey> touched;
   for (auto& txn : merged) {
-    if (txn.commit_seq <= MaxCommitSeq(txn.node)) {
-      continue;  // already indexed (e.g. the restart merge read this log too)
+    if (!indexed.emplace(txn.node, txn.commit_seq).second) {
+      continue;  // already indexed (the restart merge read this log, or a carried copy)
     }
     txns_.push_back(std::move(txn));
     IndexTransaction(static_cast<uint32_t>(txns_.size() - 1), &touched);

@@ -13,10 +13,14 @@
 //
 // The index also carries the per-lock maximum sequence numbers (so the
 // cluster can rebuild its trim baselines without replaying) and the
-// per-node maximum commit sequence (so a later merge of a dead client's
-// log can be deduplicated against records already indexed — re-indexing a
+// (node, commit_seq) name of every indexed record (so a later merge of a
+// dead client's log, or a copy of a record a successor carried into its own
+// log, is deduplicated against records already indexed — re-indexing a
 // record would re-apply it AFTER records that logically follow it, which
-// absolute-value redo does not tolerate for overlapping ranges).
+// absolute-value redo does not tolerate for overlapping ranges). The
+// dedup is exact, not by a per-node maximum: a carried copy can be merged
+// ahead of an earlier record of the same writer that reaches the index
+// later.
 #ifndef SRC_RVM_LOG_INDEX_H_
 #define SRC_RVM_LOG_INDEX_H_
 
@@ -80,9 +84,9 @@ class LogIndex {
   uint64_t MaxCommitSeq(NodeId node) const;
 
   // Appends the records of `merged` (in their given order) that are not
-  // already indexed — a record is a duplicate when its commit_seq is at or
-  // below the node's indexed maximum. Returns the keys of the pages the
-  // new records touch (the caller re-pends them for replay).
+  // already indexed — a record is a duplicate when its (node, commit_seq)
+  // is. Returns the keys of the pages the new records touch (the caller
+  // re-pends them for replay).
   std::vector<PageKey> Extend(std::vector<TransactionRecord> merged);
 
  private:

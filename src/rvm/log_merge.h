@@ -5,10 +5,14 @@
 // Correctness rests on strict two-phase locking: if two transactions
 // acquired the same segment lock, their lock records carry that lock's
 // acquire-sequence numbers, and the one with the smaller sequence number
-// must be ordered first. Transactions within one node's log are already in
-// commit order. The merge is therefore a topological sort of the "same lock,
-// smaller sequence first" + "same node, log order" constraints; a greedy
-// head-selection over the per-node queues implements it in O(n · heads).
+// must be ordered first. A writer's own transactions follow its commit
+// order (commit_seq). A log may also hold copies of other nodes' records
+// that a lock successor carried into its own batch (DESIGN.md, "Ordered and
+// durable"): the merge keeps one copy per (node, commit_seq) and does not
+// treat a log's order as a constraint. It is a topological sort of the
+// "same lock, smaller sequence first" + "same writer, smaller commit_seq
+// first" constraints, taking the earliest ready record in input order, in
+// O(n log n).
 #ifndef SRC_RVM_LOG_MERGE_H_
 #define SRC_RVM_LOG_MERGE_H_
 
@@ -21,12 +25,12 @@
 
 namespace rvm {
 
-// Merges per-node transaction sequences (each inner vector in commit order)
-// into one serial order consistent with every lock's sequence numbers.
-// Fails with FAILED_PRECONDITION if the inputs admit no legal order (which
-// strict 2PL makes impossible for well-formed logs: it indicates corruption
-// or a synchronization bug). A single sequence is returned as it is: one
-// node's commit order is already serial.
+// Merges per-node transaction sequences (each inner vector one log, in log
+// order) into one serial order consistent with every lock's sequence
+// numbers and every writer's commit order, each transaction once. Fails
+// with FAILED_PRECONDITION if the inputs admit no legal order (which strict
+// 2PL makes impossible for well-formed logs: it indicates corruption or a
+// synchronization bug).
 base::Result<std::vector<TransactionRecord>> MergeTransactionLists(
     std::vector<std::vector<TransactionRecord>> per_node);
 

@@ -29,6 +29,7 @@ Rvm::Rvm(store::DurableStore* store, NodeId node, const RvmOptions& options)
                  {"commit.batch.batches", &m_.commit_batches},
                  {"commit.batch.txns", &m_.commit_batch_txns},
                  {"commit.batch.fsyncs_saved", &m_.fsyncs_saved},
+                 {"commit.batch.carried", &m_.carried_written},
                  {"collect_nanos", &m_.collect_nanos},
                  {"disk_nanos", &m_.disk_nanos},
                  {"apply_nanos", &m_.apply_nanos},
@@ -69,12 +70,14 @@ base::Status Rvm::Init() {
       }
       TransactionRecord txn;
       if (PeekKind(base::ByteSpan(payload.data(), payload.size())).ok() &&
-          DecodeTransaction(base::ByteSpan(payload.data(), payload.size()), &txn).ok()) {
+          DecodeTransaction(base::ByteSpan(payload.data(), payload.size()), &txn).ok() &&
+          txn.node == node_) {
         commit_seq_ = std::max(commit_seq_, txn.commit_seq);
       }
       valid_end = reader.offset();
     }
   }
+  PublishDurableSeqLocked();
   {
     base::MutexLock log_lock(log_mu_);
     log_ = std::make_unique<LogWriter>(std::move(file), valid_end);
@@ -191,8 +194,155 @@ base::Status Rvm::SetLockId(TxnId txn_id, LockId lock, uint64_t sequence) {
   return base::OkStatus();
 }
 
+base::Status Rvm::StallForLogSpaceLocked(base::MutexLock& lock) {
+  // Hard-watermark backpressure: stall (never abort) until a trim frees log
+  // space or the stall budget runs out. The wait releases mu_, so a janitor
+  // thread can run TrimLogWithBaselines/ResetLog meanwhile; the first
+  // staller also fires the trim hook itself, exactly once per episode.
+  const uint64_t hard = options_.log_hard_limit_bytes;
+  if (!options_.disk_logging || hard == 0 || CurrentLogBytes() < hard) {
+    return base::OkStatus();
+  }
+  m_.backpressure_stalls.Increment();
+  const uint64_t start = base::SteadyClock::Instance()->NowNanos();
+  const uint64_t deadline = start + options_.backpressure_stall_ms * 1'000'000ull;
+  base::Status stall_status = base::OkStatus();
+  while (CurrentLogBytes() >= hard) {
+    // Deadline first, re-read every iteration: both the trim hook and the
+    // condvar wait release mu_ for unbounded stretches, so any step below
+    // may land back here long past the budget.
+    uint64_t now = base::SteadyClock::Instance()->NowNanos();
+    if (now >= deadline) {
+      m_.commits_exhausted.Increment();
+      stall_status = base::ResourceExhausted(
+          "log quota: " + std::to_string(CurrentLogBytes()) +
+          " bytes at hard watermark " + std::to_string(hard) +
+          " and trim freed no space");
+      break;
+    }
+    // One hook firing per stall episode across ALL stalled commits: the
+    // guard is shared state cleared by the trims themselves, not a
+    // per-caller local, so late arrivals wait for the in-flight trim
+    // instead of stacking redundant requests behind it.
+    if (trim_hook_ && !trim_hook_fired_) {
+      trim_hook_fired_ = true;
+      m_.trim_requests.Increment();
+      uint64_t used = CurrentLogBytes();
+      lock.Unlock();
+      trim_hook_(used, hard);
+      lock.Lock();
+      log_space_cv_.NotifyAll();
+      continue;
+    }
+    // Clamp the nap to the remaining budget: a wait granted just under the
+    // deadline must not overshoot it by a full tick.
+    log_space_cv_.WaitFor(
+        lock, std::chrono::nanoseconds(std::min<uint64_t>(deadline - now, 5'000'000ull)));
+  }
+  m_.backpressure_stall_nanos.Add(base::SteadyClock::Instance()->NowNanos() - start);
+  return stall_status;
+}
+
+TransactionRecord Rvm::OrderLocked(Txn& txn) {
+  TransactionRecord rec;
+  rec.node = node_;
+  rec.commit_seq = ++commit_seq_;
+  rec.locks = txn.locks;
+  constexpr uint64_t kPageSize = 8192;
+  size_t declared = 0;
+  for (const auto& entry : txn.ranges) {
+    declared += entry.second.range_count();
+  }
+  rec.ranges.reserve(declared);
+  uint64_t pages = 0;
+  uint64_t pages_coalesced = 0;
+  for (auto& [region_id, range_set] : txn.ranges) {
+    uint8_t* image = regions_.at(region_id)->data();
+    // Gather (offset, len) in address order straight into rec.ranges.
+    const size_t region_begin = rec.ranges.size();
+    for (const auto& [offset, len] : range_set.ranges()) {
+      rec.ranges.push_back(RangeImage{region_id, offset, base::ByteSpan(image + offset, len)});
+    }
+    if (options_.adaptive_ranges_per_page > 0) {
+      // Adaptive hybrid: collapse each update-dense page's ranges, in place,
+      // into one covering span.
+      size_t out = region_begin;
+      size_t i = region_begin;
+      while (i < rec.ranges.size()) {
+        const uint64_t start = rec.ranges[i].offset;
+        const uint64_t page = start / kPageSize;
+        size_t j = i;
+        uint64_t span_end = 0;
+        // Group the ranges that *start* in this page.
+        while (j < rec.ranges.size() && rec.ranges[j].offset / kPageSize == page) {
+          span_end = std::max(span_end, rec.ranges[j].offset + rec.ranges[j].data.size());
+          ++j;
+        }
+        if (j - i > options_.adaptive_ranges_per_page) {
+          rec.ranges[out++] =
+              RangeImage{region_id, start, base::ByteSpan(image + start, span_end - start)};
+          ++pages_coalesced;
+          i = j;
+        }
+        while (i < j) {
+          rec.ranges[out++] = rec.ranges[i++];
+        }
+      }
+      rec.ranges.resize(out);
+    }
+
+    uint64_t next_uncounted_page = 0;
+    for (size_t k = region_begin; k < rec.ranges.size(); ++k) {
+      const uint64_t offset = rec.ranges[k].offset;
+      const uint64_t len = rec.ranges[k].data.size();
+      if (len == 0) {
+        continue;
+      }
+      // Distinct-page counting: span starts are in address order, but a
+      // coalesced span can extend many pages past its start, so the next
+      // span may begin pages BEHIND the furthest page already counted.
+      // Track the first not-yet-counted page, not just the previous span's
+      // last page, or those pages get counted twice.
+      uint64_t first = std::max(offset / kPageSize, next_uncounted_page);
+      uint64_t last = (offset + len - 1) / kPageSize;
+      if (first <= last) {
+        pages += last - first + 1;
+        next_uncounted_page = last + 1;
+      }
+    }
+  }
+
+  m_.pages_logged.Add(pages);
+  m_.adaptive_pages_coalesced.Add(pages_coalesced);
+  m_.ranges_logged.Add(rec.ranges.size());
+  m_.bytes_logged.Add(rec.TotalBytes());
+
+  // Read-only transactions (no registered ranges) leave no log record: the
+  // coherency layer rolls their lock sequence numbers back, so a record
+  // would only confuse the merge order.
+  if (options_.disk_logging && !rec.ranges.empty()) {
+    // Encode the whole record NOW, while the images still hold exactly this
+    // transaction's bytes: later transactions overwrite the live images
+    // before the batch leader gets this record to disk. The contiguous
+    // payload doubles as the zero-copy broadcast buffer — rec.bytes is
+    // refcounted, and the ranges are repointed into it so the commit hook
+    // (and every peer channel it fans out to) reads bytes that can no
+    // longer change.
+    std::vector<size_t> data_offsets;
+    rec.bytes = base::Buffer(EncodeTransaction(rec, &data_offsets));
+    for (size_t i = 0; i < rec.ranges.size(); ++i) {
+      rec.ranges[i].data =
+          base::ByteSpan(rec.bytes.data() + data_offsets[i], rec.ranges[i].data.size());
+    }
+    txn.ordered = rec;
+    undurable_.insert(rec.commit_seq);
+  }
+  PublishDurableSeqLocked();
+  return rec;
+}
+
 base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
-  // Whole-commit latency (gather + log write + commit hook) for the
+  // Whole-commit latency (gather + commit hook + log write) for the
   // histogram; the phase counters below split the same work.
   obs::ScopedTimer commit_timer(nullptr, commit_nanos_);
   TransactionRecord rec;
@@ -200,163 +350,44 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
   {
     obs::ScopedTimer collect_timer(&m_.collect_nanos);
     base::MutexLock lock(mu_);
-
-    // Hard-watermark backpressure: stall (never abort) until a trim frees
-    // log space or the stall budget runs out. The wait releases mu_, so a
-    // janitor thread can run TrimLogWithBaselines/ResetLog meanwhile; the
-    // first staller also fires the trim hook itself, exactly once per
-    // episode. Runs before the txn lookup because the lock is dropped.
-    const uint64_t hard = options_.log_hard_limit_bytes;
-    if (options_.disk_logging && hard > 0 && CurrentLogBytes() >= hard) {
-      m_.backpressure_stalls.Increment();
-      const uint64_t start = base::SteadyClock::Instance()->NowNanos();
-      const uint64_t deadline =
-          start + options_.backpressure_stall_ms * 1'000'000ull;
-      base::Status stall_status = base::OkStatus();
-      while (CurrentLogBytes() >= hard) {
-        // Deadline first, re-read every iteration: both the trim hook and
-        // the condvar wait release mu_ for unbounded stretches, so any step
-        // below may land back here long past the budget.
-        uint64_t now = base::SteadyClock::Instance()->NowNanos();
-        if (now >= deadline) {
-          m_.commits_exhausted.Increment();
-          stall_status = base::ResourceExhausted(
-              "log quota: " + std::to_string(CurrentLogBytes()) +
-              " bytes at hard watermark " + std::to_string(hard) +
-              " and trim freed no space");
-          break;
-        }
-        // One hook firing per stall episode across ALL stalled commits: the
-        // guard is shared state cleared by the trims themselves, not a
-        // per-caller local, so late arrivals wait for the in-flight trim
-        // instead of stacking redundant requests behind it.
-        if (trim_hook_ && !trim_hook_fired_) {
-          trim_hook_fired_ = true;
-          m_.trim_requests.Increment();
-          uint64_t used = CurrentLogBytes();
-          lock.Unlock();
-          trim_hook_(used, hard);
-          lock.Lock();
-          log_space_cv_.NotifyAll();
-          continue;
-        }
-        // Clamp the nap to the remaining budget: a wait granted just under
-        // the deadline must not overshoot it by a full tick.
-        log_space_cv_.WaitFor(
-            lock, std::chrono::nanoseconds(
-                      std::min<uint64_t>(deadline - now, 5'000'000ull)));
-      }
-      m_.backpressure_stall_nanos.Add(base::SteadyClock::Instance()->NowNanos() - start);
-      // The transaction stays active on failure: the caller may trim out of
-      // band and retry EndTransaction, or abort.
-      RETURN_IF_ERROR(stall_status);
-    }
-
     auto it = txns_.find(txn_id);
     if (it == txns_.end() || !it->second.active) {
       return base::FailedPrecondition("no such active transaction");
     }
-    Txn& txn = it->second;
-
-    rec.node = node_;
-    rec.commit_seq = ++commit_seq_;
-    rec.locks = txn.locks;
-    constexpr uint64_t kPageSize = 8192;
-    size_t declared = 0;
-    for (const auto& entry : txn.ranges) {
-      declared += entry.second.range_count();
+    const bool retry = it->second.ordered.has_value();
+    if (retry) {
+      rec = *it->second.ordered;
+    } else {
+      // Backpressure runs before ordering, so a stall that runs out leaves
+      // the transaction active and unordered. The stall drops mu_: look the
+      // transaction up again.
+      RETURN_IF_ERROR(StallForLogSpaceLocked(lock));
+      it = txns_.find(txn_id);
+      if (it == txns_.end() || !it->second.active) {
+        return base::FailedPrecondition("no such active transaction");
+      }
+      rec = OrderLocked(it->second);
     }
-    rec.ranges.reserve(declared);
-    uint64_t pages = 0;
-    uint64_t pages_coalesced = 0;
-    for (auto& [region_id, range_set] : txn.ranges) {
-      uint8_t* image = regions_.at(region_id)->data();
-      // Gather (offset, len) in address order straight into rec.ranges.
-      const size_t region_begin = rec.ranges.size();
-      for (const auto& [offset, len] : range_set.ranges()) {
-        rec.ranges.push_back(
-            RangeImage{region_id, offset, base::ByteSpan(image + offset, len)});
-      }
-      if (options_.adaptive_ranges_per_page > 0) {
-        // Adaptive hybrid: collapse each update-dense page's ranges, in
-        // place, into one covering span.
-        size_t out = region_begin;
-        size_t i = region_begin;
-        while (i < rec.ranges.size()) {
-          const uint64_t start = rec.ranges[i].offset;
-          const uint64_t page = start / kPageSize;
-          size_t j = i;
-          uint64_t span_end = 0;
-          // Group the ranges that *start* in this page.
-          while (j < rec.ranges.size() && rec.ranges[j].offset / kPageSize == page) {
-            span_end = std::max(span_end, rec.ranges[j].offset + rec.ranges[j].data.size());
-            ++j;
-          }
-          if (j - i > options_.adaptive_ranges_per_page) {
-            rec.ranges[out++] =
-                RangeImage{region_id, start, base::ByteSpan(image + start, span_end - start)};
-            ++pages_coalesced;
-            i = j;
-          }
-          while (i < j) {
-            rec.ranges[out++] = rec.ranges[i++];
-          }
-        }
-        rec.ranges.resize(out);
-      }
+    collect_timer.StopNanos();
 
-      uint64_t next_uncounted_page = 0;
-      for (size_t k = region_begin; k < rec.ranges.size(); ++k) {
-        const uint64_t offset = rec.ranges[k].offset;
-        const uint64_t len = rec.ranges[k].data.size();
-        if (len == 0) {
-          continue;
-        }
-        // Distinct-page counting: span starts are in address order, but a
-        // coalesced span can extend many pages past its start, so the next
-        // span may begin pages BEHIND the furthest page already counted.
-        // Track the first not-yet-counted page, not just the previous
-        // span's last page, or those pages get counted twice.
-        uint64_t first = std::max(offset / kPageSize, next_uncounted_page);
-        uint64_t last = (offset + len - 1) / kPageSize;
-        if (first <= last) {
-          pages += last - first + 1;
-          next_uncounted_page = last + 1;
-        }
-      }
-    }
-
-    m_.pages_logged.Add(pages);
-    m_.adaptive_pages_coalesced.Add(pages_coalesced);
-    m_.ranges_logged.Add(rec.ranges.size());
-    m_.bytes_logged.Add(rec.TotalBytes());
-
-    // Read-only transactions (no registered ranges) leave no log record:
-    // the coherency layer rolls their lock sequence numbers back, so a
-    // record would only confuse the merge order.
-    if (options_.disk_logging && !rec.ranges.empty()) {
-      // Encode the whole record NOW, while the images still hold exactly
-      // this transaction's bytes: the pipeline wait below releases mu_, and
-      // later transactions overwrite the live images before the batch
-      // leader gets this record to disk. The contiguous payload doubles as
-      // the zero-copy broadcast buffer — rec.bytes is refcounted, and the
-      // ranges are repointed into it so the commit hook (and every peer
-      // channel it fans out to) reads bytes that can no longer change.
-      std::vector<size_t> data_offsets;
-      rec.bytes = base::Buffer(EncodeTransaction(rec, &data_offsets));
-      for (size_t i = 0; i < rec.ranges.size(); ++i) {
-        rec.ranges[i].data =
-            base::ByteSpan(rec.bytes.data() + data_offsets[i], rec.ranges[i].data.size());
-      }
-      collect_timer.StopNanos();
-
-      obs::ScopedTimer disk_timer(&m_.disk_nanos);
+    if (it->second.ordered.has_value()) {
       PendingCommit pc;
-      pc.payload = rec.bytes;
+      pc.record = retry ? nullptr : &rec;
+      pc.commit_seq = rec.commit_seq;
+      pc.stamp = retry ? 0 : ++order_clock_;
       pc.mode = mode;
       pc.enqueued_nanos = base::SteadyClock::Instance()->NowNanos();
       commit_queue_.push_back(&pc);
+      if (!retry && commit_hook_) {
+        // Ordered: the record is stamped and queued, so the coherency layer
+        // may broadcast it and pass the lock token now, while the log force
+        // is still ahead (the leader may even finish it meanwhile).
+        lock.Unlock();
+        commit_hook_(rec);
+        lock.Lock();
+      }
 
+      obs::ScopedTimer disk_timer(&m_.disk_nanos);
       // Group commit: the first waiter that finds the leadership baton free
       // drains the WHOLE queue as one batch — one vectored append, at most
       // one sync — with mu_ released for the I/O, so the next cohort forms
@@ -364,39 +395,35 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
       // marks their entry done (possibly after several batches).
       while (!pc.done) {
         if (!commit_leader_active_ && !commit_pipeline_held_) {
-          commit_leader_active_ = true;
-          std::vector<PendingCommit*> batch(commit_queue_.begin(),
-                                            commit_queue_.end());
-          commit_queue_.clear();
+          Batch batch = TakeBatchLocked();
           lock.Unlock();
           BatchResult result = WriteBatch(batch);
           lock.Lock();
           FinishBatchLocked(batch, result, &crossed_soft);
-          commit_leader_active_ = false;
-          commit_cv_.NotifyAll();
         } else {
           commit_cv_.Wait(lock);
         }
       }
       disk_timer.StopNanos();
       cohort_wait_nanos_->Record(base::SteadyClock::Instance()->NowNanos() - pc.enqueued_nanos);
-      // The transaction stays active on a batch write failure: the caller
-      // may trim out of band and retry EndTransaction, or abort.
+      // The transaction stays ordered on a batch write failure, its record
+      // queued in unwritten_: the caller may trim out of band and retry
+      // EndTransaction (it cannot abort), or drop it (ForgetOrdered).
       RETURN_IF_ERROR(pc.status);
+      m_.transactions_committed.Increment();
+      CountSetRanges(it->second);
+      // txns_ is a node-based map, so `it` survived the pipeline's
+      // Unlock/Lock windows (other committers only ever erase their own
+      // entries).
+      txns_.erase(it);
     } else {
-      collect_timer.StopNanos();
-    }
-
-    m_.transactions_committed.Increment();
-    CountSetRanges(txn);
-    // txns_ is a node-based map, so `it` survived the pipeline's
-    // Unlock/Lock windows (other committers only ever erase their own
-    // entries).
-    txns_.erase(it);
-    lock.Unlock();
-
-    if (commit_hook_) {
-      commit_hook_(rec);
+      m_.transactions_committed.Increment();
+      CountSetRanges(it->second);
+      txns_.erase(it);
+      lock.Unlock();
+      if (commit_hook_) {
+        commit_hook_(rec);
+      }
     }
   }
   // Edge-triggered soft watermark: only the batch that crossed it asks for
@@ -408,32 +435,70 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
   return base::OkStatus();
 }
 
-Rvm::BatchResult Rvm::WriteBatch(const std::vector<PendingCommit*>& batch) {
+Rvm::Batch Rvm::TakeBatchLocked(bool whole_carry_set) {
+  commit_leader_active_ = true;
+  Batch batch;
+  batch.commits.assign(commit_queue_.begin(), commit_queue_.end());
+  commit_queue_.clear();
+  uint64_t newest = whole_carry_set ? UINT64_MAX : 0;
+  for (const PendingCommit* pc : batch.commits) {
+    newest = std::max(newest, pc->stamp);
+  }
+  for (const auto& [seq, unwritten] : unwritten_) {
+    batch.unwritten.push_back(unwritten.record);
+    newest = std::max(newest, unwritten.stamp);
+  }
+  for (auto& [key, carried] : carry_) {
+    if (!carried.written && carried.stamp < newest) {
+      batch.carried.push_back(carried.record);
+    }
+  }
+  return batch;
+}
+
+Rvm::BatchResult Rvm::WriteBatch(const Batch& batch) {
+  // Carried records are re-encoded into the log format here, off every
+  // lock: only the ones a batch actually writes pay for it.
+  std::vector<std::vector<uint8_t>> carried;
+  carried.reserve(batch.carried.size());
   std::vector<base::ByteSpan> payloads;
-  payloads.reserve(batch.size());
-  bool sync_now = false;
-  for (const PendingCommit* pc : batch) {
-    payloads.push_back(pc->payload.span());
+  payloads.reserve(batch.carried.size() + batch.unwritten.size() + batch.commits.size());
+  for (const TransactionRecord& rec : batch.carried) {
+    carried.push_back(EncodeTransaction(rec));
+    payloads.emplace_back(carried.back().data(), carried.back().size());
+  }
+  for (const TransactionRecord& rec : batch.unwritten) {
+    payloads.push_back(rec.bytes.span());
+  }
+  bool sync_now = batch.force_sync;
+  for (const PendingCommit* pc : batch.commits) {
+    if (pc->record != nullptr) {
+      payloads.push_back(pc->record->bytes.span());
+    }
     sync_now |= pc->mode == CommitMode::kFlush;
   }
   BatchResult result;
   base::MutexLock log_lock(log_mu_);
   result.bytes_before = log_->bytes_written();
-  result.status = log_->AppendBatch(payloads, sync_now);
+  result.status = payloads.empty() ? (sync_now ? log_->Sync() : base::OkStatus())
+                                   : log_->AppendBatch(payloads, sync_now);
   result.bytes_after = log_->bytes_written();
+  // A sync covers every frame written so far, earlier kNoFlush batches too.
   result.synced = sync_now && result.status.ok();
-  if (result.status.ok()) {
-    // A sync covers every frame written so far, including earlier kNoFlush
-    // batches; a sync-less batch leaves (or makes) the tail dirty.
-    log_dirty_ = !sync_now;
-  }
   return result;
 }
 
-void Rvm::FinishBatchLocked(const std::vector<PendingCommit*>& batch,
-                            const BatchResult& result, bool* crossed_soft) {
+void Rvm::FinishBatchLocked(const Batch& batch, const BatchResult& result,
+                            bool* crossed_soft) {
+  commit_leader_active_ = false;
+  commit_cv_.NotifyAll();
   size_t flushes = 0;
-  for (PendingCommit* pc : batch) {
+  for (PendingCommit* pc : batch.commits) {
+    if (!result.status.ok() && pc->record != nullptr) {
+      // Nothing is known written: the record joins unwritten_ for the next
+      // batch (copied before `done` lets its committer return).
+      unwritten_.try_emplace(pc->commit_seq, Unwritten{*pc->record, pc->stamp});
+    }
     pc->status = result.status;
     pc->done = true;
     if (pc->mode == CommitMode::kFlush) {
@@ -441,12 +506,30 @@ void Rvm::FinishBatchLocked(const std::vector<PendingCommit*>& batch,
     }
   }
   if (!result.status.ok()) {
-    return;
+    return;  // the carried records and unwritten_ stay unwritten too
   }
-  m_.commit_batches.Increment();
-  m_.commit_batch_txns.Add(batch.size());
+  for (const TransactionRecord& rec : batch.carried) {
+    if (auto it = carry_.find({rec.node, rec.commit_seq}); it != carry_.end()) {
+      it->second.written = true;
+    }
+  }
+  for (const TransactionRecord& rec : batch.unwritten) {
+    unwritten_.erase(rec.commit_seq);
+    unsynced_.push_back(rec.commit_seq);
+  }
+  for (const PendingCommit* pc : batch.commits) {
+    unsynced_.push_back(pc->commit_seq);
+  }
+  if (result.synced) {
+    NoteSyncedLocked();
+  }
+  m_.carried_written.Add(batch.carried.size());
+  if (!batch.commits.empty()) {
+    m_.commit_batches.Increment();
+    m_.commit_batch_txns.Add(batch.commits.size());
+    batch_size_->Record(batch.commits.size());
+  }
   m_.log_bytes_written.Add(result.bytes_after - result.bytes_before);
-  batch_size_->Record(batch.size());
   if (result.synced && flushes > 0) {
     // Without the pipeline each kFlush commit would have synced alone.
     m_.fsyncs_saved.Add(flushes - 1);
@@ -455,6 +538,103 @@ void Rvm::FinishBatchLocked(const std::vector<PendingCommit*>& batch,
   if (soft > 0 && result.bytes_before < soft && result.bytes_after >= soft) {
     *crossed_soft = true;
   }
+}
+
+void Rvm::NoteSyncedLocked() {
+  for (uint64_t seq : unsynced_) {
+    undurable_.erase(seq);
+  }
+  unsynced_.clear();
+  PublishDurableSeqLocked();
+}
+
+void Rvm::PublishDurableSeqLocked() {
+  const uint64_t durable = undurable_.empty() ? commit_seq_ : *undurable_.begin() - 1;
+  durable_seq_.store(durable, std::memory_order_release);
+}
+
+void Rvm::AwaitLeaderLocked(base::MutexLock& lock) {
+  while (commit_leader_active_) {
+    commit_cv_.Wait(lock);
+  }
+}
+
+bool Rvm::FoldedLocked(const TransactionRecord& rec) const {
+  for (const LockRecord& lr : rec.locks) {
+    auto it = folded_.find(lr.lock_id);
+    if (it == folded_.end() || lr.sequence > it->second) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void Rvm::Carry(TransactionRecord rec) {
+  if (!options_.disk_logging || rec.node == node_ || rec.locks.empty()) {
+    return;
+  }
+  base::MutexLock lock(mu_);
+  if (auto it = writer_durable_.find(rec.node);
+      (it != writer_durable_.end() && rec.commit_seq <= it->second) || FoldedLocked(rec)) {
+    return;
+  }
+  const std::pair<NodeId, uint64_t> key{rec.node, rec.commit_seq};
+  if (rec.bytes.empty()) {
+    rec = rec.Own();
+  }
+  carry_.try_emplace(key, Carried{std::move(rec), false, ++order_clock_});
+}
+
+void Rvm::DropCarried(NodeId writer, uint64_t through) {
+  base::MutexLock lock(mu_);
+  uint64_t& durable = writer_durable_[writer];
+  if (through > durable) {
+    durable = through;
+    carry_.erase(carry_.lower_bound({writer, 0}), carry_.upper_bound({writer, through}));
+  }
+}
+
+void Rvm::DropFolded(const std::map<LockId, uint64_t>& baselines) {
+  base::MutexLock lock(mu_);
+  DropFoldedLocked(baselines);
+}
+
+void Rvm::DropFoldedLocked(const std::map<LockId, uint64_t>& baselines) {
+  for (const auto& [lock_id, seq] : baselines) {
+    uint64_t& cut = folded_[lock_id];
+    cut = std::max(cut, seq);
+  }
+  std::erase_if(carry_, [&](const auto& entry) { return FoldedLocked(entry.second.record); });
+  // An own record a failed batch left unwritten that a peer's carried copy
+  // brought into the trim is in the database files now: writing it later
+  // would replay it over newer bytes at the next boot.
+  bool durable_moved = false;
+  std::erase_if(unwritten_, [&](const auto& entry) {
+    if (entry.second.record.locks.empty() || !FoldedLocked(entry.second.record)) {
+      return false;
+    }
+    undurable_.erase(entry.first);
+    durable_moved = true;
+    return true;
+  });
+  if (durable_moved) {
+    PublishDurableSeqLocked();
+  }
+}
+
+size_t Rvm::CarriedCount() const {
+  base::MutexLock lock(mu_);
+  return carry_.size();
+}
+
+std::vector<TransactionRecord> Rvm::CarriedFrom(NodeId writer) const {
+  base::MutexLock lock(mu_);
+  std::vector<TransactionRecord> out;
+  for (auto it = carry_.lower_bound({writer, 0});
+       it != carry_.end() && it->first.first == writer; ++it) {
+    out.push_back(it->second.record);
+  }
+  return out;
 }
 
 uint64_t Rvm::CurrentLogBytes() const {
@@ -480,23 +660,17 @@ base::Status Rvm::ReleaseCommitPipeline() {
   base::Status status;
   {
     base::MutexLock lock(mu_);
-    while (commit_leader_active_) {
-      commit_cv_.Wait(lock);
-    }
+    AwaitLeaderLocked(lock);
     commit_pipeline_held_ = false;
     if (commit_queue_.empty()) {
       commit_cv_.NotifyAll();
       return base::OkStatus();
     }
-    commit_leader_active_ = true;
-    std::vector<PendingCommit*> batch(commit_queue_.begin(), commit_queue_.end());
-    commit_queue_.clear();
+    Batch batch = TakeBatchLocked();
     lock.Unlock();
     BatchResult result = WriteBatch(batch);
     lock.Lock();
     FinishBatchLocked(batch, result, &crossed_soft);
-    commit_leader_active_ = false;
-    commit_cv_.NotifyAll();
     status = result.status;
   }
   if (crossed_soft) {
@@ -517,6 +691,10 @@ base::Status Rvm::AbortTransaction(TxnId txn_id) {
     return base::FailedPrecondition("no such active transaction");
   }
   Txn& txn = it->second;
+  if (txn.ordered.has_value()) {
+    return base::FailedPrecondition(
+        "transaction is ordered (its record may be applied at peers): it cannot abort");
+  }
   CountSetRanges(txn);
   if (txn.mode != RestoreMode::kRestore && !txn.ranges.empty()) {
     txns_.erase(it);
@@ -534,17 +712,50 @@ base::Status Rvm::AbortTransaction(TxnId txn_id) {
   return base::OkStatus();
 }
 
-base::Status Rvm::FlushLog() {
+bool Rvm::ForgetOrdered(TxnId txn_id) {
+  base::MutexLock lock(mu_);
+  auto it = txns_.find(txn_id);
+  if (it == txns_.end() || !it->second.ordered.has_value()) {
+    return false;
+  }
+  CountSetRanges(it->second);
+  txns_.erase(it);
+  return true;
+}
+
+std::optional<TransactionRecord> Rvm::OrderedRecord(TxnId txn_id) const {
+  base::MutexLock lock(mu_);
+  auto it = txns_.find(txn_id);
+  return it == txns_.end() ? std::nullopt : it->second.ordered;
+}
+
+base::Status Rvm::FlushLog() { return Flush(/*whole_carry_set=*/false); }
+
+base::Status Rvm::ForceCarried() { return Flush(/*whole_carry_set=*/true); }
+
+base::Status Rvm::Flush(bool whole_carry_set) {
   if (!options_.disk_logging) {
     return base::OkStatus();
   }
-  // Only the log state is touched, so only log_mu_ is needed: a flush can
-  // run concurrently with committers gathering under mu_ (it serializes
-  // with the batch leader's write, like any other log operation).
-  base::MutexLock log_lock(log_mu_);
-  RETURN_IF_ERROR(log_->Sync());
-  log_dirty_ = false;
-  return base::OkStatus();
+  // Become the leader for whatever is queued (and carried), after the batch
+  // in flight (if any), and sync even when no member asked to.
+  bool crossed_soft = false;
+  base::Status status;
+  {
+    base::MutexLock lock(mu_);
+    AwaitLeaderLocked(lock);
+    Batch batch = TakeBatchLocked(whole_carry_set);
+    batch.force_sync = true;
+    lock.Unlock();
+    BatchResult result = WriteBatch(batch);
+    lock.Lock();
+    FinishBatchLocked(batch, result, &crossed_soft);
+    status = result.status;
+  }
+  if (crossed_soft) {
+    FireSoftTrim();
+  }
+  return status;
 }
 
 base::Status Rvm::ApplyExternalRanges(const std::vector<RangeImage>& ranges) {
@@ -597,6 +808,7 @@ RvmStats Rvm::stats() const {
   s.commit_batches = m_.commit_batches.value();
   s.commit_batch_txns = m_.commit_batch_txns.value();
   s.fsyncs_saved = m_.fsyncs_saved.value();
+  s.carried_written = m_.carried_written.value();
   s.collect_nanos = m_.collect_nanos.value();
   s.disk_nanos = m_.disk_nanos.value();
   s.apply_nanos = m_.apply_nanos.value();
@@ -614,6 +826,12 @@ uint64_t Rvm::commit_seq() const {
   return commit_seq_;
 }
 
+void Rvm::AdvanceCommitSeq(uint64_t at_least) {
+  base::MutexLock lock(mu_);
+  commit_seq_ = std::max(commit_seq_, at_least);
+  PublishDurableSeqLocked();
+}
+
 uint64_t Rvm::log_bytes() const { return CurrentLogBytes(); }
 
 base::Status Rvm::ResetLog() {
@@ -621,11 +839,13 @@ base::Status Rvm::ResetLog() {
   if (!options_.disk_logging) {
     return base::OkStatus();
   }
+  AwaitLeaderLocked(lock);
   {
     base::MutexLock log_lock(log_mu_);
     RETURN_IF_ERROR(log_->Reset());
-    log_dirty_ = false;
   }
+  // The caller replayed what the log held into the database files.
+  NoteSyncedLocked();
   // The trim that just ran ends the current backpressure episode: the next
   // stall may fire the hook again.
   trim_hook_fired_ = false;
@@ -642,8 +862,12 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
   if (!options_.disk_logging) {
     return base::OkStatus();
   }
+  // A batch in flight may be writing carried records the cut covers: let
+  // it land first, so the rewrite below drops them.
+  AwaitLeaderLocked(lock);
   base::MutexLock log_lock(log_mu_);
   RETURN_IF_ERROR(log_->Sync());
+  NoteSyncedLocked();
 
   // Read the current log and keep only the records the checkpoint does not
   // cover. A record is covered iff it has lock records and every one of
@@ -702,8 +926,8 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
   ASSIGN_OR_RETURN(auto reopened, store_->Open(LogFileName(node_), /*create=*/false));
   ASSIGN_OR_RETURN(uint64_t new_size, reopened->Size());
   log_ = std::make_unique<LogWriter>(std::move(reopened), new_size);
-  log_dirty_ = false;
   log_lock.Unlock();
+  DropFoldedLocked(baselines);
   trim_hook_fired_ = false;
   log_space_cv_.NotifyAll();
   return base::OkStatus();
@@ -714,13 +938,14 @@ base::Status Rvm::TruncateLog() {
   if (!options_.disk_logging) {
     return base::FailedPrecondition("disk logging disabled");
   }
+  AwaitLeaderLocked(lock);
   {
     base::MutexLock log_lock(log_mu_);
     RETURN_IF_ERROR(log_->Sync());
     RETURN_IF_ERROR(ReplayLogsIntoDatabase(store_, {LogFileName(node_)}));
     RETURN_IF_ERROR(log_->Reset());
-    log_dirty_ = false;
   }
+  NoteSyncedLocked();
   trim_hook_fired_ = false;
   log_space_cv_.NotifyAll();
   return base::OkStatus();

@@ -5,10 +5,15 @@
 //   * rvm_setlockid_transaction (Table 1): tags the current transaction with
 //     the (lock id, sequence number) pairs of the segment locks it acquired;
 //     these become lock records in the commit's log entry (§3.4).
-//   * a commit hook, invoked after the log write with I/O-vector views of
-//     the committed new values still in place in the region images, so the
-//     coherency layer can broadcast exactly the bytes that were logged
-//     without any extra collection cost (§2, §3.2).
+//   * a commit hook, invoked once the commit is *ordered* (sequence numbers
+//     stamped, record encoded and queued for the log) and before it is
+//     durable, with the record that is about to be logged, so the coherency
+//     layer can broadcast exactly the bytes that will be logged, and pass
+//     the lock token, without waiting for the log force (§2, §3.2);
+//   * a carry set: records applied from other nodes that are not yet known
+//     to be durable. Every commit batch writes them ahead of its own
+//     records, so the force that makes a successor durable also makes the
+//     predecessors it read durable (DESIGN.md, "Ordered and durable").
 //
 // One Rvm instance is one client node: it maps regions (whole database files
 // copied into virtual memory at startup, as in RVM), runs local transactions
@@ -17,11 +22,14 @@
 #ifndef SRC_RVM_RVM_H_
 #define SRC_RVM_RVM_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "src/base/buffer.h"
@@ -115,6 +123,7 @@ struct RvmCounts {
   Count commit_batches{};     // leader drains: one vectored write each
   Count commit_batch_txns{};  // transactions committed through the pipeline
   Count fsyncs_saved{};       // kFlush commits that shared the leader's sync
+  Count carried_written{};    // carried records written ahead of a batch (commit.batch.carried)
   Count collect_nanos{};      // commit-time gather+encode ("Collect")
   Count disk_nanos{};         // log write + sync ("Disk I/O")
   Count apply_nanos{};        // ApplyExternalRanges ("Apply Updates")
@@ -165,33 +174,91 @@ class Rvm {
   // rvm_setlockid_transaction: records that `txn` holds (lock, sequence).
   [[nodiscard]] base::Status SetLockId(TxnId txn, LockId lock, uint64_t sequence);
 
-  // Commits. With disk logging on, the commit rides the group-commit
-  // pipeline: under the instance lock the committer only gathers ranges,
-  // stamps the commit sequence, encodes the redo record, and enqueues it;
-  // the first waiter becomes the batch leader, drains the queue into ONE
-  // vectored log append plus (if any batch member asked to flush) ONE
-  // fsync, and wakes the cohort with their individual statuses. A batch is
-  // atomic at the log-frame level only: each transaction keeps its own
-  // framed, checksummed record, so a crash mid-batch recovers to a
-  // per-transaction committed prefix of the batch. The commit hook runs on
-  // the committing thread after its record is durable.
+  // Commits, in two steps. *Ordered*: under the instance lock the committer
+  // gathers ranges, stamps the commit sequence, encodes the redo record and
+  // enqueues it; then, with no lock held, it runs the commit hook. *Durable*:
+  // the first waiter becomes the batch leader, drains the queue (behind the
+  // carry set) into ONE vectored log append plus (if any batch member asked
+  // to flush) ONE fsync, and wakes the cohort with their individual
+  // statuses. EndTransaction returns at durable. A batch is atomic at the
+  // log-frame level only: each transaction keeps its own framed,
+  // checksummed record, so a crash mid-batch recovers to a per-record
+  // prefix of the batch.
+  //
+  // Hard-watermark backpressure runs before ordering: on RESOURCE_EXHAUSTED
+  // from the stall the transaction is still active and unordered. A failure
+  // after ordering (the log write) leaves it ordered: the stamped record
+  // stays queued, and every later batch (a commit's or FlushLog's) writes
+  // it ahead of its own commits until one succeeds, whether or not the
+  // caller retries. A retry of EndTransaction waits for such a batch (the
+  // same bytes, the same commit_seq) and does not run the hook again.
   [[nodiscard]] base::Status EndTransaction(TxnId txn, CommitMode mode);
 
-  // Aborts: restores undo copies (kRestore transactions only).
+  // Aborts: restores undo copies (kRestore transactions only). An ordered
+  // transaction cannot abort (FAILED_PRECONDITION): its record may already
+  // be applied and carried by peers.
   [[nodiscard]] base::Status AbortTransaction(TxnId txn);
 
-  // Makes all kNoFlush commits durable.
+  // Ends the handle of an ordered transaction whose caller will not retry
+  // its commit (the record stays queued for the next batch) and returns
+  // true; false, and no effect, for an unordered one (AbortTransaction).
+  bool ForgetOrdered(TxnId txn);
+
+  // The record of `txn` once it is ordered and not yet durable (its commit
+  // failed after ordering and awaits a retry); nullopt otherwise.
+  std::optional<TransactionRecord> OrderedRecord(TxnId txn) const;
+
+  // Makes every ordered commit durable: drains the commit queue, with the
+  // carried records its commits may have read, as one batch (on the calling
+  // thread, after the batch in flight) and syncs the log.
   [[nodiscard]] base::Status FlushLog();
+  // FlushLog, writing the whole carry set too: every record this node
+  // carries is durable when it returns (the reclaim after a writer's death).
+  [[nodiscard]] base::Status ForceCarried();
 
   // --- coherency integration ----------------------------------------------
 
-  // Hook invoked inside EndTransaction after the log write, with the
-  // committed record. With disk logging on, its ranges view its own `bytes`,
-  // the encoded log payload: stable however far later transactions have
-  // overwritten the live images, and kept or fanned out by refcount. With
-  // logging off they view the live images until the hook returns.
+  // Hook invoked inside EndTransaction once the commit is ordered, before
+  // its log write, with the record. With disk logging on, its ranges view
+  // its own `bytes`, the encoded log payload: stable however far later
+  // transactions have overwritten the live images, and kept or fanned out by
+  // refcount. With logging off they view the live images until the hook
+  // returns. Runs with no rvm lock held, once per transaction.
   using CommitHook = std::function<void(const TransactionRecord&)>;
   void SetCommitHook(CommitHook hook) { commit_hook_ = std::move(hook); }
+
+  // --- carry set (ordered-before-durable successors) ------------------------
+  //
+  // Records this node applied from other nodes and does not yet know to be
+  // durable. Each commit batch writes the ones its commits may have read
+  // (carried before the batch's newest commit was ordered) ahead of its own
+  // records. A record leaves the set only once its writer's durable
+  // watermark covers it (DropCarried) or a trim has folded it into the
+  // database files (DropFolded): one this node's batch wrote stays, marked
+  // written, so that if its writer dies first the reclaim still finds it
+  // here (CarriedFrom) and republishes it to survivors that never got it.
+  // Only records with lock records are carried, and none with disk logging
+  // off.
+
+  // Adds `rec` unless it is already carried, is this node's own, has no
+  // lock records, or is covered by its writer's durable watermark or a
+  // folded trim cut. A record without `bytes` is packed into its own first
+  // (Own).
+  void Carry(TransactionRecord rec);
+  // `writer`'s durable watermark reached `through`: drops its carried
+  // records with commit_seq <= `through` and never carries them again.
+  void DropCarried(NodeId writer, uint64_t through);
+  // Drops every carried record whose every lock sequence is at or below the
+  // lock's entry in `baselines` (a trim folded it into the database files),
+  // and never carries such a record again.
+  void DropFolded(const std::map<LockId, uint64_t>& baselines);
+  size_t CarriedCount() const;
+  // Carried records of `writer` (for the reclaim after its death).
+  std::vector<TransactionRecord> CarriedFrom(NodeId writer) const;
+
+  // This node's durable watermark: every logged record of its own with
+  // commit_seq at or below it is durable. Lock-free read.
+  uint64_t DurableSeq() const { return durable_seq_.load(std::memory_order_acquire); }
 
   // Hook asking the coherency layer to checkpoint/trim this node's log
   // (args: current log bytes, the watermark that tripped). Invoked WITHOUT
@@ -228,7 +295,8 @@ class Rvm {
   // every committed record whose lock sequence numbers are ALL at or below
   // the given baselines (those updates are reflected in the checkpoint the
   // caller just wrote); everything else — newer records and lock-free
-  // records — is kept, in order. Serialized against commits.
+  // records — is kept, in order. Serialized against commits (it waits out a
+  // batch in flight), and drops the covered carried records (DropFolded).
   [[nodiscard]] base::Status TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselines);
 
   // --- commit-pipeline test gate -------------------------------------------
@@ -251,6 +319,10 @@ class Rvm {
   // this instance's own; the process-wide exports sum all instances.
   RvmStats stats() const;
   uint64_t commit_seq() const;
+  // Raises the commit sequence to at least `at_least`: a node that restarts
+  // over a log that lost records peers carried (or a merge indexed) stays
+  // above them, so no (node, commit_seq) names two transactions.
+  void AdvanceCommitSeq(uint64_t at_least);
   // Framed bytes currently in the redo log (what the watermarks measure).
   uint64_t log_bytes() const;
 
@@ -272,17 +344,35 @@ class Rvm {
     // ends: SetRange is too hot for an atomic per call.
     uint64_t set_range_calls = 0;
     uint64_t set_range_duplicates = 0;
+    // Set once the commit is ordered with a record to log; a retry after a
+    // log-write failure re-enqueues exactly this record.
+    std::optional<TransactionRecord> ordered;
   };
 
   // One commit parked on the pipeline: the fully encoded log payload plus
   // completion state. Lives on the committing thread's stack; every field
   // is written under mu_ (by the enqueuer, then by the batch leader).
   struct PendingCommit {
-    base::Buffer payload;  // encoded record, shared with ctx.record
+    // The ordered record, whose `bytes` is the log payload; null for a
+    // retry, whose record a failed batch left in unwritten_ (or a later
+    // batch has written since).
+    const TransactionRecord* record = nullptr;
+    uint64_t commit_seq = 0;
+    uint64_t stamp = 0;  // order_clock_ when enqueued
     CommitMode mode = CommitMode::kFlush;
     bool done = false;
     base::Status status;
     uint64_t enqueued_nanos = 0;
+  };
+
+  // One leader drain's input: the queued commits, and ahead of them the
+  // carried records not yet written and this node's own records a failed
+  // batch left unwritten (unwritten_).
+  struct Batch {
+    std::vector<PendingCommit*> commits;
+    std::vector<TransactionRecord> carried;
+    std::vector<TransactionRecord> unwritten;
+    bool force_sync = false;  // Flush: sync even with no kFlush member
   };
 
   // Outcome of one leader drain (WriteBatch).
@@ -295,17 +385,42 @@ class Rvm {
 
   base::Status Init();
 
-  // Leader I/O: one vectored append of every payload in `batch`, one sync
-  // if any member committed kFlush. Takes log_mu_ internally; called with
-  // NO locks held (mu_ dropped), so committers keep enqueueing and trims
-  // keep trimming while the batch is on its way to the disk.
-  BatchResult WriteBatch(const std::vector<PendingCommit*>& batch)
-      LBC_EXCLUDES(mu_, log_mu_);
+  // Hard-watermark backpressure (see RvmOptions): stalls, releasing mu_,
+  // until a trim frees log space; RESOURCE_EXHAUSTED when the budget runs out.
+  base::Status StallForLogSpaceLocked(base::MutexLock& lock) LBC_REQUIRES(mu_);
 
-  // Publishes a finished batch: per-entry statuses and batch instruments.
-  void FinishBatchLocked(const std::vector<PendingCommit*>& batch,
-                         const BatchResult& result, bool* crossed_soft)
+  // Gathers, stamps and (when it will be logged) encodes `txn`'s record.
+  TransactionRecord OrderLocked(Txn& txn) LBC_REQUIRES(mu_);
+
+  // Claims leadership and takes the queue and unwritten_, plus the
+  // unwritten carried records they may have read: those carried before the
+  // newest of them was ordered (all of them when `whole_carry_set`).
+  Batch TakeBatchLocked(bool whole_carry_set = false) LBC_REQUIRES(mu_);
+
+  // FlushLog and ForceCarried: one batch on the calling thread, synced.
+  base::Status Flush(bool whole_carry_set) LBC_EXCLUDES(mu_);
+
+  // Leader I/O: one vectored append of the carried records' and the
+  // commits' payloads, one sync if any member committed kFlush (or the batch
+  // forces one). Takes log_mu_ internally; called with NO locks held (mu_
+  // dropped), so committers keep enqueueing and trims keep trimming while
+  // the batch is on its way to the disk.
+  BatchResult WriteBatch(const Batch& batch) LBC_EXCLUDES(mu_, log_mu_);
+
+  // Publishes a finished batch: per-entry statuses, the carry set, the
+  // durable watermark and batch instruments. Releases leadership.
+  void FinishBatchLocked(const Batch& batch, const BatchResult& result, bool* crossed_soft)
       LBC_REQUIRES(mu_);
+
+  // A sync covered every written own record: they are durable.
+  void NoteSyncedLocked() LBC_REQUIRES(mu_);
+  // Recomputes durable_seq_ from the records still in flight.
+  void PublishDurableSeqLocked() LBC_REQUIRES(mu_);
+  void DropFoldedLocked(const std::map<LockId, uint64_t>& baselines) LBC_REQUIRES(mu_);
+  // Every lock sequence of `rec` is at or below the trims' cut (folded_).
+  bool FoldedLocked(const TransactionRecord& rec) const LBC_REQUIRES(mu_);
+  // Waits until no batch leader is writing (trims rewrite under it).
+  void AwaitLeaderLocked(base::MutexLock& lock) LBC_REQUIRES(mu_);
 
   // Framed bytes in the log right now (briefly takes log_mu_; callable with
   // mu_ held — rank kRvm < kRvmLog).
@@ -335,8 +450,6 @@ class Rvm {
   // and re-acquires mu_ only after releasing it).
   mutable base::Mutex log_mu_{"rvm.log", base::LockRank::kRvmLog};
   std::unique_ptr<LogWriter> log_ LBC_GUARDED_BY(log_mu_);
-  // Unsynced kNoFlush commits pending.
-  bool log_dirty_ LBC_GUARDED_BY(log_mu_) = false;
 
   // --- commit pipeline (group commit) ------------------------------------
   // Commits enqueue here in commit_seq order; the first waiter that finds
@@ -347,6 +460,35 @@ class Rvm {
   bool commit_pipeline_held_ LBC_GUARDED_BY(mu_) = false;
   // Signaled when a batch completes or the leadership baton is free.
   base::CondVar commit_cv_;
+
+  // The carry set, keyed (writer, commit_seq). `written`: in this node's
+  // log (durable once a sync covers it).
+  struct Carried {
+    TransactionRecord record;
+    bool written = false;
+    uint64_t stamp = 0;  // order_clock_ when carried
+  };
+  // Ticks once per carried record and per enqueued commit: a commit can only
+  // depend on records carried before it was ordered.
+  uint64_t order_clock_ LBC_GUARDED_BY(mu_) = 0;
+  std::map<std::pair<NodeId, uint64_t>, Carried> carry_ LBC_GUARDED_BY(mu_);
+  // Each writer's durable watermark as last heard (DropCarried).
+  std::map<NodeId, uint64_t> writer_durable_ LBC_GUARDED_BY(mu_);
+  // Own ordered records a failed batch did not write, by commit_seq, with
+  // their enqueue stamps: every later batch writes them first.
+  struct Unwritten {
+    TransactionRecord record;
+    uint64_t stamp = 0;
+  };
+  std::map<uint64_t, Unwritten> unwritten_ LBC_GUARDED_BY(mu_);
+  // Per-lock cut of the trims so far: records covered by it are folded into
+  // the database files and never carried again.
+  std::map<LockId, uint64_t> folded_ LBC_GUARDED_BY(mu_);
+  // Own logged commit_seqs that are ordered but not yet durable, and those of
+  // them that are written and wait for a sync.
+  std::set<uint64_t> undurable_ LBC_GUARDED_BY(mu_);
+  std::vector<uint64_t> unsynced_ LBC_GUARDED_BY(mu_);
+  std::atomic<uint64_t> durable_seq_{0};
 
   // Signaled whenever a trim shrinks the log; commits stalled at the hard
   // watermark wait here (releasing mu_, so trims and external updates

@@ -19,7 +19,9 @@
 // LBC_CRASH_SEED select the sampled subset when a budget is set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,9 +34,11 @@
 #include <vector>
 
 #include "src/base/status.h"
+#include "src/lbc/client.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/rvm/crash_explorer.h"
+#include "src/rvm/log_merge.h"
 #include "src/rvm/recovery.h"
 #include "src/rvm/rvm.h"
 #include "src/rvm/types.h"
@@ -474,6 +478,186 @@ TEST(CrashExplorer, PowerCutMidBatchRecoversPerTransactionPrefix) {
           << "no schedule recovered to the " << k << "-transaction prefix";
     }
   }
+}
+
+// --- the token-pass window ---------------------------------------------------
+//
+// lbc clients share one lock. Each holder in turn acquires it, fills its own
+// slice and commits with every node's commit pipeline held: the commit is
+// ordered — broadcast, token passed to the next holder — and parks before
+// its log force. Then the nodes' forces run one at a time, in every order,
+// and power is cut at every store op of them (torn variants included).
+// Whatever the cut, the recovered merged log must be gap-free per lock (no
+// s+1 without s) and the database must equal a prefix of the committed
+// history at least as long as the commits that returned: a successor's
+// force carries the records it read.
+
+constexpr rvm::RegionId kPassRegion = 1;
+constexpr rvm::LockId kPassLock = 7;
+constexpr uint64_t kPassSlice = 16;
+
+class TokenPassHarness {
+ public:
+  TokenPassHarness(std::vector<rvm::NodeId> holders, uint64_t budget, uint64_t seed)
+      : holders_(std::move(holders)) {
+    options_.budget = budget;
+    options_.seed = seed;
+    nodes_ = holders_;
+    std::sort(nodes_.begin(), nodes_.end());
+    nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
+  }
+
+  const std::vector<rvm::NodeId>& nodes() const { return nodes_; }
+
+  // Sweeps every power cut with the forces run in `force_order`.
+  base::Status Sweep(const std::vector<rvm::NodeId>& force_order,
+                     rvm::CrashExplorerReport* report) {
+    force_order_ = force_order;
+    rvm::CrashExplorer explorer(
+        options_, [this](store::DurableStore* s) { return RunWorkload(s); },
+        [this](store::DurableStore* s) { return Recover(s); },
+        [this](store::DurableStore* s) { return Verify(s); });
+    return explorer.ExploreWorkloadCrashes(report);
+  }
+
+ private:
+  uint64_t RegionSize() const { return holders_.size() * kPassSlice; }
+
+  base::Status RunWorkload(store::DurableStore* s) {
+    returned_ = 0;
+    lbc::Cluster cluster(s);
+    cluster.DefineLock(kPassLock, kPassRegion, holders_.front());
+    std::map<rvm::NodeId, std::unique_ptr<lbc::Client>> clients;
+    for (rvm::NodeId n : nodes_) {
+      ASSIGN_OR_RETURN(clients[n], lbc::Client::Create(&cluster, n, lbc::ClientOptions{}));
+      RETURN_IF_ERROR(clients[n]->MapRegion(kPassRegion, RegionSize()).status());
+      clients[n]->rvm()->HoldCommitPipeline();
+    }
+    std::atomic<int> returned{0};
+    std::vector<std::thread> committers;
+    std::map<rvm::NodeId, size_t> parked;
+    for (size_t i = 0; i < holders_.size(); ++i) {
+      lbc::Client* c = clients[holders_[i]].get();
+      committers.emplace_back([c, i, &returned] {
+        lbc::Transaction txn = c->Begin(rvm::RestoreMode::kNoRestore);
+        if (!txn.Acquire(kPassLock).ok() ||
+            !txn.SetRange(kPassRegion, i * kPassSlice, kPassSlice).ok()) {
+          return;
+        }
+        std::memset(c->GetRegion(kPassRegion)->data() + i * kPassSlice,
+                    static_cast<int>(i + 1), kPassSlice);
+        if (txn.Commit(rvm::CommitMode::kFlush).ok()) {
+          ++returned;
+        }
+      });
+      // Ordered and parked before the next holder starts: the token has
+      // passed, the force has not run.
+      const size_t want = ++parked[holders_[i]];
+      while (c->rvm()->PendingCommitCount() < want) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    }
+    base::Status first_error;
+    for (rvm::NodeId n : force_order_) {
+      base::Status st = clients[n]->rvm()->ReleaseCommitPipeline();
+      if (first_error.ok()) {
+        first_error = st;
+      }
+    }
+    for (auto& t : committers) {
+      t.join();
+    }
+    returned_ = returned.load();
+    return first_error;
+  }
+
+  std::vector<std::string> Logs() const {
+    std::vector<std::string> logs;
+    for (rvm::NodeId n : nodes_) {
+      logs.push_back(rvm::LogFileName(n));
+    }
+    return logs;
+  }
+
+  base::Status Recover(store::DurableStore* s) {
+    return rvm::ReplayLogsIntoDatabase(s, Logs());
+  }
+
+  base::Status Verify(store::DurableStore* s) {
+    std::vector<std::string> present;
+    for (const std::string& log : Logs()) {
+      ASSIGN_OR_RETURN(bool exists, s->Exists(log));
+      if (exists) {
+        present.push_back(log);
+      }
+    }
+    std::vector<rvm::TransactionRecord> merged;
+    if (!present.empty()) {
+      ASSIGN_OR_RETURN(merged, rvm::MergeLogs(s, present));
+    }
+    // Gap-free: the merged lock sequences are exactly 1..k.
+    uint64_t k = 0;
+    for (const rvm::TransactionRecord& txn : merged) {
+      if (txn.SequenceOf(kPassLock) != k + 1) {
+        return base::Internal("merged log holds sequence " +
+                              std::to_string(txn.SequenceOf(kPassLock)) + " after " +
+                              std::to_string(k) + ": a gap");
+      }
+      ++k;
+    }
+    if (k < static_cast<uint64_t>(returned_)) {
+      return base::Internal(std::to_string(returned_) + " commits returned but only " +
+                            std::to_string(k) + " survived");
+    }
+    RegionBytes want(RegionSize(), 0);
+    for (uint64_t i = 0; i < k; ++i) {
+      std::memset(want.data() + i * kPassSlice, static_cast<int>(i + 1), kPassSlice);
+    }
+    RegionBytes got(RegionSize(), 0);
+    ASSIGN_OR_RETURN(bool exists, s->Exists(rvm::RegionFileName(kPassRegion)));
+    if (exists) {
+      ASSIGN_OR_RETURN(auto file, s->Open(rvm::RegionFileName(kPassRegion), false));
+      ASSIGN_OR_RETURN(uint64_t size, file->Size());
+      RETURN_IF_ERROR(file->ReadExact(0, got.data(), std::min<uint64_t>(size, got.size())));
+    }
+    if (got != want) {
+      return base::Internal("database is not the " + std::to_string(k) +
+                            "-commit prefix of the history");
+    }
+    return base::OkStatus();
+  }
+
+  std::vector<rvm::NodeId> holders_;
+  std::vector<rvm::NodeId> nodes_;
+  std::vector<rvm::NodeId> force_order_;
+  rvm::CrashExplorerOptions options_;
+  int returned_ = 0;
+};
+
+void SweepEveryForceOrder(std::vector<rvm::NodeId> holders) {
+  TokenPassHarness harness(std::move(holders), EnvU64("LBC_CRASH_BUDGET", 0),
+                           EnvU64("LBC_CRASH_SEED", 0x5eed));
+  std::vector<rvm::NodeId> order = harness.nodes();
+  uint64_t schedules = 0;
+  do {
+    rvm::CrashExplorerReport report;
+    base::Status status = harness.Sweep(order, &report);
+    ASSERT_TRUE(status.ok()) << "forces in order " << ::testing::PrintToString(order)
+                             << ": " << status.ToString();
+    EXPECT_GT(report.schedules_run, 0u);
+    schedules += report.schedules_run;
+  } while (std::next_permutation(order.begin(), order.end()));
+  std::printf("token-pass sweep: %llu schedules\n", static_cast<unsigned long long>(schedules));
+}
+
+TEST(TokenPassWindow, TwoNodesEveryCutIsGapFreePrefix) {
+  // Node 1 holds the lock again after node 2: its second commit carries
+  // node 2's record, and node 2's carries node 1's first.
+  SweepEveryForceOrder({1, 2, 1});
+}
+
+TEST(TokenPassWindow, ThreeNodesEveryCutIsGapFreePrefix) {
+  SweepEveryForceOrder({1, 2, 3});
 }
 
 // A tight budget still runs — sampled, boundaries pinned — so CI can bound

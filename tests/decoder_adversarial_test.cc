@@ -179,10 +179,11 @@ TEST(AdversarialUpdate, NonzeroReservedPaddingRejects) {
   std::vector<uint8_t> bytes = lbc::EncodeUpdateRecord(txn, false);
   rvm::TransactionRecord out;
   ASSERT_TRUE(lbc::DecodeUpdate(ByteSpan(bytes.data(), bytes.size()), &out).ok());
-  // Byte 6+21 is the first reserved-padding byte of the emulated RVM header;
-  // the decoder used to Skip() it unread — 83 bytes a forgery could ride in
-  // while re-encode comparison saw nothing (fuzz find).
-  bytes[6 + 21] = 0x42;
+  // Byte 7+21 is the first reserved-padding byte of the emulated RVM header
+  // (seven one-byte header fields precede the range); the decoder used to
+  // Skip() it unread — 83 bytes a forgery could ride in while re-encode
+  // comparison saw nothing (fuzz find).
+  bytes[7 + 21] = 0x42;
   EXPECT_FALSE(lbc::DecodeUpdate(ByteSpan(bytes.data(), bytes.size()), &out).ok());
 }
 
@@ -192,6 +193,7 @@ TEST(AdversarialUpdate, DeltaOffsetWrappingU64Rejects) {
   w.WriteU8(1);      // compressed
   w.WriteVarint(0);  // node
   w.WriteVarint(1);  // commit_seq
+  w.WriteVarint(0);  // durable watermark
   w.WriteVarint(0);  // n_locks
   w.WriteVarint(2);  // n_ranges
   w.WriteU8(0);      // absolute
@@ -213,6 +215,7 @@ TEST(AdversarialUpdate, DeltaWithNoPredecessorRejects) {
   w.WriteU8(1);
   w.WriteVarint(0);
   w.WriteVarint(1);
+  w.WriteVarint(0);  // durable watermark
   w.WriteVarint(0);
   w.WriteVarint(1);  // n_ranges
   w.WriteU8(0x01);   // delta tag on the FIRST range
@@ -240,6 +243,7 @@ TEST(AdversarialUpdate, AbsoluteAddressWhereEncoderEmitsDeltaRejects) {
   w.WriteU8(1);
   w.WriteVarint(0);
   w.WriteVarint(1);
+  w.WriteVarint(0);  // durable watermark
   w.WriteVarint(0);
   w.WriteVarint(2);
   w.WriteU8(0);  // absolute
@@ -257,6 +261,67 @@ TEST(AdversarialUpdate, AbsoluteAddressWhereEncoderEmitsDeltaRejects) {
 }
 
 // --- lock messages -----------------------------------------------------------
+
+// The durable watermark (a varint after commit_seq) is cut inside its bytes
+// or overflows 64 bits: both reject, and the decoder reads nothing past the
+// message.
+TEST(AdversarialUpdate, TruncatedWatermarkRejects) {
+  // 1'000'000 takes three varint bytes: cut after each of the first two.
+  std::vector<uint8_t> full = lbc::EncodeUpdateRecord(SampleTxn(), true, 1'000'000);
+  uint64_t watermark = 0;
+  rvm::TransactionRecord out;
+  ASSERT_TRUE(lbc::DecodeUpdate(ByteSpan(full.data(), full.size()), &out, &watermark).ok());
+  EXPECT_EQ(1'000'000u, watermark);
+  // type, flag, node 3, commit_seq 9: the watermark starts at byte 4.
+  for (size_t len : {size_t{5}, size_t{6}}) {
+    EXPECT_FALSE(lbc::DecodeUpdate(ByteSpan(full.data(), len), &out).ok())
+        << "cut inside the watermark at " << len << " bytes accepted";
+  }
+}
+
+TEST(AdversarialUpdate, OverflowingWatermarkRejects) {
+  base::Writer w;
+  w.WriteU8(static_cast<uint8_t>(lbc::MsgType::kUpdate));
+  w.WriteU8(1);      // compressed
+  w.WriteVarint(3);  // node
+  w.WriteVarint(9);  // commit_seq
+  for (int i = 0; i < 9; ++i) {
+    w.WriteU8(0xFF);  // 63 value bits so far, continuation set
+  }
+  w.WriteU8(0x7F);   // a tenth byte with bits past 2^64
+  w.WriteVarint(0);  // n_locks
+  w.WriteVarint(0);  // n_ranges
+  std::vector<uint8_t> bytes = w.TakeBytes();
+  rvm::TransactionRecord out;
+  EXPECT_FALSE(lbc::DecodeUpdate(ByteSpan(bytes.data(), bytes.size()), &out).ok());
+}
+
+TEST(AdversarialLockMessages, TokenWatermarkTruncatedOrOverflowingRejects) {
+  const lbc::LockTokenMsg token{
+      .lock = 1, .token_seq = 2, .epoch = 0, .holder = 4, .durable_seq = 1'000'000};
+  std::vector<uint8_t> full = lbc::EncodeLockToken(token, true);
+  lbc::LockTokenMsg out;
+  ASSERT_TRUE(lbc::DecodeLockToken(base::Buffer(full), &out).ok());
+  EXPECT_EQ(token, out);
+  // type, lock, token_seq, epoch, holder: the watermark starts at byte 5.
+  for (size_t len : {size_t{5}, size_t{6}, size_t{7}}) {
+    std::vector<uint8_t> cut(full.begin(), full.begin() + static_cast<ptrdiff_t>(len));
+    EXPECT_FALSE(lbc::DecodeLockToken(base::Buffer(cut), &out).ok())
+        << "cut at " << len << " bytes accepted";
+  }
+  base::Writer w;
+  w.WriteU8(static_cast<uint8_t>(lbc::MsgType::kLockToken));
+  w.WriteVarint(1);  // lock
+  w.WriteVarint(2);  // token_seq
+  w.WriteVarint(0);  // epoch
+  w.WriteVarint(4);  // holder
+  for (int i = 0; i < 9; ++i) {
+    w.WriteU8(0xFF);
+  }
+  w.WriteU8(0x7F);   // watermark past 2^64
+  w.WriteVarint(0);  // no piggyback
+  EXPECT_FALSE(lbc::DecodeLockToken(base::Buffer(w.TakeBytes()), &out).ok());
+}
 
 TEST(AdversarialLockMessages, TrailingBytesReject) {
   // Every lock decoder used to ignore unconsumed bytes (fuzz find).

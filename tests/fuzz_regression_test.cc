@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/fuzz/harness.h"
+#include "src/lbc/wire_format.h"
 
 namespace fuzz {
 namespace {
@@ -61,6 +62,30 @@ std::vector<PinnedInput> CollectInputs(const std::string& kind) {
     }
   }
   return inputs;
+}
+
+// The update encoder sizes its buffer in one pass: the bytes it emits for
+// every seed update are the seed's bytes, in a buffer exactly that long (a
+// size miscount would grow it, and a grown vector keeps spare capacity).
+TEST(FuzzRegression, UpdateEncoderSizesInOnePassAndKeepsTheSeedBytes) {
+  size_t checked = 0;
+  for (const auto& input : CollectInputs("corpus")) {
+    if (std::string(input.harness->name) != "wire_update") {
+      continue;
+    }
+    SCOPED_TRACE(input.file);
+    rvm::TransactionRecord txn;
+    uint64_t durable_seq = 0;
+    ASSERT_TRUE(lbc::DecodeUpdate(base::ByteSpan(input.bytes.data(), input.bytes.size()),
+                                  &txn, &durable_seq)
+                    .ok());
+    const std::vector<uint8_t> encoded =
+        lbc::EncodeUpdateRecord(txn, /*compress_headers=*/input.bytes[1] == 1, durable_seq);
+    EXPECT_EQ(input.bytes, encoded);
+    EXPECT_EQ(encoded.size(), encoded.capacity());
+    ++checked;
+  }
+  EXPECT_GE(checked, 5u);
 }
 
 TEST(FuzzRegression, EveryHarnessHasSeeds) {

@@ -393,20 +393,23 @@ void RunChaosScenario(uint64_t seed, ChaosResult* out) {
       ASSERT_FALSE(cluster->ServerUp());
 
       // A survivor that tries to commit during the outage fails at the log
-      // write and backs out cleanly: undo copies restore its image and the
-      // locks release without consuming sequence numbers — the client's
-      // "back off and retry later" path.
+      // write. The commit was already ordered (its lock passed on at that
+      // point), so it cannot back out: it stays open, refuses to abort, and
+      // is retried once the server is back — the client's "back off and
+      // retry later" path.
+      lbc::Client* blocked = clients[0].get();
+      lbc::Transaction blocked_txn = blocked->Begin();
+      ASSERT_TRUE(blocked_txn.Acquire(LockFor(1, 0)).ok());
       {
-        lbc::Client* blocked = clients[0].get();
-        lbc::Transaction txn = blocked->Begin();
-        ASSERT_TRUE(txn.Acquire(LockFor(1, 0)).ok());
         uint64_t off = rng.Uniform(kRegionSize / kLocksPerRegion - 16);
-        ASSERT_TRUE(txn.SetRange(1, off, 8).ok());
+        ASSERT_TRUE(blocked_txn.SetRange(1, off, 8).ok());
         for (uint64_t b = 0; b < 8; ++b) {
           blocked->GetRegion(1)->data()[off + b] = static_cast<uint8_t>(rng.Next());
         }
-        base::Status st = txn.Commit(rvm::CommitMode::kFlush);
+        base::Status st = blocked_txn.Commit(rvm::CommitMode::kFlush);
         ASSERT_FALSE(st.ok()) << "commit must fail while the server is down";
+        ASSERT_TRUE(blocked_txn.open());
+        EXPECT_EQ(base::StatusCode::kFailedPrecondition, blocked_txn.Abort().code());
       }
 
       // Power-cycle the machine: volatile store state is lost (kFlush
@@ -430,6 +433,9 @@ void RunChaosScenario(uint64_t seed, ChaosResult* out) {
       for (int s = 0; s < kClients - 1; ++s) {
         ASSERT_TRUE(clients[s]->RejoinServer().ok());
       }
+      // The retry logs the same record and propagates it again.
+      ASSERT_TRUE(blocked_txn.Commit(rvm::CommitMode::kFlush).ok());
+      ++committed_per_lock[LockFor(1, 0)];
     }
 
     if (!victim_dead && client == victim && victim_txns == kVictimTxnsBeforeDeath) {

@@ -7,6 +7,7 @@
 
 #include "src/base/rng.h"
 #include "src/rvm/log_format.h"
+#include "src/rvm/log_index.h"
 #include "src/rvm/log_io.h"
 #include "src/rvm/log_merge.h"
 #include "src/rvm/recovery.h"
@@ -83,6 +84,52 @@ TEST(LogMerge, DetectsImpossibleOrder) {
   auto merged = rvm::MergeTransactionLists(std::move(logs));
   ASSERT_FALSE(merged.ok());
   EXPECT_EQ(base::StatusCode::kFailedPrecondition, merged.status().code());
+}
+
+TEST(LogMerge, CarriedCopyAheadOfEarlierWriterRecordMergesAndIndexesOnce) {
+  // Writer 2 committed (2,5) under lock 1, then (2,6) under lock 2. Node 1
+  // acquired lock 2 next and carried (2,6) into its own batch, ahead of its
+  // own (1,1). In node 1's log the copy comes first; (2,5) sits only in
+  // writer 2's log, behind nothing that node 1's log holds.
+  const auto early = Txn(2, 5, {{1, 1}}, {{1, 0, {0x05, 0x05}}});
+  const auto late = Txn(2, 6, {{2, 1}}, {{1, 0, {0x06}}});
+  const auto own = Txn(1, 1, {{2, 2}}, {{1, 8, {0x11}}});
+  std::vector<std::vector<rvm::TransactionRecord>> logs = {{late, own}, {early, late}};
+  auto merged = *rvm::MergeTransactionLists(logs);
+  // Each transaction once, the writer's commit order kept: (2,5)'s bytes
+  // must not land after (2,6)'s.
+  ASSERT_EQ(3u, merged.size());
+  EXPECT_EQ(early, merged[0]);
+  EXPECT_EQ(late, merged[1]);
+  EXPECT_EQ(own, merged[2]);
+
+  // The index built from node 1's log alone, then extended with writer 2's
+  // log (a dead-client merge reaching it later), indexes (2,5) — which a
+  // per-node maximum would have mistaken for a duplicate of (2,6) — and
+  // (2,6) only once.
+  rvm::LogIndex index = rvm::LogIndex::FromMerged(*rvm::MergeTransactionLists({{late, own}}));
+  index.Extend(*rvm::MergeTransactionLists({{early, late}}));
+  std::map<std::pair<rvm::NodeId, uint64_t>, int> indexed;
+  for (const auto& txn : index.transactions()) {
+    ++indexed[{txn.node, txn.commit_seq}];
+  }
+  EXPECT_EQ((std::map<std::pair<rvm::NodeId, uint64_t>, int>{{{1, 1}, 1}, {{2, 5}, 1}, {{2, 6}, 1}}),
+            indexed);
+  // Page 0 of region 1 lists each record's range once.
+  const auto* slices = index.SlicesFor(1, 0);
+  ASSERT_NE(nullptr, slices);
+  EXPECT_EQ(3u, slices->size());
+}
+
+TEST(LogMerge, ReorderedOwnRecordsFollowCommitOrder) {
+  // A retried commit lands after a later batch: the log holds (1,2) before
+  // (1,1). The merge orders a writer's records by commit_seq, not log order.
+  std::vector<std::vector<rvm::TransactionRecord>> logs = {
+      {Txn(1, 2, {{5, 2}}), Txn(1, 1, {{5, 1}})}};
+  auto merged = *rvm::MergeTransactionLists(std::move(logs));
+  ASSERT_EQ(2u, merged.size());
+  EXPECT_EQ(1u, merged[0].commit_seq);
+  EXPECT_EQ(2u, merged[1].commit_seq);
 }
 
 TEST(LogMerge, EmptyInputs) {

@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the primitives the cost model
-// prices: set_range in its three patterns and on the OO7 T2-B sequence,
+// prices: set_range in its three patterns and on the OO7 T2-B sequence
+// (through the transaction handle, the path lbc::Transaction takes),
 // commit encoding, coherency message encode/decode (alone and with the
 // apply), per-record update application, the log CRC, and the CpyCmp page
 // diff.
@@ -24,7 +25,7 @@ void BM_SetRangeOrdered(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   (void)*r->MapRegion(1, n * 16 + 16);
   for (auto _ : state) {
-    rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    rvm::Rvm::TxnHandle txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
     for (uint64_t i = 0; i < n; ++i) {
       benchmark::DoNotOptimize(r->SetRange(txn, 1, i * 16, 8));
     }
@@ -42,7 +43,7 @@ void BM_SetRangeRedundant(benchmark::State& state) {
   (void)*r->MapRegion(1, 4096);
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   for (auto _ : state) {
-    rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    rvm::Rvm::TxnHandle txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
     for (uint64_t i = 0; i < n; ++i) {
       benchmark::DoNotOptimize(r->SetRange(txn, 1, 64, 8));
     }
@@ -70,7 +71,7 @@ void BM_SetRangeOo7T2B(benchmark::State& state) {
   bench::RecordingSink recorder;
   (void)oo7::RunT2(oo7::Database(region->data()), recorder, oo7::Variant::kB);
   for (auto _ : state) {
-    rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    rvm::Rvm::TxnHandle txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
     for (const auto& [offset, len] : recorder.ranges()) {
       benchmark::DoNotOptimize(r->SetRange(txn, 1, offset, len));
     }

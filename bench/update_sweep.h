@@ -28,7 +28,8 @@ enum class UpdatePattern { kUnordered, kOrdered, kRedundant };
 
 // Runs one transaction with `n_updates` 8-byte set_range calls in the given
 // pattern and returns the per-update cost in microseconds (set_range +
-// commit, disk logging disabled, as in the paper's Figures 5-6 setup).
+// commit, disk logging disabled, as in the paper's Figures 5-6 setup). The
+// calls go through the transaction handle, as lbc::Transaction's do.
 inline double MeasurePerUpdateUs(UpdatePattern pattern, uint64_t n_updates) {
   constexpr uint64_t kStride = 16;
   store::MemStore store;
@@ -60,7 +61,7 @@ inline double MeasurePerUpdateUs(UpdatePattern pattern, uint64_t n_updates) {
       offsets[i] = rng.Uniform(distinct) * kStride;
     }
     // Prime the tree so every timed call is a re-registration.
-    rvm::TxnId prime = rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    rvm::Rvm::TxnHandle prime = rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
     for (uint64_t d = 0; d < distinct; ++d) {
       LBC_CHECK_OK(rvm->SetRange(prime, 1, d * kStride, 8));
     }
@@ -68,7 +69,7 @@ inline double MeasurePerUpdateUs(UpdatePattern pattern, uint64_t n_updates) {
   }
 
   base::Stopwatch timer;
-  rvm::TxnId txn = rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
+  rvm::Rvm::TxnHandle txn = rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
   for (uint64_t i = 0; i < n_updates; ++i) {
     LBC_CHECK_OK(rvm->SetRange(txn, 1, offsets[i], 8));
     *reinterpret_cast<uint64_t*>(region->data() + offsets[i]) = i;
@@ -120,7 +121,7 @@ inline CommitThroughputResult MeasureCommitThroughput(int writers,
     threads.emplace_back([&, w] {
       uint64_t base_off = static_cast<uint64_t>(w) * kSliceBytes;
       for (int i = 0; i < txns_per_writer; ++i) {
-        rvm::TxnId txn = rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
+        rvm::Rvm::TxnHandle txn = rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
         uint64_t off = base_off + static_cast<uint64_t>(i % 64) * 64;
         LBC_CHECK_OK(rvm->SetRange(txn, 1, off, 8));
         *reinterpret_cast<uint64_t*>(region->data() + off) =

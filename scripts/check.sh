@@ -141,7 +141,8 @@ if [[ "$run_tsan" == 1 ]]; then
   # the standby checkpoint replay on that pool while committers run;
   # history_oracle_test and lbc_ordered_durable_test because the token now
   # passes while the holder's log force (and its carried records) are still
-  # in flight.
+  # in flight; rvm_concurrency_test also because SetRange through a
+  # transaction handle takes no lock.
   cmake -B build-tsan -S . -DLBC_SANITIZE=thread
   cmake --build build-tsan -j "$jobs" --target \
     netsim_chaos_test netsim_fabric_test netsim_multicast_test \
@@ -167,6 +168,13 @@ if [[ "$run_tsan" == 1 ]]; then
   # ordered commits while peers receive, carry and take the token.
   echo "--- tsan: crash_explorer_test (token-pass window sweep)"
   ./build-tsan/tests/crash_explorer_test --gtest_filter='TokenPassWindow.*'
+  # Lock-free SetRange through transaction handles, repeated: four
+  # declaring threads race a thread mapping, unmapping and refused
+  # unmapping (pinned regions) and a thread applying external updates.
+  echo "--- tsan: rvm_concurrency_test (lock-free declares, 20 repeats)"
+  ./build-tsan/tests/rvm_concurrency_test \
+    --gtest_filter=RvmConcurrency.LockFreeDeclaresRaceMappingAndExternalUpdates \
+    --gtest_repeat=20
   # The drain worker pool's concurrency test, repeated: replays of
   # different region files overlap, one file's never do, and a page
   # re-pended mid-flight replays again.

@@ -16,7 +16,7 @@ namespace lbc {
 // ---------------------------------------------------------------------------
 
 Transaction::Transaction(Transaction&& other) noexcept
-    : client_(other.client_), tid_(other.tid_), open_(other.open_),
+    : client_(other.client_), txn_(other.txn_), open_(other.open_),
       held_(std::move(other.held_)) {
   other.open_ = false;
   other.client_ = nullptr;
@@ -26,7 +26,7 @@ Transaction& Transaction::operator=(Transaction&& other) noexcept {
   if (this != &other) {
     Close();
     client_ = other.client_;
-    tid_ = other.tid_;
+    txn_ = other.txn_;
     open_ = other.open_;
     held_ = std::move(other.held_);
     other.open_ = false;
@@ -41,7 +41,7 @@ void Transaction::Close() {
   if (!open_) {
     return;
   }
-  if (client_->rvm()->ForgetOrdered(tid_)) {
+  if (client_->rvm()->ForgetOrdered(txn_)) {
     // Its commit failed after ordering: there is nothing to abort, and the
     // node's next batch writes the record.
     open_ = false;
@@ -67,14 +67,14 @@ base::Status Transaction::Acquire(rvm::LockId lock) {
   held_.push_back(rvm::LockRecord{lock, seq});
   // Tag the transaction's eventual log record with the lock (Table 1:
   // rvm_setlockid_transaction embedded in the acquire primitive).
-  return client_->rvm()->SetLockId(tid_, lock, seq);
+  return client_->rvm()->SetLockId(txn_, lock, seq);
 }
 
 base::Status Transaction::SetRange(rvm::RegionId region, uint64_t offset, uint64_t len) {
   if (!open_) {
     return base::FailedPrecondition("transaction closed");
   }
-  return client_->rvm()->SetRange(tid_, region, offset, len);
+  return client_->rvm()->SetRange(txn_, region, offset, len);
 }
 
 base::Status Transaction::Commit(rvm::CommitMode mode) {
@@ -95,10 +95,10 @@ base::Status Transaction::Commit(rvm::CommitMode mode) {
   open_ = false;
   // A retry after a log-write failure: the record was ordered and its locks
   // released by the first attempt.
-  const std::optional<rvm::TransactionRecord> retried = client_->rvm()->OrderedRecord(tid_);
+  const std::optional<rvm::TransactionRecord> retried = client_->rvm()->OrderedRecord(txn_);
   // The commit hook (OnCommit) propagates and releases the locks as soon as
   // the commit is ordered; EndTransaction returns once it is durable.
-  base::Status st = client_->rvm()->EndTransaction(tid_, mode);
+  base::Status st = client_->rvm()->EndTransaction(txn_, mode);
   client_->cluster_->Finish(Cluster::ServerQueue::kCommit);
   if (st.ok()) {
     if (retried.has_value()) {
@@ -108,7 +108,7 @@ base::Status Transaction::Commit(rvm::CommitMode mode) {
     }
     return st;
   }
-  if (client_->rvm()->OrderedRecord(tid_).has_value()) {
+  if (client_->rvm()->OrderedRecord(txn_).has_value()) {
     // The log write failed after ordering: peers may already hold the
     // record and the locks have moved on, so it cannot abort. The handle
     // stays open for a retry, which re-enqueues the same record.
@@ -117,7 +117,7 @@ base::Status Transaction::Commit(rvm::CommitMode mode) {
   }
   // Failed before ordering: abandon the transaction and hand the locks back
   // without consuming their sequence numbers.
-  base::IgnoreError(client_->rvm()->AbortTransaction(tid_));
+  base::IgnoreError(client_->rvm()->AbortTransaction(txn_));
   client_->ReleaseLocks(held_, /*committed_updates=*/false);
   return st;
 }
@@ -126,11 +126,11 @@ base::Status Transaction::Abort() {
   if (!open_) {
     return base::FailedPrecondition("transaction closed");
   }
-  if (client_->rvm()->OrderedRecord(tid_).has_value()) {
+  if (client_->rvm()->OrderedRecord(txn_).has_value()) {
     return base::FailedPrecondition("transaction is ordered: retry Commit instead");
   }
   open_ = false;
-  base::Status st = client_->rvm()->AbortTransaction(tid_);
+  base::Status st = client_->rvm()->AbortTransaction(txn_);
   client_->ReleaseLocks(held_, /*committed_updates=*/false);
   return st;
 }
@@ -404,12 +404,15 @@ base::Result<rvm::Region*> Client::MapRegion(rvm::RegionId region, uint64_t leng
 }
 
 base::Status Client::UnmapRegion(rvm::RegionId region) {
-  cluster_->UnregisterMapping(region, node_);
+  // The image goes first: a region an open transaction declared into is
+  // refused here, before the mapping is withdrawn. Updates that arrive
+  // before the withdrawal find no image and are skipped (DeliverLocked).
+  RETURN_IF_ERROR(rvm_->UnmapRegion(region));
   {
     base::MutexLock lk(mu_);
     mapped_regions_.erase(region);
   }
-  RETURN_IF_ERROR(rvm_->UnmapRegion(region));
+  cluster_->UnregisterMapping(region, node_);
   // The region's locks gate nothing here any more: redeliver every held
   // record, to be re-keyed or applied.
   base::MutexLock lk(mu_);

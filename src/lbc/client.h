@@ -151,7 +151,9 @@ class Transaction {
   // Acquires a segment lock (blocking; strict 2PL — released at commit).
   base::Status Acquire(rvm::LockId lock);
 
-  // Declares intent to modify [offset, offset+len) of `region`.
+  // Declares intent to modify [offset, offset+len) of `region`. Reaches the
+  // write set through the rvm handle: after the first call in a region (which
+  // pins it against UnmapRegion), no lock and no lookup.
   base::Status SetRange(rvm::RegionId region, uint64_t offset, uint64_t len);
 
   // Returns once the record is durable (kFlush). The locks pass on as soon
@@ -163,16 +165,17 @@ class Transaction {
   base::Status Abort();
 
   bool open() const { return open_; }
-  rvm::TxnId id() const { return tid_; }
+  rvm::TxnId id() const { return txn_.id(); }
 
  private:
   friend class Client;
-  Transaction(Client* client, rvm::TxnId tid) : client_(client), tid_(tid), open_(true) {}
+  Transaction(Client* client, rvm::Rvm::TxnHandle txn)
+      : client_(client), txn_(txn), open_(true) {}
   // Drops an open handle: aborts it, or forgets it if its commit is ordered.
   void Close();
 
   Client* client_ = nullptr;
-  rvm::TxnId tid_ = 0;
+  rvm::Rvm::TxnHandle txn_;
   bool open_ = false;
   std::vector<rvm::LockRecord> held_;
 };
@@ -197,7 +200,9 @@ class Client {
   rvm::Region* GetRegion(rvm::RegionId region) { return rvm_->GetRegion(region); }
 
   // Drops the region from this cache and withdraws from the peer set;
-  // subsequent commits by peers no longer reach this node.
+  // subsequent commits by peers no longer reach this node. Refused
+  // (FAILED_PRECONDITION), with the mapping left as it was, while an open
+  // transaction has declared ranges in the region.
   base::Status UnmapRegion(rvm::RegionId region);
 
   // Regions currently mapped by this client.

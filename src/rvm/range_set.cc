@@ -1,7 +1,9 @@
 #include "src/rvm/range_set.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <utility>
 
 namespace rvm {
 
@@ -30,12 +32,44 @@ const std::vector<Range>& RangeSet::ranges() {
   } else if (!sorted_) {
     // Offsets are unique, so the order is total. Sorting moves entries, so
     // the index goes too; the next Add off the fast paths rebuilds it.
-    std::sort(ranges_.begin(), ranges_.end(),
-              [](const Range& a, const Range& b) { return a.offset < b.offset; });
+    SortByOffset();
     sorted_ = true;
     index_.clear();
   }
   return ranges_;
+}
+
+void RangeSet::SortByOffset() {
+  if (ranges_.size() < kRadixSortFrom) {
+    std::sort(ranges_.begin(), ranges_.end(),
+              [](const Range& a, const Range& b) { return a.offset < b.offset; });
+    return;
+  }
+  // LSD radix sort, one byte of the offset per pass. A byte every offset
+  // shares (the high bytes of offsets inside one region) would move
+  // nothing, so only the bytes in which some offsets differ get a pass.
+  uint64_t differing = 0;
+  for (const Range& r : ranges_) {
+    differing |= r.offset ^ ranges_.front().offset;
+  }
+  std::vector<Range> scratch(ranges_.size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((differing >> shift) & 0xFF) == 0) {
+      continue;
+    }
+    std::array<size_t, 256> next{};
+    for (const Range& r : ranges_) {
+      ++next[(r.offset >> shift) & 0xFF];
+    }
+    size_t start = 0;
+    for (size_t& count : next) {
+      start += std::exchange(count, start);
+    }
+    for (const Range& r : ranges_) {
+      scratch[next[(r.offset >> shift) & 0xFF]++] = r;
+    }
+    ranges_.swap(scratch);
+  }
 }
 
 AddOutcome RangeSet::AddFullCoalesce(uint64_t offset, uint64_t len) {

@@ -19,7 +19,9 @@
 //      a plain append — no search, no index, and no sort at commit.
 // The first call that takes neither fast path builds the index; from then
 // on every call is one probe, plus an append for a new offset, and ranges()
-// sorts the vector once at commit.
+// sorts the vector once at commit: a radix sort on the offset (linear in the
+// set, a pass per byte in which the offsets differ), or a comparison sort
+// for a set below kRadixSortFrom.
 //
 // kFullCoalesce keeps the classic address-ordered tree with insert-time
 // merging: it is Figure 8's "Standard RVM" baseline, and its merging cost
@@ -86,6 +88,10 @@ class RangeSet {
   // Adds may continue afterwards.
   const std::vector<Range>& ranges();
 
+  // Sets this small sort by comparison: below it the radix sort's fixed
+  // cost (its counters and a pass per digit) outweighs n log n compares.
+  static constexpr size_t kRadixSortFrom = 256;
+
  private:
   // One open-addressing slot: a range's offset and its position in ranges_
   // plus one (0 marks an empty slot).
@@ -102,6 +108,8 @@ class RangeSet {
   Slot& Probe(uint64_t offset);
   // Sizes index_ for the current set and indexes every range.
   void BuildIndex();
+  // Puts ranges_ in offset order.
+  void SortByOffset();
 
   CoalesceMode mode_;
   // kExactMatch: the write set, in insertion order. kFullCoalesce: the

@@ -121,40 +121,82 @@ Region* Rvm::GetRegion(RegionId id) {
 
 base::Status Rvm::UnmapRegion(RegionId id) {
   base::MutexLock lock(mu_);
-  if (regions_.erase(id) == 0) {
+  auto it = regions_.find(id);
+  if (it == regions_.end()) {
     return base::NotFound("region not mapped: " + std::to_string(id));
   }
+  if (it->second->pins_ > 0) {
+    return base::FailedPrecondition("region " + std::to_string(id) + " has ranges declared by " +
+                                    std::to_string(it->second->pins_) + " open transaction(s)");
+  }
+  regions_.erase(it);
   return base::OkStatus();
 }
 
-TxnId Rvm::BeginTransaction(RestoreMode mode) {
+Rvm::TxnHandle Rvm::BeginTransaction(RestoreMode mode) {
   base::MutexLock lock(mu_);
   TxnId id = next_txn_++;
   Txn& txn = txns_[id];
   txn.mode = mode;
-  txn.active = true;
-  return id;
+  return TxnHandle(id, &txn);
 }
 
+namespace {
+
+// [offset, offset+len) lies inside a region of `size` bytes. Written so it
+// cannot wrap: `offset + len` overflows for huge offsets.
+bool Covers(uint64_t size, uint64_t offset, uint64_t len) {
+  return len <= size && offset <= size - len;
+}
+
+}  // namespace
+
 base::Status Rvm::SetRange(TxnId txn_id, RegionId region_id, uint64_t offset, uint64_t len) {
-  base::MutexLock lock(mu_);
-  auto it = txns_.find(txn_id);
-  if (it == txns_.end() || !it->second.active) {
+  TxnHandle handle;
+  {
+    base::MutexLock lock(mu_);
+    if (auto it = txns_.find(txn_id); it != txns_.end()) {
+      handle = TxnHandle(txn_id, &it->second);
+    }
+  }
+  return SetRange(handle, region_id, offset, len);
+}
+
+base::Status Rvm::DeclareIn(Txn& txn, RegionId region_id, uint64_t offset, uint64_t len) {
+  auto it = txn.declared.find(region_id);
+  if (it == txn.declared.end()) {
+    base::MutexLock lock(mu_);
+    auto region_it = regions_.find(region_id);
+    if (region_it == regions_.end()) {
+      return base::NotFound("region not mapped: " + std::to_string(region_id));
+    }
+    Region* region = region_it->second.get();
+    // Checked before the pin: a refused first call leaves no entry.
+    if (!Covers(region->size(), offset, len)) {
+      return base::OutOfRange("set_range beyond region end");
+    }
+    ++region->pins_;
+    it = txn.declared.emplace(region_id, Txn::Declared{region, RangeSet(options_.coalesce)}).first;
+  }
+  txn.last = &it->second;
+  return base::OkStatus();
+}
+
+base::Status Rvm::SetRange(TxnHandle handle, RegionId region_id, uint64_t offset, uint64_t len) {
+  if (handle.txn_ == nullptr) {
     return base::FailedPrecondition("no such active transaction");
   }
-  auto region_it = regions_.find(region_id);
-  if (region_it == regions_.end()) {
-    return base::NotFound("region not mapped: " + std::to_string(region_id));
+  // Lock-free by the ownership rule (see TxnHandle): only this thread
+  // touches the write set, and the pinned region stays mapped.
+  Txn& txn = *handle.txn_;
+  if (txn.last == nullptr || txn.last->region->id() != region_id) {
+    RETURN_IF_ERROR(DeclareIn(txn, region_id, offset, len));
   }
-  Region* region = region_it->second.get();
-  // Written so it cannot wrap: `offset + len` overflows for huge offsets.
-  if (len > region->size() || offset > region->size() - len) {
+  Txn::Declared& declared = *txn.last;
+  if (!Covers(declared.region->size(), offset, len)) {
     return base::OutOfRange("set_range beyond region end");
   }
-
-  Txn& txn = it->second;
-  const AddOutcome outcome =
-      txn.ranges.try_emplace(region_id, options_.coalesce).first->second.Add(offset, len);
+  const AddOutcome outcome = declared.ranges.Add(offset, len);
 
   // Undo copies: snapshot the declared range before the application mutates
   // it. Exact re-registrations skip the snapshot — the first registration
@@ -162,8 +204,9 @@ base::Status Rvm::SetRange(TxnId txn_id, RegionId region_id, uint64_t offset, ui
   // snapshots its whole new extent: undo entries are restored in reverse
   // order, so the earlier snapshot still wins for the bytes it covers.
   if (txn.mode == RestoreMode::kRestore && outcome != AddOutcome::kExactDuplicate) {
+    Region* region = declared.region;
     Txn::UndoEntry undo;
-    undo.region = region_id;
+    undo.region = region;
     undo.offset = offset;
     undo.old_data.assign(region->data() + offset, region->data() + offset + len);
     txn.undo.push_back(std::move(undo));
@@ -179,7 +222,7 @@ base::Status Rvm::SetRange(TxnId txn_id, RegionId region_id, uint64_t offset, ui
 base::Status Rvm::SetLockId(TxnId txn_id, LockId lock, uint64_t sequence) {
   base::MutexLock lock_guard(mu_);
   auto it = txns_.find(txn_id);
-  if (it == txns_.end() || !it->second.active) {
+  if (it == txns_.end()) {
     return base::FailedPrecondition("no such active transaction");
   }
   // Strict two-phase locking means each lock is acquired at most once per
@@ -243,24 +286,26 @@ base::Status Rvm::StallForLogSpaceLocked(base::MutexLock& lock) {
   return stall_status;
 }
 
-TransactionRecord Rvm::OrderLocked(Txn& txn) {
-  TransactionRecord rec;
+std::shared_ptr<const TransactionRecord> Rvm::OrderLocked(Txn& txn) {
+  auto shared = std::make_shared<TransactionRecord>();
+  TransactionRecord& rec = *shared;
   rec.node = node_;
   rec.commit_seq = ++commit_seq_;
   rec.locks = txn.locks;
   constexpr uint64_t kPageSize = 8192;
   size_t declared = 0;
-  for (const auto& entry : txn.ranges) {
-    declared += entry.second.range_count();
+  for (const auto& entry : txn.declared) {
+    declared += entry.second.ranges.range_count();
   }
   rec.ranges.reserve(declared);
   uint64_t pages = 0;
   uint64_t pages_coalesced = 0;
-  for (auto& [region_id, range_set] : txn.ranges) {
-    uint8_t* image = regions_.at(region_id)->data();
+  for (auto& [region_id, entry] : txn.declared) {
+    // The transaction pins the region: it is still mapped.
+    uint8_t* image = entry.region->data();
     // Gather (offset, len) in address order straight into rec.ranges.
     const size_t region_begin = rec.ranges.size();
-    for (const auto& [offset, len] : range_set.ranges()) {
+    for (const auto& [offset, len] : entry.ranges.ranges()) {
       rec.ranges.push_back(RangeImage{region_id, offset, base::ByteSpan(image + offset, len)});
     }
     if (options_.adaptive_ranges_per_page > 0) {
@@ -334,46 +379,48 @@ TransactionRecord Rvm::OrderLocked(Txn& txn) {
       rec.ranges[i].data =
           base::ByteSpan(rec.bytes.data() + data_offsets[i], rec.ranges[i].data.size());
     }
-    txn.ordered = rec;
+    txn.ordered = shared;
     undurable_.insert(rec.commit_seq);
   }
   PublishDurableSeqLocked();
-  return rec;
+  return shared;
 }
 
 base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
   // Whole-commit latency (gather + commit hook + log write) for the
   // histogram; the phase counters below split the same work.
   obs::ScopedTimer commit_timer(nullptr, commit_nanos_);
-  TransactionRecord rec;
+  // The one ordered record: the transaction keeps it (for a retry) and the
+  // pipeline and the hook read it, all by reference.
+  std::shared_ptr<const TransactionRecord> rec;
   bool crossed_soft = false;
   {
     obs::ScopedTimer collect_timer(&m_.collect_nanos);
     base::MutexLock lock(mu_);
     auto it = txns_.find(txn_id);
-    if (it == txns_.end() || !it->second.active) {
+    if (it == txns_.end()) {
       return base::FailedPrecondition("no such active transaction");
     }
-    const bool retry = it->second.ordered.has_value();
+    const bool retry = it->second.ordered != nullptr;
     if (retry) {
-      rec = *it->second.ordered;
+      rec = it->second.ordered;
     } else {
       // Backpressure runs before ordering, so a stall that runs out leaves
       // the transaction active and unordered. The stall drops mu_: look the
       // transaction up again.
       RETURN_IF_ERROR(StallForLogSpaceLocked(lock));
       it = txns_.find(txn_id);
-      if (it == txns_.end() || !it->second.active) {
+      if (it == txns_.end()) {
         return base::FailedPrecondition("no such active transaction");
       }
       rec = OrderLocked(it->second);
     }
     collect_timer.StopNanos();
 
-    if (it->second.ordered.has_value()) {
+    if (it->second.ordered != nullptr) {
       PendingCommit pc;
-      pc.record = retry ? nullptr : &rec;
-      pc.commit_seq = rec.commit_seq;
+      pc.record = retry ? nullptr : rec.get();
+      pc.commit_seq = rec->commit_seq;
       pc.stamp = retry ? 0 : ++order_clock_;
       pc.mode = mode;
       pc.enqueued_nanos = base::SteadyClock::Instance()->NowNanos();
@@ -383,7 +430,7 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
         // may broadcast it and pass the lock token now, while the log force
         // is still ahead (the leader may even finish it meanwhile).
         lock.Unlock();
-        commit_hook_(rec);
+        commit_hook_(*rec);
         lock.Lock();
       }
 
@@ -411,18 +458,16 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
       // EndTransaction (it cannot abort), or drop it (ForgetOrdered).
       RETURN_IF_ERROR(pc.status);
       m_.transactions_committed.Increment();
-      CountSetRanges(it->second);
       // txns_ is a node-based map, so `it` survived the pipeline's
       // Unlock/Lock windows (other committers only ever erase their own
       // entries).
-      txns_.erase(it);
+      EraseTxnLocked(it);
     } else {
       m_.transactions_committed.Increment();
-      CountSetRanges(it->second);
-      txns_.erase(it);
+      EraseTxnLocked(it);
       lock.Unlock();
       if (commit_hook_) {
-        commit_hook_(rec);
+        commit_hook_(*rec);
       }
     }
   }
@@ -687,27 +732,26 @@ size_t Rvm::PendingCommitCount() const {
 base::Status Rvm::AbortTransaction(TxnId txn_id) {
   base::MutexLock lock(mu_);
   auto it = txns_.find(txn_id);
-  if (it == txns_.end() || !it->second.active) {
+  if (it == txns_.end()) {
     return base::FailedPrecondition("no such active transaction");
   }
   Txn& txn = it->second;
-  if (txn.ordered.has_value()) {
+  if (txn.ordered != nullptr) {
     return base::FailedPrecondition(
         "transaction is ordered (its record may be applied at peers): it cannot abort");
   }
-  CountSetRanges(txn);
-  if (txn.mode != RestoreMode::kRestore && !txn.ranges.empty()) {
-    txns_.erase(it);
+  if (txn.mode != RestoreMode::kRestore && !txn.declared.empty()) {
+    EraseTxnLocked(it);
     return base::FailedPrecondition("abort of a no-restore transaction with updates");
   }
   // Restore in reverse registration order so the earliest snapshot of any
-  // overlapping byte is applied last.
+  // overlapping byte is applied last. The transaction pins every region it
+  // snapshotted, so each is still mapped.
   for (auto undo_it = txn.undo.rbegin(); undo_it != txn.undo.rend(); ++undo_it) {
-    Region* region = regions_.at(undo_it->region).get();
     std::copy(undo_it->old_data.begin(), undo_it->old_data.end(),
-              region->data() + undo_it->offset);
+              undo_it->region->data() + undo_it->offset);
   }
-  txns_.erase(it);
+  EraseTxnLocked(it);
   m_.transactions_aborted.Increment();
   return base::OkStatus();
 }
@@ -715,18 +759,30 @@ base::Status Rvm::AbortTransaction(TxnId txn_id) {
 bool Rvm::ForgetOrdered(TxnId txn_id) {
   base::MutexLock lock(mu_);
   auto it = txns_.find(txn_id);
-  if (it == txns_.end() || !it->second.ordered.has_value()) {
+  if (it == txns_.end() || it->second.ordered == nullptr) {
     return false;
   }
-  CountSetRanges(it->second);
-  txns_.erase(it);
+  EraseTxnLocked(it);
   return true;
+}
+
+void Rvm::EraseTxnLocked(std::map<TxnId, Txn>::iterator it) {
+  const Txn& txn = it->second;
+  m_.set_range_calls.Add(txn.set_range_calls);
+  m_.set_range_duplicates.Add(txn.set_range_duplicates);
+  for (const auto& [region_id, entry] : txn.declared) {
+    --entry.region->pins_;
+  }
+  txns_.erase(it);
 }
 
 std::optional<TransactionRecord> Rvm::OrderedRecord(TxnId txn_id) const {
   base::MutexLock lock(mu_);
   auto it = txns_.find(txn_id);
-  return it == txns_.end() ? std::nullopt : it->second.ordered;
+  if (it == txns_.end() || it->second.ordered == nullptr) {
+    return std::nullopt;
+  }
+  return *it->second.ordered;
 }
 
 base::Status Rvm::FlushLog() { return Flush(/*whole_carry_set=*/false); }
@@ -787,11 +843,6 @@ base::Status Rvm::ApplyExternalRanges(const std::vector<RangeImage>& ranges) {
   m_.external_updates_applied.Add(applied);
   m_.external_bytes_applied.Add(applied_bytes);
   return first_error;
-}
-
-void Rvm::CountSetRanges(const Txn& txn) {
-  m_.set_range_calls.Add(txn.set_range_calls);
-  m_.set_range_duplicates.Add(txn.set_range_duplicates);
 }
 
 RvmStats Rvm::stats() const {

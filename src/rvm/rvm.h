@@ -57,8 +57,13 @@ class Region {
   uint64_t size() const { return image_.size(); }
 
  private:
+  friend class Rvm;
+
   RegionId id_;
   std::vector<uint8_t> image_;
+  // Open transactions that declared ranges here: while any does, the region
+  // stays mapped. Guarded by the owning Rvm's mutex.
+  uint32_t pins_ = 0;
 };
 
 enum class RestoreMode {
@@ -160,15 +165,58 @@ class Rvm {
   // zero-filled one if absent) into a private in-memory image.
   [[nodiscard]] base::Result<Region*> MapRegion(RegionId id, uint64_t length);
   Region* GetRegion(RegionId id);
+  // Drops the region's image. FAILED_PRECONDITION while an open transaction
+  // has declared ranges in it (the transaction pins the region until it
+  // commits, aborts or is forgotten); NOT_FOUND if it is not mapped.
   [[nodiscard]] base::Status UnmapRegion(RegionId id);
 
   // --- transactions (Table 1 interface) ----------------------------------
 
-  TxnId BeginTransaction(RestoreMode mode);
+ private:
+  struct Txn;
+
+ public:
+  // What BeginTransaction hands out: the transaction's id plus a pointer to
+  // its write set, so that SetRange through the handle reaches the write set
+  // without the instance lock or a lookup. It converts to the TxnId every
+  // other call takes. Valid until the transaction ends (a successful
+  // EndTransaction, AbortTransaction or ForgetOrdered); a default-constructed
+  // handle names no transaction.
+  //
+  // Ownership rule: a transaction's write set (declared ranges, undo copies,
+  // SetRange tallies) belongs to the thread holding its handle. Only that
+  // thread declares into the transaction, ends it or otherwise touches it;
+  // EndTransaction gathers the write set (under the lock, for the ordering)
+  // on that same thread. A handle may move to another thread only with the
+  // usual happens-before hand-off.
+  class TxnHandle {
+   public:
+    TxnHandle() = default;
+    TxnId id() const { return id_; }
+    operator TxnId() const { return id_; }  // NOLINT(google-explicit-constructor)
+
+   private:
+    friend class Rvm;
+    TxnHandle(TxnId id, Txn* txn) : id_(id), txn_(txn) {}
+
+    TxnId id_ = 0;
+    Txn* txn_ = nullptr;
+  };
+
+  TxnHandle BeginTransaction(RestoreMode mode);
 
   // Declares intent to modify [offset, offset+len) of `region` in the
-  // current transaction (rvm_set_range). Must precede the actual stores
-  // when the transaction may abort.
+  // transaction (rvm_set_range). Must precede the actual stores when the
+  // transaction may abort. The first call of a transaction in a region takes
+  // the instance lock once: it looks the region up (NOT_FOUND if unmapped)
+  // and pins it. Every later call there is a bounds check (OUT_OF_RANGE,
+  // overflow-safe) and one write-set insert (a compare, an append or one
+  // hash probe): no lock, no map lookup. A null handle is
+  // FAILED_PRECONDITION.
+  [[nodiscard]] base::Status SetRange(TxnHandle txn, RegionId region, uint64_t offset,
+                                      uint64_t len);
+  // The same, by id: resolves the handle under the lock (FAILED_PRECONDITION
+  // for a closed or unknown transaction) and runs the body above.
   [[nodiscard]] base::Status SetRange(TxnId txn, RegionId region, uint64_t offset, uint64_t len);
 
   // rvm_setlockid_transaction: records that `txn` holds (lock, sequence).
@@ -329,13 +377,24 @@ class Rvm {
  private:
   Rvm(store::DurableStore* store, NodeId node, const RvmOptions& options);
 
+  // An open transaction; it is in txns_ exactly while it is open. The write
+  // set (`declared`, `last`, `undo`, the tallies) follows the ownership rule
+  // (see TxnHandle): only the thread holding the handle touches it.
   struct Txn {
     RestoreMode mode = RestoreMode::kNoRestore;
-    bool active = false;
-    std::map<RegionId, RangeSet> ranges;
+    // The ranges declared in one region, and the region, pinned until the
+    // transaction ends.
+    struct Declared {
+      Region* region;
+      RangeSet ranges;
+    };
+    std::map<RegionId, Declared> declared;
+    // The entry the last SetRange used: the next call in the same region
+    // starts from it.
+    Declared* last = nullptr;
     std::vector<LockRecord> locks;
     struct UndoEntry {
-      RegionId region;
+      Region* region;
       uint64_t offset;
       std::vector<uint8_t> old_data;
     };
@@ -346,7 +405,7 @@ class Rvm {
     uint64_t set_range_duplicates = 0;
     // Set once the commit is ordered with a record to log; a retry after a
     // log-write failure re-enqueues exactly this record.
-    std::optional<TransactionRecord> ordered;
+    std::shared_ptr<const TransactionRecord> ordered;
   };
 
   // One commit parked on the pipeline: the fully encoded log payload plus
@@ -389,8 +448,19 @@ class Rvm {
   // until a trim frees log space; RESOURCE_EXHAUSTED when the budget runs out.
   base::Status StallForLogSpaceLocked(base::MutexLock& lock) LBC_REQUIRES(mu_);
 
-  // Gathers, stamps and (when it will be logged) encodes `txn`'s record.
-  TransactionRecord OrderLocked(Txn& txn) LBC_REQUIRES(mu_);
+  // SetRange's slow path: the first call of `txn` in `region` (or one after
+  // a call in another region). Finds or makes the region's entry, pinning
+  // the region, and makes it `txn.last`.
+  base::Status DeclareIn(Txn& txn, RegionId region, uint64_t offset, uint64_t len)
+      LBC_EXCLUDES(mu_);
+
+  // Gathers, stamps and (when it will be logged) encodes `txn`'s record;
+  // a logged record is kept as `txn.ordered` too.
+  std::shared_ptr<const TransactionRecord> OrderLocked(Txn& txn) LBC_REQUIRES(mu_);
+
+  // Ends a transaction: adds its SetRange tallies to the instruments,
+  // unpins the regions it declared into, and drops it.
+  void EraseTxnLocked(std::map<TxnId, Txn>::iterator it) LBC_REQUIRES(mu_);
 
   // Claims leadership and takes the queue and unwritten_, plus the
   // unwritten carried records they may have read: those carried before the
@@ -429,9 +499,6 @@ class Rvm {
   // Fires the soft-watermark trim hook outside the locks (edge-triggered
   // tail of EndTransaction / ReleaseCommitPipeline).
   void FireSoftTrim() LBC_EXCLUDES(mu_);
-
-  // Adds a finished transaction's SetRange tallies to the instruments.
-  void CountSetRanges(const Txn& txn);
 
   store::DurableStore* store_;
   NodeId node_;

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "src/lbc/client.h"
 #include "src/store/mem_store.h"
@@ -122,6 +123,38 @@ TEST(TxnHandle, StatsDeltasMeasureOnePhase) {
                     rvm_before.transactions_committed);
   // Sequence state is not a counter: the lock continues from where it was.
   EXPECT_EQ(2u, fx.client->AppliedSeq(kLock));
+}
+
+// An open transaction that declared ranges in a region keeps it mapped:
+// the unmap is refused before the client withdraws from the region's peer
+// set, so the refusal changes nothing. Once the transaction ends the unmap
+// goes through.
+TEST(TxnHandle, UnmapOfADeclaredRegionIsRefusedUntilTheTransactionEnds) {
+  Fixture fx;
+  const std::vector<rvm::NodeId> mapped_here{1};
+  lbc::Transaction txn = fx.client->Begin();
+  ASSERT_TRUE(txn.Acquire(kLock).ok());
+  ASSERT_TRUE(txn.SetRange(kRegion, 0, 8).ok());
+  EXPECT_EQ(base::StatusCode::kFailedPrecondition, fx.client->UnmapRegion(kRegion).code());
+  EXPECT_EQ(std::vector<rvm::RegionId>{kRegion}, fx.client->MappedRegions());
+  EXPECT_EQ(mapped_here, fx.cluster->PeersOf(kRegion, /*exclude=*/0));
+  fx.client->GetRegion(kRegion)->data()[0] = 1;
+  ASSERT_TRUE(txn.Commit().ok());
+  EXPECT_EQ(base::StatusCode::kFailedPrecondition, txn.SetRange(kRegion, 0, 8).code());
+  EXPECT_TRUE(fx.client->UnmapRegion(kRegion).ok());
+  EXPECT_TRUE(fx.client->MappedRegions().empty());
+  EXPECT_TRUE(fx.cluster->PeersOf(kRegion, /*exclude=*/0).empty());
+}
+
+TEST(TxnHandle, UnmapAfterAbortOfADeclaredRegionSucceeds) {
+  Fixture fx;
+  lbc::Transaction txn = fx.client->Begin();
+  ASSERT_TRUE(txn.SetRange(kRegion, 0, 8).ok());
+  fx.client->GetRegion(kRegion)->data()[0] = 4;
+  EXPECT_EQ(base::StatusCode::kFailedPrecondition, fx.client->UnmapRegion(kRegion).code());
+  ASSERT_TRUE(txn.Abort().ok());
+  EXPECT_EQ(0, fx.client->GetRegion(kRegion)->data()[0]);
+  EXPECT_TRUE(fx.client->UnmapRegion(kRegion).ok());
 }
 
 TEST(TxnHandle, WaitForAppliedSeqTimesOutCleanly) {

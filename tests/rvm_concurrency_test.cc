@@ -131,6 +131,117 @@ TEST(RvmConcurrency, HookRunsWithoutRvmLockHeld) {
   EXPECT_EQ(42, region->data()[2048]);
 }
 
+// SetRange through a handle takes no lock after a transaction's first call in
+// a region. Four threads each declare into two shared regions through their
+// own handles, out of address order, and commit or abort; meanwhile one
+// thread maps, uses and unmaps a third region and tries to unmap the two
+// shared ones, which a transaction held open for the whole run pins, and
+// another applies external updates to all three. Run under TSan by
+// scripts/check.sh --tsan-only.
+TEST(RvmConcurrency, LockFreeDeclaresRaceMappingAndExternalUpdates) {
+  constexpr rvm::RegionId kShared[] = {1, 2};
+  constexpr rvm::RegionId kTransient = 3;
+  constexpr uint64_t kSlice = 4096;
+  constexpr uint64_t kRegionSize = 5 * kSlice;  // 4 worker slices + 1 external
+  constexpr int kWorkers = 4;
+  constexpr int kTxnsPerWorker = 40;
+  constexpr uint64_t kRangesPerTxn = 32;
+  store::MemStore store;
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  std::vector<rvm::Region*> shared;
+  for (rvm::RegionId id : kShared) {
+    shared.push_back(*r->MapRegion(id, kRegionSize));
+  }
+  // Pins both shared regions until the end (its range is in the external
+  // slice, which it never writes).
+  rvm::Rvm::TxnHandle pin = r->BeginTransaction(rvm::RestoreMode::kRestore);
+  for (rvm::RegionId id : kShared) {
+    ASSERT_TRUE(r->SetRange(pin, id, 4 * kSlice, 8).ok());
+  }
+
+  std::atomic<int> workers_left{kWorkers};
+  std::atomic<int> refused{0};
+  auto worker = [&](int t) {
+    const uint64_t base_offset = static_cast<uint64_t>(t) * kSlice;
+    for (int i = 0; i < kTxnsPerWorker; ++i) {
+      rvm::Rvm::TxnHandle txn = r->BeginTransaction(rvm::RestoreMode::kRestore);
+      const uint64_t value = static_cast<uint64_t>(t) << 32 | static_cast<uint64_t>(i);
+      for (size_t k = 0; k < shared.size(); ++k) {
+        for (uint64_t j = kRangesPerTxn; j-- > 0;) {  // descending: off the fast paths
+          const uint64_t offset = base_offset + j * 64;
+          ASSERT_TRUE(r->SetRange(txn, kShared[k], offset, 8).ok());
+          ASSERT_TRUE(r->SetRange(txn, kShared[k], offset, 8).ok());  // a re-registration
+          std::memcpy(shared[k]->data() + offset, &value, 8);
+        }
+      }
+      if (i % 2 == 0) {
+        ASSERT_TRUE(r->EndTransaction(txn, rvm::CommitMode::kNoFlush).ok());
+      } else {
+        ASSERT_TRUE(r->AbortTransaction(txn).ok());
+      }
+    }
+    workers_left.fetch_sub(1);
+  };
+  std::thread mapper([&] {
+    while (workers_left.load() > 0) {
+      rvm::Region* transient = *r->MapRegion(kTransient, kSlice);
+      rvm::Rvm::TxnHandle txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+      EXPECT_TRUE(r->SetRange(txn, kTransient, 0, 8).ok());
+      transient->data()[0] = 1;
+      EXPECT_EQ(base::StatusCode::kFailedPrecondition, r->UnmapRegion(kTransient).code());
+      EXPECT_TRUE(r->EndTransaction(txn, rvm::CommitMode::kNoFlush).ok());
+      EXPECT_TRUE(r->UnmapRegion(kTransient).ok());
+      for (rvm::RegionId id : kShared) {
+        if (r->UnmapRegion(id).code() == base::StatusCode::kFailedPrecondition) {
+          refused.fetch_add(1);
+        }
+      }
+    }
+  });
+  std::thread applier([&] {
+    const std::vector<uint8_t> nines(8, 9);
+    const std::vector<rvm::RangeImage> record = {{kShared[0], 4 * kSlice + 64, nines},
+                                                 {kShared[1], 4 * kSlice + 64, nines},
+                                                 {kTransient, 64, nines}};
+    while (workers_left.load() > 0) {
+      const base::Status st = r->ApplyExternalRanges(record);
+      EXPECT_TRUE(st.ok() || st.code() == base::StatusCode::kNotFound) << st.ToString();
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWorkers; ++t) {
+    threads.emplace_back(worker, t);
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  mapper.join();
+  applier.join();
+
+  // Every unmap of a pinned region was refused, and every worker's slice
+  // holds its last committed value: the aborts after it restored it.
+  EXPECT_GT(refused.load(), 0);
+  for (size_t k = 0; k < shared.size(); ++k) {
+    EXPECT_EQ(shared[k], r->GetRegion(kShared[k]));
+    EXPECT_EQ(9, shared[k]->data()[4 * kSlice + 64]);
+    for (int t = 0; t < kWorkers; ++t) {
+      const uint64_t want = static_cast<uint64_t>(t) << 32 | (kTxnsPerWorker - 2);
+      for (uint64_t j = 0; j < kRangesPerTxn; ++j) {
+        uint64_t got = 0;
+        std::memcpy(&got, shared[k]->data() + static_cast<uint64_t>(t) * kSlice + j * 64, 8);
+        ASSERT_EQ(want, got) << "region " << kShared[k] << " worker " << t << " range " << j;
+      }
+    }
+  }
+  ASSERT_TRUE(r->AbortTransaction(pin).ok());
+  for (rvm::RegionId id : kShared) {
+    EXPECT_TRUE(r->UnmapRegion(id).ok());
+  }
+  // The workers' aborts and the pin's.
+  EXPECT_EQ(static_cast<uint64_t>(kWorkers * kTxnsPerWorker / 2 + 1),
+            r->stats().transactions_aborted);
+}
+
 TEST(GroupCommit, HeldPipelineCommitsCohortAsOneBatchWithOneSync) {
   store::MemStore store;
   auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));

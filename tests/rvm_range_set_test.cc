@@ -1,13 +1,23 @@
-// RangeSet: the §3.1 write set, both coalescing modes.
+// RangeSet: the §3.1 write set, both coalescing modes, and its commit-time
+// sort.
 #include "src/rvm/range_set.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "bench/harness.h"
+#include "src/base/crc32.h"
 #include "src/base/rng.h"
+#include "src/oo7/database.h"
+#include "src/oo7/traversals.h"
+#include "src/rvm/log_io.h"
+#include "src/rvm/rvm.h"
+#include "src/store/mem_store.h"
 
 namespace {
 
@@ -269,5 +279,123 @@ TEST_P(RangeSetPropertyTest, ExactModeMatchesReferenceMap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RangeSetPropertyTest, ::testing::Range<uint64_t>(0, 10));
+
+// ranges() sorts an out-of-order kExactMatch set by radix from
+// RangeSet::kRadixSortFrom ranges up, by comparison below. Either way it must
+// list exactly what std::sort of the registrations lists.
+enum class OffsetPattern { kRandom, kDescending, kClustered, kHigh };
+
+// `n` distinct offsets in the order they are declared.
+std::vector<uint64_t> DeclarationOrder(OffsetPattern pattern, size_t n, base::Rng& rng) {
+  std::vector<uint64_t> out;
+  std::set<uint64_t> seen;
+  auto push = [&](uint64_t offset) {
+    if (seen.insert(offset).second) {
+      out.push_back(offset);
+    }
+  };
+  while (out.size() < n) {
+    switch (pattern) {
+      case OffsetPattern::kRandom:  // every byte of the offset varies
+        push(rng.Next());
+        break;
+      case OffsetPattern::kDescending:
+        push(8 * (n - out.size()));
+        break;
+      case OffsetPattern::kClustered: {  // a few objects' fields, revisited
+        const uint64_t cluster = rng.Uniform(4) << 24;
+        push(cluster + 8 * rng.Uniform(4 * n));
+        break;
+      }
+      case OffsetPattern::kHigh:  // at or above 2^63, top bytes varying too
+        push((uint64_t{1} << 63) | (rng.Uniform(3) << 56) | (rng.Uniform(1 << 20) << 3));
+        break;
+    }
+  }
+  return out;
+}
+
+std::vector<Range> SortedReference(std::vector<Range> declared) {
+  std::sort(declared.begin(), declared.end(),
+            [](const Range& a, const Range& b) { return a.offset < b.offset; });
+  return declared;
+}
+
+TEST(RangeSetRadixSort, MatchesComparisonSortAroundTheCutoff) {
+  const size_t cutoff = RangeSet::kRadixSortFrom;
+  base::Rng rng(21);
+  for (OffsetPattern pattern : {OffsetPattern::kRandom, OffsetPattern::kDescending,
+                                OffsetPattern::kClustered, OffsetPattern::kHigh}) {
+    for (size_t n : {size_t{2}, cutoff - 1, cutoff, cutoff + 1, 4 * cutoff + 3, size_t{20000}}) {
+      RangeSet s(CoalesceMode::kExactMatch);
+      std::vector<Range> declared;
+      for (uint64_t offset : DeclarationOrder(pattern, n, rng)) {
+        const uint64_t len = 8 << rng.Uniform(3);
+        ASSERT_EQ(AddOutcome::kInserted, s.Add(offset, len));
+        declared.push_back(Range{offset, len});
+      }
+      EXPECT_EQ(SortedReference(declared), s.ranges())
+          << "pattern " << static_cast<int>(pattern) << ", " << n << " ranges";
+    }
+  }
+}
+
+TEST(RangeSetRadixSort, AddsAfterASortRebuildTheIndex) {
+  base::Rng rng(22);
+  const size_t n = 3 * RangeSet::kRadixSortFrom;
+  std::vector<uint64_t> order = DeclarationOrder(OffsetPattern::kRandom, 2 * n, rng);
+  RangeSet s(CoalesceMode::kExactMatch);
+  std::vector<Range> declared;
+  for (size_t i = 0; i < n; ++i) {
+    s.Add(order[i], 8);
+    declared.push_back(Range{order[i], 8});
+  }
+  ASSERT_EQ(SortedReference(declared), s.ranges());
+  // After the sort: new offsets out of order, and re-registrations that
+  // must find the moved entries through the rebuilt index.
+  for (size_t i = n; i < 2 * n; ++i) {
+    ASSERT_EQ(AddOutcome::kInserted, s.Add(order[i], 8));
+    declared.push_back(Range{order[i], 8});
+    const size_t old = rng.Uniform(i);
+    ASSERT_EQ(AddOutcome::kGrown, s.Add(declared[old].offset, declared[old].len + 8));
+    declared[old].len += 8;
+  }
+  EXPECT_EQ(SortedReference(declared), s.ranges());
+  EXPECT_EQ(2 * n, s.range_count());
+}
+
+// The log payload a commit writes for the OO7 T2-B declaration sequence
+// (43 740 calls over ~7 800 offsets, out of address order) is pinned: its
+// size and CRC were taken from the build that sorted the write set with
+// std::sort, so the radix sort (or any later change to the gather) must
+// leave every byte of the log format as it was.
+TEST(RangeSetRadixSort, Oo7T2BLogPayloadIsUnchanged) {
+  store::MemStore store;
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  const oo7::Config config;
+  const uint64_t size = oo7::Database::RequiredSize(config);
+  rvm::Region* region = *r->MapRegion(1, size);
+  ASSERT_TRUE(oo7::Database::Build(region->data(), size, config).ok());
+  bench::RecordingSink recorder;
+  ASSERT_TRUE(oo7::RunT2(oo7::Database(region->data()), recorder, oo7::Variant::kB).status.ok());
+  ASSERT_EQ(43740u, recorder.ranges().size());
+  rvm::Rvm::TxnHandle txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+  for (const auto& [offset, len] : recorder.ranges()) {
+    ASSERT_TRUE(r->SetRange(txn, 1, offset, len).ok());
+  }
+  ASSERT_TRUE(r->EndTransaction(txn, rvm::CommitMode::kFlush).ok());
+
+  auto file = std::move(*store.Open(rvm::LogFileName(1), /*create=*/false));
+  rvm::LogReader reader(file.get());
+  std::vector<uint8_t> payload;
+  bool at_end = false;
+  ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
+  ASSERT_FALSE(at_end);
+  EXPECT_EQ(133506u, payload.size());
+  EXPECT_EQ(0xe830e55eu, base::Crc32c(payload.data(), payload.size()));
+  std::vector<uint8_t> next;
+  ASSERT_TRUE(reader.ReadNext(&next, &at_end).ok());
+  EXPECT_TRUE(at_end);
+}
 
 }  // namespace

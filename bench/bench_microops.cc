@@ -1,15 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the primitives the cost model
-// prices: set_range in its three patterns and on the OO7 T2-B sequence
-// (through the transaction handle, the path lbc::Transaction takes),
+// prices: set_range in its three patterns, on the OO7 T2-B sequence (back
+// to back and after the traversal) and in a small transaction after a large
+// one (all through the transaction handle, the path lbc::Transaction takes),
 // commit encoding, coherency message encode/decode (alone and with the
 // apply), per-record update application, the log CRC, and the CpyCmp page
 // diff.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <chrono>
 #include <cstring>
+#include <memory>
 
 #include "bench/harness.h"
 #include "src/base/crc32.h"
+#include "src/base/rng.h"
 #include "src/baselines/cpycmp.h"
 #include "src/lbc/wire_format.h"
 #include "src/rvm/rvm.h"
@@ -53,33 +58,126 @@ void BM_SetRangeRedundant(benchmark::State& state) {
 }
 BENCHMARK(BM_SetRangeRedundant)->Arg(1000);
 
-// The declaration sequence of OO7 T2-B at paper scale: 43 740 eight-byte
-// calls that revisit composite parts out of address order. Recorded once,
-// then replayed through set_range + commit per iteration.
-void BM_SetRangeOo7T2B(benchmark::State& state) {
+// An Rvm with the OO7 database at paper scale mapped as region 1, and the
+// declaration sequence of T2-B over it: 43 740 eight-byte calls that revisit
+// composite parts out of address order.
+struct Oo7T2B {
   store::MemStore store;
-  rvm::RvmOptions options;
-  options.disk_logging = false;
-  auto r = std::move(*rvm::Rvm::Open(&store, 1, options));
-  const oo7::Config config;
-  const uint64_t size = oo7::Database::RequiredSize(config);
-  rvm::Region* region = *r->MapRegion(1, size);
-  if (!oo7::Database::Build(region->data(), size, config).ok()) {
-    state.SkipWithError("oo7 database build failed");
+  std::unique_ptr<rvm::Rvm> rvm;
+  rvm::Region* region = nullptr;
+  bench::RecordingSink recorder;
+
+  // False (with the bench marked failed) if the database cannot be built.
+  bool Open(benchmark::State& state) {
+    rvm::RvmOptions options;
+    options.disk_logging = false;
+    rvm = std::move(*rvm::Rvm::Open(&store, 1, options));
+    const oo7::Config config;
+    const uint64_t size = oo7::Database::RequiredSize(config);
+    region = *rvm->MapRegion(1, size);
+    if (!oo7::Database::Build(region->data(), size, config).ok()) {
+      state.SkipWithError("oo7 database build failed");
+      return false;
+    }
+    (void)oo7::RunT2(oo7::Database(region->data()), recorder, oo7::Variant::kB);
+    return true;
+  }
+
+  // One T2-B transaction: the recorded calls through set_range, then commit.
+  void Declare() {
+    rvm::Rvm::TxnHandle txn = rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    for (const auto& [offset, len] : recorder.ranges()) {
+      benchmark::DoNotOptimize(rvm->SetRange(txn, 1, offset, len));
+    }
+    benchmark::DoNotOptimize(rvm->EndTransaction(txn, rvm::CommitMode::kNoFlush));
+  }
+
+  // The traversal alone, as the application runs it between its declares:
+  // it walks the 5.7 MB database, which pushes the write set's last index
+  // out of the nearer caches.
+  void Traverse() {
+    bench::RecordingSink discard;
+    (void)oo7::RunT2(oo7::Database(region->data()), discard, oo7::Variant::kB);
+  }
+};
+
+// The recorded T2-B sequence replayed through set_range + commit, back to
+// back: the index and the write set stay hot from one iteration to the next.
+void BM_SetRangeOo7T2B(benchmark::State& state) {
+  Oo7T2B t2b;
+  if (!t2b.Open(state)) {
     return;
   }
-  bench::RecordingSink recorder;
-  (void)oo7::RunT2(oo7::Database(region->data()), recorder, oo7::Variant::kB);
   for (auto _ : state) {
-    rvm::Rvm::TxnHandle txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
-    for (const auto& [offset, len] : recorder.ranges()) {
-      benchmark::DoNotOptimize(r->SetRange(txn, 1, offset, len));
-    }
-    benchmark::DoNotOptimize(r->EndTransaction(txn, rvm::CommitMode::kNoFlush));
+    t2b.Declare();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(recorder.ranges().size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(t2b.recorder.ranges().size()));
 }
 BENCHMARK(BM_SetRangeOo7T2B);
+
+// The same sequence with the traversal re-run, untimed, between iterations,
+// so each transaction starts with the caches the application leaves, as in
+// perfbench's oo7-fanout. The back-to-back bench above keeps its index hot
+// from one iteration to the next, which flatters designs that probe a large
+// table from the first call.
+void BM_SetRangeOo7T2BAfterTraversal(benchmark::State& state) {
+  Oo7T2B t2b;
+  if (!t2b.Open(state)) {
+    return;
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    t2b.Traverse();
+    state.ResumeTiming();
+    t2b.Declare();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(t2b.recorder.ranges().size()));
+}
+BENCHMARK(BM_SetRangeOo7T2BAfterTraversal);
+
+// A 16-range transaction at random offsets in the database region, timed
+// alone, after an untimed preceding transaction on the same Rvm: T2-B when
+// `after_large`, else another such 16-range transaction. The write set sizes
+// its index from the last transaction's, and a small one must not pay for
+// the large one's table.
+void SmallTransactionAfter(benchmark::State& state, bool after_large) {
+  Oo7T2B t2b;
+  if (!t2b.Open(state)) {
+    return;
+  }
+  constexpr int kRanges = 16;
+  base::Rng rng(16);
+  const uint64_t slots = t2b.region->size() / 8;
+  auto small = [&](const std::array<uint64_t, kRanges>& offsets) {
+    rvm::Rvm::TxnHandle txn = t2b.rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    for (uint64_t offset : offsets) {
+      benchmark::DoNotOptimize(t2b.rvm->SetRange(txn, 1, offset, 8));
+    }
+    benchmark::DoNotOptimize(t2b.rvm->EndTransaction(txn, rvm::CommitMode::kNoFlush));
+  };
+  std::array<uint64_t, kRanges> offsets;
+  for (auto _ : state) {
+    for (uint64_t& offset : offsets) {
+      offset = 8 * rng.Uniform(slots);
+    }
+    if (after_large) {
+      t2b.Declare();
+    } else {
+      small(offsets);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    small(offsets);
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+  }
+  state.SetItemsProcessed(state.iterations() * kRanges);
+}
+
+void BM_SetRangeSmallAfterLarge(benchmark::State& state) { SmallTransactionAfter(state, true); }
+BENCHMARK(BM_SetRangeSmallAfterLarge)->UseManualTime()->Iterations(1000);
+
+void BM_SetRangeSmallAfterSmall(benchmark::State& state) { SmallTransactionAfter(state, false); }
+BENCHMARK(BM_SetRangeSmallAfterSmall)->UseManualTime()->Iterations(1000);
 
 // The sparse OO7 pattern of Table 3: `ranges` eight-byte ranges, one per
 // 8 KB page of region 1, under one lock. The record holds its own bytes.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <memory>
 #include <utility>
 
 namespace rvm {
@@ -52,24 +53,35 @@ void RangeSet::SortByOffset() {
   for (const Range& r : ranges_) {
     differing |= r.offset ^ ranges_.front().offset;
   }
-  std::vector<Range> scratch(ranges_.size());
+  // The scratch is allocated, not value-initialised: a pass writes every
+  // slot it later reads. The passes alternate between ranges_ and the
+  // scratch; after an odd number the result is copied back.
+  const size_t n = ranges_.size();
+  std::allocator<Range> alloc;
+  Range* const scratch = alloc.allocate(n);
+  Range* from = ranges_.data();
+  Range* to = scratch;
   for (int shift = 0; shift < 64; shift += 8) {
     if (((differing >> shift) & 0xFF) == 0) {
       continue;
     }
     std::array<size_t, 256> next{};
-    for (const Range& r : ranges_) {
-      ++next[(r.offset >> shift) & 0xFF];
+    for (size_t i = 0; i < n; ++i) {
+      ++next[(from[i].offset >> shift) & 0xFF];
     }
     size_t start = 0;
     for (size_t& count : next) {
       start += std::exchange(count, start);
     }
-    for (const Range& r : ranges_) {
-      scratch[next[(r.offset >> shift) & 0xFF]++] = r;
+    for (size_t i = 0; i < n; ++i) {
+      to[next[(from[i].offset >> shift) & 0xFF]++] = from[i];
     }
-    ranges_.swap(scratch);
+    std::swap(from, to);
   }
+  if (from != ranges_.data()) {
+    std::copy(from, from + n, ranges_.data());
+  }
+  alloc.deallocate(scratch, n);
 }
 
 AddOutcome RangeSet::AddFullCoalesce(uint64_t offset, uint64_t len) {
@@ -109,30 +121,39 @@ AddOutcome RangeSet::AddFullCoalesce(uint64_t offset, uint64_t len) {
 
 AddOutcome RangeSet::AddExactMatch(uint64_t offset, uint64_t len) {
   if (ranges_.empty()) {
+    cursor_ = 0;
     return Append(offset, len);
   }
   // Fast path 1: the common compiler-generated pattern re-registers the
-  // object it just registered.
-  Range& last = ranges_.back();
-  if (last.offset == offset) {
+  // object it just registered. The cursor is only a hint: any entry whose
+  // offset matches is the one entry for that offset.
+  if (ranges_[cursor_].offset == offset) {
     ++hint_hits_;
-    return Reregister(last, len);
+    return Reregister(ranges_[cursor_], len);
   }
   if (sorted_) {
     // Fast path 2: an ascending-address sequence appends in order.
-    if (offset > last.offset) {
+    if (offset > ranges_.back().offset) {
       ++hint_hits_;
+      cursor_ = ranges_.size();
       return Append(offset, len);
     }
     // The first call off both fast paths: index the set from here on.
     sorted_ = false;
     BuildIndex();
+  } else if (cursor_ + 1 < ranges_.size() && ranges_[cursor_ + 1].offset == offset) {
+    // Fast path 3: a revisit in the order of the first visit re-registers
+    // the successor of the range last touched.
+    ++hint_hits_;
+    return Reregister(ranges_[++cursor_], len);
   }
   Slot& slot = Probe(offset);
   if (slot.pos_plus_one != 0) {
-    return Reregister(ranges_[slot.pos_plus_one - 1], len);
+    cursor_ = slot.pos_plus_one - 1;
+    return Reregister(ranges_[cursor_], len);
   }
-  slot = Slot{offset, ranges_.size() + 1};
+  cursor_ = ranges_.size();
+  slot = Slot{offset, cursor_ + 1};
   AddOutcome outcome = Append(offset, len);
   // Keep the load factor at or below one half.
   if (2 * ranges_.size() > index_.size()) {
@@ -171,7 +192,13 @@ RangeSet::Slot& RangeSet::Probe(uint64_t offset) {
 void RangeSet::BuildIndex() {
   // The smallest power of two above twice the set: a fresh index is under
   // half full, and the rebuild that a half-full index triggers doubles it.
-  const size_t capacity = std::bit_ceil(std::max<size_t>(16, 2 * ranges_.size() + 1));
+  // Past an eighth of the expected size the set is taken to be as large as
+  // the last transaction's, and the index jumps straight to that size.
+  size_t sized_for = ranges_.size();
+  if (8 * sized_for > expected_ranges_) {
+    sized_for = std::max(sized_for, expected_ranges_);
+  }
+  const size_t capacity = std::bit_ceil(std::max<size_t>(16, 2 * sized_for + 1));
   index_.assign(capacity, Slot{});
   index_shift_ = 64 - std::countr_zero(capacity);
   for (size_t pos = 0; pos < ranges_.size(); ++pos) {

@@ -176,7 +176,10 @@ base::Status Rvm::DeclareIn(Txn& txn, RegionId region_id, uint64_t offset, uint6
       return base::OutOfRange("set_range beyond region end");
     }
     ++region->pins_;
-    it = txn.declared.emplace(region_id, Txn::Declared{region, RangeSet(options_.coalesce)}).first;
+    it = txn.declared
+             .emplace(region_id,
+                      Txn::Declared{region, RangeSet(options_.coalesce, last_txn_ranges_)})
+             .first;
   }
   txn.last = &it->second;
   return base::OkStatus();
@@ -770,8 +773,13 @@ void Rvm::EraseTxnLocked(std::map<TxnId, Txn>::iterator it) {
   const Txn& txn = it->second;
   m_.set_range_calls.Add(txn.set_range_calls);
   m_.set_range_duplicates.Add(txn.set_range_duplicates);
+  size_t declared = 0;
   for (const auto& [region_id, entry] : txn.declared) {
     --entry.region->pins_;
+    declared += entry.ranges.range_count();
+  }
+  if (declared != 0) {
+    last_txn_ranges_ = declared;
   }
   txns_.erase(it);
 }

@@ -507,6 +507,10 @@ class Rvm {
   mutable base::Mutex mu_{"rvm", base::LockRank::kRvm};
   std::map<RegionId, std::unique_ptr<Region>> regions_ LBC_GUARDED_BY(mu_);
   std::map<TxnId, Txn> txns_ LBC_GUARDED_BY(mu_);
+  // Ranges declared by the last transaction to end with any, summed over
+  // its regions: a new write set sizes its index for this many (see
+  // RangeSet).
+  size_t last_txn_ranges_ LBC_GUARDED_BY(mu_) = 0;
   TxnId next_txn_ LBC_GUARDED_BY(mu_) = 1;
   uint64_t commit_seq_ LBC_GUARDED_BY(mu_) = 0;
 

@@ -144,6 +144,24 @@ TEST(RangeSet, ClearResets) {
   EXPECT_EQ(AddOutcome::kInserted, s.Add(0, 8));
 }
 
+// Clear keeps the vector's capacity, so a stale cursor would still point at
+// old entries; the set must not re-register one of them.
+TEST(RangeSet, ClearLeavesNoStaleEntryUnderTheCursor) {
+  RangeSet s(CoalesceMode::kExactMatch);
+  for (uint64_t i = 0; i < 100; ++i) {
+    s.Add(i * 16, 8);
+  }
+  s.Add(0, 8);  // an older entry: the cursor moves to position 0
+  s.Add(16, 8);
+  s.Clear();
+  EXPECT_EQ(AddOutcome::kInserted, s.Add(800, 8));
+  EXPECT_EQ(AddOutcome::kInserted, s.Add(16, 8));
+  EXPECT_EQ(AddOutcome::kInserted, s.Add(0, 8));
+  EXPECT_EQ(AddOutcome::kInserted, s.Add(32, 8));
+  EXPECT_EQ((std::vector<Range>{{0, 8}, {16, 8}, {32, 8}, {800, 8}}), s.ranges());
+  EXPECT_EQ(32u, s.byte_count());
+}
+
 TEST(RangeSet, IterationIsAddressOrdered) {
   RangeSet s(CoalesceMode::kExactMatch);
   s.Add(300, 4);
@@ -396,6 +414,212 @@ TEST(RangeSetRadixSort, Oo7T2BLogPayloadIsUnchanged) {
   std::vector<uint8_t> next;
   ASSERT_TRUE(reader.ReadNext(&next, &at_end).ok());
   EXPECT_TRUE(at_end);
+}
+
+// Differential test of the kExactMatch write set against a std::map model,
+// on the sequences its fast paths are built for and on ones that break
+// them: traversals that revisit groups of objects (an OO7 composite part's
+// atomic parts) in the order of the first visit, revisits out of that
+// order, grown re-registrations, ranges() read mid-transaction (the sort
+// moves every entry under the cursor), and index sizes guessed from a
+// larger or a smaller transaction.
+
+// The reference model: offset -> largest registered length.
+class ReferenceWriteSet {
+ public:
+  AddOutcome Add(uint64_t offset, uint64_t len) {
+    auto [it, inserted] = ranges_.emplace(offset, len);
+    if (inserted) {
+      bytes_ += len;
+      return AddOutcome::kInserted;
+    }
+    if (len <= it->second) {
+      return AddOutcome::kExactDuplicate;
+    }
+    bytes_ += len - it->second;
+    it->second = len;
+    return AddOutcome::kGrown;
+  }
+
+  std::vector<Range> Sorted() const {
+    std::vector<Range> out;
+    for (const auto& [offset, len] : ranges_) {
+      out.push_back(Range{offset, len});
+    }
+    return out;
+  }
+
+  size_t size() const { return ranges_.size(); }
+  uint64_t bytes() const { return bytes_; }
+
+ private:
+  std::map<uint64_t, uint64_t> ranges_;
+  uint64_t bytes_ = 0;
+};
+
+struct RevisitShape {
+  size_t groups;               // objects of `per_group` ranges each
+  size_t per_group;
+  size_t visits;               // group visits, repeats included
+  uint64_t shuffle_per_1000;   // a visit walks its group in a new order
+  uint64_t grow_per_1000;      // a call registers a longer length
+};
+
+// A traversal's declarations: each visit picks a group and declares its
+// ranges in the group's order, which the first visit fixes. Each group is
+// its own 1 KiB object at a random place in a 4 MiB region, and its ranges
+// are 8-byte fields spread over the object, so no visit is in address order.
+constexpr uint64_t kObjects = 4096;
+constexpr uint64_t kObjectSize = 1024;
+
+std::vector<Range> RevisitSequence(const RevisitShape& shape, base::Rng& rng) {
+  std::vector<uint64_t> objects(kObjects);
+  for (uint64_t i = 0; i < kObjects; ++i) {
+    objects[i] = i;
+  }
+  std::vector<std::vector<uint64_t>> groups(shape.groups);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    std::swap(objects[g], objects[g + rng.Uniform(kObjects - g)]);
+    std::vector<uint64_t>& group = groups[g];
+    while (group.size() < shape.per_group) {
+      const uint64_t offset = kObjectSize * objects[g] + 8 * rng.Uniform(kObjectSize / 8);
+      if (std::find(group.begin(), group.end(), offset) == group.end()) {
+        group.push_back(offset);
+      }
+    }
+  }
+  std::map<uint64_t, uint64_t> len_of;
+  std::vector<Range> calls;
+  for (size_t v = 0; v < shape.visits; ++v) {
+    std::vector<uint64_t> order = groups[rng.Uniform(groups.size())];
+    if (rng.Chance(shape.shuffle_per_1000, 1000)) {
+      for (size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.Uniform(i)]);
+      }
+    }
+    for (uint64_t offset : order) {
+      uint64_t& len = len_of.emplace(offset, 8).first->second;
+      // A grown range stays inside its object, and so inside the region.
+      if (offset % kObjectSize + len < kObjectSize && rng.Chance(shape.grow_per_1000, 1000)) {
+        len += 8;
+      }
+      calls.push_back(Range{offset, len});
+    }
+  }
+  return calls;
+}
+
+constexpr RevisitShape kInOrder{200, 20, 1000, 0, 0};
+constexpr RevisitShape kShuffled{200, 20, 1000, 300, 0};
+constexpr RevisitShape kGrowing{200, 20, 1000, 100, 50};
+
+// Adds `calls` to `set` and checks every outcome and, every `check_every`
+// calls and at the end, ranges(), range_count() and byte_count().
+void ExpectMatchesReference(RangeSet& set, const std::vector<Range>& calls,
+                            size_t check_every) {
+  ReferenceWriteSet ref;
+  for (size_t i = 0; i < calls.size(); ++i) {
+    const auto [offset, len] = calls[i];
+    ASSERT_EQ(ref.Add(offset, len), set.Add(offset, len))
+        << "call " << i << " at " << offset << " len " << len;
+    if ((i + 1) % check_every == 0) {
+      ASSERT_EQ(ref.Sorted(), set.ranges()) << "after call " << i;
+    }
+  }
+  EXPECT_EQ(ref.Sorted(), set.ranges());
+  EXPECT_EQ(ref.size(), set.range_count());
+  EXPECT_EQ(ref.bytes(), set.byte_count());
+}
+
+TEST(RangeSetDifferential, MatchesReferenceForEveryShapeAndIndexSize) {
+  for (const RevisitShape& shape : {kInOrder, kShuffled, kGrowing}) {
+    base::Rng rng(shape.shuffle_per_1000 + shape.grow_per_1000);
+    const std::vector<Range> calls = RevisitSequence(shape, rng);
+    // 0: doubling only; the exact size; a guess far too small; one far too
+    // large. ranges() mid-transaction: never, often, and rarely.
+    for (size_t expected : {size_t{0}, size_t{4000}, size_t{16}, size_t{1} << 20}) {
+      for (size_t check_every : {calls.size() + 1, size_t{97}, size_t{5003}}) {
+        SCOPED_TRACE(::testing::Message() << "shuffle " << shape.shuffle_per_1000 << " grow "
+                                          << shape.grow_per_1000 << " expected " << expected
+                                          << " check every " << check_every);
+        RangeSet set(CoalesceMode::kExactMatch, expected);
+        ExpectMatchesReference(set, calls, check_every);
+      }
+    }
+  }
+}
+
+// hint_hits() counts the successor fast path: a revisit in the order of the
+// first visit probes the index only for the group's first range.
+TEST(RangeSetDifferential, InOrderRevisitsTakeTheSuccessorPath) {
+  base::Rng rng(7);
+  const std::vector<Range> calls = RevisitSequence(kInOrder, rng);
+  RangeSet set(CoalesceMode::kExactMatch);
+  for (const auto& [offset, len] : calls) {
+    set.Add(offset, len);
+  }
+  const uint64_t revisit_calls = calls.size() - set.range_count();
+  EXPECT_GE(set.hint_hits(), revisit_calls * (kInOrder.per_group - 1) / kInOrder.per_group);
+}
+
+// Through Rvm, whose write set sizes its index from the last transaction:
+// sets of several sizes, each after a larger and then a smaller transaction
+// on the same Rvm. A commit logs exactly the reference set, and a kRestore
+// abort puts back every byte the transaction wrote.
+TEST(RangeSetDifferential, RvmCommitAndRestoreAfterLargerAndSmallerTransactions) {
+  store::MemStore store;
+  rvm::RvmOptions options;
+  options.disk_logging = false;
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, options));
+  constexpr uint64_t kRegionSize = kObjects * kObjectSize;
+  rvm::Region* region = *r->MapRegion(1, kRegionSize);
+  base::Rng rng(23);
+  for (uint64_t i = 0; i < kRegionSize; ++i) {
+    region->data()[i] = static_cast<uint8_t>(rng.Next());
+  }
+  std::vector<Range> committed;
+  r->SetCommitHook([&](const rvm::TransactionRecord& rec) {
+    committed.clear();
+    for (const rvm::RangeImage& image : rec.ranges) {
+      committed.push_back(Range{image.offset, image.data.size()});
+    }
+  });
+  auto sequence = [&](size_t groups, uint64_t shuffle_per_1000) {
+    return RevisitSequence(RevisitShape{groups, 20, 4 * groups, shuffle_per_1000, 30}, rng);
+  };
+  auto commit = [&](const std::vector<Range>& calls) {
+    ReferenceWriteSet ref;
+    rvm::Rvm::TxnHandle txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    for (const auto& [offset, len] : calls) {
+      ref.Add(offset, len);
+      ASSERT_TRUE(r->SetRange(txn, 1, offset, len).ok());
+    }
+    ASSERT_TRUE(r->EndTransaction(txn, rvm::CommitMode::kNoFlush).ok());
+    EXPECT_EQ(ref.Sorted(), committed);
+  };
+  auto restore = [&](const std::vector<Range>& calls) {
+    const std::vector<uint8_t> before(region->data(), region->data() + kRegionSize);
+    rvm::Rvm::TxnHandle txn = r->BeginTransaction(rvm::RestoreMode::kRestore);
+    for (const auto& [offset, len] : calls) {
+      ASSERT_TRUE(r->SetRange(txn, 1, offset, len).ok());
+      for (uint64_t b = offset; b < offset + len; ++b) {
+        region->data()[b] = static_cast<uint8_t>(rng.Next());
+      }
+    }
+    ASSERT_TRUE(r->AbortTransaction(txn).ok());
+    EXPECT_TRUE(std::equal(before.begin(), before.end(), region->data()));
+  };
+  for (size_t groups : {size_t{1}, size_t{12}, size_t{150}, size_t{600}}) {
+    for (uint64_t shuffle_per_1000 : {uint64_t{0}, uint64_t{300}}) {
+      SCOPED_TRACE(::testing::Message() << groups << " groups, shuffle " << shuffle_per_1000);
+      commit(sequence(4 * groups, shuffle_per_1000));
+      commit(sequence(std::max<size_t>(1, groups / 4), shuffle_per_1000));
+      restore(sequence(groups, shuffle_per_1000));
+      commit(sequence(4 * groups, shuffle_per_1000));
+      commit(sequence(std::max<size_t>(1, groups / 4), shuffle_per_1000));
+      commit(sequence(groups, shuffle_per_1000));
+    }
+  }
 }
 
 }  // namespace

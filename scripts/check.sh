@@ -175,6 +175,11 @@ if [[ "$run_tsan" == 1 ]]; then
   ./build-tsan/tests/rvm_concurrency_test \
     --gtest_filter=RvmConcurrency.LockFreeDeclaresRaceMappingAndExternalUpdates \
     --gtest_repeat=20
+  # The ordered/durable suite, repeated: the batch leader, Carry (receiver
+  # threads) and DropFolded share one table of what each node's log owes,
+  # and the leader writes it with that table's lock released.
+  echo "--- tsan: lbc_ordered_durable_test (one owed table, 5 repeats)"
+  ./build-tsan/tests/lbc_ordered_durable_test --gtest_repeat=5
   # The drain worker pool's concurrency test, repeated: replays of
   # different region files overlap, one file's never do, and a page
   # re-pended mid-flight replays again.

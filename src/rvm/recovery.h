@@ -114,7 +114,7 @@ base::Status ReplayRegionFile(store::DurableStore* store, RegionId region,
 // node that crashed before its first flush has no durable log and nothing
 // to recover. Logs are left intact; callers truncate them afterwards if
 // desired. Takes no lock: callers order it against other writers of the
-// same files (Rvm::TruncateLog runs it under its own log lock).
+// same files.
 base::Status ReplayLogsIntoDatabase(store::DurableStore* store,
                                     const std::vector<std::string>& log_names);
 

@@ -8,7 +8,6 @@
 #include "src/obs/metrics.h"
 #include "src/rvm/log_format.h"
 #include "src/rvm/page_checksum.h"
-#include "src/rvm/recovery.h"
 
 namespace rvm {
 
@@ -383,7 +382,7 @@ std::shared_ptr<const TransactionRecord> Rvm::OrderLocked(Txn& txn) {
           base::ByteSpan(rec.bytes.data() + data_offsets[i], rec.ranges[i].data.size());
     }
     txn.ordered = shared;
-    undurable_.insert(rec.commit_seq);
+    owed_.try_emplace({node_, rec.commit_seq}, Owed{shared, false, ++order_clock_});
   }
   PublishDurableSeqLocked();
   return shared;
@@ -393,8 +392,8 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
   // Whole-commit latency (gather + commit hook + log write) for the
   // histogram; the phase counters below split the same work.
   obs::ScopedTimer commit_timer(nullptr, commit_nanos_);
-  // The one ordered record: the transaction keeps it (for a retry) and the
-  // pipeline and the hook read it, all by reference.
+  // The one ordered record: the transaction and owed_ keep it, the hook reads
+  // it by reference. A retry leaves it null: its hook ran already.
   std::shared_ptr<const TransactionRecord> rec;
   bool crossed_soft = false;
   {
@@ -404,10 +403,7 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
     if (it == txns_.end()) {
       return base::FailedPrecondition("no such active transaction");
     }
-    const bool retry = it->second.ordered != nullptr;
-    if (retry) {
-      rec = it->second.ordered;
-    } else {
+    if (it->second.ordered == nullptr) {
       // Backpressure runs before ordering, so a stall that runs out leaves
       // the transaction active and unordered. The stall drops mu_: look the
       // transaction up again.
@@ -422,13 +418,10 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
 
     if (it->second.ordered != nullptr) {
       PendingCommit pc;
-      pc.record = retry ? nullptr : rec.get();
-      pc.commit_seq = rec->commit_seq;
-      pc.stamp = retry ? 0 : ++order_clock_;
       pc.mode = mode;
       pc.enqueued_nanos = base::SteadyClock::Instance()->NowNanos();
       commit_queue_.push_back(&pc);
-      if (!retry && commit_hook_) {
+      if (rec != nullptr && commit_hook_) {
         // Ordered: the record is stamped and queued, so the coherency layer
         // may broadcast it and pass the lock token now, while the log force
         // is still ahead (the leader may even finish it meanwhile).
@@ -445,11 +438,9 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
       // marks their entry done (possibly after several batches).
       while (!pc.done) {
         if (!commit_leader_active_ && !commit_pipeline_held_) {
-          Batch batch = TakeBatchLocked();
-          lock.Unlock();
-          BatchResult result = WriteBatch(batch);
-          lock.Lock();
-          FinishBatchLocked(batch, result, &crossed_soft);
+          // pc.status carries the batch's status.
+          base::IgnoreError(LeadBatchLocked(lock, /*whole_carry_set=*/false,
+                                            /*force_sync=*/false, &crossed_soft));
         } else {
           commit_cv_.Wait(lock);
         }
@@ -457,8 +448,8 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
       disk_timer.StopNanos();
       cohort_wait_nanos_->Record(base::SteadyClock::Instance()->NowNanos() - pc.enqueued_nanos);
       // The transaction stays ordered on a batch write failure, its record
-      // queued in unwritten_: the caller may trim out of band and retry
-      // EndTransaction (it cannot abort), or drop it (ForgetOrdered).
+      // owed: the caller may trim out of band and retry EndTransaction (it
+      // cannot abort), or drop it (ForgetOrdered).
       RETURN_IF_ERROR(pc.status);
       m_.transactions_committed.Increment();
       // txns_ is a node-based map, so `it` survived the pipeline's
@@ -483,46 +474,54 @@ base::Status Rvm::EndTransaction(TxnId txn_id, CommitMode mode) {
   return base::OkStatus();
 }
 
-Rvm::Batch Rvm::TakeBatchLocked(bool whole_carry_set) {
+base::Status Rvm::LeadBatchLocked(base::MutexLock& lock, bool whole_carry_set, bool force_sync,
+                                  bool* crossed_soft) {
   commit_leader_active_ = true;
   Batch batch;
   batch.commits.assign(commit_queue_.begin(), commit_queue_.end());
   commit_queue_.clear();
+  std::vector<std::shared_ptr<const TransactionRecord>> own;
   uint64_t newest = whole_carry_set ? UINT64_MAX : 0;
-  for (const PendingCommit* pc : batch.commits) {
-    newest = std::max(newest, pc->stamp);
-  }
-  for (const auto& [seq, unwritten] : unwritten_) {
-    batch.unwritten.push_back(unwritten.record);
-    newest = std::max(newest, unwritten.stamp);
-  }
-  for (auto& [key, carried] : carry_) {
-    if (!carried.written && carried.stamp < newest) {
-      batch.carried.push_back(carried.record);
+  for (auto it = owed_.lower_bound({node_, 0}); it != owed_.end() && it->first.first == node_;
+       ++it) {
+    if (!it->second.written) {
+      own.push_back(it->second.record);
+      newest = std::max(newest, it->second.stamp);
     }
   }
-  return batch;
+  for (const auto& [key, owed] : owed_) {
+    if (key.first != node_ && !owed.written && owed.stamp < newest) {
+      batch.records.push_back(owed.record);
+    }
+  }
+  batch.carried = batch.records.size();
+  batch.records.insert(batch.records.end(), own.begin(), own.end());
+  batch.force_sync = force_sync;
+  lock.Unlock();
+  const BatchResult result = WriteBatch(batch);
+  lock.Lock();
+  FinishBatchLocked(batch, result, crossed_soft);
+  return result.status;
 }
 
 Rvm::BatchResult Rvm::WriteBatch(const Batch& batch) {
   // Carried records are re-encoded into the log format here, off every
-  // lock: only the ones a batch actually writes pay for it.
+  // lock: only the ones a batch actually writes pay for it. An own record's
+  // `bytes` is its log payload.
   std::vector<std::vector<uint8_t>> carried;
-  carried.reserve(batch.carried.size());
+  carried.reserve(batch.carried);
   std::vector<base::ByteSpan> payloads;
-  payloads.reserve(batch.carried.size() + batch.unwritten.size() + batch.commits.size());
-  for (const TransactionRecord& rec : batch.carried) {
-    carried.push_back(EncodeTransaction(rec));
-    payloads.emplace_back(carried.back().data(), carried.back().size());
-  }
-  for (const TransactionRecord& rec : batch.unwritten) {
-    payloads.push_back(rec.bytes.span());
+  payloads.reserve(batch.records.size());
+  for (size_t i = 0; i < batch.records.size(); ++i) {
+    if (i < batch.carried) {
+      carried.push_back(EncodeTransaction(*batch.records[i]));
+      payloads.emplace_back(carried.back().data(), carried.back().size());
+    } else {
+      payloads.push_back(batch.records[i]->bytes.span());
+    }
   }
   bool sync_now = batch.force_sync;
   for (const PendingCommit* pc : batch.commits) {
-    if (pc->record != nullptr) {
-      payloads.push_back(pc->record->bytes.span());
-    }
     sync_now |= pc->mode == CommitMode::kFlush;
   }
   BatchResult result;
@@ -542,11 +541,6 @@ void Rvm::FinishBatchLocked(const Batch& batch, const BatchResult& result,
   commit_cv_.NotifyAll();
   size_t flushes = 0;
   for (PendingCommit* pc : batch.commits) {
-    if (!result.status.ok() && pc->record != nullptr) {
-      // Nothing is known written: the record joins unwritten_ for the next
-      // batch (copied before `done` lets its committer return).
-      unwritten_.try_emplace(pc->commit_seq, Unwritten{*pc->record, pc->stamp});
-    }
     pc->status = result.status;
     pc->done = true;
     if (pc->mode == CommitMode::kFlush) {
@@ -554,24 +548,21 @@ void Rvm::FinishBatchLocked(const Batch& batch, const BatchResult& result,
     }
   }
   if (!result.status.ok()) {
-    return;  // the carried records and unwritten_ stay unwritten too
+    return;  // nothing is known written: every entry stays owed as it was
   }
-  for (const TransactionRecord& rec : batch.carried) {
-    if (auto it = carry_.find({rec.node, rec.commit_seq}); it != carry_.end()) {
+  for (const auto& rec : batch.records) {
+    // DropCarried may have dropped a carried one meanwhile.
+    if (auto it = owed_.find({rec->node, rec->commit_seq}); it != owed_.end()) {
       it->second.written = true;
+      if (rec->node == node_) {
+        it->second.record.reset();  // it waits only for a sync now
+      }
     }
-  }
-  for (const TransactionRecord& rec : batch.unwritten) {
-    unwritten_.erase(rec.commit_seq);
-    unsynced_.push_back(rec.commit_seq);
-  }
-  for (const PendingCommit* pc : batch.commits) {
-    unsynced_.push_back(pc->commit_seq);
   }
   if (result.synced) {
     NoteSyncedLocked();
   }
-  m_.carried_written.Add(batch.carried.size());
+  m_.carried_written.Add(batch.carried);
   if (!batch.commits.empty()) {
     m_.commit_batches.Increment();
     m_.commit_batch_txns.Add(batch.commits.size());
@@ -589,15 +580,16 @@ void Rvm::FinishBatchLocked(const Batch& batch, const BatchResult& result,
 }
 
 void Rvm::NoteSyncedLocked() {
-  for (uint64_t seq : unsynced_) {
-    undurable_.erase(seq);
+  for (auto it = owed_.lower_bound({node_, 0}); it != owed_.end() && it->first.first == node_;) {
+    it = it->second.written ? owed_.erase(it) : std::next(it);
   }
-  unsynced_.clear();
   PublishDurableSeqLocked();
 }
 
 void Rvm::PublishDurableSeqLocked() {
-  const uint64_t durable = undurable_.empty() ? commit_seq_ : *undurable_.begin() - 1;
+  const auto it = owed_.lower_bound({node_, 0});
+  const uint64_t durable =
+      it != owed_.end() && it->first.first == node_ ? it->first.second - 1 : commit_seq_;
   durable_seq_.store(durable, std::memory_order_release);
 }
 
@@ -630,20 +622,25 @@ void Rvm::Carry(TransactionRecord rec) {
   if (rec.bytes.empty()) {
     rec = rec.Own();
   }
-  carry_.try_emplace(key, Carried{std::move(rec), false, ++order_clock_});
+  owed_.try_emplace(key, Owed{std::make_shared<const TransactionRecord>(std::move(rec)), false,
+                              ++order_clock_});
 }
 
 void Rvm::DropCarried(NodeId writer, uint64_t through) {
+  if (writer == node_) {
+    return;  // own records leave owed_ at a sync or a fold
+  }
   base::MutexLock lock(mu_);
   uint64_t& durable = writer_durable_[writer];
   if (through > durable) {
     durable = through;
-    carry_.erase(carry_.lower_bound({writer, 0}), carry_.upper_bound({writer, through}));
+    owed_.erase(owed_.lower_bound({writer, 0}), owed_.upper_bound({writer, through}));
   }
 }
 
 void Rvm::DropFolded(const std::map<LockId, uint64_t>& baselines) {
   base::MutexLock lock(mu_);
+  AwaitLeaderLocked(lock);
   DropFoldedLocked(baselines);
 }
 
@@ -652,35 +649,31 @@ void Rvm::DropFoldedLocked(const std::map<LockId, uint64_t>& baselines) {
     uint64_t& cut = folded_[lock_id];
     cut = std::max(cut, seq);
   }
-  std::erase_if(carry_, [&](const auto& entry) { return FoldedLocked(entry.second.record); });
-  // An own record a failed batch left unwritten that a peer's carried copy
-  // brought into the trim is in the database files now: writing it later
-  // would replay it over newer bytes at the next boot.
-  bool durable_moved = false;
-  std::erase_if(unwritten_, [&](const auto& entry) {
-    if (entry.second.record.locks.empty() || !FoldedLocked(entry.second.record)) {
-      return false;
-    }
-    undurable_.erase(entry.first);
-    durable_moved = true;
-    return true;
+  // Only an own record already written has no `record`: it stays for its
+  // sync. A covered one not yet written is in the database files now, and
+  // writing it later would replay it over newer bytes at the next boot.
+  std::erase_if(owed_, [&](const auto& entry) {
+    const TransactionRecord* rec = entry.second.record.get();
+    return rec != nullptr && !rec->locks.empty() && FoldedLocked(*rec);
   });
-  if (durable_moved) {
-    PublishDurableSeqLocked();
-  }
+  PublishDurableSeqLocked();
 }
 
 size_t Rvm::CarriedCount() const {
   base::MutexLock lock(mu_);
-  return carry_.size();
+  return std::count_if(owed_.begin(), owed_.end(),
+                       [&](const auto& entry) { return entry.first.first != node_; });
 }
 
 std::vector<TransactionRecord> Rvm::CarriedFrom(NodeId writer) const {
-  base::MutexLock lock(mu_);
   std::vector<TransactionRecord> out;
-  for (auto it = carry_.lower_bound({writer, 0});
-       it != carry_.end() && it->first.first == writer; ++it) {
-    out.push_back(it->second.record);
+  if (writer == node_) {
+    return out;
+  }
+  base::MutexLock lock(mu_);
+  for (auto it = owed_.lower_bound({writer, 0}); it != owed_.end() && it->first.first == writer;
+       ++it) {
+    out.push_back(*it->second.record);
   }
   return out;
 }
@@ -714,12 +707,7 @@ base::Status Rvm::ReleaseCommitPipeline() {
       commit_cv_.NotifyAll();
       return base::OkStatus();
     }
-    Batch batch = TakeBatchLocked();
-    lock.Unlock();
-    BatchResult result = WriteBatch(batch);
-    lock.Lock();
-    FinishBatchLocked(batch, result, &crossed_soft);
-    status = result.status;
+    status = LeadBatchLocked(lock, /*whole_carry_set=*/false, /*force_sync=*/false, &crossed_soft);
   }
   if (crossed_soft) {
     FireSoftTrim();
@@ -808,13 +796,7 @@ base::Status Rvm::Flush(bool whole_carry_set) {
   {
     base::MutexLock lock(mu_);
     AwaitLeaderLocked(lock);
-    Batch batch = TakeBatchLocked(whole_carry_set);
-    batch.force_sync = true;
-    lock.Unlock();
-    BatchResult result = WriteBatch(batch);
-    lock.Lock();
-    FinishBatchLocked(batch, result, &crossed_soft);
-    status = result.status;
+    status = LeadBatchLocked(lock, whole_carry_set, /*force_sync=*/true, &crossed_soft);
   }
   if (crossed_soft) {
     FireSoftTrim();
@@ -987,24 +969,6 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
   log_ = std::make_unique<LogWriter>(std::move(reopened), new_size);
   log_lock.Unlock();
   DropFoldedLocked(baselines);
-  trim_hook_fired_ = false;
-  log_space_cv_.NotifyAll();
-  return base::OkStatus();
-}
-
-base::Status Rvm::TruncateLog() {
-  base::MutexLock lock(mu_);
-  if (!options_.disk_logging) {
-    return base::FailedPrecondition("disk logging disabled");
-  }
-  AwaitLeaderLocked(lock);
-  {
-    base::MutexLock log_lock(log_mu_);
-    RETURN_IF_ERROR(log_->Sync());
-    RETURN_IF_ERROR(ReplayLogsIntoDatabase(store_, {LogFileName(node_)}));
-    RETURN_IF_ERROR(log_->Reset());
-  }
-  NoteSyncedLocked();
   trim_hook_fired_ = false;
   log_space_cv_.NotifyAll();
   return base::OkStatus();

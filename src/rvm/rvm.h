@@ -10,10 +10,12 @@
 //     durable, with the record that is about to be logged, so the coherency
 //     layer can broadcast exactly the bytes that will be logged, and pass
 //     the lock token, without waiting for the log force (§2, §3.2);
-//   * a carry set: records applied from other nodes that are not yet known
-//     to be durable. Every commit batch writes them ahead of its own
-//     records, so the force that makes a successor durable also makes the
-//     predecessors it read durable (DESIGN.md, "Ordered and durable").
+//   * a table of what the node's log owes: its own ordered records until a
+//     sync covers them, and the records it applied from other nodes that are
+//     not yet known to be durable (the carry set). Every commit batch writes
+//     the carried records its commits may have read ahead of its own, so the
+//     force that makes a successor durable also makes the predecessors it
+//     read durable (DESIGN.md, "Ordered and durable").
 //
 // One Rvm instance is one client node: it maps regions (whole database files
 // copied into virtual memory at startup, as in RVM), runs local transactions
@@ -29,7 +31,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "src/base/buffer.h"
@@ -223,23 +224,24 @@ class Rvm {
   [[nodiscard]] base::Status SetLockId(TxnId txn, LockId lock, uint64_t sequence);
 
   // Commits, in two steps. *Ordered*: under the instance lock the committer
-  // gathers ranges, stamps the commit sequence, encodes the redo record and
-  // enqueues it; then, with no lock held, it runs the commit hook. *Durable*:
-  // the first waiter becomes the batch leader, drains the queue (behind the
-  // carry set) into ONE vectored log append plus (if any batch member asked
-  // to flush) ONE fsync, and wakes the cohort with their individual
-  // statuses. EndTransaction returns at durable. A batch is atomic at the
-  // log-frame level only: each transaction keeps its own framed,
-  // checksummed record, so a crash mid-batch recovers to a per-record
-  // prefix of the batch.
+  // gathers ranges, stamps the commit sequence, encodes the redo record,
+  // enters it in the table of what the log owes and enqueues itself; then,
+  // with no lock held, it runs the commit hook. *Durable*: the first waiter
+  // becomes the batch leader, writes every own record not yet written
+  // (behind the carried records they may have read) as ONE vectored log
+  // append plus (if any batch member asked to flush) ONE fsync, and wakes
+  // the cohort with the batch's status. EndTransaction returns at durable.
+  // A batch is atomic at the log-frame level only: each transaction keeps
+  // its own framed, checksummed record, so a crash mid-batch recovers to a
+  // per-record prefix of the batch.
   //
   // Hard-watermark backpressure runs before ordering: on RESOURCE_EXHAUSTED
   // from the stall the transaction is still active and unordered. A failure
   // after ordering (the log write) leaves it ordered: the stamped record
-  // stays queued, and every later batch (a commit's or FlushLog's) writes
-  // it ahead of its own commits until one succeeds, whether or not the
-  // caller retries. A retry of EndTransaction waits for such a batch (the
-  // same bytes, the same commit_seq) and does not run the hook again.
+  // stays owed, and every later batch (a commit's or FlushLog's) writes it
+  // until one succeeds, whether or not the caller retries. A retry of
+  // EndTransaction waits for such a batch (the same bytes, the same
+  // commit_seq) and does not run the hook again.
   [[nodiscard]] base::Status EndTransaction(TxnId txn, CommitMode mode);
 
   // Aborts: restores undo copies (kRestore transactions only). An ordered
@@ -248,7 +250,7 @@ class Rvm {
   [[nodiscard]] base::Status AbortTransaction(TxnId txn);
 
   // Ends the handle of an ordered transaction whose caller will not retry
-  // its commit (the record stays queued for the next batch) and returns
+  // its commit (the record stays owed, for the next batch) and returns
   // true; false, and no effect, for an unordered one (AbortTransaction).
   bool ForgetOrdered(TxnId txn);
 
@@ -256,9 +258,10 @@ class Rvm {
   // failed after ordering and awaits a retry); nullopt otherwise.
   std::optional<TransactionRecord> OrderedRecord(TxnId txn) const;
 
-  // Makes every ordered commit durable: drains the commit queue, with the
-  // carried records its commits may have read, as one batch (on the calling
-  // thread, after the batch in flight) and syncs the log.
+  // Makes every ordered commit durable: writes the own records not yet
+  // written, with the carried records they may have read, as one batch (on
+  // the calling thread, after the batch in flight), syncs the log and
+  // completes the queued commits.
   [[nodiscard]] base::Status FlushLog();
   // FlushLog, writing the whole carry set too: every record this node
   // carries is durable when it returns (the reclaim after a writer's death).
@@ -275,18 +278,24 @@ class Rvm {
   using CommitHook = std::function<void(const TransactionRecord&)>;
   void SetCommitHook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
-  // --- carry set (ordered-before-durable successors) ------------------------
+  // --- what the log owes (ordered before durable) ---------------------------
   //
-  // Records this node applied from other nodes and does not yet know to be
-  // durable. Each commit batch writes the ones its commits may have read
-  // (carried before the batch's newest commit was ordered) ahead of its own
-  // records. A record leaves the set only once its writer's durable
-  // watermark covers it (DropCarried) or a trim has folded it into the
-  // database files (DropFolded): one this node's batch wrote stays, marked
-  // written, so that if its writer dies first the reclaim still finds it
-  // here (CarriedFrom) and republishes it to survivors that never got it.
-  // Only records with lock records are carried, and none with disk logging
-  // off.
+  // One table, keyed (writer, commit_seq), holds every record this node's
+  // log still has to write or sync:
+  //   * own logged records, from ordering until a sync covers them. Every
+  //     batch writes all the ones not yet written; a failed batch changes
+  //     no entry, so the next batch writes them again.
+  //   * the carry set: records this node applied from other nodes and does
+  //     not yet know to be durable. Each batch writes the ones its commits
+  //     may have read (carried before its newest own record was ordered)
+  //     ahead of its own. A carried record leaves only once its writer's
+  //     durable watermark covers it (DropCarried) or a trim has folded it
+  //     (DropFolded): one this node's batch wrote stays, marked written, so
+  //     that if its writer dies first the reclaim still finds it here
+  //     (CarriedFrom) and republishes it to survivors that never got it.
+  //     Only records with lock records are carried, and none with disk
+  //     logging off. DropCarried, CarriedCount and CarriedFrom see only
+  //     these.
 
   // Adds `rec` unless it is already carried, is this node's own, has no
   // lock records, or is covered by its writer's durable watermark or a
@@ -296,15 +305,19 @@ class Rvm {
   // `writer`'s durable watermark reached `through`: drops its carried
   // records with commit_seq <= `through` and never carries them again.
   void DropCarried(NodeId writer, uint64_t through);
-  // Drops every carried record whose every lock sequence is at or below the
-  // lock's entry in `baselines` (a trim folded it into the database files),
-  // and never carries such a record again.
+  // Drops every owed record with lock records, all at or below the lock's
+  // entry in `baselines` (a trim folded it into the database files), and
+  // never carries such a record again. Own records not yet written go too,
+  // and are never written (at the next boot they would replay over newer
+  // bytes); written ones stay until a sync. Waits out a batch in flight
+  // first, so it never drops a record that batch is writing.
   void DropFolded(const std::map<LockId, uint64_t>& baselines);
   size_t CarriedCount() const;
   // Carried records of `writer` (for the reclaim after its death).
   std::vector<TransactionRecord> CarriedFrom(NodeId writer) const;
 
-  // This node's durable watermark: every logged record of its own with
+  // This node's durable watermark: one below its oldest owed own record
+  // (commit_seq() when none), so every logged record of its own with
   // commit_seq at or below it is durable. Lock-free read.
   uint64_t DurableSeq() const { return durable_seq_.load(std::memory_order_acquire); }
 
@@ -327,12 +340,6 @@ class Rvm {
   [[nodiscard]] base::Status ApplyExternalRanges(const std::vector<RangeImage>& ranges);
 
   // --- maintenance ---------------------------------------------------------
-
-  // Single-node checkpoint: replays this node's committed log into the
-  // database files and resets the log. Only correct when no other node has
-  // written the shared regions since the last truncation; multi-node
-  // truncation goes through the storage server's merge (§3.5).
-  [[nodiscard]] base::Status TruncateLog();
 
   // Empties the log WITHOUT applying it — for coordinated multi-node
   // trimming (lbc::OnlineTrim), where the caller has already merged and
@@ -403,34 +410,29 @@ class Rvm {
     // ends: SetRange is too hot for an atomic per call.
     uint64_t set_range_calls = 0;
     uint64_t set_range_duplicates = 0;
-    // Set once the commit is ordered with a record to log; a retry after a
-    // log-write failure re-enqueues exactly this record.
+    // Set once the commit is ordered with a record to log (the record owed_
+    // holds); a retry after a log-write failure waits for a batch to write
+    // it.
     std::shared_ptr<const TransactionRecord> ordered;
   };
 
-  // One commit parked on the pipeline: the fully encoded log payload plus
-  // completion state. Lives on the committing thread's stack; every field
-  // is written under mu_ (by the enqueuer, then by the batch leader).
+  // One commit parked on the pipeline: completion state only (its record is
+  // in owed_). Lives on the committing thread's stack; every field is
+  // written under mu_ (by the enqueuer, then by the batch leader).
   struct PendingCommit {
-    // The ordered record, whose `bytes` is the log payload; null for a
-    // retry, whose record a failed batch left in unwritten_ (or a later
-    // batch has written since).
-    const TransactionRecord* record = nullptr;
-    uint64_t commit_seq = 0;
-    uint64_t stamp = 0;  // order_clock_ when enqueued
     CommitMode mode = CommitMode::kFlush;
     bool done = false;
     base::Status status;
     uint64_t enqueued_nanos = 0;
   };
 
-  // One leader drain's input: the queued commits, and ahead of them the
-  // carried records not yet written and this node's own records a failed
-  // batch left unwritten (unwritten_).
+  // One leader drain's input: the queued commits it completes, and the
+  // records it writes, in owed_ key order: first `carried` peers' records,
+  // then this node's own.
   struct Batch {
     std::vector<PendingCommit*> commits;
-    std::vector<TransactionRecord> carried;
-    std::vector<TransactionRecord> unwritten;
+    std::vector<std::shared_ptr<const TransactionRecord>> records;
+    size_t carried = 0;
     bool force_sync = false;  // Flush: sync even with no kFlush member
   };
 
@@ -455,36 +457,40 @@ class Rvm {
       LBC_EXCLUDES(mu_);
 
   // Gathers, stamps and (when it will be logged) encodes `txn`'s record;
-  // a logged record is kept as `txn.ordered` too.
+  // a logged record is kept as `txn.ordered` and entered in owed_.
   std::shared_ptr<const TransactionRecord> OrderLocked(Txn& txn) LBC_REQUIRES(mu_);
 
   // Ends a transaction: adds its SetRange tallies to the instruments,
   // unpins the regions it declared into, and drops it.
   void EraseTxnLocked(std::map<TxnId, Txn>::iterator it) LBC_REQUIRES(mu_);
 
-  // Claims leadership and takes the queue and unwritten_, plus the
-  // unwritten carried records they may have read: those carried before the
-  // newest of them was ordered (all of them when `whole_carry_set`).
-  Batch TakeBatchLocked(bool whole_carry_set = false) LBC_REQUIRES(mu_);
+  // Leads one batch on the calling thread and returns its write status. It
+  // claims leadership and takes the queue and every own record not yet
+  // written, plus the unwritten carried records they may have read: those
+  // carried before the newest of them was ordered (all of them when
+  // `whole_carry_set`). It writes them with mu_ released (synced when
+  // `force_sync`) and publishes the outcome.
+  base::Status LeadBatchLocked(base::MutexLock& lock, bool whole_carry_set, bool force_sync,
+                               bool* crossed_soft) LBC_REQUIRES(mu_);
 
   // FlushLog and ForceCarried: one batch on the calling thread, synced.
   base::Status Flush(bool whole_carry_set) LBC_EXCLUDES(mu_);
 
-  // Leader I/O: one vectored append of the carried records' and the
-  // commits' payloads, one sync if any member committed kFlush (or the batch
-  // forces one). Takes log_mu_ internally; called with NO locks held (mu_
+  // Leader I/O: one vectored append of the batch's records, one sync if any
+  // member committed kFlush (or the batch forces one). Takes log_mu_ internally; called with NO locks held (mu_
   // dropped), so committers keep enqueueing and trims keep trimming while
   // the batch is on its way to the disk.
   BatchResult WriteBatch(const Batch& batch) LBC_EXCLUDES(mu_, log_mu_);
 
-  // Publishes a finished batch: per-entry statuses, the carry set, the
+  // Publishes a finished batch: its commits' status, the written marks, the
   // durable watermark and batch instruments. Releases leadership.
   void FinishBatchLocked(const Batch& batch, const BatchResult& result, bool* crossed_soft)
       LBC_REQUIRES(mu_);
 
-  // A sync covered every written own record: they are durable.
+  // A sync covered every written own record: they are durable, and leave
+  // owed_.
   void NoteSyncedLocked() LBC_REQUIRES(mu_);
-  // Recomputes durable_seq_ from the records still in flight.
+  // Recomputes durable_seq_ from the own records still owed.
   void PublishDurableSeqLocked() LBC_REQUIRES(mu_);
   void DropFoldedLocked(const std::map<LockId, uint64_t>& baselines) LBC_REQUIRES(mu_);
   // Every lock sequence of `rec` is at or below the trims' cut (folded_).
@@ -532,33 +538,24 @@ class Rvm {
   // Signaled when a batch completes or the leadership baton is free.
   base::CondVar commit_cv_;
 
-  // The carry set, keyed (writer, commit_seq). `written`: in this node's
-  // log (durable once a sync covers it).
-  struct Carried {
-    TransactionRecord record;
+  // What the log owes (see the public section), keyed (writer, commit_seq).
+  // `written`: in this node's log (durable once a sync covers it); an own
+  // record drops `record` then. `stamp`: order_clock_ when carried or
+  // ordered.
+  struct Owed {
+    std::shared_ptr<const TransactionRecord> record;
     bool written = false;
-    uint64_t stamp = 0;  // order_clock_ when carried
-  };
-  // Ticks once per carried record and per enqueued commit: a commit can only
-  // depend on records carried before it was ordered.
-  uint64_t order_clock_ LBC_GUARDED_BY(mu_) = 0;
-  std::map<std::pair<NodeId, uint64_t>, Carried> carry_ LBC_GUARDED_BY(mu_);
-  // Each writer's durable watermark as last heard (DropCarried).
-  std::map<NodeId, uint64_t> writer_durable_ LBC_GUARDED_BY(mu_);
-  // Own ordered records a failed batch did not write, by commit_seq, with
-  // their enqueue stamps: every later batch writes them first.
-  struct Unwritten {
-    TransactionRecord record;
     uint64_t stamp = 0;
   };
-  std::map<uint64_t, Unwritten> unwritten_ LBC_GUARDED_BY(mu_);
+  // Ticks once per carried record and per ordered own record: a commit can
+  // only depend on records carried before it was ordered.
+  uint64_t order_clock_ LBC_GUARDED_BY(mu_) = 0;
+  std::map<std::pair<NodeId, uint64_t>, Owed> owed_ LBC_GUARDED_BY(mu_);
+  // Each writer's durable watermark as last heard (DropCarried).
+  std::map<NodeId, uint64_t> writer_durable_ LBC_GUARDED_BY(mu_);
   // Per-lock cut of the trims so far: records covered by it are folded into
   // the database files and never carried again.
   std::map<LockId, uint64_t> folded_ LBC_GUARDED_BY(mu_);
-  // Own logged commit_seqs that are ordered but not yet durable, and those of
-  // them that are written and wait for a sync.
-  std::set<uint64_t> undurable_ LBC_GUARDED_BY(mu_);
-  std::vector<uint64_t> unsynced_ LBC_GUARDED_BY(mu_);
   std::atomic<uint64_t> durable_seq_{0};
 
   // Signaled whenever a trim shrinks the log; commits stalled at the hard

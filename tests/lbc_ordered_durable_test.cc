@@ -2,22 +2,28 @@
 // is ordered, before its log force; successors carry the records they read
 // into their own log batches until the writer's durable watermark covers
 // them. These tests pin the pieces: the token pass before the force, the
-// carried copy in the successor's log, the watermark, the refusal to abort
-// an ordered transaction, its same-record retry and the next batch's write
-// of a record whose handle was dropped, the trims' drop of folded records,
-// and the reclaim after a writer dies between its broadcast and its force.
+// carried copy in the successor's log, also after a failed batch, the
+// watermark over written but unsynced records, the refusal to abort an
+// ordered transaction, its same-record retry and the next batch's write of
+// a record whose handle was dropped, the trims' drop of folded records (own
+// ones too, but never one a batch in flight is writing), and the reclaim
+// after a writer dies between its broadcast and its force.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <map>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/lbc/client.h"
 #include "src/lbc/online_trim.h"
 #include "src/rvm/log_merge.h"
 #include "src/rvm/recovery.h"
 #include "src/store/mem_store.h"
+#include "src/store/resource_store.h"
 
 namespace {
 
@@ -59,6 +65,33 @@ void WaitForPending(rvm::Rvm* r, size_t n) {
   while (r->PendingCommitCount() < n) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
+}
+
+// Commits 4 bytes at `offset` through `r` holding kLock at `seq` (no lock
+// when `seq` is 0); the transaction's id goes to `id`.
+base::Status CommitAt(rvm::Rvm* r, uint64_t offset, uint64_t seq, rvm::CommitMode mode,
+                      rvm::TxnId* id = nullptr) {
+  rvm::TxnId t = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+  if (id != nullptr) {
+    *id = t;
+  }
+  RETURN_IF_ERROR(r->SetRange(t, kRegion, offset, 4));
+  if (seq != 0) {
+    RETURN_IF_ERROR(r->SetLockId(t, kLock, seq));
+  }
+  std::memset(r->GetRegion(kRegion)->data() + offset, static_cast<int>(seq + 1), 4);
+  return r->EndTransaction(t, mode);
+}
+
+// Commit sequences of the records in node 1's log.
+std::vector<uint64_t> LoggedSeqs(store::DurableStore* store) {
+  std::vector<uint64_t> seqs;
+  auto txns = rvm::ReadLogTransactions(store, rvm::LogFileName(1));
+  EXPECT_TRUE(txns.ok()) << txns.status().ToString();
+  for (const auto& txn : txns.ok() ? *txns : std::vector<rvm::TransactionRecord>{}) {
+    seqs.push_back(txn.commit_seq);
+  }
+  return seqs;
 }
 
 // Lock sequences of `lock` in the merged history of every node's log.
@@ -133,6 +166,45 @@ TEST(OrderedDurable, TokenPassesWhileTheHolderForceIsParked) {
   EXPECT_EQ(1u, fx[0]->rvm()->DurableSeq());
   // Two copies of node 1's record, merged once.
   EXPECT_EQ(OneTo(2), MergedSequences(&fx.store, 2, kLock));
+}
+
+TEST(OrderedDurable, FailedBatchLeavesTheCarriedRecordForTheRetry) {
+  // Node 2's first batch holds node 1's carried record and its own, and its
+  // write fails. The failure changes nothing: the retry writes both, the
+  // carried one first, once. (EXPECTs only until the parked writer joins.)
+  Fixture fx(2);
+  fx[0]->rvm()->HoldCommitPipeline();
+  base::Status first;
+  std::thread writer([&] { first = Write(fx[0], 0, 0x11); });
+  WaitForPending(fx[0]->rvm(), 1);
+
+  lbc::Transaction txn = fx[1]->Begin(rvm::RestoreMode::kNoRestore);
+  EXPECT_TRUE(txn.Acquire(kLock).ok());
+  EXPECT_EQ(0x11, fx[1]->GetRegion(kRegion)->data()[0]);
+  EXPECT_TRUE(txn.SetRange(kRegion, 8, 8).ok());
+  std::memset(fx[1]->GetRegion(kRegion)->data() + 8, 0x22, 8);
+  fx.store.FailWritesAfterBytes(0);
+  EXPECT_FALSE(txn.Commit().ok());
+  EXPECT_TRUE(fx.Log(2).empty());
+  EXPECT_EQ(0u, fx[1]->rvm()->stats().carried_written);
+  EXPECT_EQ(1u, fx[1]->rvm()->CarriedCount());
+  EXPECT_EQ(0u, fx[1]->rvm()->DurableSeq());
+
+  fx.store.FailWritesAfterBytes(-1);
+  EXPECT_TRUE(txn.Commit().ok());
+  std::vector<std::pair<rvm::NodeId, uint64_t>> logged;  // (writer, kLock sequence)
+  for (const rvm::TransactionRecord& rec : fx.Log(2)) {
+    logged.emplace_back(rec.node, rec.SequenceOf(kLock));
+  }
+  EXPECT_EQ((std::vector<std::pair<rvm::NodeId, uint64_t>>{{1, 1}, {2, 2}}), logged);
+  EXPECT_EQ(1u, fx[1]->rvm()->stats().carried_written);
+  EXPECT_EQ(1u, fx[1]->rvm()->CarriedCount());
+  EXPECT_EQ(1u, fx[1]->rvm()->DurableSeq());
+  EXPECT_EQ(OneTo(2), MergedSequences(&fx.store, 2, kLock));
+
+  EXPECT_TRUE(fx[0]->rvm()->ReleaseCommitPipeline().ok());
+  writer.join();
+  EXPECT_TRUE(first.ok()) << first.ToString();
 }
 
 TEST(OrderedDurable, WriterWatermarkStopsTheCarry) {
@@ -237,6 +309,109 @@ TEST(OrderedDurable, FlushLogWritesAFailedOrderedRecord) {
   auto logged = *rvm::ReadLogTransactions(&store, rvm::LogFileName(1));
   ASSERT_EQ(1u, logged.size());
   EXPECT_EQ(1u, logged[0].commit_seq);
+}
+
+TEST(OrderedDurable, WrittenRecordsHoldTheWatermarkUntilASync) {
+  store::MemStore store;
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  ASSERT_TRUE(r->MapRegion(kRegion, 64).ok());
+  ASSERT_TRUE(CommitAt(r.get(), 0, 1, rvm::CommitMode::kNoFlush).ok());
+  ASSERT_TRUE(CommitAt(r.get(), 8, 2, rvm::CommitMode::kNoFlush).ok());
+  // Both are in the log, and neither is synced.
+  EXPECT_EQ((std::vector<uint64_t>{1, 2}), LoggedSeqs(&store));
+  EXPECT_EQ(0u, r->DurableSeq());
+  const uint64_t bytes = r->log_bytes();
+  ASSERT_TRUE(r->FlushLog().ok());
+  EXPECT_EQ(bytes, r->log_bytes());  // the flush only synced
+  EXPECT_EQ(2u, r->DurableSeq());
+}
+
+TEST(OrderedDurable, FoldDropsAnUnwrittenOwnRecordThatHoldsLocks) {
+  // A commit holding kLock at 1 fails after ordering and is forgotten. A
+  // trim that folded kLock through 1 drops it: it is in the database files,
+  // and the log never gets it. A record with no lock is never folded.
+  store::MemStore store;
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  ASSERT_TRUE(r->MapRegion(kRegion, 64).ok());
+  rvm::TxnId t = 0;
+  store.FailWritesAfterBytes(0);
+  EXPECT_FALSE(CommitAt(r.get(), 0, 1, rvm::CommitMode::kFlush, &t).ok());
+  ASSERT_TRUE(r->ForgetOrdered(t));
+  store.FailWritesAfterBytes(-1);
+  EXPECT_EQ(0u, r->DurableSeq());
+  r->DropFolded({{kLock, 1}});
+  EXPECT_EQ(1u, r->DurableSeq());
+  ASSERT_TRUE(r->FlushLog().ok());
+  EXPECT_EQ(0u, r->log_bytes());
+
+  store.FailWritesAfterBytes(0);
+  EXPECT_FALSE(CommitAt(r.get(), 8, 0, rvm::CommitMode::kFlush, &t).ok());
+  ASSERT_TRUE(r->ForgetOrdered(t));
+  store.FailWritesAfterBytes(-1);
+  r->DropFolded({{kLock, 1}});
+  EXPECT_EQ(1u, r->DurableSeq());
+  ASSERT_TRUE(r->FlushLog().ok());
+  EXPECT_EQ(std::vector<uint64_t>{2}, LoggedSeqs(&store));
+  EXPECT_EQ(2u, r->DurableSeq());
+}
+
+TEST(OrderedDurable, FoldKeepsAWrittenOwnRecordUntilItsSync) {
+  store::MemStore store;
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  ASSERT_TRUE(r->MapRegion(kRegion, 64).ok());
+  ASSERT_TRUE(CommitAt(r.get(), 0, 1, rvm::CommitMode::kNoFlush).ok());
+  r->DropFolded({{kLock, 1}});
+  EXPECT_EQ(0u, r->DurableSeq());
+  ASSERT_TRUE(r->FlushLog().ok());
+  EXPECT_EQ(1u, r->DurableSeq());
+  EXPECT_EQ(std::vector<uint64_t>{1}, LoggedSeqs(&store));
+}
+
+TEST(OrderedDurable, FoldDropsAQueuedOwnRecord) {
+  // The commit is ordered and parked: the fold drops its record, and the
+  // released batch completes it without writing it.
+  store::MemStore store;
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  ASSERT_TRUE(r->MapRegion(kRegion, 64).ok());
+  r->HoldCommitPipeline();
+  base::Status committed;
+  std::thread committer(
+      [&] { committed = CommitAt(r.get(), 0, 1, rvm::CommitMode::kFlush); });
+  WaitForPending(r.get(), 1);
+  r->DropFolded({{kLock, 1}});
+  EXPECT_EQ(1u, r->DurableSeq());
+  EXPECT_TRUE(r->ReleaseCommitPipeline().ok());
+  committer.join();
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
+  EXPECT_TRUE(LoggedSeqs(&store).empty());
+}
+
+TEST(OrderedDurable, FoldWaitsOutTheBatchInFlight) {
+  // The fold arrives while a slow log write carries the record: it waits
+  // for the write, so the record is written and holds the watermark until
+  // its sync.
+  store::MemStore mem;
+  store::ResourceStore store(&mem);
+  auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
+  ASSERT_TRUE(r->MapRegion(kRegion, 64).ok());
+  std::atomic<bool> ordered{false};
+  r->SetCommitHook([&](const rvm::TransactionRecord&) { ordered = true; });
+  store.InjectLatency(rvm::LogFileName(1), 50'000'000);
+  base::Status committed;
+  std::thread committer(
+      [&] { committed = CommitAt(r.get(), 0, 1, rvm::CommitMode::kNoFlush); });
+  // Queued once ordered; the queue empties when the leader takes the batch.
+  while (!ordered || r->PendingCommitCount() != 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  r->DropFolded({{kLock, 1}});
+  EXPECT_EQ(0u, r->DurableSeq());
+  committer.join();
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
+  store.ClearLatency();
+  ASSERT_TRUE(r->FlushLog().ok());
+  EXPECT_EQ(1u, r->DurableSeq());
+  EXPECT_EQ(std::vector<uint64_t>{1}, LoggedSeqs(&store));
 }
 
 TEST(OrderedDurable, OnlineTrimDropsFoldedCarriedRecords) {

@@ -320,25 +320,6 @@ TEST(RvmTxn, DiskLoggingDisabledStillDrivesHook) {
   EXPECT_EQ(0u, *(*size)->Size());
 }
 
-TEST(RvmTxn, TruncateLogCheckpointsAndEmptiesLog) {
-  store::MemStore store;
-  auto r = OpenRvm(&store);
-  rvm::Region* region = *r->MapRegion(kRegion, 64);
-  rvm::TxnId t = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
-  ASSERT_TRUE(r->SetRange(t, kRegion, 0, 4).ok());
-  std::memcpy(region->data(), "TRIM", 4);
-  ASSERT_TRUE(r->EndTransaction(t, rvm::CommitMode::kFlush).ok());
-  ASSERT_TRUE(r->TruncateLog().ok());
-
-  // Log is empty; database file holds the committed bytes.
-  auto log = std::move(*store.Open(rvm::LogFileName(1), false));
-  EXPECT_EQ(0u, *log->Size());
-  auto db = std::move(*store.Open(rvm::RegionFileName(kRegion), false));
-  char buf[4];
-  ASSERT_TRUE(db->ReadExact(0, buf, 4).ok());
-  EXPECT_EQ(0, std::memcmp(buf, "TRIM", 4));
-}
-
 TEST(RvmTxn, ReopenContinuesCommitSequence) {
   store::MemStore store;
   {

@@ -175,6 +175,7 @@ void GenLogSeeds() {
     w.WriteVarint(1);
     w.WriteVarint(0);  // n_locks
     w.WriteVarint(1);  // n_ranges
+    w.WriteU8(0);      // absolute
     w.WriteVarint(1);  // region
     w.WriteVarint(UINT64_MAX);  // offset
     w.WriteVarint(1);  // len
@@ -269,9 +270,11 @@ void GenWireSeeds() {
     base::Writer w;
     w.WriteU8(static_cast<uint8_t>(lbc::MsgType::kUpdate));
     w.WriteU8(1);      // compressed
+    w.WriteVarint(0);  // durable watermark
+    // The log payload:
+    w.WriteU8(static_cast<uint8_t>(rvm::LogRecordKind::kTransaction));
     w.WriteVarint(0);  // node
     w.WriteVarint(1);  // commit_seq
-    w.WriteVarint(0);  // durable watermark
     w.WriteVarint(0);  // n_locks
     w.WriteVarint(2);  // n_ranges
     w.WriteU8(0);      // absolute

@@ -2,7 +2,8 @@
 // wire format is one-spelling canonical for every message except the lock
 // token, whose piggybacked records each embed their own header-compression
 // flag; those get the value-level oracle (decode ∘ encode is the identity
-// on values) instead of byte identity. The update and token harnesses
+// on values) instead of byte identity. Records re-encode both from the log
+// payload a compressed message carries and range by range. The update and token harnesses
 // decode from a Buffer, as a receiver does, and the records view it.
 #include <cstring>
 #include <utility>
@@ -52,12 +53,23 @@ int RunWireUpdate(const uint8_t* data, size_t size) {
   }
   // Byte 1 is the header-compression flag; the decoder only accepts 0 or 1,
   // and re-encoding under the same mode, with the same durable watermark,
-  // must reproduce the input exactly.
+  // must reproduce the input exactly. A compressed message's record keeps
+  // its log payload, which the encoder copies; so it is also re-encoded
+  // without it, range by range, which must give the same bytes.
   bool compressed = size > 1 && data[1] == 1;
-  std::vector<uint8_t> re = lbc::EncodeUpdateRecord(txn, compressed, durable_seq);
-  if (re.size() != size || std::memcmp(re.data(), data, size) != 0) {
-    OracleFailure("wire_update", "Encode(Decode(x)) != x for accepted update", data, size);
+  if (compressed != !txn.payload.empty()) {
+    OracleFailure("wire_update", "payload kept by an uncompressed update or lost by a "
+                  "compressed one", data, size);
   }
+  rvm::TransactionRecord ranged = txn;
+  ranged.payload = {};
+  for (const rvm::TransactionRecord* rec : {&txn, &ranged}) {
+    std::vector<uint8_t> re = lbc::EncodeUpdateRecord(*rec, compressed, durable_seq);
+    if (re.size() != size || std::memcmp(re.data(), data, size) != 0) {
+      OracleFailure("wire_update", "Encode(Decode(x)) != x for accepted update", data, size);
+    }
+  }
+  std::vector<uint8_t> re = lbc::EncodeUpdateRecord(ranged, compressed, durable_seq);
   rvm::TransactionRecord again;
   uint64_t durable_again = 0;
   if (!lbc::DecodeUpdate(base::Buffer(std::move(re)), &again, &durable_again).ok() ||
@@ -110,11 +122,19 @@ int RunWireLockToken(const uint8_t* data, size_t size) {
   }
   // Value-level oracle under both compression modes: the piggybacked records
   // mix per-record flags, so byte identity only holds when there are none.
+  lbc::LockTokenMsg ranged = msg;
+  for (auto& rec : ranged.piggyback) {
+    rec.payload = {};
+  }
   for (bool compress : {false, true}) {
     std::vector<uint8_t> re = lbc::EncodeLockToken(msg, compress);
     lbc::LockTokenMsg again;
     if (!lbc::DecodeLockToken(base::Buffer(re), &again).ok() || !(again == msg)) {
       OracleFailure("wire_lock_token", "Decode(Encode(msg)) != msg", data, size);
+    }
+    if (compress && lbc::EncodeLockToken(ranged, compress) != re) {
+      OracleFailure("wire_lock_token", "a piggybacked payload differs from its ranges",
+                    data, size);
     }
     if (msg.piggyback.empty() &&
         (re.size() != size || std::memcmp(re.data(), data, size) != 0)) {

@@ -1,65 +1,73 @@
 #include "src/lbc/wire_format.h"
 
-#include <algorithm>
-
 namespace lbc {
 namespace {
 
-// Range header tag bits.
-constexpr uint8_t kTagDelta = 0x01;  // address is a delta from the previous range start
+// The emulated standard-RVM range header: a tag, the real fields, then
+// reserved zero padding up to kStandardRvmRangeHeaderSize.
+constexpr uint8_t kStandardHeaderTag = 0x80;
+constexpr size_t kStandardHeaderFields = 1 + 4 + 8 + 8;
 
-// A compressed header's address field: the delta from the previous range's
-// start when it is near (tag kTagDelta), else the absolute address.
-uint64_t AddressField(uint64_t prev_start, uint64_t start, uint8_t* tag) {
-  if (prev_start != UINT64_MAX && start >= prev_start &&
-      start - prev_start < kNearRangeBound) {
-    *tag = kTagDelta;
-    return start - prev_start;
+// The compressed message: its header, then the record's log payload as it
+// is, or written range by range when the record has none.
+std::vector<uint8_t> EncodeCompressedUpdate(const rvm::TransactionRecord& txn,
+                                            uint64_t durable_seq) {
+  const size_t payload_size =
+      txn.payload.empty() ? rvm::TransactionPayloadSize(txn) : txn.payload.size();
+  base::Writer w(2 + base::VarintSize(durable_seq) + payload_size);
+  w.WriteU8(static_cast<uint8_t>(MsgType::kUpdate));
+  w.WriteU8(1);
+  w.WriteVarint(durable_seq);
+  if (txn.payload.empty()) {
+    rvm::WriteTransactionPayload(&w, txn);
+  } else {
+    w.WriteBytes(txn.payload);
   }
-  *tag = 0;
-  return start;
+  return w.TakeBytes();
 }
 
-// Bytes EncodeRangeHeader writes for the same arguments.
-size_t RangeHeaderSize(bool compress, uint64_t prev_start, rvm::RegionId region,
-                       uint64_t start, uint64_t len) {
-  if (!compress) {
-    return kStandardRvmRangeHeaderSize;
+// The standard-RVM emulation, so the ablation benchmark measures the
+// bytes-on-wire penalty the paper describes.
+std::vector<uint8_t> EncodeStandardUpdate(const rvm::TransactionRecord& txn,
+                                          uint64_t durable_seq) {
+  size_t size = 2 + base::VarintSize(txn.node) + base::VarintSize(txn.commit_seq) +
+                base::VarintSize(durable_seq) + base::VarintSize(txn.locks.size()) +
+                base::VarintSize(txn.ranges.size());
+  for (const auto& lock : txn.locks) {
+    size += base::VarintSize(lock.lock_id) + base::VarintSize(lock.sequence);
   }
-  uint8_t tag = 0;
-  const uint64_t addr_field = AddressField(prev_start, start, &tag);
-  return 1 + base::VarintSize(region) + base::VarintSize(addr_field) + base::VarintSize(len);
-}
-
-void EncodeRangeHeader(base::Writer* w, bool compress, uint64_t prev_start,
-                       rvm::RegionId region, uint64_t start, uint64_t len) {
-  if (!compress) {
-    // Emulation of the standard 104-byte RVM range header: the real fields
-    // followed by reserved padding, so the ablation benchmark measures the
-    // same bytes-on-wire penalty the paper describes.
-    w->WriteU8(0x80);  // tag: uncompressed
-    w->WriteU32(region);
-    w->WriteU64(start);
-    w->WriteU64(len);
-    static const uint8_t kPad[kStandardRvmRangeHeaderSize - 21] = {0};
-    w->WriteBytes(kPad, sizeof(kPad));
-    return;
+  for (const auto& r : txn.ranges) {
+    size += kStandardRvmRangeHeaderSize + r.data.size();
   }
-  uint8_t tag = 0;
-  const uint64_t addr_field = AddressField(prev_start, start, &tag);
-  w->WriteU8(tag);
-  w->WriteVarint(region);
-  w->WriteVarint(addr_field);
-  w->WriteVarint(len);
+  base::Writer w(size);
+  w.WriteU8(static_cast<uint8_t>(MsgType::kUpdate));
+  w.WriteU8(0);
+  w.WriteVarint(txn.node);
+  w.WriteVarint(txn.commit_seq);
+  w.WriteVarint(durable_seq);
+  w.WriteVarint(txn.locks.size());
+  for (const auto& lock : txn.locks) {
+    w.WriteVarint(lock.lock_id);
+    w.WriteVarint(lock.sequence);
+  }
+  w.WriteVarint(txn.ranges.size());
+  static const uint8_t kPad[kStandardRvmRangeHeaderSize - kStandardHeaderFields] = {0};
+  for (const auto& r : txn.ranges) {
+    w.WriteU8(kStandardHeaderTag);
+    w.WriteU32(r.region);
+    w.WriteU64(r.offset);
+    w.WriteU64(r.data.size());
+    w.WriteBytes(kPad, sizeof(kPad));
+    w.WriteBytes(r.data);
+  }
+  return w.TakeBytes();
 }
 
 }  // namespace
 
 size_t CompressedRangeHeaderSize(uint64_t prev_start, uint64_t start, uint64_t len) {
-  uint8_t tag = 0;
-  const uint64_t addr_field = AddressField(prev_start, start, &tag);
-  // tag + region varint (assume small region ids) + address + length.
-  return 1 + 1 + base::VarintSize(addr_field) + base::VarintSize(len);
+  // A small (one-byte) region id.
+  return rvm::RangeHeaderSize(prev_start, /*region=*/0, start, len);
 }
 
 base::Result<MsgType> PeekMsgType(base::ByteSpan payload) {
@@ -76,62 +84,15 @@ base::Result<MsgType> PeekMsgType(base::ByteSpan payload) {
 
 std::vector<uint8_t> EncodeUpdateRecord(const rvm::TransactionRecord& txn,
                                         bool compress_headers, uint64_t durable_seq) {
-  // Sized in one pass first, like rvm::EncodeTransaction, so the writer
-  // never grows.
-  size_t size = 2 + base::VarintSize(txn.node) + base::VarintSize(txn.commit_seq) +
-                base::VarintSize(durable_seq) + base::VarintSize(txn.locks.size()) +
-                base::VarintSize(txn.ranges.size());
-  for (const auto& lock : txn.locks) {
-    size += base::VarintSize(lock.lock_id) + base::VarintSize(lock.sequence);
-  }
-  uint64_t prev_start = UINT64_MAX;
-  for (const auto& r : txn.ranges) {
-    size += RangeHeaderSize(compress_headers, prev_start, r.region, r.offset, r.data.size()) +
-            r.data.size();
-    prev_start = r.offset;
-  }
-
-  base::Writer w(size);
-  w.WriteU8(static_cast<uint8_t>(MsgType::kUpdate));
-  w.WriteU8(compress_headers ? 1 : 0);
-  w.WriteVarint(txn.node);
-  w.WriteVarint(txn.commit_seq);
-  w.WriteVarint(durable_seq);
-  w.WriteVarint(txn.locks.size());
-  for (const auto& lock : txn.locks) {
-    w.WriteVarint(lock.lock_id);
-    w.WriteVarint(lock.sequence);
-  }
-  w.WriteVarint(txn.ranges.size());
-  prev_start = UINT64_MAX;
-  for (const auto& r : txn.ranges) {
-    EncodeRangeHeader(&w, compress_headers, prev_start, r.region, r.offset, r.data.size());
-    w.WriteBytes(r.data);
-    prev_start = r.offset;
-  }
-  return w.TakeBytes();
+  return compress_headers ? EncodeCompressedUpdate(txn, durable_seq)
+                          : EncodeStandardUpdate(txn, durable_seq);
 }
 
 namespace {
 
-// Parses one update message, `bytes`, which lies in `owner`: the record
-// holds `owner` (even on a reject, so no range outlives its bytes) and its
-// ranges view it.
-base::Status DecodeUpdateIn(base::ByteSpan bytes, const base::Buffer& owner,
-                            rvm::TransactionRecord* out, uint64_t* durable_seq) {
-  out->ranges.clear();
-  out->bytes = owner;
-  base::Reader r(bytes);
-  uint8_t type = 0;
-  RETURN_IF_ERROR(r.ReadU8(&type));
-  if (type != static_cast<uint8_t>(MsgType::kUpdate)) {
-    return base::InvalidArgument("not an update message");
-  }
-  uint8_t compressed = 0;
-  RETURN_IF_ERROR(r.ReadU8(&compressed));
-  if (compressed > 1) {
-    return base::DataLoss("bad header-compression flag");
-  }
+// Parses the body of a standard-RVM-header update, after its flag byte.
+base::Status DecodeStandardUpdate(base::Reader& r, rvm::TransactionRecord* out,
+                                  uint64_t* durable_seq) {
   rvm::NodeId node = 0;
   uint64_t commit_seq = 0, n_locks = 0, n_ranges = 0;
   uint64_t watermark = 0;
@@ -155,86 +116,73 @@ base::Status DecodeUpdateIn(base::ByteSpan bytes, const base::Buffer& owner,
     out->locks.push_back(rvm::LockRecord{lock_id, seq});
   }
   RETURN_IF_ERROR(r.ReadVarint(&n_ranges));
-  if (n_ranges > r.remaining() / 4) {  // each range needs >= 4 bytes of header
+  if (n_ranges > r.remaining() / kStandardRvmRangeHeaderSize) {
     return base::DataLoss("range count exceeds message");
   }
   out->ranges.reserve(n_ranges);
-  uint64_t prev_start = UINT64_MAX;
-  // The range headers are held to exactly what EncodeRangeHeader emits for
-  // the declared compression mode: one accepted spelling per logical range.
-  // Anything looser (a mixed compressed/uncompressed record, an absolute
-  // address where the encoder would have used a delta, nonzero reserved
-  // padding) is a second encoding of the same record — corruption or a
-  // forgery — and decodes as DATA_LOSS, which is what makes
-  // Encode(Decode(x)) == x a checkable fuzz oracle.
+  // Held to exactly what the encoder emits: nonzero reserved padding is a
+  // second encoding of the same record (a forgery could ride in it).
   for (uint64_t i = 0; i < n_ranges; ++i) {
     uint8_t tag = 0;
     RETURN_IF_ERROR(r.ReadU8(&tag));
-    rvm::RangeImage img;
-    uint64_t len = 0;
-    if (compressed == 0) {
-      if (tag != 0x80) {
-        return base::DataLoss("bad uncompressed range tag");
-      }
-      uint32_t region = 0;
-      uint64_t start = 0;
-      RETURN_IF_ERROR(r.ReadU32(&region));
-      RETURN_IF_ERROR(r.ReadU64(&start));
-      RETURN_IF_ERROR(r.ReadU64(&len));
-      base::ByteSpan pad;
-      RETURN_IF_ERROR(r.ReadBytes(kStandardRvmRangeHeaderSize - 21, &pad));
-      for (uint8_t b : pad) {
-        if (b != 0) {
-          return base::DataLoss("nonzero reserved padding in range header");
-        }
-      }
-      img.region = region;
-      img.offset = start;
-    } else {
-      if (tag != 0 && tag != kTagDelta) {
-        return base::DataLoss("bad compressed range tag");
-      }
-      uint64_t region = 0, addr = 0;
-      // Status-free reads: these varints are most of a decode's work.
-      for (uint64_t* field : {&region, &addr, &len}) {
-        if (const char* error = r.TakeVarint(field)) {
-          return base::DataLoss(error);
-        }
-      }
-      if (region > UINT32_MAX) {
-        return base::DataLoss("varint exceeds 32-bit identifier");
-      }
-      img.region = static_cast<rvm::RegionId>(region);
-      if (tag == kTagDelta) {
-        if (prev_start == UINT64_MAX) {
-          return base::DataLoss("delta range with no predecessor");
-        }
-        // Deltas are only emitted for gaps under kNearRangeBound; a wider
-        // one (or a delta that wraps uint64) would relocate the range
-        // arbitrarily.
-        if (addr >= kNearRangeBound || prev_start + addr < prev_start) {
-          return base::DataLoss("delta range out of bounds");
-        }
-        img.offset = prev_start + addr;
-      } else {
-        if (prev_start != UINT64_MAX && addr >= prev_start &&
-            addr - prev_start < kNearRangeBound) {
-          return base::DataLoss("absolute address where encoder emits delta");
-        }
-        img.offset = addr;
+    if (tag != kStandardHeaderTag) {
+      return base::DataLoss("bad uncompressed range tag");
+    }
+    uint32_t region = 0;
+    uint64_t start = 0, len = 0;
+    RETURN_IF_ERROR(r.ReadU32(&region));
+    RETURN_IF_ERROR(r.ReadU64(&start));
+    RETURN_IF_ERROR(r.ReadU64(&len));
+    base::ByteSpan pad;
+    RETURN_IF_ERROR(r.ReadBytes(kStandardRvmRangeHeaderSize - kStandardHeaderFields, &pad));
+    for (uint8_t b : pad) {
+      if (b != 0) {
+        return base::DataLoss("nonzero reserved padding in range header");
       }
     }
-    if (img.offset + len < img.offset) {
+    if (start + len < start) {
       return base::DataLoss("range end overflows uint64");
     }
+    rvm::RangeImage img;
+    img.region = region;
+    img.offset = start;
     RETURN_IF_ERROR(r.ReadBytes(len, &img.data));
-    prev_start = img.offset;
     out->ranges.push_back(img);
   }
   if (!r.empty()) {
     return base::DataLoss("trailing bytes after update");
   }
   return base::OkStatus();
+}
+
+// Parses one update message, `bytes`, which lies in `owner`: the record
+// holds `owner` (even on a reject, so no range outlives its bytes) and its
+// ranges view it.
+base::Status DecodeUpdateIn(base::ByteSpan bytes, const base::Buffer& owner,
+                            rvm::TransactionRecord* out, uint64_t* durable_seq) {
+  out->ranges.clear();
+  out->bytes = owner;
+  out->payload = {};
+  base::Reader r(bytes);
+  uint8_t type = 0;
+  RETURN_IF_ERROR(r.ReadU8(&type));
+  if (type != static_cast<uint8_t>(MsgType::kUpdate)) {
+    return base::InvalidArgument("not an update message");
+  }
+  uint8_t compressed = 0;
+  RETURN_IF_ERROR(r.ReadU8(&compressed));
+  if (compressed > 1) {
+    return base::DataLoss("bad header-compression flag");
+  }
+  if (compressed == 0) {
+    return DecodeStandardUpdate(r, out, durable_seq);
+  }
+  uint64_t watermark = 0;
+  RETURN_IF_ERROR(r.ReadVarint(&watermark));
+  if (durable_seq != nullptr) {
+    *durable_seq = watermark;
+  }
+  return rvm::DecodeTransaction(bytes.subspan(r.position()), owner, out);
 }
 
 }  // namespace

@@ -1,21 +1,25 @@
 // Coherency wire format (paper §3.2).
 //
-// The data broadcast at commit differs from what is written to the disk log
-// in two ways: (1) records needed only for recovery and log trimming are
-// omitted — only new-value range records plus the lock records travel; and
-// (2) the per-range header is compressed from standard RVM's 104 bytes down
-// to a handful: ranges are sorted by address, so a range close to its
-// predecessor (start-to-start delta below 256 KB) replaces its absolute
-// address with the delta, and small ranges (< 4 KB) use short length fields.
-// An "uncompressed" mode that emulates the 104-byte RVM header is kept for
-// the wire-format ablation benchmark.
+// The data broadcast at commit differs from what standard RVM writes to its
+// disk log in two ways: (1) records needed only for recovery and log
+// trimming are omitted — only new-value range records plus the lock records
+// travel; and (2) the per-range header is compressed from standard RVM's
+// 104 bytes down to a handful: ranges are sorted by address, so a range
+// close to its predecessor (start-to-start delta below 256 KB) replaces its
+// absolute address with the delta, and small ranges use short length
+// fields. This log's transaction payload already has that shape
+// (rvm/log_format.h), so a compressed update message is the writer's log
+// payload behind a short header, sent as it was logged. An "uncompressed"
+// mode that emulates the 104-byte RVM header is kept for the wire-format
+// ablation benchmark.
 //
 // All fabric messages share a one-byte type tag so a node's single receiver
 // thread can dispatch updates and lock-protocol traffic from one inbox.
 //
-// Receive matches send (§3.2): the encoder gathers straight from a record's
-// range views, and a decoder given the received payload Buffer returns
-// records that hold it and view it, with no per-range copy.
+// Receive matches send (§3.2): the encoder copies a record's payload, or
+// gathers straight from its range views when it has none, and a decoder
+// given the received payload Buffer returns records that hold it and view
+// it, with no per-range copy.
 #ifndef SRC_LBC_WIRE_FORMAT_H_
 #define SRC_LBC_WIRE_FORMAT_H_
 
@@ -23,6 +27,7 @@
 
 #include "src/base/buffer.h"
 #include "src/base/status.h"
+#include "src/rvm/log_format.h"
 #include "src/rvm/types.h"
 
 namespace lbc {
@@ -40,31 +45,37 @@ base::Result<MsgType> PeekMsgType(base::ByteSpan payload);
 
 // --- update messages -------------------------------------------------------
 
-// Encodes a committed (or retained) transaction straight from its range
-// views: no intermediate copy of the data, into a buffer sized up front.
-// `durable_seq` is the writer's durable watermark when it sends: every
-// record of txn.node with commit_seq at or below it is in a log, so
-// receivers stop carrying those (DESIGN.md, "Ordered and durable"). Records
-// piggybacked on a token carry 0; the token has its own watermark.
+// Encodes a committed (or retained) transaction: its log payload copied as
+// it is, or, for a record without one, written straight from its range
+// views; no intermediate copy, into a buffer sized up front. `durable_seq`
+// is the writer's durable watermark when it sends: every record of txn.node
+// with commit_seq at or below it is in a log, so receivers stop carrying
+// those (DESIGN.md, "Ordered and durable"). Records piggybacked on a token
+// carry 0; the token has its own watermark.
 //
-// Layout: u8 type | u8 compressed | varint node | varint commit_seq |
-//         varint durable_seq | varint n_locks | n_locks x (varint lock,
-//         varint sequence) | varint n_ranges | n_ranges x (range header,
-//         bytes)
+// Layout, compressed:   u8 type | u8 1 | varint durable_seq | log payload
+//                       (rvm/log_format.h: kind, node, commit_seq, locks,
+//                       ranges with §3.2 headers)
+// Layout, uncompressed: u8 type | u8 0 | varint node | varint commit_seq |
+//                       varint durable_seq | varint n_locks | n_locks x
+//                       (varint lock, varint sequence) | varint n_ranges |
+//                       n_ranges x (104-byte header, bytes)
 std::vector<uint8_t> EncodeUpdateRecord(const rvm::TransactionRecord& txn,
                                         bool compress_headers, uint64_t durable_seq = 0);
 
-// The record holds `payload` and its ranges view it. The ByteSpan form first
-// copies the bytes once into a new Buffer. *durable_seq (when non-null)
-// receives the sender's watermark.
+// The record holds `payload` and its ranges view it; a compressed message's
+// record has its log payload set. The ByteSpan form first copies the bytes
+// once into a new Buffer. *durable_seq (when non-null) receives the sender's
+// watermark.
 base::Status DecodeUpdate(const base::Buffer& payload, rvm::TransactionRecord* out,
                           uint64_t* durable_seq = nullptr);
 base::Status DecodeUpdate(base::ByteSpan payload, rvm::TransactionRecord* out,
                           uint64_t* durable_seq = nullptr);
 
-// Size in bytes of the encoded header for one range, given its predecessor's
-// start address (UINT64_MAX for the first range). Exposed for tests and for
-// the Table 3 message-byte accounting.
+// Size in bytes of the compressed header for one range with a one-byte
+// region id, given its predecessor's start address (UINT64_MAX for the
+// first range). Exposed for tests and for the Table 3 message-byte
+// accounting.
 size_t CompressedRangeHeaderSize(uint64_t prev_start, uint64_t start, uint64_t len);
 
 // The 104-byte header standard RVM writes per range (§3.2), emulated by the
@@ -72,7 +83,7 @@ size_t CompressedRangeHeaderSize(uint64_t prev_start, uint64_t start, uint64_t l
 inline constexpr size_t kStandardRvmRangeHeaderSize = 104;
 
 // Delta addressing applies when the start-to-start gap is below this bound.
-inline constexpr uint64_t kNearRangeBound = 256 * 1024;
+inline constexpr uint64_t kNearRangeBound = rvm::kNearRangeBound;
 
 // --- lock protocol messages -------------------------------------------------
 

@@ -1,10 +1,11 @@
 #include "src/rvm/range_set.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <memory>
 #include <utility>
+
+#include "src/base/logging.h"
 
 namespace rvm {
 
@@ -46,13 +47,24 @@ void RangeSet::SortByOffset() {
               [](const Range& a, const Range& b) { return a.offset < b.offset; });
     return;
   }
-  // LSD radix sort, one byte of the offset per pass. A byte every offset
-  // shares (the high bytes of offsets inside one region) would move
-  // nothing, so only the bytes in which some offsets differ get a pass.
+  // LSD radix sort over the span of bits in which some offsets differ: the
+  // high bits every offset shares (offsets inside one region) and the low
+  // alignment bits they share (8-byte objects) would move nothing. The span
+  // is cut into the fewest passes of at most kMaxDigitBits bits, of equal
+  // width.
   uint64_t differing = 0;
   for (const Range& r : ranges_) {
     differing |= r.offset ^ ranges_.front().offset;
   }
+  if (differing == 0) {
+    return;
+  }
+  constexpr int kMaxDigitBits = 12;
+  const int low = std::countr_zero(differing);
+  const int span = 64 - std::countl_zero(differing) - low;
+  const int passes = (span + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int digit_bits = (span + passes - 1) / passes;
+  const uint64_t digit_mask = (uint64_t{1} << digit_bits) - 1;
   // The scratch is allocated, not value-initialised: a pass writes every
   // slot it later reads. The passes alternate between ranges_ and the
   // scratch; after an odd number the result is copied back.
@@ -61,20 +73,19 @@ void RangeSet::SortByOffset() {
   Range* const scratch = alloc.allocate(n);
   Range* from = ranges_.data();
   Range* to = scratch;
-  for (int shift = 0; shift < 64; shift += 8) {
-    if (((differing >> shift) & 0xFF) == 0) {
-      continue;
-    }
-    std::array<size_t, 256> next{};
+  std::vector<size_t> next(size_t{1} << digit_bits);
+  for (int pass = 0; pass < passes; ++pass) {
+    const int shift = low + pass * digit_bits;
+    std::fill(next.begin(), next.end(), 0);
     for (size_t i = 0; i < n; ++i) {
-      ++next[(from[i].offset >> shift) & 0xFF];
+      ++next[(from[i].offset >> shift) & digit_mask];
     }
     size_t start = 0;
     for (size_t& count : next) {
       start += std::exchange(count, start);
     }
     for (size_t i = 0; i < n; ++i) {
-      to[next[(from[i].offset >> shift) & 0xFF]++] = from[i];
+      to[next[(from[i].offset >> shift) & digit_mask]++] = from[i];
     }
     std::swap(from, to);
   }
@@ -153,7 +164,7 @@ AddOutcome RangeSet::AddExactMatch(uint64_t offset, uint64_t len) {
     return Reregister(ranges_[cursor_], len);
   }
   cursor_ = ranges_.size();
-  slot = Slot{offset, cursor_ + 1};
+  slot = Slot{static_cast<uint32_t>(cursor_ + 1)};
   AddOutcome outcome = Append(offset, len);
   // Keep the load factor at or below one half.
   if (2 * ranges_.size() > index_.size()) {
@@ -173,6 +184,8 @@ AddOutcome RangeSet::Reregister(Range& range, uint64_t len) {
 }
 
 AddOutcome RangeSet::Append(uint64_t offset, uint64_t len) {
+  // The index stores a position plus one in 32 bits.
+  LBC_CHECK(ranges_.size() < kMaxRanges);
   ranges_.push_back(Range{offset, len});
   total_bytes_ += len;
   return AddOutcome::kInserted;
@@ -183,7 +196,7 @@ RangeSet::Slot& RangeSet::Probe(uint64_t offset) {
   // offsets that compilers emit.
   const size_t mask = index_.size() - 1;
   size_t i = static_cast<size_t>((offset * 0x9E3779B97F4A7C15ull) >> index_shift_);
-  while (index_[i].pos_plus_one != 0 && index_[i].offset != offset) {
+  while (index_[i].pos_plus_one != 0 && ranges_[index_[i].pos_plus_one - 1].offset != offset) {
     i = (i + 1) & mask;
   }
   return index_[i];
@@ -202,7 +215,7 @@ void RangeSet::BuildIndex() {
   index_.assign(capacity, Slot{});
   index_shift_ = 64 - std::countr_zero(capacity);
   for (size_t pos = 0; pos < ranges_.size(); ++pos) {
-    Probe(ranges_[pos].offset) = Slot{ranges_[pos].offset, pos + 1};
+    Probe(ranges_[pos].offset) = Slot{static_cast<uint32_t>(pos + 1)};
   }
 }
 

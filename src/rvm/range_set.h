@@ -20,8 +20,8 @@
 // The first call that takes neither fast path builds the index; from then
 // on a call is one probe, plus an append for a new offset, and ranges()
 // sorts the vector once at commit: a radix sort on the offset (linear in the
-// set, a pass per byte in which the offsets differ), or a comparison sort
-// for a set below kRadixSortFrom.
+// set; passes of at most 12-bit digits over the bits in which the offsets
+// differ, two on T2-B), or a comparison sort for a set below kRadixSortFrom.
 //   3. the successor check, one compare before the probe: a traversal that
 //      revisits objects in the order it first visited them (OO7's T2 walks
 //      each composite part's atomic parts the same way every time) asks
@@ -111,12 +111,16 @@ class RangeSet {
   // cost (its counters and a pass per digit) outweighs n log n compares.
   static constexpr size_t kRadixSortFrom = 256;
 
+  // A kExactMatch set holds at most this many ranges (a slot's 32 bits);
+  // Add checks it.
+  static constexpr size_t kMaxRanges = UINT32_MAX;
+
  private:
-  // One open-addressing slot: a range's offset and its position in ranges_
-  // plus one (0 marks an empty slot).
+  // One open-addressing slot: a range's position in ranges_ plus one (0
+  // marks an empty slot). A probe compares the offset in ranges_, so a slot
+  // is 4 bytes and the T2-B index 128 KB.
   struct Slot {
-    uint64_t offset = 0;
-    size_t pos_plus_one = 0;
+    uint32_t pos_plus_one = 0;
   };
 
   AddOutcome AddFullCoalesce(uint64_t offset, uint64_t len);

@@ -288,99 +288,116 @@ base::Status Rvm::StallForLogSpaceLocked(base::MutexLock& lock) {
   return stall_status;
 }
 
+namespace {
+
+constexpr uint64_t kPageSize = 8192;
+
+// Calls `emit(offset, len)` for each range a region's sorted write set logs:
+// every range, except that with the adaptive hybrid on, the ranges that
+// start in an update-dense page (more than `per_page` of them) become one
+// span covering them. Returns the number of pages collapsed so.
+template <typename Emit>
+uint64_t ForEachLoggedRange(const std::vector<Range>& ranges, uint32_t per_page, Emit&& emit) {
+  uint64_t collapsed = 0;
+  for (size_t i = 0, j = 0; i < ranges.size(); i = j) {
+    // Ranges i..j-1 start in one page.
+    const uint64_t page = ranges[i].offset / kPageSize;
+    uint64_t span_end = 0;
+    for (j = i; j < ranges.size() && ranges[j].offset / kPageSize == page; ++j) {
+      span_end = std::max(span_end, ranges[j].offset + ranges[j].len);
+    }
+    if (per_page > 0 && j - i > per_page) {
+      emit(ranges[i].offset, span_end - ranges[i].offset);
+      ++collapsed;
+      continue;
+    }
+    for (size_t k = i; k < j; ++k) {
+      emit(ranges[k].offset, ranges[k].len);
+    }
+  }
+  return collapsed;
+}
+
+}  // namespace
+
 std::shared_ptr<const TransactionRecord> Rvm::OrderLocked(Txn& txn) {
   auto shared = std::make_shared<TransactionRecord>();
   TransactionRecord& rec = *shared;
   rec.node = node_;
   rec.commit_seq = ++commit_seq_;
   rec.locks = txn.locks;
-  constexpr uint64_t kPageSize = 8192;
-  size_t declared = 0;
-  for (const auto& entry : txn.declared) {
-    declared += entry.second.ranges.range_count();
-  }
-  rec.ranges.reserve(declared);
+  const uint32_t per_page = options_.adaptive_ranges_per_page;
+
+  // First pass, over the sorted write set: what the record will hold and,
+  // for the log, the payload's exact size.
+  size_t n_ranges = 0;
+  uint64_t data_bytes = 0;
+  size_t ranges_size = 0;
   uint64_t pages = 0;
   uint64_t pages_coalesced = 0;
+  uint64_t prev_start = UINT64_MAX;
   for (auto& [region_id, entry] : txn.declared) {
-    // The transaction pins the region: it is still mapped.
-    uint8_t* image = entry.region->data();
-    // Gather (offset, len) in address order straight into rec.ranges.
-    const size_t region_begin = rec.ranges.size();
-    for (const auto& [offset, len] : entry.ranges.ranges()) {
-      rec.ranges.push_back(RangeImage{region_id, offset, base::ByteSpan(image + offset, len)});
-    }
-    if (options_.adaptive_ranges_per_page > 0) {
-      // Adaptive hybrid: collapse each update-dense page's ranges, in place,
-      // into one covering span.
-      size_t out = region_begin;
-      size_t i = region_begin;
-      while (i < rec.ranges.size()) {
-        const uint64_t start = rec.ranges[i].offset;
-        const uint64_t page = start / kPageSize;
-        size_t j = i;
-        uint64_t span_end = 0;
-        // Group the ranges that *start* in this page.
-        while (j < rec.ranges.size() && rec.ranges[j].offset / kPageSize == page) {
-          span_end = std::max(span_end, rec.ranges[j].offset + rec.ranges[j].data.size());
-          ++j;
-        }
-        if (j - i > options_.adaptive_ranges_per_page) {
-          rec.ranges[out++] =
-              RangeImage{region_id, start, base::ByteSpan(image + start, span_end - start)};
-          ++pages_coalesced;
-          i = j;
-        }
-        while (i < j) {
-          rec.ranges[out++] = rec.ranges[i++];
-        }
-      }
-      rec.ranges.resize(out);
-    }
-
     uint64_t next_uncounted_page = 0;
-    for (size_t k = region_begin; k < rec.ranges.size(); ++k) {
-      const uint64_t offset = rec.ranges[k].offset;
-      const uint64_t len = rec.ranges[k].data.size();
-      if (len == 0) {
-        continue;
-      }
-      // Distinct-page counting: span starts are in address order, but a
-      // coalesced span can extend many pages past its start, so the next
-      // span may begin pages BEHIND the furthest page already counted.
-      // Track the first not-yet-counted page, not just the previous span's
-      // last page, or those pages get counted twice.
-      uint64_t first = std::max(offset / kPageSize, next_uncounted_page);
-      uint64_t last = (offset + len - 1) / kPageSize;
-      if (first <= last) {
-        pages += last - first + 1;
-        next_uncounted_page = last + 1;
-      }
-    }
+    pages_coalesced += ForEachLoggedRange(
+        entry.ranges.ranges(), per_page, [&, region_id = region_id](uint64_t offset, uint64_t len) {
+          ++n_ranges;
+          data_bytes += len;
+          ranges_size += RangeHeaderSize(prev_start, region_id, offset, len) + len;
+          prev_start = offset;
+          if (len == 0) {
+            return;
+          }
+          // Distinct-page counting: span starts are in address order, but a
+          // coalesced span can extend many pages past its start, so the next
+          // span may begin pages BEHIND the furthest page already counted.
+          // Track the first not-yet-counted page, not just the previous
+          // span's last page, or those pages get counted twice.
+          const uint64_t first = std::max(offset / kPageSize, next_uncounted_page);
+          const uint64_t last = (offset + len - 1) / kPageSize;
+          if (first <= last) {
+            pages += last - first + 1;
+            next_uncounted_page = last + 1;
+          }
+        });
   }
-
   m_.pages_logged.Add(pages);
   m_.adaptive_pages_coalesced.Add(pages_coalesced);
-  m_.ranges_logged.Add(rec.ranges.size());
-  m_.bytes_logged.Add(rec.TotalBytes());
+  m_.ranges_logged.Add(n_ranges);
+  m_.bytes_logged.Add(data_bytes);
 
   // Read-only transactions (no registered ranges) leave no log record: the
   // coherency layer rolls their lock sequence numbers back, so a record
   // would only confuse the merge order.
-  if (options_.disk_logging && !rec.ranges.empty()) {
-    // Encode the whole record NOW, while the images still hold exactly this
-    // transaction's bytes: later transactions overwrite the live images
-    // before the batch leader gets this record to disk. The contiguous
-    // payload doubles as the zero-copy broadcast buffer — rec.bytes is
-    // refcounted, and the ranges are repointed into it so the commit hook
-    // (and every peer channel it fans out to) reads bytes that can no
-    // longer change.
-    std::vector<size_t> data_offsets;
-    rec.bytes = base::Buffer(EncodeTransaction(rec, &data_offsets));
-    for (size_t i = 0; i < rec.ranges.size(); ++i) {
-      rec.ranges[i].data =
-          base::ByteSpan(rec.bytes.data() + data_offsets[i], rec.ranges[i].data.size());
-    }
+  const bool logged = options_.disk_logging && n_ranges > 0;
+  // Second pass: with a log, write the payload NOW, while the images still
+  // hold exactly this transaction's bytes (later transactions overwrite the
+  // live images before the batch leader gets this record to disk), and view
+  // each range where it landed in the payload. The payload doubles as the
+  // zero-copy broadcast buffer: rec.bytes is refcounted, so the commit hook
+  // (and every peer channel it fans out to) reads bytes that can no longer
+  // change. Without a log the ranges view the live images.
+  base::Writer w(logged ? TransactionPrefixSize(rec, n_ranges) + ranges_size : 0);
+  if (logged) {
+    WriteTransactionPrefix(&w, rec, n_ranges);
+  }
+  rec.ranges.reserve(n_ranges);
+  prev_start = UINT64_MAX;
+  for (auto& [region_id, entry] : txn.declared) {
+    // The transaction pins the region: it is still mapped.
+    const uint8_t* image = entry.region->data();
+    ForEachLoggedRange(entry.ranges.ranges(), per_page,
+                       [&, region_id = region_id](uint64_t offset, uint64_t len) {
+                         base::ByteSpan data(image + offset, len);
+                         if (logged) {
+                           data = WriteRange(&w, prev_start, region_id, offset, data);
+                           prev_start = offset;
+                         }
+                         rec.ranges.push_back(RangeImage{region_id, offset, data});
+                       });
+  }
+  if (logged) {
+    rec.bytes = base::Buffer(w.TakeBytes());  // adopts the storage: the views stay valid
+    rec.payload = rec.bytes.span();
     txn.ordered = shared;
     owed_.try_emplace({node_, rec.commit_seq}, Owed{shared, false, ++order_clock_});
   }
@@ -505,19 +522,19 @@ base::Status Rvm::LeadBatchLocked(base::MutexLock& lock, bool whole_carry_set, b
 }
 
 Rvm::BatchResult Rvm::WriteBatch(const Batch& batch) {
-  // Carried records are re-encoded into the log format here, off every
-  // lock: only the ones a batch actually writes pay for it. An own record's
-  // `bytes` is its log payload.
-  std::vector<std::vector<uint8_t>> carried;
-  carried.reserve(batch.carried);
+  // Every record is logged as its payload: an own record's from ordering, a
+  // carried one's as it arrived in a compressed message or token. A carried
+  // record without one (from an uncompressed message) is encoded here, off
+  // every lock.
+  std::vector<std::vector<uint8_t>> encoded;
   std::vector<base::ByteSpan> payloads;
   payloads.reserve(batch.records.size());
-  for (size_t i = 0; i < batch.records.size(); ++i) {
-    if (i < batch.carried) {
-      carried.push_back(EncodeTransaction(*batch.records[i]));
-      payloads.emplace_back(carried.back().data(), carried.back().size());
+  for (const auto& rec : batch.records) {
+    if (rec->payload.empty()) {
+      encoded.push_back(EncodeTransaction(*rec));
+      payloads.emplace_back(encoded.back().data(), encoded.back().size());
     } else {
-      payloads.push_back(batch.records[i]->bytes.span());
+      payloads.push_back(rec->payload);
     }
   }
   bool sync_now = batch.force_sync;

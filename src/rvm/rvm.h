@@ -271,10 +271,11 @@ class Rvm {
 
   // Hook invoked inside EndTransaction once the commit is ordered, before
   // its log write, with the record. With disk logging on, its ranges view
-  // its own `bytes`, the encoded log payload: stable however far later
-  // transactions have overwritten the live images, and kept or fanned out by
-  // refcount. With logging off they view the live images until the hook
-  // returns. Runs with no rvm lock held, once per transaction.
+  // its own `bytes`, the encoded log payload (also its `payload`): stable
+  // however far later transactions have overwritten the live images, and
+  // kept or fanned out by refcount. With logging off they view the live
+  // images until the hook returns. Runs with no rvm lock held, once per
+  // transaction.
   using CommitHook = std::function<void(const TransactionRecord&)>;
   void SetCommitHook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
@@ -456,8 +457,10 @@ class Rvm {
   base::Status DeclareIn(Txn& txn, RegionId region, uint64_t offset, uint64_t len)
       LBC_EXCLUDES(mu_);
 
-  // Gathers, stamps and (when it will be logged) encodes `txn`'s record;
-  // a logged record is kept as `txn.ordered` and entered in owed_.
+  // Stamps `txn`'s record and lists its ranges from the sorted write set;
+  // when it will be logged, writes its payload in the same pass and views
+  // the ranges there. A logged record is kept as `txn.ordered` and entered
+  // in owed_.
   std::shared_ptr<const TransactionRecord> OrderLocked(Txn& txn) LBC_REQUIRES(mu_);
 
   // Ends a transaction: adds its SetRange tallies to the instruments,

@@ -56,13 +56,13 @@ struct RangeImage {
   }
 };
 
-// One committed transaction as it appears in a log (and on the wire, minus
-// header compression). Its ranges view `bytes`, the refcounted immutable
-// Buffer they were decoded or encoded from (a message payload, a log
-// payload, the commit record): copying a record bumps a refcount, and the
-// spans survive moves of the record. `bytes` is empty only in the commit
-// hook with disk logging off, where the ranges view the live images until
-// the hook returns. DESIGN.md §13, "Zero-copy receive", has the details.
+// One committed transaction as it appears in a log and on the wire. Its
+// ranges view `bytes`, the refcounted immutable Buffer they were decoded or
+// encoded from (a message payload, a log payload, the commit record):
+// copying a record bumps a refcount, and the spans survive moves of the
+// record. `bytes` is empty only in the commit hook with disk logging off,
+// where the ranges view the live images until the hook returns. DESIGN.md
+// §13, "Zero-copy receive", has the details.
 struct TransactionRecord {
   NodeId node = 0;
   // Per-node commit sequence number; with `node` this uniquely names the
@@ -71,6 +71,11 @@ struct TransactionRecord {
   std::vector<LockRecord> locks;
   std::vector<RangeImage> ranges;
   base::Buffer bytes;
+  // The record's encoded log payload (log_format.h), inside `bytes`, when it
+  // has one: set at ordering and by the decoders, so a broadcast, a token
+  // piggyback or a carried copy sends or logs these bytes as they are. A
+  // record whose fields are changed must drop it.
+  base::ByteSpan payload;
 
   // Compares contents, not Buffers.
   bool operator==(const TransactionRecord& o) const {
@@ -97,12 +102,13 @@ struct TransactionRecord {
   }
 
   // A copy that holds its bytes: a refcount bump when `bytes` is set, else
-  // one copy of every range into a new Buffer.
+  // one copy of every range into a new Buffer, with no payload.
   TransactionRecord Own() const {
     if (!bytes.empty()) {
       return *this;
     }
     TransactionRecord out = *this;
+    out.payload = {};
     std::vector<uint8_t> packed;
     packed.reserve(TotalBytes());  // so the views taken below stay valid
     for (auto& r : out.ranges) {

@@ -74,6 +74,7 @@ TEST(AdversarialTransaction, MaximalRangeLengthRejects) {
   w.WriteVarint(1);
   w.WriteVarint(0);           // n_locks
   w.WriteVarint(1);           // n_ranges
+  w.WriteU8(0);               // absolute
   w.WriteVarint(1);           // region
   w.WriteVarint(0);           // offset
   w.WriteVarint(UINT64_MAX);  // len, far beyond the payload
@@ -115,6 +116,7 @@ TEST(AdversarialTransaction, RangeEndWrappingU64Rejects) {
   w.WriteVarint(1);
   w.WriteVarint(0);           // n_locks
   w.WriteVarint(1);           // n_ranges
+  w.WriteU8(0);               // absolute
   w.WriteVarint(1);           // region
   w.WriteVarint(UINT64_MAX);  // offset
   w.WriteVarint(1);           // len: end wraps to 0
@@ -132,6 +134,28 @@ TEST(AdversarialTransaction, ZeroEverythingRoundTrips) {
   ASSERT_TRUE(rvm::DecodeTransaction(ByteSpan(bytes.data(), bytes.size()), &out).ok());
   EXPECT_EQ(out, empty);
   EXPECT_EQ(rvm::EncodeTransaction(out), bytes);
+}
+
+TEST(AdversarialTransaction, RetiredAbsoluteAddressLayoutIsDataLoss) {
+  // The layout before the compressed range headers: kind 1, then ranges as
+  // (region, absolute offset, len). Read under the new spelling its region
+  // would pass for a tag, so the kind alone must reject it.
+  base::Writer w;
+  w.WriteU8(1);
+  w.WriteVarint(0);  // node
+  w.WriteVarint(1);  // commit_seq
+  w.WriteVarint(0);  // n_locks
+  w.WriteVarint(1);  // n_ranges
+  w.WriteVarint(1);  // region
+  w.WriteVarint(4096);
+  w.WriteVarint(1);
+  w.WriteU8(0xAA);
+  std::vector<uint8_t> bytes = w.TakeBytes();
+  rvm::TransactionRecord out;
+  EXPECT_EQ(base::StatusCode::kDataLoss,
+            rvm::DecodeTransaction(ByteSpan(bytes.data(), bytes.size()), &out).code());
+  EXPECT_EQ(base::StatusCode::kDataLoss,
+            rvm::PeekKind(ByteSpan(bytes.data(), bytes.size())).status().code());
 }
 
 TEST(AdversarialRecovery, CheckpointWithTrailingBytesRejects) {
@@ -187,44 +211,72 @@ TEST(AdversarialUpdate, NonzeroReservedPaddingRejects) {
   EXPECT_FALSE(lbc::DecodeUpdate(ByteSpan(bytes.data(), bytes.size()), &out).ok());
 }
 
-TEST(AdversarialUpdate, DeltaOffsetWrappingU64Rejects) {
+// The delta rules live in the transaction payload, which a compressed
+// update carries as it is: each forgery below is built as a log payload and
+// must be rejected by the transaction decoder and, wrapped in an update
+// message, by the update decoder, while the same payload with the one rule
+// kept decodes through both.
+
+// A compressed update message around `payload`.
+std::vector<uint8_t> UpdateAround(const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> message = {static_cast<uint8_t>(lbc::MsgType::kUpdate), 1, 0};
+  message.insert(message.end(), payload.begin(), payload.end());
+  return message;
+}
+
+// Decodes `payload` alone and inside an update message; both must agree.
+bool PayloadAccepted(const std::vector<uint8_t>& payload) {
+  rvm::TransactionRecord out;
+  const bool log_ok = rvm::DecodeTransaction(ByteSpan(payload.data(), payload.size()), &out).ok();
+  const std::vector<uint8_t> message = UpdateAround(payload);
+  const bool wire_ok =
+      lbc::DecodeUpdate(ByteSpan(message.data(), message.size()), &out).ok();
+  EXPECT_EQ(log_ok, wire_ok);
+  return log_ok && wire_ok;
+}
+
+// A payload with no locks and two empty ranges in region 1: the first
+// absolute at `first`, the second spelled with `tag` and `address`.
+std::vector<uint8_t> TwoRangePayload(uint64_t first, uint8_t tag, uint64_t address) {
   base::Writer w;
-  w.WriteU8(static_cast<uint8_t>(lbc::MsgType::kUpdate));
-  w.WriteU8(1);      // compressed
+  w.WriteU8(static_cast<uint8_t>(rvm::LogRecordKind::kTransaction));
   w.WriteVarint(0);  // node
   w.WriteVarint(1);  // commit_seq
-  w.WriteVarint(0);  // durable watermark
   w.WriteVarint(0);  // n_locks
   w.WriteVarint(2);  // n_ranges
   w.WriteU8(0);      // absolute
   w.WriteVarint(1);
-  w.WriteVarint(UINT64_MAX - 2);  // offset near the top
-  w.WriteVarint(0);               // len
-  w.WriteU8(0x01);                // delta tag
+  w.WriteVarint(first);
+  w.WriteVarint(0);  // len
+  w.WriteU8(tag);
   w.WriteVarint(1);
-  w.WriteVarint(100);  // materialized offset wraps (fuzz find)
+  w.WriteVarint(address);
   w.WriteVarint(0);
-  std::vector<uint8_t> bytes = w.TakeBytes();
-  rvm::TransactionRecord out;
-  EXPECT_FALSE(lbc::DecodeUpdate(ByteSpan(bytes.data(), bytes.size()), &out).ok());
+  return w.TakeBytes();
+}
+
+TEST(AdversarialUpdate, DeltaOffsetWrappingU64Rejects) {
+  // A delta of 2 from UINT64_MAX - 2 stays in range; 100 wraps (fuzz find).
+  EXPECT_TRUE(PayloadAccepted(TwoRangePayload(UINT64_MAX - 2, rvm::kRangeDelta, 2)));
+  EXPECT_FALSE(PayloadAccepted(TwoRangePayload(UINT64_MAX - 2, rvm::kRangeDelta, 100)));
 }
 
 TEST(AdversarialUpdate, DeltaWithNoPredecessorRejects) {
-  base::Writer w;
-  w.WriteU8(static_cast<uint8_t>(lbc::MsgType::kUpdate));
-  w.WriteU8(1);
-  w.WriteVarint(0);
-  w.WriteVarint(1);
-  w.WriteVarint(0);  // durable watermark
-  w.WriteVarint(0);
-  w.WriteVarint(1);  // n_ranges
-  w.WriteU8(0x01);   // delta tag on the FIRST range
-  w.WriteVarint(1);
-  w.WriteVarint(5);
-  w.WriteVarint(0);
-  std::vector<uint8_t> bytes = w.TakeBytes();
-  rvm::TransactionRecord out;
-  EXPECT_FALSE(lbc::DecodeUpdate(ByteSpan(bytes.data(), bytes.size()), &out).ok());
+  auto one_range = [](uint8_t tag) {
+    base::Writer w;
+    w.WriteU8(static_cast<uint8_t>(rvm::LogRecordKind::kTransaction));
+    w.WriteVarint(0);
+    w.WriteVarint(1);
+    w.WriteVarint(0);  // n_locks
+    w.WriteVarint(1);  // n_ranges
+    w.WriteU8(tag);    // on the FIRST range
+    w.WriteVarint(1);
+    w.WriteVarint(5);
+    w.WriteVarint(0);
+    return w.TakeBytes();
+  };
+  EXPECT_TRUE(PayloadAccepted(one_range(0)));
+  EXPECT_FALSE(PayloadAccepted(one_range(rvm::kRangeDelta)));
 }
 
 TEST(AdversarialUpdate, AbsoluteAddressWhereEncoderEmitsDeltaRejects) {
@@ -233,31 +285,15 @@ TEST(AdversarialUpdate, AbsoluteAddressWhereEncoderEmitsDeltaRejects) {
   // The second range's gap, 100, is below kNearRangeBound: the encoder
   // uses a delta.
   const rvm::TransactionRecord txn =
-      testing_records::Record(0, 1, {}, {{1, 100, {0x01}}, {1, 200, {0x02}}});
-  std::vector<uint8_t> canonical = lbc::EncodeUpdateRecord(txn, true);
-  rvm::TransactionRecord out;
-  ASSERT_TRUE(lbc::DecodeUpdate(ByteSpan(canonical.data(), canonical.size()), &out).ok());
-
-  base::Writer w;
-  w.WriteU8(static_cast<uint8_t>(lbc::MsgType::kUpdate));
-  w.WriteU8(1);
-  w.WriteVarint(0);
-  w.WriteVarint(1);
-  w.WriteVarint(0);  // durable watermark
-  w.WriteVarint(0);
-  w.WriteVarint(2);
-  w.WriteU8(0);  // absolute
-  w.WriteVarint(1);
-  w.WriteVarint(100);
-  w.WriteVarint(1);
-  w.WriteU8(0x01);
-  w.WriteU8(0);  // absolute again, where the encoder would emit delta
-  w.WriteVarint(1);
-  w.WriteVarint(200);
-  w.WriteVarint(1);
-  w.WriteU8(0x02);
-  std::vector<uint8_t> loose = w.TakeBytes();
-  EXPECT_FALSE(lbc::DecodeUpdate(ByteSpan(loose.data(), loose.size()), &out).ok());
+      testing_records::Record(0, 1, {}, {{1, 100, {}}, {1, 200, {}}});
+  const std::vector<uint8_t> canonical = TwoRangePayload(100, rvm::kRangeDelta, 100);
+  EXPECT_EQ(rvm::EncodeTransaction(txn), canonical);
+  EXPECT_TRUE(PayloadAccepted(canonical));
+  EXPECT_FALSE(PayloadAccepted(TwoRangePayload(100, 0, 200)));
+  // Past the bound the absolute spelling is the only one.
+  EXPECT_TRUE(PayloadAccepted(TwoRangePayload(100, 0, 100 + rvm::kNearRangeBound)));
+  EXPECT_FALSE(PayloadAccepted(
+      TwoRangePayload(100, rvm::kRangeDelta, rvm::kNearRangeBound)));
 }
 
 // --- lock messages -----------------------------------------------------------
@@ -272,8 +308,8 @@ TEST(AdversarialUpdate, TruncatedWatermarkRejects) {
   rvm::TransactionRecord out;
   ASSERT_TRUE(lbc::DecodeUpdate(ByteSpan(full.data(), full.size()), &out, &watermark).ok());
   EXPECT_EQ(1'000'000u, watermark);
-  // type, flag, node 3, commit_seq 9: the watermark starts at byte 4.
-  for (size_t len : {size_t{5}, size_t{6}}) {
+  // type, flag: the watermark starts at byte 2.
+  for (size_t len : {size_t{3}, size_t{4}}) {
     EXPECT_FALSE(lbc::DecodeUpdate(ByteSpan(full.data(), len), &out).ok())
         << "cut inside the watermark at " << len << " bytes accepted";
   }
@@ -282,15 +318,13 @@ TEST(AdversarialUpdate, TruncatedWatermarkRejects) {
 TEST(AdversarialUpdate, OverflowingWatermarkRejects) {
   base::Writer w;
   w.WriteU8(static_cast<uint8_t>(lbc::MsgType::kUpdate));
-  w.WriteU8(1);      // compressed
-  w.WriteVarint(3);  // node
-  w.WriteVarint(9);  // commit_seq
+  w.WriteU8(1);  // compressed
   for (int i = 0; i < 9; ++i) {
     w.WriteU8(0xFF);  // 63 value bits so far, continuation set
   }
-  w.WriteU8(0x7F);   // a tenth byte with bits past 2^64
-  w.WriteVarint(0);  // n_locks
-  w.WriteVarint(0);  // n_ranges
+  w.WriteU8(0x7F);  // a tenth byte with bits past 2^64
+  const std::vector<uint8_t> payload = rvm::EncodeTransaction(SampleTxn());
+  w.WriteBytes(ByteSpan(payload.data(), payload.size()));
   std::vector<uint8_t> bytes = w.TakeBytes();
   rvm::TransactionRecord out;
   EXPECT_FALSE(lbc::DecodeUpdate(ByteSpan(bytes.data(), bytes.size()), &out).ok());

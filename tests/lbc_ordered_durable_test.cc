@@ -67,6 +67,41 @@ void WaitForPending(rvm::Rvm* r, size_t n) {
   }
 }
 
+// A Write by `c` on its own thread while `c`'s commit pipeline is held, so
+// the commit parks once ordered. Leaving the scope releases the pipeline and
+// joins: an ASSERT that returns early reports its failure, where a joinable
+// std::thread would abort the binary and hide every later case. Declare it
+// after the clients it writes through.
+class ParkedWrite {
+ public:
+  ParkedWrite(lbc::Client* c, uint64_t offset, uint8_t value) : rvm_(c->rvm()) {
+    rvm_->HoldCommitPipeline();
+    thread_ = std::thread([this, c, offset, value] { status_ = Write(c, offset, value); });
+    WaitForPending(rvm_, 1);
+  }
+  ~ParkedWrite() {
+    if (thread_.joinable()) {
+      base::IgnoreError(rvm_->ReleaseCommitPipeline());
+      thread_.join();
+    }
+  }
+  ParkedWrite(const ParkedWrite&) = delete;
+  ParkedWrite& operator=(const ParkedWrite&) = delete;
+
+  // Releases the pipeline (its status), then waits for the write (*written).
+  base::Status Release(base::Status* written) {
+    base::Status released = rvm_->ReleaseCommitPipeline();
+    thread_.join();
+    *written = status_;
+    return released;
+  }
+
+ private:
+  rvm::Rvm* rvm_;
+  base::Status status_;
+  std::thread thread_;
+};
+
 // Commits 4 bytes at `offset` through `r` holding kLock at `seq` (no lock
 // when `seq` is 0); the transaction's id goes to `id`.
 base::Status CommitAt(rvm::Rvm* r, uint64_t offset, uint64_t seq, rvm::CommitMode mode,
@@ -126,10 +161,7 @@ TEST(OrderedDurable, TokenPassesWhileTheHolderForceIsParked) {
   Fixture fx(2);
   // Node 1's commit is ordered (broadcast, locks released) but parked
   // before its log write.
-  fx[0]->rvm()->HoldCommitPipeline();
-  base::Status first;
-  std::thread writer([&] { first = Write(fx[0], 0, 0x11); });
-  WaitForPending(fx[0]->rvm(), 1);
+  ParkedWrite writer(fx[0], 0, 0x11);
   EXPECT_EQ(0u, fx.Log(1).size());
 
   // Node 2 gets the token and reads node 1's bytes: it carries the record.
@@ -155,8 +187,8 @@ TEST(OrderedDurable, TokenPassesWhileTheHolderForceIsParked) {
   EXPECT_EQ(OneTo(2), MergedSequences(&fx.store, 2, kLock));
 
   // Node 1's commit returns only once its own record is durable.
-  ASSERT_TRUE(fx[0]->rvm()->ReleaseCommitPipeline().ok());
-  writer.join();
+  base::Status first;
+  ASSERT_TRUE(writer.Release(&first).ok());
   ASSERT_TRUE(first.ok()) << first.ToString();
   // Node 1 carries node 2's record too, but its own commit was ordered
   // before it and cannot have read it: its batch holds only its own record.
@@ -171,12 +203,9 @@ TEST(OrderedDurable, TokenPassesWhileTheHolderForceIsParked) {
 TEST(OrderedDurable, FailedBatchLeavesTheCarriedRecordForTheRetry) {
   // Node 2's first batch holds node 1's carried record and its own, and its
   // write fails. The failure changes nothing: the retry writes both, the
-  // carried one first, once. (EXPECTs only until the parked writer joins.)
+  // carried one first, once.
   Fixture fx(2);
-  fx[0]->rvm()->HoldCommitPipeline();
-  base::Status first;
-  std::thread writer([&] { first = Write(fx[0], 0, 0x11); });
-  WaitForPending(fx[0]->rvm(), 1);
+  ParkedWrite writer(fx[0], 0, 0x11);
 
   lbc::Transaction txn = fx[1]->Begin(rvm::RestoreMode::kNoRestore);
   EXPECT_TRUE(txn.Acquire(kLock).ok());
@@ -202,8 +231,8 @@ TEST(OrderedDurable, FailedBatchLeavesTheCarriedRecordForTheRetry) {
   EXPECT_EQ(1u, fx[1]->rvm()->DurableSeq());
   EXPECT_EQ(OneTo(2), MergedSequences(&fx.store, 2, kLock));
 
-  EXPECT_TRUE(fx[0]->rvm()->ReleaseCommitPipeline().ok());
-  writer.join();
+  base::Status first;
+  EXPECT_TRUE(writer.Release(&first).ok());
   EXPECT_TRUE(first.ok()) << first.ToString();
 }
 
@@ -449,10 +478,7 @@ TEST(OrderedDurable, WriterDeathBetweenBroadcastAndForceIsCarriedThrough) {
   // follows a durable sequence and the merged logs stay gap-free.
   Fixture fx(3);
   ASSERT_TRUE(Write(fx[0], 0, 0x01).ok());
-  fx[2]->rvm()->HoldCommitPipeline();
-  base::Status victim_commit;
-  std::thread victim([&] { victim_commit = Write(fx[2], 8, 0x33); });
-  WaitForPending(fx[2]->rvm(), 1);
+  ParkedWrite victim(fx[2], 8, 0x33);
   ASSERT_TRUE(fx[0]->WaitForAppliedSeq(kLock, 2, 5000));
   ASSERT_TRUE(fx[1]->WaitForAppliedSeq(kLock, 2, 5000));
   fx[2]->Disconnect();
@@ -467,8 +493,8 @@ TEST(OrderedDurable, WriterDeathBetweenBroadcastAndForceIsCarriedThrough) {
   EXPECT_EQ(0x33, fx[1]->GetRegion(kRegion)->data()[8]);
 
   // The victim's own force finally runs (its copy merges once).
-  ASSERT_TRUE(fx[2]->rvm()->ReleaseCommitPipeline().ok());
-  victim.join();
+  base::Status victim_commit;
+  ASSERT_TRUE(victim.Release(&victim_commit).ok());
   EXPECT_EQ(OneTo(3), MergedSequences(&fx.store, 3, kLock));
 }
 
@@ -484,10 +510,7 @@ TEST(OrderedDurable, CarriedCopyASuccessorLoggedReachesAPeerTheWriterMissed) {
     ASSERT_TRUE(fx[n]->WaitForAppliedSeq(kLock, 1, 5000));
   }
   fx.cluster->fabric()->PartitionOneWay(3, 1);
-  fx[2]->rvm()->HoldCommitPipeline();
-  base::Status victim_commit;
-  std::thread victim([&] { victim_commit = Write(fx[2], 8, 0x33); });
-  WaitForPending(fx[2]->rvm(), 1);
+  ParkedWrite victim(fx[2], 8, 0x33);
   ASSERT_TRUE(Write(fx[1], 16, 0x22).ok());
   EXPECT_EQ(3u, fx[1]->AppliedSeq(kLock));
   std::vector<rvm::TransactionRecord> log2 = fx.Log(2);
@@ -510,8 +533,8 @@ TEST(OrderedDurable, CarriedCopyASuccessorLoggedReachesAPeerTheWriterMissed) {
   EXPECT_EQ(OneTo(4), MergedSequences(&fx.store, 3, kLock));
   EXPECT_EQ(0, std::memcmp(fx[0]->GetRegion(kRegion)->data(),
                            fx[1]->GetRegion(kRegion)->data(), kRegionSize));
-  ASSERT_TRUE(fx[2]->rvm()->ReleaseCommitPipeline().ok());
-  victim.join();
+  base::Status victim_commit;
+  ASSERT_TRUE(victim.Release(&victim_commit).ok());
 }
 
 TEST(OrderedDurable, HeldRecordOfADeadWriterCountsAtTheReclaim) {
@@ -537,10 +560,7 @@ TEST(OrderedDurable, HeldRecordOfADeadWriterCountsAtTheReclaim) {
   cluster.fabric()->SetLinkDelay(3, 2, kSlowMicros);
   cluster.fabric()->SetLinkDelay(4, 3, kSlowMicros);
   ASSERT_TRUE(Write(c[2].get(), 8, 0x03).ok());
-  c[3]->rvm()->HoldCommitPipeline();
-  base::Status victim_commit;
-  std::thread victim([&] { victim_commit = Write(c[3].get(), 16, 0x04); });
-  WaitForPending(c[3]->rvm(), 1);
+  ParkedWrite victim(c[3].get(), 16, 0x04);
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while ((c[0]->stats().updates_held == 0 || c[1]->stats().updates_held == 0) &&
          std::chrono::steady_clock::now() < deadline) {
@@ -564,8 +584,8 @@ TEST(OrderedDurable, HeldRecordOfADeadWriterCountsAtTheReclaim) {
     EXPECT_EQ(0, std::memcmp(c[0]->GetRegion(kRegion)->data(),
                              c[s]->GetRegion(kRegion)->data(), kRegionSize));
   }
-  ASSERT_TRUE(c[3]->rvm()->ReleaseCommitPipeline().ok());
-  victim.join();
+  base::Status victim_commit;
+  ASSERT_TRUE(victim.Release(&victim_commit).ok());
 }
 
 }  // namespace

@@ -1,11 +1,18 @@
 // Log record encoding and framed log I/O, including torn-tail handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 
+#include "bench/harness.h"
 #include "src/base/rng.h"
+#include "src/lbc/wire_format.h"
+#include "src/oo7/database.h"
+#include "src/oo7/traversals.h"
 #include "src/rvm/log_format.h"
 #include "src/rvm/log_io.h"
+#include "src/rvm/recovery.h"
 #include "src/rvm/rvm.h"
 #include "src/store/mem_store.h"
 #include "tests/testing_records.h"
@@ -293,6 +300,159 @@ TEST(LogIo, ResetEmptiesLog) {
   EXPECT_EQ(0u, writer.bytes_written());
   auto rfile = std::move(*store.Open("log", false));
   EXPECT_EQ(0u, *rfile->Size());
+}
+
+// --- the commit payload is the record ---------------------------------------
+//
+// Every record the commit hook sees carries its log payload, written in one
+// pass from the sorted write set: decoding that payload, or the update
+// message that copies it, gives the record back, and the range-by-range
+// writer gives the same bytes.
+
+void ExpectPayloadIsTheRecord(const rvm::TransactionRecord& rec) {
+  ASSERT_FALSE(rec.payload.empty());
+  EXPECT_EQ(rec.bytes.data(), rec.payload.data());
+  EXPECT_EQ(rec.bytes.size(), rec.payload.size());
+  rvm::TransactionRecord decoded;
+  ASSERT_TRUE(rvm::DecodeTransaction(rec.payload, &decoded).ok());
+  EXPECT_EQ(rec, decoded);
+  EXPECT_TRUE(std::ranges::equal(rvm::EncodeTransaction(rec), rec.payload));
+  rvm::TransactionRecord received;
+  uint64_t durable_seq = 0;
+  ASSERT_TRUE(lbc::DecodeUpdate(base::Buffer(lbc::EncodeUpdateRecord(rec, true, 7)), &received,
+                                &durable_seq)
+                  .ok());
+  EXPECT_EQ(rec, received);
+  EXPECT_EQ(7u, durable_seq);
+  EXPECT_TRUE(std::ranges::equal(received.payload, rec.payload));
+}
+
+// An Rvm whose commit hook keeps every record it sees.
+struct HookedRvm {
+  HookedRvm(store::MemStore* store, rvm::NodeId node, const rvm::RvmOptions& options)
+      : rvm(std::move(*rvm::Rvm::Open(store, node, options))) {
+    rvm->SetCommitHook([this](const rvm::TransactionRecord& rec) { seen.push_back(rec); });
+  }
+  std::unique_ptr<rvm::Rvm> rvm;
+  std::vector<rvm::TransactionRecord> seen;
+};
+
+TEST(CommitPayload, Oo7T2BRecordDecodesToItself) {
+  store::MemStore store;
+  HookedRvm h(&store, 1, rvm::RvmOptions{});
+  const oo7::Config config;
+  const uint64_t size = oo7::Database::RequiredSize(config);
+  rvm::Region* region = *h.rvm->MapRegion(1, size);
+  ASSERT_TRUE(oo7::Database::Build(region->data(), size, config).ok());
+  bench::RecordingSink recorder;
+  ASSERT_TRUE(oo7::RunT2(oo7::Database(region->data()), recorder, oo7::Variant::kB).status.ok());
+  rvm::Rvm::TxnHandle txn = h.rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
+  for (const auto& [offset, len] : recorder.ranges()) {
+    ASSERT_TRUE(h.rvm->SetRange(txn, 1, offset, len).ok());
+  }
+  ASSERT_TRUE(h.rvm->SetLockId(txn, 4, 1).ok());
+  ASSERT_TRUE(h.rvm->EndTransaction(txn, rvm::CommitMode::kNoFlush).ok());
+  ASSERT_EQ(1u, h.seen.size());
+  EXPECT_GT(h.seen[0].ranges.size(), 7000u);
+  ExpectPayloadIsTheRecord(h.seen[0]);
+}
+
+TEST(CommitPayload, TwoRegionRecordDecodesToItself) {
+  // Region 2's first range starts below region 1's last, so its header is
+  // absolute; the ranges after each first one are deltas.
+  store::MemStore store;
+  HookedRvm h(&store, 1, rvm::RvmOptions{});
+  rvm::Region* one = *h.rvm->MapRegion(1, 65536);
+  rvm::Region* two = *h.rvm->MapRegion(2, 65536);
+  rvm::Rvm::TxnHandle txn = h.rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
+  for (auto [region, offset] : {std::pair<rvm::Region*, uint64_t>{two, 60000},
+                                {one, 50000}, {two, 100}, {one, 40}}) {
+    ASSERT_TRUE(h.rvm->SetRange(txn, region->id(), offset, 16).ok());
+    std::memset(region->data() + offset, static_cast<int>(offset & 0xFF), 16);
+  }
+  ASSERT_TRUE(h.rvm->EndTransaction(txn, rvm::CommitMode::kFlush).ok());
+  ASSERT_EQ(1u, h.seen.size());
+  const rvm::TransactionRecord& rec = h.seen[0];
+  ASSERT_EQ(4u, rec.ranges.size());
+  EXPECT_EQ((std::vector<std::pair<rvm::RegionId, uint64_t>>{{1, 40}, {1, 50000}, {2, 100},
+                                                             {2, 60000}}),
+            (std::vector<std::pair<rvm::RegionId, uint64_t>>{
+                {rec.ranges[0].region, rec.ranges[0].offset},
+                {rec.ranges[1].region, rec.ranges[1].offset},
+                {rec.ranges[2].region, rec.ranges[2].offset},
+                {rec.ranges[3].region, rec.ranges[3].offset}}));
+  ExpectPayloadIsTheRecord(rec);
+}
+
+TEST(CommitPayload, AdaptiveSpanRecordDecodesToItself) {
+  // Page 0 has four ranges (more than the threshold of two): one span
+  // covers them. Page 1 has two, which stay.
+  store::MemStore store;
+  rvm::RvmOptions options;
+  options.adaptive_ranges_per_page = 2;
+  HookedRvm h(&store, 1, options);
+  rvm::Region* region = *h.rvm->MapRegion(1, 4 * 8192);
+  rvm::Rvm::TxnHandle txn = h.rvm->BeginTransaction(rvm::RestoreMode::kNoRestore);
+  for (uint64_t offset : {8192 + 512, 64, 8192 + 16, 0, 4000, 128}) {
+    ASSERT_TRUE(h.rvm->SetRange(txn, 1, offset, 8).ok());
+    std::memset(region->data() + offset, 0x5A, 8);
+  }
+  ASSERT_TRUE(h.rvm->EndTransaction(txn, rvm::CommitMode::kFlush).ok());
+  EXPECT_EQ(1u, h.rvm->stats().adaptive_pages_coalesced);
+  ASSERT_EQ(1u, h.seen.size());
+  const rvm::TransactionRecord& rec = h.seen[0];
+  ASSERT_EQ(3u, rec.ranges.size());
+  EXPECT_EQ(0u, rec.ranges[0].offset);
+  EXPECT_EQ(4008u, rec.ranges[0].data.size());
+  EXPECT_EQ(8192u + 16, rec.ranges[1].offset);
+  ExpectPayloadIsTheRecord(rec);
+}
+
+TEST(CommitPayload, CarriedCopyIsLoggedAsTheWriterLoggedIt) {
+  // Node 2 applies node 1's record from its update message and commits
+  // after it: node 2's log holds node 1's payload byte for byte, ahead of
+  // its own record, and both decode to the records the hooks saw.
+  store::MemStore store;
+  HookedRvm writer(&store, 1, rvm::RvmOptions{});
+  HookedRvm successor(&store, 2, rvm::RvmOptions{});
+  ASSERT_TRUE(writer.rvm->MapRegion(1, 8192).ok());
+  ASSERT_TRUE(successor.rvm->MapRegion(1, 8192).ok());
+  auto commit = [](rvm::Rvm* r, uint64_t offset, uint64_t seq) {
+    rvm::Rvm::TxnHandle txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
+    EXPECT_TRUE(r->SetRange(txn, 1, offset, 8).ok());
+    std::memset(r->GetRegion(1)->data() + offset, static_cast<int>(seq), 8);
+    EXPECT_TRUE(r->SetLockId(txn, 4, seq).ok());
+    EXPECT_TRUE(r->EndTransaction(txn, rvm::CommitMode::kFlush).ok());
+  };
+  commit(writer.rvm.get(), 0, 1);
+  ASSERT_EQ(1u, writer.seen.size());
+  const rvm::TransactionRecord& first = writer.seen[0];
+  ExpectPayloadIsTheRecord(first);
+
+  rvm::TransactionRecord received;
+  ASSERT_TRUE(lbc::DecodeUpdate(base::Buffer(lbc::EncodeUpdateRecord(first, true)), &received)
+                  .ok());
+  ASSERT_TRUE(successor.rvm->ApplyExternalRanges(received.ranges).ok());
+  successor.rvm->Carry(received);
+  ASSERT_EQ(1u, successor.rvm->CarriedCount());
+  commit(successor.rvm.get(), 8, 2);
+  ASSERT_EQ(1u, successor.seen.size());
+  ExpectPayloadIsTheRecord(successor.seen[0]);
+  EXPECT_EQ(1u, successor.rvm->stats().carried_written);
+
+  auto file = std::move(*store.Open(rvm::LogFileName(2), /*create=*/false));
+  rvm::LogReader reader(file.get());
+  std::vector<uint8_t> payload;
+  bool at_end = false;
+  ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
+  ASSERT_FALSE(at_end);
+  EXPECT_TRUE(std::ranges::equal(first.payload, payload));
+  ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
+  ASSERT_FALSE(at_end);
+  EXPECT_TRUE(std::ranges::equal(successor.seen[0].payload, payload));
+  auto logged = rvm::ReadLogTransactions(&store, rvm::LogFileName(2));
+  ASSERT_TRUE(logged.ok());
+  EXPECT_EQ((std::vector<rvm::TransactionRecord>{first, successor.seen[0]}), *logged);
 }
 
 }  // namespace

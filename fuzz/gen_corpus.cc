@@ -61,14 +61,11 @@ struct Range {
 rvm::TransactionRecord MakeTxn(rvm::NodeId node, uint64_t seq,
                                std::vector<rvm::LockRecord> locks,
                                const std::vector<Range>& ranges) {
-  rvm::TransactionRecord txn;
-  txn.node = node;
-  txn.commit_seq = seq;
-  txn.locks = std::move(locks);
+  std::vector<rvm::RangeImage> images;
   for (const Range& r : ranges) {
-    txn.ranges.push_back(rvm::RangeImage{r.region, r.offset, r.data});
+    images.emplace_back(r.region, r.offset, base::ByteSpan(r.data));
   }
-  return txn.Own();  // copies the bytes out of `ranges`
+  return rvm::MakeTransaction(node, seq, std::move(locks), images);  // copies the bytes
 }
 
 Range MakeRange(rvm::RegionId region, uint64_t offset, size_t len, uint8_t fill) {

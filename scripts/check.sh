@@ -142,19 +142,22 @@ if [[ "$run_tsan" == 1 ]]; then
   # history_oracle_test and lbc_ordered_durable_test because the token now
   # passes while the holder's log force (and its carried records) are still
   # in flight; rvm_concurrency_test also because SetRange through a
-  # transaction handle takes no lock.
+  # transaction handle takes no lock; lbc_record_lifetime_test because held,
+  # carried and version-buffered records cross the receiver and application
+  # threads as bare Buffers (a record is its payload).
   cmake -B build-tsan -S . -DLBC_SANITIZE=thread
   cmake --build build-tsan -j "$jobs" --target \
     netsim_chaos_test netsim_fabric_test netsim_multicast_test \
     netsim_reliable_wakeup_test obs_metrics_test \
     lbc_lock_protocol_test lbc_robustness_test rvm_concurrency_test \
     incremental_recovery_test lbc_standby_test lbc_extensions_test base_sync_test \
-    history_oracle_test lbc_ordered_durable_test crash_explorer_test
+    history_oracle_test lbc_ordered_durable_test crash_explorer_test \
+    lbc_record_lifetime_test
   for t in netsim_chaos_test netsim_fabric_test netsim_multicast_test \
            netsim_reliable_wakeup_test obs_metrics_test \
            lbc_lock_protocol_test lbc_robustness_test rvm_concurrency_test \
            incremental_recovery_test lbc_standby_test lbc_extensions_test base_sync_test \
-           history_oracle_test lbc_ordered_durable_test; do
+           history_oracle_test lbc_ordered_durable_test lbc_record_lifetime_test; do
     echo "--- tsan: $t"
     # base_sync_test constructs intentional ABBA inversions to exercise the
     # repo's own lock-order detector; TSan's deadlock detector flags the same

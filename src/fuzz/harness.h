@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/rvm/types.h"
+
 namespace fuzz {
 
 // Which structure-aware mutator fits the harness's input shape.
@@ -53,6 +55,16 @@ const Harness* FindHarness(const char* name);
 // bounded by a small multiple of this (decoded structures are amplification-
 // checked against the input size inside each harness).
 inline constexpr size_t kMaxInputBytes = 1 << 20;
+
+// Checks `rec`, an accepted record, against the validator's reading of its
+// payload, range by range. Aborts unless the payload is the canonical
+// spelling of that reading (the range writer's rewrite of the record's
+// node, commit_seq, locks and ranges gives the same bytes), and unless
+// applying `rec` through rvm::Rvm::ApplyExternalRanges (the receiver's walk
+// over its payload) into a scratch region image gives the image, status and
+// applied count that applying the reading gives.
+void CheckWalkApply(const char* harness, const rvm::TransactionRecord& rec,
+                    const uint8_t* data, size_t size);
 
 // --- harness entry points (one per decode surface) --------------------------
 // Grouped by trust boundary; see fuzz/REGISTRY for the decoder mapping.

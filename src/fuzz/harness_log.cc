@@ -4,9 +4,14 @@
 // recovery runs, then checks the round-trip differential oracle against the
 // real encoders: whatever the decoder ACCEPTS must re-encode to the exact
 // bytes it came from (the format is one-spelling canonical), and whatever
-// the encoder EMITS must decode back to the same value.
+// the encoder EMITS must decode back to the same value. Every accepted
+// transaction is also applied through the receiver's walk into a scratch
+// image and held to the validator's own reading of it (CheckWalkApply).
+#include <algorithm>
 #include <cstring>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "src/rvm/log_merge.h"
 #include "src/rvm/page_checksum.h"
 #include "src/rvm/recovery.h"
+#include "src/rvm/rvm.h"
 #include "src/store/mem_store.h"
 
 namespace fuzz {
@@ -46,6 +52,59 @@ void CheckTransactionBounds(const char* harness, const rvm::TransactionRecord& t
 
 }  // namespace
 
+void CheckWalkApply(const char* harness, const rvm::TransactionRecord& rec,
+                    const uint8_t* data, size_t size) {
+  // The validator's account of the payload, range by range.
+  std::vector<rvm::RangeImage> view;
+  rvm::TransactionRecord checked;
+  if (!rvm::DecodeTransaction(rec.payload, rec.bytes, &checked,
+                              [&](const rvm::RangeImage& r) { view.push_back(r); })
+           .ok() ||
+      !(checked == rec)) {
+    OracleFailure(harness, "an accepted record's payload does not validate", data, size);
+  }
+  // The one-spelling rule: the payload is what the range writer makes of
+  // the record's prefix and the validator's ranges, byte for byte.
+  if (!std::ranges::equal(
+          rvm::MakeTransaction(rec.node, rec.commit_seq, rec.locks, view).payload,
+          rec.payload)) {
+    OracleFailure(harness, "an accepted payload is not the canonical spelling of its record",
+                  data, size);
+  }
+  if (view.empty()) {
+    return;
+  }
+  // One small scratch image, of the first range's region: ranges near its
+  // start land, the others take the skip rule.
+  constexpr uint64_t kImageBytes = 16 * 1024;
+  const rvm::RegionId region = view.front().region;
+  std::vector<uint8_t> want(kImageBytes, 0);
+  base::StatusCode want_code = base::StatusCode::kOk;
+  uint64_t want_applied = 0;
+  for (const rvm::RangeImage& r : view) {
+    const uint64_t len = r.data.size();
+    if (r.region == region && len <= kImageBytes && r.offset <= kImageBytes - len) {
+      std::copy(r.data.begin(), r.data.end(), want.begin() + static_cast<ptrdiff_t>(r.offset));
+      ++want_applied;
+    } else if (want_code == base::StatusCode::kOk) {
+      want_code = r.region == region ? base::StatusCode::kOutOfRange
+                                     : base::StatusCode::kNotFound;
+    }
+  }
+  store::MemStore store;
+  auto node = rvm::Rvm::Open(&store, /*node=*/1, rvm::RvmOptions{});
+  if (!node.ok() || !(*node)->MapRegion(region, kImageBytes).ok()) {
+    return;
+  }
+  // The receiver's apply: the walk over the payload's bytes.
+  const base::StatusCode code = (*node)->ApplyExternalRanges(rec).code();
+  if (code != want_code || (*node)->stats().external_updates_applied != want_applied ||
+      !std::equal(want.begin(), want.end(), (*node)->GetRegion(region)->data())) {
+    OracleFailure(harness, "the apply walk disagrees with the validator's reading", data,
+                  size);
+  }
+}
+
 int RunLogTransaction(const uint8_t* data, size_t size) {
   if (size > kMaxInputBytes) {
     return 0;
@@ -56,7 +115,10 @@ int RunLogTransaction(const uint8_t* data, size_t size) {
     return 0;  // rejected cleanly — the only other acceptable outcome
   }
   CheckTransactionBounds("log_transaction", txn, data, size);
-  // Accepted inputs are canonical: re-encoding reproduces the input bytes.
+  // Accepted inputs are canonical: CheckWalkApply rewrites the record from
+  // its fields and ranges and requires the payload's exact bytes, and the
+  // payload is the whole input.
+  CheckWalkApply("log_transaction", txn, data, size);
   std::vector<uint8_t> re = rvm::EncodeTransaction(txn);
   if (re.size() != size || (size > 0 && std::memcmp(re.data(), data, size) != 0)) {
     OracleFailure("log_transaction", "Encode(Decode(x)) != x for accepted input",
@@ -110,6 +172,7 @@ int RunLogFrameScan(const uint8_t* data, size_t size) {
   uint64_t total = 0;
   for (const auto& txn : *txns) {
     CheckTransactionBounds("log_frame_scan", txn, data, size);
+    CheckWalkApply("log_frame_scan", txn, data, size);
     total += txn.TotalBytes();
   }
   if (total > size) {
@@ -121,8 +184,7 @@ int RunLogFrameScan(const uint8_t* data, size_t size) {
   }
   rvm::LogWriter writer(std::move(*rewritten));
   for (const auto& txn : *txns) {
-    std::vector<uint8_t> payload = rvm::EncodeTransaction(txn);
-    if (!writer.Append(base::ByteSpan(payload.data(), payload.size()), false).ok()) {
+    if (!writer.Append(txn.payload, false).ok()) {
       return 0;
     }
   }
@@ -158,20 +220,29 @@ int RunLogIndexBuild(const uint8_t* data, size_t size) {
   if (store.total_bytes_written() != written_before) {
     OracleFailure("log_index_build", "index build mutated the store", data, size);
   }
-  // Internal consistency: every slice names a real (txn, range) pair whose
-  // range actually intersects the page it is indexed under.
+  // Internal consistency: every slice names a real range (its record, the
+  // position of its header, its start) that actually intersects the page it
+  // is indexed under.
   const auto& txns = index->transactions();
+  std::set<std::tuple<uint32_t, uint32_t, uint64_t>> named;
+  for (size_t t = 0; t < txns.size(); ++t) {
+    const rvm::RangeList& ranges = txns[t].ranges;
+    for (auto it = ranges.begin(); it != ranges.end(); ++it) {
+      named.emplace(static_cast<uint32_t>(t),
+                    static_cast<uint32_t>(it.header() - ranges.bytes().data()), it->offset);
+    }
+  }
   for (const auto& [region, page] : index->Pages()) {
     const auto* slices = index->SlicesFor(region, page);
     if (slices == nullptr || slices->empty()) {
       OracleFailure("log_index_build", "indexed page has no slices", data, size);
     }
     for (const auto& slice : *slices) {
-      if (slice.txn >= txns.size() || slice.range >= txns[slice.txn].ranges.size()) {
+      if (named.count({slice.txn, slice.pos, slice.offset}) == 0) {
         OracleFailure("log_index_build", "slice points outside the merged history",
                       data, size);
       }
-      const rvm::RangeImage& r = txns[slice.txn].ranges[slice.range];
+      const rvm::RangeImage r = index->RangeOf(slice);
       uint64_t lo = r.offset / rvm::kDbPageSize;
       uint64_t hi = r.data.empty() ? lo : (r.offset + r.data.size() - 1) / rvm::kDbPageSize;
       if (r.data.empty() || r.region != region || page < lo || page > hi) {
@@ -204,6 +275,7 @@ int RunLogMerge(const uint8_t* data, size_t size) {
   uint64_t total = 0;
   for (const auto& txn : *merged) {
     CheckTransactionBounds("log_merge", txn, data, size);
+    CheckWalkApply("log_merge", txn, data, size);
     total += txn.TotalBytes();
   }
   if (total > size) {

@@ -526,9 +526,8 @@ void Client::Propagate(const rvm::TransactionRecord& rec) {
 }
 
 void Client::PublishToServer(const rvm::TransactionRecord& rec) {
-  const rvm::TransactionRecord owned = rec.Own();  // a refcount bump with logging on
-  for (const auto& lock : owned.locks) {
-    cluster_->CacheRecords(lock.lock_id, owned);
+  for (const auto& lock : rec.locks) {
+    cluster_->CacheRecords(lock.lock_id, rec);  // a refcount bump
     cluster_->TrimRecordCache(lock.lock_id);
   }
 }
@@ -603,14 +602,13 @@ void Client::BroadcastEager(const rvm::TransactionRecord& rec) {
 }
 
 void Client::RetainForLazy(const rvm::TransactionRecord& rec) {
-  const rvm::TransactionRecord owned = rec.Own();  // a refcount bump with logging on
   base::MutexLock lk(mu_);
-  for (const auto& lock : owned.locks) {
+  for (const auto& lock : rec.locks) {
     LockState& st = StateFor(lock.lock_id);
     if (std::none_of(st.retained.begin(), st.retained.end(), [&](const auto& kept) {
-          return kept.commit_seq == owned.commit_seq;  // a retried commit's
+          return kept.commit_seq == rec.commit_seq;  // a retried commit's
         })) {
-      st.retained.push_back(owned);
+      st.retained.push_back(rec);  // a refcount bump
     }
     TrimRetainedLocked(lock.lock_id, st);
   }
@@ -1266,7 +1264,7 @@ bool Client::DeliverLocked(rvm::TransactionRecord rec,
 
   // One rvm lock acquisition for the whole record (order: mu_ -> rvm).
   // kNotFound: a region not cached here — those bytes are not ours to keep.
-  if (base::Status st = rvm_->ApplyExternalRanges(rec.ranges);
+  if (base::Status st = rvm_->ApplyExternalRanges(rec);
       !st.ok() && st.code() != base::StatusCode::kNotFound) {
     LBC_LOG(Error) << "apply failed: " << st.ToString();
   }

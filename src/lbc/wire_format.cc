@@ -8,28 +8,12 @@ namespace {
 constexpr uint8_t kStandardHeaderTag = 0x80;
 constexpr size_t kStandardHeaderFields = 1 + 4 + 8 + 8;
 
-// The compressed message: its header, then the record's log payload as it
-// is, or written range by range when the record has none.
-std::vector<uint8_t> EncodeCompressedUpdate(const rvm::TransactionRecord& txn,
-                                            uint64_t durable_seq) {
-  const size_t payload_size =
-      txn.payload.empty() ? rvm::TransactionPayloadSize(txn) : txn.payload.size();
-  base::Writer w(2 + base::VarintSize(durable_seq) + payload_size);
-  w.WriteU8(static_cast<uint8_t>(MsgType::kUpdate));
-  w.WriteU8(1);
-  w.WriteVarint(durable_seq);
-  if (txn.payload.empty()) {
-    rvm::WriteTransactionPayload(&w, txn);
-  } else {
-    w.WriteBytes(txn.payload);
+// Bytes of `txn`'s update message.
+size_t UpdateRecordSize(const rvm::TransactionRecord& txn, bool compress_headers,
+                        uint64_t durable_seq) {
+  if (compress_headers) {
+    return 2 + base::VarintSize(durable_seq) + txn.payload.size();
   }
-  return w.TakeBytes();
-}
-
-// The standard-RVM emulation, so the ablation benchmark measures the
-// bytes-on-wire penalty the paper describes.
-std::vector<uint8_t> EncodeStandardUpdate(const rvm::TransactionRecord& txn,
-                                          uint64_t durable_seq) {
   size_t size = 2 + base::VarintSize(txn.node) + base::VarintSize(txn.commit_seq) +
                 base::VarintSize(durable_seq) + base::VarintSize(txn.locks.size()) +
                 base::VarintSize(txn.ranges.size());
@@ -39,28 +23,40 @@ std::vector<uint8_t> EncodeStandardUpdate(const rvm::TransactionRecord& txn,
   for (const auto& r : txn.ranges) {
     size += kStandardRvmRangeHeaderSize + r.data.size();
   }
-  base::Writer w(size);
-  w.WriteU8(static_cast<uint8_t>(MsgType::kUpdate));
-  w.WriteU8(0);
-  w.WriteVarint(txn.node);
-  w.WriteVarint(txn.commit_seq);
-  w.WriteVarint(durable_seq);
-  w.WriteVarint(txn.locks.size());
-  for (const auto& lock : txn.locks) {
-    w.WriteVarint(lock.lock_id);
-    w.WriteVarint(lock.sequence);
+  return size;
+}
+
+// Writes the message UpdateRecordSize sized. Compressed: its header, then
+// the record's log payload as it is. Uncompressed: the standard-RVM
+// emulation, so the ablation benchmark measures the bytes-on-wire penalty
+// the paper describes.
+void WriteUpdateRecord(base::Writer* w, const rvm::TransactionRecord& txn,
+                       bool compress_headers, uint64_t durable_seq) {
+  w->WriteU8(static_cast<uint8_t>(MsgType::kUpdate));
+  w->WriteU8(compress_headers ? 1 : 0);
+  if (compress_headers) {
+    w->WriteVarint(durable_seq);
+    w->WriteBytes(txn.payload);
+    return;
   }
-  w.WriteVarint(txn.ranges.size());
+  w->WriteVarint(txn.node);
+  w->WriteVarint(txn.commit_seq);
+  w->WriteVarint(durable_seq);
+  w->WriteVarint(txn.locks.size());
+  for (const auto& lock : txn.locks) {
+    w->WriteVarint(lock.lock_id);
+    w->WriteVarint(lock.sequence);
+  }
+  w->WriteVarint(txn.ranges.size());
   static const uint8_t kPad[kStandardRvmRangeHeaderSize - kStandardHeaderFields] = {0};
   for (const auto& r : txn.ranges) {
-    w.WriteU8(kStandardHeaderTag);
-    w.WriteU32(r.region);
-    w.WriteU64(r.offset);
-    w.WriteU64(r.data.size());
-    w.WriteBytes(kPad, sizeof(kPad));
-    w.WriteBytes(r.data);
+    w->WriteU8(kStandardHeaderTag);
+    w->WriteU32(r.region);
+    w->WriteU64(r.offset);
+    w->WriteU64(r.data.size());
+    w->WriteBytes(kPad, sizeof(kPad));
+    w->WriteBytes(r.data);
   }
-  return w.TakeBytes();
 }
 
 }  // namespace
@@ -84,13 +80,16 @@ base::Result<MsgType> PeekMsgType(base::ByteSpan payload) {
 
 std::vector<uint8_t> EncodeUpdateRecord(const rvm::TransactionRecord& txn,
                                         bool compress_headers, uint64_t durable_seq) {
-  return compress_headers ? EncodeCompressedUpdate(txn, durable_seq)
-                          : EncodeStandardUpdate(txn, durable_seq);
+  base::Writer w(UpdateRecordSize(txn, compress_headers, durable_seq));
+  WriteUpdateRecord(&w, txn, compress_headers, durable_seq);
+  return w.TakeBytes();
 }
 
 namespace {
 
-// Parses the body of a standard-RVM-header update, after its flag byte.
+// Parses the body of a standard-RVM-header update, after its flag byte, and
+// writes it, as it goes, as the compressed log payload the record then
+// holds.
 base::Status DecodeStandardUpdate(base::Reader& r, rvm::TransactionRecord* out,
                                   uint64_t* durable_seq) {
   rvm::NodeId node = 0;
@@ -119,7 +118,11 @@ base::Status DecodeStandardUpdate(base::Reader& r, rvm::TransactionRecord* out,
   if (n_ranges > r.remaining() / kStandardRvmRangeHeaderSize) {
     return base::DataLoss("range count exceeds message");
   }
-  out->ranges.reserve(n_ranges);
+  // A compressed range header takes at most 26 bytes, a standard one 104,
+  // so the payload fits in its prefix and the rest of the message.
+  base::Writer w(rvm::TransactionPrefixSize(*out, n_ranges) + r.remaining());
+  rvm::WriteTransactionPrefix(&w, *out, n_ranges);
+  uint64_t prev_start = UINT64_MAX;
   // Held to exactly what the encoder emits: nonzero reserved padding is a
   // second encoding of the same record (a forgery could ride in it).
   for (uint64_t i = 0; i < n_ranges; ++i) {
@@ -143,26 +146,26 @@ base::Status DecodeStandardUpdate(base::Reader& r, rvm::TransactionRecord* out,
     if (start + len < start) {
       return base::DataLoss("range end overflows uint64");
     }
-    rvm::RangeImage img;
-    img.region = region;
-    img.offset = start;
-    RETURN_IF_ERROR(r.ReadBytes(len, &img.data));
-    out->ranges.push_back(img);
+    base::ByteSpan data;
+    RETURN_IF_ERROR(r.ReadBytes(len, &data));
+    rvm::WriteRange(&w, prev_start, region, start, data);
+    prev_start = start;
   }
   if (!r.empty()) {
     return base::DataLoss("trailing bytes after update");
   }
+  rvm::AdoptWrittenPayload(out, base::Buffer(w.TakeBytes()), n_ranges);
   return base::OkStatus();
 }
 
 // Parses one update message, `bytes`, which lies in `owner`: the record
-// holds `owner` (even on a reject, so no range outlives its bytes) and its
-// ranges view it.
+// holds `owner` (even on a reject) and a compressed message's record is its
+// payload there.
 base::Status DecodeUpdateIn(base::ByteSpan bytes, const base::Buffer& owner,
                             rvm::TransactionRecord* out, uint64_t* durable_seq) {
-  out->ranges.clear();
   out->bytes = owner;
   out->payload = {};
+  out->ranges = {};
   base::Reader r(bytes);
   uint8_t type = 0;
   RETURN_IF_ERROR(r.ReadU8(&type));
@@ -218,7 +221,17 @@ std::vector<uint8_t> EncodeLockForward(const LockForwardMsg& msg) {
 }
 
 std::vector<uint8_t> EncodeLockToken(const LockTokenMsg& msg, bool compress_headers) {
-  base::Writer w;
+  // Sized once; each piggybacked record's message is written in place.
+  std::vector<size_t> sizes;
+  sizes.reserve(msg.piggyback.size());
+  size_t size = 1 + base::VarintSize(msg.lock) + base::VarintSize(msg.token_seq) +
+                base::VarintSize(msg.epoch) + base::VarintSize(msg.holder) +
+                base::VarintSize(msg.durable_seq) + base::VarintSize(msg.piggyback.size());
+  for (const auto& rec : msg.piggyback) {
+    sizes.push_back(UpdateRecordSize(rec, compress_headers, /*durable_seq=*/0));
+    size += base::VarintSize(sizes.back()) + sizes.back();
+  }
+  base::Writer w(size);
   w.WriteU8(static_cast<uint8_t>(MsgType::kLockToken));
   w.WriteVarint(msg.lock);
   w.WriteVarint(msg.token_seq);
@@ -226,9 +239,9 @@ std::vector<uint8_t> EncodeLockToken(const LockTokenMsg& msg, bool compress_head
   w.WriteVarint(msg.holder);
   w.WriteVarint(msg.durable_seq);
   w.WriteVarint(msg.piggyback.size());
-  for (const auto& rec : msg.piggyback) {
-    std::vector<uint8_t> encoded = EncodeUpdateRecord(rec, compress_headers);
-    w.WriteLengthPrefixed(base::ByteSpan(encoded.data(), encoded.size()));
+  for (size_t i = 0; i < msg.piggyback.size(); ++i) {
+    w.WriteVarint(sizes[i]);
+    WriteUpdateRecord(&w, msg.piggyback[i], compress_headers, /*durable_seq=*/0);
   }
   return w.TakeBytes();
 }

@@ -16,10 +16,11 @@
 // All fabric messages share a one-byte type tag so a node's single receiver
 // thread can dispatch updates and lock-protocol traffic from one inbox.
 //
-// Receive matches send (§3.2): the encoder copies a record's payload, or
-// gathers straight from its range views when it has none, and a decoder
-// given the received payload Buffer returns records that hold it and view
-// it, with no per-range copy.
+// Receive matches send (§3.2): the encoder copies a record's payload, and a
+// decoder given the received Buffer validates the payload in one pass and
+// returns a record that is that payload where it lies: no per-range copy or
+// allocation. The receiver then applies it by walking the same bytes
+// (rvm::Rvm::ApplyExternalRanges).
 #ifndef SRC_LBC_WIRE_FORMAT_H_
 #define SRC_LBC_WIRE_FORMAT_H_
 
@@ -46,12 +47,11 @@ base::Result<MsgType> PeekMsgType(base::ByteSpan payload);
 // --- update messages -------------------------------------------------------
 
 // Encodes a committed (or retained) transaction: its log payload copied as
-// it is, or, for a record without one, written straight from its range
-// views; no intermediate copy, into a buffer sized up front. `durable_seq`
-// is the writer's durable watermark when it sends: every record of txn.node
-// with commit_seq at or below it is in a log, so receivers stop carrying
-// those (DESIGN.md, "Ordered and durable"). Records piggybacked on a token
-// carry 0; the token has its own watermark.
+// it is, into a buffer sized up front. `durable_seq` is the writer's
+// durable watermark when it sends: every record of txn.node with commit_seq
+// at or below it is in a log, so receivers stop carrying those (DESIGN.md,
+// "Ordered and durable"). Records piggybacked on a token carry 0; the token
+// has its own watermark.
 //
 // Layout, compressed:   u8 type | u8 1 | varint durable_seq | log payload
 //                       (rvm/log_format.h: kind, node, commit_seq, locks,
@@ -63,9 +63,10 @@ base::Result<MsgType> PeekMsgType(base::ByteSpan payload);
 std::vector<uint8_t> EncodeUpdateRecord(const rvm::TransactionRecord& txn,
                                         bool compress_headers, uint64_t durable_seq = 0);
 
-// The record holds `payload` and its ranges view it; a compressed message's
-// record has its log payload set. The ByteSpan form first copies the bytes
-// once into a new Buffer. *durable_seq (when non-null) receives the sender's
+// The record holds `payload`; a compressed message's record is its log
+// payload there, an uncompressed one's is re-encoded into a compressed
+// payload it holds instead. The ByteSpan form first copies the bytes once
+// into a new Buffer. *durable_seq (when non-null) receives the sender's
 // watermark.
 base::Status DecodeUpdate(const base::Buffer& payload, rvm::TransactionRecord* out,
                           uint64_t* durable_seq = nullptr);
@@ -127,7 +128,8 @@ struct LockTokenMsg {
   rvm::NodeId holder = 0;
   uint64_t durable_seq = 0;
   // Lazy policy: retained update records the requester has not yet applied.
-  // Decoded, each holds the token message's Buffer and views its bytes.
+  // Decoded, each holds the token message's Buffer and is its payload there.
+  // Encoded, the token is sized once and each record written in place.
   std::vector<rvm::TransactionRecord> piggyback;
 
   bool operator==(const LockTokenMsg&) const = default;

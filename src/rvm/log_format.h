@@ -9,18 +9,20 @@
 // A transaction payload is also the coherency message (§3.4: the committed
 // log tail is what peers need): its range headers use the §3.2 compressed
 // spelling, and an update message carries the payload verbatim behind a
-// short message header (lbc/wire_format.h). The commit path writes the
-// payload once, in one pass from the sorted write set and the region images
-// (the paper's writev I/O vectors), into a buffer sized exactly up front;
-// the broadcast, a token's piggyback and a successor's carried copy then
-// send or log those bytes as they are. Records without a payload (built by
-// hand, or with disk logging off) are encoded range by range through the
-// same range writer. DecodeTransaction parses a payload into a
-// TransactionRecord whose ranges view the payload's Buffer: no per-range
-// copy.
+// short message header (lbc/wire_format.h). A TransactionRecord IS its
+// payload (types.h): the commit path writes it once, in one pass from the
+// sorted write set and the region images (the paper's writev I/O vectors),
+// into a buffer sized exactly up front, and the broadcast, a token's
+// piggyback and a successor's carried copy send or log those bytes as they
+// are. DecodeTransaction validates a payload in one pass, allocating
+// nothing for its ranges; the record then reads them in place through
+// RangeList (types.h), the one range walker, which the receiver's apply,
+// the log index and replay all use.
 #ifndef SRC_RVM_LOG_FORMAT_H_
 #define SRC_RVM_LOG_FORMAT_H_
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "src/base/buffer.h"
@@ -48,7 +50,7 @@ enum class LogRecordKind : uint8_t {
 // it; the address is then that distance. Otherwise the tag is 0 and the
 // address is the absolute start. The decoder holds a payload to exactly this
 // spelling, so each record has one encoding.
-inline constexpr uint8_t kRangeDelta = 0x01;
+// (kRangeDelta is in types.h, beside the walker that reads it.)
 inline constexpr uint64_t kNearRangeBound = 256 * 1024;
 
 // Bytes the header of a range at `start`, `len` bytes long in `region`,
@@ -61,14 +63,23 @@ size_t RangeHeaderSize(uint64_t prev_start, RegionId region, uint64_t start, uin
 // `txn` supplies the node, commit_seq and locks; `n_ranges` the range count.
 size_t TransactionPrefixSize(const TransactionRecord& txn, size_t n_ranges);
 void WriteTransactionPrefix(base::Writer* w, const TransactionRecord& txn, size_t n_ranges);
-// Writes one range's header and bytes; returns the view of the bytes as
-// written.
-base::ByteSpan WriteRange(base::Writer* w, uint64_t prev_start, RegionId region,
-                          uint64_t start, base::ByteSpan data);
+// Writes one range's header and bytes.
+void WriteRange(base::Writer* w, uint64_t prev_start, RegionId region, uint64_t start,
+                base::ByteSpan data);
+// Makes `rec` the payload that fills all of `bytes`, written above with
+// `n_ranges` ranges from `rec`'s node, commit_seq and locks.
+void AdoptWrittenPayload(TransactionRecord* rec, base::Buffer bytes, size_t n_ranges);
 
-// The payload of `txn`, range by range (its `payload` is not consulted).
-size_t TransactionPayloadSize(const TransactionRecord& txn);
-void WriteTransactionPayload(base::Writer* w, const TransactionRecord& txn);
+// A record with these fields and ranges, its payload written into a Buffer
+// it holds (hand-built records: tests, tools, corpus seeds).
+TransactionRecord MakeTransaction(NodeId node, uint64_t commit_seq,
+                                  std::vector<LockRecord> locks,
+                                  std::span<const RangeImage> ranges);
+
+// The bytes `txn` is logged and sent as: a copy of its payload. Every
+// record that is logged or sent has one (the decoders, the ordering and
+// MakeTransaction write it); a record without one encodes as no bytes,
+// which no decoder accepts.
 std::vector<uint8_t> EncodeTransaction(const TransactionRecord& txn);
 
 std::vector<uint8_t> EncodeCheckpoint();
@@ -76,15 +87,22 @@ std::vector<uint8_t> EncodeCheckpoint();
 // Peeks the payload kind.
 base::Result<LogRecordKind> PeekKind(base::ByteSpan payload);
 
-// Parses a kTransaction payload; the record holds `payload`, its ranges view
-// it, and its `payload` is all of it. The ByteSpan form first copies the
-// bytes once into a new Buffer. The three-argument form parses `payload`
-// where it lies inside `owner` (a message that carries it), which the record
-// holds, even on a reject.
+// Validates a kTransaction payload in one pass, range list included, and
+// makes `out` that payload: its ranges are read in place, with no per-range
+// allocation. The ByteSpan form first copies the bytes once into a new
+// Buffer. The three-argument form takes `payload` where it lies inside
+// `owner` (a message that carries it), which the record holds, even on a
+// reject; a rejected record has no payload and no ranges.
 base::Status DecodeTransaction(const base::Buffer& payload, TransactionRecord* out);
 base::Status DecodeTransaction(base::ByteSpan payload, TransactionRecord* out);
 base::Status DecodeTransaction(base::ByteSpan payload, const base::Buffer& owner,
                                TransactionRecord* out);
+// The same, also handing `visit` each range as the validator reads it: an
+// account of the payload that does not go through RangeList, for fuzz
+// oracles that hold the walker to it.
+base::Status DecodeTransaction(base::ByteSpan payload, const base::Buffer& owner,
+                               TransactionRecord* out,
+                               const std::function<void(const RangeImage&)>& visit);
 
 }  // namespace rvm
 

@@ -49,16 +49,18 @@ void LogIndex::IndexTransaction(uint32_t txn_idx, std::vector<PageKey>* touched)
   }
   uint64_t& commit = max_commit_seq_[txn.node];
   commit = std::max(commit, txn.commit_seq);
-  for (size_t r = 0; r < txn.ranges.size(); ++r) {
-    const RangeImage& range = txn.ranges[r];
+  const uint8_t* const list = txn.ranges.bytes().data();
+  for (auto it = txn.ranges.begin(); it != txn.ranges.end(); ++it) {
+    const RangeImage& range = *it;
     if (range.data.empty()) {
       continue;
     }
     uint64_t first_page = range.offset / kDbPageSize;
     uint64_t last_page = (range.offset + range.data.size() - 1) / kDbPageSize;
+    const Slice slice{txn_idx, static_cast<uint32_t>(it.header() - list), range.offset};
     for (uint64_t page = first_page; page <= last_page; ++page) {
       PageKey key{range.region, page};
-      pages_[key].push_back(Slice{txn_idx, static_cast<uint32_t>(r)});
+      pages_[key].push_back(slice);
       if (touched != nullptr) {
         touched->push_back(key);
       }
@@ -93,22 +95,19 @@ const std::vector<LogIndex::Slice>* LogIndex::SlicesFor(RegionId region,
 std::vector<RangeImage> LogIndex::RangesFor(RegionId region,
                                             const std::vector<uint64_t>& pages) const {
   // A range spanning several of the pages is listed under each of them.
-  std::vector<std::pair<uint32_t, uint32_t>> slices;
+  std::vector<Slice> slices;
   for (uint64_t page : pages) {
     const std::vector<Slice>* page_slices = SlicesFor(region, page);
-    if (page_slices == nullptr) {
-      continue;
-    }
-    for (const Slice& s : *page_slices) {
-      slices.emplace_back(s.txn, s.range);
+    if (page_slices != nullptr) {
+      slices.insert(slices.end(), page_slices->begin(), page_slices->end());
     }
   }
   std::sort(slices.begin(), slices.end());
   slices.erase(std::unique(slices.begin(), slices.end()), slices.end());
   std::vector<RangeImage> ranges;
   ranges.reserve(slices.size());
-  for (const auto& [txn, range] : slices) {
-    ranges.push_back(txns_[txn].ranges[range]);
+  for (const Slice& slice : slices) {
+    ranges.push_back(RangeOf(slice));
   }
   return ranges;
 }

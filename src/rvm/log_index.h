@@ -24,6 +24,7 @@
 #ifndef SRC_RVM_LOG_INDEX_H_
 #define SRC_RVM_LOG_INDEX_H_
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -38,11 +39,18 @@ namespace rvm {
 
 class LogIndex {
  public:
-  // One redo range occurrence on a page: txns()[txn].ranges[range]
-  // intersects the page. Per-page slice lists preserve merged order.
+  // One redo range occurrence on a page: the range of txns()[txn] whose
+  // header is `pos` bytes into its range list intersects the page. Range
+  // addresses are delta-coded, so the slice keeps the range's start too. A
+  // log frame's length is 32 bits, so `pos` fits. Per-page slice lists
+  // preserve merged order.
   struct Slice {
     uint32_t txn = 0;
-    uint32_t range = 0;
+    uint32_t pos = 0;
+    uint64_t offset = 0;
+
+    // Merged order: (txn, pos) rises through the history.
+    auto operator<=>(const Slice&) const = default;
   };
 
   using PageKey = std::pair<RegionId, uint64_t>;
@@ -72,6 +80,11 @@ class LogIndex {
   // nullptr when the page has no indexed records. The returned pointer is
   // invalidated by Extend.
   const std::vector<Slice>* SlicesFor(RegionId region, uint64_t page) const;
+
+  // The range `slice` names, read where it lies in its record's payload.
+  RangeImage RangeOf(const Slice& slice) const {
+    return txns_[slice.txn].ranges.At(slice.pos, slice.offset);
+  }
 
   // The redo ranges that touch `pages` of `region` (ascending), each once,
   // in merged (transaction, range) order — one file batch's input.

@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "src/rvm/log_format.h"
 #include "src/rvm/log_io.h"
 #include "src/rvm/recovery.h"
 
@@ -165,9 +164,7 @@ base::Status WriteMergedLog(store::DurableStore* store,
   RETURN_IF_ERROR(file->Truncate(0));
   LogWriter writer(std::move(file));
   for (const auto& txn : merged) {
-    std::vector<uint8_t> payload = EncodeTransaction(txn);
-    RETURN_IF_ERROR(
-        writer.Append(base::ByteSpan(payload.data(), payload.size()), /*sync_now=*/false));
+    RETURN_IF_ERROR(writer.Append(txn.payload, /*sync_now=*/false));  // as it was read
   }
   return writer.Sync();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <string>
 
 #include "src/base/clock.h"
@@ -369,35 +370,28 @@ std::shared_ptr<const TransactionRecord> Rvm::OrderLocked(Txn& txn) {
   // coherency layer rolls their lock sequence numbers back, so a record
   // would only confuse the merge order.
   const bool logged = options_.disk_logging && n_ranges > 0;
-  // Second pass: with a log, write the payload NOW, while the images still
-  // hold exactly this transaction's bytes (later transactions overwrite the
-  // live images before the batch leader gets this record to disk), and view
-  // each range where it landed in the payload. The payload doubles as the
-  // zero-copy broadcast buffer: rec.bytes is refcounted, so the commit hook
-  // (and every peer channel it fans out to) reads bytes that can no longer
-  // change. Without a log the ranges view the live images.
-  base::Writer w(logged ? TransactionPrefixSize(rec, n_ranges) + ranges_size : 0);
-  if (logged) {
-    WriteTransactionPrefix(&w, rec, n_ranges);
-  }
-  rec.ranges.reserve(n_ranges);
+  // Second pass: write the payload NOW, while the images still hold exactly
+  // this transaction's bytes (later transactions overwrite the live images
+  // before the batch leader gets this record to disk). The payload doubles
+  // as the zero-copy broadcast buffer: rec.bytes is refcounted, so the
+  // commit hook (and every peer channel it fans out to) reads bytes that
+  // can no longer change. It is written with disk logging off too, so every
+  // record is its payload.
+  base::Writer w(TransactionPrefixSize(rec, n_ranges) + ranges_size);
+  WriteTransactionPrefix(&w, rec, n_ranges);
   prev_start = UINT64_MAX;
   for (auto& [region_id, entry] : txn.declared) {
     // The transaction pins the region: it is still mapped.
     const uint8_t* image = entry.region->data();
     ForEachLoggedRange(entry.ranges.ranges(), per_page,
                        [&, region_id = region_id](uint64_t offset, uint64_t len) {
-                         base::ByteSpan data(image + offset, len);
-                         if (logged) {
-                           data = WriteRange(&w, prev_start, region_id, offset, data);
-                           prev_start = offset;
-                         }
-                         rec.ranges.push_back(RangeImage{region_id, offset, data});
+                         WriteRange(&w, prev_start, region_id, offset,
+                                    base::ByteSpan(image + offset, len));
+                         prev_start = offset;
                        });
   }
+  AdoptWrittenPayload(&rec, base::Buffer(w.TakeBytes()), n_ranges);
   if (logged) {
-    rec.bytes = base::Buffer(w.TakeBytes());  // adopts the storage: the views stay valid
-    rec.payload = rec.bytes.span();
     txn.ordered = shared;
     owed_.try_emplace({node_, rec.commit_seq}, Owed{shared, false, ++order_clock_});
   }
@@ -523,19 +517,12 @@ base::Status Rvm::LeadBatchLocked(base::MutexLock& lock, bool whole_carry_set, b
 
 Rvm::BatchResult Rvm::WriteBatch(const Batch& batch) {
   // Every record is logged as its payload: an own record's from ordering, a
-  // carried one's as it arrived in a compressed message or token. A carried
-  // record without one (from an uncompressed message) is encoded here, off
-  // every lock.
-  std::vector<std::vector<uint8_t>> encoded;
+  // carried one's as it arrived (or as the uncompressed decoder re-encoded
+  // it).
   std::vector<base::ByteSpan> payloads;
   payloads.reserve(batch.records.size());
   for (const auto& rec : batch.records) {
-    if (rec->payload.empty()) {
-      encoded.push_back(EncodeTransaction(*rec));
-      payloads.emplace_back(encoded.back().data(), encoded.back().size());
-    } else {
-      payloads.push_back(rec->payload);
-    }
+    payloads.push_back(rec->payload);
   }
   bool sync_now = batch.force_sync;
   for (const PendingCommit* pc : batch.commits) {
@@ -636,9 +623,6 @@ void Rvm::Carry(TransactionRecord rec) {
     return;
   }
   const std::pair<NodeId, uint64_t> key{rec.node, rec.commit_seq};
-  if (rec.bytes.empty()) {
-    rec = rec.Own();
-  }
   owed_.try_emplace(key, Owed{std::make_shared<const TransactionRecord>(std::move(rec)), false,
                               ++order_clock_});
 }
@@ -821,30 +805,71 @@ base::Status Rvm::Flush(bool whole_carry_set) {
   return status;
 }
 
-base::Status Rvm::ApplyExternalRanges(const std::vector<RangeImage>& ranges) {
+namespace {
+
+// Copies one range's bytes; the 8- and 16-byte ranges of object updates
+// (most of them) as fixed-size moves the compiler inlines.
+inline void CopyRange(uint8_t* dst, const uint8_t* src, size_t len) {
+  if (len >= 8 && len <= 16) {
+    std::memcpy(dst, src, 8);
+    std::memcpy(dst + len - 8, src + len - 8, 8);
+  } else {
+    std::memcpy(dst, src, len);
+  }
+}
+
+}  // namespace
+
+base::Status Rvm::ApplyExternalRanges(const TransactionRecord& rec) {
   obs::ScopedTimer timer(&m_.apply_nanos);
   base::MutexLock lock(mu_);
   base::Status first_error;
   uint64_t applied = 0;
   uint64_t applied_bytes = 0;
-  // Records group their ranges by region: look the region up only when the
-  // id changes.
-  auto region_it = regions_.end();
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    const RangeImage& r = ranges[i];
-    if (i == 0 || r.region != ranges[i - 1].region) {
-      region_it = regions_.find(r.region);
+  // The destination lines are mostly cold (a peer's image): a ring of the
+  // next kAhead decoded ranges lets the walk prefetch each one's line that
+  // many ranges before its copy. Records group their ranges by region, so a
+  // region is looked up only when the id changes.
+  constexpr size_t kAhead = 32;
+  RangeImage ring[kAhead];
+  Region* ring_region[kAhead];
+  const size_t n = rec.ranges.size();
+  const uint8_t* at = rec.ranges.bytes().data();
+  uint64_t prev_start = UINT64_MAX;
+  Region* region = nullptr;
+  RegionId looked_up = 0;
+  auto decode = [&](size_t i) {
+    RangeImage& r = ring[i % kAhead];
+    at = RangeList::Read(at, prev_start, &r);
+    prev_start = r.offset;
+    if (i == 0 || r.region != looked_up) {
+      looked_up = r.region;
+      const auto it = regions_.find(r.region);
+      region = it == regions_.end() ? nullptr : it->second.get();
     }
-    Region* region = region_it == regions_.end() ? nullptr : region_it->second.get();
+    ring_region[i % kAhead] = region;
+    if (region != nullptr && r.offset < region->size()) {
+      __builtin_prefetch(region->data() + r.offset, /*rw=*/1);
+    }
+  };
+  for (size_t i = 0; i < std::min(n, kAhead); ++i) {
+    decode(i);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const RangeImage& r = ring[i % kAhead];
+    Region* const dest = ring_region[i % kAhead];
     const uint64_t len = r.data.size();
-    if (region != nullptr && len <= region->size() && r.offset <= region->size() - len) {
-      std::copy(r.data.begin(), r.data.end(), region->data() + r.offset);
+    if (dest != nullptr && len <= dest->size() && r.offset <= dest->size() - len) {
+      CopyRange(dest->data() + r.offset, r.data.data(), len);
       ++applied;
       applied_bytes += len;
     } else if (first_error.ok()) {
-      first_error = region == nullptr
+      first_error = dest == nullptr
                         ? base::NotFound("region not mapped: " + std::to_string(r.region))
                         : base::OutOfRange("external update beyond region end");
+    }
+    if (i + kAhead < n) {
+      decode(i + kAhead);  // into the slot just applied
     }
   }
   m_.external_updates_applied.Add(applied);

@@ -270,12 +270,10 @@ class Rvm {
   // --- coherency integration ----------------------------------------------
 
   // Hook invoked inside EndTransaction once the commit is ordered, before
-  // its log write, with the record. With disk logging on, its ranges view
-  // its own `bytes`, the encoded log payload (also its `payload`): stable
-  // however far later transactions have overwritten the live images, and
-  // kept or fanned out by refcount. With logging off they view the live
-  // images until the hook returns. Runs with no rvm lock held, once per
-  // transaction.
+  // its log write, with the record: its payload, written into its own
+  // `bytes` at ordering with disk logging on or off, so stable however far
+  // later transactions have overwritten the live images, and kept or fanned
+  // out by refcount. Runs with no rvm lock held, once per transaction.
   using CommitHook = std::function<void(const TransactionRecord&)>;
   void SetCommitHook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
@@ -334,11 +332,13 @@ class Rvm {
   void SetTrimHook(TrimHook hook) { trim_hook_ = std::move(hook); }
 
   // Applies a peer's committed record to the local cached images (receiver
-  // side of log-based coherency), in order, under one lock acquisition. A
-  // range in an unmapped region or past its region's end is skipped and the
-  // rest still applied; the first such error is returned. Not logged
-  // locally: recovery obtains these updates by merging the peers' logs.
-  [[nodiscard]] base::Status ApplyExternalRanges(const std::vector<RangeImage>& ranges);
+  // side of log-based coherency), in order, under one lock acquisition, by
+  // walking its payload's bytes: the decoder validated them all, so nothing
+  // lands from a message that fails validation. A range in an unmapped
+  // region or past its region's end is skipped and the rest still applied;
+  // the first such error is returned. Not logged locally: recovery obtains
+  // these updates by merging the peers' logs.
+  [[nodiscard]] base::Status ApplyExternalRanges(const TransactionRecord& rec);
 
   // --- maintenance ---------------------------------------------------------
 
@@ -457,10 +457,9 @@ class Rvm {
   base::Status DeclareIn(Txn& txn, RegionId region, uint64_t offset, uint64_t len)
       LBC_EXCLUDES(mu_);
 
-  // Stamps `txn`'s record and lists its ranges from the sorted write set;
-  // when it will be logged, writes its payload in the same pass and views
-  // the ranges there. A logged record is kept as `txn.ordered` and entered
-  // in owed_.
+  // Stamps `txn`'s record and writes its payload from the sorted write set
+  // and the images, sized in a first pass. A logged record (disk logging on,
+  // some ranges) is kept as `txn.ordered` and entered in owed_.
   std::shared_ptr<const TransactionRecord> OrderLocked(Txn& txn) LBC_REQUIRES(mu_);
 
   // Ends a transaction: adds its SetRange tallies to the instruments,

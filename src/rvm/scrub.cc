@@ -352,7 +352,7 @@ base::Result<std::vector<uint8_t>> Scrubber::ReconstructPage(RunState* run,
     return buf;
   }
   for (const LogIndex::Slice& slice : *slices) {
-    OverlayRange(run->merged.transactions()[slice.txn].ranges[slice.range], page, buf.data());
+    OverlayRange(run->merged.RangeOf(slice), page, buf.data());
   }
   return buf;
 }

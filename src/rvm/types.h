@@ -4,6 +4,7 @@
 #define SRC_RVM_TYPES_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,26 +57,129 @@ struct RangeImage {
   }
 };
 
-// One committed transaction as it appears in a log and on the wire. Its
-// ranges view `bytes`, the refcounted immutable Buffer they were decoded or
-// encoded from (a message payload, a log payload, the commit record):
-// copying a record bumps a refcount, and the spans survive moves of the
-// record. `bytes` is empty only in the commit hook with disk logging off,
-// where the ranges view the live images until the hook returns. DESIGN.md
-// §13, "Zero-copy receive", has the details.
+// Tag of a range header whose address is a delta from the previous range's
+// start (log_format.h has the payload layout and the spelling rule).
+inline constexpr uint8_t kRangeDelta = 0x01;
+
+// The ranges of a transaction payload (log_format.h), read where they lie:
+// the one range walker. Iterating yields RangeImages whose data views the
+// payload. The walk checks nothing, so a RangeList is only made over a
+// range list the range writer wrote or DecodeTransaction accepted.
+class RangeList {
+ public:
+  // Reads the range whose header is at `at`, after one that started at
+  // `prev_start`; returns where the next header starts.
+  static const uint8_t* Read(const uint8_t* at, uint64_t prev_start, RangeImage* out) {
+    const uint8_t tag = *at++;
+    out->region = static_cast<RegionId>(Varint(at));
+    const uint64_t address = Varint(at);
+    // tag is 0 or kRangeDelta: a delta adds the previous start, branch-free.
+    out->offset = address + (prev_start & (0 - uint64_t{tag}));
+    const uint64_t len = Varint(at);
+    out->data = base::ByteSpan(at, len);
+    return at + len;
+  }
+
+  // Yields each range by value: a view of the payload, not of the
+  // iterator, so it outlives the step that made it.
+  class iterator {
+   public:
+    RangeImage operator*() const { return range_; }
+    const RangeImage* operator->() const { return &range_; }
+    iterator& operator++() {
+      at_ = next_;
+      Load();
+      return *this;
+    }
+    bool operator==(const iterator& o) const { return at_ == o.at_; }
+    // Where the current range's header starts.
+    const uint8_t* header() const { return at_; }
+
+   private:
+    friend class RangeList;
+    iterator(const uint8_t* at, const uint8_t* end) : at_(at), end_(end) { Load(); }
+    void Load() {
+      if (at_ != end_) {
+        next_ = Read(at_, range_.offset, &range_);
+      }
+    }
+
+    const uint8_t* at_ = nullptr;
+    const uint8_t* next_ = nullptr;
+    const uint8_t* end_ = nullptr;
+    RangeImage range_{0, UINT64_MAX, base::ByteSpan()};
+  };
+
+  RangeList() = default;
+  // `count` ranges, the first header at `first`, the last range's data
+  // ending at `end`.
+  RangeList(const uint8_t* first, const uint8_t* end, size_t count)
+      : first_(first), end_(end), count_(count) {}
+
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  iterator begin() const { return iterator(first_, end_); }
+  iterator end() const { return iterator(end_, end_); }
+  // The encoded ranges: headers and data.
+  base::ByteSpan bytes() const { return base::ByteSpan(first_, end_ - first_); }
+
+  // The range whose header is `pos` bytes into bytes() and which starts at
+  // `offset` (a LogIndex slice: the start is kept, since a delta-coded
+  // header cannot be read without its predecessor).
+  RangeImage At(size_t pos, uint64_t offset) const {
+    RangeImage out;
+    Read(first_ + pos, 0, &out);
+    out.offset = offset;
+    return out;
+  }
+
+  // The same ranges. The spelling is canonical, so equal bytes are equal
+  // ranges and the reverse.
+  bool operator==(const RangeList& o) const {
+    return count_ == o.count_ && std::ranges::equal(bytes(), o.bytes());
+  }
+
+ private:
+  // A varint the range writer wrote (minimal, at most 10 bytes).
+  static uint64_t Varint(const uint8_t*& at) {
+    uint64_t value = *at++;
+    if (value < 0x80) [[likely]] {
+      return value;
+    }
+    value &= 0x7F;
+    for (int shift = 7;; shift += 7) {
+      const uint64_t byte = *at++;
+      value |= (byte & 0x7F) << shift;
+      if (byte < 0x80) {
+        return value;
+      }
+    }
+  }
+
+  const uint8_t* first_ = nullptr;
+  const uint8_t* end_ = nullptr;
+  size_t count_ = 0;
+};
+
+// One committed transaction as it appears in a log and on the wire: its
+// encoded log payload (log_format.h), held where it lies in `bytes`, the
+// refcounted immutable Buffer it was decoded from or written into (a
+// message, a log read, the commit's own). Copying a record bumps a
+// refcount, and the views survive moves of the record. `node`, `commit_seq`
+// and `locks` are the payload's prefix, decoded; `ranges` reads the rest in
+// place. The decoders and the range writer (log_format.h) set `payload` and
+// `ranges` together; a record without a payload (default-constructed, or
+// with its fields set by hand) has no ranges and is never logged or sent.
+// DESIGN.md §13, "Zero-copy receive", has the details.
 struct TransactionRecord {
   NodeId node = 0;
   // Per-node commit sequence number; with `node` this uniquely names the
   // transaction and fixes the intra-node order during merge.
   uint64_t commit_seq = 0;
   std::vector<LockRecord> locks;
-  std::vector<RangeImage> ranges;
   base::Buffer bytes;
-  // The record's encoded log payload (log_format.h), inside `bytes`, when it
-  // has one: set at ordering and by the decoders, so a broadcast, a token
-  // piggyback or a carried copy sends or logs these bytes as they are. A
-  // record whose fields are changed must drop it.
   base::ByteSpan payload;
+  RangeList ranges;
 
   // Compares contents, not Buffers.
   bool operator==(const TransactionRecord& o) const {
@@ -95,29 +199,10 @@ struct TransactionRecord {
 
   uint64_t TotalBytes() const {
     uint64_t n = 0;
-    for (const auto& r : ranges) {
+    for (const RangeImage& r : ranges) {
       n += r.data.size();
     }
     return n;
-  }
-
-  // A copy that holds its bytes: a refcount bump when `bytes` is set, else
-  // one copy of every range into a new Buffer, with no payload.
-  TransactionRecord Own() const {
-    if (!bytes.empty()) {
-      return *this;
-    }
-    TransactionRecord out = *this;
-    out.payload = {};
-    std::vector<uint8_t> packed;
-    packed.reserve(TotalBytes());  // so the views taken below stay valid
-    for (auto& r : out.ranges) {
-      const uint8_t* at = packed.data() + packed.size();
-      packed.insert(packed.end(), r.data.begin(), r.data.end());
-      r.data = base::ByteSpan(at, r.data.size());
-    }
-    out.bytes = base::Buffer(std::move(packed));  // adopts that storage, no copy
-    return out;
   }
 };
 

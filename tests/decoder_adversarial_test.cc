@@ -87,7 +87,7 @@ TEST(AdversarialTransaction, MaximalRangeLengthRejects) {
 TEST(AdversarialTransaction, NonMinimalVarintRejects) {
   // 0x80 0x00 is a second spelling of node id 0: accepting it would break
   // byte-level dedup and re-encode identity (fuzz find, pinned).
-  std::vector<uint8_t> canonical = rvm::EncodeTransaction(rvm::TransactionRecord{});
+  std::vector<uint8_t> canonical = rvm::EncodeTransaction(rvm::MakeTransaction(0, 0, {}, {}));
   std::vector<uint8_t> loose = {canonical[0], 0x80, 0x00};
   loose.insert(loose.end(), canonical.begin() + 2, canonical.end());
   rvm::TransactionRecord out;
@@ -128,7 +128,7 @@ TEST(AdversarialTransaction, RangeEndWrappingU64Rejects) {
 
 TEST(AdversarialTransaction, ZeroEverythingRoundTrips) {
   // The all-zero-counts record is valid and one-spelling canonical.
-  rvm::TransactionRecord empty;
+  const rvm::TransactionRecord empty = rvm::MakeTransaction(0, 0, {}, {});
   std::vector<uint8_t> bytes = rvm::EncodeTransaction(empty);
   rvm::TransactionRecord out;
   ASSERT_TRUE(rvm::DecodeTransaction(ByteSpan(bytes.data(), bytes.size()), &out).ok());

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "src/base/rng.h"
@@ -133,13 +134,13 @@ void CheckHistory(store::DurableStore* store) {
       ASSERT_EQ(chain.size() + 1, lr.sequence)
           << "lock " << lr.lock_id << ": sequence " << lr.sequence << " follows "
           << chain.size() << " in the merged log (a gap or a repeat)";
-      const rvm::RangeImage* range = nullptr;
+      std::optional<rvm::RangeImage> range;
       for (const rvm::RangeImage& r : txn.ranges) {
         if (r.offset == SlotOffset(lr.lock_id) && r.data.size() == sizeof(Slot)) {
-          range = &r;
+          range = r;
         }
       }
-      ASSERT_NE(nullptr, range);
+      ASSERT_TRUE(range.has_value());
       Slot slot;
       std::memcpy(&slot, range->data.data(), sizeof(slot));
       EXPECT_EQ((Tag{txn.node, txn.commit_seq, lr.sequence}), slot.written)

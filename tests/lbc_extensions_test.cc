@@ -8,6 +8,7 @@
 #include "src/lbc/online_trim.h"
 #include "src/rvm/recovery.h"
 #include "src/store/mem_store.h"
+#include "tests/testing_records.h"
 
 namespace {
 
@@ -107,8 +108,8 @@ TEST(AdaptiveCapture, DensePageCollapsesToOneSpan) {
 
   // Page 0's 20 ranges became one span [0, 19*400+8); page 2 kept 2 ranges.
   ASSERT_EQ(3u, captured.ranges.size());
-  EXPECT_EQ(0u, captured.ranges[0].offset);
-  EXPECT_EQ(19u * 400 + 8, captured.ranges[0].data.size());
+  EXPECT_EQ(0u, testing_records::ListOf(captured)[0].offset);
+  EXPECT_EQ(19u * 400 + 8, testing_records::ListOf(captured)[0].data.size());
   EXPECT_EQ(1u, r->stats().adaptive_pages_coalesced);
 }
 

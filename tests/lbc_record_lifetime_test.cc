@@ -77,12 +77,13 @@ TEST(RecordLifetime, DecodedUpdateHoldsItsMessageBuffer) {
     copies.push_back(rec);
   }
   EXPECT_EQ(65, rec.bytes.use_count());
-  EXPECT_EQ(rec.ranges[0].data.data(), copies.back().ranges[0].data.data());
+  EXPECT_EQ(rec.payload.data(), copies.back().payload.data());
   rec = rvm::TransactionRecord();
   for (const auto& copy : copies) {
-    ASSERT_EQ(2u, copy.ranges.size());
-    EXPECT_EQ("hi", BytesOf(copy.ranges[0].data));
-    EXPECT_EQ("!", BytesOf(copy.ranges[1].data));
+    const std::vector<rvm::RangeImage> ranges = testing_records::ListOf(copy);
+    ASSERT_EQ(2u, ranges.size());
+    EXPECT_EQ("hi", BytesOf(ranges[0].data));
+    EXPECT_EQ("!", BytesOf(ranges[1].data));
   }
 }
 
@@ -90,8 +91,8 @@ TEST(RecordLifetime, LogReadRecordOutlivesReaderAndStore) {
   std::vector<rvm::TransactionRecord> history = LogReadHistory();
   ASSERT_EQ(2u, history.size());
   EXPECT_EQ(1u, history[0].SequenceOf(kLock));
-  EXPECT_EQ("AAAAAAAA", BytesOf(history[0].ranges[0].data));
-  EXPECT_EQ("BBBBBBBB", BytesOf(history[1].ranges[0].data));
+  EXPECT_EQ("AAAAAAAA", BytesOf(testing_records::ListOf(history[0])[0].data));
+  EXPECT_EQ("BBBBBBBB", BytesOf(testing_records::ListOf(history[1])[0].data));
 }
 
 TEST(RecordLifetime, HeldUpdatesApplyAfterTheirMessagesAreGone) {
@@ -115,6 +116,32 @@ TEST(RecordLifetime, HeldUpdatesApplyAfterTheirMessagesAreGone) {
   ASSERT_TRUE(client->WaitForAppliedSeq(kLock, 3, 5000));
   EXPECT_EQ("11223333", ImageAt(client.get(), 0, 8));
   EXPECT_EQ(2u, client->stats().updates_held);
+
+  // The same under a second lock, each message multicast as ONE Buffer to
+  // this client and node 3: the two peers' held records share it, and once
+  // the sender's handle is gone they are its only owners; either peer may
+  // apply and drop its copy while the other still holds one.
+  constexpr rvm::LockId kShared = 11;
+  constexpr rvm::RegionId kSharedRegion = 2;
+  cluster.DefineLock(kShared, kSharedRegion, 1);
+  auto other = std::move(*lbc::Client::Create(&cluster, 3, {}));
+  ASSERT_TRUE(client->MapRegion(kSharedRegion, 8192).ok());
+  ASSERT_TRUE(other->MapRegion(kSharedRegion, 8192).ok());
+  for (uint64_t seq : {3, 2, 1}) {
+    const std::vector<uint8_t> fill(4, static_cast<uint8_t>('a' + seq));
+    base::Buffer message = lbc::EncodeUpdateRecord(
+        testing_records::Record(2, 10 + seq, {{kShared, seq}},
+                                {{kSharedRegion, (seq - 1) * 2, fill}}),
+        true);
+    ASSERT_TRUE(peer->Multicast({1, 3}, std::move(message)).ok());
+  }
+  for (lbc::Client* receiver : {client.get(), other.get()}) {
+    ASSERT_TRUE(receiver->WaitForAppliedSeq(kShared, 3, 5000));
+    const uint8_t* image = receiver->GetRegion(kSharedRegion)->data();
+    EXPECT_EQ("bbccdddd", std::string(image, image + 8));
+  }
+  EXPECT_EQ(4u, client->stats().updates_held);
+  EXPECT_EQ(2u, other->stats().updates_held);
 }
 
 TEST(RecordLifetime, RecordCacheHoldsRecordsPastTheirSources) {
@@ -137,9 +164,9 @@ TEST(RecordLifetime, RecordCacheHoldsRecordsPastTheirSources) {
   }
   std::vector<rvm::TransactionRecord> fetched = cluster.FetchRecordsSince(kLock, 0);
   ASSERT_EQ(3u, fetched.size());
-  EXPECT_EQ("AAAAAAAA", BytesOf(fetched[0].ranges[0].data));
-  EXPECT_EQ("BBBBBBBB", BytesOf(fetched[1].ranges[0].data));
-  EXPECT_EQ("C", BytesOf(fetched[2].ranges[0].data));
+  EXPECT_EQ("AAAAAAAA", BytesOf(testing_records::ListOf(fetched[0])[0].data));
+  EXPECT_EQ("BBBBBBBB", BytesOf(testing_records::ListOf(fetched[1])[0].data));
+  EXPECT_EQ("C", BytesOf(testing_records::ListOf(fetched[2])[0].data));
 }
 
 TEST(RecordLifetime, TokenPiggybackCarriesLogReadRecords) {

@@ -359,6 +359,114 @@ void WaitForReceived(lbc::Client* client, uint64_t n) {
   ASSERT_EQ(n, client->stats().updates_received);
 }
 
+// The two-pass receive: the whole payload is validated before the apply
+// walk writes its first byte. A message whose range k (of 8) is corrupt
+// must leave the peer exactly as it was: no byte of ranges 0..k-1 lands,
+// the lock's applied sequence stays, and the durable watermark it carries
+// does not release the writer's carried record.
+TEST(Robustness, PayloadRejectedAtRangeKAppliesNothing) {
+  constexpr size_t kRanges = 8;
+  constexpr size_t kBad = 5;
+  constexpr rvm::LockId kProbe = 11;
+  constexpr rvm::RegionId kProbeRegion = 2;
+  store::MemStore store;
+  lbc::Cluster cluster(&store);
+  cluster.DefineLock(kLock, kRegion, 1);
+  cluster.DefineLock(kProbe, kProbeRegion, 1);
+  auto a = std::move(*lbc::Client::Create(&cluster, 1, {}));
+  ASSERT_TRUE(a->MapRegion(kRegion, 8192).ok());
+  ASSERT_TRUE(a->MapRegion(kProbeRegion, 8192).ok());
+  netsim::Endpoint* peer = cluster.fabric()->AddNode(2);
+
+  // Node 2's seq 1 applies and is carried (its message said nothing is
+  // durable yet).
+  SendUpdate(peer, 1, {{kRegion, 1000, {'o', 'k'}}});
+  ASSERT_TRUE(a->WaitForAppliedSeq(kLock, 1, 5000));
+  auto carries_seq_1 = [&] {
+    for (const rvm::TransactionRecord& rec : a->rvm()->CarriedFrom(2)) {
+      if (rec.commit_seq == 1) {
+        return true;
+      }
+    }
+    return false;
+  };
+  ASSERT_TRUE(carries_seq_1());
+  const uint8_t* image = a->GetRegion(kRegion)->data();
+  const std::vector<uint8_t> before(image, image + 8192);
+
+  // Seq 2: eight delta-coded ranges 64 bytes apart, with a watermark that
+  // would release seq 1. Each range header is tag, region, delta, length:
+  // one byte each here.
+  std::vector<testing_records::Range> ranges;
+  for (size_t i = 0; i < kRanges; ++i) {
+    ranges.push_back({kRegion, 64 * i, std::vector<uint8_t>(8, static_cast<uint8_t>(0xA0 + i))});
+  }
+  const rvm::TransactionRecord rec = testing_records::Record(2, 2, {{kLock, 2}}, ranges);
+  const std::vector<uint8_t> good = lbc::EncodeUpdateRecord(rec, true, /*durable_seq=*/1);
+  auto it = rec.ranges.begin();
+  for (size_t i = 0; i < kBad; ++i) {
+    ++it;
+  }
+  const size_t header = (good.size() - rec.payload.size()) + (it.header() - rec.payload.data());
+  ASSERT_EQ(0x01, good[header]);  // a delta tag
+  ASSERT_EQ(64, good[header + 2]);
+  ASSERT_EQ(8, good[header + 3]);
+
+  struct Fault {
+    const char* name;
+    std::vector<uint8_t> message;
+  };
+  std::vector<Fault> faults;
+  auto with = [&](const char* name, auto edit) {
+    std::vector<uint8_t> bad = good;
+    edit(bad);
+    faults.push_back({name, std::move(bad)});
+  };
+  with("bad tag", [&](std::vector<uint8_t>& m) { m[header] = 0x02; });
+  with("non-minimal varint", [&](std::vector<uint8_t>& m) {
+    m[header + 3] = 0x88;  // the length 8 spelled in two bytes
+    m.insert(m.begin() + static_cast<std::ptrdiff_t>(header) + 4, 0x00);
+  });
+  with("out-of-bounds delta", [&](std::vector<uint8_t>& m) {
+    base::Writer delta;
+    delta.WriteVarint(rvm::kNearRangeBound);
+    const std::vector<uint8_t> bytes = delta.TakeBytes();
+    m.erase(m.begin() + static_cast<std::ptrdiff_t>(header) + 2);
+    m.insert(m.begin() + static_cast<std::ptrdiff_t>(header) + 2, bytes.begin(), bytes.end());
+  });
+  with("trailing byte", [&](std::vector<uint8_t>& m) { m.push_back(0x00); });
+
+  uint64_t probes = 0;
+  for (const Fault& fault : faults) {
+    SCOPED_TRACE(fault.name);
+    rvm::TransactionRecord decoded;
+    ASSERT_FALSE(lbc::DecodeUpdate(base::ByteSpan(fault.message), &decoded).ok());
+    ASSERT_TRUE(peer->Send(1, fault.message).ok());
+    // A probe behind it on the same FIFO link, on another lock and region,
+    // with no watermark: once it applies, the corrupt message was handled.
+    ++probes;
+    ASSERT_TRUE(peer->Send(1, lbc::EncodeUpdateRecord(
+                                  testing_records::Record(2, 100 + probes, {{kProbe, probes}},
+                                                          {{kProbeRegion, 0, {'p'}}}),
+                                  true))
+                    .ok());
+    ASSERT_TRUE(a->WaitForAppliedSeq(kProbe, probes, 5000));
+    EXPECT_EQ(1u, a->AppliedSeq(kLock));
+    EXPECT_EQ(before, std::vector<uint8_t>(image, image + 8192));
+    EXPECT_TRUE(carries_seq_1());
+  }
+  EXPECT_EQ(1 + probes, a->stats().updates_received);
+
+  // The uncorrupted message then applies every range and moves the
+  // watermark.
+  ASSERT_TRUE(peer->Send(1, good).ok());
+  ASSERT_TRUE(a->WaitForAppliedSeq(kLock, 2, 5000));
+  for (size_t i = 0; i < kRanges; ++i) {
+    EXPECT_EQ(0xA0 + i, image[64 * i]);
+  }
+  EXPECT_FALSE(carries_seq_1());
+}
+
 TEST(Robustness, ReverseOrderedChainAppliesInSequence) {
   // 2000 single-lock updates arrive newest first: every one but the last
   // to arrive is held (§3.4), and each apply must wake exactly its

@@ -83,10 +83,7 @@ TEST(WireFormat, SparseOo7StyleHeadersAverageNearFourBytes) {
 }
 
 TEST(WireFormat, EmptyUpdateRoundTrips) {
-  rvm::TransactionRecord txn;
-  txn.node = 2;
-  txn.commit_seq = 3;
-  txn.locks = {{1, 1}};
+  const rvm::TransactionRecord txn = testing_records::Record(2, 3, {{1, 1}}, {});
   auto payload = lbc::EncodeUpdateRecord(txn, true);
   rvm::TransactionRecord out;
   ASSERT_TRUE(lbc::DecodeUpdate(base::ByteSpan(payload.data(), payload.size()), &out).ok());
@@ -134,9 +131,10 @@ TEST(WireFormat, LockTokenRoundTripWithPiggyback) {
   lbc::LockTokenMsg msg;
   msg.lock = 9;
   msg.token_seq = 77;
-  msg.piggyback.push_back(MakeTxn());
-  msg.piggyback.push_back(MakeTxn());
-  msg.piggyback[1].commit_seq = 12;
+  const rvm::TransactionRecord first = MakeTxn();
+  msg.piggyback.push_back(first);
+  msg.piggyback.push_back(
+      rvm::MakeTransaction(first.node, 12, first.locks, testing_records::ListOf(first)));
   auto payload = lbc::EncodeLockToken(msg, true);
   lbc::LockTokenMsg out;
   ASSERT_TRUE(lbc::DecodeLockToken(base::Buffer(payload), &out).ok());
@@ -205,9 +203,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WireFormatPropertyTest, ::testing::Range<uint64_
 // and the same record plus the range under test. Everything else (message
 // header, range count varint for counts < 128, predecessor bytes) cancels.
 size_t EmittedHeaderSize(uint64_t prev_start, uint64_t start, uint64_t len) {
-  rvm::TransactionRecord base_txn;
-  base_txn.node = 1;
-  base_txn.commit_seq = 1;
+  rvm::TransactionRecord base_txn = testing_records::Record(1, 1, {}, {});
   if (prev_start != UINT64_MAX) {
     testing_records::AddRange(&base_txn, 1, prev_start, {0xAA});
   }

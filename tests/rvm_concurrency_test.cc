@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/rvm/log_format.h"
 #include "src/rvm/recovery.h"
 #include "src/rvm/rvm.h"
 #include "src/rvm/scrub.h"
@@ -91,7 +92,8 @@ TEST(RvmConcurrency, ExternalUpdatesRaceLocalCommits) {
   std::atomic<bool> stop{false};
   std::thread applier([&] {
     const std::vector<uint8_t> nines(8, 9);
-    const std::vector<rvm::RangeImage> record = {{kRegion, 4096, nines}};
+    const rvm::TransactionRecord record =
+        rvm::MakeTransaction(0, 0, {}, std::vector<rvm::RangeImage>{{kRegion, 4096, nines}});
     while (!stop) {
       r->ApplyExternalRanges(record).ok();
     }
@@ -122,7 +124,9 @@ TEST(RvmConcurrency, HookRunsWithoutRvmLockHeld) {
   const std::vector<uint8_t> answer = {42};
   r->SetCommitHook([&](const rvm::TransactionRecord&) {
     EXPECT_NE(nullptr, r->GetRegion(kRegion));
-    EXPECT_TRUE(r->ApplyExternalRanges({{kRegion, 2048, answer}}).ok());
+    EXPECT_TRUE(r->ApplyExternalRanges(rvm::MakeTransaction(
+                       0, 0, {}, std::vector<rvm::RangeImage>{{kRegion, 2048, answer}}))
+                    .ok());
   });
   rvm::TxnId txn = r->BeginTransaction(rvm::RestoreMode::kNoRestore);
   ASSERT_TRUE(r->SetRange(txn, kRegion, 0, 1).ok());
@@ -200,9 +204,11 @@ TEST(RvmConcurrency, LockFreeDeclaresRaceMappingAndExternalUpdates) {
   });
   std::thread applier([&] {
     const std::vector<uint8_t> nines(8, 9);
-    const std::vector<rvm::RangeImage> record = {{kShared[0], 4 * kSlice + 64, nines},
-                                                 {kShared[1], 4 * kSlice + 64, nines},
-                                                 {kTransient, 64, nines}};
+    const rvm::TransactionRecord record =
+        rvm::MakeTransaction(0, 0, {},
+                             std::vector<rvm::RangeImage>{{kShared[0], 4 * kSlice + 64, nines},
+                                                          {kShared[1], 4 * kSlice + 64, nines},
+                                                          {kTransient, 64, nines}});
     while (workers_left.load() > 0) {
       const base::Status st = r->ApplyExternalRanges(record);
       EXPECT_TRUE(st.ok() || st.code() == base::StatusCode::kNotFound) << st.ToString();

@@ -316,7 +316,10 @@ void ExpectPayloadIsTheRecord(const rvm::TransactionRecord& rec) {
   rvm::TransactionRecord decoded;
   ASSERT_TRUE(rvm::DecodeTransaction(rec.payload, &decoded).ok());
   EXPECT_EQ(rec, decoded);
-  EXPECT_TRUE(std::ranges::equal(rvm::EncodeTransaction(rec), rec.payload));
+  EXPECT_TRUE(std::ranges::equal(
+      rvm::MakeTransaction(rec.node, rec.commit_seq, rec.locks, testing_records::ListOf(rec))
+          .payload,
+      rec.payload));
   rvm::TransactionRecord received;
   uint64_t durable_seq = 0;
   ASSERT_TRUE(lbc::DecodeUpdate(base::Buffer(lbc::EncodeUpdateRecord(rec, true, 7)), &received,
@@ -373,14 +376,13 @@ TEST(CommitPayload, TwoRegionRecordDecodesToItself) {
   ASSERT_TRUE(h.rvm->EndTransaction(txn, rvm::CommitMode::kFlush).ok());
   ASSERT_EQ(1u, h.seen.size());
   const rvm::TransactionRecord& rec = h.seen[0];
-  ASSERT_EQ(4u, rec.ranges.size());
+  std::vector<std::pair<rvm::RegionId, uint64_t>> starts;
+  for (const rvm::RangeImage& range : rec.ranges) {
+    starts.emplace_back(range.region, range.offset);
+  }
   EXPECT_EQ((std::vector<std::pair<rvm::RegionId, uint64_t>>{{1, 40}, {1, 50000}, {2, 100},
                                                              {2, 60000}}),
-            (std::vector<std::pair<rvm::RegionId, uint64_t>>{
-                {rec.ranges[0].region, rec.ranges[0].offset},
-                {rec.ranges[1].region, rec.ranges[1].offset},
-                {rec.ranges[2].region, rec.ranges[2].offset},
-                {rec.ranges[3].region, rec.ranges[3].offset}}));
+            starts);
   ExpectPayloadIsTheRecord(rec);
 }
 
@@ -401,10 +403,11 @@ TEST(CommitPayload, AdaptiveSpanRecordDecodesToItself) {
   EXPECT_EQ(1u, h.rvm->stats().adaptive_pages_coalesced);
   ASSERT_EQ(1u, h.seen.size());
   const rvm::TransactionRecord& rec = h.seen[0];
-  ASSERT_EQ(3u, rec.ranges.size());
-  EXPECT_EQ(0u, rec.ranges[0].offset);
-  EXPECT_EQ(4008u, rec.ranges[0].data.size());
-  EXPECT_EQ(8192u + 16, rec.ranges[1].offset);
+  const std::vector<rvm::RangeImage> ranges = testing_records::ListOf(rec);
+  ASSERT_EQ(3u, ranges.size());
+  EXPECT_EQ(0u, ranges[0].offset);
+  EXPECT_EQ(4008u, ranges[0].data.size());
+  EXPECT_EQ(8192u + 16, ranges[1].offset);
   ExpectPayloadIsTheRecord(rec);
 }
 
@@ -432,7 +435,7 @@ TEST(CommitPayload, CarriedCopyIsLoggedAsTheWriterLoggedIt) {
   rvm::TransactionRecord received;
   ASSERT_TRUE(lbc::DecodeUpdate(base::Buffer(lbc::EncodeUpdateRecord(first, true)), &received)
                   .ok());
-  ASSERT_TRUE(successor.rvm->ApplyExternalRanges(received.ranges).ok());
+  ASSERT_TRUE(successor.rvm->ApplyExternalRanges(received).ok());
   successor.rvm->Carry(received);
   ASSERT_EQ(1u, successor.rvm->CarriedCount());
   commit(successor.rvm.get(), 8, 2);

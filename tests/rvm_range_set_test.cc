@@ -418,14 +418,11 @@ TEST(RangeSetRadixSort, Oo7T2BLogPayloadIsUnchanged) {
   for (const auto& [offset, len] : recorder.ranges()) {
     declared[offset] = std::max(declared[offset], len);
   }
-  rvm::TransactionRecord reference;
-  reference.node = 1;
-  reference.commit_seq = 1;
+  std::vector<rvm::RangeImage> reference;
   for (const auto& [offset, len] : declared) {
-    reference.ranges.push_back(
-        rvm::RangeImage{1, offset, base::ByteSpan(region->data() + offset, len)});
+    reference.emplace_back(1, offset, base::ByteSpan(region->data() + offset, len));
   }
-  EXPECT_EQ(rvm::EncodeTransaction(reference), payload);
+  EXPECT_EQ(rvm::EncodeTransaction(rvm::MakeTransaction(1, 1, {}, reference)), payload);
   std::vector<uint8_t> next;
   ASSERT_TRUE(reader.ReadNext(&next, &at_end).ok());
   EXPECT_TRUE(at_end);

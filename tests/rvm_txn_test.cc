@@ -181,7 +181,7 @@ TEST(RvmTxn, CommitHookSeesIoVectors) {
   std::memcpy(region->data() + 4, "HOOK", 4);
   ASSERT_TRUE(r->EndTransaction(t, rvm::CommitMode::kFlush).ok());
   ASSERT_EQ(1u, captured.ranges.size());
-  EXPECT_EQ(4u, captured.ranges[0].offset);
+  EXPECT_EQ(4u, testing_records::ListOf(captured)[0].offset);
   EXPECT_EQ(0, std::memcmp(captured_bytes.data(), "HOOK", 4));
 }
 
@@ -189,14 +189,14 @@ TEST(RvmTxn, ExternalUpdateBypassesLog) {
   store::MemStore store;
   auto r = OpenRvm(&store);
   rvm::Region* region = *r->MapRegion(kRegion, 64);
-  const std::vector<uint8_t> data = {1, 2, 3};
-  const base::ByteSpan view(data);
-  ASSERT_TRUE(r->ApplyExternalRanges({{kRegion, 10, view}}).ok());
+  ASSERT_TRUE(r->ApplyExternalRanges(testing_records::Ranges({{kRegion, 10, {1, 2, 3}}})).ok());
   EXPECT_EQ(2, region->data()[11]);
   auto txns = *rvm::ReadLogTransactions(&store, rvm::LogFileName(1));
   EXPECT_TRUE(txns.empty());
-  EXPECT_EQ(base::StatusCode::kOutOfRange, r->ApplyExternalRanges({{kRegion, 62, view}}).code());
-  EXPECT_EQ(base::StatusCode::kNotFound, r->ApplyExternalRanges({{99, 0, view}}).code());
+  EXPECT_EQ(base::StatusCode::kOutOfRange,
+            r->ApplyExternalRanges(testing_records::Ranges({{kRegion, 62, {1, 2, 3}}})).code());
+  EXPECT_EQ(base::StatusCode::kNotFound,
+            r->ApplyExternalRanges(testing_records::Ranges({{99, 0, {1, 2, 3}}})).code());
 }
 
 TEST(RvmTxn, ExternalRangesApplyValidRangesInOrder) {
@@ -215,7 +215,7 @@ TEST(RvmTxn, ExternalRangesApplyValidRangesInOrder) {
       {kRegion, UINT64_MAX - 1, {9, 9, 9}},
       {2, 30, {3, 3}},
   });
-  EXPECT_EQ(base::StatusCode::kNotFound, r->ApplyExternalRanges(record.ranges).code());
+  EXPECT_EQ(base::StatusCode::kNotFound, r->ApplyExternalRanges(record).code());
 
   std::vector<uint8_t> want_one(64, 0);
   want_one[4] = 1;
@@ -232,9 +232,9 @@ TEST(RvmTxn, ExternalRangesApplyValidRangesInOrder) {
   // The first error wins even when it is not a missing region.
   EXPECT_EQ(base::StatusCode::kOutOfRange,
             r->ApplyExternalRanges(
-                 testing_records::Ranges({{kRegion, 63, {1, 1}}, {99, 0, {1}}}).ranges)
+                 testing_records::Ranges({{kRegion, 63, {1, 1}}, {99, 0, {1}}}))
                 .code());
-  EXPECT_TRUE(r->ApplyExternalRanges({}).ok());
+  EXPECT_TRUE(r->ApplyExternalRanges(rvm::TransactionRecord{}).ok());
 }
 
 TEST(RvmTxn, SetRangeRejectsWrappingOffset) {
@@ -254,7 +254,7 @@ TEST(RvmTxn, SetRangeRejectsWrappingOffset) {
     auto txns = *rvm::ReadLogTransactions(&store, rvm::LogFileName(1));
     ASSERT_EQ(1u, txns.size());
     ASSERT_EQ(1u, txns[0].ranges.size());
-    EXPECT_EQ(4088u, txns[0].ranges[0].offset);
+    EXPECT_EQ(4088u, testing_records::ListOf(txns[0])[0].offset);
   }
 }
 
@@ -359,8 +359,8 @@ TEST(RvmTxn, MultipleRegionsInOneTransaction) {
   auto txns = *rvm::ReadLogTransactions(&store, rvm::LogFileName(1));
   ASSERT_EQ(1u, txns.size());
   ASSERT_EQ(2u, txns[0].ranges.size());
-  EXPECT_EQ(1u, txns[0].ranges[0].region);
-  EXPECT_EQ(2u, txns[0].ranges[1].region);
+  EXPECT_EQ(1u, testing_records::ListOf(txns[0])[0].region);
+  EXPECT_EQ(2u, testing_records::ListOf(txns[0])[1].region);
 }
 
 // The OO7 T2-B declaration sequence (43 740 eight-byte set_range calls over
@@ -385,14 +385,12 @@ TEST(RvmTxn, Oo7T2BRecordEncodesReferenceSet) {
     max_len = std::max(max_len, len);
   }
   ASSERT_LT(reference.size(), recorder.ranges().size());
-  rvm::TransactionRecord expected;
-  expected.node = 1;
-  expected.commit_seq = 1;
+  std::vector<rvm::RangeImage> images;
   for (const auto& [offset, len] : reference) {
-    expected.ranges.push_back(
-        rvm::RangeImage{kRegion, offset, base::ByteSpan(region->data() + offset, len)});
+    images.emplace_back(kRegion, offset, base::ByteSpan(region->data() + offset, len));
   }
-  expected = expected.Own();  // a copy of its own, independent of the image
+  // A payload of its own, independent of the image.
+  const rvm::TransactionRecord expected = rvm::MakeTransaction(1, 1, {}, images);
 
   std::vector<uint8_t> log_record;
   std::vector<uint8_t> wire_update;

@@ -1,6 +1,6 @@
-// Builds rvm::TransactionRecords from byte literals for tests. A record's
-// ranges view the Buffer it holds, so a test cannot point them at
-// temporaries; these helpers copy the given bytes into that Buffer once.
+// Builds rvm::TransactionRecords from byte literals for tests. A record is
+// its encoded payload, so these helpers write the given bytes once into a
+// payload the record holds (rvm::MakeTransaction).
 #ifndef TESTS_TESTING_RECORDS_H_
 #define TESTS_TESTING_RECORDS_H_
 
@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/rvm/log_format.h"
 #include "src/rvm/types.h"
 
 namespace testing_records {
@@ -19,17 +20,23 @@ struct Range {
   std::vector<uint8_t> data;
 };
 
+// A record's ranges, listed (a test's view for indexing and comparison).
+inline std::vector<rvm::RangeImage> ListOf(const rvm::TransactionRecord& rec) {
+  std::vector<rvm::RangeImage> out;
+  for (const rvm::RangeImage& r : rec.ranges) {
+    out.push_back(r);
+  }
+  return out;
+}
+
 inline rvm::TransactionRecord Record(rvm::NodeId node, uint64_t commit_seq,
                                      std::vector<rvm::LockRecord> locks,
                                      const std::vector<Range>& ranges) {
-  rvm::TransactionRecord borrowed;
-  borrowed.node = node;
-  borrowed.commit_seq = commit_seq;
-  borrowed.locks = std::move(locks);
+  std::vector<rvm::RangeImage> images;
   for (const Range& r : ranges) {
-    borrowed.ranges.push_back(rvm::RangeImage{r.region, r.offset, r.data});
+    images.emplace_back(r.region, r.offset, base::ByteSpan(r.data));
   }
-  return borrowed.Own();
+  return rvm::MakeTransaction(node, commit_seq, std::move(locks), images);
 }
 
 // Just the ranges (node 0, sequence 0, no locks).
@@ -37,13 +44,13 @@ inline rvm::TransactionRecord Ranges(const std::vector<Range>& ranges) {
   return Record(0, 0, {}, ranges);
 }
 
-// Appends a copy of `data` as one more range of `rec`.
+// Rewrites `rec` with a copy of `data` as one more range, keeping its node,
+// commit_seq and locks as they are now.
 inline void AddRange(rvm::TransactionRecord* rec, rvm::RegionId region, uint64_t offset,
                      const std::vector<uint8_t>& data) {
-  rvm::TransactionRecord grown = *rec;
-  grown.bytes = base::Buffer();
-  grown.ranges.push_back(rvm::RangeImage{region, offset, data});
-  *rec = grown.Own();
+  std::vector<rvm::RangeImage> images = ListOf(*rec);
+  images.emplace_back(region, offset, base::ByteSpan(data));
+  *rec = rvm::MakeTransaction(rec->node, rec->commit_seq, rec->locks, images);
 }
 
 }  // namespace testing_records

@@ -37,11 +37,15 @@
 # recovery_sweep_test (the crash-schedule sweep driven through
 # LogIndex + IncrementalRecovery, including power cuts during the recovery
 # itself with a serving-window probe between crash and re-boot, run over
-# one-page regions and again over the multi-page batch case: a three-page
+# one-page regions, again over the multi-page batch case: a three-page
 # region whose every write covers pages 0 and 2 partially and page 1
-# fully, so power is cut inside one three-page file replay) plus
-# incremental_recovery_test (serve-before-drain byte identity, seven
-# database-file ops per replayed file, deadline bounds,
+# fully, so power is cut inside one three-page file replay, and again over
+# the blind batch case: a two-page region whose every write covers both
+# pages whole, so power is cut at every op of a replay that reads no
+# pre-image, torn prefixes of its header-and-entries sidecar Write
+# included) plus incremental_recovery_test (serve-before-drain byte
+# identity, seven database-file ops per replayed file and five for a file
+# of whole-page redo, blind replay over rot, deadline bounds,
 # lazy-rot-through-scrubber, bounded drain repair, heartbeats-mid-recovery,
 # the drain worker pool).
 #

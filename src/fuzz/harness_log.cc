@@ -148,7 +148,7 @@ int RunLogFrameScan(const uint8_t* data, size_t size) {
       return 0;
     }
     rvm::LogReader reader(file->get());
-    std::vector<uint8_t> payload;
+    base::ByteSpan payload;
     bool at_end = false;
     while (true) {
       if (!reader.ReadNext(&payload, &at_end).ok()) {

@@ -9,6 +9,7 @@
 #include "src/base/logging.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/rvm/log_format.h"
 #include "src/rvm/log_index.h"
 #include "src/rvm/log_merge.h"
 #include "src/rvm/recovery.h"
@@ -497,6 +498,15 @@ base::Status Cluster::RecoverDeadClient(rvm::NodeId node) {
       return dead.count(txn.node) == 0 ||
              (bound != dedup_bounds.end() && txn.commit_seq <= bound->second);
     });
+    // The survivors go into the record cache, which can hold them long
+    // after the drain. Read in place they would pin the log blocks they
+    // share with the records dropped above (log_io.h), so each one keeps a
+    // copy of its own payload instead.
+    for (rvm::TransactionRecord& txn : merged) {
+      rvm::TransactionRecord own;
+      RETURN_IF_ERROR(rvm::DecodeTransaction(base::Buffer::Copy(txn.payload), &own));
+      txn = std::move(own);
+    }
   }
   // Read and index only — no database replay while the caller (typically a
   // survivor's heartbeat thread, which must keep beating) waits. The pages

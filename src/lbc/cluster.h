@@ -322,10 +322,11 @@ class Cluster {
   void StopRecoveryDrain();
 
   // Background drain workers per recovery, the drainer thread included.
-  // The drain is store-latency bound — a file replay is seven dependent
-  // store round trips — so files in flight, not cores, set its speed; four
-  // (plus a DrainRecovery caller) cut a 12-file restart's drain to three
-  // waves of replays while leaving cores to the clients being served.
+  // The drain is store-latency bound — a file replay is five dependent
+  // store round trips when its redo covers whole pages and seven when it
+  // must read and gate pre-images — so files in flight, not cores, set its
+  // speed; four (plus a DrainRecovery caller) cut a 12-file restart's drain
+  // to three waves of replays while leaving cores to the clients served.
   static constexpr int kDrainWorkers = 4;
 
  private:

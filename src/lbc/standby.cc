@@ -48,16 +48,15 @@ base::Status CheckpointFromStandby(Cluster* cluster, Client* standby,
       // The whole image goes through the replay engine as one offset-zero
       // range over every page it spans: intent entries, page writes, file
       // sync and read-back verification are the same code recovery replay
-      // uses. The image is durable and certified before the trims below: a
-      // crash in between leaves every log untrimmed, and boot-time replay
-      // applies their records over the certified image.
+      // uses, and every page the image covers whole is written blind, its
+      // old contents neither read nor gated. The image is durable and
+      // certified before the trims below: a crash in between leaves every
+      // log untrimmed, and boot-time replay applies their records over the
+      // certified image.
       const rvm::RangeImage image{region, 0, base::ByteSpan(r->data(), r->size())};
       std::vector<uint64_t> pages((r->size() + rvm::kDbPageSize - 1) / rvm::kDbPageSize);
       std::iota(pages.begin(), pages.end(), uint64_t{0});
-      rvm::ReplayWriteSet writes(cluster->store(), region);
-      RETURN_IF_ERROR(writes.LoadPages(pages));
-      writes.Apply(image);
-      RETURN_IF_ERROR(writes.Commit());
+      RETURN_IF_ERROR(rvm::ReplayRegionFile(cluster->store(), region, pages, {image}));
     }
   }
   for (const auto& [lock, seq] : baselines) {

@@ -187,10 +187,6 @@ base::Result<LogRecordKind> PeekKind(base::ByteSpan payload) {
   return static_cast<LogRecordKind>(kind);
 }
 
-base::Status DecodeTransaction(base::ByteSpan payload, TransactionRecord* out) {
-  return DecodeTransaction(base::Buffer::Copy(payload), out);
-}
-
 base::Status DecodeTransaction(const base::Buffer& payload, TransactionRecord* out) {
   return DecodeTransaction(payload.span(), payload, out);
 }

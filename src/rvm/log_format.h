@@ -89,12 +89,11 @@ base::Result<LogRecordKind> PeekKind(base::ByteSpan payload);
 
 // Validates a kTransaction payload in one pass, range list included, and
 // makes `out` that payload: its ranges are read in place, with no per-range
-// allocation. The ByteSpan form first copies the bytes once into a new
-// Buffer. The three-argument form takes `payload` where it lies inside
-// `owner` (a message that carries it), which the record holds, even on a
-// reject; a rejected record has no payload and no ranges.
+// allocation and no copy. The three-argument form takes `payload` where it
+// lies inside `owner` (a message that carries it, or a log reader's block),
+// which the record holds, even on a reject; a rejected record has no
+// payload and no ranges.
 base::Status DecodeTransaction(const base::Buffer& payload, TransactionRecord* out);
-base::Status DecodeTransaction(base::ByteSpan payload, TransactionRecord* out);
 base::Status DecodeTransaction(base::ByteSpan payload, const base::Buffer& owner,
                                TransactionRecord* out);
 // The same, also handing `visit` each range as the validator reads it: an

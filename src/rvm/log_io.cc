@@ -45,36 +45,39 @@ base::Status LogWriter::Reset() {
   return base::OkStatus();
 }
 
-base::Result<size_t> LogReader::Buffer(size_t n) {
-  const uint64_t start = offset_ - buf_offset_;
-  const size_t have = start < buf_.size() ? buf_.size() - static_cast<size_t>(start) : 0;
+base::Result<size_t> LogReader::Refill(size_t n) {
+  const uint64_t start = offset_ - block_offset_;
+  const size_t have = start < block_.size() ? block_.size() - static_cast<size_t>(start) : 0;
   if (have >= n) {
     return have;
   }
-  // Keep the unread tail and read ahead behind it.
+  // A refill reads no further than the end of the file, so a frame longer
+  // than the rest of the file is torn by definition. Once its header is
+  // buffered the file size says so: a corrupt length field costs no read
+  // and no allocation. A shorter fragment is still read, so the caller sees
+  // a torn header rather than a clean end.
+  ASSIGN_OR_RETURN(uint64_t file_size, file_->Size());
+  const uint64_t left = file_size > offset_ ? file_size - offset_ : 0;
+  if (left <= have || (n > left && have >= kFrameHeaderSize)) {
+    return have;
+  }
+  // A fresh block: the unread tail, then the read-ahead behind it.
+  std::vector<uint8_t> bytes(
+      static_cast<size_t>(std::min<uint64_t>(std::max(n, have + kReadAheadBytes), left)));
   if (have > 0) {
-    std::memmove(buf_.data(), buf_.data() + start, have);
+    std::memcpy(bytes.data(), block_.data() + start, have);
   }
-  buf_.resize(std::max(n, have + kReadAheadBytes));
   ASSIGN_OR_RETURN(size_t got,
-                   file_->Read(offset_ + have, buf_.data() + have, buf_.size() - have));
-  buf_.resize(have + got);
-  buf_offset_ = offset_;
-  return buf_.size();
-}
-
-base::Status LogReader::ReadNext(std::vector<uint8_t>* payload, bool* at_end) {
-  base::ByteSpan view;
-  RETURN_IF_ERROR(ReadNext(&view, at_end));
-  if (!*at_end) {
-    payload->assign(view.begin(), view.end());
-  }
-  return base::OkStatus();
+                   file_->Read(offset_ + have, bytes.data() + have, bytes.size() - have));
+  bytes.resize(have + got);
+  block_ = base::Buffer(std::move(bytes));
+  block_offset_ = offset_;
+  return block_.size();
 }
 
 base::Status LogReader::ReadNext(base::ByteSpan* payload, bool* at_end) {
   *at_end = false;
-  ASSIGN_OR_RETURN(size_t have, Buffer(kFrameHeaderSize));
+  ASSIGN_OR_RETURN(size_t have, Refill(kFrameHeaderSize));
   if (have == 0) {
     *at_end = true;
     return base::OkStatus();
@@ -84,7 +87,7 @@ base::Status LogReader::ReadNext(base::ByteSpan* payload, bool* at_end) {
     *at_end = true;
     return base::OkStatus();
   }
-  const uint8_t* header = buf_.data() + (offset_ - buf_offset_);
+  const uint8_t* header = block_.data() + (offset_ - block_offset_);
   uint32_t magic, len, crc;
   std::memcpy(&magic, header, 4);
   std::memcpy(&len, header + 4, 4);
@@ -95,23 +98,13 @@ base::Status LogReader::ReadNext(base::ByteSpan* payload, bool* at_end) {
     return base::OkStatus();
   }
   const uint64_t frame = kFrameHeaderSize + uint64_t{len};
+  ASSIGN_OR_RETURN(have, Refill(static_cast<size_t>(frame)));
   if (have < frame) {
-    // A corrupt length field must not trigger a giant allocation: anything
-    // longer than the remaining file is a torn frame by definition.
-    ASSIGN_OR_RETURN(uint64_t file_size, file_->Size());
-    if (offset_ + frame > file_size) {
-      tail_was_torn_ = true;
-      *at_end = true;
-      return base::OkStatus();
-    }
-    ASSIGN_OR_RETURN(have, Buffer(static_cast<size_t>(frame)));
-    if (have < frame) {
-      tail_was_torn_ = true;
-      *at_end = true;
-      return base::OkStatus();
-    }
+    tail_was_torn_ = true;
+    *at_end = true;
+    return base::OkStatus();
   }
-  const uint8_t* body = buf_.data() + (offset_ - buf_offset_) + kFrameHeaderSize;
+  const uint8_t* body = block_.data() + (offset_ - block_offset_) + kFrameHeaderSize;
   if (base::Crc32c(body, len) != crc) {
     tail_was_torn_ = true;
     *at_end = true;

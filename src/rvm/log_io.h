@@ -60,12 +60,28 @@ class LogReader {
  public:
   explicit LogReader(store::DurableFile* file) : file_(file) {}
 
-  // Reads the next record payload. Sets *at_end=true (and returns OK) at the
-  // end of the valid log — including at a torn or corrupt tail, which is
-  // reported through `tail_was_torn()` for tests that care.
-  base::Status ReadNext(std::vector<uint8_t>* payload, bool* at_end);
-  // The same, as a view into the reader's buffer, valid until the next call.
+  // Reads the next record payload as a view into block(). Sets *at_end=true
+  // (and returns OK) at the end of the valid log — including at a torn or
+  // corrupt tail, which is reported through `tail_was_torn()` for tests that
+  // care.
   base::Status ReadNext(base::ByteSpan* payload, bool* at_end);
+
+  // The refcounted block of file bytes the last payload lies in. A record
+  // decoded from the payload in place (DecodeTransaction with this block as
+  // its owner) holds the block and outlives the reader and the file.
+  //
+  // Each refill reads into a fresh block, so the reader never moves bytes
+  // out from under a payload it handed out, and records read from one
+  // block share it: the block is freed when the last of them drops. Blocks
+  // hold only file bytes the scan reached (a refill reads at most to the
+  // end of the file), and two blocks share only the frame that straddled
+  // the refill, so records kept from one scan hold at most the log bytes
+  // scanned plus one frame per refill, for as long as any of them lives.
+  // That includes the bytes of records the caller drops: a record kept
+  // from a block pins its whole block. A caller that keeps a filtered
+  // subset for long (dead-client recovery's record-cache entries) copies
+  // each survivor's payload out instead.
+  const base::Buffer& block() const { return block_; }
 
   bool tail_was_torn() const { return tail_was_torn_; }
   uint64_t offset() const { return offset_; }
@@ -77,13 +93,13 @@ class LogReader {
 
   // Buffers at least `n` bytes from offset_ when the file holds them;
   // returns how many bytes from offset_ are buffered.
-  base::Result<size_t> Buffer(size_t n);
+  base::Result<size_t> Refill(size_t n);
 
   store::DurableFile* file_;
   uint64_t offset_ = 0;  // file offset of the next frame
   bool tail_was_torn_ = false;
-  std::vector<uint8_t> buf_;  // file bytes [buf_offset_, buf_offset_ + size)
-  uint64_t buf_offset_ = 0;
+  base::Buffer block_;  // file bytes [block_offset_, block_offset_ + size)
+  uint64_t block_offset_ = 0;
 };
 
 }  // namespace rvm

@@ -24,6 +24,17 @@ uint64_t EntryOffset(uint64_t page) {
   return kChecksumHeaderSize + page * kChecksumEntrySize;
 }
 
+// Writes this layout's kChecksumHeaderSize-byte header into `out`.
+void WriteHeaderBytes(uint8_t* out) {
+  const uint32_t magic = kChecksumMagic;
+  const uint32_t version = kChecksumVersion;
+  const uint32_t page_size = static_cast<uint32_t>(kDbPageSize);
+  std::memset(out, 0, kChecksumHeaderSize);
+  std::memcpy(out, &magic, 4);
+  std::memcpy(out + 4, &version, 4);
+  std::memcpy(out + 8, &page_size, 4);
+}
+
 // `n` bytes read from offset 0 hold a complete header for this layout.
 bool HeaderValid(const uint8_t* header, size_t n) {
   if (n < kChecksumHeaderSize) {
@@ -104,13 +115,8 @@ base::Status ChecksumSidecar::EnsureHeader() {
   if (header_ == Header::kValid) {
     return base::OkStatus();
   }
-  uint8_t header[kChecksumHeaderSize] = {};
-  uint32_t magic = kChecksumMagic;
-  uint32_t version = kChecksumVersion;
-  uint32_t page_size = static_cast<uint32_t>(kDbPageSize);
-  std::memcpy(header, &magic, 4);
-  std::memcpy(header + 4, &version, 4);
-  std::memcpy(header + 8, &page_size, 4);
+  uint8_t header[kChecksumHeaderSize];
+  WriteHeaderBytes(header);
   RETURN_IF_ERROR(file_->Write(0, base::ByteSpan(header, sizeof(header))));
   header_ = Header::kValid;
   return base::OkStatus();
@@ -180,15 +186,28 @@ base::Status ChecksumSidecar::WriteEntries(uint64_t first_page,
     return base::InvalidArgument("checksum entry offset overflows: page " +
                                  std::to_string(first_page));
   }
-  RETURN_IF_ERROR(EnsureHeader());
-  std::vector<uint8_t> buf(crcs.size() * kChecksumEntrySize);
+  // With page 0's entry and no header known valid, the header goes in the
+  // same Write as the entries it sits in front of: unread, it costs no Read.
+  // Rewriting a valid header writes identical bytes, and a torn prefix of
+  // them leaves it as it was.
+  const bool with_header = first_page == 0 && header_ != Header::kValid;
+  if (!with_header) {
+    RETURN_IF_ERROR(EnsureHeader());
+  }
+  const size_t header_bytes = with_header ? kChecksumHeaderSize : 0;
+  std::vector<uint8_t> buf(header_bytes + crcs.size() * kChecksumEntrySize);
+  if (with_header) {
+    WriteHeaderBytes(buf.data());
+  }
+  uint8_t* entries = buf.data() + header_bytes;
   for (size_t i = 0; i < crcs.size(); ++i) {
     uint32_t guard = EntryGuard(first_page + i, crcs[i]);
-    std::memcpy(buf.data() + i * kChecksumEntrySize, &crcs[i], 4);
-    std::memcpy(buf.data() + i * kChecksumEntrySize + 4, &guard, 4);
+    std::memcpy(entries + i * kChecksumEntrySize, &crcs[i], 4);
+    std::memcpy(entries + i * kChecksumEntrySize + 4, &guard, 4);
   }
   RETURN_IF_ERROR(
-      file_->Write(EntryOffset(first_page), base::ByteSpan(buf.data(), buf.size())));
+      file_->Write(EntryOffset(first_page) - header_bytes, base::ByteSpan(buf.data(), buf.size())));
+  header_ = Header::kValid;
   GlobalIntegrityMetrics()->pages_checksummed->Add(crcs.size());
   return base::OkStatus();
 }

@@ -6,7 +6,7 @@
 // the next checkpoint. This module adds a CRC32C *sidecar* per region file
 // (region_N.dbsum) holding one checksum per kDbPageSize page:
 //
-//   * Writers — page replay (ReplayWriteSet, recovery.h: every full
+//   * Writers — page replay (ReplayRegionFile, recovery.h: every full
 //     replay, trim, incremental drain and the standby checkpoint) and the
 //     scrubber's repairs — record each page's checksum once and read the
 //     pages they wrote back from the store, which doubles as write
@@ -89,7 +89,9 @@ class ChecksumSidecar {
                                                                  uint64_t count);
   base::Status WriteEntry(uint64_t page, uint32_t crc);
   // Writes the entries of pages [first_page, first_page + crcs.size()) with
-  // one Write (plus the header's, if the file has no valid header yet).
+  // one Write. When the header is not known valid, page 0's entry carries it
+  // in that same Write; any other first page reads the header first and
+  // writes it separately if it is invalid.
   base::Status WriteEntries(uint64_t first_page, const std::vector<uint32_t>& crcs);
   base::Status Sync();
 

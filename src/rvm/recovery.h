@@ -7,17 +7,14 @@
 // into a single serial order using the lock records (see log_merge.h),
 // exactly as the paper's new RVM merge utility does (§3.4). The merged
 // history is indexed by page (log_index.h) and replayed one region file at
-// a time by one engine, ReplayWriteSet: crash recovery, the §3.5 trim, the
-// incremental drain (replay_on_demand.h) and the standby checkpoint all
+// a time by one engine, ReplayRegionFile: crash recovery, the §3.5 trim,
+// the incremental drain (replay_on_demand.h) and the standby checkpoint all
 // write database files through the same intent-first, rot-gated batch.
 #ifndef SRC_RVM_RECOVERY_H_
 #define SRC_RVM_RECOVERY_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/base/status.h"
@@ -27,83 +24,29 @@
 namespace rvm {
 
 // Reads all valid transaction records from a log file, stopping cleanly at
-// a torn tail (reported via *tail_was_torn when non-null).
+// a torn tail (reported via *tail_was_torn when non-null). Each record is
+// decoded in place: it views its payload where it lies in the LogReader
+// block it was read from and holds that block (log_io.h), with no copy.
 base::Result<std::vector<TransactionRecord>> ReadLogTransactions(
     store::DurableStore* store, const std::string& log_name, bool* tail_was_torn = nullptr);
 
 // Copies the part of `range` that falls on `page` into `page_image`, which
-// holds that page (kDbPageSize bytes). Returns the page-relative span it
-// wrote as {offset, length}; length 0 when the range misses the page. The
-// one place a redo range is clipped to a page: replay and the scrubber's
-// page reconstruction both build pages through it.
-std::pair<uint64_t, uint64_t> OverlayRange(const RangeImage& range, uint64_t page,
-                                           uint8_t* page_image);
+// holds that page (kDbPageSize bytes); a range that misses the page copies
+// nothing. The scrubber's page reconstruction builds pages through it and
+// replay clips ranges to pages by the same rule.
+void OverlayRange(const RangeImage& range, uint64_t page, uint8_t* page_image);
 
-// The replay engine: one batch of redo against pages of ONE region file.
-// Every write of logged or checkpointed bytes into a database file goes
-// through it — recovery's per-file replay (ReplayRegionFile, which full
-// replays, trims and the incremental drain all call) and the standby
-// checkpoint's whole-image write (lbc::CheckpointFromStandby).
-//
-// LoadPages reads the pre-images of the pages the batch covers; Apply then
-// overlays redo ranges on them in call order (ranges of other regions and
-// bytes on pages not loaded are skipped); Commit performs every store
-// mutation. Commit moves each run of consecutive pages as one unit, so a
-// contiguous file costs seven ops: pre-image read, sidecar read, intent
-// write and sync, data write and sync, read-back.
-//
-// Commit is intent-first and rot-gated:
-//   * Rot gate. Before any mutation, each page's pre-image is checked
-//     against its sidecar entry (one sidecar Read). A mismatch is accepted
-//     when (a) the entry equals the page's FINAL image CRC — the signature
-//     of a power cut during an earlier replay of this same page, whose
-//     intent already certifies where this replay is going — or (b) the redo
-//     covers the whole page, so the pre-image is irrelevant. Any other
-//     mismatch is rot under partially-covering redo: Commit fails with
-//     DATA_LOSS before writing a byte, so the caller routes the file through
-//     the Scrubber instead of laundering the rot into a certified page.
-//   * Intent. The final image's sidecar entry is written and synced BEFORE
-//     the data, making a crash mid-write self-describing; a read-back of
-//     every page after the data sync confirms the data matches it.
-class ReplayWriteSet {
- public:
-  ReplayWriteSet(store::DurableStore* store, RegionId region);
-
-  // Reads the pre-images of `pages` (ascending, distinct), one Read per run
-  // of consecutive pages; past EOF reads as zeros, matching file growth.
-  base::Status LoadPages(const std::vector<uint64_t>& pages);
-  // Overlays one redo range on the loaded pages (no I/O).
-  void Apply(const RangeImage& range);
-  // Gates, certifies, writes, syncs and read-back-verifies every loaded
-  // page, one sidecar entry per page (see the class comment).
-  base::Status Commit();
-
- private:
-  struct PageBuild {
-    std::vector<uint8_t> image;  // pre-image + redo, zero-padded
-    uint32_t preimage_crc = 0;   // PageCrc of the page as loaded
-    // Page-relative {offset, length} of every range Apply overlaid.
-    std::vector<std::pair<uint64_t, uint64_t>> redo;
-  };
-  using PageMap = std::map<uint64_t, PageBuild>;
-  // Consecutive loaded pages: [begin, end) in pages_.
-  struct Run {
-    PageMap::iterator begin;
-    PageMap::iterator end;
-    uint64_t pages;
-  };
-
-  std::vector<Run> Runs();
-
-  store::DurableStore* store_;
-  RegionId region_;
-  std::unique_ptr<store::DurableFile> file_;
-  PageMap pages_;
-};
-
-// Replays one region file: `ranges` (merged order) over `pages` of
-// `region`, as one ReplayWriteSet batch. The per-file step every replay
-// takes — IncrementalRecovery's claims and ReplayLogsIntoDatabase alike.
+// The replay engine: replays `ranges` (merged order) over `pages`
+// (ascending, distinct) of one region file as one batch. Every write of
+// logged or checkpointed bytes into a database file goes through it:
+// recovery's per-file replay (IncrementalRecovery's claims, which first
+// touch, the drain and trims make, and ReplayLogsIntoDatabase's full
+// replay) and the standby checkpoint's whole-image write
+// (lbc::CheckpointFromStandby). Ranges of other regions and bytes on pages
+// not listed are skipped. recovery.cc's ReplayWriteSet documents the
+// batch: coverage planned before any I/O, pre-images read only where redo
+// does not overwrite the whole page, the rot gate on those, intent entries
+// before data, and a read-back after the data sync.
 base::Status ReplayRegionFile(store::DurableStore* store, RegionId region,
                               const std::vector<uint64_t>& pages,
                               const std::vector<RangeImage>& ranges);

@@ -24,9 +24,12 @@
 // redo ranges, in merged order, while holding mu_ (Extend may reallocate
 // the backing transaction vector). It then releases mu_ and replays the
 // file through rvm::ReplayRegionFile — the one replay engine (recovery.h):
-// one sidecar read for the file; per run of consecutive pages one
-// pre-image read, one intent-entry write, one data write and one
-// read-back; one sync of each file (seven ops for a contiguous file). At
+// coverage planned from the ranges before any I/O; one sidecar read over
+// the pages the redo does not cover whole; per run of consecutive pages one
+// pre-image read (none for a run of whole-page redo), one intent-entry
+// write, one data write and one read-back; one sync of each file (seven
+// ops for a contiguous file with a partially covered page, five for one of
+// whole-page redo). At
 // most one replay of a file runs at a time; replays of different files
 // overlap, each holding `io_mu` SHARED (the cluster passes its DbMutex,
 // whose other writers take it exclusive). Threads that need a file in
@@ -35,8 +38,9 @@
 // stalled drain.
 //
 // Invariant the crash sweep leans on: a page leaves pending only through a
-// CRC-gated replay (pre-image checked against the sidecar, intent entry
-// written before data, read-back verified after), so a recovering server
+// CRC-gated replay (pre-image checked against the sidecar unless redo
+// overwrites every byte of the page, intent entry written before data,
+// read-back verified after), so a recovering server
 // never serves an unreplayed or uncertified byte — rot discovered lazily at
 // first touch fails the whole file's materialization with DATA_LOSS
 // instead of being replayed over, and the caller routes it through the

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "src/base/clock.h"
 #include "src/obs/metrics.h"
@@ -61,7 +62,7 @@ base::Status Rvm::Init() {
   uint64_t valid_end = 0;
   {
     LogReader reader(file.get());
-    std::vector<uint8_t> payload;
+    base::ByteSpan payload;
     bool at_end = false;
     while (true) {
       RETURN_IF_ERROR(reader.ReadNext(&payload, &at_end));
@@ -69,8 +70,7 @@ base::Status Rvm::Init() {
         break;
       }
       TransactionRecord txn;
-      if (PeekKind(base::ByteSpan(payload.data(), payload.size())).ok() &&
-          DecodeTransaction(base::ByteSpan(payload.data(), payload.size()), &txn).ok() &&
+      if (PeekKind(payload).ok() && DecodeTransaction(payload, reader.block(), &txn).ok() &&
           txn.node == node_) {
         commit_seq_ = std::max(commit_seq_, txn.commit_seq);
       }
@@ -957,20 +957,20 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
   // them is at or below its lock's baseline.
   ASSIGN_OR_RETURN(auto file, store_->Open(LogFileName(node_), /*create=*/false));
   LogReader reader(file.get());
-  std::vector<std::vector<uint8_t>> kept;
-  std::vector<uint8_t> payload;
+  // Each kept payload, read in place and held by its block.
+  std::vector<std::pair<base::Buffer, base::ByteSpan>> kept;
+  base::ByteSpan payload;
   bool at_end = false;
   while (true) {
     RETURN_IF_ERROR(reader.ReadNext(&payload, &at_end));
     if (at_end) {
       break;
     }
-    base::ByteSpan span(payload.data(), payload.size());
-    ASSIGN_OR_RETURN(LogRecordKind kind, PeekKind(span));
+    ASSIGN_OR_RETURN(LogRecordKind kind, PeekKind(payload));
     bool covered = false;
     if (kind == LogRecordKind::kTransaction) {
       TransactionRecord txn;
-      RETURN_IF_ERROR(DecodeTransaction(span, &txn));
+      RETURN_IF_ERROR(DecodeTransaction(payload, reader.block(), &txn));
       covered = !txn.locks.empty();
       for (const auto& lr : txn.locks) {
         auto it = baselines.find(lr.lock_id);
@@ -981,7 +981,7 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
       }
     }
     if (!covered) {
-      kept.push_back(payload);
+      kept.emplace_back(reader.block(), payload);
     }
   }
 
@@ -994,9 +994,8 @@ base::Status Rvm::TrimLogWithBaselines(const std::map<LockId, uint64_t>& baselin
     ASSIGN_OR_RETURN(auto temp, store_->Open(temp_name, /*create=*/true));
     RETURN_IF_ERROR(temp->Truncate(0));
     LogWriter writer(std::move(temp));
-    for (const auto& record : kept) {
-      RETURN_IF_ERROR(
-          writer.Append(base::ByteSpan(record.data(), record.size()), /*sync_now=*/false));
+    for (const auto& [block, record] : kept) {
+      RETURN_IF_ERROR(writer.Append(record, /*sync_now=*/false));
     }
     RETURN_IF_ERROR(writer.Sync());
   }

@@ -156,7 +156,7 @@ LogScan ScanOneLog(store::DurableStore* store, const std::string& name) {
   scan.file_size = *size_or;
 
   LogReader reader(file.get());
-  std::vector<uint8_t> payload;
+  base::ByteSpan payload;
   bool at_end = false;
   while (true) {
     if (!reader.ReadNext(&payload, &at_end).ok()) {

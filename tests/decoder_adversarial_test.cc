@@ -32,9 +32,9 @@ rvm::TransactionRecord SampleTxn() {
 TEST(AdversarialTransaction, TruncationAtEveryBoundaryRejects) {
   std::vector<uint8_t> full = rvm::EncodeTransaction(SampleTxn());
   rvm::TransactionRecord out;
-  ASSERT_TRUE(rvm::DecodeTransaction(ByteSpan(full.data(), full.size()), &out).ok());
+  ASSERT_TRUE(rvm::DecodeTransaction(base::Buffer(full), &out).ok());
   for (size_t len = 0; len < full.size(); ++len) {
-    EXPECT_FALSE(rvm::DecodeTransaction(ByteSpan(full.data(), len), &out).ok())
+    EXPECT_FALSE(rvm::DecodeTransaction(base::Buffer::Copy(ByteSpan(full.data(), len)), &out).ok())
         << "prefix of " << len << " bytes accepted";
   }
 }
@@ -51,7 +51,7 @@ TEST(AdversarialTransaction, MaximalCountFieldsReject) {
       w.WriteVarint(huge);  // n_locks
       std::vector<uint8_t> bytes = w.TakeBytes();
       rvm::TransactionRecord out;
-      EXPECT_FALSE(rvm::DecodeTransaction(ByteSpan(bytes.data(), bytes.size()), &out).ok());
+      EXPECT_FALSE(rvm::DecodeTransaction(base::Buffer(bytes), &out).ok());
     }
     {
       base::Writer w;
@@ -62,7 +62,7 @@ TEST(AdversarialTransaction, MaximalCountFieldsReject) {
       w.WriteVarint(huge);  // n_ranges
       std::vector<uint8_t> bytes = w.TakeBytes();
       rvm::TransactionRecord out;
-      EXPECT_FALSE(rvm::DecodeTransaction(ByteSpan(bytes.data(), bytes.size()), &out).ok());
+      EXPECT_FALSE(rvm::DecodeTransaction(base::Buffer(bytes), &out).ok());
     }
   }
 }
@@ -81,7 +81,7 @@ TEST(AdversarialTransaction, MaximalRangeLengthRejects) {
   w.WriteU8(0x00);
   std::vector<uint8_t> bytes = w.TakeBytes();
   rvm::TransactionRecord out;
-  EXPECT_FALSE(rvm::DecodeTransaction(ByteSpan(bytes.data(), bytes.size()), &out).ok());
+  EXPECT_FALSE(rvm::DecodeTransaction(base::Buffer(bytes), &out).ok());
 }
 
 TEST(AdversarialTransaction, NonMinimalVarintRejects) {
@@ -91,8 +91,8 @@ TEST(AdversarialTransaction, NonMinimalVarintRejects) {
   std::vector<uint8_t> loose = {canonical[0], 0x80, 0x00};
   loose.insert(loose.end(), canonical.begin() + 2, canonical.end());
   rvm::TransactionRecord out;
-  ASSERT_TRUE(rvm::DecodeTransaction(ByteSpan(canonical.data(), canonical.size()), &out).ok());
-  EXPECT_FALSE(rvm::DecodeTransaction(ByteSpan(loose.data(), loose.size()), &out).ok());
+  ASSERT_TRUE(rvm::DecodeTransaction(base::Buffer(canonical), &out).ok());
+  EXPECT_FALSE(rvm::DecodeTransaction(base::Buffer(loose), &out).ok());
 }
 
 TEST(AdversarialTransaction, NodeIdAboveU32Rejects) {
@@ -106,7 +106,7 @@ TEST(AdversarialTransaction, NodeIdAboveU32Rejects) {
   w.WriteVarint(0);
   std::vector<uint8_t> bytes = w.TakeBytes();
   rvm::TransactionRecord out;
-  EXPECT_FALSE(rvm::DecodeTransaction(ByteSpan(bytes.data(), bytes.size()), &out).ok());
+  EXPECT_FALSE(rvm::DecodeTransaction(base::Buffer(bytes), &out).ok());
 }
 
 TEST(AdversarialTransaction, RangeEndWrappingU64Rejects) {
@@ -123,7 +123,7 @@ TEST(AdversarialTransaction, RangeEndWrappingU64Rejects) {
   w.WriteU8(0xAA);
   std::vector<uint8_t> bytes = w.TakeBytes();
   rvm::TransactionRecord out;
-  EXPECT_FALSE(rvm::DecodeTransaction(ByteSpan(bytes.data(), bytes.size()), &out).ok());
+  EXPECT_FALSE(rvm::DecodeTransaction(base::Buffer(bytes), &out).ok());
 }
 
 TEST(AdversarialTransaction, ZeroEverythingRoundTrips) {
@@ -131,7 +131,7 @@ TEST(AdversarialTransaction, ZeroEverythingRoundTrips) {
   const rvm::TransactionRecord empty = rvm::MakeTransaction(0, 0, {}, {});
   std::vector<uint8_t> bytes = rvm::EncodeTransaction(empty);
   rvm::TransactionRecord out;
-  ASSERT_TRUE(rvm::DecodeTransaction(ByteSpan(bytes.data(), bytes.size()), &out).ok());
+  ASSERT_TRUE(rvm::DecodeTransaction(base::Buffer(bytes), &out).ok());
   EXPECT_EQ(out, empty);
   EXPECT_EQ(rvm::EncodeTransaction(out), bytes);
 }
@@ -153,7 +153,7 @@ TEST(AdversarialTransaction, RetiredAbsoluteAddressLayoutIsDataLoss) {
   std::vector<uint8_t> bytes = w.TakeBytes();
   rvm::TransactionRecord out;
   EXPECT_EQ(base::StatusCode::kDataLoss,
-            rvm::DecodeTransaction(ByteSpan(bytes.data(), bytes.size()), &out).code());
+            rvm::DecodeTransaction(base::Buffer(bytes), &out).code());
   EXPECT_EQ(base::StatusCode::kDataLoss,
             rvm::PeekKind(ByteSpan(bytes.data(), bytes.size())).status().code());
 }
@@ -227,7 +227,7 @@ std::vector<uint8_t> UpdateAround(const std::vector<uint8_t>& payload) {
 // Decodes `payload` alone and inside an update message; both must agree.
 bool PayloadAccepted(const std::vector<uint8_t>& payload) {
   rvm::TransactionRecord out;
-  const bool log_ok = rvm::DecodeTransaction(ByteSpan(payload.data(), payload.size()), &out).ok();
+  const bool log_ok = rvm::DecodeTransaction(base::Buffer(payload), &out).ok();
   const std::vector<uint8_t> message = UpdateAround(payload);
   const bool wire_ok =
       lbc::DecodeUpdate(ByteSpan(message.data(), message.size()), &out).ok();

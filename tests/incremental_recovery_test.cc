@@ -9,7 +9,11 @@
 //     merged logs,
 //   * one sidecar write and one sidecar sync per materialized page, and
 //     seven database-file ops per materialized region file, one page or
-//     three,
+//     three, when redo covers any page partially,
+//   * blind replay of whole-page redo: five ops per file (no pre-image or
+//     sidecar read), the redo certified over any rot beneath it, a rotten
+//     partial page stopping its file's blind pages too, and a blind page
+//     resuming from its intent after a power cut,
 //   * the op_deadline_ms bound on a first-touch wait (the transaction — and
 //     the client — stay usable after a DEADLINE_EXCEEDED map),
 //   * lazily discovered pre-image rot failing certification and routing
@@ -590,6 +594,216 @@ TEST(IncrementalRecovery, DrainingOneFileCostsSevenDatabaseFileOps) {
     ASSERT_TRUE(failed.ok());
     EXPECT_TRUE(failed->empty()) << "region " << region;
   }
+}
+
+// ---------------------------------------------------------------------------
+// 2d. Whole-page redo replays blind: a page the redo covers byte for byte
+//     is neither read nor gated, so a file of such pages costs five ops
+// ---------------------------------------------------------------------------
+
+TEST(IncrementalRecovery, DrainingAWholePageFileCostsFiveDatabaseFileOps) {
+  constexpr rvm::RegionId kOnePage = 7;
+  constexpr rvm::RegionId kTwoPages = 8;
+  constexpr rvm::RegionId kPastPageZero = 9;
+  constexpr rvm::RegionId kBlindThenPartial = 10;
+  store::MemStore mem;
+  ProbeStore probe(&mem);
+
+  // Certified files and sidecars first, so the ops counted are the drain's.
+  rvm::TransactionRecord base;
+  testing_records::AddRange(&base, kOnePage, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11));
+  testing_records::AddRange(&base, kTwoPages, 0,
+                            std::vector<uint8_t>(2 * rvm::kDbPageSize, 0x22));
+  testing_records::AddRange(&base, kPastPageZero, 0,
+                            std::vector<uint8_t>(2 * rvm::kDbPageSize, 0x33));
+  testing_records::AddRange(&base, kBlindThenPartial, 0,
+                            std::vector<uint8_t>(3 * rvm::kDbPageSize, 0x44));
+  ASSERT_TRUE(ReplayMerged(&mem, {base}).ok());
+
+  // kOnePage: two ranges that overlap, out of offset order, cover page 0.
+  // kTwoPages: one range over both pages. kPastPageZero: page 1 only.
+  // kBlindThenPartial: pages 0 and 1 whole, page 2 partially.
+  rvm::TransactionRecord redo;
+  redo.node = 1;
+  redo.commit_seq = 1;
+  testing_records::AddRange(&redo, kOnePage, 4000,
+                            std::vector<uint8_t>(rvm::kDbPageSize - 4000, 0x55));
+  testing_records::AddRange(&redo, kOnePage, 0, std::vector<uint8_t>(5000, 0x66));
+  testing_records::AddRange(&redo, kTwoPages, 0,
+                            std::vector<uint8_t>(2 * rvm::kDbPageSize, 0x77));
+  testing_records::AddRange(&redo, kPastPageZero, rvm::kDbPageSize,
+                            std::vector<uint8_t>(rvm::kDbPageSize, 0x88));
+  testing_records::AddRange(&redo, kBlindThenPartial, 0,
+                            std::vector<uint8_t>(2 * rvm::kDbPageSize + 100, 0x99));
+  std::vector<uint8_t> one_page(rvm::kDbPageSize, 0x55);
+  std::memset(one_page.data(), 0x66, 5000);
+  std::vector<uint8_t> two_pages(2 * rvm::kDbPageSize, 0x77);
+  std::vector<uint8_t> past_page_zero(2 * rvm::kDbPageSize, 0x33);
+  std::memset(past_page_zero.data() + rvm::kDbPageSize, 0x88, rvm::kDbPageSize);
+  std::vector<uint8_t> blind_then_partial(3 * rvm::kDbPageSize, 0x44);
+  std::memset(blind_then_partial.data(), 0x99, 2 * rvm::kDbPageSize + 100);
+
+  rvm::IncrementalRecovery recovery(&probe, rvm::LogIndex::FromMerged({redo}));
+  ASSERT_EQ(7u, recovery.PendingPages());
+  auto drain_one = [&](rvm::RegionId region) {
+    probe.ClearOps();
+    auto step = recovery.DrainStep();
+    EXPECT_TRUE(step.ok() && *step) << step.status().ToString();
+    for (const ProbeStore::Op& op : probe.ops()) {
+      EXPECT_EQ(region, op.region) << op.file;
+    }
+    return probe.OpTrace();
+  };
+  auto names = [](rvm::RegionId region) {
+    return std::make_pair(rvm::RegionFileName(region), rvm::ChecksumFileName(region));
+  };
+
+  // Intent write (header and entries in one Write) and sync, data write and
+  // sync, read-back: no pre-image read, no sidecar read.
+  for (rvm::RegionId region : {kOnePage, kTwoPages}) {
+    const auto [db, sum] = names(region);
+    EXPECT_EQ((std::vector<std::string>{sum + ":W", sum + ":S", db + ":W", db + ":S", db + ":R"}),
+              drain_one(region))
+        << "region " << region;
+  }
+  // Without page 0 the entry Write cannot carry the header: it is read first.
+  {
+    const auto [db, sum] = names(kPastPageZero);
+    EXPECT_EQ((std::vector<std::string>{sum + ":R", sum + ":W", sum + ":S", db + ":W",
+                                        db + ":S", db + ":R"}),
+              drain_one(kPastPageZero));
+  }
+  // One partial page brings back the pre-image Read (of that page alone)
+  // and the sidecar Read: seven ops, as for any partially covered file.
+  {
+    const auto [db, sum] = names(kBlindThenPartial);
+    EXPECT_EQ((std::vector<std::string>{db + ":R", sum + ":R", sum + ":W", sum + ":S",
+                                        db + ":W", db + ":S", db + ":R"}),
+              drain_one(kBlindThenPartial));
+  }
+  EXPECT_TRUE(recovery.Drained());
+
+  for (auto [region, image] : {std::make_pair(kOnePage, &one_page),
+                               std::make_pair(kTwoPages, &two_pages),
+                               std::make_pair(kPastPageZero, &past_page_zero),
+                               std::make_pair(kBlindThenPartial, &blind_then_partial)}) {
+    EXPECT_EQ(*image, ReadFile(&mem, rvm::RegionFileName(region))) << "region " << region;
+    EXPECT_EQ(replay_reference::ReferenceSidecar(region, *image),
+              ReadFile(&mem, rvm::ChecksumFileName(region)))
+        << "region " << region;
+  }
+}
+
+// A blind page certifies its redo whatever rotted under it: the pre-image,
+// its sidecar entry, the sidecar header, or the whole sidecar gone.
+TEST(IncrementalRecovery, BlindPageCertifiesRedoOverRottenPreImageAndSidecar) {
+  constexpr rvm::RegionId kRegion = 17;
+  const std::string db = rvm::RegionFileName(kRegion);
+  const std::string sum = rvm::ChecksumFileName(kRegion);
+  enum class SidecarRot { kEntry, kHeader, kAbsent };
+  for (SidecarRot sidecar_rot : {SidecarRot::kEntry, SidecarRot::kHeader, SidecarRot::kAbsent}) {
+    SCOPED_TRACE(static_cast<int>(sidecar_rot));
+    store::MemStore mem;
+    store::CorruptionInjectingStore rot(&mem);
+    rvm::TransactionRecord base;
+    testing_records::AddRange(&base, kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11));
+    ASSERT_TRUE(ReplayMerged(&rot, {base}).ok());
+    ASSERT_TRUE(rot.FlipBit(db, 5000, 3).ok());
+    switch (sidecar_rot) {
+      case SidecarRot::kEntry:
+        ASSERT_TRUE(rot.FlipBit(sum, rvm::kChecksumHeaderSize + 1, 0).ok());
+        break;
+      case SidecarRot::kHeader:
+        ASSERT_TRUE(rot.FlipBit(sum, 1, 6).ok());
+        break;
+      case SidecarRot::kAbsent:
+        ASSERT_TRUE(mem.Remove(sum).ok());
+        break;
+    }
+
+    rvm::TransactionRecord redo;
+    redo.node = 1;
+    redo.commit_seq = 1;
+    testing_records::AddRange(&redo, kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x22));
+    ASSERT_TRUE(ReplayMerged(&rot, {redo}).ok());
+    const std::vector<uint8_t> expected(rvm::kDbPageSize, 0x22);
+    EXPECT_EQ(expected, ReadFile(&mem, db));
+    EXPECT_EQ(replay_reference::ReferenceSidecar(kRegion, expected), ReadFile(&mem, sum));
+  }
+}
+
+// A blind page shares its file's fate: when another page of the file fails
+// the rot gate, no page is written, the blind one included.
+TEST(IncrementalRecovery, RotOnAPartialPageStopsTheBlindPagesOfItsFile) {
+  constexpr rvm::RegionId kRegion = 18;
+  const std::string db = rvm::RegionFileName(kRegion);
+  const std::string sum = rvm::ChecksumFileName(kRegion);
+  store::MemStore mem;
+  store::CorruptionInjectingStore rot(&mem);
+  ProbeStore probe(&rot);
+  rvm::TransactionRecord base;
+  testing_records::AddRange(&base, kRegion, 0,
+                            std::vector<uint8_t>(2 * rvm::kDbPageSize, 0x11));
+  ASSERT_TRUE(ReplayMerged(&rot, {base}).ok());
+  ASSERT_TRUE(rot.FlipBit(db, rvm::kDbPageSize + 5000, 2).ok());
+  const std::vector<uint8_t> db_before = ReadFile(&mem, db);
+  const std::vector<uint8_t> sum_before = ReadFile(&mem, sum);
+
+  // Page 0 whole (blind), page 1 partially over its rotten pre-image.
+  rvm::TransactionRecord redo;
+  redo.node = 1;
+  redo.commit_seq = 1;
+  testing_records::AddRange(&redo, kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x22));
+  testing_records::AddRange(&redo, kRegion, rvm::kDbPageSize + 100,
+                            std::vector<uint8_t>(64, 0x33));
+  EXPECT_EQ(base::StatusCode::kDataLoss, ReplayMerged(&probe, {redo}).code());
+  for (const std::string& op : probe.OpTrace()) {
+    EXPECT_EQ(':', op[op.size() - 2]);
+    EXPECT_EQ('R', op.back()) << op;
+  }
+  EXPECT_EQ(db_before, ReadFile(&mem, db));
+  EXPECT_EQ(sum_before, ReadFile(&mem, sum));
+}
+
+// A power cut after a blind page's intent is durable and before its data
+// is: the retry resumes with the same four mutating ops and lands on the
+// redo, its sidecar the reference's.
+TEST(IncrementalRecovery, BlindPageResumesAfterACutBetweenIntentAndData) {
+  constexpr rvm::RegionId kRegion = 19;
+  const std::string db = rvm::RegionFileName(kRegion);
+  const std::string sum = rvm::ChecksumFileName(kRegion);
+  store::MemStore mem;
+  store::CrashPointStore store(&mem);
+  rvm::TransactionRecord base;
+  testing_records::AddRange(&base, kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x11));
+  ASSERT_TRUE(ReplayMerged(&store, {base}).ok());
+  const std::vector<uint8_t> preimage = ReadFile(&mem, db);
+
+  rvm::TransactionRecord redo;
+  redo.node = 1;
+  redo.commit_seq = 1;
+  testing_records::AddRange(&redo, kRegion, 0, std::vector<uint8_t>(rvm::kDbPageSize, 0x22));
+  const std::vector<uint8_t> expected(rvm::kDbPageSize, 0x22);
+  rvm::IncrementalRecovery recovery(&store, rvm::LogIndex::FromMerged({redo}));
+
+  // Cut at the data write: the intent (header and entry) is durable, the
+  // data file still holds the pre-image.
+  store.ResetOpCount();
+  store.ArmCrashAtOp(2);
+  EXPECT_FALSE(recovery.MaterializeRegion(kRegion).ok());
+  store.Disarm();
+  EXPECT_EQ(replay_reference::ReferenceSidecar(kRegion, expected), ReadFile(&mem, sum));
+  EXPECT_EQ(preimage, ReadFile(&mem, db));
+
+  store.ResetOpCount();
+  ASSERT_TRUE(recovery.MaterializeRegion(kRegion).ok());
+  EXPECT_EQ((std::vector<store::CrashOpKind>{
+                store::CrashOpKind::kWrite, store::CrashOpKind::kSync,
+                store::CrashOpKind::kWrite, store::CrashOpKind::kSync}),
+            store.op_kinds());
+  EXPECT_TRUE(recovery.Drained());
+  EXPECT_EQ(expected, ReadFile(&mem, db));
+  EXPECT_EQ(replay_reference::ReferenceSidecar(kRegion, expected), ReadFile(&mem, sum));
 }
 
 // ---------------------------------------------------------------------------

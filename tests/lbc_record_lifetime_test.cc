@@ -1,5 +1,6 @@
 // Lifetime of the bytes a record's ranges view. A decoded record holds the
-// Buffer it was parsed from (a received message, a log payload) and nothing
+// Buffer it was parsed from (a received message, or the log reader's block
+// its payload lies in, which the records read from it share) and nothing
 // else does once the source is gone, so every place that keeps a record —
 // the held set of the §3.4 interlock, the lazy retained deque, the server
 // record cache, a token piggyback — must read the right bytes long after
@@ -36,6 +37,7 @@ std::string ImageAt(lbc::Client* client, uint64_t offset, size_t len) {
 // Node 2's committed history under kLock, read back from its log after the
 // store holding that log is destroyed: seq 1 writes "AAAAAAAA" at 0, seq 2
 // writes "BBBBBBBB" at 4. Applied in order the image reads "AAAABBBBBBBB".
+// The log is small, so both records are read from one block of it.
 std::vector<rvm::TransactionRecord> LogReadHistory() {
   auto store = std::make_unique<store::MemStore>();
   {
@@ -51,11 +53,17 @@ std::vector<rvm::TransactionRecord> LogReadHistory() {
       EXPECT_TRUE(rvm->EndTransaction(t, rvm::CommitMode::kFlush).ok());
     }
   }
+  const uint64_t log_bytes = *(*store->Open(rvm::LogFileName(2), /*create=*/false))->Size();
   auto records = rvm::ReadLogTransactions(store.get(), rvm::LogFileName(2));
   EXPECT_TRUE(records.ok());
   store.reset();  // the reader is gone with the call; now the file is too
+  EXPECT_EQ(2u, records->size());
   for (const auto& rec : *records) {
-    EXPECT_EQ(1, rec.bytes.use_count());  // each record is its payload's only owner
+    // The records share the block they were read from, which holds the log
+    // bytes the scan read and no more, and are its only owners.
+    EXPECT_EQ(records->front().bytes.data(), rec.bytes.data());
+    EXPECT_EQ(log_bytes, rec.bytes.size());
+    EXPECT_EQ(static_cast<long>(records->size()), rec.bytes.use_count());
   }
   return std::move(*records);
 }
@@ -93,6 +101,19 @@ TEST(RecordLifetime, LogReadRecordOutlivesReaderAndStore) {
   EXPECT_EQ(1u, history[0].SequenceOf(kLock));
   EXPECT_EQ("AAAAAAAA", BytesOf(testing_records::ListOf(history[0])[0].data));
   EXPECT_EQ("BBBBBBBB", BytesOf(testing_records::ListOf(history[1])[0].data));
+}
+
+TEST(RecordLifetime, LogReadBlockLivesUntilItsLastRecordDrops) {
+  std::vector<rvm::TransactionRecord> history = LogReadHistory();
+  ASSERT_EQ(2u, history.size());
+  rvm::TransactionRecord last = history[1];
+  EXPECT_EQ(3, last.bytes.use_count());
+  // Dropping the other records leaves this one the block's only owner: the
+  // block goes when it does, and until then its view is intact.
+  history.clear();
+  EXPECT_EQ(1, last.bytes.use_count());
+  EXPECT_EQ(2u, last.SequenceOf(kLock));
+  EXPECT_EQ("BBBBBBBB", BytesOf(testing_records::ListOf(last)[0].data));
 }
 
 TEST(RecordLifetime, HeldUpdatesApplyAfterTheirMessagesAreGone) {
@@ -167,6 +188,49 @@ TEST(RecordLifetime, RecordCacheHoldsRecordsPastTheirSources) {
   EXPECT_EQ("AAAAAAAA", BytesOf(testing_records::ListOf(fetched[0])[0].data));
   EXPECT_EQ("BBBBBBBB", BytesOf(testing_records::ListOf(fetched[1])[0].data));
   EXPECT_EQ("C", BytesOf(testing_records::ListOf(fetched[2])[0].data));
+}
+
+TEST(RecordLifetime, DeadClientRecoveryCachesOnlyItsRecordsBytes) {
+  // Dead-client recovery reads the dead node's whole log and keeps only the
+  // records no recovery merged yet, for the record cache. Those records
+  // must hold their own payloads, not the log block they shared with the
+  // records the filter dropped.
+  store::MemStore store;
+  lbc::Cluster cluster(&store);
+  cluster.DefineLock(kLock, kRegion, 2);
+  auto victim = std::move(*lbc::Client::Create(&cluster, 2, {}));
+  ASSERT_TRUE(victim->MapRegion(kRegion, 8192).ok());
+  auto commit = [&](uint8_t fill) {
+    lbc::Transaction txn = victim->Begin();
+    ASSERT_TRUE(txn.Acquire(kLock).ok());
+    ASSERT_TRUE(txn.SetRange(kRegion, 0, 8).ok());
+    std::memset(victim->GetRegion(kRegion)->data(), fill, 8);
+    ASSERT_TRUE(txn.Commit(rvm::CommitMode::kFlush).ok());
+  };
+  commit('A');
+  commit('B');
+  // Boot recovery merges seqs 1 and 2; seqs 3 and 4 follow in the same log.
+  cluster.KillServer();
+  ASSERT_TRUE(cluster.RestartServer().ok());
+  ASSERT_TRUE(victim->RejoinServer().ok());
+  ASSERT_TRUE(cluster.DrainRecovery().ok());
+  commit('C');
+  commit('D');
+  victim->Disconnect();
+  victim.reset();
+
+  ASSERT_TRUE(cluster.RecoverDeadClient(2).ok());
+  ASSERT_TRUE(cluster.DrainRecovery().ok());
+  std::vector<rvm::TransactionRecord> fetched = cluster.FetchRecordsSince(kLock, 2);
+  ASSERT_EQ(2u, fetched.size());
+  const char* fills[] = {"CCCCCCCC", "DDDDDDDD"};
+  for (size_t i = 0; i < fetched.size(); ++i) {
+    const rvm::TransactionRecord& rec = fetched[i];
+    EXPECT_EQ(3 + i, rec.SequenceOf(kLock));
+    EXPECT_EQ(rec.payload.data(), rec.bytes.data());
+    EXPECT_EQ(rec.payload.size(), rec.bytes.size());
+    EXPECT_EQ(fills[i], BytesOf(testing_records::ListOf(rec)[0].data));
+  }
 }
 
 TEST(RecordLifetime, TokenPiggybackCarriesLogReadRecords) {

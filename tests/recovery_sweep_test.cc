@@ -23,6 +23,11 @@
 //      pages and every write to it covers pages 0 and 2 partially and page
 //      1 fully, so each replay of region 1 is one three-page file batch and
 //      the sweeps cut power inside it.
+//   6. Sweeps 1 and 2 again over a blind batch: region 1 spans two pages and
+//      every write to it covers both whole, so each replay of region 1
+//      reads neither pre-image nor sidecar, and its intent Write
+//      carries the sidecar header with the entries; the sweeps cut power at
+//      every op of it, torn prefixes of that Write included.
 //
 // Budget/seed are env-tunable like crash_explorer_test: LBC_CRASH_BUDGET
 // (0 = exhaustive) and LBC_CRASH_SEED.
@@ -111,11 +116,24 @@ std::vector<std::string> AllLogs() {
 // 48-byte, one-page region. kMultiPage: region 1 spans three pages and node
 // n writes the last 64n bytes of page 0, all of page 1 and the first 64n
 // bytes of page 2 — overlapping writes, so replay order matters on every
-// page, and the partial pages depend on certified pre-images.
-enum class Shape { kSlices, kMultiPage };
+// page, and the partial pages depend on certified pre-images. kWholePage:
+// region 1 spans two pages and every write to it covers both, so replay
+// order matters and no page of it depends on its pre-image.
+enum class Shape { kSlices, kMultiPage, kWholePage };
 
 uint64_t RegionSize(Shape shape, rvm::RegionId region) {
-  return shape == Shape::kMultiPage && region == 1 ? 3 * rvm::kDbPageSize : kRegionSize;
+  if (region != 1) {
+    return kRegionSize;
+  }
+  switch (shape) {
+    case Shape::kMultiPage:
+      return 3 * rvm::kDbPageSize;
+    case Shape::kWholePage:
+      return 2 * rvm::kDbPageSize;
+    case Shape::kSlices:
+      break;
+  }
+  return kRegionSize;
 }
 
 struct Extent {
@@ -127,6 +145,9 @@ Extent ExtentOf(Shape shape, const Step& step) {
   if (shape == Shape::kMultiPage && step.region == 1) {
     const uint64_t edge = 64 * step.node;
     return {rvm::kDbPageSize - edge, rvm::kDbPageSize + 2 * edge};
+  }
+  if (shape == Shape::kWholePage && step.region == 1) {
+    return {0, 2 * rvm::kDbPageSize};
   }
   return {(step.node - 1) * kSliceSize, kSliceSize};
 }
@@ -381,6 +402,14 @@ TEST(RecoverySweep, MultiPageBatchEveryWorkloadCrashDrainsToCommittedPrefix) {
 
 TEST(RecoverySweep, MultiPageBatchEveryRecoveryCrashServesAndReconvergesByteIdentical) {
   SweepRecoveryCrashes(Shape::kMultiPage);
+}
+
+TEST(RecoverySweep, BlindBatchEveryWorkloadCrashDrainsToCommittedPrefix) {
+  SweepWorkloadCrashes(Shape::kWholePage);
+}
+
+TEST(RecoverySweep, BlindBatchEveryRecoveryCrashServesAndReconvergesByteIdentical) {
+  SweepRecoveryCrashes(Shape::kWholePage);
 }
 
 // --- index builds are read-only ---------------------------------------------

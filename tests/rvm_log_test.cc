@@ -28,8 +28,7 @@ TEST(LogFormat, TransactionRoundTrip) {
   rvm::TransactionRecord txn = MakeRecord(5);
   std::vector<uint8_t> payload = rvm::EncodeTransaction(txn);
   rvm::TransactionRecord out;
-  ASSERT_TRUE(
-      rvm::DecodeTransaction(base::ByteSpan(payload.data(), payload.size()), &out).ok());
+  ASSERT_TRUE(rvm::DecodeTransaction(base::Buffer(payload), &out).ok());
   EXPECT_EQ(txn.node, out.node);
   EXPECT_EQ(txn.commit_seq, out.commit_seq);
   EXPECT_EQ(txn.locks, out.locks);
@@ -58,17 +57,18 @@ TEST(LogFormat, CommittedRecordMatchesOwnedEncoding) {
 
   auto file = std::move(*store.Open(rvm::LogFileName(3), /*create=*/false));
   rvm::LogReader reader(file.get());
-  std::vector<uint8_t> payload;
+  base::ByteSpan view;
   bool at_end = false;
-  ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
+  ASSERT_TRUE(reader.ReadNext(&view, &at_end).ok());
   ASSERT_FALSE(at_end);
+  const std::vector<uint8_t> payload(view.begin(), view.end());
 
   const rvm::TransactionRecord want = testing_records::Record(
       3, 1, {{7, 5}}, {{1, 16, {}}, {1, 200, {'a', 'b', 'c'}}, {2, 190, {'W', 'X', 'Y', 'Z'}}});
   EXPECT_EQ(rvm::EncodeTransaction(want), payload);
   EXPECT_EQ(hooked, payload);
   rvm::TransactionRecord decoded;
-  ASSERT_TRUE(rvm::DecodeTransaction(base::ByteSpan(payload.data(), payload.size()), &decoded).ok());
+  ASSERT_TRUE(rvm::DecodeTransaction(view, reader.block(), &decoded).ok());
   EXPECT_EQ(want, decoded);
 }
 
@@ -88,8 +88,7 @@ TEST(LogFormat, DecodeRejectsTrailingGarbage) {
   payload.push_back(0xFF);
   rvm::TransactionRecord out;
   EXPECT_EQ(base::StatusCode::kDataLoss,
-            rvm::DecodeTransaction(base::ByteSpan(payload.data(), payload.size()), &out)
-                .code());
+            rvm::DecodeTransaction(base::Buffer(std::move(payload)), &out).code());
 }
 
 TEST(LogIo, WriteReadMultipleRecords) {
@@ -105,14 +104,13 @@ TEST(LogIo, WriteReadMultipleRecords) {
 
   auto rfile = std::move(*store.Open("log", false));
   rvm::LogReader reader(rfile.get());
-  std::vector<uint8_t> payload;
+  base::ByteSpan payload;
   bool at_end = false;
   for (uint64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
     ASSERT_FALSE(at_end);
     rvm::TransactionRecord txn;
-    ASSERT_TRUE(
-        rvm::DecodeTransaction(base::ByteSpan(payload.data(), payload.size()), &txn).ok());
+    ASSERT_TRUE(rvm::DecodeTransaction(payload, reader.block(), &txn).ok());
     EXPECT_EQ(i, txn.commit_seq);
   }
   ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
@@ -175,7 +173,7 @@ TEST_P(TornTailTest, TruncatedLogReadsCleanPrefix) {
   }
   auto file = std::move(*store.Open("log", false));
   rvm::LogReader reader(file.get());
-  std::vector<uint8_t> payload;
+  base::ByteSpan payload;
   bool at_end = false;
   uint64_t records = 0;
   while (true) {
@@ -184,8 +182,7 @@ TEST_P(TornTailTest, TruncatedLogReadsCleanPrefix) {
       break;
     }
     rvm::TransactionRecord txn;
-    ASSERT_TRUE(
-        rvm::DecodeTransaction(base::ByteSpan(payload.data(), payload.size()), &txn).ok());
+    ASSERT_TRUE(rvm::DecodeTransaction(payload, reader.block(), &txn).ok());
     EXPECT_EQ(records, txn.commit_seq);
     ++records;
   }
@@ -235,14 +232,14 @@ TEST(LogIo, ReadAheadCrossesChunkBoundaries) {
     auto file = std::move(*store.Open("log", false));
     rvm::LogReader reader(file.get());
     std::vector<std::vector<uint8_t>> got;
-    std::vector<uint8_t> payload;
+    base::ByteSpan payload;
     bool at_end = false;
     while (true) {
       EXPECT_TRUE(reader.ReadNext(&payload, &at_end).ok());
       if (at_end) {
         break;
       }
-      got.push_back(payload);
+      got.emplace_back(payload.begin(), payload.end());
     }
     *end = reader.offset();
     *torn = reader.tail_was_torn();
@@ -283,11 +280,81 @@ TEST(LogIo, CorruptedPayloadStopsRead) {
   }
   auto file = std::move(*store.Open("log", false));
   rvm::LogReader reader(file.get());
-  std::vector<uint8_t> payload;
+  base::ByteSpan payload;
   bool at_end = false;
   ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
   EXPECT_TRUE(at_end);
   EXPECT_TRUE(reader.tail_was_torn());
+}
+
+// Counts the Reads a reader issues and the bytes they ask for.
+class CountingFile : public store::DurableFile {
+ public:
+  explicit CountingFile(std::unique_ptr<store::DurableFile> base) : base_(std::move(base)) {}
+  base::Result<size_t> Read(uint64_t offset, void* buf, size_t len) override {
+    ++reads;
+    bytes_asked += len;
+    return base_->Read(offset, buf, len);
+  }
+  base::Status Write(uint64_t offset, base::ByteSpan data) override {
+    return base_->Write(offset, data);
+  }
+  base::Result<uint64_t> Append(base::ByteSpan data) override { return base_->Append(data); }
+  base::Status Sync() override { return base_->Sync(); }
+  base::Result<uint64_t> Size() const override { return base_->Size(); }
+  base::Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+
+  int reads = 0;
+  uint64_t bytes_asked = 0;
+
+ private:
+  std::unique_ptr<store::DurableFile> base_;
+};
+
+TEST(LogIo, CorruptLengthEndsTheLogWithoutReadingPastIt) {
+  // A length field that runs past the end of the file marks a torn frame.
+  // Once the frame's header is buffered, the reader must see that from the
+  // file size alone: a bad length early in a long log reads none of the
+  // log behind it.
+  store::MemStore store;
+  const std::vector<uint8_t> payload(4000, 0x5A);
+  uint64_t third = 0;
+  {
+    rvm::LogWriter writer(std::move(*store.Open("log", true)));
+    for (int i = 0; i < 200; ++i) {
+      if (i == 2) {
+        third = writer.bytes_written();
+      }
+      ASSERT_TRUE(writer.Append(base::ByteSpan(payload.data(), payload.size()), false).ok());
+    }
+    ASSERT_TRUE(writer.Sync().ok());
+  }
+  {
+    auto file = std::move(*store.Open("log", false));
+    const uint32_t len = 0x40000000;
+    ASSERT_TRUE(file->Write(third + 4, base::ByteSpan(reinterpret_cast<const uint8_t*>(&len),
+                                                      sizeof(len)))
+                    .ok());
+  }
+  CountingFile file(std::move(*store.Open("log", false)));
+  ASSERT_GT(*file.Size(), 10u * 64 * 1024);
+  rvm::LogReader reader(&file);
+  base::ByteSpan got;
+  bool at_end = false;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(reader.ReadNext(&got, &at_end).ok());
+    ASSERT_FALSE(at_end);
+    EXPECT_EQ(payload.size(), got.size());
+  }
+  const int reads_before = file.reads;
+  ASSERT_TRUE(reader.ReadNext(&got, &at_end).ok());
+  EXPECT_TRUE(at_end);
+  EXPECT_TRUE(reader.tail_was_torn());
+  EXPECT_EQ(third, reader.offset());
+  // The two good frames and the bad header came in the first read-ahead.
+  EXPECT_EQ(1, reads_before);
+  EXPECT_EQ(reads_before, file.reads);
+  EXPECT_EQ(64u * 1024, file.bytes_asked);
 }
 
 TEST(LogIo, ResetEmptiesLog) {
@@ -314,7 +381,7 @@ void ExpectPayloadIsTheRecord(const rvm::TransactionRecord& rec) {
   EXPECT_EQ(rec.bytes.data(), rec.payload.data());
   EXPECT_EQ(rec.bytes.size(), rec.payload.size());
   rvm::TransactionRecord decoded;
-  ASSERT_TRUE(rvm::DecodeTransaction(rec.payload, &decoded).ok());
+  ASSERT_TRUE(rvm::DecodeTransaction(rec.payload, rec.bytes, &decoded).ok());
   EXPECT_EQ(rec, decoded);
   EXPECT_TRUE(std::ranges::equal(
       rvm::MakeTransaction(rec.node, rec.commit_seq, rec.locks, testing_records::ListOf(rec))
@@ -445,7 +512,7 @@ TEST(CommitPayload, CarriedCopyIsLoggedAsTheWriterLoggedIt) {
 
   auto file = std::move(*store.Open(rvm::LogFileName(2), /*create=*/false));
   rvm::LogReader reader(file.get());
-  std::vector<uint8_t> payload;
+  base::ByteSpan payload;
   bool at_end = false;
   ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
   ASSERT_FALSE(at_end);

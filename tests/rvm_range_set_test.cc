@@ -406,10 +406,11 @@ TEST(RangeSetRadixSort, Oo7T2BLogPayloadIsUnchanged) {
 
   auto file = std::move(*store.Open(rvm::LogFileName(1), /*create=*/false));
   rvm::LogReader reader(file.get());
-  std::vector<uint8_t> payload;
+  base::ByteSpan view;
   bool at_end = false;
-  ASSERT_TRUE(reader.ReadNext(&payload, &at_end).ok());
+  ASSERT_TRUE(reader.ReadNext(&view, &at_end).ok());
   ASSERT_FALSE(at_end);
+  const std::vector<uint8_t> payload(view.begin(), view.end());
   EXPECT_EQ(128706u, payload.size());
   EXPECT_EQ(0x5e9102dbu, base::Crc32c(payload.data(), payload.size()));
   // The reference: each declared offset once, with its largest length, in
@@ -423,8 +424,7 @@ TEST(RangeSetRadixSort, Oo7T2BLogPayloadIsUnchanged) {
     reference.emplace_back(1, offset, base::ByteSpan(region->data() + offset, len));
   }
   EXPECT_EQ(rvm::EncodeTransaction(rvm::MakeTransaction(1, 1, {}, reference)), payload);
-  std::vector<uint8_t> next;
-  ASSERT_TRUE(reader.ReadNext(&next, &at_end).ok());
+  ASSERT_TRUE(reader.ReadNext(&view, &at_end).ok());
   EXPECT_TRUE(at_end);
 }
 
